@@ -8,9 +8,8 @@ import numpy as np
 
 from .controls import Control
 from .errors import GridMismatch, InvalidGrid, ShapeError
-from .roughpath import RoughPath
-
-ZERO_NUM_TOL = 1e-13
+from .pairs import ZERO_NUM_TOL, pair_sup, ratio
+from .roughpath import RoughPath, _calibrate_control
 
 
 @dataclass
@@ -97,18 +96,8 @@ def associated_roughpath(z: ControlledPath, rp: RoughPath) -> RoughPath:
         raise ShapeError("associated rough path needs vector-valued z")
     zdag = z.derivative  # (N+1, m, k)
     areas = np.einsum("iua,ivb,iab->iuv", zdag[:-1], zdag[:-1], rp.step_areas)
-    p = rp.control.p
-    # calibrate a fresh time-scale control for the new first/second levels
-    tmp = RoughPath(rp.times, z.values, areas, Control.time_scale(1.0, p))
-    c = 0.0
-    n = tmp.n_steps
-    for i in range(n):
-        j = np.arange(i + 1, n + 1)
-        dt = rp.times[j] - rp.times[i]
-        xin = np.linalg.norm(z.values[j] - z.values[i], axis=-1)
-        ain = np.linalg.norm(tmp.area_pairs(np.full(j.shape, i), j).reshape(j.size, -1), axis=-1)
-        c = max(c, float(np.max(xin**p / dt)), float(np.max(ain ** (p / 2.0) / dt)))
-    return RoughPath(rp.times, z.values.copy(), areas, Control.time_scale(max(c, 1e-300), p))
+    c = _calibrate_control(z.values, rp.times, areas, rp.control.p)
+    return RoughPath(rp.times, z.values.copy(), areas, Control.time_scale(c, rp.control.p))
 
 
 # -- verification ----------------------------------------------------------------
@@ -117,33 +106,19 @@ def associated_roughpath(z: ControlledPath, rp: RoughPath) -> RoughPath:
 def _pair_constants(times, values, derivative, rp: RoughPath, p, delta=None):
     """Smallest constants for the two controlled-path inequalities on this grid."""
     n = times.size - 1
-    c_rem = 0.0
-    c_der = 0.0
-    worst_rem = (0, 0)
     flat_vals = values.reshape(n + 1, -1)
     flat_dag = derivative.reshape(n + 1, -1, derivative.shape[-1])
-    for i in range(n):
-        j = np.arange(i + 1, n + 1)
-        if delta is not None:
-            j = j[times[j] - times[i] <= delta + 1e-12]
-            if j.size == 0:
-                continue
+
+    def residuals(i, j):
         om = rp.control.omega(times[i], times[j])
         dx = rp.values[j] - rp.values[i]
-        rem = flat_vals[j] - flat_vals[i] - np.einsum("va,na->nv", flat_dag[i], dx)
+        rem = flat_vals[j] - flat_vals[i] - np.einsum("nva,na->nv", flat_dag[i], dx)
         rn = np.linalg.norm(rem, axis=-1)
-        dn = np.linalg.norm((flat_dag[j] - flat_dag[i]).reshape(j.size, -1), axis=-1)
-        om2 = om ** (2.0 / p)
-        om1 = om ** (1.0 / p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(om2 > 0, rn / np.where(om2 > 0, om2, 1.0), np.where(rn <= ZERO_NUM_TOL, 0.0, np.inf))
-            r2 = np.where(om1 > 0, dn / np.where(om1 > 0, om1, 1.0), np.where(dn <= ZERO_NUM_TOL, 0.0, np.inf))
-        m = float(np.max(r1, initial=0.0))
-        if m > c_rem:
-            c_rem = m
-            worst_rem = (i, int(j[int(np.argmax(r1))]))
-        c_der = max(c_der, float(np.max(r2, initial=0.0)))
-    return c_rem, c_der, worst_rem
+        dn = np.linalg.norm((flat_dag[j] - flat_dag[i]).reshape(i.size, -1), axis=-1)
+        return ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+
+    sups, worst, _ = pair_sup(times, delta, residuals)
+    return sups[0], sups[1], worst
 
 
 def stability_slope(constants, hs):

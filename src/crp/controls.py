@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGrid
+from .errors import InvalidGrid, OffGrid
+from .pairs import grid_triples
 
 SUPERADD_SLACK = 1e-12
 
@@ -53,12 +54,18 @@ class Control:
         t = np.asarray(t, dtype=float)
         if self.kind == "time-scale":
             return self.scale * np.maximum(t - s, 0.0)
-        i = np.searchsorted(self.times, s)
-        j = np.searchsorted(self.times, t)
-        return self.table[i, j]
+        return self.table[self._nodes(s), self._nodes(t)]
 
     def __call__(self, s, t):
         return self.omega(s, t)
+
+    def _nodes(self, t):
+        """Indices of the times ``t`` on a table control's grid; OffGrid unless all are nodes."""
+        idx = np.searchsorted(self.times, t)
+        hit = self.times[np.minimum(idx, self.times.size - 1)] == t
+        if not np.all(hit):
+            raise OffGrid(f"t={float(np.extract(~hit, t)[0])!r} is not a node of the control's grid")
+        return idx
 
     # -- construction ---------------------------------------------------------
 
@@ -79,7 +86,7 @@ class Control:
         if self.kind == "time-scale":
             return self
         t = np.asarray(times, dtype=float)
-        idx = np.searchsorted(self.times, t)
+        idx = self._nodes(t)
         return Control(p=self.p, kind="table", times=t, table=self.table[np.ix_(idx, idx)])
 
     # -- invariants -----------------------------------------------------------
@@ -97,9 +104,7 @@ class Control:
             return 0.0
         total = n * (n - 1) * (n - 2) // 6
         if total <= max_triples:
-            i, j, k = np.array(
-                [(a, b, c) for a in range(n - 2) for b in range(a + 1, n - 1) for c in range(b + 1, n)]
-            ).T
+            i, j, k = grid_triples(n)
         else:
             rng = rng or np.random.default_rng(0)
             i = rng.integers(0, n - 2, size=max_triples)

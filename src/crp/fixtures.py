@@ -200,11 +200,6 @@ def sphere_observables():
     ]
 
 
-def height_hessian(m, v):
-    """Closed-form covariant Hessian of the sphere height function on v (x) v."""
-    return -m[2] * float(np.dot(v, v))
-
-
 # -- registry ----------------------------------------------------------------------------------
 
 

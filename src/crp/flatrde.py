@@ -173,14 +173,3 @@ def rde_solve_flat(
         values[i + 1] = ynew
     deriv = np.stack([field.value_matrix(values[i]) for i in range(n + 1)], axis=0)
     return ControlledPath(rp.times, values, deriv)
-
-
-def rde_local_defects(field: DrivingField, sol: ControlledPath, rp: RoughPath):
-    """Max one-step defect |y_{i,i+1} - scheme increment| on this grid."""
-    worst = 0.0
-    dx = np.diff(rp.values, axis=0)
-    for i in range(rp.n_steps):
-        y = sol.values[i]
-        pred = field.value(y, dx[i]) + field.second_order(y, rp.step_areas[i])
-        worst = max(worst, float(np.linalg.norm(sol.values[i + 1] - y - pred)))
-    return worst

@@ -19,10 +19,6 @@ def richardson_diff(f, h):
     return (4.0 * d2 - d1) / 3.0
 
 
-def fd_scale(x):
-    return max(1.0, float(np.max(np.abs(x))))
-
-
 def hat(w):
     """R^3 -> so(3)."""
     w = np.asarray(w, dtype=float)
@@ -99,11 +95,6 @@ def so3_left_jacobian_inv(w):
     return np.eye(3) - 0.5 * W + c * (W @ W)
 
 
-def so3_right_jacobian_inv(w):
-    # J_r(w) = J_l(-w)
-    return so3_left_jacobian_inv(-np.asarray(w, dtype=float))
-
-
 def polar_retract(g):
     """Closest orthogonal matrix (polar factor)."""
     u, _, vt = np.linalg.svd(np.asarray(g, dtype=float))
@@ -113,16 +104,3 @@ def polar_retract(g):
         u[:, -1] = -u[:, -1]
         r = u @ vt
     return r
-
-
-def mat_power_step(mat, n):
-    """Repeated multiplication helper used in a couple of closed-form tests."""
-    out = np.eye(mat.shape[0])
-    base = mat
-    k = n
-    while k:
-        if k & 1:
-            out = base @ out
-        base = base @ base
-        k >>= 1
-    return out

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, ZERO_NUM_TOL, check_same_grid, stability_slope
+from .controlled import ControlledPath, check_same_grid, stability_slope
 from .controlled import STABILITY_SLOPE_TOL
 from .errors import ChartExit, DomainError, InvalidGrid, NotOnManifold, ShapeError
 from .gauges import Gauge
 from .manifolds import Chart, Manifold
+from .pairs import pair_sup, ratio
 from .roughpath import RoughPath
 
 BASEPOINT_TOL = 1e-10
@@ -150,61 +151,37 @@ def pushforward_covariance_residual(f, jf, g, jg, y: ManifoldControlledPath, mid
 # -- verifiers ---------------------------------------------------------------------
 
 
-def _delta_pairs(times, delta):
-    n = times.size
-    i_all, j_all = [], []
-    for i in range(n - 1):
-        j = np.arange(i + 1, n)
-        if delta is not None:
-            j = j[times[j] - times[i] <= delta + 1e-12]
-        if j.size:
-            i_all.append(np.full(j.size, i))
-            j_all.append(j)
-    if not i_all:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    return np.concatenate(i_all), np.concatenate(j_all)
-
-
 def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p):
     times = y.times
-    i, j = _delta_pairs(times, delta)
-    if i.size == 0:
-        return 0.0, 0.0, (0, 0), 0
     pts = y.points
     if gauge.chart is not None:
         margins = np.array([gauge.chart.margin(p) for p in pts])
         bad = np.where(margins <= 0)[0]
         if bad.size:
             raise DomainError(f"sample t_{bad[0]} = {times[bad[0]]:.6g} outside chart {gauge.chart.name}")
-    else:
-        d = y.manifold.domain_distance_batch(pts[i], pts[j])
-        bad = np.where(d >= y.manifold.gauge_radius)[0]
-        if bad.size:
-            a, b = int(i[bad[0]]), int(j[bad[0]])
-            raise DomainError(
-                f"pair (t_{a}, t_{b}) = ({times[a]:.6g}, {times[b]:.6g}) outside the gauge domain"
-            )
-    om = y.driver.control.omega(times[i], times[j])
-    dx = y.driver.values[j] - y.driver.values[i]
-    psi = gauge.psi_batch(pts[i], pts[j])
-    pred = np.einsum("pda,pa->pd", y.derivative[i], dx)
-    rn = np.linalg.norm(psi - pred, axis=-1)
-    u = gauge.U_batch(pts[i], pts[j])
-    dn = np.linalg.norm(
-        (np.einsum("pde,pek->pdk", u, y.derivative[j]) - y.derivative[i]).reshape(i.size, -1), axis=-1
-    )
-    om2 = om ** (2.0 / p)
-    om1 = om ** (1.0 / p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(om2 > 0, rn / np.where(om2 > 0, om2, 1.0), np.where(rn <= ZERO_NUM_TOL, 0.0, np.inf))
-        r1 = np.where(om1 > 0, dn / np.where(om1 > 0, om1, 1.0), np.where(dn <= ZERO_NUM_TOL, 0.0, np.inf))
-    kmax = int(np.argmax(r2))
-    return (
-        float(np.max(r2, initial=0.0)),
-        float(np.max(r1, initial=0.0)),
-        (int(i[kmax]), int(j[kmax])),
-        int(i.size),
-    )
+
+    def residuals(i, j):
+        if gauge.chart is None:
+            d = y.manifold.domain_distance_batch(pts[i], pts[j])
+            bad = np.where(d >= y.manifold.gauge_radius)[0]
+            if bad.size:
+                a, b = int(i[bad[0]]), int(j[bad[0]])
+                raise DomainError(
+                    f"pair (t_{a}, t_{b}) = ({times[a]:.6g}, {times[b]:.6g}) outside the gauge domain"
+                )
+        om = y.driver.control.omega(times[i], times[j])
+        dx = y.driver.values[j] - y.driver.values[i]
+        psi = gauge.psi_batch(pts[i], pts[j])
+        pred = np.einsum("pda,pa->pd", y.derivative[i], dx)
+        rn = np.linalg.norm(psi - pred, axis=-1)
+        u = gauge.U_batch(pts[i], pts[j])
+        dn = np.linalg.norm(
+            (np.einsum("pde,pek->pdk", u, y.derivative[j]) - y.derivative[i]).reshape(i.size, -1), axis=-1
+        )
+        return ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+
+    sups, worst, pairs = pair_sup(times, delta, residuals)
+    return sups[0], sups[1], worst, pairs
 
 
 def default_probe_delta(y: ManifoldControlledPath):
@@ -299,8 +276,7 @@ def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None, level
     if window is None:
         lo, hi = 0, times.size - 1
     else:
-        lo = int(np.searchsorted(times, window[0]))
-        hi = int(np.searchsorted(times, window[1]))
+        lo, hi = y.driver.index_of(window[0]), y.driver.index_of(window[1])
     for idx in range(lo, hi + 1):
         if not chart.contains(y.points[idx]):
             raise ChartExit(time=float(times[idx]))

@@ -36,14 +36,6 @@ class ManifoldDrivingField:
     def value_matrix(self, m):
         return np.asarray(self.field(m), dtype=float)
 
-    def tangency_residual(self, points):
-        worst = 0.0
-        for m in points:
-            fm = self.value_matrix(m)
-            p = self.manifold.tangent_projector(m)
-            worst = max(worst, float(np.max(np.abs(fm - p @ fm))))
-        return worst
-
     def chart_rep(self, chart):
         """F in chart coordinates: x -> dto(p) field(p), p = from_coords(x)."""
 

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, ZERO_NUM_TOL, check_same_grid
+from .controlled import ControlledPath, check_same_grid
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, compatibility_tensor
 from .linalg import richardson_diff
-from .mcrp import ManifoldControlledPath, _delta_pairs, default_probe_delta
+from .mcrp import ManifoldControlledPath, default_probe_delta
+from .pairs import pair_sup, ratio
 from .roughpath import RoughPath
 
 
@@ -92,28 +93,25 @@ class ControlledOneForm:
 
     def _pair_constants(self, delta, p):
         y = self.path
-        i, j = _delta_pairs(self.times, delta)
-        if i.size == 0:
-            return 0.0, 0.0
-        u = self.parallelism.matrix_batch(y.points[j], y.points[i])  # T_{y_i} -> T_{y_j}? see below
-        # U(y_t, y_s): T_{y_s} -> T_{y_t}; the inequality composes alpha_t with it
-        rem = np.einsum("pnd,pde->pne", self.alpha[j], u) - self.alpha[i]
-        dx = y.driver.values[j] - y.driver.values[i]
-        rem -= np.einsum("pnad,pa->pnd", self.alpha_dag[i], dx)
         # only the action on tangents at y_s is meaningful
-        projs = np.stack([y.manifold.tangent_projector(pt) for pt in y.points[i]])
-        rem = np.einsum("pne,ped->pnd", rem, projs)
-        rn = np.linalg.norm(rem.reshape(i.size, -1), axis=-1)
-        dd = np.einsum("pnad,pde->pnae", self.alpha_dag[j], u) - self.alpha_dag[i]
-        dd = np.einsum("pnae,ped->pnad", dd, projs)
-        dn = np.linalg.norm(dd.reshape(i.size, -1), axis=-1)
-        om = y.driver.control.omega(self.times[i], self.times[j])
-        om2 = om ** (2.0 / p)
-        om1 = om ** (1.0 / p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r2 = np.where(om2 > 0, rn / np.where(om2 > 0, om2, 1.0), np.where(rn <= ZERO_NUM_TOL, 0.0, np.inf))
-            r1 = np.where(om1 > 0, dn / np.where(om1 > 0, om1, 1.0), np.where(dn <= ZERO_NUM_TOL, 0.0, np.inf))
-        return float(np.max(r2, initial=0.0)), float(np.max(r1, initial=0.0))
+        projs = np.stack([y.manifold.tangent_projector(pt) for pt in y.points])
+
+        def residuals(i, j):
+            # U(y_t, y_s): T_{y_s} -> T_{y_t}; the inequality composes alpha_t with it
+            u = self.parallelism.matrix_batch(y.points[j], y.points[i])
+            rem = np.einsum("pnd,pde->pne", self.alpha[j], u) - self.alpha[i]
+            dx = y.driver.values[j] - y.driver.values[i]
+            rem -= np.einsum("pnad,pa->pnd", self.alpha_dag[i], dx)
+            rem = np.einsum("pne,ped->pnd", rem, projs[i])
+            rn = np.linalg.norm(rem.reshape(i.size, -1), axis=-1)
+            dd = np.einsum("pnad,pde->pnae", self.alpha_dag[j], u) - self.alpha_dag[i]
+            dd = np.einsum("pnae,ped->pnad", dd, projs[i])
+            dn = np.linalg.norm(dd.reshape(i.size, -1), axis=-1)
+            om = y.driver.control.omega(self.times[i], self.times[j])
+            return ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+
+        sups, _, _ = pair_sup(self.times, delta, residuals)
+        return sups[0], sups[1]
 
 
 # -- constructors -------------------------------------------------------------------

@@ -1,0 +1,86 @@
+"""The all-pairs sup behind every verifier constant, and grid triples.
+
+Each constant the library certifies a path with is a sup over grid pairs
+s < t (optionally with t - s <= delta) of a per-pair residual divided by a
+power of the control.  ``pair_sup`` walks those pairs in row-major order in
+row blocks of bounded size, so memory stays flat in the grid size while the
+sups, being maxima, do not depend on the block size.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from itertools import chain, combinations
+
+import numpy as np
+
+# Numerators at or below this count as zero when the control vanishes (0/0 -> 0).
+ZERO_NUM_TOL = 1e-13
+
+# Most pairs handed to one residual call; a block always holds at least one row.
+# A caller's largest per-block array is this many pairs times its per-pair size.
+BLOCK_PAIRS = 1 << 12
+
+# Slack on the probe horizon: pairs with t_j - t_i <= delta + DELTA_SLACK are kept.
+DELTA_SLACK = 1e-12
+
+
+def ratio(num, om_pow):
+    """num / om_pow elementwise, with 0/0 -> 0 and x/0 -> inf for x > ZERO_NUM_TOL."""
+    pos = om_pow > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pos, num / np.where(pos, om_pow, 1.0), np.where(num <= ZERO_NUM_TOL, 0.0, np.inf))
+
+
+def _row_ends(times, delta):
+    """Exclusive end of the kept columns of each row i (columns i+1 .. end-1).
+
+    The test is on the rounded difference t_j - t_i itself: a bound on
+    t_i + delta rounds differently at the boundary.
+    """
+    n = times.size
+    if delta is None:
+        return np.full(n, n)
+    lim = delta + DELTA_SLACK
+    ends = [i + 1 + np.searchsorted(times[i + 1:] - times[i], lim, side="right") for i in range(n)]
+    return np.array(ends, dtype=int)
+
+
+def pair_sup(times, delta, fn):
+    """Sup of per-pair residuals over grid pairs i < j (t_j - t_i <= delta if given).
+
+    ``fn(i, j)`` takes equal-length index arrays and returns a tuple of
+    nonnegative arrays, one entry per pair.  Returns ``(sups, worst, probed)``:
+    ``sups[k]`` is the sup of the k-th array (0.0 for every k when no pair is
+    probed), ``worst`` the first pair in row-major order attaining the sup of
+    the first array ((0, 0) when no pair is probed) and ``probed`` the number
+    of pairs probed.  A NaN residual makes its sup NaN, and the first NaN pair
+    of the first array is the worst pair, so corrupt input never passes.
+    """
+    times = np.asarray(times, dtype=float)
+    counts = _row_ends(times, delta) - np.arange(times.size) - 1
+    done = np.concatenate([[0], np.cumsum(counts)])  # pairs before row r
+    probed = int(done[-1])
+    sups, worst, best = defaultdict(float), (0, 0), -1.0
+    row = 0
+    while row < times.size - 1:
+        stop = max(int(np.searchsorted(done, done[row] + BLOCK_PAIRS, side="right")) - 1, row + 1)
+        block = counts[row:stop]
+        if done[stop] > done[row]:
+            i = np.repeat(np.arange(row, stop), block)
+            j = i + 1 + np.arange(i.size) - np.repeat(done[row:stop] - done[row], block)
+            out = fn(i, j)
+            for k, a in enumerate(out):
+                sups[k] = float(np.maximum(sups[k], np.max(a, initial=0.0)))  # keeps NaN
+            if sups[0] > best or (np.isnan(sups[0]) and not np.isnan(best)):
+                best = sups[0]
+                k = int(np.argmax(out[0]))  # the first NaN, if any
+                worst = (int(i[k]), int(j[k]))
+        row = stop
+    return sups, worst, probed
+
+
+def grid_triples(n):
+    """Index arrays (i, j, k) of every triple i < j < k < n, in lexicographic order."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), 3)), dtype=np.intp)
+    return flat.reshape(-1, 3).T

@@ -15,6 +15,7 @@ import numpy as np
 from .controls import Control
 from .errors import InvalidGrid, LiftFailure, OffGrid
 from .linalg import richardson_diff
+from .pairs import grid_triples, pair_sup, ratio
 
 WEAK_GEO_TOL_QUAD = 1e-10
 CHEN_TOL = 1e-12
@@ -127,8 +128,7 @@ class RoughPath:
         rng = rng or np.random.default_rng(0)
         total = (n + 1) * n * (n - 1) // 6
         if total <= max_triples:
-            trips = [(a, b, c) for a in range(n - 1) for b in range(a + 1, n) for c in range(b + 1, n + 1)]
-            i, j, k = np.array(trips).T
+            i, j, k = grid_triples(n + 1)
         else:
             i = rng.integers(0, n - 1, size=max_triples)
             j = i + 1 + rng.integers(0, np.maximum(n - 1 - i, 1))
@@ -146,20 +146,15 @@ class RoughPath:
     def bound_constant(self):
         """Smallest C with |x_{s,t}| <= C om^(1/p) and |area| <= C om^(2/p) on the grid."""
         p = self.control.p
-        n = self.n_steps
-        c = 0.0
-        for i in range(n):
-            j = np.arange(i + 1, n + 1)
+
+        def residuals(i, j):
             om = self.control.omega(self.times[i], self.times[j])
             xin = np.linalg.norm(self.values[j] - self.values[i], axis=-1)
-            ain = np.linalg.norm(self.area_pairs(np.full(j.shape, i), j).reshape(j.size, -1), axis=-1)
-            om1 = om ** (1.0 / p)
-            om2 = om ** (2.0 / p)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c1 = np.where(om1 > 0, xin / np.where(om1 > 0, om1, 1.0), np.where(xin <= 1e-13, 0.0, np.inf))
-                c2 = np.where(om2 > 0, ain / np.where(om2 > 0, om2, 1.0), np.where(ain <= 1e-13, 0.0, np.inf))
-            c = max(c, float(np.max(c1, initial=0.0)), float(np.max(c2, initial=0.0)))
-        return c
+            ain = np.linalg.norm(self.area_pairs(i, j).reshape(i.size, -1), axis=-1)
+            return ratio(xin, om ** (1.0 / p)), ratio(ain, om ** (2.0 / p))
+
+        sups, _, _ = pair_sup(self.times, None, residuals)
+        return max(sups[0], sups[1])
 
     # -- restriction / coarsening ------------------------------------------------
 
@@ -220,15 +215,15 @@ def chen_compose(rp: RoughPath, s, t):
 def _calibrate_control(rp_values, times, areas, p):
     """Smallest c with the p-bounds holding at C=1 for omega = c (t-s)."""
     tmp = RoughPath(times, rp_values, areas, Control.time_scale(1.0, p))
-    n = tmp.n_steps
-    c = 0.0
-    for i in range(n):
-        j = np.arange(i + 1, n + 1)
+
+    def residuals(i, j):
         dt = times[j] - times[i]
         xin = np.linalg.norm(rp_values[j] - rp_values[i], axis=-1)
-        ain = np.linalg.norm(tmp.area_pairs(np.full(j.shape, i), j).reshape(j.size, -1), axis=-1)
-        c = max(c, float(np.max(xin**p / dt)), float(np.max(ain ** (p / 2.0) / dt)))
-    return max(c, 1e-300)
+        ain = np.linalg.norm(tmp.area_pairs(i, j).reshape(i.size, -1), axis=-1)
+        return xin**p / dt, ain ** (p / 2.0) / dt
+
+    sups, _, _ = pair_sup(tmp.times, None, residuals)
+    return max(sups[0], sups[1], 1e-300)
 
 
 def _gauss_legendre_step_area(path, dpath, a, b, order):

@@ -24,6 +24,13 @@ def test_driver_controls_itself():
     assert np.isfinite(rep["C_remainder"])
 
 
+def test_nan_value_fails_flat_verifier():
+    rp = smooth_driver(32)
+    y = driver_as_controlled(rp)
+    y.values[5, 0] = np.nan
+    rep = verify_crp(y, rp)
+    assert not rep["pass"] and np.isnan(rep["C_remainder"]) and rep["worst_pair"] == (0, 5)
+
 def test_constant_path_zero_constants():
     rp = smooth_driver(32)
     n = rp.times.size

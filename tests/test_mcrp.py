@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crp import ChartManifold, DomainError, NotOnManifold
+from crp import ChartManifold, DomainError, NotOnManifold, OffGrid
 from crp.fixtures import (
     FLAT3,
     LINE,
@@ -95,6 +95,31 @@ class TestGaugeVerifier:
             verify_gauge_crp(y, connection_gauge(SPHERE), delta=np.pi)
 
 
+    def test_nan_sample_fails_gauge_and_oneform_verifiers(self):
+        from crp.oneforms import oneform_from_smooth
+
+        y = sphere_spiral_crp(64)
+        gauge = connection_gauge(SPHERE)
+        form = oneform_from_smooth(lambda m: np.array([[-m[1], m[0], 0.0]]), y, gauge.par)
+        y.points[20, 0] = np.nan
+        rep = verify_gauge_crp(y, gauge)
+        assert not rep["pass"] and np.isnan(rep["C2"]) and rep["worst_pair"] == (0, 20)
+        rep = form.verify()
+        assert not rep["pass"] and np.isnan(rep["C_remainder"])
+
+    def test_sample_outside_chart_raises_even_when_no_pair_is_probed(self):
+        # a meridian climbing past m3 = 0.9, out of the north stereographic chart
+        grid = np.linspace(0.0, 0.49 * np.pi, 33)
+        rp = lift_smooth(
+            lambda t: np.array([np.cos(t), 0.0, np.sin(t)]),
+            grid,
+            dpath=lambda t: np.array([-np.sin(t), 0.0, np.cos(t)]),
+        )
+        y = crp_from_projection(SPHERE, rp)
+        gauge = chart_gauge(SPHERE, SPHERE.charts()[0])
+        with pytest.raises(DomainError, match="outside chart"):
+            verify_gauge_crp(y, gauge, delta=0.5 * (grid[1] - grid[0]))
+
 class TestChartVerifier:
     def test_flat_identity_chart_matches_flat_verifier(self):
         from crp.controlled import verify_crp
@@ -105,6 +130,17 @@ class TestChartVerifier:
         rep_flat = verify_crp(y.as_flat(), y.driver)
         assert abs(rep_chart["C_remainder"] - rep_flat["C_remainder"]) < 1e-12
         assert abs(rep_chart["C_derivative"] - rep_flat["C_derivative"]) < 1e-12
+
+    def test_window_ends_must_be_grid_nodes(self):
+        y = flat3_crp(64)
+        chart = FLAT3.charts()[0]
+        h = y.times[1] - y.times[0]
+        rep = verify_chart_crp(y, chart, window=(y.times[8], y.times[40]))
+        assert rep["levels"]["h"][0] == pytest.approx(h)
+        with pytest.raises(OffGrid):
+            verify_chart_crp(y, chart, window=(y.times[8] + 0.3 * h, y.times[40]))
+        with pytest.raises(OffGrid):
+            verify_chart_crp(y, chart, window=(y.times[8], y.times[-1] + h))
 
     def test_spiral_passes_stereographic_chart(self):
         y = sphere_spiral_crp(256)

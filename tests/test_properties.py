@@ -56,7 +56,9 @@ def test_time_scale_controls_superadditive(scale, p):
 @given(st.floats(-3.0, 3.0), st.integers(2, 6))
 @settings(max_examples=30, deadline=None)
 def test_pure_area_scaling_linear_in_rate(a, splits):
-    n = 2 ** int(np.log2(8))
-    rp = pure_area_driver(a, np.linspace(0.0, 1.0, 9))
-    total = rp.area(0, 8)
-    assert np.allclose(total, a * np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-14)
+    n = 2**splits
+    rp = pure_area_driver(a, np.linspace(0.0, 1.0, n + 1))
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for i, j in [(0, n), (0, n // 2), (n // 4, n), (1, n - 1), (n // 2, n // 2 + 1)]:
+        expected = a * (rp.times[j] - rp.times[i]) * rot
+        assert np.allclose(rp.area(i, j), expected, atol=1e-14)

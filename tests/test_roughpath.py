@@ -180,6 +180,19 @@ class TestControl:
         c2 = Control.from_json(c.to_json())
         assert np.allclose(c2.table, c.table)
 
+    def test_table_control_rejects_off_grid_times(self):
+        grid = np.linspace(0.0, 2.0, 21)
+        c = Control.from_callable(lambda s, t: np.maximum(t - np.maximum(s, 1.0), 0.0), grid, p=2.0)
+        assert np.array_equal(c.omega(grid[:3], grid[-3:]), c.table[[0, 1, 2], [18, 19, 20]])
+        with pytest.raises(OffGrid):
+            c.omega(0.0, 1.55)  # between nodes: used to read omega(0, 1.6)
+        with pytest.raises(OffGrid):
+            c.omega(grid[:3], np.array([1.0, 1.5, 2.5]))  # past the end: used to raise IndexError
+        with pytest.raises(OffGrid):
+            c.restrict(np.array([0.0, 0.95, 2.0]))
+        sub = c.restrict(grid[::4])
+        assert np.array_equal(sub.table, c.table[::4, ::4])
+
     def test_degenerate_control_is_superadditive(self):
         grid = np.linspace(0.0, 2.0, 41)
         c = Control.from_callable(lambda s, t: np.maximum(t - np.maximum(s, 1.0), 0.0), grid, p=2.0)
