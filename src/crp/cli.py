@@ -42,14 +42,29 @@ def _load_config(path):
             raise ConfigError(f"config parse error: {exc}") from exc
 
 
-def _tangent_frame(m):
-    ref = np.array([0.0, 0.0, 1.0]) if abs(m[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(m, ref)
-    e1 /= np.linalg.norm(e1)
-    return np.stack([e1, np.cross(m, e1)], axis=1)
+def _fixture(name, n, kinds):
+    """Named fixture at grid size n; ConfigError unless its kind is one of ``kinds``."""
+    kind = fx.FIXTURES.get(name, {}).get("kind")
+    if kind is not None and kind not in kinds:
+        raise ConfigError(f"fixture {name!r} is of kind {kind}; this command takes {', '.join(kinds)}")
+    return fx.build_fixture(name) if kind == "fixed-mcrp" else fx.build_fixture(name, n=n)
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps library errors to exit codes: 2 on a config error, 1 on a numerical one."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except CrpError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Controlled rough paths on manifolds: drivers, integrals, RDEs, transport."""
 
@@ -76,7 +91,7 @@ def lift(config_path, out, deterministic, fixture, n):
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
     n = int(cfg.get("n", n))
-    built = fx.build_fixture(fixture, n=n)
+    built = _fixture(fixture, n, ("driver", "mcrp"))
     rp = built if fx.FIXTURES[fixture]["kind"] == "driver" else built.driver
     doc = {
         "fixture": fixture,
@@ -104,7 +119,7 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
     n = int(cfg.get("n", n))
-    y = fx.build_fixture(fixture, n=n)
+    y = _fixture(fixture, n, ("mcrp", "fixed-mcrp"))
     mani = y.manifold
     if gauge_name == "connection":
         gauge = connection_gauge(mani)
@@ -139,15 +154,8 @@ def _build_rde_from_config(cfg, fixture, n, retraction):
             field = fx.sphere_projection_field()
             y0 = np.asarray(cfg.get("y0", [0.0, 1.0, 0.0]), dtype=float)
         elif kind in ("left-invariant", "right-invariant"):
-            a0 = np.asarray(cfg.get("field", {}).get("params", {}).get("direction", [0.0, 0.0, np.pi / 2]), float)
-            grid = np.linspace(0.0, 1.0, n + 1)
-            pts = np.outer(grid, a0)
-            dx = np.diff(pts, axis=0)
-            from .controls import Control
-            from .roughpath import RoughPath
-
-            c = max(float(np.linalg.norm(a0)), 1e-12)
-            rp = RoughPath(grid, pts, 0.5 * np.einsum("ia,ib->iab", dx, dx), Control.time_scale(c, 1.0))
+            params = cfg.get("field", {}).get("params", {})
+            rp = fx.so3_constant_driver(n, params.get("direction", [0.0, 0.0, np.pi / 2]))
             field = fx.so3_right_invariant_field()
             y0 = np.asarray(cfg.get("y0", np.eye(3).tolist()), dtype=float)
         else:
@@ -161,14 +169,7 @@ def _build_rde_from_config(cfg, fixture, n, retraction):
             fx.sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]), retraction=retraction
         )
     if fixture == "so3-constant-rde":
-        a0 = (np.pi / 2) * np.array([0.0, 0.0, 1.0])
-        grid = np.linspace(0.0, 1.0, n + 1)
-        pts = np.outer(grid, a0)
-        dx = np.diff(pts, axis=0)
-        from .controls import Control
-        from .roughpath import RoughPath
-
-        rp = RoughPath(grid, pts, 0.5 * np.einsum("ia,ib->iab", dx, dx), Control.time_scale(np.pi / 2, 1.0))
+        rp = fx.so3_constant_driver(n)
         return fixture, rde_solve_manifold(fx.so3_right_invariant_field(), rp, np.eye(3), retraction=retraction)
     raise ConfigError(f"unknown rde fixture {fixture!r}")
 
@@ -202,8 +203,10 @@ def transport(config_path, out, deterministic, fixture, n):
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
     n = int(cfg.get("n", n))
-    y = fx.build_fixture(fixture, n=n)
-    u0 = _tangent_frame(y.points[0])
+    y = _fixture(fixture, n, ("mcrp",))
+    if y.manifold is not fx.SPHERE:
+        raise ConfigError(f"transport takes sphere path fixtures; {fixture!r} lives on {y.manifold.name}")
+    u0 = fx.tangent_frame(y.points[0])
     lift_frames = parallel_translate_frame(y, u0)
     z, _ = unroll(y, u0, lift=lift_frames)
     doc = {
@@ -236,7 +239,7 @@ def verify(config_path, out, deterministic, fixture, p, delta):
         y = fx.example_67_crp(p=p)
         gauge = standard_gauge(fx.LINE)
     else:
-        y = fx.build_fixture(fixture, n=int(cfg.get("n", 256)))
+        y = _fixture(fixture, int(cfg.get("n", 256)), ("mcrp",))
         gauge = connection_gauge(y.manifold)
         delta = None
     grep = verify_gauge_crp(y, gauge, delta=delta)
@@ -281,11 +284,10 @@ def convergence(config_path, out, deterministic, fixture, levels, p):
         from .flatrde import DrivingField, rde_solve_flat
 
         ns = dyadic_levels(1 << (5 + levels), levels)
-        mats = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
         errs, hs = [], []
         for n in ns:
             rp = fx.pure_area_fixture(n)
-            sol = rde_solve_flat(DrivingField(matrices=mats), rp, np.array([1.0, 1.0]))
+            sol = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rp, np.array([1.0, 1.0]))
             errs.append(float(np.max(np.abs(sol.values[-1] - np.array([np.e, 1.0 / np.e])))))
             hs.append(1.0 / n)
         report = ConvergenceReport.from_levels(fixture, ns, hs, errs, target=1.0)
@@ -308,11 +310,7 @@ def suite(config_path, out, deterministic, jobs, names):
     """Run the acceptance suites; exit 0 iff every criterion passes."""
     from .suite import run_suite
 
-    try:
-        cfg = _load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    cfg = _load_config(config_path)
     names = list(names) or cfg.get("criteria")
     if names == []:
         names = None
@@ -321,14 +319,7 @@ def suite(config_path, out, deterministic, jobs, names):
         write_json(os.path.join(odir, "suite-report.json"), {"criteria": [], "pass": True, "failed": []})
         click.echo("empty fixture list: nothing to run")
         sys.exit(0)
-    try:
-        bundle = run_suite(names=names, deterministic=deterministic, jobs=jobs)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except CrpError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(1)
+    bundle = run_suite(names=names, deterministic=deterministic, jobs=jobs)
     odir = _out_dir(out)
     write_json(os.path.join(odir, "suite-report.json"), bundle)
     rows = []

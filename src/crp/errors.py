@@ -68,8 +68,8 @@ class NotOnManifold(CrpError):
         super().__init__(message or f"sample {index} is not on the manifold")
 
 
-class AtlasGap(CrpError):
-    pass
+class AtlasGap(DomainError):
+    """No chart of the atlas contains the point."""
 
 
 class NotRelated(CrpError):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .controls import Control
-from .controlled import ControlledPath
 from .errors import ConfigError
 from .gauges import logarithm_gauge
 from .linalg import hat, so3_exp
@@ -39,6 +38,16 @@ def smooth_2d_driver(n, T=1.0):
 
 def pure_area_fixture(n, a=1.0, T=1.0):
     return pure_area_driver(a, np.linspace(0.0, T, n + 1))
+
+
+def so3_constant_driver(n, a0=(0.0, 0.0, np.pi / 2)):
+    """Driver t -> t a0 in so(3) coordinates on [0, 1], area half the squared step."""
+    a0 = np.asarray(a0, dtype=float)
+    grid = np.linspace(0.0, 1.0, n + 1)
+    pts = np.outer(grid, a0)
+    dx = np.diff(pts, axis=0)
+    areas = 0.5 * np.einsum("ia,ib->iab", dx, dx)
+    return RoughPath(grid, pts, areas, Control.time_scale(max(float(np.linalg.norm(a0)), 1e-12), 1.0))
 
 
 def linear_drive_driver(n, speed=1.0, T=1.0):
@@ -175,6 +184,18 @@ def so3_right_invariant_field():
     return ManifoldDrivingField(SO3M, fn, name="right-invariant")
 
 
+# pure-area commutator system: dy = A_1 y dX^1 + A_2 y dX^2, solved by [e, 1/e]
+COMMUTATOR_MATS = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+
+
+def tangent_frame(m):
+    """Deterministic orthonormal frame of T_mS^2, as a (3, 2) matrix."""
+    ref = np.array([0.0, 0.0, 1.0]) if abs(m[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(m, ref)
+    e1 /= np.linalg.norm(e1)
+    return np.stack([e1, np.cross(m, e1)], axis=1)
+
+
 # -- gauges -------------------------------------------------------------------------------
 
 
@@ -214,7 +235,8 @@ FIXTURES = {
     "so3-curve": {"kind": "mcrp", "p": 1.0, "build": so3_curve_crp},
     "flat3": {"kind": "mcrp", "p": 1.0, "build": flat3_crp},
     "line-quadratic": {"kind": "mcrp", "p": 1.0, "build": line_quadratic_crp},
-    "example-6.7": {"kind": "mcrp", "p": 2.0, "build": lambda eps=0.01, p=2.0: example_67_crp(eps, p)},
+    # on its own grid: the builder takes no size
+    "example-6.7": {"kind": "fixed-mcrp", "p": 2.0, "build": lambda eps=0.01, p=2.0: example_67_crp(eps, p)},
 }
 
 

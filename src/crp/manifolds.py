@@ -10,12 +10,12 @@ charts expose explicit ``to/from`` differentials instead of implicit casts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, LogFailure, NearCutLocus
+from .errors import AtlasGap, ConfigError, DomainError, LogFailure, NearCutLocus
 from .linalg import (
     hat,
     so3_exp,
@@ -135,11 +135,12 @@ class Manifold:
         raise NotImplementedError
 
     def chart_at(self, p, atlas=None):
+        """The chart of ``atlas`` (default: all charts) with the largest margin at p."""
         atlas = self.charts() if atlas is None else atlas
         margins = [c.margin(p) for c in atlas]
         best = int(np.argmax(margins))
         if margins[best] <= 0:
-            raise DomainError(f"no chart of {self.name} contains the point")
+            raise AtlasGap(f"no chart of {self.name} contains the point")
         return atlas[best]
 
     # -- misc ---------------------------------------------------------------------
@@ -687,10 +688,13 @@ class ChartManifold(Manifold):
         return self.center + 0.3 * self.radius * rng.standard_normal(self.dim)
 
     def spec_json(self):
+        def center(c):
+            return np.zeros(self.dim) if c.center_coords is None else np.asarray(c.center_coords, dtype=float)
+
         return {
             "type": "chart",
             "dim": self.dim,
-            "charts": [{"name": c.name, "center": list(np.zeros(self.dim)), "radius": c.radius} for c in self.charts()],
+            "charts": [{"name": c.name, "center": center(c).tolist(), "radius": c.radius} for c in self.charts()],
             "connection": {"kind": "custom" if self.gamma is not None else "levi-civita"},
         }
 
@@ -819,5 +823,10 @@ def manifold_from_spec(doc):
     if kind == "so3":
         return SO3()
     if kind == "chart":
-        return ChartManifold(dim=doc["dim"], radius=doc.get("radius", 10.0))
+        # connections and extra charts are callables, which a spec cannot carry
+        if doc.get("connection", {}).get("kind", "levi-civita") != "levi-civita" or len(doc.get("charts", [])) > 1:
+            raise ConfigError("only a flat chart manifold with its one identity chart can be read from a spec")
+        ident = (doc.get("charts") or [{}])[0]
+        radius = ident.get("radius", doc.get("radius", 10.0))
+        return ChartManifold(dim=doc["dim"], radius=radius, center=ident.get("center"))
     raise DomainError(f"unknown manifold type {kind!r}")

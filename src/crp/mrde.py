@@ -19,6 +19,7 @@ from .sewing import rough_integrate
 
 EXPLOSION_BOUND = 1e8
 RECHART_MARGIN = 0.2  # re-chart when margin falls under 20% of the chart radius
+FD_STEP = 1e-6  # relative central-difference step of the second-order term
 
 
 @dataclass
@@ -46,7 +47,45 @@ class ManifoldDrivingField:
         return rep
 
 
-def _chart_step(rep, x, dx, area, fd_step=1e-6):
+class ChartWalk:
+    """Greedy chart choice along a trajectory, node by node.
+
+    Starts in the chart with the largest margin at ``p0`` and keeps it while its
+    margin stays at or above ``RECHART_MARGIN`` of its radius; below that it
+    re-selects the chart with the largest margin and records a segment boundary
+    whenever the chart changes.
+    """
+
+    def __init__(self, manifold: Manifold, atlas, times, p0):
+        self.manifold = manifold
+        self.atlas = list(atlas) if atlas is not None else manifold.charts()
+        self.times = times
+        self.chart = manifold.chart_at(p0, self.atlas)
+        self.starts = [(0, self.chart)]
+
+    def visit(self, i, p, margin):
+        """Chart that node i (point p, ``margin`` in the current chart) is read in.
+
+        Returns None while the current chart keeps its margin.
+        """
+        if margin >= RECHART_MARGIN * self.chart.radius:
+            return None
+        try:
+            best = self.manifold.chart_at(p, self.atlas)
+        except AtlasGap:
+            raise Explosion(self.times[i - 1], "trajectory left every atlas chart") from None
+        if best is not self.chart:
+            self.chart = best
+            self.starts.append((i, best))
+        return best
+
+    def close(self, n):
+        """Single-chart segments [(i0, i1, chart)] covering nodes 0..n."""
+        ends = [i for i, _ in self.starts[1:]] + [n]
+        return [(i0, i1, chart) for (i0, chart), i1 in zip(self.starts, ends)]
+
+
+def _chart_step(rep, x, dx, area):
     """Additive second-order step of the chart-coordinate scheme."""
     cols = rep(x)  # (d, k)
     out = cols @ dx
@@ -60,7 +99,7 @@ def _chart_step(rep, x, dx, area, fd_step=1e-6):
         nv = float(np.linalg.norm(v))
         if nv < 1e-300:
             continue
-        h = fd_step * scale / nv if nv > fd_step else fd_step * scale
+        h = FD_STEP * scale / nv if nv > FD_STEP else FD_STEP * scale
         dcols = (rep(x + h * v) - rep(x - h * v)) / (2.0 * h)
         out = out + dcols @ row
     return out
@@ -74,31 +113,24 @@ def rde_solve_manifold(
     retraction=False,
     atlas=None,
     explosion_bound=EXPLOSION_BOUND,
-    collect_meta=True,
 ) -> ManifoldControlledPath:
     """Chart-patched second-order solve of dy = F_{dX}(y).
 
-    The step runs in the chart with the largest boundary margin and the chart
-    is re-selected greedily whenever the margin decays below 20% of the chart
-    radius; switch times are recorded in ``meta``.  Explosion is proxied by
-    exceeding the ambient norm bound or leaving every atlas chart.
+    The step runs in the chart of a ``ChartWalk``; the times at which the chart
+    changes are recorded in ``meta``.  Explosion is proxied by exceeding the
+    ambient norm bound or leaving every atlas chart.
     """
     mani = field.manifold
     if horizon is not None:
         rp = rp.restrict(rp.index_of(horizon[0]), rp.index_of(horizon[1]))
-    atlas = list(atlas) if atlas is not None else mani.charts()
     n = rp.n_steps
     points = np.empty((n + 1,) + mani.point_shape)
     deriv = np.empty((n + 1, mani.flat_dim, rp.dim))
     y = np.asarray(y0, dtype=float)
     points[0] = y
     deriv[0] = field.value_matrix(y)
-    margins = [c.margin(y) for c in atlas]
-    best = int(np.argmax(margins))
-    if margins[best] <= 0:
-        raise AtlasGap("initial point not covered by the atlas")
-    chart = atlas[best]
-    switches = []
+    walk = ChartWalk(mani, atlas, rp.times, y)
+    chart = walk.chart
     rep = field.chart_rep(chart)
     x = chart.to_coords(y)
     dxs = np.diff(rp.values, axis=0)
@@ -111,21 +143,16 @@ def rde_solve_manifold(
         flat = mani.flatten(y)
         if not np.all(np.isfinite(flat)) or float(np.linalg.norm(flat)) > explosion_bound:
             raise Explosion(rp.times[i])
-        if chart.coords_margin(x) < RECHART_MARGIN * chart.radius:
-            margins = [c.margin(y) for c in atlas]
-            best = int(np.argmax(margins))
-            if margins[best] <= 0:
-                raise Explosion(rp.times[i], "trajectory left every atlas chart")
-            if atlas[best] is not chart:
-                chart = atlas[best]
-                rep = field.chart_rep(chart)
-                switches.append(float(rp.times[i + 1]))
+        got = walk.visit(i + 1, y, chart.coords_margin(x))
+        if got is not None:
+            if got is not chart:
+                chart, rep = got, field.chart_rep(got)
             x = chart.to_coords(y)
         points[i + 1] = y
         deriv[i + 1] = field.value_matrix(y)
     out = ManifoldControlledPath(mani, rp.times, points, deriv, rp)
-    if collect_meta:
-        out.meta = {"chart_switches": switches, "retraction": bool(retraction)}
+    switches = [float(rp.times[i0]) for i0, _, _ in walk.close(n)[1:]]
+    out.meta = {"chart_switches": switches, "retraction": bool(retraction)}
     return out
 
 

@@ -11,7 +11,7 @@ from .controlled import ControlledPath, driver_as_controlled
 from .convergence import estimate_order
 from .errors import ConfigError
 from .flatrde import DrivingField, rde_solve_flat
-from .gauges import Gauge, chart_gauge, compatibility_tensor, connection_gauge, standard_gauge, torsion_check
+from .gauges import chart_gauge, compatibility_tensor, connection_gauge, standard_gauge, torsion_check
 from .linalg import hat
 from .manifolds import ChartManifold
 from .mcrp import domain_feasible_delta, ratio_at_pair, verify_chart_crp, verify_gauge_crp
@@ -65,18 +65,8 @@ def _slope_check(name, errors, hs, target, noise_floor=1e-12):
     return {"check": name, "value": float(slope), "tolerance": float(target), "mode": "ge", "pass": bool(slope >= target)}
 
 
-def _tangent_frame(m):
-    ref = np.array([0.0, 0.0, 1.0]) if abs(m[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(m, ref)
-    e1 /= np.linalg.norm(e1)
-    return np.stack([e1, np.cross(m, e1)], axis=1)
-
-
 def _area_form(m):
     return np.array([[-m[1], m[0], 0.0]])
-
-
-COMMUTATOR_MATS = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +110,7 @@ def criterion_02_sewing_order():
 
     # flat, pure-area driver (p = 2)
     rp2 = fx.pure_area_fixture(256)
-    sol = rde_solve_flat(DrivingField(matrices=COMMUTATOR_MATS), rp2, np.array([1.0, 1.0]))
+    sol = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rp2, np.array([1.0, 1.0]))
     n2 = rp2.times.size
     av2 = np.zeros((n2, 2, 2))
     ad2 = np.zeros((n2, 2, 2, 2))
@@ -141,7 +131,7 @@ def criterion_02_sewing_order():
     # gauge integrator along a pure-area development (p = 2); the start point
     # sits away from the chart center so the connection genuinely acts
     o = SPHERE.charts()[1].from_coords(np.array([0.8, 0.0]))
-    u0 = _tangent_frame(o)
+    u0 = fx.tangent_frame(o)
     rp3 = fx.pure_area_fixture(256, a=1.5)
     yroll, _ = roll(driver_as_controlled(rp3), rp3, SPHERE, o, u0)
     a3 = oneform_from_smooth(_area_form, yroll, g.par)
@@ -313,28 +303,21 @@ def criterion_07_rde_correctness():
     from scipy.linalg import expm
 
     a0 = (np.pi / 2) * np.array([0.0, 0.0, 1.0])
-    grid = np.linspace(0.0, 1.0, 1025)
-    pts = np.outer(grid, a0)
-    dx = np.diff(pts, axis=0)
-    areas = 0.5 * np.einsum("ia,ib->iab", dx, dx)
-    from .controls import Control
-    from .roughpath import RoughPath
-
-    rp2 = RoughPath(grid, pts, areas, Control.time_scale(np.pi / 2, 1.0))
+    rp2 = fx.so3_constant_driver(1024, a0)
     sol2 = rde_solve_manifold(fx.so3_right_invariant_field(), rp2, np.eye(3))
     err2 = float(np.max(np.abs(sol2.points[-1] - expm(-hat(a0)))))
     checks.append(_check("so3-constant-direction", err2, 1e-9))
 
     # pure-area flat RDE: exponential-scheme realization of the local expansion
     rp3 = fx.pure_area_fixture(1024)
-    sol3 = rde_solve_flat(DrivingField(matrices=COMMUTATOR_MATS), rp3, np.array([1.0, 1.0]), scheme="exp")
+    sol3 = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rp3, np.array([1.0, 1.0]), scheme="exp")
     err3 = float(np.max(np.abs(sol3.values[-1] - np.array([np.e, 1.0 / np.e]))))
     checks.append(_check("pure-area-commutator-closed-form", err3, 1e-6))
     # the default additive scheme keeps its stated global order on this fixture
     errs, hs = [], []
     for nn in (128, 256, 512, 1024):
         rpn = fx.pure_area_fixture(nn)
-        soln = rde_solve_flat(DrivingField(matrices=COMMUTATOR_MATS), rpn, np.array([1.0, 1.0]))
+        soln = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rpn, np.array([1.0, 1.0]))
         errs.append(float(np.max(np.abs(soln.values[-1] - np.array([np.e, 1.0 / np.e])))))
         hs.append(1.0 / nn)
     checks.append(_slope_check("pure-area-davie-global-order", errs, hs, 0.75))
@@ -452,7 +435,7 @@ def criterion_10_transport():
     checks = []
     theta = np.pi / 3
     y = fx.latitude_crp(4096, theta=theta)
-    u0 = _tangent_frame(y.points[0])
+    u0 = fx.tangent_frame(y.points[0])
     lift = parallel_translate_frame(y, u0)
     angle = abs(lift.holonomy_angle())
     want = 2.0 * np.pi * (1.0 - np.cos(theta))
@@ -463,7 +446,7 @@ def criterion_10_transport():
     errs, hs = [], []
     for n in (128, 256, 512, 1024):
         ys = fx.sphere_spiral_crp(n, T=np.pi)
-        u0s = _tangent_frame(ys.points[0])
+        u0s = fx.tangent_frame(ys.points[0])
         z, lf = unroll(ys, u0s)
         y2, _ = roll(z, ys.driver, SPHERE, ys.points[0], u0s)
         errs.append(float(np.max(np.linalg.norm(ys.flat_points() - y2.flat_points(), axis=1))))
@@ -473,7 +456,7 @@ def criterion_10_transport():
     # unroll(roll) roundtrip on a pure-area driver
     errs2, hs2 = [], []
     o = np.array([0.0, 1.0, 0.0])
-    u0o = _tangent_frame(o)
+    u0o = fx.tangent_frame(o)
     for n in (64, 128, 256, 512):
         rpn = fx.pure_area_fixture(n)
         zn = driver_as_controlled(rpn)
@@ -499,7 +482,7 @@ def criterion_10_transport():
     for n in (128, 256, 512, 1024):
         ys = fx.sphere_spiral_crp(n, T=np.pi / 2)
         a = oneform_from_smooth(_area_form, ys, g.par)
-        rep = rolled_integral_check(a, ys, g, _tangent_frame(ys.points[0]))
+        rep = rolled_integral_check(a, ys, g, fx.tangent_frame(ys.points[0]))
         errs3.append(rep["diff_sup"])
         hs3.append(float(np.max(np.diff(ys.times))))
     checks.append(_check("rolled-integral-at-2^10", errs3[-1], 1e-5))
@@ -519,7 +502,7 @@ def criterion_11_determinism():
         errs, hs, ns = [], [], []
         for n in (64, 128, 256):
             rpn = fx.pure_area_fixture(n)
-            soln = rde_solve_flat(DrivingField(matrices=COMMUTATOR_MATS), rpn, np.array([1.0, 1.0]))
+            soln = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rpn, np.array([1.0, 1.0]))
             errs.append(float(np.max(np.abs(soln.values[-1] - np.array([np.e, 1.0 / np.e])))))
             hs.append(1.0 / n)
             ns.append(n)

@@ -9,12 +9,12 @@ from typing import Callable
 import numpy as np
 
 from .controlled import ControlledPath, associated_roughpath, check_same_grid
-from .errors import DomainError, Explosion, ShapeError
+from .errors import ShapeError
 from .gauges import Gauge, connection_gauge
 from .linalg import hat, vee
 from .manifolds import Chart, Manifold, ProductManifold, SO3
 from .mcrp import ManifoldControlledPath
-from .mrde import ManifoldDrivingField, rde_solve_manifold
+from .mrde import ChartWalk, ManifoldDrivingField, _chart_step, rde_solve_manifold
 from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
 from .roughpath import RoughPath
 from .sewing import rough_integrate
@@ -326,32 +326,6 @@ def chart_christoffels(manifold: Manifold, chart: Chart, x):
     return out
 
 
-def _chart_segments(y: ManifoldControlledPath, atlas=None, margin_frac=0.2):
-    """Greedy split of the trajectory into maximal single-chart index ranges."""
-    mani = y.manifold
-    atlas = list(atlas) if atlas is not None else mani.charts()
-    segs = []
-    i0 = 0
-    margins = [c.margin(y.points[0]) for c in atlas]
-    cur = int(np.argmax(margins))
-    if margins[cur] <= 0:
-        raise DomainError("initial point not covered by the atlas")
-    n = y.times.size - 1
-    for i in range(1, n + 1):
-        mgn = atlas[cur].margin(y.points[i])
-        if mgn < margin_frac * atlas[cur].radius:
-            margins = [c.margin(y.points[i]) for c in atlas]
-            best = int(np.argmax(margins))
-            if margins[best] <= 0:
-                raise Explosion(y.times[i], "trajectory left every atlas chart")
-            if best != cur:
-                segs.append((i0, i, atlas[cur]))
-                i0 = i
-                cur = best
-    segs.append((i0, n, atlas[cur]))
-    return segs
-
-
 @dataclass
 class FrameLift:
     """Parallel frames along a base path (trivialized chart by chart)."""
@@ -384,8 +358,11 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
     d = mani.dim
     base_gauge = base_gauge or connection_gauge(mani)
     group = MatrixGroup("gl", d)
-    segs = _chart_segments(y, atlas=atlas)
     n = y.times.size
+    walk = ChartWalk(mani, atlas, y.times, y.points[0])
+    for i in range(1, n):
+        walk.visit(i, y.points[i], walk.chart.margin(y.points[i]))
+    segs = walk.close(n - 1)
     frames = np.empty((n, mani.flat_dim, d))
     u_cur = np.asarray(u0, dtype=float)
     frames[0] = u_cur
@@ -478,19 +455,13 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
     check_same_grid(z.times, rp.times)
     zrp = associated_roughpath(z, rp)
     d = manifold.dim
-    atlas = list(atlas) if atlas is not None else manifold.charts()
     n = zrp.n_steps
     pts = np.empty((n + 1,) + manifold.point_shape)
     frames = np.empty((n + 1, manifold.flat_dim, d))
     pts[0] = np.asarray(o, dtype=float)
     frames[0] = np.asarray(u0, dtype=float)
-    margins = [c.margin(pts[0]) for c in atlas]
-    cur = int(np.argmax(margins))
-    if margins[cur] <= 0:
-        raise DomainError("starting point not covered by the atlas")
-    chart = atlas[cur]
-    segments = []
-    seg_start = 0
+    walk = ChartWalk(manifold, atlas, zrp.times, pts[0])
+    chart = walk.chart
     x = chart.to_coords(pts[0])
     ub = chart.dto(pts[0]) @ frames[0]
     dz = np.diff(zrp.values, axis=0)
@@ -507,43 +478,18 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
 
     for i in range(n):
         state = np.concatenate([x, ub.reshape(-1)])
-        cols = step_field(state)
-        out = cols @ dz[i]
-        area = zrp.step_areas[i]
-        scale = max(1.0, float(np.max(np.abs(state))))
-        for a in range(d):
-            row = area[a]
-            if not np.any(row):
-                continue
-            v = cols[:, a]
-            nv = float(np.linalg.norm(v))
-            if nv < 1e-300:
-                continue
-            h = 1e-6 * scale / nv
-            dcols = (step_field(state + h * v) - step_field(state - h * v)) / (2.0 * h)
-            out = out + dcols @ row
-        state = state + out
+        state = state + _chart_step(step_field, state, dz[i], zrp.step_areas[i])
         x, ub = state[:d], state[d:].reshape(d, d)
         p = chart.from_coords(x)
-        if chart.coords_margin(x) < 0.2 * chart.radius:
-            margins = [c.margin(p) for c in atlas]
-            best = int(np.argmax(margins))
-            if margins[best] <= 0:
-                raise Explosion(zrp.times[i], "development left every atlas chart")
-            if atlas[best] is not chart:
-                segments.append((seg_start, i + 1, chart))
-                seg_start = i + 1
-                new = atlas[best]
-                amb = chart.dfrom(x) @ ub
-                chart = new
-                x = chart.to_coords(p)
-                ub = chart.dto(p) @ amb
+        new = walk.visit(i + 1, p, chart.coords_margin(x))
+        if new is not None and new is not chart:
+            x, ub = new.to_coords(p), new.dto(p) @ (chart.dfrom(x) @ ub)
+            chart = new
         pts[i + 1] = p
         frames[i + 1] = chart.dfrom(x) @ ub
-    segments.append((seg_start, n, chart))
     deriv = np.einsum("pDc,pck->pDk", frames, z.derivative)
     y = ManifoldControlledPath(manifold, rp.times, pts, deriv, rp)
-    return y, FrameLift(base=y, frames=frames, segments=segments)
+    return y, FrameLift(base=y, frames=frames, segments=walk.close(n))
 
 
 def rolled_oneform(a: ControlledOneForm, lift: FrameLift) -> ControlledPath:

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from crp.cli import main
+from crp.fixtures import FIXTURES
 
 
 @pytest.fixture()
@@ -125,3 +126,44 @@ def test_rde_full_config_schema(runner, tmp_path):
     doc = json.loads((tmp_path / "rde-config-sphere.json").read_text())
     assert doc["metadata"]["retraction"] is True
     assert len(doc["times"]) == 65
+
+
+SPHERE_PATHS = {"equator", "latitude", "sphere-spiral", "polar-cap"}
+
+
+def _accepts(command, fixture):
+    kind = FIXTURES.get(fixture, {}).get("kind")
+    return {
+        "lift": kind in ("driver", "mcrp"),
+        "integrate": kind in ("mcrp", "fixed-mcrp"),
+        "transport": fixture in SPHERE_PATHS,
+        "verify": kind in ("mcrp", "fixed-mcrp"),
+        "rde": False,
+        "convergence": False,
+    }[command]
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES) + ["nope"])
+@pytest.mark.parametrize("command", ["lift", "integrate", "rde", "transport", "verify", "convergence"])
+def test_every_command_fixture_pair_exits_cleanly(runner, tmp_path, command, fixture):
+    # a fixture a command cannot take is a config error (exit 2, one line), never a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 32}))
+    args = [command, "--fixture", fixture, "--out", str(tmp_path), "--config", str(cfg)]
+    if command == "convergence":
+        args += ["--levels", "2"]
+    res = runner.invoke(main, args)
+    if _accepts(command, fixture):
+        assert res.exit_code == 0, res.output
+    else:
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1, res.output
+
+
+def test_numerical_failure_exits_one(runner, tmp_path):
+    cfg = tmp_path / "rde.json"
+    cfg.write_text(json.dumps({"field": {"kind": "projection"}, "driver": {"n": 16}, "horizon": [0.01, 0.5]}))
+    res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.output.startswith("numerical failure: ") and "Traceback" not in res.output

@@ -11,6 +11,7 @@ from crp import (
     AtlasGap,
     ChartManifold,
     ChartSingular,
+    ConfigError,
     ControlledPath,
     DomainError,
     Explosion,
@@ -60,6 +61,18 @@ def test_manifold_spec_json():
     assert doc["type"] == "chart" and doc["connection"]["kind"] == "levi-civita"
     with pytest.raises(DomainError):
         manifold_from_spec({"type": "torus"})
+
+
+def test_chart_manifold_spec_roundtrip():
+    m = ChartManifold(2, radius=3.0, center=[1.0, 2.0])
+    doc = m.spec_json()
+    back = manifold_from_spec(json.loads(json.dumps(doc)))
+    assert back.radius == 3.0 and np.array_equal(back.center, [1.0, 2.0])
+    assert back.spec_json() == doc
+    # a custom connection is a callable: reading its spec must not fall back to flat
+    bumpy = ChartManifold(1, gamma=lambda x: np.full((1, 1, 1), 0.5))
+    with pytest.raises(ConfigError):
+        manifold_from_spec(bumpy.spec_json())
 
 
 def test_gauge_spec_json():
@@ -135,11 +148,24 @@ def test_gauge_integrate_domain_error_on_giant_steps():
 
 
 def test_atlas_gap_for_uncovered_start():
+    from crp.fixtures import latitude_crp, tangent_frame
+    from crp.transport import parallel_translate_frame, roll
+
     mani = ChartManifold(2, radius=1.0)
     field = ManifoldDrivingField(mani, lambda x: np.eye(2))
     rp = smooth_2d_driver(16)
     with pytest.raises(AtlasGap):
         rde_solve_manifold(field, rp, np.array([5.0, 5.0]))
+    # an atlas gap is a domain error to every chart-patched solver
+    with pytest.raises(DomainError):
+        mani.chart_at(np.array([5.0, 5.0]))
+    y = latitude_crp(16, theta=0.2)  # inside the polar cap the north chart misses
+    north = SPHERE.charts()[0]
+    with pytest.raises(DomainError):
+        parallel_translate_frame(y, tangent_frame(y.points[0]), atlas=[north])
+    z = ControlledPath(rp.times, np.zeros((17, 2)), np.zeros((17, 2, 2)))
+    with pytest.raises(DomainError):
+        roll(z, rp, SPHERE, y.points[0], tangent_frame(y.points[0]), atlas=[north])
 
 
 def test_newton_log_failure_outside_reach():

@@ -25,7 +25,7 @@ from crp.mrde import (
     rde_solve_manifold,
     scalar_solution_defects,
 )
-from crp.roughpath import lift_smooth
+from crp.roughpath import lift_smooth, time_lift
 
 
 def rk4_projection_values(y0, speed, times, h=1e-5):
@@ -168,6 +168,20 @@ def test_chart_switch_consistency():
     north = rde_solve_manifold(field, rp, y0, atlas=[SPHERE.charts()[0]])
     south = rde_solve_manifold(field, rp, y0, atlas=[SPHERE.charts()[1]])
     assert np.max(np.abs(north.flat_points() - south.flat_points())) < 1e-5
+
+
+def test_chart_switches_are_segment_starts_of_a_margin_scan(margin_scan):
+    # a rotation about a horizontal axis heads for the pole its start chart
+    # cannot reach, so the solve re-charts on the way
+    omega, phi, beta = 1.3, 1.1, -0.4
+    axis = np.array([np.cos(phi), np.sin(phi), 0.0])
+    y0 = np.cos(beta) * np.array([-np.sin(phi), np.cos(phi), 0.0]) + np.sin(beta) * np.array([0.0, 0.0, 1.0])
+    field = ManifoldDrivingField(SPHERE, lambda m: np.cross(omega * axis, m)[:, None])
+    rp = time_lift(np.linspace(0.0, np.pi, 129))
+    sol = rde_solve_manifold(field, rp, y0)
+    segs = margin_scan(sol.points, SPHERE.charts())
+    assert len(segs) >= 2
+    assert sol.meta["chart_switches"] == [float(rp.times[i0]) for i0, _, _ in segs[1:]]
 
 
 def test_explosion_with_norm_bound():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from crp import ControlledPath
+from crp import ControlledPath, Explosion
 from crp.controlled import driver_as_controlled
 from crp.convergence import estimate_order
 from crp.fixtures import (
@@ -17,9 +17,9 @@ from crp.fixtures import (
 from crp.gauges import connection_gauge
 from crp.linalg import hat, so3_exp
 from crp.manifolds import Sphere
-from crp.mcrp import verify_gauge_crp
+from crp.mcrp import crp_from_projection, verify_gauge_crp
 from crp.oneforms import oneform_from_smooth
-from crp.roughpath import pure_area_driver, time_lift
+from crp.roughpath import lift_smooth, pure_area_driver, time_lift
 from crp.transport import (
     ConnectionForm,
     MatrixGroup,
@@ -45,6 +45,17 @@ def tangent_frame(m):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(m, e1)
     return np.stack([e1, e2], axis=1)
+
+
+def meridian_crp(n, phase=0.3):
+    """Great circle through both poles, so no single stereographic chart covers it."""
+    grid = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    rp = lift_smooth(
+        lambda t: np.array([np.sin(t + phase), 0.0, np.cos(t + phase)]),
+        grid,
+        dpath=lambda t: np.array([np.cos(t + phase), 0.0, -np.sin(t + phase)]),
+    )
+    return crp_from_projection(SPHERE, rp)
 
 
 def smooth_alg_path(n, T=1.0):
@@ -219,6 +230,27 @@ class TestFrameTransport:
         want = 2.0 * np.pi * (1.0 - np.cos(theta))
         want = min(want, 2.0 * np.pi - want)  # principal angle
         assert abs(angle - want) <= 1e-6
+
+    def test_meridian_segments_match_margin_scan(self, margin_scan):
+        y = meridian_crp(256)
+        u0 = tangent_frame(y.points[0])
+        lift = parallel_translate_frame(y, u0)
+        names = [(i0, i1, c.name) for i0, i1, c in lift.segments]
+        assert names == margin_scan(y.points, SPHERE.charts())
+        assert len(names) == 3
+        # rolling the anti-development back re-charts along its own points
+        z, _ = unroll(y, u0, lift=lift)
+        y2, lift2 = roll(z, y.driver, SPHERE, y.points[0], u0)
+        assert [(i0, i1, c.name) for i0, i1, c in lift2.segments] == margin_scan(y2.points, SPHERE.charts())
+        assert len(lift2.segments) == 3
+
+    def test_leaving_every_chart_reports_the_last_valid_time(self):
+        y = meridian_crp(256, phase=np.pi / 2)  # from the equator down, round and up to the north pole
+        north = SPHERE.charts()[0]
+        first_out = next(i for i, p in enumerate(y.points) if north.margin(p) <= 0)
+        with pytest.raises(Explosion, match="left every atlas chart") as exc:
+            parallel_translate_frame(y, tangent_frame(y.points[0]), atlas=[north])
+        assert exc.value.time == y.times[first_out - 1]
 
 
 class TestDevelopment:
