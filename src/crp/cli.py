@@ -37,9 +37,21 @@ def _load_config(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _number(cfg, key, default, cast=int):
+    """``cfg[key]`` (``default`` when absent) through ``cast``; ConfigError unless it is a number."""
+    value = cfg.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config {key!r} must be a number, got {value!r}") from exc
 
 
 def _fixture(name, n, kinds):
@@ -90,7 +102,7 @@ def lift(config_path, out, deterministic, fixture, n):
     """Build a rough-path lift and report its algebraic residuals."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    n = int(cfg.get("n", n))
+    n = _number(cfg, "n", n)
     built = _fixture(fixture, n, ("driver", "mcrp"))
     rp = built if fx.FIXTURES[fixture]["kind"] == "driver" else built.driver
     doc = {
@@ -118,7 +130,7 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
     """Integrate the area-type one-form along a fixture path."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    n = int(cfg.get("n", n))
+    n = _number(cfg, "n", n)
     y = _fixture(fixture, n, ("mcrp", "fixed-mcrp"))
     mani = y.manifold
     if gauge_name == "connection":
@@ -144,7 +156,7 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
 def _build_rde_from_config(cfg, fixture, n, retraction):
     """Config schema: {manifold, field:{kind}, driver, y0, horizon, scheme}."""
     fixture = cfg.get("fixture", fixture)
-    n = int(cfg.get("n", cfg.get("driver", {}).get("n", n)))
+    n = _number(cfg, "n", cfg.get("driver", {}).get("n", n))
     retraction = bool(cfg.get("scheme", {}).get("retraction", retraction))
     horizon = cfg.get("horizon")
     if "field" in cfg or "manifold" in cfg:
@@ -202,7 +214,7 @@ def transport(config_path, out, deterministic, fixture, n):
     """Parallel-translate a frame along a fixture path and unroll it."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    n = int(cfg.get("n", n))
+    n = _number(cfg, "n", n)
     y = _fixture(fixture, n, ("mcrp",))
     if y.manifold is not fx.SPHERE:
         raise ConfigError(f"transport takes sphere path fixtures; {fixture!r} lives on {y.manifold.name}")
@@ -229,19 +241,19 @@ def transport(config_path, out, deterministic, fixture, n):
 @add_common
 @click.option("--fixture", default="example-6.7")
 @click.option("--p", default=2.0, type=float)
-@click.option("--delta", default=0.5, type=float)
+@click.option("--delta", default=None, type=float, help="probe radius; default 0.5 on example-6.7, else the verifier's")
 def verify(config_path, out, deterministic, fixture, p, delta):
     """Run the gauge and chart verifiers on a fixture."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    p = float(cfg.get("p", p))
+    p = _number(cfg, "p", p, float)
     if fixture == "example-6.7":
         y = fx.example_67_crp(p=p)
         gauge = standard_gauge(fx.LINE)
+        delta = 0.5 if delta is None else delta
     else:
-        y = _fixture(fixture, int(cfg.get("n", 256)), ("mcrp",))
+        y = _fixture(fixture, _number(cfg, "n", 256), ("mcrp",))
         gauge = connection_gauge(y.manifold)
-        delta = None
     grep = verify_gauge_crp(y, gauge, delta=delta)
     chart = y.manifold.chart_at(y.points[0])
     crep = verify_chart_crp(y, chart)
@@ -267,7 +279,7 @@ def convergence(config_path, out, deterministic, fixture, levels, p):
     """Mesh-refinement study of a fixture against its oracle."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    levels = int(cfg.get("levels", levels))
+    levels = _number(cfg, "levels", levels)
     if fixture == "sphere-projection-rde":
         ns = dyadic_levels(1 << (5 + levels), levels)
         errs, hs = [], []

@@ -36,10 +36,6 @@ class ControlledPath:
             raise ShapeError("derivative must have shape values.shape + (k,)")
 
     @property
-    def value_shape(self):
-        return self.values.shape[1:]
-
-    @property
     def driver_dim(self):
         return self.derivative.shape[-1]
 

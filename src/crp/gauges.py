@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartSingular, DomainError
-from .linalg import FD_STEP
+from .errors import ChartSingular
+from .linalg import FD_STEP, richardson_diff
 from .manifolds import Chart, Manifold
 
 TAYLOR_FD_STEP = 1e-3
@@ -57,20 +57,9 @@ class Logarithm:
             return np.asarray(self._d2(m, n), dtype=float)
         # finite-difference fallback along canonical curves at n
         mani = self.manifold
-        dim = mani.flat_dim
         p = mani.tangent_projector(n)
-        cols = np.zeros((dim, dim))
         h = FD_STEP * max(1.0, float(np.linalg.norm(mani.flatten(n))))
-        for j in range(dim):
-            v = p[:, j]
-            nv = float(np.linalg.norm(v))
-            if nv < 1e-13:
-                continue
-            u = mani.unflatten(v / nv)
-            d1 = (self.value(m, mani.curve(n, u, h)) - self.value(m, mani.curve(n, u, -h))) / (2 * h)
-            d2 = (self.value(m, mani.curve(n, u, h / 2)) - self.value(m, mani.curve(n, u, -h / 2))) / h
-            cols[:, j] = (4.0 * d2 - d1) / 3.0 * nv
-        return cols
+        return np.stack([mani.derivative_along(n, v, lambda q: self.value(m, q), h) for v in p.T], axis=1)
 
     def induced_parallelism(self):
         """U(to, from) = d/d(from) psi(to, .), the parallelism the logarithm carries."""
@@ -105,15 +94,6 @@ class Gauge:
 
     def d2psi(self, m, n):
         return self.log.d2(m, n)
-
-    def in_domain(self, m, n):
-        if self.chart is not None:
-            return self.chart.contains(m) and self.chart.contains(n)
-        return self.manifold.in_gauge_domain(m, n)
-
-    def require_domain(self, m, n, label=""):
-        if not self.in_domain(m, n):
-            raise DomainError(f"pair {label} outside the gauge domain")
 
     def compatibility(self):
         """S between the logarithm's induced parallelism and the gauge parallelism."""
@@ -204,6 +184,26 @@ def logarithm_gauge(manifold: Manifold, psi_fn, d2_fn=None, name="psi") -> Gauge
 # -- compatibility tensors ---------------------------------------------------------
 
 
+def chart_rep_derivative(matrix, chart: Chart, m, x, dto_m):
+    """Source-point derivative of a parallelism's chart representative at m.
+
+    Returns the (d, d, d) array D[c, b, j] = d/dy_j of
+    dto(m) @ matrix(m, p(y)) @ dfrom(y) at y = x, the coordinates of m, by
+    Richardson differences with the relative step ``FD_STEP``.
+    """
+    d = chart.dim
+    h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
+    out = np.empty((d, d, d))
+    for j, e in enumerate(np.eye(d)):
+
+        def ubar(eps, _e=e):
+            y = x + eps * _e
+            return dto_m @ matrix(m, chart.from_coords(y)) @ chart.dfrom(y)
+
+        out[:, :, j] = richardson_diff(ubar, h)
+    return out
+
+
 class CompatibilityTensor:
     """First-order discrepancy S of two parallelisms, S(v (x) w) in T_mM.
 
@@ -213,33 +213,12 @@ class CompatibilityTensor:
     diagonal, mapped back to ambient coordinates.
     """
 
-    def __init__(self, u_tilde: Parallelism, u: Parallelism, manifold: Manifold, chart=None):
+    def __init__(self, u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
         self.u_tilde = u_tilde
         self.u = u
         self.manifold = manifold
-        self.chart = chart
         self.exact_zero = u_tilde is u
         self._cache = {}
-
-    def _chart_for(self, m):
-        return self.chart if self.chart is not None else self.manifold.chart_at(m)
-
-    def _chart_rep_d2(self, par: Parallelism, chart, x, p_m, dto_m):
-        d = chart.dim
-        out = np.zeros((d, d, d))  # [c, b, j]: d/dy_j of Ubar(x, y)[c, b]
-        h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-
-        def ubar(y):
-            p_y = chart.from_coords(y)
-            return dto_m @ par.matrix(p_m, p_y) @ chart.dfrom(y)
-
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            d1 = (ubar(x + h * e) - ubar(x - h * e)) / (2 * h)
-            d2 = (ubar(x + 0.5 * h * e) - ubar(x - 0.5 * h * e)) / h
-            out[:, :, j] = (4.0 * d2 - d1) / 3.0
-        return out
 
     def at(self, m):
         """(D, D, D) array S[c, a, b] with S(v (x) w)_c = S[c, a, b] v_a w_b."""
@@ -250,12 +229,12 @@ class CompatibilityTensor:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        chart = self._chart_for(m)
+        chart = self.manifold.chart_at(m)
         x = chart.to_coords(m)
         dto_m = chart.dto(m)
         dfrom_m = chart.dfrom(x)
-        du = self._chart_rep_d2(self.u, chart, x, m, dto_m)
-        dut = self._chart_rep_d2(self.u_tilde, chart, x, m, dto_m)
+        du = chart_rep_derivative(self.u.matrix, chart, m, x, dto_m)
+        dut = chart_rep_derivative(self.u_tilde.matrix, chart, m, x, dto_m)
         sbar = np.transpose(du - dut, (0, 2, 1))  # [c, j(=v slot), b(=w slot)]
         out = np.einsum("Cc,cjb,jA,bB->CAB", dfrom_m, sbar, dto_m, dto_m)
         self._cache[key] = out
@@ -271,8 +250,8 @@ class CompatibilityTensor:
         return np.einsum("cab,ab->c", self.at(m), tensor)
 
 
-def compatibility_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold, chart=None):
-    return CompatibilityTensor(u_tilde, u, manifold, chart=chart)
+def compatibility_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
+    return CompatibilityTensor(u_tilde, u, manifold)
 
 
 def torsion_check(manifold: Manifold, rng=None, n_points=5):

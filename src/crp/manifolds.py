@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import AtlasGap, ConfigError, DomainError, LogFailure, NearCutLocus
 from .linalg import (
+    FD_STEP,
     hat,
+    richardson_diff,
     so3_exp,
     so3_left_jacobian,
     so3_left_jacobian_inv,
@@ -116,18 +118,9 @@ class Manifold:
 
     gauge_radius = np.inf
 
-    def in_gauge_domain(self, m, n):
-        try:
-            return self.domain_distance(m, n) < self.gauge_radius
-        except (LogFailure, NearCutLocus):
-            return False
-
-    def domain_distance(self, m, n):
-        """Distance surrogate used for gauge-domain predicates."""
-        return self.distance(m, n)
-
     def domain_distance_batch(self, ms, ns):
-        return np.array([self.domain_distance(m, n) for m, n in zip(ms, ns)])
+        """Per-pair distance surrogate that the gauge-domain checks compare with ``gauge_radius``."""
+        return np.array([self.distance(m, n) for m, n in zip(ms, ns)])
 
     # -- atlas -------------------------------------------------------------------
 
@@ -148,6 +141,18 @@ class Manifold:
     def curve(self, m, v, eps):
         """A canonical curve through m with velocity v, used for directional FD."""
         return self.exp(m, eps * np.asarray(v, dtype=float))
+
+    def derivative_along(self, m, v, g, h=1e-4):
+        """Richardson derivative of g along ``curve`` at m in the flattened direction v.
+
+        The curve runs at unit speed with step h and the result is scaled by |v|;
+        a direction shorter than 1e-14 gives zeros shaped like g(m).
+        """
+        nv = float(np.linalg.norm(v))
+        if nv < 1e-14:
+            return np.zeros_like(np.asarray(g(m), dtype=float))
+        u = self.unflatten(v / nv)
+        return nv * richardson_diff(lambda e: g(self.curve(m, u, e)), h)
 
     def on_manifold(self, p, tol=1e-10):
         return float(np.linalg.norm(self.flatten(p) - self.flatten(self.project(p)))) <= tol
@@ -278,12 +283,14 @@ class Sphere(Manifold):
     def transport_batch(self, to_pts, from_pts):
         m = np.asarray(from_pts, dtype=float)
         n = np.asarray(to_pts, dtype=float)
-        c = np.einsum("pi,pi->p", m, n)
+        den = 1.0 + np.einsum("pi,pi->p", m, n)
+        if np.any(den <= 1e-12):
+            raise NearCutLocus("transport through antipode")
         mn = m + n
         eye = np.broadcast_to(np.eye(3), (m.shape[0], 3, 3))
         return (
             eye
-            - np.einsum("pi,pj->pij", mn, mn) / (1.0 + c)[:, None, None]
+            - np.einsum("pi,pj->pij", mn, mn) / den[:, None, None]
             + 2.0 * np.einsum("pi,pj->pij", n, m)
         )
 
@@ -499,14 +506,13 @@ class ChartManifold(Manifold):
 
     name = "chart"
 
-    def __init__(self, dim, radius=10.0, center=None, gamma=None, h_geo=0.01, extra_charts=None):
+    def __init__(self, dim, radius=10.0, center=None, gamma=None, h_geo=0.01):
         self.dim = int(dim)
         self.point_shape = (self.dim,)
         self.radius = float(radius)
         self.center = np.zeros(self.dim) if center is None else np.asarray(center, dtype=float)
         self.gamma = gamma
         self.h_geo = float(h_geo)
-        self.extra_charts = list(extra_charts or [])
         # 5% chart-domain margin
         self.gauge_radius = 2.0 * self.radius * 0.95
 
@@ -609,14 +615,8 @@ class ChartManifold(Manifold):
     def d2log(self, m, n):
         if self.gamma is None:
             return np.eye(self.dim)
-        h = 1e-5 * max(1.0, float(np.linalg.norm(n)))
-        cols = []
-        for j in range(self.dim):
-            dv = np.zeros(self.dim)
-            dv[j] = 1.0
-            d1 = (self.log(m, n + h * dv) - self.log(m, n - h * dv)) / (2.0 * h)
-            d2 = (self.log(m, n + 0.5 * h * dv) - self.log(m, n - 0.5 * h * dv)) / h
-            cols.append((4.0 * d2 - d1) / 3.0)
+        h = FD_STEP * max(1.0, float(np.linalg.norm(n)))
+        cols = [richardson_diff(lambda e, _d=dv: self.log(m, n + e * _d), h) for dv in np.eye(self.dim)]
         return np.stack(cols, axis=1)
 
     def distance(self, m, n):
@@ -624,11 +624,8 @@ class ChartManifold(Manifold):
             return float(np.linalg.norm(np.asarray(n) - np.asarray(m)))
         return float(np.linalg.norm(self.log(m, n)))
 
-    def domain_distance(self, m, n):
-        # coordinate distance; the conservative 5% margin absorbs the mismatch
-        return float(np.linalg.norm(np.asarray(n, float) - np.asarray(m, float)))
-
     def domain_distance_batch(self, ms, ns):
+        # coordinate distance; the conservative 5% margin absorbs the mismatch
         return np.linalg.norm(np.asarray(ns, float) - np.asarray(ms, float), axis=-1)
 
     def torsion_tensor(self, m):
@@ -640,29 +637,20 @@ class ChartManifold(Manifold):
         return np.asarray(m, dtype=float) + eps * np.asarray(v, dtype=float)
 
     @staticmethod
-    def from_metric(dim, metric, dmetric=None, radius=10.0, center=None, h_geo=0.01):
+    def from_metric(dim, metric, radius=10.0, center=None, h_geo=0.01):
         """Chart manifold with the Levi-Civita connection of a coordinate metric.
 
-        ``metric(x)`` returns the (d, d) Gram matrix; ``dmetric(x)`` its
-        derivative array dg[i, j, l] = d g_{ij} / d x_l (Richardson central
-        differences when omitted).
+        ``metric(x)`` returns the (d, d) Gram matrix; its derivative array
+        dg[i, j, l] = d g_{ij} / d x_l comes from Richardson central differences.
         """
 
         def gamma(x):
             g = np.asarray(metric(x), dtype=float)
-            if dmetric is not None:
-                dg = np.asarray(dmetric(x), dtype=float)
-            else:
-                h = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-                dg = np.empty((dim, dim, dim))
-                for l in range(dim):
-                    e = np.zeros(dim)
-                    e[l] = 1.0
-                    d1 = (np.asarray(metric(x + h * e), float) - np.asarray(metric(x - h * e), float)) / (2 * h)
-                    d2 = (
-                        np.asarray(metric(x + 0.5 * h * e), float) - np.asarray(metric(x - 0.5 * h * e), float)
-                    ) / h
-                    dg[:, :, l] = (4.0 * d2 - d1) / 3.0
+            h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
+            dg = np.stack(
+                [richardson_diff(lambda e, _d=dl: np.asarray(metric(x + e * _d), float), h) for dl in np.eye(dim)],
+                axis=2,
+            )
             ginv = np.linalg.inv(g)
             # Gamma^i_{jl} = g^{im}(dg[m,l,j] + dg[m,j,l] - dg[j,l,m]) / 2
             return 0.5 * np.einsum(
@@ -682,19 +670,16 @@ class ChartManifold(Manifold):
             radius=self.radius,
             center_coords=self.center,
         )
-        return [ident] + list(self.extra_charts)
+        return [ident]
 
     def random_point(self, rng):
         return self.center + 0.3 * self.radius * rng.standard_normal(self.dim)
 
     def spec_json(self):
-        def center(c):
-            return np.zeros(self.dim) if c.center_coords is None else np.asarray(c.center_coords, dtype=float)
-
         return {
             "type": "chart",
             "dim": self.dim,
-            "charts": [{"name": c.name, "center": center(c).tolist(), "radius": c.radius} for c in self.charts()],
+            "charts": [{"name": "identity", "center": self.center.tolist(), "radius": self.radius}],
             "connection": {"kind": "custom" if self.gamma is not None else "levi-civita"},
         }
 
@@ -823,7 +808,7 @@ def manifold_from_spec(doc):
     if kind == "so3":
         return SO3()
     if kind == "chart":
-        # connections and extra charts are callables, which a spec cannot carry
+        # a spec carries neither a custom connection (a callable) nor a second chart
         if doc.get("connection", {}).get("kind", "levi-civita") != "levi-civita" or len(doc.get("charts", [])) > 1:
             raise ConfigError("only a flat chart manifold with its one identity chart can be read from a spec")
         ident = (doc.get("charts") or [{}])[0]

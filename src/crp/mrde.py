@@ -10,7 +10,6 @@ import numpy as np
 from .controlled import driver_as_controlled
 from .errors import AtlasGap, Explosion, NotRelated
 from .gauges import Gauge, compatibility_tensor
-from .linalg import richardson_diff
 from .manifolds import Manifold
 from .mcrp import ManifoldControlledPath, crp_pushforward
 from .oneforms import integrate_smooth_oneform
@@ -159,15 +158,6 @@ def rde_solve_manifold(
 # -- characterizations -------------------------------------------------------------
 
 
-def _directional(mani, m, v, g, h=1e-4):
-    """Richardson directional derivative of tangent-valued g along v at m."""
-    nv = float(np.linalg.norm(v))
-    if nv < 1e-14:
-        return np.zeros_like(np.asarray(g(m), dtype=float))
-    u = mani.unflatten(v / nv)
-    return nv * richardson_diff(lambda e: g(mani.curve(m, u, e)), h)
-
-
 def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, gauge: Gauge, check_split=False):
     """One-step defects of the logarithm characterization of the solve.
 
@@ -197,7 +187,7 @@ def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, g
         for a in range(k):
             if not np.any(area[a]):
                 continue
-            dd = _directional(mani, m, cols[:, a], lambda mm: np.stack([g_b(mm, b) for b in range(k)], axis=1))
+            dd = mani.derivative_along(m, cols[:, a], lambda mm: np.stack([g_b(mm, b) for b in range(k)], axis=1))
             term2 += dd @ area[a]
         pred = cols @ dxs[i] + term2
         defect = gauge.psi(m, y.points[i + 1]) - pred
@@ -211,7 +201,7 @@ def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, g
             for a in range(k):
                 if not np.any(area[a]):
                     continue
-                dd = _directional(mani, m, cols[:, a], lambda mm: np.stack([h_b(mm, b) for b in range(k)], axis=1))
+                dd = mani.derivative_along(m, cols[:, a], lambda mm: np.stack([h_b(mm, b) for b in range(k)], axis=1))
                 term2b += dd @ area[a]
                 s_term = np.stack([s_tensor.apply(m, cols[:, a], cols[:, b]) for b in range(k)], axis=1)
                 term2b -= s_term @ area[a]
@@ -250,7 +240,7 @@ def pushed_field_path(y: ManifoldControlledPath, field: ManifoldDrivingField, al
         m = y.points[i]
         vals[i] = val(m)
         for a in range(y.driver_dim):
-            dag[i, :, :, a] = _directional(mani, m, y.derivative[i][:, a], val)
+            dag[i, :, :, a] = mani.derivative_along(m, y.derivative[i][:, a], val)
     from .controlled import ControlledPath
 
     return ControlledPath(y.times, vals, dag)
@@ -287,7 +277,7 @@ def scalar_solution_defects(y: ManifoldControlledPath, field: ManifoldDrivingFie
         for a in range(area.shape[0]):
             if not np.any(area[a]):
                 continue
-            dd = _directional(mani, m, cols[:, a], g)
+            dd = mani.derivative_along(m, cols[:, a], g)
             term2 += float(dd @ area[a])
         defect = float(f(y.points[i + 1]) - f(m)) - term1 - term2
         worst = max(worst, abs(defect))

@@ -9,7 +9,7 @@ import numpy as np
 from .controlled import ControlledPath, check_same_grid
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, compatibility_tensor
-from .linalg import richardson_diff
+from .linalg import FD_STEP, richardson_diff
 from .mcrp import ManifoldControlledPath, default_probe_delta
 from .pairs import pair_sup, ratio
 from .roughpath import RoughPath
@@ -117,13 +117,12 @@ class ControlledOneForm:
 # -- constructors -------------------------------------------------------------------
 
 
-def oneform_from_smooth(alpha_fn, y: ManifoldControlledPath, par: Parallelism, d_alpha=None) -> ControlledOneForm:
+def oneform_from_smooth(alpha_fn, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:
     """Controlled restriction of a smooth one-form along the path.
 
     ``alpha_fn(m)`` returns the (n, D) matrix of the form at m.  The derivative
     samples are the transport-covariant derivatives along y' directions,
-    computed by Richardson differences of eps -> alpha(c(eps)) o U(c(eps), m)
-    unless a closed form ``d_alpha(m, v)`` is supplied.
+    ``Manifold.derivative_along`` of q -> alpha(q) o U(q, m).
     """
     mani = y.manifold
     n_nodes = y.times.size
@@ -135,22 +134,12 @@ def oneform_from_smooth(alpha_fn, y: ManifoldControlledPath, par: Parallelism, d
     for idx in range(n_nodes):
         m = y.points[idx]
         alpha[idx] = np.asarray(alpha_fn(m), dtype=float)
+
+        def g(q, _m=m):
+            return np.asarray(alpha_fn(q), dtype=float) @ par.matrix(q, _m)
+
         for a in range(k):
-            v = y.derivative[idx][:, a]
-            if d_alpha is not None:
-                dag[idx, :, a, :] = np.asarray(d_alpha(m, mani.unflatten(v)), dtype=float)
-                continue
-            speed = float(np.linalg.norm(v))
-            if speed < 1e-14:
-                dag[idx, :, a, :] = 0.0
-                continue
-            u = mani.unflatten(v / speed)
-
-            def g(eps, _m=m, _u=u):
-                c = mani.curve(_m, _u, eps)
-                return np.asarray(alpha_fn(c), dtype=float) @ par.matrix(c, _m)
-
-            dag[idx, :, a, :] = speed * richardson_diff(g, 1e-4)
+            dag[idx, :, a, :] = mani.derivative_along(m, y.derivative[idx][:, a], g)
     return ControlledOneForm(y.times, alpha, dag, par, y)
 
 
@@ -267,9 +256,9 @@ def gauge_change(a: ControlledOneForm, new_par: Parallelism) -> ControlledOneFor
     return ControlledOneForm(a.times, a.alpha.copy(), dag, new_par, y)
 
 
-def integrate_smooth_oneform(alpha_fn, y: ManifoldControlledPath, gauge: Gauge, d_alpha=None) -> ControlledPath:
+def integrate_smooth_oneform(alpha_fn, y: ManifoldControlledPath, gauge: Gauge) -> ControlledPath:
     """Integral of a smooth one-form along y using the given gauge."""
-    a = oneform_from_smooth(alpha_fn, y, gauge.par, d_alpha=d_alpha)
+    a = oneform_from_smooth(alpha_fn, y, gauge.par)
     return gauge_integrate(a, y, gauge)
 
 
@@ -289,7 +278,7 @@ def chart_formula_integral(alpha_fn, y: ManifoldControlledPath, chart) -> Contro
     return flat_smooth_integral(pulled, ControlledPath(y.times, zs, zdag), y.driver)
 
 
-def flat_smooth_integral(alpha_fn, z: ControlledPath, rp: RoughPath, d_fn=None) -> ControlledPath:
+def flat_smooth_integral(alpha_fn, z: ControlledPath, rp: RoughPath) -> ControlledPath:
     """Compensated sum for a smooth matrix one-form along a flat controlled path."""
     n = z.times.size
     vals = z.values
@@ -303,19 +292,11 @@ def flat_smooth_integral(alpha_fn, z: ControlledPath, rp: RoughPath, d_fn=None) 
     d = vals.shape[1]
     for i in range(n - 1):
         first = alphas[i] @ (vals[i + 1] - vals[i])
-        if d_fn is not None:
-            grad = np.asarray(d_fn(vals[i]), dtype=float)  # (m, d_out, d_in)
-        else:
-            h = 1e-5 * max(1.0, float(np.max(np.abs(vals[i]))))
-            grad = np.empty(a0.shape + (d,))
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                g1 = (np.asarray(alpha_fn(vals[i] + e), float) - np.asarray(alpha_fn(vals[i] - e), float)) / (2 * h)
-                g2 = (
-                    np.asarray(alpha_fn(vals[i] + 0.5 * e), float) - np.asarray(alpha_fn(vals[i] - 0.5 * e), float)
-                ) / h
-                grad[..., j] = (4.0 * g2 - g1) / 3.0
+        x = vals[i]
+        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
+        grad = np.empty(a0.shape + (d,))  # (m, d_out, d_in)
+        for j, e in enumerate(np.eye(d)):
+            grad[..., j] = richardson_diff(lambda eps, _e=e: np.asarray(alpha_fn(x + eps * _e), float), h)
         area = rp.step_areas[i]
         second = np.einsum("mej,ab,ja,eb->m", grad, area, z.derivative[i], z.derivative[i])
         out[i + 1] = out[i] + first + second
@@ -325,13 +306,13 @@ def flat_smooth_integral(alpha_fn, z: ControlledPath, rp: RoughPath, d_fn=None) 
 # -- structural checks -----------------------------------------------------------------
 
 
-def fundamental_theorem(f, df, y: ManifoldControlledPath, gauge: Gauge, d_alpha=None):
+def fundamental_theorem(f, df, y: ManifoldControlledPath, gauge: Gauge):
     """Endpoint identity for exact forms plus the exact derivative identity."""
 
     def alpha_fn(m):
         return np.asarray(df(m), dtype=float)[None, :]
 
-    z = integrate_smooth_oneform(alpha_fn, y, gauge, d_alpha=d_alpha)
+    z = integrate_smooth_oneform(alpha_fn, y, gauge)
     endpoint = float(f(y.points[-1]) - f(y.points[0]))
     resid = abs(float(z.values[-1, 0]) - endpoint)
     dmax = 0.0

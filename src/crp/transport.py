@@ -10,7 +10,7 @@ import numpy as np
 
 from .controlled import ControlledPath, associated_roughpath, check_same_grid
 from .errors import ShapeError
-from .gauges import Gauge, connection_gauge
+from .gauges import Gauge, chart_rep_derivative, connection_gauge
 from .linalg import hat, vee
 from .manifolds import Chart, Manifold, ProductManifold, SO3
 from .mcrp import ManifoldControlledPath
@@ -87,9 +87,6 @@ class GLMatrices(Manifold):
 
     def distance(self, m, n):
         return float(np.linalg.norm(np.asarray(n) - np.asarray(m)))
-
-    def curve(self, m, v, eps):
-        return np.asarray(m, dtype=float) + eps * np.asarray(v, dtype=float)
 
     def charts(self):
         d = self.size
@@ -306,24 +303,10 @@ def chart_christoffels(manifold: Manifold, chart: Chart, x):
         got = closed(chart, x)
         if got is not None:
             return np.asarray(got, dtype=float)
-    d = chart.dim
     m = chart.from_coords(x)
-    dto_m = chart.dto(m)
-    h = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-    out = np.empty((d, d, d))
-
-    def ubar(yc):
-        p = chart.from_coords(yc)
-        return dto_m @ manifold.transport(m, p) @ chart.dfrom(yc)
-
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        d1 = (ubar(x + h * e) - ubar(x - h * e)) / (2 * h)
-        d2 = (ubar(x + 0.5 * h * e) - ubar(x - 0.5 * h * e)) / h
-        # A_x<e_j> = D2 Ubar(x, x)<e_j> (source-point derivative of transport)
-        out[:, j, :] = (4.0 * d2 - d1) / 3.0
-    return out
+    # A_x<e_j> = D2 Ubar(x, x)<e_j> (source-point derivative of transport)
+    d = chart_rep_derivative(manifold.transport, chart, m, x, chart.dto(m))
+    return np.transpose(d, (0, 2, 1))
 
 
 @dataclass
@@ -334,12 +317,6 @@ class FrameLift:
     frames: np.ndarray  # (N+1, D, d) ambient frames
     segments: list = dc_field(default_factory=list)  # [(i0, i1, chart)]
     z_pieces: list = dc_field(default_factory=list)  # per-segment connection integrals
-
-    def endpoint_map(self):
-        """Transport T_{y_0}M -> T_{y_T}M implied by the frames: u_T o u_0^-1."""
-        u0 = self.frames[0]
-        ut = self.frames[-1]
-        return ut @ np.linalg.pinv(u0)
 
     def holonomy_angle(self):
         """Rotation angle of the loop holonomy in the initial frame (2d fibers)."""

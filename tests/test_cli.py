@@ -167,3 +167,49 @@ def test_numerical_failure_exits_one(runner, tmp_path):
     res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert res.output.startswith("numerical failure: ") and "Traceback" not in res.output
+
+
+def test_verify_uses_the_given_delta_on_every_fixture(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 64}))
+    deltas = {}
+    for extra in ([], ["--delta", "0.1"]):
+        args = ["verify", "--fixture", "equator", "--config", str(cfg), "--out", str(tmp_path)]
+        res = runner.invoke(main, args + extra)
+        assert res.exit_code == 0, res.output
+        deltas[bool(extra)] = json.loads((tmp_path / "verify-equator.json").read_text())["gauge"]["delta"]
+    assert deltas[True] == 0.1
+    assert deltas[False] != 0.1  # no --delta: the verifier's own domain-feasible delta
+    res = runner.invoke(main, ["verify", "--fixture", "example-6.7", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "verify-example-6.7.json").read_text())["gauge"]["delta"] == 0.5
+
+
+MALFORMED_CONFIGS = [
+    ("lift", [1, 2]),
+    ("integrate", [1, 2]),
+    ("rde", [1, 2]),
+    ("transport", [1, 2]),
+    ("verify", [1, 2]),
+    ("convergence", [1, 2]),
+    ("suite", [1, 2]),
+    ("lift", {"n": "abc"}),
+    ("integrate", {"n": "abc"}),
+    ("rde", {"n": "abc"}),
+    ("rde", {"field": {"kind": "projection"}, "n": "abc"}),
+    ("transport", {"n": "abc"}),
+    ("verify", {"fixture": "equator", "n": "abc"}),
+    ("verify", {"p": "abc"}),
+    ("convergence", {"levels": "abc"}),
+    ("lift", {"n": None}),
+]
+
+
+@pytest.mark.parametrize("command,doc", MALFORMED_CONFIGS)
+def test_malformed_config_exits_two_with_one_line(runner, tmp_path, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: config") and res.output.count("\n") == 1, res.output

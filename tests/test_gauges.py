@@ -6,6 +6,7 @@ import pytest
 from crp import ChartManifold, SO3, Sphere
 from crp.convergence import estimate_order
 from crp.gauges import (
+    Parallelism,
     chart_gauge,
     compatibility_tensor,
     connection_gauge,
@@ -90,6 +91,33 @@ class TestCompatibilityTensor:
         s = compatibility_tensor(g.par, g.par, SPHERE)
         assert s.exact_zero
         assert np.all(s.at(np.array([0.0, 0.0, 1.0])) == 0.0)
+
+    def test_evaluation_counts(self):
+        # a new point costs 4 d evaluations of each parallelism (Richardson pairs at
+        # +-h and +-h/2 along each of the chart's d directions); a repeated point
+        # and an exact zero cost none
+        calls = {"u": 0, "ut": 0}
+
+        def counting(key, fn):
+            def matrix(a, b):
+                calls[key] += 1
+                return fn(a, b)
+
+            return Parallelism(SPHERE, matrix)
+
+        u = counting("u", SPHERE.transport)
+        ut = counting("ut", chart_gauge(SPHERE, SPHERE.charts()[0]).par.matrix)
+        s = compatibility_tensor(ut, u, SPHERE)
+        m = np.array([0.6, 0.0, -0.8])
+        d = SPHERE.chart_at(m).dim
+        first = s.at(m)
+        assert calls == {"u": 4 * d, "ut": 4 * d}
+        assert s.at(m.copy()) is first
+        assert calls == {"u": 4 * d, "ut": 4 * d}
+        s.at(np.array([0.0, 0.6, -0.8]))
+        assert calls == {"u": 8 * d, "ut": 8 * d}
+        assert np.all(compatibility_tensor(u, u, SPHERE).at(m) == 0.0)
+        assert calls == {"u": 8 * d, "ut": 8 * d}
 
     def test_chart_gauge_self_compatibility_zero(self):
         g = chart_gauge(SPHERE, SPHERE.charts()[0])

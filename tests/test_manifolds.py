@@ -58,6 +58,15 @@ class TestSphereClosedForms:
         with pytest.raises(NearCutLocus):
             SPHERE.log(m, -m)
 
+    def test_batch_transport_through_antipode_raises_like_scalar(self):
+        ms = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        ns = np.array([[0.0, 1.0, 0.0], [0.0, -0.6, -0.8]])  # the second pair is antipodal
+        with pytest.raises(NearCutLocus, match="antipode"):
+            SPHERE.transport(ns[1], ms[1])
+        with pytest.raises(NearCutLocus, match="antipode"):
+            SPHERE.transport_batch(ns, ms)
+        assert np.array_equal(SPHERE.transport_batch(ns[:1], ms[:1])[0], SPHERE.transport(ns[0], ms[0]))
+
     def test_exp_matches_geodesic_ode_oracle(self):
         rng = np.random.default_rng(2)
         m = SPHERE.random_point(rng)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crp import ControlledPath, GaugeMismatch
+from crp import ControlledPath, GaugeMismatch, NearCutLocus
 from crp.convergence import estimate_order
 from crp.fixtures import (
     LINE,
@@ -110,6 +110,14 @@ def test_controlled_oneform_invariants_hold():
     a = oneform_from_smooth(area_form, y, g.par)
     rep = a.verify()
     assert rep["pass"], rep
+
+
+def test_oneform_constants_through_antipode_raise():
+    # a probe radius past half the loop pairs antipodal samples, whose transport does not exist
+    y = equator_crp(64)
+    a = oneform_from_smooth(area_form, y, connection_gauge(SPHERE).par)
+    with pytest.raises(NearCutLocus):
+        a.verify(delta=4.0)
 
 
 def test_equator_area_form_full_loop():
