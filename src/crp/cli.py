@@ -54,6 +54,14 @@ def _number(cfg, key, default, cast=int):
         raise ConfigError(f"config {key!r} must be a number, got {value!r}") from exc
 
 
+def _section(cfg, key):
+    """``cfg[key]`` ({} when absent); ConfigError unless it is a JSON object."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config {key!r} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _fixture(name, n, kinds):
     """Named fixture at grid size n; ConfigError unless its kind is one of ``kinds``."""
     kind = fx.FIXTURES.get(name, {}).get("kind")
@@ -156,17 +164,18 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
 def _build_rde_from_config(cfg, fixture, n, retraction):
     """Config schema: {manifold, field:{kind}, driver, y0, horizon, scheme}."""
     fixture = cfg.get("fixture", fixture)
-    n = _number(cfg, "n", cfg.get("driver", {}).get("n", n))
-    retraction = bool(cfg.get("scheme", {}).get("retraction", retraction))
+    n = _number(cfg, "n", _section(cfg, "driver").get("n", n))
+    retraction = bool(_section(cfg, "scheme").get("retraction", retraction))
     horizon = cfg.get("horizon")
     if "field" in cfg or "manifold" in cfg:
-        kind = cfg.get("field", {}).get("kind", "projection")
+        field_cfg = _section(cfg, "field")
+        params = _section(field_cfg, "params")
+        kind = field_cfg.get("kind", "projection")
         if kind == "projection":
-            rp = fx.linear_drive_driver(n, speed=float(cfg.get("field", {}).get("params", {}).get("speed", 1.0)))
+            rp = fx.linear_drive_driver(n, speed=float(params.get("speed", 1.0)))
             field = fx.sphere_projection_field()
             y0 = np.asarray(cfg.get("y0", [0.0, 1.0, 0.0]), dtype=float)
         elif kind in ("left-invariant", "right-invariant"):
-            params = cfg.get("field", {}).get("params", {})
             rp = fx.so3_constant_driver(n, params.get("direction", [0.0, 0.0, np.pi / 2]))
             field = fx.so3_right_invariant_field()
             y0 = np.asarray(cfg.get("y0", np.eye(3).tolist()), dtype=float)
@@ -283,12 +292,10 @@ def convergence(config_path, out, deterministic, fixture, levels, p):
     if fixture == "sphere-projection-rde":
         ns = dyadic_levels(1 << (5 + levels), levels)
         errs, hs = [], []
-        from .suite import _rk4_projection_values
-
         for n in ns:
             rp = fx.linear_drive_driver(n)
             sol = rde_solve_manifold(fx.sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]))
-            oracle = _rk4_projection_values(np.array([0.0, 1.0, 0.0]), 1.0, rp.times, h=1e-4)
+            oracle = fx.sphere_projection_flow(np.array([0.0, 1.0, 0.0]), 1.0, rp.times)
             errs.append(float(np.max(np.linalg.norm(sol.points - oracle, axis=1))))
             hs.append(1.0 / n)
         report = ConvergenceReport.from_levels(fixture, ns, hs, errs, target=2.0)

@@ -177,6 +177,20 @@ def sphere_projection_field():
     return ManifoldDrivingField(SPHERE, lambda m: SPHERE.tangent_projector(m), name="projection")
 
 
+def sphere_projection_flow(y0, speed, times):
+    """Exact flow of the projection field under ``linear_drive_driver``, at ``times``.
+
+    dp/dt = speed (e1 - p p_1) moves p on the great circle from y0 towards e1,
+    at an angle theta to e1 with tan(theta / 2) = tan(theta_0 / 2) e^{-speed t}.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    e1 = np.array([1.0, 0.0, 0.0])
+    u = y0 - y0[0] * e1
+    u /= np.linalg.norm(u)
+    th = 2.0 * np.arctan(np.tan(0.5 * np.arccos(y0[0])) * np.exp(-speed * np.asarray(times, dtype=float)))
+    return np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * u
+
+
 def so3_right_invariant_field():
     def fn(g):
         return np.stack([(-(hat(e) @ g)).reshape(9) for e in np.eye(3)], axis=1)

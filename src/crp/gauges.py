@@ -97,6 +97,8 @@ class Gauge:
 
     def compatibility(self):
         """S between the logarithm's induced parallelism and the gauge parallelism."""
+        if self.provenance == "connection":
+            return TorsionCompatibility(self.log.induced_parallelism(), self.par, self.manifold)
         return compatibility_tensor(self.log.induced_parallelism(), self.par, self.manifold)
 
     def spec_json(self):
@@ -184,33 +186,38 @@ def logarithm_gauge(manifold: Manifold, psi_fn, d2_fn=None, name="psi") -> Gauge
 # -- compatibility tensors ---------------------------------------------------------
 
 
-def chart_rep_derivative(matrix, chart: Chart, m, x, dto_m):
-    """Source-point derivative of a parallelism's chart representative at m.
+def chart_rep_derivative(matrices, chart: Chart, m, x, dto_m):
+    """Source-point derivatives of parallelisms' chart representatives at m.
 
-    Returns the (d, d, d) array D[c, b, j] = d/dy_j of
-    dto(m) @ matrix(m, p(y)) @ dfrom(y) at y = x, the coordinates of m, by
-    Richardson differences with the relative step ``FD_STEP``.
+    Returns the (k, d, d, d) array D[i, c, b, j] = d/dy_j of
+    dto(m) @ matrices[i](m, p(y)) @ dfrom(y) at y = x, the coordinates of m, by
+    Richardson differences with the relative step ``FD_STEP``.  Each stencil
+    point y is mapped through the chart once for all k parallelisms.
     """
     d = chart.dim
     h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    out = np.empty((d, d, d))
+    out = np.empty((len(matrices), d, d, d))
     for j, e in enumerate(np.eye(d)):
 
         def ubar(eps, _e=e):
             y = x + eps * _e
-            return dto_m @ matrix(m, chart.from_coords(y)) @ chart.dfrom(y)
+            p, dfrom_y = chart.from_coords(y), chart.dfrom(y)
+            return np.stack([dto_m @ matrix(m, p) @ dfrom_y for matrix in matrices])
 
-        out[:, :, j] = richardson_diff(ubar, h)
+        out[..., j] = richardson_diff(ubar, h)
     return out
 
 
 class CompatibilityTensor:
     """First-order discrepancy S of two parallelisms, S(v (x) w) in T_mM.
 
-    Evaluated in a chart by Richardson central differences of the chart
-    representatives; per-point results are cached by the point's bytes.
-    ``S[u_tilde, u] = D2(chart rep of u) - D2(chart rep of u_tilde)`` on the
-    diagonal, mapped back to ambient coordinates.
+    Finite differences: ``S[u_tilde, u] = D2(chart rep of u) - D2(chart rep of
+    u_tilde)`` on the diagonal, by Richardson central differences in a chart,
+    mapped back to ambient coordinates; per-point results are cached by the
+    point's bytes.  Every pair built with ``compatibility_tensor`` takes this
+    path, the oracle of ``torsion_check``.  Closed forms: a connection gauge's
+    ``Gauge.compatibility`` is ``TorsionCompatibility`` (half the torsion), and
+    identical parallelisms (chart and flat gauges) are an exact zero.
     """
 
     def __init__(self, u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
@@ -229,16 +236,17 @@ class CompatibilityTensor:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        out = self._evaluate(m)
+        self._cache[key] = out
+        return out
+
+    def _evaluate(self, m):
         chart = self.manifold.chart_at(m)
         x = chart.to_coords(m)
         dto_m = chart.dto(m)
-        dfrom_m = chart.dfrom(x)
-        du = chart_rep_derivative(self.u.matrix, chart, m, x, dto_m)
-        dut = chart_rep_derivative(self.u_tilde.matrix, chart, m, x, dto_m)
+        du, dut = chart_rep_derivative([self.u.matrix, self.u_tilde.matrix], chart, m, x, dto_m)
         sbar = np.transpose(du - dut, (0, 2, 1))  # [c, j(=v slot), b(=w slot)]
-        out = np.einsum("Cc,cjb,jA,bB->CAB", dfrom_m, sbar, dto_m, dto_m)
-        self._cache[key] = out
-        return out
+        return np.einsum("Cc,cjb,jA,bB->CAB", chart.dfrom(x), sbar, dto_m, dto_m)
 
     def apply(self, m, v, w):
         return np.einsum(
@@ -250,15 +258,22 @@ class CompatibilityTensor:
         return np.einsum("cab,ab->c", self.at(m), tensor)
 
 
+class TorsionCompatibility(CompatibilityTensor):
+    """S of a connection gauge (geodesic logarithm, parallel transport): half the torsion."""
+
+    def _evaluate(self, m):
+        return 0.5 * self.manifold.torsion_tensor(m)
+
+
 def compatibility_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
     return CompatibilityTensor(u_tilde, u, manifold)
 
 
 def torsion_check(manifold: Manifold, rng=None, n_points=5):
-    """Max mismatch between the connection gauge's S and half the torsion."""
+    """Max mismatch between the connection gauge's finite-difference S and half the torsion."""
     rng = rng or np.random.default_rng(3)
     g = connection_gauge(manifold)
-    s = g.compatibility()
+    s = compatibility_tensor(g.log.induced_parallelism(), g.par, manifold)
     worst = 0.0
     for _ in range(n_points):
         m = manifold.random_point(rng)

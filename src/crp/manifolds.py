@@ -113,7 +113,10 @@ class Manifold:
         return float(np.linalg.norm(self.flatten(self.log(m, n))))
 
     def torsion_tensor(self, m):
-        """(D, D, D) tensor T[c, a, b] of the manifold's default connection."""
+        """(D, D, D) tensor T[c, a, b] of the manifold's default connection.
+
+        A connection gauge's S is T / 2: a connection with torsion must override this.
+        """
         return np.zeros((self.flat_dim,) * 3)
 
     gauge_radius = np.inf
@@ -745,6 +748,15 @@ class ProductManifold(Manifold):
         out = np.zeros((self.flat_dim, self.flat_dim))
         out[:d1, :d1] = self.first.d2log(a, na)
         out[d1:, d1:] = self.second.d2log(b, nb)
+        return out
+
+    def torsion_tensor(self, m):
+        # the componentwise connection only twists vectors of one factor
+        a, b = self.split(m)
+        d1 = self.first.flat_dim
+        out = np.zeros((self.flat_dim,) * 3)
+        out[:d1, :d1, :d1] = self.first.torsion_tensor(a)
+        out[d1:, d1:, d1:] = self.second.torsion_tensor(b)
         return out
 
     @property

@@ -174,38 +174,31 @@ def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, g
     s_tensor = None
     if check_split:
         s_tensor = compatibility_tensor(gauge.log.induced_parallelism(), gauge.par, mani)
+    # the second-order term differentiates d2psi(m, .) F(.), and the split form U(m, .) F(.)
+    pushes = [gauge.d2psi, gauge.U] if check_split else [gauge.d2psi]
     for i in range(n):
         m = y.points[i]
         cols = field.value_matrix(m)  # (D, k)
         area = y.driver.step_areas[i]
         k = area.shape[0]
 
-        def g_b(mm, b):
-            return gauge.d2psi(m, mm) @ field.value_matrix(mm)[:, b]
+        def pushed(mm):
+            vals = field.value_matrix(mm)
+            return np.stack([push(m, mm) @ vals for push in pushes])
 
-        term2 = np.zeros(mani.flat_dim)
+        terms = np.zeros((len(pushes), mani.flat_dim))
         for a in range(k):
             if not np.any(area[a]):
                 continue
-            dd = mani.derivative_along(m, cols[:, a], lambda mm: np.stack([g_b(mm, b) for b in range(k)], axis=1))
-            term2 += dd @ area[a]
-        pred = cols @ dxs[i] + term2
+            terms += mani.derivative_along(m, cols[:, a], pushed) @ area[a]
+            if check_split:
+                s_term = np.stack([s_tensor.apply(m, cols[:, a], cols[:, b]) for b in range(k)], axis=1)
+                terms[1] -= s_term @ area[a]
+        pred = cols @ dxs[i] + terms[0]
         defect = gauge.psi(m, y.points[i + 1]) - pred
         worst = max(worst, float(np.linalg.norm(defect)))
         if check_split:
-
-            def h_b(mm, b):
-                return gauge.U(m, mm) @ field.value_matrix(mm)[:, b]
-
-            term2b = np.zeros(mani.flat_dim)
-            for a in range(k):
-                if not np.any(area[a]):
-                    continue
-                dd = mani.derivative_along(m, cols[:, a], lambda mm: np.stack([h_b(mm, b) for b in range(k)], axis=1))
-                term2b += dd @ area[a]
-                s_term = np.stack([s_tensor.apply(m, cols[:, a], cols[:, b]) for b in range(k)], axis=1)
-                term2b -= s_term @ area[a]
-            split_worst = max(split_worst, float(np.linalg.norm(term2 - term2b)))
+            split_worst = max(split_worst, float(np.linalg.norm(terms[0] - terms[1])))
     return {"defect": worst, "split_residual": split_worst}
 
 

@@ -288,12 +288,12 @@ def criterion_06_push_pull_associativity():
 def criterion_07_rde_correctness():
     """Manifold and flat RDE solves against their oracles."""
     checks = []
-    # S^2 projection field vs fine RK4 (sup over the grid)
+    # S^2 projection field vs its closed-form flow (sup over the grid)
     speed = 1.0
     n = 1024
     rp = fx.linear_drive_driver(n, speed=speed)
     sol = rde_solve_manifold(fx.sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]))
-    oracle = _rk4_projection_values(np.array([0.0, 1.0, 0.0]), speed, rp.times)
+    oracle = fx.sphere_projection_flow(np.array([0.0, 1.0, 0.0]), speed, rp.times)
     sup = float(np.max(np.linalg.norm(sol.points - oracle, axis=1)))
     checks.append(_check("sphere-projection-sup-vs-rk4", sup, 1e-6))
     drift = float(np.max(np.abs(np.linalg.norm(sol.points, axis=1) - 1.0)))
@@ -322,33 +322,6 @@ def criterion_07_rde_correctness():
         hs.append(1.0 / nn)
     checks.append(_slope_check("pure-area-davie-global-order", errs, hs, 0.75))
     return checks
-
-
-def _rk4_projection_values(y0, speed, times, h=1e-5):
-    e1 = np.array([1.0, 0.0, 0.0])
-
-    def rhs(p):
-        return speed * (e1 - p * p[0])
-
-    def step(p, hh):
-        k1 = rhs(p)
-        k2 = rhs(p + 0.5 * hh * k1)
-        k3 = rhs(p + 0.5 * hh * k2)
-        k4 = rhs(p + hh * k3)
-        return p + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    m = np.asarray(y0, dtype=float).copy()
-    out = [m.copy()]
-    for a, b in zip(times[:-1], times[1:]):
-        span = float(b - a)
-        full = int(span / h)
-        for _ in range(full):
-            m = step(m, h)
-        rem = span - full * h
-        if rem > 1e-14:
-            m = step(m, rem)
-        out.append(m.copy())
-    return np.stack(out)
 
 
 def criterion_08_equivalence_theorems():
@@ -417,7 +390,9 @@ def criterion_09_compatibility_algebra():
     checks.append(_check("torsion-sphere", torsion_check(SPHERE)["max_residual"], 1e-6))
     checks.append(_check("torsion-so3", torsion_check(SO3M)["max_residual"], 1e-5))
 
-    s = connection_gauge(SO3M).compatibility()
+    # the finite-difference S, so the formula is checked against an independent oracle
+    g = connection_gauge(SO3M)
+    s = compatibility_tensor(g.log.induced_parallelism(), g.par, SO3M)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(3):

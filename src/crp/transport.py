@@ -305,7 +305,7 @@ def chart_christoffels(manifold: Manifold, chart: Chart, x):
             return np.asarray(got, dtype=float)
     m = chart.from_coords(x)
     # A_x<e_j> = D2 Ubar(x, x)<e_j> (source-point derivative of transport)
-    d = chart_rep_derivative(manifold.transport, chart, m, x, chart.dto(m))
+    d = chart_rep_derivative([manifold.transport], chart, m, x, chart.dto(m))[0]
     return np.transpose(d, (0, 2, 1))
 
 

@@ -202,6 +202,10 @@ MALFORMED_CONFIGS = [
     ("verify", {"p": "abc"}),
     ("convergence", {"levels": "abc"}),
     ("lift", {"n": None}),
+    ("rde", {"driver": [1, 2]}),
+    ("rde", {"field": "projection"}),
+    ("rde", {"scheme": 3}),
+    ("rde", {"field": {"kind": "projection", "params": [1.0]}}),
 ]
 
 

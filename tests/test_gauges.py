@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from crp import ChartManifold, SO3, Sphere
+from crp import ChartManifold, ProductManifold, SO3, Sphere
 from crp.convergence import estimate_order
 from crp.gauges import (
     Parallelism,
@@ -94,30 +96,40 @@ class TestCompatibilityTensor:
 
     def test_evaluation_counts(self):
         # a new point costs 4 d evaluations of each parallelism (Richardson pairs at
-        # +-h and +-h/2 along each of the chart's d directions); a repeated point
-        # and an exact zero cost none
-        calls = {"u": 0, "ut": 0}
+        # +-h and +-h/2 along each of the chart's d directions), one chart evaluation
+        # per stencil point shared by both, and one more dfrom at the point itself;
+        # a repeated point and an exact zero cost none
+        calls = {"u": 0, "ut": 0, "from_coords": 0, "dfrom": 0}
 
-        def counting(key, fn):
-            def matrix(a, b):
+        def counted(key, fn):
+            def wrapper(*args):
                 calls[key] += 1
-                return fn(a, b)
+                return fn(*args)
 
-            return Parallelism(SPHERE, matrix)
+            return wrapper
 
-        u = counting("u", SPHERE.transport)
-        ut = counting("ut", chart_gauge(SPHERE, SPHERE.charts()[0]).par.matrix)
-        s = compatibility_tensor(ut, u, SPHERE)
+        class CountingSphere(Sphere):
+            def charts(self):
+                return [
+                    replace(c, from_coords=counted("from_coords", c.from_coords), dfrom=counted("dfrom", c.dfrom))
+                    for c in super().charts()
+                ]
+
+        sphere = CountingSphere()
+        u = Parallelism(sphere, counted("u", SPHERE.transport))
+        ut = Parallelism(sphere, counted("ut", chart_gauge(SPHERE, SPHERE.charts()[0]).par.matrix))
+        s = compatibility_tensor(ut, u, sphere)
         m = np.array([0.6, 0.0, -0.8])
-        d = SPHERE.chart_at(m).dim
+        d = sphere.chart_at(m).dim
+        per_point = {"u": 4 * d, "ut": 4 * d, "from_coords": 4 * d, "dfrom": 4 * d + 1}
         first = s.at(m)
-        assert calls == {"u": 4 * d, "ut": 4 * d}
+        assert calls == per_point
         assert s.at(m.copy()) is first
-        assert calls == {"u": 4 * d, "ut": 4 * d}
+        assert calls == per_point
         s.at(np.array([0.0, 0.6, -0.8]))
-        assert calls == {"u": 8 * d, "ut": 8 * d}
-        assert np.all(compatibility_tensor(u, u, SPHERE).at(m) == 0.0)
-        assert calls == {"u": 8 * d, "ut": 8 * d}
+        assert calls == {k: 2 * v for k, v in per_point.items()}
+        assert np.all(compatibility_tensor(u, u, sphere).at(m) == 0.0)
+        assert calls == {k: 2 * v for k, v in per_point.items()}
 
     def test_chart_gauge_self_compatibility_zero(self):
         g = chart_gauge(SPHERE, SPHERE.charts()[0])
@@ -261,6 +273,75 @@ class TestLogarithmComparison:
             smat = bm.T @ np.einsum("cab,a->cb", s.at(m), psi) @ bm
             errs.append(float(np.max(np.abs(lhs - np.eye(2) - smat))))
         assert decay_slope(errs, scales) >= 1.75
+
+
+def asymmetric_connection(x):
+    # Gamma^0_{01} != Gamma^0_{10} and Gamma^1_{10} != Gamma^1_{01}, varying with x.
+    # No diagonal term Gamma^i_{jj}: geodesics along the axes are straight, so the
+    # Newton logarithm's absolute 1e-12 stopping rule never accepts an unshot guess
+    # that is off by O(h^2), an error the nested FD oracle divides by h^2 = 1e-10.
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 1] = 0.3 + 0.1 * x[0]
+    a[1, 1, 0] = -0.2 + 0.05 * x[1]
+    return a
+
+
+def closed_form_cases():
+    return [
+        ("sphere", SPHERE),
+        ("so3", SO3M),
+        ("chart-asymmetric", ChartManifold(2, radius=1.0, gamma=asymmetric_connection, h_geo=0.1)),
+        ("sphere*so3", ProductManifold(SPHERE, SO3M)),
+    ]
+
+
+def fd_compatibility(gauge):
+    return compatibility_tensor(gauge.log.induced_parallelism(), gauge.par, gauge.manifold)
+
+
+class TestClosedFormCompatibility:
+    @pytest.mark.parametrize("name,mani", closed_form_cases())
+    def test_connection_gauge_matches_fd_oracle(self, name, mani):
+        g = connection_gauge(mani)
+        closed, fd = g.compatibility(), fd_compatibility(g)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            m = mani.random_point(rng)
+            p = mani.tangent_projector(m)
+
+            def on_tangents(t):
+                return np.einsum("Cc,cab,aA,bB->CAB", p, t, p, p)
+
+            assert np.array_equal(closed.at(m), 0.5 * mani.torsion_tensor(m))
+            assert np.max(np.abs(on_tangents(closed.at(m)) - on_tangents(fd.at(m)))) <= 1e-5
+
+    def test_connection_gauge_makes_no_transport_or_log_calls(self):
+        calls = {"transport": 0, "d2log": 0}
+
+        class CountingSO3(SO3):
+            def transport(self, to_pt, from_pt):
+                calls["transport"] += 1
+                return super().transport(to_pt, from_pt)
+
+            def d2log(self, k, g):
+                calls["d2log"] += 1
+                return super().d2log(k, g)
+
+        mani = CountingSO3()
+        g = connection_gauge(mani)
+        m = mani.random_point(np.random.default_rng(2))
+        s = g.compatibility().at(m)
+        assert calls == {"transport": 0, "d2log": 0}
+        assert np.max(np.abs(s)) > 0.01
+        fd_compatibility(g).at(m)
+        assert calls["transport"] > 0 and calls["d2log"] > 0
+
+    def test_torsion_check_reads_the_fd_tensor(self):
+        # the closed form equals half the torsion exactly, so a zero residual would
+        # mean the check compared the closed form with itself
+        for mani, bound in ((SPHERE, 1e-6), (SO3M, 1e-5)):
+            res = torsion_check(mani)["max_residual"]
+            assert 0.0 < res <= bound
 
 
 class TestManifoldTaylor:

@@ -342,6 +342,23 @@ class TestProductManifold:
         u = prod.transport(n, m)
         assert u.shape == (12, 12)
 
+    @pytest.mark.parametrize(
+        "first,second",
+        [(SPHERE, SO3M), (SO3M, ChartManifold(2, gamma=lambda x: np.array([[[0, 0.3], [0, 0]], [[0, 0], [x[0], 0]]])))],
+    )
+    def test_torsion_is_blockwise(self, first, second):
+        # T[c, a, b] vanishes unless a, b and c lie in one factor, where it is that factor's
+        prod = ProductManifold(first, second)
+        m = prod.random_point(np.random.default_rng(23))
+        a, b = prod.split(m)
+        d1 = first.flat_dim
+        got = prod.torsion_tensor(m)
+        want = np.zeros((prod.flat_dim,) * 3)
+        want[:d1, :d1, :d1] = first.torsion_tensor(a)
+        want[d1:, d1:, d1:] = second.torsion_tensor(b)
+        assert np.array_equal(got, want)
+        assert np.max(np.abs(got[d1:, d1:, d1:])) > 0.1
+
 
 def test_levi_civita_from_metric_matches_sphere_chart_coefficients():
     # round-metric pullback through the stereographic chart

@@ -11,6 +11,7 @@ from crp.fixtures import (
     linear_drive_driver,
     smooth_2d_driver,
     sphere_projection_field,
+    sphere_projection_flow,
     so3_right_invariant_field,
 )
 from crp.gauges import connection_gauge, standard_gauge
@@ -81,6 +82,13 @@ def test_sphere_projection_field_matches_rk4_oracle():
     oracle = rk4_projection_oracle(y0, speed)
     assert np.linalg.norm(sol.points[-1] - oracle) <= 1e-6
     assert manifold_distance_drift(sol) <= 1e-6
+
+
+def test_projection_flow_closed_form_matches_rk4_oracle():
+    rp = linear_drive_driver(64)
+    y0 = np.array([0.0, 1.0, 0.0])
+    exact = sphere_projection_flow(y0, 1.0, rp.times)
+    assert np.max(np.linalg.norm(exact - rk4_projection_values(y0, 1.0, rp.times, h=1e-4), axis=1)) <= 1e-13
 
 
 def test_sphere_solution_sup_error_against_dense_oracle():
@@ -232,6 +240,27 @@ class TestGaugeForm:
         slope, _, exact = estimate_order(es, hs)
         assert exact or slope >= 3.0 - 0.25
         assert rep["split_residual"] <= 1e-8
+
+    def test_field_and_log_evaluated_once_per_stencil_point(self):
+        # 8 steps, one nonzero area row (the driver moves along e1 only): F at each
+        # node plus F and d2psi at the 4 Richardson points of that row's derivative
+        field = sphere_projection_field()
+        sol = rde_solve_manifold(field, linear_drive_driver(8), np.array([0.0, 1.0, 0.0]))
+        gauge = connection_gauge(SPHERE)
+        calls = {"value_matrix": 0, "d2psi": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        field.value_matrix = counted("value_matrix", field.value_matrix)
+        gauge.d2psi = counted("d2psi", gauge.d2psi)
+        assert sol.driver_dim == 3
+        gauge_form_defects(sol, field, gauge)
+        assert calls == {"value_matrix": 8 + 8 * 4, "d2psi": 8 * 4}
 
 
 class TestIntegralForm:
