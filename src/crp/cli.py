@@ -54,6 +54,17 @@ def _number(cfg, key, default, cast=int):
         raise ConfigError(f"config {key!r} must be a number, got {value!r}") from exc
 
 
+def _array(value, key, shape):
+    """``value`` as a float array of ``shape``; ConfigError unless it is one."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {key!r} must be numeric, got {value!r}") from exc
+    if arr.shape != shape:
+        raise ConfigError(f"config {key!r} must have shape {shape}, got {value!r}")
+    return arr
+
+
 def _section(cfg, key):
     """``cfg[key]`` ({} when absent); ConfigError unless it is a JSON object."""
     value = cfg.get(key, {})
@@ -172,17 +183,18 @@ def _build_rde_from_config(cfg, fixture, n, retraction):
         params = _section(field_cfg, "params")
         kind = field_cfg.get("kind", "projection")
         if kind == "projection":
-            rp = fx.linear_drive_driver(n, speed=float(params.get("speed", 1.0)))
+            rp = fx.linear_drive_driver(n, speed=_number(params, "speed", 1.0, cast=float))
             field = fx.sphere_projection_field()
-            y0 = np.asarray(cfg.get("y0", [0.0, 1.0, 0.0]), dtype=float)
+            y0 = cfg.get("y0", [0.0, 1.0, 0.0])
         elif kind in ("left-invariant", "right-invariant"):
-            rp = fx.so3_constant_driver(n, params.get("direction", [0.0, 0.0, np.pi / 2]))
+            rp = fx.so3_constant_driver(n, _array(params.get("direction", [0.0, 0.0, np.pi / 2]), "direction", (3,)))
             field = fx.so3_right_invariant_field()
-            y0 = np.asarray(cfg.get("y0", np.eye(3).tolist()), dtype=float)
+            y0 = cfg.get("y0", np.eye(3).tolist())
         else:
             raise ConfigError(f"unsupported field kind {kind!r}")
+        y0 = _array(y0, "y0", field.manifold.point_shape)
         if horizon is not None:
-            horizon = (float(horizon[0]), float(horizon[1]))
+            horizon = tuple(float(t) for t in _array(horizon, "horizon", (2,)))
         return fixture, rde_solve_manifold(field, rp, y0, horizon=horizon, retraction=retraction)
     if fixture == "sphere-projection-rde":
         rp = fx.linear_drive_driver(n)

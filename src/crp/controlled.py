@@ -143,6 +143,36 @@ def stability_slope(constants, hs):
 STABILITY_SLOPE_TOL = -0.25
 
 
+def stability_verdict(constants, hs):
+    """``(slope, pass)`` for constants measured at meshes ``hs`` (finest first).
+
+    Passes when the finest-grid constant is finite and the constants are exact
+    or their fitted slope against the mesh stays above ``STABILITY_SLOPE_TOL``.
+    """
+    slope, exact = stability_slope(constants, hs)
+    return slope, bool(np.isfinite(constants[0]) and (exact or slope > STABILITY_SLOPE_TOL))
+
+
+def dyadic_ladder(measure, objs, levels, min_steps):
+    """``measure(*objs)`` on the grid and on up to ``levels - 1`` dyadic coarsenings.
+
+    Returns ``(hs, rows)``, finest first: the mesh of each grid (read off the
+    first object) and what ``measure`` returned there.  All objects are
+    coarsened together; a grid whose step count is odd or below ``min_steps``
+    is the last one measured.
+    """
+    hs, rows = [], []
+    for lev in range(levels):
+        times = objs[0].times
+        hs.append(float(np.max(np.diff(times))))
+        rows.append(measure(*objs))
+        n = times.size - 1
+        if lev == levels - 1 or n % 2 or n < min_steps:
+            break
+        objs = [o.coarsen(2) for o in objs]
+    return hs, rows
+
+
 def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
     """Report the smallest controlled-path constants and their mesh stability.
 
@@ -155,25 +185,13 @@ def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
     """
     check_same_grid(y.times, rp.times)
     p = rp.control.p
-    cur_y, cur_rp = y, rp
-    cs_rem, cs_der, hs = [], [], []
-    worst = (0, 0)
-    for lev in range(levels):
-        c2, c1, w = _pair_constants(cur_y.times, cur_y.values, cur_y.derivative, cur_rp, p, delta)
-        if lev == 0:
-            worst = w
-        cs_rem.append(c2)
-        cs_der.append(c1)
-        hs.append(float(np.max(np.diff(cur_y.times))))
-        n = cur_y.times.size - 1
-        if n % 2 or n < 8:
-            break
-        cur_y = cur_y.coarsen(2)
-        cur_rp = cur_rp.coarsen(2)
-    slope2, exact2 = stability_slope(cs_rem, hs)
-    slope1, exact1 = stability_slope(cs_der, hs)
-    pass2 = np.isfinite(cs_rem[0]) and (exact2 or slope2 > STABILITY_SLOPE_TOL)
-    pass1 = np.isfinite(cs_der[0]) and (exact1 or slope1 > STABILITY_SLOPE_TOL)
+    hs, rows = dyadic_ladder(
+        lambda yy, rr: _pair_constants(yy.times, yy.values, yy.derivative, rr, p, delta), (y, rp), levels, 8
+    )
+    cs_rem, cs_der = [r[0] for r in rows], [r[1] for r in rows]
+    worst = rows[0][2]
+    slope2, pass2 = stability_verdict(cs_rem, hs)
+    slope1, pass1 = stability_verdict(cs_der, hs)
 
     # delta-restricted diagnostics (reported, not gating)
     horizon = float(y.times[-1] - y.times[0])
@@ -203,9 +221,9 @@ def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
         "slope_remainder": slope2,
         "slope_derivative": slope1,
         "worst_pair": worst,
-        "pass_remainder": bool(pass2),
-        "pass_derivative": bool(pass1),
-        "pass": bool(pass2 and pass1),
+        "pass_remainder": pass2,
+        "pass_derivative": pass1,
+        "pass": pass2 and pass1,
         "delta": delta,
         "delta_constants": {f"{k:.6g}": v for k, v in by_delta.items()},
         "largest_stable_delta": stable_delta,

@@ -15,10 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AtlasGap, ConfigError, DomainError, LogFailure, NearCutLocus
+from .errors import AtlasGap, ChartExit, ConfigError, CrpError, DomainError, LogFailure, NearCutLocus
 from .linalg import (
     FD_STEP,
     hat,
+    polar_retract,
     richardson_diff,
     so3_exp,
     so3_left_jacobian,
@@ -54,8 +55,6 @@ class Chart:
         return self.radius - float(np.linalg.norm(x - c))
 
     def margin(self, p):
-        from .errors import CrpError
-
         try:
             return self.coords_margin(self.to_coords(p))
         except (CrpError, FloatingPointError, ValueError, ZeroDivisionError):
@@ -364,8 +363,6 @@ class SO3(Manifold):
     gauge_radius = np.pi - GAUGE_RADIUS_MARGIN
 
     def project(self, p):
-        from .linalg import polar_retract
-
         return polar_retract(np.asarray(p, dtype=float))
 
     def tangent_projector(self, g):
@@ -530,72 +527,63 @@ class ChartManifold(Manifold):
     def tangent_projector(self, p):
         return np.eye(self.dim)
 
-    def _geodesic(self, m, v, tmax=1.0, want_transport=False, u0=None):
-        """RK4 on the geodesic equation, optionally carrying transport frames."""
+    def _geodesic(self, m, v, u0=None):
+        """RK4 on the geodesic equation over unit time: (point, velocity, frame).
+
+        A frame ``u0`` (d, c) is parallel-transported along when given; the
+        frame slot is None otherwise.
+        """
         m = np.asarray(m, dtype=float)
         v = np.asarray(v, dtype=float)
-        n_steps = max(1, int(np.ceil(tmax / self.h_geo)))
-        h = tmax / n_steps
         if self.gamma is None:
-            p = m + tmax * v
-            u = u0 if want_transport else None
-            return (p, v, u) if want_transport else (p, v)
-        state_p, state_v = m.copy(), v.copy()
-        u = None if u0 is None else np.asarray(u0, dtype=float).copy()
+            return m + v, v, u0
+        n_steps = max(1, int(np.ceil(1.0 / self.h_geo)))
+        h = 1.0 / n_steps
+        d = self.dim
+        # one flat state: point, velocity and, when given, the frame's entries
+        state = np.concatenate([m, v] + ([] if u0 is None else [np.asarray(u0, dtype=float).ravel()]))
 
-        def acc(p, vv):
+        def rates(st):
+            p, vv = st[:d], st[d : 2 * d]
             A = self._gamma(p)
-            return -np.einsum("ijl,j,l->i", A, vv, vv)
-
-        def du(p, vv, uu):
-            A = self._gamma(p)
-            return -np.einsum("ijl,j,lc->ic", A, vv, uu)
+            out = [vv, -np.einsum("ijl,j,l->i", A, vv, vv)]
+            if st.size > 2 * d:
+                out.append(-np.einsum("ijl,j,lc->ic", A, vv, st[2 * d :].reshape(d, -1)).ravel())
+            return np.concatenate(out)
 
         for _ in range(n_steps):
-            if want_transport and u is not None:
-                k1p, k1v, k1u = state_v, acc(state_p, state_v), du(state_p, state_v, u)
-                k2p = state_v + 0.5 * h * k1v
-                k2v = acc(state_p + 0.5 * h * k1p, k2p)
-                k2u = du(state_p + 0.5 * h * k1p, k2p, u + 0.5 * h * k1u)
-                k3p = state_v + 0.5 * h * k2v
-                k3v = acc(state_p + 0.5 * h * k2p, k3p)
-                k3u = du(state_p + 0.5 * h * k2p, k3p, u + 0.5 * h * k2u)
-                k4p = state_v + h * k3v
-                k4v = acc(state_p + h * k3p, k4p)
-                k4u = du(state_p + h * k3p, k4p, u + h * k3u)
-                u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-            else:
-                k1p, k1v = state_v, acc(state_p, state_v)
-                k2p = state_v + 0.5 * h * k1v
-                k2v = acc(state_p + 0.5 * h * k1p, k2p)
-                k3p = state_v + 0.5 * h * k2v
-                k3v = acc(state_p + 0.5 * h * k2p, k3p)
-                k4p = state_v + h * k3v
-                k4v = acc(state_p + h * k3p, k4p)
-            state_p = state_p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-            state_v = state_v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if np.linalg.norm(state_p - self.center) > self.radius:
-                from .errors import ChartExit
-
+            k1 = rates(state)
+            k2 = rates(state + 0.5 * h * k1)
+            k3 = rates(state + 0.5 * h * k2)
+            k4 = rates(state + h * k3)
+            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if np.linalg.norm(state[:d] - self.center) > self.radius:
                 raise ChartExit(message="geodesic left the coordinate domain")
-        if want_transport:
-            return state_p, state_v, u
-        return state_p, state_v
+        u = None if u0 is None else state[2 * d :].reshape(d, -1)
+        return state[:d], state[d : 2 * d], u
 
     def exp(self, m, v):
         return self._geodesic(m, v)[0]
 
     def log(self, m, n, tol=1e-12, max_iter=50):
+        """Newton shooting for exp(m, v) = n from the guess v = n - m.
+
+        Stops when the endpoint residual is at most ``tol * |v|^2``, the size
+        of the bending the guess ignores, or at most ``tol`` once a Newton step
+        fails to halve it (the rounding floor of the RK4 endpoint).
+        """
         m = np.asarray(m, dtype=float)
         n = np.asarray(n, dtype=float)
         if self.gamma is None:
             return n - m
         v = n - m
+        prev = np.inf
         for _ in range(max_iter):
-            endp = self.exp(m, v)
-            res = endp - n
-            if np.linalg.norm(res) <= tol:
+            res = self.exp(m, v) - n
+            r = float(np.linalg.norm(res))
+            if r <= tol * float(v @ v) or (r <= tol and r > 0.5 * prev):
                 return v
+            prev = r
             jac = np.empty((self.dim, self.dim))
             hstep = 1e-6 * max(1.0, float(np.linalg.norm(v)))
             for j in range(self.dim):
@@ -612,8 +600,7 @@ class ChartManifold(Manifold):
         if self.gamma is None:
             return np.eye(self.dim)
         v = self.log(from_pt, to_pt)
-        _, _, u = self._geodesic(from_pt, v, want_transport=True, u0=np.eye(self.dim))
-        return u
+        return self._geodesic(from_pt, v, u0=np.eye(self.dim))[2]
 
     def d2log(self, m, n):
         if self.gamma is None:

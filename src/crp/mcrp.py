@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, check_same_grid, stability_slope
-from .controlled import STABILITY_SLOPE_TOL
+from .controlled import ControlledPath, check_same_grid, dyadic_ladder, stability_verdict, verify_crp
 from .errors import ChartExit, DomainError, InvalidGrid, NotOnManifold, ShapeError
 from .gauges import Gauge
 from .manifolds import Chart, Manifold
@@ -234,25 +233,11 @@ def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None, levels
     if delta is None:
         delta = default_probe_delta(y)
     p = y.driver.control.p
-    cur = y
-    cs2, cs1, hs = [], [], []
-    worst = (0, 0)
-    pairs = 0
-    for lev in range(levels):
-        c2, c1, w, np_pairs = _gauge_constants(cur, gauge, delta, p)
-        if lev == 0:
-            worst, pairs = w, np_pairs
-        cs2.append(c2)
-        cs1.append(c1)
-        hs.append(float(np.max(np.diff(cur.times))))
-        n = cur.times.size - 1
-        if n % 2 or n < 8:
-            break
-        cur = cur.coarsen(2)
-    slope2, exact2 = stability_slope(cs2, hs)
-    slope1, exact1 = stability_slope(cs1, hs)
-    pass2 = bool(np.isfinite(cs2[0]) and (exact2 or slope2 > STABILITY_SLOPE_TOL))
-    pass1 = bool(np.isfinite(cs1[0]) and (exact1 or slope1 > STABILITY_SLOPE_TOL))
+    hs, rows = dyadic_ladder(lambda cur: _gauge_constants(cur, gauge, delta, p), (y,), levels, 8)
+    cs2, cs1 = [r[0] for r in rows], [r[1] for r in rows]
+    _, _, worst, pairs = rows[0]
+    slope2, pass2 = stability_verdict(cs2, hs)
+    slope1, pass1 = stability_verdict(cs1, hs)
     return {
         "C2": cs2[0],
         "C1": cs1[0],
@@ -270,8 +255,6 @@ def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None, levels
 
 def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None, levels=4):
     """Chart-window controlled-path constants (all pairs inside the window)."""
-    from .controlled import verify_crp
-
     times = y.times
     if window is None:
         lo, hi = 0, times.size - 1
@@ -309,8 +292,6 @@ def scalar_test_suite(y: ManifoldControlledPath, fns):
     ``fns`` is a list of (f, df) pairs with ambient differentials; returns the
     per-function flat reports plus an aggregate verdict.
     """
-    from .controlled import verify_crp
-
     reports = []
     for f, df in fns:
         vals = np.array([[float(f(p))] for p in y.points])

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .controlled import driver_as_controlled
+from .controlled import ControlledPath, driver_as_controlled, dyadic_ladder
 from .errors import AtlasGap, Explosion, NotRelated
 from .gauges import Gauge, compatibility_tensor
 from .manifolds import Manifold
@@ -203,19 +203,14 @@ def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, g
 
 
 def check_rde_gauge_form(y: ManifoldControlledPath, field, gauge: Gauge, levels=4, check_split=False):
-    """Per-level gauge-form defects (finest first) for slope fitting."""
-    out = []
-    cur = y
-    split = 0.0
-    for lev in range(levels):
-        rep = gauge_form_defects(cur, field, gauge, check_split=check_split and lev == 0)
-        split = max(split, rep["split_residual"])
-        out.append((float(np.max(np.diff(cur.times))), rep["defect"]))
-        n = cur.times.size - 1
-        if n % 2 or n < 4:
-            break
-        cur = cur.coarsen(2)
-    return {"levels": out, "split_residual": split}
+    """Per-level gauge-form defects (finest first) for slope fitting.
+
+    The split form is checked on the finest grid only.
+    """
+    hs, reps = dyadic_ladder(
+        lambda cur: gauge_form_defects(cur, field, gauge, check_split=check_split and cur is y), (y,), levels, 4
+    )
+    return {"levels": [(h, r["defect"]) for h, r in zip(hs, reps)], "split_residual": reps[0]["split_residual"]}
 
 
 def pushed_field_path(y: ManifoldControlledPath, field: ManifoldDrivingField, alpha_fn):
@@ -234,8 +229,6 @@ def pushed_field_path(y: ManifoldControlledPath, field: ManifoldDrivingField, al
         vals[i] = val(m)
         for a in range(y.driver_dim):
             dag[i, :, :, a] = mani.derivative_along(m, y.derivative[i][:, a], val)
-    from .controlled import ControlledPath
-
     return ControlledPath(y.times, vals, dag)
 
 

@@ -6,13 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, check_same_grid
+from .controlled import ControlledPath, check_same_grid, dyadic_ladder, stability_verdict
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, compatibility_tensor
 from .linalg import FD_STEP, richardson_diff
-from .mcrp import ManifoldControlledPath, default_probe_delta
-from .pairs import pair_sup, ratio
+from .mcrp import ManifoldControlledPath, crp_pushforward, default_probe_delta
+from .pairs import pair_sup, ratio, triple_defect
 from .roughpath import RoughPath
+from .sewing import rough_integrate
 
 
 @dataclass
@@ -59,35 +60,19 @@ class ControlledOneForm:
         measured in the Frobenius norm over probed pairs; derivative:
         |alpha'_t o (I (x) U(y_t, y_s)) - alpha'_s|.
         """
-        from .controlled import STABILITY_SLOPE_TOL, stability_slope
-
         if delta is None:
             delta = default_probe_delta(self.path)
         p = self.path.driver.control.p
-        cur = self
-        cs2, cs1, hs = [], [], []
-        for lev in range(levels):
-            c2, c1 = cur._pair_constants(delta, p)
-            cs2.append(c2)
-            cs1.append(c1)
-            hs.append(float(np.max(np.diff(cur.times))))
-            n = cur.times.size - 1
-            if n % 2 or n < 8:
-                break
-            cur = cur.coarsen(2)
-        s2, e2 = stability_slope(cs2, hs)
-        s1, e1 = stability_slope(cs1, hs)
+        hs, rows = dyadic_ladder(lambda cur: cur._pair_constants(delta, p), (self,), levels, 8)
+        cs2, cs1 = [r[0] for r in rows], [r[1] for r in rows]
+        s2, pass2 = stability_verdict(cs2, hs)
+        s1, pass1 = stability_verdict(cs1, hs)
         return {
             "C_remainder": cs2[0],
             "C_derivative": cs1[0],
             "slope_remainder": s2,
             "slope_derivative": s1,
-            "pass": bool(
-                np.isfinite(cs2[0])
-                and np.isfinite(cs1[0])
-                and (e2 or s2 > STABILITY_SLOPE_TOL)
-                and (e1 or s1 > STABILITY_SLOPE_TOL)
-            ),
+            "pass": pass2 and pass1,
             "delta": float(delta),
         }
 
@@ -207,10 +192,6 @@ def gauge_integrate(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gaug
 def gauge_local_defect(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, stensor=None):
     """Max almost-additivity defect of the one-step expression over triples."""
     stensor = stensor or gauge.compatibility()
-    n = y.times.size - 1
-    if n < 2:
-        return 0.0
-    i = np.arange(n - 1)
 
     def expr(ii, jj):
         first, second = integrator_increments(y, gauge, stensor, ii, jj)
@@ -218,23 +199,14 @@ def gauge_local_defect(a: ControlledOneForm, y: ManifoldControlledPath, gauge: G
             "pnad,pad->pn", a.alpha_dag[ii], second
         )
 
-    d = expr(i, i + 1) + expr(i + 1, i + 2) - expr(i, i + 2)
-    return float(np.max(np.linalg.norm(d, axis=-1)))
+    return triple_defect(expr, y.times.size - 1)
 
 
 def gauge_defect_by_level(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, levels=5):
-    out = []
-    cur_a, cur_y = a, y
+    """Local defect measured on successive dyadic coarsenings (finest first)."""
     stensor = gauge.compatibility()
-    for _ in range(levels):
-        out.append(
-            (float(np.max(np.diff(cur_y.times))), gauge_local_defect(cur_a, cur_y, gauge, stensor))
-        )
-        n = cur_y.times.size - 1
-        if n % 2 or n < 4:
-            break
-        cur_a, cur_y = cur_a.coarsen(2), cur_y.coarsen(2)
-    return out
+    hs, defects = dyadic_ladder(lambda yy, aa: gauge_local_defect(aa, yy, gauge, stensor), (y, a), levels, 4)
+    return list(zip(hs, defects))
 
 
 # -- gauge changes --------------------------------------------------------------------
@@ -335,8 +307,6 @@ def oneform_product(fpath: ControlledPath, a: ControlledOneForm) -> ControlledOn
 
 def associativity_check(fpath: ControlledPath, a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge):
     """Both routes of the iterated-integral identity; sup difference returned."""
-    from .sewing import rough_integrate
-
     z = gauge_integrate(a, y, gauge)
     lhs = rough_integrate(fpath, z, y.driver)
     rhs = gauge_integrate(oneform_product(fpath, a), y, gauge)
@@ -358,8 +328,6 @@ def pullback_form(f, jac, alpha_fn):
 
 def push_pull_check(f, jac, alpha_fn, y: ManifoldControlledPath, gauge: Gauge, target_gauge: Gauge, target):
     """Integrate the pullback along y versus the form along the pushforward."""
-    from .mcrp import crp_pushforward
-
     lhs = integrate_smooth_oneform(pullback_form(f, jac, alpha_fn), y, gauge)
     fy = crp_pushforward(f, jac, y, target)
     rhs = integrate_smooth_oneform(alpha_fn, fy, target_gauge)

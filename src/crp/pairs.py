@@ -1,4 +1,4 @@
-"""The all-pairs sup behind every verifier constant, and grid triples.
+"""The all-pairs sup behind every verifier constant, grid triples and the triple defect.
 
 Each constant the library certifies a path with is a sup over grid pairs
 s < t (optionally with t - s <= delta) of a per-pair residual divided by a
@@ -84,3 +84,16 @@ def grid_triples(n):
     """Index arrays (i, j, k) of every triple i < j < k < n, in lexicographic order."""
     flat = np.fromiter(chain.from_iterable(combinations(range(n), 3)), dtype=np.intp)
     return flat.reshape(-1, 3).T
+
+
+def triple_defect(expr, n):
+    """Max norm of expr(i, i+1) + expr(i+1, i+2) - expr(i, i+2) over consecutive triples.
+
+    ``expr(i, j)`` takes equal-length index arrays into a grid of n steps and
+    returns one vector per pair; the result is 0.0 when n < 2 (no triple).
+    """
+    if n < 2:
+        return 0.0
+    i = np.arange(n - 1)
+    d = expr(i, i + 1) + expr(i + 1, i + 2) - expr(i, i + 2)
+    return float(np.max(np.linalg.norm(d, axis=-1)))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .controlled import ControlledPath, check_same_grid
+from .controlled import ControlledPath, check_same_grid, driver_as_controlled, dyadic_ladder
 from .errors import ShapeError
+from .pairs import triple_defect
 from .roughpath import RoughPath
 
 
@@ -40,8 +41,6 @@ def rough_integrate(alpha: ControlledPath, y: ControlledPath, rp: RoughPath) -> 
 
 def integrate_against_driver(alpha: ControlledPath, rp: RoughPath) -> ControlledPath:
     """Integral of an L(W, V)-valued controlled path against the driver itself."""
-    from .controlled import driver_as_controlled
-
     return rough_integrate(alpha, driver_as_controlled(rp), rp)
 
 
@@ -58,28 +57,10 @@ def local_expression(alpha: ControlledPath, y: ControlledPath, rp: RoughPath, i,
 
 def almost_additivity_defect(alpha: ControlledPath, y: ControlledPath, rp: RoughPath):
     """Max defect of the one-step expression over consecutive grid triples."""
-    n = rp.times.size - 1
-    if n < 2:
-        return 0.0
-    i = np.arange(0, n - 1)
-    mid = i + 1
-    k = i + 2
-    d = (
-        local_expression(alpha, y, rp, i, mid)
-        + local_expression(alpha, y, rp, mid, k)
-        - local_expression(alpha, y, rp, i, k)
-    )
-    return float(np.max(np.linalg.norm(d, axis=-1)))
+    return triple_defect(lambda i, j: local_expression(alpha, y, rp, i, j), rp.times.size - 1)
 
 
 def defect_by_level(alpha: ControlledPath, y: ControlledPath, rp: RoughPath, levels):
     """Local defect measured on successive dyadic coarsenings (finest first)."""
-    out = []
-    a, yy, r = alpha, y, rp
-    for _ in range(levels):
-        out.append((float(np.max(np.diff(r.times))), almost_additivity_defect(a, yy, r)))
-        n = r.times.size - 1
-        if n % 2 or n < 4:
-            break
-        a, yy, r = a.coarsen(2), yy.coarsen(2), r.coarsen(2)
-    return out
+    hs, defects = dyadic_ladder(lambda r, a, yy: almost_additivity_defect(a, yy, r), (rp, alpha, y), levels, 4)
+    return list(zip(hs, defects))

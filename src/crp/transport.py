@@ -328,8 +328,9 @@ class FrameLift:
 def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gauge=None) -> FrameLift:
     """Parallel translation of a frame along y via the frame-bundle lift.
 
-    Runs the group equation on GL(d) against the chart connection coefficients,
-    segment by segment, converting frame coordinates at chart switches.
+    On each chart segment the frame's chart representative is the horizontal
+    lift for the GL(d) connection form of the chart connection coefficients;
+    frame coordinates are converted at chart switches.
     """
     mani = y.manifold
     d = mani.dim
@@ -363,11 +364,10 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
             y.derivative[i0 : i1 + 1],
             y.driver.restrict(i0, i1),
         )
-        z = integrate_smooth_oneform(gamma_fn, sub, base_gauge)
-        z_pieces.append(z)
-        g = group_rde(z, sub.driver, ubar0, group, retraction=False)
+        lift = horizontal_lift(sub, ConnectionForm(mani, group, gamma_fn), ubar0, base_gauge)
+        z_pieces.append(lift.z)
         for off in range(i1 - i0 + 1):
-            frames[i0 + off] = chart.dfrom(xs[off]) @ g.points[i0 + off - i0]
+            frames[i0 + off] = chart.dfrom(xs[off]) @ lift.group_path.points[off]
         u_cur = frames[i1]
     return FrameLift(base=y, frames=frames, segments=segs, z_pieces=z_pieces)
 

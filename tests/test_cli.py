@@ -206,6 +206,14 @@ MALFORMED_CONFIGS = [
     ("rde", {"field": "projection"}),
     ("rde", {"scheme": 3}),
     ("rde", {"field": {"kind": "projection", "params": [1.0]}}),
+    ("rde", {"field": {}, "horizon": 3}),
+    ("rde", {"field": {}, "horizon": [0, 0.5, 1]}),
+    ("rde", {"field": {}, "horizon": ["a", 1]}),
+    ("rde", {"field": {}, "y0": [1, 2]}),
+    ("rde", {"field": {"kind": "right-invariant"}, "y0": [0, 1, 0]}),
+    ("rde", {"field": {"kind": "right-invariant", "params": {"direction": "x"}}}),
+    ("rde", {"field": {"kind": "right-invariant", "params": {"direction": [1, 0]}}}),
+    ("rde", {"field": {"params": {"speed": "fast"}}}),
 ]
 
 

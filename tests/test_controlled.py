@@ -3,9 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import crp.fixtures as fx
 from crp import Control, ControlledPath, GridMismatch, RoughPath, verify_crp
-from crp.controlled import associated_roughpath, driver_as_controlled
+from crp.controlled import associated_roughpath, driver_as_controlled, dyadic_ladder, stability_verdict
+from crp.gauges import connection_gauge
+from crp.mcrp import verify_gauge_crp
+from crp.mrde import check_rde_gauge_form, rde_solve_manifold
+from crp.oneforms import ControlledOneForm, gauge_defect_by_level, oneform_from_smooth
 from crp.roughpath import lift_smooth, time_lift
+from crp.sewing import defect_by_level
 
 
 def smooth_driver(n=64, T=1.0):
@@ -92,3 +98,104 @@ def test_verify_reports_delta_diagnostics():
     rep = verify_crp(driver_as_controlled(rp), rp)
     assert rep["largest_stable_delta"] is not None
     assert rep["largest_stable_delta"] >= 0.25
+
+
+class TestDyadicLadder:
+    @staticmethod
+    def steps(n, levels, min_steps):
+        rp = smooth_driver(n)
+        _, rows = dyadic_ladder(lambda r: r.times.size - 1, (rp,), levels, min_steps)
+        return rows
+
+    def test_stops_after_an_odd_step_count(self):
+        assert self.steps(40, 9, 4) == [40, 20, 10, 5]
+        assert self.steps(40, 9, 8) == [40, 20, 10, 5]
+
+    def test_stops_below_min_steps(self):
+        assert self.steps(64, 9, 8) == [64, 32, 16, 8, 4]
+        assert self.steps(64, 9, 4) == [64, 32, 16, 8, 4, 2]
+        assert self.steps(24, 9, 8) == [24, 12, 6]
+        assert self.steps(24, 9, 4) == [24, 12, 6, 3]
+
+    def test_stops_at_levels(self):
+        assert self.steps(64, 2, 4) == [64, 32]
+        assert self.steps(64, 1, 4) == [64]
+
+    def test_coarsens_every_object_and_reports_the_mesh(self):
+        rp = smooth_driver(16, T=2.0)
+        y = driver_as_controlled(rp)
+        hs, rows = dyadic_ladder(lambda a, b: (a.times.size, b.times.size), (rp, y), 3, 4)
+        assert rows == [(17, 17), (9, 9), (5, 5)]
+        assert hs == [0.125, 0.25, 0.5]
+
+
+class TestStabilityVerdict:
+    def test_exact_constants_pass(self):
+        assert stability_verdict([0.0, 0.0, 0.0], [0.1, 0.2, 0.4]) == (0.0, True)
+
+    def test_diverging_constants_fail(self):
+        slope, ok = stability_verdict([8.0, 4.0, 2.0], [0.1, 0.2, 0.4])
+        assert abs(slope + 1.0) < 1e-12 and not ok
+
+    def test_stable_constants_pass(self):
+        slope, ok = stability_verdict([1.0, 1.0, 1.0], [0.1, 0.2, 0.4])
+        assert abs(slope) < 1e-12 and ok
+
+    def test_nan_constant_fails(self):
+        assert not stability_verdict([np.nan, 1.0, 1.0], [0.1, 0.2, 0.4])[1]
+
+
+def _area_form(m):
+    return np.array([[-m[1], m[0], 0.0]])
+
+
+def _meshes(times, count):
+    return [float(np.max(np.diff(times[:: 2**k]))) for k in range(count)]
+
+
+class TestLadderCallers:
+    """Every multilevel check walks the same ladder: on 24 steps the verifiers
+    (min_steps 8) stop at 6 steps and the defect ladders (min_steps 4) at 3."""
+
+    def test_flat_verifier(self):
+        y = fx.sphere_spiral_crp(24)
+        rep = verify_crp(y.as_flat(), y.driver, levels=9)
+        assert rep["levels"]["h"] == _meshes(y.times, 3)
+
+    def test_gauge_verifier(self):
+        y = fx.sphere_spiral_crp(24)
+        rep = verify_gauge_crp(y, connection_gauge(fx.SPHERE), levels=9)
+        assert rep["levels"]["h"] == _meshes(y.times, 3)
+
+    def test_oneform_verifier(self, monkeypatch):
+        y = fx.sphere_spiral_crp(24)
+        form = oneform_from_smooth(_area_form, y, connection_gauge(fx.SPHERE).par)
+        sizes = []
+        original = ControlledOneForm._pair_constants
+
+        def counted(self, delta, p):
+            sizes.append(self.times.size - 1)
+            return original(self, delta, p)
+
+        monkeypatch.setattr(ControlledOneForm, "_pair_constants", counted)
+        form.verify(levels=9)
+        assert sizes == [24, 12, 6]
+
+    def test_flat_defect_ladder(self):
+        rp = fx.smooth_2d_driver(24)
+        n = rp.times.size
+        alpha = ControlledPath(rp.times, np.ones((n, 2, 2)), np.zeros((n, 2, 2, 2)))
+        levels = defect_by_level(alpha, driver_as_controlled(rp), rp, levels=9)
+        assert [h for h, _ in levels] == _meshes(rp.times, 4)
+
+    def test_gauge_defect_ladder(self):
+        y = fx.sphere_spiral_crp(24)
+        g = connection_gauge(fx.SPHERE)
+        levels = gauge_defect_by_level(oneform_from_smooth(_area_form, y, g.par), y, g, levels=9)
+        assert [h for h, _ in levels] == _meshes(y.times, 4)
+
+    def test_rde_gauge_form_ladder(self):
+        field = fx.sphere_projection_field()
+        sol = rde_solve_manifold(field, fx.linear_drive_driver(24), np.array([0.0, 1.0, 0.0]))
+        rep = check_rde_gauge_form(sol, field, connection_gauge(fx.SPHERE), levels=9)
+        assert [h for h, _ in rep["levels"]] == _meshes(sol.times, 4)

@@ -276,14 +276,24 @@ class TestLogarithmComparison:
 
 
 def asymmetric_connection(x):
-    # Gamma^0_{01} != Gamma^0_{10} and Gamma^1_{10} != Gamma^1_{01}, varying with x.
-    # No diagonal term Gamma^i_{jj}: geodesics along the axes are straight, so the
-    # Newton logarithm's absolute 1e-12 stopping rule never accepts an unshot guess
-    # that is off by O(h^2), an error the nested FD oracle divides by h^2 = 1e-10.
+    # Gamma^0_{01} != Gamma^0_{10} and Gamma^1_{10} != Gamma^1_{01}, varying with x
     a = np.zeros((2, 2, 2))
     a[0, 0, 1] = 0.3 + 0.1 * x[0]
     a[1, 1, 0] = -0.2 + 0.05 * x[1]
     return a
+
+
+def diagonal_connection(x):
+    # a diagonal term Gamma^0_{11} bends the geodesics along the axes, so the
+    # Newton logarithm must shoot even at FD stencil points |n - m| ~ 1e-5, where
+    # an unshot guess is off by O(|n - m|^2), an error the nested FD oracle
+    # divides by h^2 = 1e-10
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 1], a[1, 1, 0], a[0, 1, 1] = 0.3, -0.2, 0.05
+    return a
+
+
+DIAGONAL_CHART = ChartManifold(2, radius=1.0, gamma=diagonal_connection, h_geo=0.1)
 
 
 def closed_form_cases():
@@ -292,6 +302,7 @@ def closed_form_cases():
         ("so3", SO3M),
         ("chart-asymmetric", ChartManifold(2, radius=1.0, gamma=asymmetric_connection, h_geo=0.1)),
         ("sphere*so3", ProductManifold(SPHERE, SO3M)),
+        ("chart-diagonal", DIAGONAL_CHART),
     ]
 
 
@@ -335,6 +346,11 @@ class TestClosedFormCompatibility:
         assert np.max(np.abs(s)) > 0.01
         fd_compatibility(g).at(m)
         assert calls["transport"] > 0 and calls["d2log"] > 0
+
+    def test_torsion_check_passes_with_a_diagonal_christoffel_symbol(self):
+        # an unshot logarithm at the FD stencil points puts the residual at 6.5e-3
+        rep = torsion_check(DIAGONAL_CHART)
+        assert rep["pass"] and rep["max_residual"] <= 1e-5
 
     def test_torsion_check_reads_the_fd_tensor(self):
         # the closed form equals half the torsion exactly, so a zero residual would

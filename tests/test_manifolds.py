@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from crp import ChartExit, ChartManifold, NearCutLocus, ProductManifold, SO3, Sphere
+from crp import ChartExit, ChartManifold, LogFailure, NearCutLocus, ProductManifold, SO3, Sphere
 from crp.convergence import estimate_order
 from crp.linalg import hat, so3_exp, so3_log
 
@@ -276,6 +276,22 @@ class TestChartManifold:
         n = np.array([0.9, 0.5])
         v = mani.log(m, n)
         assert np.linalg.norm(mani.exp(m, v) - n) < 1e-10
+
+    def test_log_shoots_at_fd_stencil_scale(self):
+        # |n - m| = 3e-6: the guess n - m has residual ~ Gamma |v|^2 / 2 < 1e-12, so an
+        # absolute 1e-12 stopping rule would return it unshot
+        mani = ChartManifold(2, gamma=quadratic_connection(), h_geo=0.1)
+        m = np.array([0.2, -0.1])
+        n = m + 3e-6 * np.array([0.6, 0.8])
+        v = mani.log(m, n)
+        guess_res = np.linalg.norm(mani.exp(m, n - m) - n)
+        assert 0.0 < guess_res <= 1e-12
+        assert np.linalg.norm(mani.exp(m, v) - n) < 0.1 * guess_res
+
+    def test_log_raises_when_newton_stalls(self):
+        mani = ChartManifold(2, gamma=quadratic_connection(), h_geo=0.1)
+        with pytest.raises(LogFailure):
+            mani.log(np.array([0.2, -0.1]), np.array([0.9, 0.5]), max_iter=1)
 
     def test_geodesic_matches_ivp_oracle(self):
         g = quadratic_connection()

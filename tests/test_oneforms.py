@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crp import ControlledPath, GaugeMismatch, NearCutLocus
+from crp.controlled import dyadic_ladder
 from crp.convergence import estimate_order
 from crp.fixtures import (
     LINE,
@@ -228,22 +229,14 @@ def test_integrator_difference_slope():
     y = sphere_spiral_crp(256)
     g1 = connection_gauge(SPHERE)
     g2 = chart_gauge(SPHERE, SPHERE.charts()[0])
-    levels = []
-    cur = y
-    for lev in range(4):
-        levels.append((float(np.max(np.diff(cur.times))), integrator_difference_defect(cur, g1, g2)))
-        cur = cur.coarsen(2)
+    levels = list(zip(*dyadic_ladder(lambda cur: integrator_difference_defect(cur, g1, g2), (y,), 4, 4)))
     assert fit_slope(levels) >= 3.0 - 0.25
 
 
 def test_log_almost_additivity_slope():
     y = sphere_spiral_crp(256)
     g = connection_gauge(SPHERE)
-    levels = []
-    cur = y
-    for lev in range(4):
-        levels.append((float(np.max(np.diff(cur.times))), log_almost_additivity_defect(cur, g)))
-        cur = cur.coarsen(2)
+    levels = list(zip(*dyadic_ladder(lambda cur: log_almost_additivity_defect(cur, g), (y,), 4, 4)))
     assert fit_slope(levels) >= 3.0 - 0.25
 
 
@@ -251,11 +244,7 @@ def test_transport_commutation_slope():
     y = sphere_spiral_crp(128)
     u1 = chart_gauge(SPHERE, SPHERE.charts()[0]).par
     u2 = connection_gauge(SPHERE).par
-    levels = []
-    cur = y
-    for lev in range(4):
-        levels.append((float(np.max(np.diff(cur.times))), transport_commutation_defect(cur, u1, u2)))
-        cur = cur.coarsen(2)
+    levels = list(zip(*dyadic_ladder(lambda cur: transport_commutation_defect(cur, u1, u2), (y,), 4, 4)))
     assert fit_slope(levels) >= 1.0 - 0.25
 
 

@@ -14,7 +14,7 @@ import crp.oneforms as oneforms
 import crp.pairs as pairs
 import crp.roughpath as roughpath
 from crp.gauges import connection_gauge, standard_gauge
-from crp.pairs import grid_triples, pair_sup, ratio
+from crp.pairs import grid_triples, pair_sup, ratio, triple_defect
 
 BUDGETS = {"one-row": 1, "seven-pairs": 7, "default": pairs.BLOCK_PAIRS, "unbounded": 2**62}
 
@@ -147,3 +147,21 @@ def test_gauge_verifier_memory_flat_in_n():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0]
+
+
+class TestTripleDefect:
+    def test_no_triple_gives_zero_without_evaluating(self):
+        def expr(i, j):
+            raise AssertionError("evaluated")
+
+        assert triple_defect(expr, 0) == 0.0
+        assert triple_defect(expr, 1) == 0.0
+
+    def test_additive_expression_has_zero_defect(self):
+        x = np.random.default_rng(0).integers(-9, 9, (9, 2)).astype(float)  # exact sums
+        assert triple_defect(lambda i, j: x[j] - x[i], 8) == 0.0
+
+    def test_max_norm_over_consecutive_triples(self):
+        # (j - i)^2 per component: 1 + 1 - 4 = -2 on each of the two components
+        got = triple_defect(lambda i, j: np.stack([(j - i) ** 2, (j - i) ** 2], axis=-1).astype(float), 5)
+        assert got == float(np.hypot(2.0, 2.0))
