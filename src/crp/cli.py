@@ -13,6 +13,7 @@ from . import fixtures as fx
 from .convergence import (
     COMPARISON_CSV_HEADER,
     CONVERGENCE_CSV_HEADER,
+    MIN_LEVELS,
     ConvergenceReport,
     dyadic_levels,
 )
@@ -45,13 +46,17 @@ def _load_config(path):
     return doc
 
 
-def _number(cfg, key, default, cast=int):
-    """``cfg[key]`` (``default`` when absent) through ``cast``; ConfigError unless it is a number."""
+def _number(cfg, key, default, cast=int, minimum=None):
+    """``cfg[key]`` (``default`` when absent) through ``cast``; ConfigError unless it is a
+    number, and one of at least ``minimum`` when that is given."""
     value = cfg.get(key, default)
     try:
-        return cast(value)
+        out = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config {key!r} must be a number, got {value!r}") from exc
+    if minimum is not None and out < minimum:
+        raise ConfigError(f"config {key!r} must be at least {minimum}, got {value!r}")
+    return out
 
 
 def _array(value, key, shape):
@@ -121,7 +126,7 @@ def lift(config_path, out, deterministic, fixture, n):
     """Build a rough-path lift and report its algebraic residuals."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    n = _number(cfg, "n", n)
+    n = _number(cfg, "n", n, minimum=1)
     built = _fixture(fixture, n, ("driver", "mcrp"))
     rp = built if fx.FIXTURES[fixture]["kind"] == "driver" else built.driver
     doc = {
@@ -149,7 +154,7 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
     """Integrate the area-type one-form along a fixture path."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    n = _number(cfg, "n", n)
+    n = _number(cfg, "n", n, minimum=1)
     y = _fixture(fixture, n, ("mcrp", "fixed-mcrp"))
     mani = y.manifold
     if gauge_name == "connection":
@@ -172,39 +177,41 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
     click.echo(json.dumps({"fixture": fixture, "endpoint": z.values[-1].tolist()}, sort_keys=True))
 
 
+# the field kind each named rde fixture solves
+RDE_FIXTURES = {"sphere-projection-rde": "projection", "so3-constant-rde": "right-invariant"}
+
+
 def _build_rde_from_config(cfg, fixture, n, retraction):
-    """Config schema: {manifold, field:{kind}, driver, y0, horizon, scheme}."""
+    """Config schema: {manifold, field:{kind}, driver, y0, horizon, scheme}.
+
+    A named fixture is this schema with its field kind as the default kind.
+    """
     fixture = cfg.get("fixture", fixture)
-    n = _number(cfg, "n", _section(cfg, "driver").get("n", n))
+    n = _number(cfg, "n", _section(cfg, "driver").get("n", n), minimum=1)
     retraction = bool(_section(cfg, "scheme").get("retraction", retraction))
     horizon = cfg.get("horizon")
-    if "field" in cfg or "manifold" in cfg:
-        field_cfg = _section(cfg, "field")
-        params = _section(field_cfg, "params")
-        kind = field_cfg.get("kind", "projection")
-        if kind == "projection":
-            rp = fx.linear_drive_driver(n, speed=_number(params, "speed", 1.0, cast=float))
-            field = fx.sphere_projection_field()
-            y0 = cfg.get("y0", [0.0, 1.0, 0.0])
-        elif kind in ("left-invariant", "right-invariant"):
-            rp = fx.so3_constant_driver(n, _array(params.get("direction", [0.0, 0.0, np.pi / 2]), "direction", (3,)))
-            field = fx.so3_right_invariant_field()
-            y0 = cfg.get("y0", np.eye(3).tolist())
-        else:
-            raise ConfigError(f"unsupported field kind {kind!r}")
-        y0 = _array(y0, "y0", field.manifold.point_shape)
-        if horizon is not None:
-            horizon = tuple(float(t) for t in _array(horizon, "horizon", (2,)))
-        return fixture, rde_solve_manifold(field, rp, y0, horizon=horizon, retraction=retraction)
-    if fixture == "sphere-projection-rde":
-        rp = fx.linear_drive_driver(n)
-        return fixture, rde_solve_manifold(
-            fx.sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]), retraction=retraction
-        )
-    if fixture == "so3-constant-rde":
-        rp = fx.so3_constant_driver(n)
-        return fixture, rde_solve_manifold(fx.so3_right_invariant_field(), rp, np.eye(3), retraction=retraction)
-    raise ConfigError(f"unknown rde fixture {fixture!r}")
+    if fixture not in RDE_FIXTURES and "field" not in cfg and "manifold" not in cfg:
+        raise ConfigError(f"unknown rde fixture {fixture!r}")
+    field_cfg = _section(cfg, "field")
+    params = _section(field_cfg, "params")
+    kind = field_cfg.get("kind", RDE_FIXTURES.get(fixture, "projection"))
+    if kind == "projection":
+        rp = fx.linear_drive_driver(n, speed=_number(params, "speed", 1.0, cast=float))
+        field = fx.sphere_projection_field()
+        y0 = cfg.get("y0", [0.0, 1.0, 0.0])
+    elif kind in ("left-invariant", "right-invariant"):
+        rp = fx.so3_constant_driver(n, _array(params.get("direction", [0.0, 0.0, np.pi / 2]), "direction", (3,)))
+        field = fx.so3_right_invariant_field()
+        y0 = cfg.get("y0", np.eye(3).tolist())
+    else:
+        raise ConfigError(f"unsupported field kind {kind!r}")
+    mtype = _section(cfg, "manifold").get("type", field.manifold.name)
+    if mtype != field.manifold.name:
+        raise ConfigError(f"config 'manifold' type {mtype!r} is not {field.manifold.name!r}, the {kind} field's")
+    y0 = _array(y0, "y0", field.manifold.point_shape)
+    if horizon is not None:
+        horizon = tuple(float(t) for t in _array(horizon, "horizon", (2,)))
+    return fixture, rde_solve_manifold(field, rp, y0, horizon=horizon, retraction=retraction)
 
 
 @main.command()
@@ -235,7 +242,7 @@ def transport(config_path, out, deterministic, fixture, n):
     """Parallel-translate a frame along a fixture path and unroll it."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    n = _number(cfg, "n", n)
+    n = _number(cfg, "n", n, minimum=1)
     y = _fixture(fixture, n, ("mcrp",))
     if y.manifold is not fx.SPHERE:
         raise ConfigError(f"transport takes sphere path fixtures; {fixture!r} lives on {y.manifold.name}")
@@ -273,7 +280,7 @@ def verify(config_path, out, deterministic, fixture, p, delta):
         gauge = standard_gauge(fx.LINE)
         delta = 0.5 if delta is None else delta
     else:
-        y = _fixture(fixture, _number(cfg, "n", 256), ("mcrp",))
+        y = _fixture(fixture, _number(cfg, "n", 256, minimum=1), ("mcrp",))
         gauge = connection_gauge(y.manifold)
     grep = verify_gauge_crp(y, gauge, delta=delta)
     chart = y.manifold.chart_at(y.points[0])
@@ -300,7 +307,7 @@ def convergence(config_path, out, deterministic, fixture, levels, p):
     """Mesh-refinement study of a fixture against its oracle."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    levels = _number(cfg, "levels", levels)
+    levels = _number(cfg, "levels", levels, minimum=MIN_LEVELS)
     if fixture == "sphere-projection-rde":
         ns = dyadic_levels(1 << (5 + levels), levels)
         errs, hs = [], []

@@ -8,7 +8,7 @@ import numpy as np
 
 from .controls import Control
 from .errors import GridMismatch, InvalidGrid, ShapeError
-from .pairs import ZERO_NUM_TOL, pair_sup, ratio
+from .pairs import DELTA_SLACK, ZERO_NUM_TOL, pair_sup, ratio
 from .roughpath import RoughPath, _calibrate_control
 
 
@@ -99,8 +99,13 @@ def associated_roughpath(z: ControlledPath, rp: RoughPath) -> RoughPath:
 # -- verification ----------------------------------------------------------------
 
 
-def _pair_constants(times, values, derivative, rp: RoughPath, p, delta=None):
-    """Smallest constants for the two controlled-path inequalities on this grid."""
+def _pair_constants(times, values, derivative, rp: RoughPath, p, delta=None, sub_deltas=()):
+    """Smallest constants for the two controlled-path inequalities on this grid.
+
+    Returns ``(C_remainder, C_derivative, worst pair, by_sub)``: ``by_sub[m]``
+    is the remainder constant over the probed pairs with t - s <= sub_deltas[m],
+    the same rounded test as the probe horizon, found in the same pair sweep.
+    """
     n = times.size - 1
     flat_vals = values.reshape(n + 1, -1)
     flat_dag = derivative.reshape(n + 1, -1, derivative.shape[-1])
@@ -111,10 +116,12 @@ def _pair_constants(times, values, derivative, rp: RoughPath, p, delta=None):
         rem = flat_vals[j] - flat_vals[i] - np.einsum("nva,na->nv", flat_dag[i], dx)
         rn = np.linalg.norm(rem, axis=-1)
         dn = np.linalg.norm((flat_dag[j] - flat_dag[i]).reshape(i.size, -1), axis=-1)
-        return ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+        r2 = ratio(rn, om ** (2.0 / p))
+        dt = times[j] - times[i]
+        return (r2, ratio(dn, om ** (1.0 / p)), *(np.where(dt <= d + DELTA_SLACK, r2, 0.0) for d in sub_deltas))
 
     sups, worst, _ = pair_sup(times, delta, residuals)
-    return sups[0], sups[1], worst
+    return sups[0], sups[1], worst, [sups[2 + m] for m in range(len(sub_deltas))]
 
 
 def stability_slope(constants, hs):
@@ -193,14 +200,13 @@ def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
     slope2, pass2 = stability_verdict(cs_rem, hs)
     slope1, pass1 = stability_verdict(cs_der, hs)
 
-    # delta-restricted diagnostics (reported, not gating)
-    horizon = float(y.times[-1] - y.times[0])
-    by_delta = {}
-    d = horizon
+    # delta-restricted diagnostics (reported, not gating), from one sweep of every pair
+    deltas = []
+    d = float(y.times[-1] - y.times[0])
     while d >= 4 * float(np.min(np.diff(y.times))):
-        c2d, _, _ = _pair_constants(y.times, y.values, y.derivative, rp, p, d)
-        by_delta[d] = c2d
+        deltas.append(d)
         d /= 2.0
+    by_delta = dict(zip(deltas, _pair_constants(y.times, y.values, y.derivative, rp, p, None, deltas)[3]))
     stable_delta = None
     if by_delta:
         smallest = min(by_delta)

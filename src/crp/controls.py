@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidGrid, OffGrid
-from .pairs import grid_triples
+from .pairs import sampled_triples
 
 SUPERADD_SLACK = 1e-12
 
@@ -99,19 +99,9 @@ class Control:
         (positive means violation beyond the documented slack).
         """
         t = np.asarray(times, dtype=float)
-        n = t.size
-        if n < 3:
+        if t.size < 3:
             return 0.0
-        total = n * (n - 1) * (n - 2) // 6
-        if total <= max_triples:
-            i, j, k = grid_triples(n)
-        else:
-            rng = rng or np.random.default_rng(0)
-            i = rng.integers(0, n - 2, size=max_triples)
-            j = i + 1 + rng.integers(0, np.maximum(n - 1 - (i + 1), 1))
-            j = np.minimum(j, n - 2)
-            k = j + 1 + rng.integers(0, np.maximum(n - (j + 1), 1))
-            k = np.minimum(k, n - 1)
+        i, j, k = sampled_triples(t.size, max_triples, rng)
         osu = self.omega(t[i], t[k])
         viol = self.omega(t[i], t[j]) + self.omega(t[j], t[k]) - osu - SUPERADD_SLACK * np.maximum(1.0, osu)
         return float(np.max(viol))

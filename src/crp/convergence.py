@@ -12,6 +12,7 @@ from .errors import InsufficientLevels
 EXACT_FLOOR = 1e-16
 SLOPE_TOL = 0.25  # uniform tolerance on asserted slopes
 INF_SLOPE = float("inf")
+MIN_LEVELS = 4  # fewest refinement levels an order estimate is fitted to
 
 
 def estimate_order(errors, hs, discard_coarsest=True):
@@ -24,8 +25,8 @@ def estimate_order(errors, hs, discard_coarsest=True):
     """
     errors = np.asarray(errors, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    if errors.size < 4:
-        raise InsufficientLevels(f"need >= 4 levels, got {errors.size}")
+    if errors.size < MIN_LEVELS:
+        raise InsufficientLevels(f"need >= {MIN_LEVELS} levels, got {errors.size}")
     if np.any(errors < 0):
         raise ValueError("errors must be nonnegative")
     exact = bool(np.all(errors <= EXACT_FLOOR))

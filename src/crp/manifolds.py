@@ -1,8 +1,9 @@
 """Manifolds with closed-form geometry (S^2, SO(3)) and chart-atlas manifolds.
 
 Points keep their natural array shape ((3,) for the sphere, (3, 3) for
-rotations, (d,) for chart manifolds); every linear object (tangent projectors,
-parallel transports, differentials) acts on the flattened ambient space R^D.
+rotations, the center's shape for chart manifolds); every linear object
+(tangent projectors, parallel transports, differentials) acts on the flattened
+ambient space R^D.
 Tangent vectors are ambient vectors satisfying the tangency constraint at their
 base point; mixing chart-coordinate and ambient representations is a bug, so
 charts expose explicit ``to/from`` differentials instead of implicit casts.
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .errors import AtlasGap, ChartExit, ConfigError, CrpError, DomainError, LogFailure, NearCutLocus
+from .errors import AtlasGap, ChartExit, ConfigError, CrpError, DomainError, LogFailure, NearCutLocus, ShapeError
 from .linalg import (
     FD_STEP,
     hat,
@@ -501,16 +503,22 @@ class ChartManifold(Manifold):
     ``gamma(x)`` returns the (d, d, d) coefficient array A with
     (A<v>w)_i = A[i, j, l] v_j w_l; the default connection is flat.  Geodesics
     run through a fixed-step RK4 integrator and logarithms through Newton
-    shooting, matching the generic-manifold contract.
+    shooting, matching the generic-manifold contract.  Points have the shape
+    of ``center`` ((d,) by default); a flat ball may hold matrices, such as
+    GL(n) inside R^{n x n}, whose identity-chart coordinates are their entries.
     """
 
     name = "chart"
 
     def __init__(self, dim, radius=10.0, center=None, gamma=None, h_geo=0.01):
         self.dim = int(dim)
-        self.point_shape = (self.dim,)
         self.radius = float(radius)
         self.center = np.zeros(self.dim) if center is None else np.asarray(center, dtype=float)
+        if self.center.ndim == 0 or self.center.size != self.dim:
+            raise ShapeError(f"a center of shape {self.center.shape} does not hold {self.dim} coordinates")
+        if self.center.ndim > 1 and gamma is not None:
+            raise ShapeError("a connection acts on vector points; the center must be one-dimensional")
+        self.point_shape = self.center.shape
         self.gamma = gamma
         self.h_geo = float(h_geo)
         # 5% chart-domain margin
@@ -609,14 +617,9 @@ class ChartManifold(Manifold):
         cols = [richardson_diff(lambda e, _d=dv: self.log(m, n + e * _d), h) for dv in np.eye(self.dim)]
         return np.stack(cols, axis=1)
 
-    def distance(self, m, n):
-        if self.gamma is None:
-            return float(np.linalg.norm(np.asarray(n) - np.asarray(m)))
-        return float(np.linalg.norm(self.log(m, n)))
-
     def domain_distance_batch(self, ms, ns):
         # coordinate distance; the conservative 5% margin absorbs the mismatch
-        return np.linalg.norm(np.asarray(ns, float) - np.asarray(ms, float), axis=-1)
+        return np.linalg.norm(self.flatten(ns) - self.flatten(ms), axis=-1)
 
     def torsion_tensor(self, m):
         A = self._gamma(m)
@@ -653,17 +656,17 @@ class ChartManifold(Manifold):
         ident = Chart(
             name="identity",
             dim=self.dim,
-            to_coords=lambda p: np.asarray(p, dtype=float).copy(),
-            from_coords=lambda x: np.asarray(x, dtype=float).copy(),
+            to_coords=lambda p: self.flatten(p).copy(),
+            from_coords=lambda x: self.unflatten(x).copy(),
             dto=lambda p: np.eye(self.dim),
             dfrom=lambda x: np.eye(self.dim),
             radius=self.radius,
-            center_coords=self.center,
+            center_coords=self.center.reshape(self.dim),
         )
         return [ident]
 
     def random_point(self, rng):
-        return self.center + 0.3 * self.radius * rng.standard_normal(self.dim)
+        return self.center + 0.3 * self.radius * rng.standard_normal(self.point_shape)
 
     def spec_json(self):
         return {
@@ -703,11 +706,7 @@ class ProductManifold(Manifold):
 
     def tangent_projector(self, p):
         a, b = self.split(p)
-        d1 = self.first.flat_dim
-        out = np.zeros((self.flat_dim, self.flat_dim))
-        out[:d1, :d1] = self.first.tangent_projector(a)
-        out[d1:, d1:] = self.second.tangent_projector(b)
-        return out
+        return block_diag(self.first.tangent_projector(a), self.second.tangent_projector(b))
 
     def exp(self, m, v):
         a, b = self.split(m)
@@ -722,20 +721,12 @@ class ProductManifold(Manifold):
     def transport(self, to_pt, from_pt):
         a1, b1 = self.split(to_pt)
         a0, b0 = self.split(from_pt)
-        d1 = self.first.flat_dim
-        out = np.zeros((self.flat_dim, self.flat_dim))
-        out[:d1, :d1] = self.first.transport(a1, a0)
-        out[d1:, d1:] = self.second.transport(b1, b0)
-        return out
+        return block_diag(self.first.transport(a1, a0), self.second.transport(b1, b0))
 
     def d2log(self, m, n):
         a, b = self.split(m)
         na, nb = self.split(n)
-        d1 = self.first.flat_dim
-        out = np.zeros((self.flat_dim, self.flat_dim))
-        out[:d1, :d1] = self.first.d2log(a, na)
-        out[d1:, d1:] = self.second.d2log(b, nb)
-        return out
+        return block_diag(self.first.d2log(a, na), self.second.d2log(b, nb))
 
     def torsion_tensor(self, m):
         # the componentwise connection only twists vectors of one factor
@@ -763,8 +754,6 @@ class ProductManifold(Manifold):
         return out
 
     def _product_chart(self, c1: Chart, c2: Chart):
-        d1f = self.first.flat_dim
-
         def to_coords(p):
             a, b = self.split(p)
             return np.concatenate([c1.to_coords(a), c2.to_coords(b)])
@@ -774,16 +763,10 @@ class ProductManifold(Manifold):
 
         def dto(p):
             a, b = self.split(p)
-            out = np.zeros((c1.dim + c2.dim, self.flat_dim))
-            out[: c1.dim, :d1f] = c1.dto(a)
-            out[c1.dim :, d1f:] = c2.dto(b)
-            return out
+            return block_diag(c1.dto(a), c2.dto(b))
 
         def dfrom(x):
-            out = np.zeros((self.flat_dim, c1.dim + c2.dim))
-            out[:d1f, : c1.dim] = c1.dfrom(x[: c1.dim])
-            out[d1f:, c1.dim :] = c2.dfrom(x[c1.dim :])
-            return out
+            return block_diag(c1.dfrom(x[: c1.dim]), c2.dfrom(x[c1.dim :]))
 
         return Chart(
             name=f"{c1.name}*{c2.name}",

@@ -86,6 +86,19 @@ def grid_triples(n):
     return flat.reshape(-1, 3).T
 
 
+def sampled_triples(n, max_triples, rng=None):
+    """Index arrays (i, j, k) of triples i < j < k < n: every one when there are
+    at most ``max_triples``, otherwise ``max_triples`` draws from ``rng``
+    (default: seed 0), clipped into the grid."""
+    if n * (n - 1) * (n - 2) // 6 <= max_triples:
+        return grid_triples(n)
+    rng = rng or np.random.default_rng(0)
+    i = rng.integers(0, n - 2, size=max_triples)
+    j = np.minimum(i + 1 + rng.integers(0, np.maximum(n - 2 - i, 1)), n - 2)
+    k = np.minimum(j + 1 + rng.integers(0, np.maximum(n - 1 - j, 1)), n - 1)
+    return i, j, k
+
+
 def triple_defect(expr, n):
     """Max norm of expr(i, i+1) + expr(i+1, i+2) - expr(i, i+2) over consecutive triples.
 

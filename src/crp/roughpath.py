@@ -15,7 +15,7 @@ import numpy as np
 from .controls import Control
 from .errors import InvalidGrid, LiftFailure, OffGrid
 from .linalg import richardson_diff
-from .pairs import grid_triples, pair_sup, ratio
+from .pairs import pair_sup, ratio, sampled_triples
 
 WEAK_GEO_TOL_QUAD = 1e-10
 CHEN_TOL = 1e-12
@@ -122,19 +122,9 @@ class RoughPath:
 
     def chen_residual(self, rng=None, max_triples=20_000):
         """Worst associativity defect over grid triples (sampled when large)."""
-        n = self.n_steps
-        if n < 2:
+        if self.n_steps < 2:
             return 0.0
-        rng = rng or np.random.default_rng(0)
-        total = (n + 1) * n * (n - 1) // 6
-        if total <= max_triples:
-            i, j, k = grid_triples(n + 1)
-        else:
-            i = rng.integers(0, n - 1, size=max_triples)
-            j = i + 1 + rng.integers(0, np.maximum(n - 1 - i, 1))
-            j = np.minimum(j, n - 1)
-            k = j + 1 + rng.integers(0, np.maximum(n - j, 1))
-            k = np.minimum(k, n)
+        i, j, k = sampled_triples(self.n_steps + 1, max_triples, rng)
         lhs = self.area_pairs(i, k)
         rhs = (
             self.area_pairs(i, j)

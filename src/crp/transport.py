@@ -12,7 +12,7 @@ from .controlled import ControlledPath, associated_roughpath, check_same_grid
 from .errors import ShapeError
 from .gauges import Gauge, chart_rep_derivative, connection_gauge
 from .linalg import hat, vee
-from .manifolds import Chart, Manifold, ProductManifold, SO3
+from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
 from .mcrp import ManifoldControlledPath
 from .mrde import ChartWalk, ManifoldDrivingField, _chart_step, rde_solve_manifold
 from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
@@ -38,7 +38,8 @@ class MatrixGroup:
             self.kind = "gl"
             self.size = int(size)
             self.alg_dim = self.size**2
-            self.manifold = GLMatrices(self.size)
+            # GL(d) is an open subset of the flat R^{d x d}; points are matrices
+            self.manifold = ChartManifold(self.alg_dim, radius=1e6, center=np.zeros((self.size, self.size)))
         else:
             raise ShapeError(f"unknown group {kind!r}")
 
@@ -54,60 +55,6 @@ class MatrixGroup:
 
     def identity(self):
         return np.eye(self.size)
-
-
-class GLMatrices(Manifold):
-    """Invertible matrices as an open subset of R^{d x d} (flat connection)."""
-
-    def __init__(self, size, radius=1e6):
-        self.size = int(size)
-        self.name = f"gl{size}"
-        self.dim = self.size**2
-        self.point_shape = (self.size, self.size)
-        self.radius = float(radius)
-        self.gauge_radius = radius
-
-    def project(self, p):
-        return np.asarray(p, dtype=float)
-
-    def tangent_projector(self, p):
-        return np.eye(self.dim)
-
-    def exp(self, m, v):
-        return np.asarray(m, dtype=float) + np.asarray(v, dtype=float)
-
-    def log(self, m, n):
-        return np.asarray(n, dtype=float) - np.asarray(m, dtype=float)
-
-    def transport(self, to_pt, from_pt):
-        return np.eye(self.dim)
-
-    def d2log(self, m, n):
-        return np.eye(self.dim)
-
-    def distance(self, m, n):
-        return float(np.linalg.norm(np.asarray(n) - np.asarray(m)))
-
-    def charts(self):
-        d = self.size
-
-        def flat(p):
-            return np.asarray(p, dtype=float).reshape(-1)
-
-        return [
-            Chart(
-                name="entries",
-                dim=self.dim,
-                to_coords=flat,
-                from_coords=lambda x: np.asarray(x, dtype=float).reshape(d, d),
-                dto=lambda p: np.eye(self.dim),
-                dfrom=lambda x: np.eye(self.dim),
-                radius=self.radius,
-            )
-        ]
-
-    def random_point(self, rng):
-        return np.eye(self.size) + 0.1 * rng.standard_normal((self.size, self.size))
 
 
 # ---------------------------------------------------------------------------

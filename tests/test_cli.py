@@ -214,6 +214,18 @@ MALFORMED_CONFIGS = [
     ("rde", {"field": {"kind": "right-invariant", "params": {"direction": "x"}}}),
     ("rde", {"field": {"kind": "right-invariant", "params": {"direction": [1, 0]}}}),
     ("rde", {"field": {"params": {"speed": "fast"}}}),
+    ("rde", {"manifold": {"type": "so3"}}),
+    ("rde", {"fixture": "so3-constant-rde", "manifold": {"type": "sphere"}}),
+    ("rde", {"field": {"kind": "right-invariant"}, "manifold": {"type": "chart"}}),
+    ("lift", {"n": 0}),
+    ("lift", {"n": -4}),
+    ("integrate", {"n": 0}),
+    ("rde", {"n": 0}),
+    ("rde", {"driver": {"n": -1}}),
+    ("transport", {"n": 0}),
+    ("verify", {"fixture": "equator", "n": 0}),
+    ("convergence", {"levels": 0}),
+    ("convergence", {"levels": 3}),
 ]
 
 
@@ -225,3 +237,28 @@ def test_malformed_config_exits_two_with_one_line(runner, tmp_path, command, doc
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: config") and res.output.count("\n") == 1, res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["lift", "--n", "-4"], ["lift", "--n", "0"], ["integrate", "--n", "0"], ["rde", "--n", "0"],
+     ["transport", "--n", "0"], ["convergence", "--levels", "0"], ["convergence", "--levels", "2"]],
+)
+def test_impossible_size_option_exits_two_with_one_line(runner, tmp_path, args):
+    res = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: config") and res.output.count("\n") == 1, res.output
+
+
+@pytest.mark.parametrize(
+    "fixture,y0",
+    [("sphere-projection-rde", [1.0, 0.0, 0.0]), ("so3-constant-rde", [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])],
+)
+def test_rde_named_fixture_honours_horizon_and_y0(runner, tmp_path, fixture, y0):
+    cfg = tmp_path / "rde.json"
+    cfg.write_text(json.dumps({"horizon": [0, 0.5], "y0": y0}))
+    res = runner.invoke(main, ["rde", "--fixture", fixture, "--n", "64", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads((tmp_path / f"rde-{fixture}.json").read_text())
+    assert doc["times"][-1] == 0.5 and len(doc["times"]) == 33
+    assert doc["points"][0] == y0

@@ -75,6 +75,15 @@ def test_chart_manifold_spec_roundtrip():
         manifold_from_spec(bumpy.spec_json())
 
 
+def test_gl_manifold_spec_roundtrip():
+    from crp.transport import MatrixGroup
+
+    gl = MatrixGroup("gl", 2).manifold
+    back = manifold_from_spec(json.loads(json.dumps(gl.spec_json())))
+    assert back.point_shape == (2, 2) and back.radius == 1e6
+    assert np.array_equal(back.center, np.zeros((2, 2)))
+
+
 def test_gauge_spec_json():
     g = connection_gauge(SPHERE)
     assert g.spec_json() == {"provenance": "connection", "connection": "sphere"}

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from crp import ChartExit, ChartManifold, LogFailure, NearCutLocus, ProductManifold, SO3, Sphere
+from crp import ChartExit, ChartManifold, LogFailure, NearCutLocus, ProductManifold, SO3, ShapeError, Sphere
 from crp.convergence import estimate_order
 from crp.linalg import hat, so3_exp, so3_log
 
@@ -342,6 +342,32 @@ class TestChartManifold:
         mani = ChartManifold(2, gamma=g)
         t = mani.torsion_tensor(np.array([0.3, 0.2]))
         assert np.allclose(t, -np.swapaxes(t, 1, 2))
+
+    def test_matrix_points_take_the_center_shape(self):
+        from crp.transport import MatrixGroup
+
+        gl = MatrixGroup("gl", 2).manifold
+        assert gl.point_shape == (2, 2)
+        m = np.array([[1.0, 0.5], [-0.2, 2.0]])
+        chart = gl.chart_at(m)
+        assert np.array_equal(chart.to_coords(m), m.reshape(4))
+        assert np.array_equal(chart.from_coords(chart.to_coords(m)), m)
+        assert gl.random_point(np.random.default_rng(3)).shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "dim,center,gamma",
+        [(3, [0.0, 0.0], None), (4, np.zeros((2, 2)), lambda x: np.zeros((4, 4, 4)))],
+    )
+    def test_bad_center_raises(self, dim, center, gamma):
+        with pytest.raises(ShapeError):
+            ChartManifold(dim, center=center, gamma=gamma)
+
+    def test_domain_distance_batch_on_matrix_points(self):
+        mani = ChartManifold(4, center=np.zeros((2, 2)))
+        rng = np.random.default_rng(29)
+        ms, ns = rng.standard_normal((5, 2, 2)), rng.standard_normal((5, 2, 2))
+        want = [np.linalg.norm(n - m, "fro") for m, n in zip(ms, ns)]
+        assert np.allclose(mani.domain_distance_batch(ms, ns), want, rtol=1e-15, atol=0.0)
 
 
 class TestProductManifold:

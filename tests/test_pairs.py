@@ -14,7 +14,7 @@ import crp.oneforms as oneforms
 import crp.pairs as pairs
 import crp.roughpath as roughpath
 from crp.gauges import connection_gauge, standard_gauge
-from crp.pairs import grid_triples, pair_sup, ratio, triple_defect
+from crp.pairs import grid_triples, pair_sup, ratio, sampled_triples, triple_defect
 
 BUDGETS = {"one-row": 1, "seven-pairs": 7, "default": pairs.BLOCK_PAIRS, "unbounded": 2**62}
 
@@ -74,6 +74,15 @@ class TestKernel:
     def test_grid_triples_lexicographic(self, n):
         ref = [(a, b, c) for a in range(n - 2) for b in range(a + 1, n - 1) for c in range(b + 1, n)]
         assert [tuple(t) for t in grid_triples(n).T] == ref
+
+    def test_sampled_triples_are_all_triples_when_few(self):
+        assert np.array_equal(np.stack(sampled_triples(7, 35)), grid_triples(7))
+
+    def test_sampled_triples_are_seeded_ordered_draws(self):
+        got = sampled_triples(50, 1000)
+        i, j, k = got
+        assert i.size == 1000 and np.all((0 <= i) & (i < j) & (j < k) & (k < 50))
+        assert np.array_equal(np.stack(got), np.stack(sampled_triples(50, 1000, np.random.default_rng(0))))
 
     @pytest.mark.parametrize("n,m", [(64, 1), (64, 3), (64, 7), (64, 64), (100, 13)])
     def test_pairs_probed_closed_form(self, n, m):
