@@ -201,10 +201,12 @@ def _build_rde_from_config(cfg, fixture, n, retraction):
         y0 = cfg.get("y0", [0.0, 1.0, 0.0])
     elif kind in ("left-invariant", "right-invariant"):
         rp = fx.so3_constant_driver(n, _array(params.get("direction", [0.0, 0.0, np.pi / 2]), "direction", (3,)))
-        field = fx.so3_right_invariant_field()
+        field = fx.so3_left_invariant_field() if kind == "left-invariant" else fx.so3_right_invariant_field()
         y0 = cfg.get("y0", np.eye(3).tolist())
     else:
         raise ConfigError(f"unsupported field kind {kind!r}")
+    if "field" in cfg and "fixture" not in cfg:
+        fixture = kind  # the output is named after the field kind it solved
     mtype = _section(cfg, "manifold").get("type", field.manifold.name)
     if mtype != field.manifold.name:
         raise ConfigError(f"config 'manifold' type {mtype!r} is not {field.manifold.name!r}, the {kind} field's")

@@ -198,6 +198,15 @@ def so3_right_invariant_field():
     return ManifoldDrivingField(SO3M, fn, name="right-invariant")
 
 
+def so3_left_invariant_field():
+    """V_a(g) = g hat(e_a): driven by x(t) = t a, the solution from g0 is g0 expm(t hat(a))."""
+
+    def fn(g):
+        return np.stack([(g @ hat(e)).reshape(9) for e in np.eye(3)], axis=1)
+
+    return ManifoldDrivingField(SO3M, fn, name="left-invariant")
+
+
 # pure-area commutator system: dy = A_1 y dX^1 + A_2 y dX^2, solved by [e, 1/e]
 COMMUTATOR_MATS = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
 

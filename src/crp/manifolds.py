@@ -396,18 +396,9 @@ class SO3(Manifold):
         g = np.asarray(g, dtype=float)
         ell = so3_log(k.T @ g)
         jr_inv = so3_left_jacobian_inv(-ell)  # right Jacobian inverse
-        rows = []
-        for e in np.eye(3):
-            # tangent xi = g hat(e) maps to k hat(Jr^{-1} e)
-            rows.append((k @ hat(jr_inv @ e)).reshape(9))
-        basis_out = np.stack(rows, axis=1)  # (9, 3)
-
-        def coeff(xi_flat):
-            xi = xi_flat.reshape(3, 3)
-            return vee(g.T @ xi)
-
-        m = np.stack([coeff(np.eye(9)[i]) for i in range(9)], axis=1)  # (3, 9)
-        return basis_out @ m
+        # tangent xi = g hat(e) maps to k hat(Jr^{-1} e)
+        basis_out = np.stack([(k @ hat(jr_inv @ e)).reshape(9) for e in np.eye(3)], axis=1)  # (9, 3)
+        return basis_out @ np.stack([vee(g.T @ xi.reshape(3, 3)) for xi in np.eye(9)], axis=1)
 
     def distance(self, g, h):
         return float(np.linalg.norm(so3_log(np.asarray(g).T @ np.asarray(h))))
@@ -437,15 +428,24 @@ class SO3(Manifold):
         return np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
 
     def log_batch(self, ks, gs):
-        return np.stack([self.flatten(self.log(k, g)) for k, g in zip(ks, gs)])
+        """``log`` of a block of pairs, bit for bit (the same BLAS products, masked coefficients); a pair
+        past pi - 1e-6, where ``so3_log`` turns to its antipodal branch, lies past the gauge ball."""
+        ks = np.asarray(ks, dtype=float)
+        r = np.swapaxes(ks, 1, 2) @ np.asarray(gs, dtype=float)
+        th = np.arccos(np.clip(0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0), -1.0, 1.0))
+        w = np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], axis=1)
+        big = np.where(th < 1e-8, 1.0, th)
+        a = np.where(th < 1e-8, 0.5 * (1.0 + th**2 / 6.0), big / (2.0 * np.sin(big)))[:, None] * w
+        cut = (th > np.pi - 1e-6) | (np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0]) >= self.gauge_radius - 1e-6)
+        if cut.any():
+            self.log(ks[np.argmax(cut)], gs[np.argmax(cut)])  # raises the scalar's NearCutLocus
+        hats = np.zeros(r.shape)
+        hats[:, [2, 0, 1, 1, 2, 0], [1, 2, 0, 2, 0, 1]] = np.concatenate([a, -a], axis=1)
+        return (ks @ hats).reshape(-1, 9)
 
     def transport_batch(self, to_pts, from_pts):
         q = np.einsum("pij,pkj->pik", np.asarray(to_pts, float), np.asarray(from_pts, float))
-        out = np.zeros((q.shape[0], 9, 9))
-        for i in range(3):
-            for j in range(3):
-                out[:, i * 3 : i * 3 + 3, j * 3 : j * 3 + 3] = q[:, i, j, None, None] * np.eye(3)
-        return out
+        return (q[:, :, None, :, None] * np.eye(3)[:, None, :]).reshape(-1, 9, 9)  # kron(q, I) per pair
 
 
 def _so3_log_chart(center, idx):
@@ -463,23 +463,13 @@ def _so3_log_chart(center, idx):
         g = np.asarray(g, dtype=float)
         zeta = so3_log(g @ c.T)
         jli = so3_left_jacobian_inv(zeta)
-        rows = []
-        for i in range(9):
-            xi = np.zeros(9)
-            xi[i] = 1.0
-            xim = xi.reshape(3, 3)
-            om = vee(xim @ g.T)
-            rows.append(jli @ om)
-        return np.stack(rows, axis=1)
+        return np.stack([jli @ vee(xi.reshape(3, 3) @ g.T) for xi in np.eye(9)], axis=1)
 
     def dfrom(x):
         x = np.asarray(x, dtype=float)
         jl = so3_left_jacobian(x)
         g = so3_exp(x) @ c
-        cols = []
-        for e in np.eye(3):
-            cols.append((hat(jl @ e) @ g).reshape(9))
-        return np.stack(cols, axis=1)
+        return np.stack([(hat(jl @ e) @ g).reshape(9) for e in np.eye(3)], axis=1)
 
     return Chart(
         name=f"so3-log-{idx}",

@@ -8,12 +8,13 @@ by construction and never needs to be repaired.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .controls import Control
-from .errors import InvalidGrid, LiftFailure, OffGrid
+from .errors import InvalidGrid, LiftFailure, OffGrid, ShapeError
 from .linalg import richardson_diff
 from .pairs import pair_sup, ratio, sampled_triples
 
@@ -216,14 +217,38 @@ def _calibrate_control(rp_values, times, areas, p):
     return max(sups[0], sups[1], 1e-300)
 
 
-def _gauss_legendre_step_area(path, dpath, a, b, order):
+@functools.cache
+def _gauss_legendre_rule(order):
+    """The order-point Gauss-Legendre nodes and weights on [-1, 1], built once and read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    ts = mid + half * nodes
-    xa = np.asarray(path(a), dtype=float)
-    xs = np.array([path(t) for t in ts]) - xa
-    dxs = np.array([dpath(t) for t in ts])
-    return half * np.einsum("q,qa,qb->ab", weights, xs, dxs)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _sample(fn, ts, what, shape=None):
+    """``fn`` at every time of ``ts``, as ts.shape + (k,), a scalar read as a 1-vector.  The first
+    time whose value is not a vector of ``shape`` (default: the first value's) raises ShapeError,
+    the first non-finite one LiftFailure."""
+    flat = ts.ravel()
+    vals = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in flat]
+    shape = vals[0].shape if shape is None else shape
+    for t, v in zip(flat, vals):
+        if v.shape != shape or v.ndim != 1:
+            raise ShapeError(f"{what}({float(t)!r}) has shape {v.shape}, not a vector of shape {shape}")
+    out = np.array(vals)
+    if not np.isfinite(out).all():
+        raise LiftFailure(f"{what} is not finite at t={float(flat[~np.isfinite(out).all(axis=1)][0])!r}")
+    return out.reshape(ts.shape + shape)
+
+
+def _gauss_legendre_step_area(path, dpath, times, values, order):
+    """Areas of all N steps at once, (N, k, k); one call per (step, node), left ends from ``values``."""
+    nodes, weights = _gauss_legendre_rule(order)
+    mid, half = 0.5 * (times[:-1] + times[1:]), 0.5 * (times[1:] - times[:-1])
+    ts = mid[:, None] + half[:, None] * nodes
+    xs = _sample(path, ts, "path", values.shape[1:]) - values[:-1, None, :]
+    dxs = _sample(dpath, ts, "dpath", values.shape[1:])
+    return half[:, None, None] * np.einsum("q,nqa,nqb->nab", weights, xs, dxs)
 
 
 def lift_smooth(path, grid, quad_order=8, dpath=None, p=1.0):
@@ -232,7 +257,8 @@ def lift_smooth(path, grid, quad_order=8, dpath=None, p=1.0):
     Per-step areas are Gauss-Legendre quadratures of the first iterated
     integral; the order is doubled (twice at most) until the weak-geometric
     residual drops below tolerance.  The control is calibrated so the p-bounds
-    hold with constant one on the grid.
+    hold with constant one on the grid.  A path or derivative value of the
+    wrong shape raises ShapeError, a non-finite one LiftFailure.
     """
     times = _check_grid(grid)
     if quad_order < 2:
@@ -242,15 +268,11 @@ def lift_smooth(path, grid, quad_order=8, dpath=None, p=1.0):
         def dpath(t, _p=path):
             return richardson_diff(lambda h: np.asarray(_p(t + h), dtype=float), 1e-3)
 
-    values = np.array([np.atleast_1d(np.asarray(path(t), dtype=float)) for t in times])
-    k = values.shape[1]
-    n = times.size - 1
+    values = _sample(path, times, "path")
+    dx = np.diff(values, axis=0)
     order = quad_order
     for _ in range(3):
-        areas = np.empty((n, k, k))
-        for i in range(n):
-            areas[i] = _gauss_legendre_step_area(path, dpath, times[i], times[i + 1], order)
-        dx = np.diff(values, axis=0)
+        areas = _gauss_legendre_step_area(path, dpath, times, values, order)
         res = 0.5 * (areas + np.swapaxes(areas, 1, 2)) - 0.5 * np.einsum("ia,ib->iab", dx, dx)
         if float(np.max(np.abs(res))) <= WEAK_GEO_TOL_QUAD:
             c = _calibrate_control(values, times, areas, p)

@@ -128,6 +128,34 @@ def test_rde_full_config_schema(runner, tmp_path):
     assert len(doc["times"]) == 65
 
 
+def test_rde_left_and_right_invariant_fields_differ(runner, tmp_path):
+    docs = {}
+    for kind in ("left-invariant", "right-invariant"):
+        cfg = tmp_path / f"{kind}.json"
+        field = {"kind": kind, "params": {"direction": [0.0, 0.0, 1.0]}}
+        y0 = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]  # does not commute with the rotation
+        cfg.write_text(json.dumps({"field": field, "n": 8, "y0": y0}))
+        res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["fixture"] == kind
+        docs[kind] = (tmp_path / f"rde-{kind}.json").read_bytes()
+    assert docs["left-invariant"] != docs["right-invariant"]
+    assert not (tmp_path / "rde-sphere-projection-rde.json").exists()
+
+
+def test_rde_config_field_without_fixture_is_named_after_its_kind(runner, tmp_path):
+    cfg = tmp_path / "rde.json"
+    cfg.write_text(json.dumps({"field": {}, "n": 8}))
+    res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["fixture"] == "projection"
+    assert (tmp_path / "rde-projection.json").exists()
+    res = runner.invoke(main, ["rde", "--n", "8", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["fixture"] == "sphere-projection-rde"
+    assert (tmp_path / "rde-sphere-projection-rde.json").exists()
+
+
 SPHERE_PATHS = {"equator", "latitude", "sphere-spiral", "polar-cap"}
 
 

@@ -215,6 +215,52 @@ class TestSO3ClosedForms:
                 assert np.linalg.norm(chart.dfrom(x)[:, j] - fd) < 1e-6
 
 
+def so3_pairs(rng, angles):
+    """Pairs (k, k exp(angle hat(u))) with random k and random unit axes u."""
+    ks = np.array([so3_exp(rng.standard_normal(3)) for _ in angles])
+    axes = rng.standard_normal((len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    return ks, np.array([k @ so3_exp(a * u) for k, a, u in zip(ks, angles, axes)])
+
+
+def stacked_scalar_log(ks, gs):
+    return np.stack([SO3M.flatten(SO3M.log(k, g)) for k, g in zip(ks, gs)])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSO3LogBatch:
+    def test_bit_identical_to_stacked_scalar_log(self):
+        rng = np.random.default_rng(21)
+        angles = np.concatenate([rng.uniform(0.0, np.pi - 0.2, 400), np.zeros(20), rng.uniform(0.0, 1e-8, 20)])
+        ks, gs = so3_pairs(rng, angles)
+        gs[400:420] = ks[400:420]  # identical pairs: R = k^T k is not exactly the identity
+        assert same_bits(SO3M.log_batch(ks, gs), stacked_scalar_log(ks, gs))
+        assert "log_batch" in SO3.__dict__  # the perfbench tracer wraps it there
+
+    def test_block_straddling_the_pair_budget(self):
+        from crp.pairs import BLOCK_PAIRS
+
+        rng = np.random.default_rng(22)
+        ks, gs = so3_pairs(rng, rng.uniform(0.0, 2.5, BLOCK_PAIRS + 7))
+        whole = SO3M.log_batch(ks, gs)
+        assert same_bits(whole, stacked_scalar_log(ks, gs))
+        head = SO3M.log_batch(ks[:BLOCK_PAIRS], gs[:BLOCK_PAIRS])
+        assert same_bits(whole, np.concatenate([head, SO3M.log_batch(ks[BLOCK_PAIRS:], gs[BLOCK_PAIRS:])]))
+
+    @pytest.mark.parametrize("far", [np.pi - 0.05, np.pi - 1e-7])
+    def test_first_pair_past_the_gauge_ball_raises_the_scalar_message(self, far):
+        rng = np.random.default_rng(23)
+        ks, gs = so3_pairs(rng, [0.3, far, 1.0, np.pi - 0.02])
+        with pytest.raises(NearCutLocus) as scalar:
+            SO3M.log(ks[1], gs[1])
+        with pytest.raises(NearCutLocus) as batch:
+            SO3M.log_batch(ks, gs)
+        assert str(batch.value) == str(scalar.value)
+
+
 class TestSphereCharts:
     def test_roundtrip_and_margins(self):
         rng = np.random.default_rng(13)

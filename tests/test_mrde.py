@@ -12,6 +12,7 @@ from crp.fixtures import (
     smooth_2d_driver,
     sphere_projection_field,
     sphere_projection_flow,
+    so3_left_invariant_field,
     so3_right_invariant_field,
 )
 from crp.gauges import connection_gauge, standard_gauge
@@ -147,6 +148,24 @@ def test_so3_constant_direction_matches_matrix_exponential():
     # orthogonality is inherited from the exponential charts
     gtg = sol.points[-1].T @ sol.points[-1]
     assert np.max(np.abs(gtg - np.eye(3))) <= 1e-12
+
+
+def test_so3_left_invariant_field_matches_matrix_exponential():
+    # dg = g hat(dx) with x = t a0 has the solution g(t) = g0 expm(t hat(a0))
+    a0 = (np.pi / 2) * np.array([0.0, 0.0, 1.0])
+    sol = rde_solve_manifold(so3_left_invariant_field(), so3_time_driver(1024, a0), np.eye(3))
+    assert np.max(np.abs(sol.points[-1] - expm(hat(a0)))) <= 1e-9
+    assert np.max(np.abs(sol.points[-1] - expm(-hat(a0)))) > 1.0  # not the right-invariant solution
+    # from a g0 that does not commute with hat(a0) the chart-patched scheme is not exact:
+    # it must be second order
+    g0 = expm(hat(np.array([0.3, -0.2, 0.5])))
+    ns = [64, 128, 256, 512]
+    errs = []
+    for n in ns:
+        sol = rde_solve_manifold(so3_left_invariant_field(), so3_time_driver(n, a0), g0)
+        errs.append(max(np.max(np.abs(g - g0 @ expm(t * hat(a0)))) for t, g in zip(sol.times, sol.points)))
+    slope, _, exact = estimate_order(errs, 1.0 / np.array(ns))
+    assert exact or slope >= 2.0 - 0.25
 
 
 def test_uniqueness_under_reversed_atlas_order():

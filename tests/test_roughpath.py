@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from crp import Control, InvalidGrid, LiftFailure, OffGrid
+from crp import Control, InvalidGrid, LiftFailure, OffGrid, ShapeError
+from crp import roughpath
+from crp.linalg import richardson_diff
 from crp.roughpath import (
+    _calibrate_control,
     chen_compose,
     lift_piecewise_linear,
     lift_smooth,
@@ -91,6 +96,141 @@ class TestLiftSmooth:
         # a deliberately inconsistent "derivative" breaks the residual check
         with pytest.raises(LiftFailure):
             lift_smooth(circle, np.linspace(0, 1, 5), dpath=lambda t: np.array([1.0, 5.0]))
+
+
+def reference_lift(path, grid, dpath=None, quad_order=8, p=1.0):
+    """Per-step Gauss-Legendre lift: a fresh rule and path(a) at every step, as the
+    lift was first written.  Returns (values, step areas, control scale)."""
+    if dpath is None:
+
+        def dpath(t):
+            return richardson_diff(lambda h: np.asarray(path(t + h), dtype=float), 1e-3)
+
+    times = np.asarray(grid, dtype=float)
+    values = np.array([np.atleast_1d(np.asarray(path(t), dtype=float)) for t in times])
+    dx = np.diff(values, axis=0)
+    order = quad_order
+    while True:
+        areas = np.empty((times.size - 1,) + 2 * values.shape[1:])
+        for i, (a, b) in enumerate(zip(times[:-1], times[1:])):
+            nodes, weights = np.polynomial.legendre.leggauss(order)
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            ts = mid + half * nodes
+            xs = np.array([path(t) for t in ts]) - np.asarray(path(a), dtype=float)
+            areas[i] = half * np.einsum("q,qa,qb->ab", weights, xs, np.array([dpath(t) for t in ts]))
+        res = 0.5 * (areas + np.swapaxes(areas, 1, 2)) - 0.5 * np.einsum("ia,ib->iab", dx, dx)
+        if np.max(np.abs(res)) <= roughpath.WEAK_GEO_TOL_QUAD:
+            return values, areas, _calibrate_control(values, times, areas, p)
+        order *= 2
+
+
+def oscillating(t):
+    return np.array([np.cos(40.0 * t), np.sin(40.0 * t)])
+
+
+def doscillating(t):
+    return np.array([-40.0 * np.sin(40.0 * t), 40.0 * np.cos(40.0 * t)])
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def smooth_2d(t):
+    return np.array([np.sin(t), np.cos(2.0 * t) / 2.0])
+
+
+def dsmooth_2d(t):
+    return np.array([np.cos(t), -np.sin(2.0 * t)])
+
+
+LIFT_CASES = {
+    "smooth-2d": (smooth_2d, dsmooth_2d, np.linspace(0.0, 1.0, 65)),
+    "k1": (
+        lambda t: np.array([np.sin(3.0 * t)]),
+        lambda t: np.array([3.0 * np.cos(3.0 * t)]),
+        np.linspace(0.0, 1.0, 33),
+    ),
+    "default-dpath": (circle, None, np.linspace(0.0, np.pi / 2, 33)),
+    "order-doubling": (oscillating, doscillating, np.linspace(0.0, 1.0, 9)),
+}
+
+
+@pytest.fixture()
+def kernel_orders(monkeypatch):
+    """The quadrature order of every call to the batched step-area kernel."""
+    orders = []
+    kernel = roughpath._gauss_legendre_step_area
+
+    def counted(path, dpath, times, values, order):
+        orders.append(order)
+        return kernel(path, dpath, times, values, order)
+
+    monkeypatch.setattr(roughpath, "_gauss_legendre_step_area", counted)
+    return orders
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("case", sorted(LIFT_CASES))
+    def test_lift_bit_identical_to_per_step_reference(self, case):
+        path, dpath, grid = LIFT_CASES[case]
+        values, areas, scale = reference_lift(path, grid, dpath=dpath)
+        rp = lift_smooth(path, grid, dpath=dpath)
+        assert np.array_equal(bits(rp.values), bits(values))
+        assert np.array_equal(bits(rp.step_areas), bits(areas))
+        assert rp.control.to_json()["scale"] == scale
+
+    def test_oscillating_path_forces_one_order_doubling(self, kernel_orders):
+        lift_smooth(oscillating, np.linspace(0.0, 1.0, 9), dpath=doscillating)
+        assert kernel_orders == [8, 16]  # one kernel call per order tried, not one per step
+
+    def test_leggauss_runs_once_per_order(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counted(order):
+            calls.append(order)
+            return real(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        roughpath._gauss_legendre_rule.cache_clear()
+        for n in (9, 17, 9):
+            lift_smooth(oscillating, np.linspace(0.0, 1.0, n), dpath=doscillating)
+        assert calls == [8, 16]
+        nodes, weights = roughpath._gauss_legendre_rule(8)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+    def test_scalar_output_is_a_one_vector(self):
+        grid = np.linspace(0.0, 1.0, 17)
+        rp = lift_smooth(np.sin, grid, dpath=np.cos)
+        ref = lift_smooth(lambda t: np.array([np.sin(t)]), grid, dpath=lambda t: np.array([np.cos(t)]))
+        assert rp.values.shape == (17, 1)
+        assert np.array_equal(bits(rp.step_areas), bits(ref.step_areas))
+
+    def test_path_changing_shape_raises_shape_error_at_first_time(self):
+        with pytest.raises(ShapeError, match=re.escape("path(0.5) has shape (3,)")):
+            lift_smooth(lambda t: np.zeros(2) if t < 0.5 else np.zeros(3), np.linspace(0.0, 1.0, 5))
+
+    def test_dpath_shape_mismatch_raises_shape_error_at_first_node(self):
+        first_node = float(0.125 * (1.0 + np.polynomial.legendre.leggauss(8)[0][0]))
+        with pytest.raises(ShapeError, match=re.escape(f"dpath({first_node!r}) has shape (3,)")):
+            lift_smooth(circle, np.linspace(0.0, 1.0, 5), dpath=lambda t: np.zeros(3))
+
+    def test_matrix_valued_path_raises_shape_error(self):
+        with pytest.raises(ShapeError):
+            lift_smooth(lambda t: t * np.eye(2), np.linspace(0.0, 1.0, 5))
+
+    def test_non_finite_grid_value_raises_before_any_quadrature(self, kernel_orders):
+        with pytest.raises(LiftFailure, match=re.escape("path is not finite at t=1.0")):
+            lift_smooth(lambda t: np.array([np.inf, 0.0]) if t == 1.0 else circle(t), np.linspace(0.0, 1.0, 5))
+        assert kernel_orders == []
+
+    def test_non_finite_node_value_raises_without_order_doubling(self, kernel_orders):
+        with pytest.raises(LiftFailure, match="dpath is not finite at t="):
+            lift_smooth(
+                circle, np.linspace(0.0, 1.0, 5), dpath=lambda t: np.array([np.nan, 0.0]) if t > 0.5 else dcircle(t)
+            )
+        assert kernel_orders == [8]
 
 
 class TestPureArea:
