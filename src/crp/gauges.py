@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartSingular
+from .errors import ChartSingular, GaugeMismatch
 from .linalg import FD_STEP, richardson_diff
 from .manifolds import Chart, Manifold
 
@@ -14,13 +14,25 @@ TAYLOR_FD_STEP = 1e-3
 
 
 class Parallelism:
-    """Smooth family U(to, from): T_from M -> T_to M, identity on the diagonal."""
+    """Smooth family U(to, from): T_from M -> T_to M, identity on the diagonal.
 
-    def __init__(self, manifold: Manifold, matrix_fn, name="custom", batch_fn=None):
+    ``chart`` is set on the chart parallelism of that chart and ``connection`` on
+    the manifold connection's parallel transport; ``change_tensor`` reads them.
+    """
+
+    def __init__(self, manifold: Manifold, matrix_fn, name="custom", batch_fn=None, chart=None, connection=False):
         self.manifold = manifold
         self._fn = matrix_fn
         self._batch = batch_fn
         self.name = name
+        self.chart = chart
+        self.connection = connection
+
+    def check_manifold(self, manifold: Manifold):
+        """Raise ``GaugeMismatch`` unless ``manifold`` equals this parallelism's manifold (by flat size and spec)."""
+        mine = self.manifold
+        if mine is not manifold and (mine.flat_dim != manifold.flat_dim or mine.spec_json() != manifold.spec_json()):
+            raise GaugeMismatch(f"parallelism {self.name} lives on {mine.name}, the path on {manifold.name}")
 
     def matrix(self, to_pt, from_pt):
         return np.asarray(self._fn(to_pt, from_pt), dtype=float)
@@ -55,11 +67,13 @@ class Logarithm:
         """Differential of n -> psi(m, n) as a (D, D) matrix on T_nM."""
         if self._d2 is not None:
             return np.asarray(self._d2(m, n), dtype=float)
-        # finite-difference fallback along canonical curves at n
+        # finite-difference fallback along canonical curves at n, one row per projector column
         mani = self.manifold
+        n = np.asarray(n, dtype=float)
         p = mani.tangent_projector(n)
         h = FD_STEP * max(1.0, float(np.linalg.norm(mani.flatten(n))))
-        return np.stack([mani.derivative_along(n, v, lambda q: self.value(m, q), h) for v in p.T], axis=1)
+        ns = np.broadcast_to(n, (p.shape[1],) + n.shape)
+        return mani.derivative_along(ns, p.T, lambda qs, _: np.stack([self.value(m, q) for q in qs]), h).T
 
     def induced_parallelism(self):
         """U(to, from) = d/d(from) psi(to, .), the parallelism the logarithm carries."""
@@ -127,6 +141,7 @@ def connection_gauge(manifold: Manifold) -> Gauge:
         lambda a, b: manifold.transport(a, b),
         name=f"transport({manifold.name})",
         batch_fn=lambda a, b: manifold.transport_batch(a, b),
+        connection=True,
     )
     return Gauge(manifold, log, par, provenance="connection")
 
@@ -147,7 +162,7 @@ def chart_gauge(manifold: Manifold, chart: Chart) -> Gauge:
         guard(a), guard(b)
         return chart.dfrom(chart.to_coords(a)) @ chart.dto(b)
 
-    par = Parallelism(manifold, umat, name=f"chart({chart.name})")
+    par = Parallelism(manifold, umat, name=f"chart({chart.name})", chart=chart)
     log = Logarithm(manifold, psi, d2_fn=umat, name=f"chart({chart.name})")
     log._induced = par  # the chart gauge is its own induced gauge (exact zero S)
     return Gauge(manifold, log, par, provenance="chart", chart=chart)
@@ -215,9 +230,12 @@ class CompatibilityTensor:
     u_tilde)`` on the diagonal, by Richardson central differences in a chart,
     mapped back to ambient coordinates; per-point results are cached by the
     point's bytes.  Every pair built with ``compatibility_tensor`` takes this
-    path, the oracle of ``torsion_check``.  Closed forms: a connection gauge's
-    ``Gauge.compatibility`` is ``TorsionCompatibility`` (half the torsion), and
-    identical parallelisms (chart and flat gauges) are an exact zero.
+    path, the oracle of ``torsion_check``.  Closed forms, each written once on
+    stacks of points (``stack``): identical parallelisms (chart and flat gauges)
+    are an exact zero, a connection gauge's ``Gauge.compatibility`` is
+    ``TorsionCompatibility`` (half the torsion), and ``change_tensor`` between a
+    chart parallelism and the connection transport is ``ChristoffelCompatibility``
+    (the connection's Christoffel symbols in that chart).
     """
 
     def __init__(self, u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
@@ -240,6 +258,12 @@ class CompatibilityTensor:
         self._cache[key] = out
         return out
 
+    def stack(self, points):
+        """(P, D, D, D) array of S at each of a stack of points."""
+        if self.exact_zero:
+            return np.zeros((len(points),) + (self.manifold.flat_dim,) * 3)
+        return np.stack([self.at(m) for m in points])
+
     def _evaluate(self, m):
         chart = self.manifold.chart_at(m)
         x = chart.to_coords(m)
@@ -253,20 +277,65 @@ class CompatibilityTensor:
             "cab,a,b->c", self.at(m), self.manifold.flatten(v), self.manifold.flatten(w)
         )
 
-    def apply_tensor(self, m, tensor):
-        """Contract S_m against a (D, D) tensor in the (v, w) slots."""
-        return np.einsum("cab,ab->c", self.at(m), tensor)
-
 
 class TorsionCompatibility(CompatibilityTensor):
     """S of a connection gauge (geodesic logarithm, parallel transport): half the torsion."""
+
+    def stack(self, points):
+        return 0.5 * self.manifold.torsion_tensor(np.asarray(points, dtype=float))
 
     def _evaluate(self, m):
         return 0.5 * self.manifold.torsion_tensor(m)
 
 
+class ChristoffelCompatibility(CompatibilityTensor):
+    """S between the chart parallelism of ``chart`` and the connection transport.
+
+    With x the chart coordinates of m, S(v, w) = sign * dfrom(x) Gamma(x)(dto v,
+    dto w), Gamma the manifold's ``chart_christoffels``; sign is +1 when the chart
+    parallelism is u_tilde and -1 when it is u.  A chart without coefficients
+    falls back to the finite-difference oracle.
+    """
+
+    def __init__(self, u_tilde: Parallelism, u: Parallelism, manifold: Manifold, chart: Chart, sign: float):
+        super().__init__(u_tilde, u, manifold)
+        self.chart = chart
+        self.sign = sign
+
+    def stack(self, points):
+        chart = self.chart
+        for i, p in enumerate(points):
+            if chart.margin(p) <= 0:
+                raise ChartSingular(f"point {i} outside chart {chart.name}")
+        xs = np.stack([chart.to_coords(p) for p in points])
+        gam = self.manifold.chart_christoffels(chart, xs)
+        if gam is None:
+            return super().stack(points)
+        dfrom = np.stack([chart.dfrom(x) for x in xs])
+        dto = np.stack([chart.dto(p) for p in points])
+        return self.sign * np.einsum("pCc,pcjb,pjA,pbB->pCAB", dfrom, np.asarray(gam, dtype=float), dto, dto)
+
+    def _evaluate(self, m):
+        return self.stack(np.asarray(m, dtype=float)[None])[0]
+
+
 def compatibility_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
+    """The finite-difference S[u_tilde, u] (exact zero for one parallelism): the oracle."""
     return CompatibilityTensor(u_tilde, u, manifold)
+
+
+def change_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
+    """S[u_tilde, u] in closed form where one exists, else the finite-difference oracle.
+
+    A chart parallelism against the transport of a connection with
+    ``chart_christoffels`` takes ``ChristoffelCompatibility`` in either order, with
+    the Christoffel symbols of the connection the transport belongs to.
+    """
+    for chart_par, conn_par, sign in ((u_tilde, u, 1.0), (u, u_tilde, -1.0)):
+        closed = getattr(conn_par.manifold, "chart_christoffels", None)
+        if chart_par.chart is not None and conn_par.connection and closed is not None:
+            return ChristoffelCompatibility(u_tilde, u, conn_par.manifold, chart_par.chart, sign)
+    return compatibility_tensor(u_tilde, u, manifold)
 
 
 def torsion_check(manifold: Manifold, rng=None, n_points=5):

@@ -11,6 +11,7 @@ charts expose explicit ``to/from`` differentials instead of implicit casts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,7 +78,7 @@ class Manifold:
 
     @property
     def flat_dim(self):
-        return int(np.prod(self.point_shape))
+        return math.prod(self.point_shape)
 
     def flatten(self, v):
         return np.asarray(v, dtype=float).reshape(
@@ -116,9 +117,15 @@ class Manifold:
     def torsion_tensor(self, m):
         """(D, D, D) tensor T[c, a, b] of the manifold's default connection.
 
+        ``m`` may be a stack of points (*lead, *point_shape), giving (*lead, D, D, D).
         A connection gauge's S is T / 2: a connection with torsion must override this.
         """
-        return np.zeros((self.flat_dim,) * 3)
+        return np.zeros(self._lead(m) + (self.flat_dim,) * 3)
+
+    def _lead(self, p):
+        """Leading (stack) axes of a point or a stack of points."""
+        shape = np.shape(p)
+        return shape[: len(shape) - len(self.point_shape)]
 
     gauge_radius = np.inf
 
@@ -142,21 +149,35 @@ class Manifold:
 
     # -- misc ---------------------------------------------------------------------
 
-    def curve(self, m, v, eps):
-        """A canonical curve through m with velocity v, used for directional FD."""
-        return self.exp(m, eps * np.asarray(v, dtype=float))
+    def curve(self, ms, us, eps):
+        """Canonical curves through a stack of points with unit velocities, at parameter eps.
 
-    def derivative_along(self, m, v, g, h=1e-4):
-        """Richardson derivative of g along ``curve`` at m in the flattened direction v.
-
-        The curve runs at unit speed with step h and the result is scaled by |v|;
-        a direction shorter than 1e-14 gives zeros shaped like g(m).
+        ``ms`` and ``us`` have shape (R, *point_shape); the fallback runs ``exp`` row by row.
         """
-        nv = float(np.linalg.norm(v))
-        if nv < 1e-14:
-            return np.zeros_like(np.asarray(g(m), dtype=float))
-        u = self.unflatten(v / nv)
-        return nv * richardson_diff(lambda e: g(self.curve(m, u, e)), h)
+        return np.stack([self.exp(m, eps * u) for m, u in zip(ms, np.asarray(us, dtype=float))])
+
+    def derivative_along(self, ms, vs, g, h=1e-4):
+        """Richardson derivatives of g along ``curve`` at a stack of points, one Richardson stencil for all rows.
+
+        Row r runs the unit-speed curve through ``ms[r]`` in the flattened direction
+        ``vs[r]`` with step h and scales the result by |vs[r]|.  ``g(qs, bases)``
+        maps the stacked curve points of some rows and those rows' base points to
+        one value per row.  Rows with |v| < 1e-14 are exactly zero and take no
+        stencil point; when every row is such, g runs once at a base point for
+        the value shape.
+        """
+        ms = np.asarray(ms, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        nv = np.linalg.norm(vs, axis=-1)
+        live = np.flatnonzero(nv >= 1e-14)
+        if live.size == 0:
+            return np.zeros((len(ms),) + np.shape(g(ms[:1], ms[:1]))[1:])
+        bases = ms[live]
+        us = self.unflatten(vs[live] / nv[live, None])
+        d = richardson_diff(lambda e: g(self.curve(bases, us, e), bases), h)
+        out = np.zeros((len(ms),) + d.shape[1:])
+        out[live] = nv[live].reshape((-1,) + (1,) * (d.ndim - 1)) * d
+        return out
 
     def on_manifold(self, p, tol=1e-10):
         return float(np.linalg.norm(self.flatten(p) - self.flatten(self.project(p)))) <= tol
@@ -208,6 +229,13 @@ class Sphere(Manifold):
             return m.copy()
         return np.cos(th) * m + np.sin(th) * v / th
 
+    def curve(self, ms, us, eps):
+        # the geodesics cos(eps |u|) m + sin(eps |u|) u / |u| of the whole stack
+        us = np.asarray(us, dtype=float)
+        nu = np.linalg.norm(us, axis=-1, keepdims=True)
+        th = eps * nu
+        return np.cos(th) * np.asarray(ms, dtype=float) + np.sin(th) * us / nu
+
     def log(self, m, n):
         m = np.asarray(m, dtype=float)
         n = np.asarray(n, dtype=float)
@@ -251,16 +279,19 @@ class Sphere(Manifold):
         return [_stereographic_chart(pole=+1), _stereographic_chart(pole=-1)]
 
     def chart_christoffels(self, chart, x):
-        """Levi-Civita coefficients of the round metric in stereographic charts."""
+        """Levi-Civita coefficients of the round metric in stereographic charts.
+
+        ``x`` holds chart coordinates, shape (..., 2); the result has shape (..., 2, 2, 2).
+        """
         if not chart.name.startswith("stereo"):
             return None
         x = np.asarray(x, dtype=float)
-        dl = -2.0 * x / (1.0 + float(x @ x))  # gradient of the conformal factor
+        dl = -2.0 * x / (1.0 + np.sum(x * x, axis=-1, keepdims=True))  # gradient of the conformal factor
         eye = np.eye(2)
         return (
-            np.einsum("ij,l->ijl", eye, dl)
-            + np.einsum("il,j->ijl", eye, dl)
-            - np.einsum("jl,i->ijl", eye, dl)
+            np.einsum("ij,...l->...ijl", eye, dl)
+            + np.einsum("il,...j->...ijl", eye, dl)
+            - np.einsum("jl,...i->...ijl", eye, dl)
         )
 
     def random_point(self, rng):
@@ -405,15 +436,16 @@ class SO3(Manifold):
 
     def torsion_tensor(self, g):
         g = np.asarray(g, dtype=float)
-        out = np.zeros((9, 9, 9))
+        lead = g.shape[:-2]
+        out = np.zeros(lead + (9, 9, 9))
         basis = [g @ hat(e) for e in np.eye(3)]
-        vecs = [b.reshape(9) for b in basis]
-        gram = np.linalg.pinv(np.stack(vecs, axis=1))  # (3, 9) coefficients map
+        vecs = [b.reshape(lead + (9,)) for b in basis]
+        gram = np.linalg.pinv(np.stack(vecs, axis=-1))  # (..., 3, 9) coefficients map
         for a in range(3):
             for b in range(3):
                 A, B = hat(np.eye(3)[a]), hat(np.eye(3)[b])
                 t = -(g @ (A @ B - B @ A))
-                out += np.einsum("c,a,b->cab", t.reshape(9), gram[a], gram[b])
+                out += np.einsum("...c,...a,...b->...cab", t.reshape(lead + (9,)), gram[..., a, :], gram[..., b, :])
         return out
 
     def charts(self):
@@ -515,9 +547,18 @@ class ChartManifold(Manifold):
         self.gauge_radius = 2.0 * self.radius * 0.95
 
     def _gamma(self, x):
+        """Connection coefficients at a point or a stack of points (zeros when flat)."""
+        x = np.asarray(x, dtype=float)
+        lead = self._lead(x)
         if self.gamma is None:
-            return np.zeros((self.dim,) * 3)
-        return np.asarray(self.gamma(np.asarray(x, dtype=float)), dtype=float)
+            return np.zeros(lead + (self.dim,) * 3)
+        if lead:
+            return np.stack([self._gamma(p) for p in x.reshape(-1, self.dim)]).reshape(lead + (self.dim,) * 3)
+        return np.asarray(self.gamma(x), dtype=float)
+
+    def chart_christoffels(self, chart, x):
+        """``gamma`` at identity-chart coordinates x, shape (..., d), which are the flattened points."""
+        return self._gamma(self.unflatten(x))
 
     def project(self, p):
         return np.asarray(p, dtype=float)
@@ -613,11 +654,11 @@ class ChartManifold(Manifold):
 
     def torsion_tensor(self, m):
         A = self._gamma(m)
-        return A - np.swapaxes(A, 1, 2)
+        return A - np.swapaxes(A, -2, -1)
 
-    def curve(self, m, v, eps):
-        # any curve with the right velocity does for directional derivatives
-        return np.asarray(m, dtype=float) + eps * np.asarray(v, dtype=float)
+    def curve(self, ms, us, eps):
+        # any curves with the right velocities do for directional derivatives
+        return np.asarray(ms, dtype=float) + eps * np.asarray(us, dtype=float)
 
     @staticmethod
     def from_metric(dim, metric, radius=10.0, center=None, h_geo=0.01):
@@ -722,9 +763,9 @@ class ProductManifold(Manifold):
         # the componentwise connection only twists vectors of one factor
         a, b = self.split(m)
         d1 = self.first.flat_dim
-        out = np.zeros((self.flat_dim,) * 3)
-        out[:d1, :d1, :d1] = self.first.torsion_tensor(a)
-        out[d1:, d1:, d1:] = self.second.torsion_tensor(b)
+        out = np.zeros(self._lead(m) + (self.flat_dim,) * 3)
+        out[..., :d1, :d1, :d1] = self.first.torsion_tensor(a)
+        out[..., d1:, d1:, d1:] = self.second.torsion_tensor(b)
         return out
 
     @property

@@ -50,6 +50,18 @@ class ManifoldControlledPath:
     def flat_points(self):
         return self.manifold.flatten(self.points)
 
+    def derivative_samples(self, g):
+        """Derivatives of g along every column of y' at every node, shape (N+1, k, ...).
+
+        One ``Manifold.derivative_along`` call covers all (node, direction) rows;
+        ``g(qs, bases)`` is as there.
+        """
+        n, k = self.times.size, self.driver_dim
+        ms = np.repeat(self.points, k, axis=0)
+        vs = np.swapaxes(self.derivative, 1, 2).reshape(n * k, -1)
+        d = self.manifold.derivative_along(ms, vs, g)
+        return d.reshape((n, k) + d.shape[1:])
+
     def basepoint_residual(self):
         """Max |(I - P(y_i)) y'_i| over samples."""
         worst = 0.0

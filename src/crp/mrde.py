@@ -182,15 +182,15 @@ def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, g
         area = y.driver.step_areas[i]
         k = area.shape[0]
 
-        def pushed(mm):
-            vals = field.value_matrix(mm)
-            return np.stack([push(m, mm) @ vals for push in pushes])
+        def pushed(qs, _bases, _m=m):
+            return np.stack([np.stack([push(_m, q) @ field.value_matrix(q) for push in pushes]) for q in qs])
 
         terms = np.zeros((len(pushes), mani.flat_dim))
-        for a in range(k):
-            if not np.any(area[a]):
-                continue
-            terms += mani.derivative_along(m, cols[:, a], pushed) @ area[a]
+        live = [a for a in range(k) if np.any(area[a])]
+        ms = np.broadcast_to(m, (len(live),) + m.shape)
+        derivs = mani.derivative_along(ms, cols[:, live].T, pushed) if live else []  # (a, push, D, k)
+        for d, a in zip(derivs, live):
+            terms += d @ area[a]
             if check_split:
                 s_term = np.stack([s_tensor.apply(m, cols[:, a], cols[:, b]) for b in range(k)], axis=1)
                 terms[1] -= s_term @ area[a]
@@ -214,22 +214,17 @@ def check_rde_gauge_form(y: ManifoldControlledPath, field, gauge: Gauge, levels=
 
 
 def pushed_field_path(y: ManifoldControlledPath, field: ManifoldDrivingField, alpha_fn):
-    """Flat controlled path of samples alpha(y) o F(y), the driver-integrand."""
-    mani = y.manifold
-    n = y.times.size
+    """Flat controlled path of samples alpha(y) o F(y), the driver-integrand.
 
-    def val(m):
-        return np.asarray(alpha_fn(m), dtype=float) @ field.value_matrix(m)
+    The derivative samples come from one stencil over the whole grid
+    (``ManifoldControlledPath.derivative_samples``).
+    """
 
-    v0 = val(y.points[0])
-    vals = np.empty((n,) + v0.shape)
-    dag = np.empty((n,) + v0.shape + (y.driver_dim,))
-    for i in range(n):
-        m = y.points[i]
-        vals[i] = val(m)
-        for a in range(y.driver_dim):
-            dag[i, :, :, a] = mani.derivative_along(m, y.derivative[i][:, a], val)
-    return ControlledPath(y.times, vals, dag)
+    def vals(qs, _bases=None):
+        return np.stack([np.asarray(alpha_fn(q), dtype=float) @ field.value_matrix(q) for q in qs])
+
+    dag = np.moveaxis(y.derivative_samples(vals), 1, -1)  # (N+1, n, k', k)
+    return ControlledPath(y.times, vals(y.points), dag)
 
 
 def check_rde_integral_form(y: ManifoldControlledPath, field, alpha_fn, gauge: Gauge):
@@ -250,8 +245,8 @@ def scalar_solution_defects(y: ManifoldControlledPath, field: ManifoldDrivingFie
     n = y.times.size - 1
     dxs = np.diff(y.driver.values, axis=0)
 
-    def g(m):
-        return np.asarray(df(m), dtype=float) @ field.value_matrix(m)  # (k,)
+    def g(qs, _bases):
+        return np.stack([np.asarray(df(q), dtype=float) @ field.value_matrix(q) for q in qs])  # (R, k)
 
     worst = 0.0
     for i in range(n):
@@ -260,11 +255,11 @@ def scalar_solution_defects(y: ManifoldControlledPath, field: ManifoldDrivingFie
         area = y.driver.step_areas[i]
         term1 = float(np.asarray(df(m), dtype=float) @ (cols @ dxs[i]))
         term2 = 0.0
-        for a in range(area.shape[0]):
-            if not np.any(area[a]):
-                continue
-            dd = mani.derivative_along(m, cols[:, a], g)
-            term2 += float(dd @ area[a])
+        live = [a for a in range(area.shape[0]) if np.any(area[a])]
+        if live:
+            dd = mani.derivative_along(np.broadcast_to(m, (len(live),) + m.shape), cols[:, live].T, g)
+            for d, a in zip(dd, live):
+                term2 += float(d @ area[a])
         defect = float(f(y.points[i + 1]) - f(m)) - term1 - term2
         worst = max(worst, abs(defect))
     return worst

@@ -8,7 +8,7 @@ import numpy as np
 
 from .controlled import ControlledPath, check_same_grid, dyadic_ladder, stability_verdict
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
-from .gauges import CompatibilityTensor, Gauge, Parallelism, compatibility_tensor
+from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor, compatibility_tensor
 from .linalg import FD_STEP, richardson_diff
 from .mcrp import ManifoldControlledPath, crp_pushforward, default_probe_delta
 from .pairs import pair_sup, ratio, triple_defect
@@ -102,29 +102,42 @@ class ControlledOneForm:
 # -- constructors -------------------------------------------------------------------
 
 
+def _form_values(alpha_fn, points, flat_dim, where="node"):
+    """Stacked (P, n, D) values of ``alpha_fn`` at points, each checked to be a finite (n, D) matrix."""
+    vals = [np.asarray(alpha_fn(p), dtype=float) for p in points]
+    want = vals[0].shape if vals[0].ndim == 2 and vals[0].shape[1] == flat_dim else None
+    for i, v in enumerate(vals):
+        if v.shape != want:
+            raise ShapeError(f"one-form value at {where} {i} has shape {v.shape}: not (n, {flat_dim}), one n on every {where}")
+    out = np.array(vals)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+    if bad.size:
+        raise DomainError(f"one-form value at {where} {int(bad[0])} is not finite")
+    return out
+
+
 def oneform_from_smooth(alpha_fn, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:
     """Controlled restriction of a smooth one-form along the path.
 
     ``alpha_fn(m)`` returns the (n, D) matrix of the form at m.  The derivative
     samples are the transport-covariant derivatives along y' directions,
-    ``Manifold.derivative_along`` of q -> alpha(q) o U(q, m).
+    ``Manifold.derivative_along`` of q -> alpha(q) o U(q, m), taken on the whole
+    grid at once: one Richardson stencil over every (node, driver direction)
+    pair, with the stencil points from the manifold's stacked ``curve`` (closed
+    form on the sphere) and the parallelism through ``matrix_batch``.  Raises
+    ``GaugeMismatch`` for a parallelism of another manifold, ``ShapeError`` for a
+    value that is not (n, D) or changes shape, ``DomainError`` for a non-finite one.
     """
     mani = y.manifold
-    n_nodes = y.times.size
-    a0 = np.asarray(alpha_fn(y.points[0]), dtype=float)
-    nv = a0.shape[0]
-    k = y.driver_dim
-    alpha = np.empty((n_nodes, nv, mani.flat_dim))
-    dag = np.empty((n_nodes, nv, k, mani.flat_dim))
-    for idx in range(n_nodes):
-        m = y.points[idx]
-        alpha[idx] = np.asarray(alpha_fn(m), dtype=float)
+    par.check_manifold(mani)
+    dim = mani.flat_dim
+    alpha = _form_values(alpha_fn, y.points, dim)
 
-        def g(q, _m=m):
-            return np.asarray(alpha_fn(q), dtype=float) @ par.matrix(q, _m)
+    def g(qs, bases):
+        vals = _form_values(alpha_fn, qs, dim, where="stencil point")
+        return np.einsum("pnd,pde->pne", vals, par.matrix_batch(qs, bases))
 
-        for a in range(k):
-            dag[idx, :, a, :] = mani.derivative_along(m, y.derivative[idx][:, a], g)
+    dag = np.swapaxes(y.derivative_samples(g), 1, 2)  # (N+1, n, k, D)
     return ControlledOneForm(y.times, alpha, dag, par, y)
 
 
@@ -152,7 +165,7 @@ def integrator_increments(y: ManifoldControlledPath, gauge: Gauge, stensor: Comp
     areas = y.driver.area_pairs(i, j)
     ydag = y.derivative[i]
     pushed = np.einsum("pda,peb,pab->pde", ydag, ydag, areas)
-    corr = np.stack([stensor.apply_tensor(y.points[ii], pushed[c]) for c, ii in enumerate(i)])
+    corr = np.einsum("pcab,pab->pc", stensor.stack(y.points[i]), pushed)
     second = np.einsum("pab,pdb->pad", areas, ydag)
     return psi + corr, second
 
@@ -216,15 +229,14 @@ def gauge_change(a: ControlledOneForm, new_par: Parallelism) -> ControlledOneFor
     """Transport a controlled one-form to another parallelism.
 
     The value samples are unchanged; the derivative samples absorb the
-    compatibility tensor between the parallelisms contracted with y'.
+    compatibility tensor between the parallelisms (``change_tensor``: closed
+    form where one exists) contracted with y', at all nodes at once.
     """
     y = a.path
-    s = compatibility_tensor(new_par, a.parallelism, y.manifold)
-    n = y.times.size
-    dag = a.alpha_dag.copy()
-    for idx in range(n):
-        s_m = s.at(y.points[idx])
-        dag[idx] += np.einsum("nc,ced,ea->nad", a.alpha[idx], s_m, y.derivative[idx])
+    new_par.check_manifold(y.manifold)
+    a.parallelism.check_manifold(y.manifold)
+    s = change_tensor(new_par, a.parallelism, y.manifold).stack(y.points)
+    dag = a.alpha_dag + np.einsum("pnc,pced,pea->pnad", a.alpha, s, y.derivative)
     return ControlledOneForm(a.times, a.alpha.copy(), dag, new_par, y)
 
 
@@ -350,7 +362,7 @@ def integrator_difference_defect(y: ManifoldControlledPath, g1: Gauge, g2: Gauge
     f2, _ = integrator_increments(y, g2, s2, i, i + 1)
     ydag = y.derivative[: n]
     pushed = np.einsum("pda,peb,pab->pde", ydag, ydag, y.driver.step_areas)
-    corr = np.stack([s12.apply_tensor(y.points[ii], pushed[c]) for c, ii in enumerate(i)])
+    corr = np.einsum("pcab,pab->pc", s12.stack(y.points[:n]), pushed)
     return float(np.max(np.linalg.norm(f1 - f2 - corr, axis=-1)))
 
 
