@@ -12,7 +12,7 @@ import numpy as np
 from .controls import Control
 from .errors import ConfigError
 from .gauges import logarithm_gauge
-from .linalg import hat, so3_exp
+from .linalg import SO3_BASIS, hat, so3_exp
 from .manifolds import ChartManifold, SO3, Sphere
 from .mcrp import ManifoldControlledPath, crp_from_projection, crp_from_smooth_curve
 from .mrde import ManifoldDrivingField
@@ -193,7 +193,7 @@ def sphere_projection_flow(y0, speed, times):
 
 def so3_right_invariant_field():
     def fn(g):
-        return np.stack([(-(hat(e) @ g)).reshape(9) for e in np.eye(3)], axis=1)
+        return -(SO3_BASIS @ np.asarray(g, dtype=float)).reshape(3, 9).T
 
     return ManifoldDrivingField(SO3M, fn, name="right-invariant")
 
@@ -202,7 +202,7 @@ def so3_left_invariant_field():
     """V_a(g) = g hat(e_a): driven by x(t) = t a, the solution from g0 is g0 expm(t hat(a))."""
 
     def fn(g):
-        return np.stack([(g @ hat(e)).reshape(9) for e in np.eye(3)], axis=1)
+        return (np.asarray(g, dtype=float) @ SO3_BASIS).reshape(3, 9).T
 
     return ManifoldDrivingField(SO3M, fn, name="left-invariant")
 

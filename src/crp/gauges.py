@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ChartSingular, GaugeMismatch
 from .linalg import FD_STEP, richardson_diff
-from .manifolds import Chart, Manifold
+from .manifolds import CHART_FAILURES, Chart, Manifold
 
 TAYLOR_FD_STEP = 1e-3
 
@@ -29,9 +29,9 @@ class Parallelism:
         self.connection = connection
 
     def check_manifold(self, manifold: Manifold):
-        """Raise ``GaugeMismatch`` unless ``manifold`` equals this parallelism's manifold (by flat size and spec)."""
+        """Raise ``GaugeMismatch`` unless ``manifold`` has this parallelism's manifold's geometry."""
         mine = self.manifold
-        if mine is not manifold and (mine.flat_dim != manifold.flat_dim or mine.spec_json() != manifold.spec_json()):
+        if not mine.same_geometry(manifold):
             raise GaugeMismatch(f"parallelism {self.name} lives on {mine.name}, the path on {manifold.name}")
 
     def matrix(self, to_pt, from_pt):
@@ -149,18 +149,24 @@ def connection_gauge(manifold: Manifold) -> Gauge:
 def chart_gauge(manifold: Manifold, chart: Chart) -> Gauge:
     """Pullback of the standard flat gauge through a chart."""
 
-    def guard(p):
-        if chart.margin(p) <= 0:
+    def coords(p):
+        """Chart coordinates of p, read once; ``ChartSingular`` outside the chart."""
+        try:
+            x = chart.to_coords(p)
+        except CHART_FAILURES:
+            x = None
+        if x is None or chart.coords_margin(x) <= 0:
             raise ChartSingular(f"point outside chart {chart.name}")
-        return p
+        return x
 
     def psi(m, n):
-        guard(m), guard(n)
-        return manifold.unflatten(chart.dfrom(chart.to_coords(m)) @ (chart.to_coords(n) - chart.to_coords(m)))
+        xm = coords(m)
+        return manifold.unflatten(chart.dfrom(xm) @ (coords(n) - xm))
 
     def umat(a, b):
-        guard(a), guard(b)
-        return chart.dfrom(chart.to_coords(a)) @ chart.dto(b)
+        xa = coords(a)
+        coords(b)
+        return chart.dfrom(xa) @ chart.dto(b)
 
     par = Parallelism(manifold, umat, name=f"chart({chart.name})", chart=chart)
     log = Logarithm(manifold, psi, d2_fn=umat, name=f"chart({chart.name})")

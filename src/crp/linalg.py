@@ -31,6 +31,10 @@ def hat(w):
     )
 
 
+SO3_BASIS = np.stack([hat(e) for e in np.eye(3)])  # hat(e_a), shape (3, 3, 3)
+SO3_BASIS.flags.writeable = False
+
+
 def vee(W):
     """so(3) -> R^3 (antisymmetrizes first)."""
     A = 0.5 * (np.asarray(W) - np.asarray(W).T)

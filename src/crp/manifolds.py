@@ -21,6 +21,7 @@ from scipy.linalg import block_diag
 from .errors import AtlasGap, ChartExit, ConfigError, CrpError, DomainError, LogFailure, NearCutLocus, ShapeError
 from .linalg import (
     FD_STEP,
+    SO3_BASIS,
     hat,
     polar_retract,
     richardson_diff,
@@ -32,6 +33,7 @@ from .linalg import (
 )
 
 GAUGE_RADIUS_MARGIN = 0.1  # geodesic-ball radius pi - 0.1 on S^2 and SO(3)
+CHART_FAILURES = (CrpError, FloatingPointError, ValueError, ZeroDivisionError)  # a point no chart map reads
 
 
 @dataclass
@@ -60,7 +62,7 @@ class Chart:
     def margin(self, p):
         try:
             return self.coords_margin(self.to_coords(p))
-        except (CrpError, FloatingPointError, ValueError, ZeroDivisionError):
+        except CHART_FAILURES:
             return -np.inf
 
     def contains(self, p):
@@ -199,6 +201,10 @@ class Manifold:
     def spec_json(self):
         return {"type": self.name, "dim": self.dim}
 
+    def same_geometry(self, other):
+        """True when ``other`` is this manifold or one with equal flat size, spec and connection."""
+        return self is other or (self.flat_dim == other.flat_dim and self.spec_json() == other.spec_json())
+
 
 # ---------------------------------------------------------------------------
 # Unit sphere S^2 in R^3
@@ -288,10 +294,11 @@ class Sphere(Manifold):
         x = np.asarray(x, dtype=float)
         dl = -2.0 * x / (1.0 + np.sum(x * x, axis=-1, keepdims=True))  # gradient of the conformal factor
         eye = np.eye(2)
+        # A[i, j, l] = delta_ij dl_l + delta_il dl_j - delta_jl dl_i, by broadcasting
         return (
-            np.einsum("ij,...l->...ijl", eye, dl)
-            + np.einsum("il,...j->...ijl", eye, dl)
-            - np.einsum("jl,...i->...ijl", eye, dl)
+            eye[:, :, None] * dl[..., None, None, :]
+            + eye[:, None, :] * dl[..., None, :, None]
+            - eye * dl[..., :, None, None]
         )
 
     def random_point(self, rng):
@@ -492,16 +499,15 @@ def _so3_log_chart(center, idx):
         return so3_exp(x) @ c
 
     def dto(g):
+        # column (i, c) is J_l^{-1} vee(E_ic g^T), and vee(E_ic g^T)_r = -(hat(e_i) g)_rc / 2
         g = np.asarray(g, dtype=float)
-        zeta = so3_log(g @ c.T)
-        jli = so3_left_jacobian_inv(zeta)
-        return np.stack([jli @ vee(xi.reshape(3, 3) @ g.T) for xi in np.eye(9)], axis=1)
+        jli = so3_left_jacobian_inv(so3_log(g @ c.T))
+        return jli @ (-0.5 * np.einsum("irk,kc->ric", SO3_BASIS, g)).reshape(3, 9)
 
     def dfrom(x):
+        # column j is hat(J_l e_j) g
         x = np.asarray(x, dtype=float)
-        jl = so3_left_jacobian(x)
-        g = so3_exp(x) @ c
-        return np.stack([(hat(jl @ e) @ g).reshape(9) for e in np.eye(3)], axis=1)
+        return (SO3_BASIS @ (so3_exp(x) @ c)).reshape(3, 9).T @ so3_left_jacobian(x)
 
     return Chart(
         name=f"so3-log-{idx}",
@@ -699,6 +705,10 @@ class ChartManifold(Manifold):
     def random_point(self, rng):
         return self.center + 0.3 * self.radius * rng.standard_normal(self.point_shape)
 
+    def same_geometry(self, other):
+        # the spec names a custom connection but cannot hold it, so compare the callables
+        return super().same_geometry(other) and self.gamma is getattr(other, "gamma", None)
+
     def spec_json(self):
         return {
             "type": "chart",
@@ -811,6 +821,13 @@ class ProductManifold(Manifold):
 
     def random_point(self, rng):
         return self.join(self.first.random_point(rng), self.second.random_point(rng))
+
+    def same_geometry(self, other):
+        return self is other or (
+            isinstance(other, ProductManifold)
+            and self.first.same_geometry(other.first)
+            and self.second.same_geometry(other.second)
+        )
 
 
 def manifold_from_spec(doc):

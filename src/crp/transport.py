@@ -3,17 +3,19 @@ and the development/anti-development correspondence."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
 from .controlled import ControlledPath, associated_roughpath, check_same_grid
-from .errors import ShapeError
+from .errors import DomainError, NotOnManifold, ShapeError
+from .flatrde import DrivingField, rde_solve_flat
 from .gauges import Gauge, chart_rep_derivative, connection_gauge
 from .linalg import hat, vee
 from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
-from .mcrp import ManifoldControlledPath
+from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
 from .mrde import ChartWalk, ManifoldDrivingField, _chart_step, rde_solve_manifold
 from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
 from .roughpath import RoughPath
@@ -35,6 +37,8 @@ class MatrixGroup:
             self.alg_dim = 3
             self.manifold = SO3()
         elif kind == "gl":
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+                raise ShapeError(f"GL(n) needs a positive integer n, got {size!r}")
             self.kind = "gl"
             self.size = int(size)
             self.alg_dim = self.size**2
@@ -42,6 +46,8 @@ class MatrixGroup:
             self.manifold = ChartManifold(self.alg_dim, radius=1e6, center=np.zeros((self.size, self.size)))
         else:
             raise ShapeError(f"unknown group {kind!r}")
+        # algebra basis matrices alg_to_matrix(e_a), shape (alg_dim, size, size)
+        self.basis = np.stack([self.alg_to_matrix(e) for e in np.eye(self.alg_dim)])
 
     def alg_to_matrix(self, a):
         if self.kind == "so3":
@@ -110,9 +116,7 @@ def right_invariant_field(group: MatrixGroup) -> ManifoldDrivingField:
     """F_a(g) = -hat(a) g on the group manifold (driver = algebra coords)."""
 
     def fn(g):
-        g = np.asarray(g, dtype=float)
-        cols = [(-(group.alg_to_matrix(e) @ g)).reshape(-1) for e in np.eye(group.alg_dim)]
-        return np.stack(cols, axis=1)
+        return -(group.basis @ np.asarray(g, dtype=float)).reshape(group.alg_dim, -1).T
 
     return ManifoldDrivingField(group.manifold, fn, name=f"right-invariant({group.kind})")
 
@@ -121,24 +125,32 @@ def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup, retracti
     """Solve dg = -(dz) g from g0 along the rough path associated to z.
 
     The solve runs from the identity and is right-translated by g0, which is
-    the same solution by right invariance and makes equivariance exact.  The
-    returned path is controlled by the original driver (chain rule through z').
+    the same solution by right invariance and makes equivariance exact.  On
+    GL(d) it is linear, vec(dg) = -dz_a (E_a x I) vec(g), and runs on the flat
+    solver; SO(3) runs chart-patched.  The returned path is controlled by the
+    original driver (chain rule through z').
     """
     check_same_grid(z.times, rp.times)
-    zrp = associated_roughpath(z, rp)
-    if retraction is None:
-        retraction = group.kind == "so3"
-    sol = rde_solve_manifold(right_invariant_field(group), zrp, group.identity(), retraction=retraction)
     g0 = np.asarray(g0, dtype=float)
-    n = rp.times.size
-    pts = np.einsum("pij,jk->pik", sol.points, g0)
-    deriv = np.empty((n, group.manifold.flat_dim, rp.dim))
-    for i in range(n):
-        gi = pts[i]
-        for a in range(rp.dim):
-            deriv[i][:, a] = (-(group.alg_to_matrix(z.derivative[i][:, a]) @ gi)).reshape(-1)
+    s = group.size
+    if g0.shape != (s, s):
+        raise ShapeError(f"g0 has shape {g0.shape}, the group acts on ({s}, {s}) matrices")
+    if z.values.shape[1:] != (group.alg_dim,):
+        raise ShapeError(f"z takes values of shape {z.values.shape[1:]}, the algebra has dimension {group.alg_dim}")
+    zrp = associated_roughpath(z, rp)
+    if group.kind == "gl":
+        sol = rde_solve_flat(DrivingField(matrices=-np.kron(group.basis, np.eye(s))), zrp, np.eye(s).reshape(-1))
+        points, meta = sol.values.reshape(-1, s, s), {"chart_switches": [], "retraction": False}
+    else:
+        retraction = True if retraction is None else retraction
+        sol = rde_solve_manifold(right_invariant_field(group), zrp, group.identity(), retraction=retraction)
+        points, meta = sol.points, sol.meta
+    pts = np.einsum("pij,jk->pik", points, g0)
+    # column a of g' is -(z'_a)^ g, with z'_a the algebra element of column a of z's derivative
+    gens = np.einsum("bij,pba->paij", group.basis, z.derivative)
+    deriv = np.moveaxis(-(gens @ pts[:, None]), 1, -1).reshape(-1, s * s, rp.dim)
     out = ManifoldControlledPath(group.manifold, rp.times, pts, deriv, rp)
-    out.meta = getattr(sol, "meta", {})
+    out.meta = meta
     return out
 
 
@@ -146,14 +158,8 @@ def right_maurer_cartan_form(group: MatrixGroup):
     """theta_r as a smooth algebra-valued one-form on the group manifold."""
 
     def alpha(g):
-        g = np.asarray(g, dtype=float)
-        ginv = np.linalg.inv(g)
-        rows = []
-        for i in range(group.manifold.flat_dim):
-            xi = np.zeros(group.manifold.flat_dim)
-            xi[i] = 1.0
-            rows.append(group.matrix_to_alg(xi.reshape(g.shape) @ ginv))
-        return np.stack(rows, axis=1)
+        ginv = np.linalg.inv(np.asarray(g, dtype=float))
+        return np.stack([group.matrix_to_alg(xi.reshape(ginv.shape) @ ginv) for xi in np.eye(ginv.size)], axis=1)
 
     return alpha
 
@@ -185,9 +191,7 @@ class HorizontalLift:
 
     def product_path(self) -> ManifoldControlledPath:
         prod = ProductManifold(self.base.manifold, self.connection.group.manifold)
-        pts = np.stack(
-            [prod.join(self.base.points[i], self.group_path.points[i]) for i in range(self.base.times.size)]
-        )
+        pts = prod.join(self.base.points, self.group_path.points)
         deriv = np.concatenate([self.base.derivative, self.group_path.derivative], axis=1)
         return ManifoldControlledPath(prod, self.base.times, pts, deriv, self.base.driver)
 
@@ -197,19 +201,13 @@ class HorizontalLift:
         d1 = self.base.manifold.flat_dim
 
         def alpha(p):
+            # columns: Ad_{g^-1} Gamma(e_c) on base directions, g^-1 xi on fiber directions
             m, g = prod.split(p)
             ginv = np.linalg.inv(g)
             gam = conn.gamma_matrix(m)
-            rows = np.empty((conn.group.alg_dim, prod.flat_dim))
-            for c in range(prod.flat_dim):
-                e = np.zeros(prod.flat_dim)
-                e[c] = 1.0
-                if c < d1:
-                    val = ginv @ conn.group.alg_to_matrix(gam @ e[:d1]) @ g
-                else:
-                    val = ginv @ e[d1:].reshape(g.shape)
-                rows[:, c] = conn.group.matrix_to_alg(val)
-            return rows
+            base = [ginv @ conn.group.alg_to_matrix(gam[:, c]) @ g for c in range(d1)]
+            fiber = [ginv @ xi.reshape(g.shape) for xi in np.eye(prod.flat_dim - d1)]
+            return np.stack([conn.group.matrix_to_alg(v) for v in base + fiber], axis=1)
 
         return alpha, prod
 
@@ -241,19 +239,25 @@ def horizontal_lift(y: ManifoldControlledPath, conn: ConnectionForm, u0_group, b
 def chart_christoffels(manifold: Manifold, chart: Chart, x):
     """Connection coefficients of the manifold connection in chart coordinates.
 
-    Returns the (d, d, d) array A with (A<v>w)_i = A[i, j, l] v_j w_l, computed
+    Returns the (d, d, d) array A with (A<v>w)_i = A[i, j, l] v_j w_l, or a
+    stack (..., d, d, d) for stacked coordinates x of shape (..., d), computed
     from the closed form when the manifold provides one and otherwise by
-    Richardson differences of the chart representative of parallel transport.
+    Richardson differences of the chart representative of parallel transport,
+    one point at a time.
     """
+    x = np.asarray(x, dtype=float)
     closed = getattr(manifold, "chart_christoffels", None)
     if closed is not None:
         got = closed(chart, x)
         if got is not None:
             return np.asarray(got, dtype=float)
-    m = chart.from_coords(x)
-    # A_x<e_j> = D2 Ubar(x, x)<e_j> (source-point derivative of transport)
-    d = chart_rep_derivative([manifold.transport], chart, m, x, chart.dto(m))[0]
-    return np.transpose(d, (0, 2, 1))
+
+    def fd(p):
+        m = chart.from_coords(p)
+        # A_x<e_j> = D2 Ubar(x, x)<e_j> (source-point derivative of transport)
+        return np.transpose(chart_rep_derivative([manifold.transport], chart, m, p, chart.dto(m))[0], (0, 2, 1))
+
+    return np.stack([fd(p) for p in x.reshape(-1, x.shape[-1])]).reshape(x.shape + (x.shape[-1],) * 2)
 
 
 @dataclass
@@ -272,6 +276,16 @@ class FrameLift:
         return float(np.arctan2(hol[1, 0] - hol[0, 1], hol[0, 0] + hol[1, 1]))
 
 
+def _check_frame(manifold: Manifold, u0):
+    """``u0`` as a finite (D, d) frame matrix of ``manifold``."""
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (manifold.flat_dim, manifold.dim):
+        raise ShapeError(f"frame has shape {u0.shape}, expected ({manifold.flat_dim}, {manifold.dim})")
+    if not np.all(np.isfinite(u0)):
+        raise DomainError("frame has non-finite entries")
+    return u0
+
+
 def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gauge=None) -> FrameLift:
     """Parallel translation of a frame along y via the frame-bundle lift.
 
@@ -281,6 +295,7 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
     """
     mani = y.manifold
     d = mani.dim
+    u0 = _check_frame(mani, u0)
     base_gauge = base_gauge or connection_gauge(mani)
     group = MatrixGroup("gl", d)
     n = y.times.size
@@ -289,8 +304,7 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
         walk.visit(i, y.points[i], walk.chart.margin(y.points[i]))
     segs = walk.close(n - 1)
     frames = np.empty((n, mani.flat_dim, d))
-    u_cur = np.asarray(u0, dtype=float)
-    frames[0] = u_cur
+    frames[0] = u_cur = u0
     z_pieces = []
     for (i0, i1, chart) in segs:
         xs = np.stack([chart.to_coords(y.points[i]) for i in range(i0, i1 + 1)])
@@ -339,33 +353,26 @@ def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = N
     """Anti-development: flat path read off through the parallel frames.
 
     Returns (flat controlled path, frame lift).  The increments integrate the
-    canonical form along the lifted path, segment by segment.
+    canonical form along the lifted path, each chart segment on its whole grid
+    at once.
     """
     mani = y.manifold
-    d = mani.dim
+    u0 = _check_frame(mani, u0)
     lift = lift or parallel_translate_frame(y, u0, atlas=atlas)
-    n = y.times.size
-    values = np.zeros((n, d))
-    deriv = np.empty((n, d, y.driver_dim))
-    for i in range(n):
-        deriv[i] = np.linalg.pinv(lift.frames[i]) @ y.derivative[i]
+    values = np.zeros((y.times.size, mani.dim))
+    deriv = np.linalg.pinv(lift.frames) @ y.derivative
     for (i0, i1, chart) in lift.segments:
-        xs = np.stack([chart.to_coords(y.points[i]) for i in range(i0, i1 + 1)])
-        xdag = np.stack([chart.dto(y.points[i]) @ y.derivative[i] for i in range(i0, i1 + 1)])
-        ubars = np.stack([chart.dto(y.points[i]) @ lift.frames[i] for i in range(i0, i1 + 1)])
-        for off in range(i1 - i0):
-            i = i0 + off
-            ub = ubars[off]
-            ub_inv = np.linalg.inv(ub)
-            first = ub_inv @ (xs[off + 1] - xs[off])
-            x_at = chart_christoffels(mani, chart, xs[off])
-            # d/d ubar of ubar^{-1} v is -ubar^{-1} (d ubar) ubar^{-1} v and the
-            # lift moves with d ubar = -A<v_a> ubar, so the area correction is
-            # ubar^{-1} A<v_a> v_b contracted against the step tensor.
-            area = y.driver.step_areas[i]
-            xd = xdag[off]  # (d, k) chart coords of y'
-            second = ub_inv @ np.einsum("ijl,ja,lb,ab->i", x_at, xd, xd, area)
-            values[i + 1] = values[i] + first + second
+        xs = np.stack([chart.to_coords(p) for p in y.points[i0 : i1 + 1]])
+        dtos = np.stack([chart.dto(p) for p in y.points[i0:i1]])
+        ub_inv = np.linalg.inv(dtos @ lift.frames[i0:i1])
+        xdag = dtos @ y.derivative[i0:i1]  # (steps, d, k) chart coords of y'
+        # d/d ubar of ubar^{-1} v is -ubar^{-1} (d ubar) ubar^{-1} v and the
+        # lift moves with d ubar = -A<v_a> ubar, so the area correction is
+        # ubar^{-1} A<v_a> v_b contracted against the step tensor.
+        area = np.einsum("pijl,pja,plb,pab->pi", chart_christoffels(mani, chart, xs[:-1]), xdag, xdag,
+                         y.driver.step_areas[i0:i1])
+        inc = np.einsum("pij,pj->pi", ub_inv, np.diff(xs, axis=0) + area)
+        values[i0 : i1 + 1] = np.cumsum(np.concatenate([values[i0 : i0 + 1], inc]), axis=0)
     return ControlledPath(y.times, values, deriv), lift
 
 
@@ -377,13 +384,21 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
     Returns (manifold controlled path, frame lift).
     """
     check_same_grid(z.times, rp.times)
-    zrp = associated_roughpath(z, rp)
     d = manifold.dim
+    if z.values.shape[1:] != (d,):
+        raise ShapeError(f"z takes values of shape {z.values.shape[1:]}, the manifold has dimension {d}")
+    o = np.asarray(o, dtype=float)
+    if o.shape != manifold.point_shape:
+        raise ShapeError(f"start point has shape {o.shape}, expected {manifold.point_shape}")
+    if not manifold.on_manifold(o, tol=BASEPOINT_TOL):
+        raise NotOnManifold(0, f"start point is not on {manifold.name}")
+    u0 = _check_frame(manifold, u0)
+    zrp = associated_roughpath(z, rp)
     n = zrp.n_steps
     pts = np.empty((n + 1,) + manifold.point_shape)
     frames = np.empty((n + 1, manifold.flat_dim, d))
-    pts[0] = np.asarray(o, dtype=float)
-    frames[0] = np.asarray(u0, dtype=float)
+    pts[0] = o
+    frames[0] = u0
     walk = ChartWalk(manifold, atlas, zrp.times, pts[0])
     chart = walk.chart
     x = chart.to_coords(pts[0])
@@ -418,8 +433,6 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
 
 def rolled_oneform(a: ControlledOneForm, lift: FrameLift) -> ControlledPath:
     """Transport a controlled one-form to flat data through the frames."""
-    n = a.times.size
-    d = lift.frames.shape[2]
     vals = np.einsum("pnD,pDc->pnc", a.alpha, lift.frames)
     dag = np.einsum("pnaD,pDc->pnca", a.alpha_dag, lift.frames)
     return ControlledPath(a.times, vals, dag)
