@@ -17,6 +17,7 @@ from .manifolds import ChartManifold, SO3, Sphere
 from .mcrp import ManifoldControlledPath, crp_from_projection, crp_from_smooth_curve
 from .mrde import ManifoldDrivingField
 from .roughpath import RoughPath, lift_smooth, pure_area_driver, time_lift
+from .transport import MatrixGroup, right_invariant_field
 
 SPHERE = Sphere()
 SO3M = SO3()
@@ -192,10 +193,7 @@ def sphere_projection_flow(y0, speed, times):
 
 
 def so3_right_invariant_field():
-    def fn(g):
-        return -(SO3_BASIS @ np.asarray(g, dtype=float)).reshape(3, 9).T
-
-    return ManifoldDrivingField(SO3M, fn, name="right-invariant")
+    return ManifoldDrivingField(SO3M, right_invariant_field(MatrixGroup("so3")).field, name="right-invariant")
 
 
 def so3_left_invariant_field():

@@ -294,11 +294,10 @@ class Sphere(Manifold):
         x = np.asarray(x, dtype=float)
         dl = -2.0 * x / (1.0 + np.sum(x * x, axis=-1, keepdims=True))  # gradient of the conformal factor
         eye = np.eye(2)
-        # A[i, j, l] = delta_ij dl_l + delta_il dl_j - delta_jl dl_i, by broadcasting
         return (
-            eye[:, :, None] * dl[..., None, None, :]
-            + eye[:, None, :] * dl[..., None, :, None]
-            - eye * dl[..., :, None, None]
+            np.einsum("ij,...l->...ijl", eye, dl)
+            + np.einsum("il,...j->...ijl", eye, dl)
+            - np.einsum("jl,...i->...ijl", eye, dl)
         )
 
     def random_point(self, rng):

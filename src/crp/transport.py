@@ -13,7 +13,7 @@ from .controlled import ControlledPath, associated_roughpath, check_same_grid
 from .errors import DomainError, NotOnManifold, ShapeError
 from .flatrde import DrivingField, rde_solve_flat
 from .gauges import Gauge, chart_rep_derivative, connection_gauge
-from .linalg import hat, vee
+from .linalg import SO3_BASIS, hat, vee
 from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
 from .mrde import ChartWalk, ManifoldDrivingField, _chart_step, rde_solve_manifold
@@ -36,6 +36,7 @@ class MatrixGroup:
             self.size = 3
             self.alg_dim = 3
             self.manifold = SO3()
+            self.basis = SO3_BASIS  # hat(e_a), shape (3, 3, 3)
         elif kind == "gl":
             if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
                 raise ShapeError(f"GL(n) needs a positive integer n, got {size!r}")
@@ -44,10 +45,9 @@ class MatrixGroup:
             self.alg_dim = self.size**2
             # GL(d) is an open subset of the flat R^{d x d}; points are matrices
             self.manifold = ChartManifold(self.alg_dim, radius=1e6, center=np.zeros((self.size, self.size)))
+            self.basis = np.eye(self.alg_dim).reshape(self.alg_dim, self.size, self.size)  # alg_to_matrix(e_a)
         else:
             raise ShapeError(f"unknown group {kind!r}")
-        # algebra basis matrices alg_to_matrix(e_a), shape (alg_dim, size, size)
-        self.basis = np.stack([self.alg_to_matrix(e) for e in np.eye(self.alg_dim)])
 
     def alg_to_matrix(self, a):
         if self.kind == "so3":
@@ -139,7 +139,9 @@ def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup, retracti
         raise ShapeError(f"z takes values of shape {z.values.shape[1:]}, the algebra has dimension {group.alg_dim}")
     zrp = associated_roughpath(z, rp)
     if group.kind == "gl":
-        sol = rde_solve_flat(DrivingField(matrices=-np.kron(group.basis, np.eye(s))), zrp, np.eye(s).reshape(-1))
+        field = DrivingField(matrices=-np.kron(group.basis, np.eye(s)))
+        # entries past the radius of the group manifold's only chart count as an explosion
+        sol = rde_solve_flat(field, zrp, np.eye(s).reshape(-1), explosion_bound=group.manifold.radius)
         points, meta = sol.values.reshape(-1, s, s), {"chart_switches": [], "retraction": False}
     else:
         retraction = True if retraction is None else retraction
@@ -158,8 +160,14 @@ def right_maurer_cartan_form(group: MatrixGroup):
     """theta_r as a smooth algebra-valued one-form on the group manifold."""
 
     def alpha(g):
-        ginv = np.linalg.inv(np.asarray(g, dtype=float))
-        return np.stack([group.matrix_to_alg(xi.reshape(ginv.shape) @ ginv) for xi in np.eye(ginv.size)], axis=1)
+        g = np.asarray(g, dtype=float)
+        ginv = np.linalg.inv(g)
+        rows = []
+        for i in range(group.manifold.flat_dim):
+            xi = np.zeros(group.manifold.flat_dim)
+            xi[i] = 1.0
+            rows.append(group.matrix_to_alg(xi.reshape(g.shape) @ ginv))
+        return np.stack(rows, axis=1)
 
     return alpha
 
@@ -191,7 +199,9 @@ class HorizontalLift:
 
     def product_path(self) -> ManifoldControlledPath:
         prod = ProductManifold(self.base.manifold, self.connection.group.manifold)
-        pts = prod.join(self.base.points, self.group_path.points)
+        pts = np.stack(
+            [prod.join(self.base.points[i], self.group_path.points[i]) for i in range(self.base.times.size)]
+        )
         deriv = np.concatenate([self.base.derivative, self.group_path.derivative], axis=1)
         return ManifoldControlledPath(prod, self.base.times, pts, deriv, self.base.driver)
 
@@ -201,13 +211,19 @@ class HorizontalLift:
         d1 = self.base.manifold.flat_dim
 
         def alpha(p):
-            # columns: Ad_{g^-1} Gamma(e_c) on base directions, g^-1 xi on fiber directions
             m, g = prod.split(p)
             ginv = np.linalg.inv(g)
             gam = conn.gamma_matrix(m)
-            base = [ginv @ conn.group.alg_to_matrix(gam[:, c]) @ g for c in range(d1)]
-            fiber = [ginv @ xi.reshape(g.shape) for xi in np.eye(prod.flat_dim - d1)]
-            return np.stack([conn.group.matrix_to_alg(v) for v in base + fiber], axis=1)
+            rows = np.empty((conn.group.alg_dim, prod.flat_dim))
+            for c in range(prod.flat_dim):
+                e = np.zeros(prod.flat_dim)
+                e[c] = 1.0
+                if c < d1:
+                    val = ginv @ conn.group.alg_to_matrix(gam @ e[:d1]) @ g
+                else:
+                    val = ginv @ e[d1:].reshape(g.shape)
+                rows[:, c] = conn.group.matrix_to_alg(val)
+            return rows
 
         return alpha, prod
 
@@ -362,6 +378,8 @@ def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = N
     values = np.zeros((y.times.size, mani.dim))
     deriv = np.linalg.pinv(lift.frames) @ y.derivative
     for (i0, i1, chart) in lift.segments:
+        if i1 == i0:
+            continue  # a chart switch at the last node: the previous segment set values[i0]
         xs = np.stack([chart.to_coords(p) for p in y.points[i0 : i1 + 1]])
         dtos = np.stack([chart.dto(p) for p in y.points[i0:i1]])
         ub_inv = np.linalg.inv(dtos @ lift.frames[i0:i1])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import crp.mrde
-from crp import ChartSingular, ControlledPath, DomainError, GaugeMismatch, NotOnManifold, ShapeError
+from crp import ChartSingular, ControlledPath, DomainError, Explosion, GaugeMismatch, NotOnManifold, ShapeError
 from crp.controlled import associated_roughpath, driver_as_controlled
 from crp.fixtures import (
     SO3M,
@@ -32,6 +32,7 @@ from crp.mrde import rde_solve_manifold
 from crp.oneforms import oneform_from_smooth
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
 from crp.transport import (
+    FrameLift,
     MatrixGroup,
     chart_christoffels,
     group_rde,
@@ -126,6 +127,22 @@ def test_gl_group_rde_makes_no_chart_steps(monkeypatch):
     assert len(calls) == 32
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_gl_group_rde_explodes_when_the_chart_stepped_solve_did(d):
+    # g = diag(e^{30t}, 1, ...) leaves the chart of radius 1e6 near t = ln(1e6) / 30
+    grid = np.linspace(0.0, 1.0, 257)
+    rates = np.zeros(d * d)
+    rates[0] = -30.0
+    z = ControlledPath(grid, np.outer(grid, rates), np.broadcast_to(rates[:, None], (257, d * d, 1)).copy())
+    group = MatrixGroup("gl", d)
+    with pytest.raises(Explosion) as want:
+        chart_stepped_group_rde(z, time_lift(grid), np.eye(d), group)
+    with pytest.raises(Explosion) as got:
+        group_rde(z, time_lift(grid), np.eye(d), group)
+    assert got.value.time == want.value.time
+    assert abs(got.value.time - np.log(1e6) / 30.0) <= 2.0 / 256
+
+
 # -- whole-grid unroll -----------------------------------------------------------------------
 
 
@@ -145,6 +162,40 @@ def test_whole_grid_unroll_matches_per_node_reference(path):
     assert np.max(np.abs(z.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     for i in (0, 5, y.times.size - 1):
         assert np.allclose(z.derivative[i], np.linalg.pinv(lift.frames[i]) @ y.derivative[i], rtol=0, atol=1e-14)
+
+
+def roll_ending_in_a_chart_switch():
+    """A meridian geodesic rolled up to the node where it changes chart: its last segment is one node."""
+    n = 128
+    grid = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    vals = np.stack([np.zeros_like(grid), grid], axis=1)
+    dag = np.zeros((n + 1, 2, 1))
+    dag[:, 1, 0] = 1.0
+    o = np.array([0.0, 1.0, 0.0])
+    u0 = tangent_frame(o)
+    _, lift = roll(ControlledPath(grid, vals, dag), time_lift(grid), SPHERE, o, u0)
+    k = lift.segments[1][0]
+    z = ControlledPath(grid[: k + 1], vals[: k + 1], dag[: k + 1])
+    y, lift = roll(z, time_lift(grid[: k + 1]), SPHERE, o, u0)
+    return z, y, u0, lift
+
+
+@pytest.mark.parametrize("path", ["sphere-roll", "so3"])
+def test_unroll_through_a_one_node_last_segment(path):
+    if path == "sphere-roll":
+        z, y, u0, lift = roll_ending_in_a_chart_switch()
+        assert lift.segments[-1][:2] == (y.times.size - 1,) * 2
+    else:
+        y = so3_curve_crp(16)
+        u0 = (y.points[0] @ np.stack([hat(e) for e in np.eye(3)])).reshape(3, 9).T
+        lift = parallel_translate_frame(y, u0)
+        other = next(c for c in SO3M.charts() if c is not lift.segments[-1][2])
+        lift = FrameLift(base=y, frames=lift.frames, segments=lift.segments + [(16, 16, other)])
+    got, _ = unroll(y, u0, lift=lift)
+    want = per_node_unroll_values(y, lift)
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    if path == "sphere-roll":
+        assert np.max(np.abs(got.values - z.values)) <= 1e-3
 
 
 def test_chart_christoffels_accepts_stacked_coordinates():
