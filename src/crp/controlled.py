@@ -80,6 +80,11 @@ def check_same_grid(a_times, b_times):
         raise GridMismatch("operands live on different grids")
 
 
+def pushed_step_areas(z: ControlledPath, rp: RoughPath):
+    """Step areas z'_i (x) z'_i . A_i over z: the driver's step areas pushed through z's derivative."""
+    return z.derivative[:-1] @ rp.step_areas @ np.swapaxes(z.derivative[:-1], 1, 2)
+
+
 def associated_roughpath(z: ControlledPath, rp: RoughPath) -> RoughPath:
     """Rough path over z built from the controlled data.
 
@@ -90,8 +95,7 @@ def associated_roughpath(z: ControlledPath, rp: RoughPath) -> RoughPath:
     check_same_grid(z.times, rp.times)
     if z.values.ndim != 2:
         raise ShapeError("associated rough path needs vector-valued z")
-    zdag = z.derivative  # (N+1, m, k)
-    areas = np.einsum("iua,ivb,iab->iuv", zdag[:-1], zdag[:-1], rp.step_areas)
+    areas = pushed_step_areas(z, rp)
     c = _calibrate_control(z.values, rp.times, areas, rp.control.p)
     return RoughPath(rp.times, z.values.copy(), areas, Control.time_scale(c, rp.control.p))
 

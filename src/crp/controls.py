@@ -33,8 +33,8 @@ class Control:
         if not (1.0 <= self.p < 3.0):
             raise InvalidGrid(f"p={self.p} outside [1, 3)")
         if self.kind == "time-scale":
-            if self.scale < 0:
-                raise InvalidGrid("time-scale control needs a nonnegative scale")
+            if not (np.isfinite(self.scale) and self.scale >= 0):
+                raise InvalidGrid(f"time-scale control needs a finite nonnegative scale, got {self.scale!r}")
         elif self.kind == "table":
             if self.times is None or self.table is None:
                 raise InvalidGrid("table control needs times and table")

@@ -17,7 +17,6 @@ from .manifolds import ChartManifold, SO3, Sphere
 from .mcrp import ManifoldControlledPath, crp_from_projection, crp_from_smooth_curve
 from .mrde import ManifoldDrivingField
 from .roughpath import RoughPath, lift_smooth, pure_area_driver, time_lift
-from .transport import MatrixGroup, right_invariant_field
 
 SPHERE = Sphere()
 SO3M = SO3()
@@ -193,7 +192,7 @@ def sphere_projection_flow(y0, speed, times):
 
 
 def so3_right_invariant_field():
-    return ManifoldDrivingField(SO3M, right_invariant_field(MatrixGroup("so3")).field, name="right-invariant")
+    return ManifoldDrivingField.linear(SO3M, -SO3_BASIS, name="right-invariant")
 
 
 def so3_left_invariant_field():

@@ -104,7 +104,7 @@ def crp_from_projection(manifold: Manifold, rp: RoughPath, tol=BASEPOINT_TOL) ->
     """Embedded driver trace: points x(t_i) with derivative P(x(t_i))."""
     if rp.dim != manifold.flat_dim:
         raise ShapeError("driver must live in the ambient space of the manifold")
-    points = manifold.unflatten(rp.values)
+    points = manifold.unflatten(rp.values).copy()  # not a view of the driver
     deriv = np.empty((rp.times.size, manifold.flat_dim, rp.dim))
     for i in range(rp.times.size):
         off = float(np.linalg.norm(rp.values[i] - manifold.flatten(manifold.project(points[i]))))

@@ -1,22 +1,22 @@
-"""Rough differential equations on manifolds via chart-patched stepping."""
+"""Rough differential equations on manifolds via chart-patched or whole-grid linear steps."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
 
 from .controlled import ControlledPath, driver_as_controlled, dyadic_ladder
-from .errors import AtlasGap, Explosion, NotRelated
+from .errors import AtlasGap, DomainError, Explosion, NotOnManifold, NotRelated, ShapeError
+from .flatrde import EXPLOSION_BOUND, linear_flow
 from .gauges import Gauge, compatibility_tensor
-from .manifolds import Manifold
-from .mcrp import ManifoldControlledPath, crp_pushforward
+from .manifolds import SO3, Manifold, Sphere
+from .mcrp import BASEPOINT_TOL, ManifoldControlledPath, crp_pushforward
 from .oneforms import integrate_smooth_oneform
 from .roughpath import RoughPath
 from .sewing import rough_integrate
 
-EXPLOSION_BOUND = 1e8
 RECHART_MARGIN = 0.2  # re-chart when margin falls under 20% of the chart radius
 FD_STEP = 1e-6  # relative central-difference step of the second-order term
 
@@ -26,12 +26,27 @@ class ManifoldDrivingField:
     """Driver-linear field F with F_w(m) in T_mM.
 
     ``field(m)`` returns the (D, k) ambient matrix whose columns are the values
-    on the driver basis.
+    on the driver basis; ``linear`` alone sets ``generators``.
     """
 
     manifold: Manifold
     field: Callable
     name: str = "field"
+    generators: np.ndarray | None = dataclass_field(default=None, init=False)  # (k, d, d): F_a(m) = E_a m
+
+    @classmethod
+    def linear(cls, manifold: Manifold, generators, name="linear"):
+        """F_a(m) = E_a m for (k, d, d) generators E on points of shape (d,) or (d, c); on the sphere and
+        SO(3) F is tangent everywhere only for skew E, kept for the chart-free solve, elsewhere chart-stepped."""
+        gens = np.asarray(generators, dtype=float)
+        if len(shape := manifold.point_shape) not in (1, 2) or gens.ndim != 3 or gens.shape[1:] != (shape[0],) * 2:
+            raise ShapeError(f"generators of shape {gens.shape} do not act on {manifold.name} points of shape {shape}")
+        out = cls(manifold, lambda m: np.einsum("anm,m...->n...a", gens, m).reshape(-1, len(gens)), name)
+        if isinstance(manifold, (Sphere, SO3)):
+            if not np.allclose(gens, -np.swapaxes(gens, 1, 2), rtol=0.0, atol=BASEPOINT_TOL):
+                raise DomainError(f"generators that are not skew are not tangent to {manifold.name} everywhere")
+            out.generators = gens
+        return out
 
     def value_matrix(self, m):
         return np.asarray(self.field(m), dtype=float)
@@ -113,44 +128,53 @@ def rde_solve_manifold(
     atlas=None,
     explosion_bound=EXPLOSION_BOUND,
 ) -> ManifoldControlledPath:
-    """Chart-patched second-order solve of dy = F_{dX}(y).
+    """Second-order solve of dy = F_{dX}(y), chart-patched unless F has generators.
 
-    The step runs in the chart of a ``ChartWalk``; the times at which the chart
-    changes are recorded in ``meta``.  Explosion is proxied by exceeding the
-    ambient norm bound or leaving every atlas chart.
+    Skew generators take the log-ODE step of ``flatrde.linear_flow`` on the whole grid,
+    no chart.  Other fields step in the chart of a ``ChartWalk``, with chart changes in
+    ``meta``.  Explosion is proxied by exceeding the ambient bound or leaving every chart.
     """
     mani = field.manifold
     if horizon is not None:
         rp = rp.restrict(rp.index_of(horizon[0]), rp.index_of(horizon[1]))
-    n = rp.n_steps
-    points = np.empty((n + 1,) + mani.point_shape)
-    deriv = np.empty((n + 1, mani.flat_dim, rp.dim))
+    n, dxs = rp.n_steps, np.diff(rp.values, axis=0)
     y = np.asarray(y0, dtype=float)
-    points[0] = y
-    deriv[0] = field.value_matrix(y)
-    walk = ChartWalk(mani, atlas, rp.times, y)
-    chart = walk.chart
-    rep = field.chart_rep(chart)
-    x = chart.to_coords(y)
-    dxs = np.diff(rp.values, axis=0)
-    for i in range(n):
-        x = x + _chart_step(rep, x, dxs[i], rp.step_areas[i])
-        y = chart.from_coords(x)
-        if retraction:
-            y = mani.project(y)
-            x = chart.to_coords(y)
-        flat = mani.flatten(y)
-        if not np.all(np.isfinite(flat)) or float(np.linalg.norm(flat)) > explosion_bound:
-            raise Explosion(rp.times[i])
-        got = walk.visit(i + 1, y, chart.coords_margin(x))
-        if got is not None:
-            if got is not chart:
-                chart, rep = got, field.chart_rep(got)
-            x = chart.to_coords(y)
-        points[i + 1] = y
-        deriv[i + 1] = field.value_matrix(y)
+    if field.generators is not None:
+        if y.shape != mani.point_shape or rp.dim != len(field.generators):
+            raise ShapeError(f"need a {len(field.generators)}-dim driver and y0 of shape {mani.point_shape}")
+        if not mani.on_manifold(y, BASEPOINT_TOL):
+            raise NotOnManifold(0, f"start point is not on {mani.name}")
+        points = linear_flow(field.generators, rp.times, dxs, rp.step_areas, y, "exp", explosion_bound)
+        points = np.stack([mani.project(p) for p in points]) if retraction else points
+        deriv = np.einsum("anm,pm...->pn...a", field.generators, points).reshape(n + 1, mani.flat_dim, -1)
+        switches = []
+    else:
+        points = np.empty((n + 1,) + mani.point_shape)
+        deriv = np.empty((n + 1, mani.flat_dim, rp.dim))
+        points[0] = y
+        deriv[0] = field.value_matrix(y)
+        walk = ChartWalk(mani, atlas, rp.times, y)
+        chart = walk.chart
+        rep = field.chart_rep(chart)
+        x = chart.to_coords(y)
+        for i in range(n):
+            x = x + _chart_step(rep, x, dxs[i], rp.step_areas[i])
+            y = chart.from_coords(x)
+            if retraction:
+                y = mani.project(y)
+                x = chart.to_coords(y)
+            flat = mani.flatten(y)
+            if not np.all(np.isfinite(flat)) or float(np.linalg.norm(flat)) > explosion_bound:
+                raise Explosion(rp.times[i])
+            got = walk.visit(i + 1, y, chart.coords_margin(x))
+            if got is not None:
+                if got is not chart:
+                    chart, rep = got, field.chart_rep(got)
+                x = chart.to_coords(y)
+            points[i + 1] = y
+            deriv[i + 1] = field.value_matrix(y)
+        switches = [float(rp.times[i0]) for i0, _, _ in walk.close(n)[1:]]
     out = ManifoldControlledPath(mani, rp.times, points, deriv, rp)
-    switches = [float(rp.times[i0]) for i0, _, _ in walk.close(n)[1:]]
     out.meta = {"chart_switches": switches, "retraction": bool(retraction)}
     return out
 

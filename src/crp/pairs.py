@@ -26,8 +26,8 @@ DELTA_SLACK = 1e-12
 
 
 def ratio(num, om_pow):
-    """num / om_pow elementwise, with 0/0 -> 0 and x/0 -> inf for x > ZERO_NUM_TOL."""
-    pos = om_pow > 0
+    """num / om_pow elementwise, with 0/0 -> 0, x/0 -> inf for x > ZERO_NUM_TOL and NaN for a NaN control."""
+    pos = ~(om_pow <= 0)  # a NaN control takes the division, so its ratio is NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(pos, num / np.where(pos, om_pow, 1.0), np.where(num <= ZERO_NUM_TOL, 0.0, np.inf))
 

@@ -9,14 +9,14 @@ from typing import Callable
 
 import numpy as np
 
-from .controlled import ControlledPath, associated_roughpath, check_same_grid
+from .controlled import ControlledPath, check_same_grid, pushed_step_areas
 from .errors import DomainError, NotOnManifold, ShapeError
-from .flatrde import DrivingField, rde_solve_flat
+from .flatrde import EXPLOSION_BOUND, linear_flow
 from .gauges import Gauge, chart_rep_derivative, connection_gauge
 from .linalg import SO3_BASIS, hat, vee
 from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
-from .mrde import ChartWalk, ManifoldDrivingField, _chart_step, rde_solve_manifold
+from .mrde import ChartWalk, ManifoldDrivingField, _chart_step
 from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
 from .roughpath import RoughPath
 from .sewing import rough_integrate
@@ -114,21 +114,18 @@ class ConnectionForm:
 
 def right_invariant_field(group: MatrixGroup) -> ManifoldDrivingField:
     """F_a(g) = -hat(a) g on the group manifold (driver = algebra coords)."""
-
-    def fn(g):
-        return -(group.basis @ np.asarray(g, dtype=float)).reshape(group.alg_dim, -1).T
-
-    return ManifoldDrivingField(group.manifold, fn, name=f"right-invariant({group.kind})")
+    return ManifoldDrivingField.linear(group.manifold, -group.basis, name=f"right-invariant({group.kind})")
 
 
-def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup, retraction=None) -> ManifoldControlledPath:
+def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup) -> ManifoldControlledPath:
     """Solve dg = -(dz) g from g0 along the rough path associated to z.
 
-    The solve runs from the identity and is right-translated by g0, which is
-    the same solution by right invariance and makes equivariance exact.  On
-    GL(d) it is linear, vec(dg) = -dz_a (E_a x I) vec(g), and runs on the flat
-    solver; SO(3) runs chart-patched.  The returned path is controlled by the
-    original driver (chain rule through z').
+    The equation is linear in g, so ``flatrde.linear_flow`` solves it from the identity
+    on the whole grid from z's increments and step areas z' (x) z' . A: GL(d) by the
+    additive step, exploding where an entry passes the group chart's radius, SO(3) by
+    the exponential step, orthogonal without retraction.  Right translation by g0 gives
+    the same solution by right invariance and makes equivariance exact.  The returned
+    path is controlled by the original driver (chain rule through z').
     """
     check_same_grid(z.times, rp.times)
     g0 = np.asarray(g0, dtype=float)
@@ -137,22 +134,14 @@ def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup, retracti
         raise ShapeError(f"g0 has shape {g0.shape}, the group acts on ({s}, {s}) matrices")
     if z.values.shape[1:] != (group.alg_dim,):
         raise ShapeError(f"z takes values of shape {z.values.shape[1:]}, the algebra has dimension {group.alg_dim}")
-    zrp = associated_roughpath(z, rp)
-    if group.kind == "gl":
-        field = DrivingField(matrices=-np.kron(group.basis, np.eye(s)))
-        # entries past the radius of the group manifold's only chart count as an explosion
-        sol = rde_solve_flat(field, zrp, np.eye(s).reshape(-1), explosion_bound=group.manifold.radius)
-        points, meta = sol.values.reshape(-1, s, s), {"chart_switches": [], "retraction": False}
-    else:
-        retraction = True if retraction is None else retraction
-        sol = rde_solve_manifold(right_invariant_field(group), zrp, group.identity(), retraction=retraction)
-        points, meta = sol.points, sol.meta
-    pts = np.einsum("pij,jk->pik", points, g0)
+    scheme, bound = ("davie", group.manifold.radius) if group.kind == "gl" else ("exp", EXPLOSION_BOUND)
+    dz, areas = np.diff(z.values, axis=0), pushed_step_areas(z, rp)
+    pts = linear_flow(-group.basis, rp.times, dz, areas, None, scheme, bound) @ g0
     # column a of g' is -(z'_a)^ g, with z'_a the algebra element of column a of z's derivative
     gens = np.einsum("bij,pba->paij", group.basis, z.derivative)
     deriv = np.moveaxis(-(gens @ pts[:, None]), 1, -1).reshape(-1, s * s, rp.dim)
     out = ManifoldControlledPath(group.manifold, rp.times, pts, deriv, rp)
-    out.meta = meta
+    out.meta = {"chart_switches": [], "retraction": False}
     return out
 
 
@@ -411,17 +400,16 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
     if not manifold.on_manifold(o, tol=BASEPOINT_TOL):
         raise NotOnManifold(0, f"start point is not on {manifold.name}")
     u0 = _check_frame(manifold, u0)
-    zrp = associated_roughpath(z, rp)
-    n = zrp.n_steps
+    n = rp.n_steps
     pts = np.empty((n + 1,) + manifold.point_shape)
     frames = np.empty((n + 1, manifold.flat_dim, d))
     pts[0] = o
     frames[0] = u0
-    walk = ChartWalk(manifold, atlas, zrp.times, pts[0])
+    walk = ChartWalk(manifold, atlas, rp.times, pts[0])
     chart = walk.chart
     x = chart.to_coords(pts[0])
     ub = chart.dto(pts[0]) @ frames[0]
-    dz = np.diff(zrp.values, axis=0)
+    dz, areas = np.diff(z.values, axis=0), pushed_step_areas(z, rp)
 
     def step_field(state):
         xx, uu = state[:d], state[d:].reshape(d, d)
@@ -435,7 +423,7 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
 
     for i in range(n):
         state = np.concatenate([x, ub.reshape(-1)])
-        state = state + _chart_step(step_field, state, dz[i], zrp.step_areas[i])
+        state = state + _chart_step(step_field, state, dz[i], areas[i])
         x, ub = state[:d], state[d:].reshape(d, d)
         p = chart.from_coords(x)
         new = walk.visit(i + 1, p, chart.coords_margin(x))

@@ -49,6 +49,13 @@ class TestProjectionConstruction:
         with pytest.raises(NotOnManifold):
             crp_from_projection(SPHERE, rp)
 
+    def test_points_do_not_alias_the_driver(self):
+        y = sphere_spiral_crp(16)
+        assert not np.shares_memory(y.points, y.driver.values)
+        want = y.driver.values.copy()
+        y.points[3, 0] = np.nan
+        assert np.array_equal(y.driver.values, want)
+
     def test_constant_path(self):
         grid = np.linspace(0.0, 1.0, 9)
         rp = lift_smooth(

@@ -70,6 +70,11 @@ class TestKernel:
         om = np.array([0.0, 0.0, 0.0, 4.0])
         assert np.array_equal(ratio(num, om), [0.0, 0.0, np.inf, 0.5])
 
+    def test_ratio_of_a_nan_control_is_nan(self):
+        assert np.all(np.isnan(ratio(np.array([1.0, 1e-14]), np.array([np.nan, np.nan]))))
+        got = ratio(np.array([1.0, 1.0, 0.0]), np.array([np.nan, 2.0, 0.0]))
+        assert np.isnan(got[0]) and np.array_equal(got[1:], [0.5, 0.0])
+
     @pytest.mark.parametrize("n", [0, 2, 3, 7])
     def test_grid_triples_lexicographic(self, n):
         ref = [(a, b, c) for a in range(n - 2) for b in range(a + 1, n - 1) for c in range(b + 1, n)]

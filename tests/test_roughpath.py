@@ -312,6 +312,11 @@ class TestControl:
         c = Control.time_scale(2.0, 1.0)
         assert c.check_superadditive(np.linspace(0, 1, 20)) <= 0.0
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -1.0])
+    def test_time_scale_rejects_a_non_finite_or_negative_scale(self, scale):
+        with pytest.raises(InvalidGrid):
+            Control.time_scale(scale, 1.5)
+
     def test_table_control_roundtrip(self):
         grid = np.linspace(0.0, 2.0, 21)
         c = Control.from_callable(lambda s, t: np.maximum(t - np.maximum(s, 1.0), 0.0), grid, p=2.0)

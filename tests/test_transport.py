@@ -119,16 +119,17 @@ class TestGroupRDE:
         assert np.max(np.abs(gtg - np.eye(3))) <= 1e-8
 
     def test_maurer_cartan_duality(self):
-        errs, hs = [], []
+        errs = []
         for n in (64, 128, 256, 512):
             z, rp = smooth_alg_path(n)
             sol = group_rde(z, rp, np.eye(3), SO3G)
             rep = maurer_cartan_check(sol, z, SO3G)
             errs.append(rep["diff_sup"])
-            hs.append(1.0 / n)
-        slope, _, exact = estimate_order(errs, hs)
         assert errs[-1] <= 1e-5
-        assert exact or slope >= 2.0 - 0.25
+        # the exponential step is g_{i+1} = expm(-hat(dz_i)) g_i here (a one-dimensional
+        # driver pushes symmetric step areas), so the duality holds to rounding on every
+        # level, tighter than any order a fit could read from the residuals
+        assert max(errs) <= 1e-12
 
     def test_solution_is_crp_on_group(self):
         z, rp = smooth_alg_path(256)
@@ -395,12 +396,12 @@ def test_chart_christoffels_closed_form_matches_fd():
 
 
 def test_orthogonality_drift_without_retraction():
-    # the exponential charts reconstruct exact rotations at every step, so the
-    # drift sits at rounding even with retraction off (well inside the h^2
+    # every step is the exponential of a skew matrix, an exact rotation, so the
+    # drift sits at rounding without any retraction (well inside the h^2
     # envelope the invariant allows)
     for n in (64, 256):
         z, rp = smooth_alg_path(n)
-        sol = group_rde(z, rp, np.eye(3), SO3G, retraction=False)
+        sol = group_rde(z, rp, np.eye(3), SO3G)
         gtg = np.einsum("pji,pjk->pik", sol.points, sol.points)
         assert float(np.max(np.abs(gtg - np.eye(3)))) <= 1e-12
 
