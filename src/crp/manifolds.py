@@ -34,6 +34,7 @@ from .linalg import (
 
 GAUGE_RADIUS_MARGIN = 0.1  # geodesic-ball radius pi - 0.1 on S^2 and SO(3)
 CHART_FAILURES = (CrpError, FloatingPointError, ValueError, ZeroDivisionError)  # a point no chart map reads
+_EYE2 = np.eye(2)
 
 
 @dataclass
@@ -293,12 +294,9 @@ class Sphere(Manifold):
             return None
         x = np.asarray(x, dtype=float)
         dl = -2.0 * x / (1.0 + np.sum(x * x, axis=-1, keepdims=True))  # gradient of the conformal factor
-        eye = np.eye(2)
-        return (
-            np.einsum("ij,...l->...ijl", eye, dl)
-            + np.einsum("il,...j->...ijl", eye, dl)
-            - np.einsum("jl,...i->...ijl", eye, dl)
-        )
+        # delta_ij dl_l + delta_il dl_j - delta_jl dl_i
+        return (_EYE2[:, :, None] * dl[..., None, None, :] + _EYE2[:, None] * dl[..., None, :, None]
+                - _EYE2 * dl[..., None, None])
 
     def random_point(self, rng):
         v = rng.standard_normal(3)

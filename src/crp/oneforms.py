@@ -102,7 +102,7 @@ class ControlledOneForm:
 # -- constructors -------------------------------------------------------------------
 
 
-def _form_values(alpha_fn, points, flat_dim, where="node"):
+def _form_values(alpha_fn, points, flat_dim, where):
     """Stacked (P, n, D) values of ``alpha_fn`` at points, each checked to be a finite (n, D) matrix."""
     vals = [np.asarray(alpha_fn(p), dtype=float) for p in points]
     want = vals[0].shape if vals[0].ndim == 2 and vals[0].shape[1] == flat_dim else None
@@ -116,29 +116,36 @@ def _form_values(alpha_fn, points, flat_dim, where="node"):
     return out
 
 
-def oneform_from_smooth(alpha_fn, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:
+def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism, alpha=None) -> ControlledOneForm:
     """Controlled restriction of a smooth one-form along the path.
 
-    ``alpha_fn(m)`` returns the (n, D) matrix of the form at m.  The derivative
-    samples are the transport-covariant derivatives along y' directions,
-    ``Manifold.derivative_along`` of q -> alpha(q) o U(q, m), taken on the whole
-    grid at once: one Richardson stencil over every (node, driver direction)
-    pair, with the stencil points from the manifold's stacked ``curve`` (closed
-    form on the sphere) and the parallelism through ``matrix_batch``.  Raises
-    ``GaugeMismatch`` for a parallelism of another manifold, ``ShapeError`` for a
-    value that is not (n, D) or changes shape, ``DomainError`` for a non-finite one.
+    ``form(qs, where)`` returns the (P, n, D) values at a stack of points, named
+    ``where`` ("node" or "stencil point") in errors; ``alpha`` are the node values
+    when known.  The derivative samples are the transport-covariant derivatives
+    along y' directions, ``Manifold.derivative_along`` of q -> alpha(q) o U(q, m),
+    taken on the whole grid at once: one Richardson stencil over every (node,
+    driver direction) pair, so one ``form`` call per stencil level, with the
+    stencil points from the manifold's stacked ``curve`` (closed form on the
+    sphere) and the parallelism through ``matrix_batch``.  Raises
+    ``GaugeMismatch`` for a parallelism of another manifold.
     """
-    mani = y.manifold
-    par.check_manifold(mani)
-    dim = mani.flat_dim
-    alpha = _form_values(alpha_fn, y.points, dim)
+    par.check_manifold(y.manifold)
+    alpha = form(y.points, "node") if alpha is None else alpha
 
     def g(qs, bases):
-        vals = _form_values(alpha_fn, qs, dim, where="stencil point")
-        return np.einsum("pnd,pde->pne", vals, par.matrix_batch(qs, bases))
+        return np.einsum("pnd,pde->pne", form(qs, "stencil point"), par.matrix_batch(qs, bases))
 
     dag = np.swapaxes(y.derivative_samples(g), 1, 2)  # (N+1, n, k, D)
     return ControlledOneForm(y.times, alpha, dag, par, y)
+
+
+def oneform_from_smooth(alpha_fn, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:
+    """``oneform_from_stacks`` of ``alpha_fn(m)``, the (n, D) matrix of the form at m, called point by point.
+
+    Also raises ``ShapeError`` for a value that is not (n, D) or changes shape, ``DomainError`` for a non-finite one.
+    """
+    dim = y.manifold.flat_dim
+    return oneform_from_stacks(lambda qs, where: _form_values(alpha_fn, qs, dim, where), y, par)
 
 
 def oneform_from_flat(alpha_cp: ControlledPath, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:

@@ -17,7 +17,7 @@ from .linalg import SO3_BASIS, hat, vee
 from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
 from .mrde import ChartWalk, ManifoldDrivingField, _chart_step
-from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
+from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform, oneform_from_stacks
 from .roughpath import RoughPath
 from .sewing import rough_integrate
 
@@ -295,8 +295,10 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
     """Parallel translation of a frame along y via the frame-bundle lift.
 
     On each chart segment the frame's chart representative is the horizontal
-    lift for the GL(d) connection form of the chart connection coefficients;
-    frame coordinates are converted at chart switches.
+    lift for the GL(d) connection form A(x(m))<dto(m) .> of the chart connection
+    coefficients A, evaluated on the nodes and once per Richardson stencil level;
+    frame coordinates are converted at chart switches.  A one-node last segment
+    (a switch at the last node) is skipped.
     """
     mani = y.manifold
     d = mani.dim
@@ -309,44 +311,49 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
         walk.visit(i, y.points[i], walk.chart.margin(y.points[i]))
     segs = walk.close(n - 1)
     frames = np.empty((n, mani.flat_dim, d))
-    frames[0] = u_cur = u0
+    frames[0] = u0
     z_pieces = []
     for (i0, i1, chart) in segs:
-        xs = np.stack([chart.to_coords(y.points[i]) for i in range(i0, i1 + 1)])
-        ubar0 = chart.dto(y.points[i0]) @ u_cur
+        if i1 == i0:
+            continue  # a chart switch at the last node: the previous segment set frames[i0]
+        pts = y.points[i0 : i1 + 1]
+        xs = np.stack([chart.to_coords(p) for p in pts])
 
-        def gamma_fn(m, _chart=chart):
-            x = _chart.to_coords(m)
-            A = chart_christoffels(mani, _chart, x)
-            # algebra (gl(d), row-major) valued in ambient directions
-            dto_m = _chart.dto(m)
-            gam = np.einsum("ijl,jD->ilD", A, dto_m)  # value on ambient e_D: matrix A< dto e_D >
-            return gam.reshape(d * d, mani.flat_dim)
+        def gamma(qs, where, xq=None):
+            # gl(d) (row-major) values on ambient e_D: the matrices A(x(q))<dto(q) e_D>
+            xq = np.stack([chart.to_coords(q) for q in qs]) if xq is None else xq
+            a = chart_christoffels(mani, chart, xq)
+            return np.einsum("pijl,pjD->pilD", a, np.stack([chart.dto(q) for q in qs])).reshape(len(qs), d * d, -1)
 
         sub = ManifoldControlledPath(
-            mani,
-            y.times[i0 : i1 + 1],
-            y.points[i0 : i1 + 1],
-            y.derivative[i0 : i1 + 1],
-            y.driver.restrict(i0, i1),
+            mani, y.times[i0 : i1 + 1], pts, y.derivative[i0 : i1 + 1], y.driver.restrict(i0, i1)
         )
-        lift = horizontal_lift(sub, ConnectionForm(mani, group, gamma_fn), ubar0, base_gauge)
-        z_pieces.append(lift.z)
+        form = oneform_from_stacks(gamma, sub, base_gauge.par, alpha=gamma(pts, "node", xq=xs))
+        z = gauge_integrate(form, sub, base_gauge)
+        g = group_rde(z, sub.driver, chart.dto(pts[0]) @ frames[i0], group)
+        z_pieces.append(z)
         for off in range(i1 - i0 + 1):
-            frames[i0 + off] = chart.dfrom(xs[off]) @ lift.group_path.points[off]
-        u_cur = frames[i1]
+            frames[i0 + off] = chart.dfrom(xs[off]) @ g.points[off]
     return FrameLift(base=y, frames=frames, segments=segs, z_pieces=z_pieces)
 
 
 def frame_transport_defect(lift: FrameLift, step=1):
     """Max |u_t - U(y_t, y_s) u_s| over pairs ``step`` indices apart."""
     y = lift.base
-    mani = y.manifold
-    worst = 0.0
-    for i in range(0, y.times.size - step, step):
-        u = mani.transport(y.points[i + step], y.points[i])
-        worst = max(worst, float(np.max(np.abs(lift.frames[i + step] - u @ lift.frames[i]))))
-    return worst
+    i = np.arange(0, y.times.size - step, step)
+    u = y.manifold.transport_batch(y.points[i + step], y.points[i])
+    return float(np.max(np.abs(lift.frames[i + step] - u @ lift.frames[i]), initial=0.0))
+
+
+def _check_lift(lift: FrameLift, times, points):
+    """``lift`` as the frame lift of the path through ``points`` on ``times``.
+
+    Raises ``GridMismatch`` for a lift on another grid and ``DomainError`` for
+    one whose base path has other points.
+    """
+    check_same_grid(lift.base.times, times)
+    if lift.base.points is not points and not np.array_equal(lift.base.points, points):
+        raise DomainError("the frame lift is of another path on the same grid")
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +371,7 @@ def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = N
     mani = y.manifold
     u0 = _check_frame(mani, u0)
     lift = lift or parallel_translate_frame(y, u0, atlas=atlas)
+    _check_lift(lift, y.times, y.points)
     values = np.zeros((y.times.size, mani.dim))
     deriv = np.linalg.pinv(lift.frames) @ y.derivative
     for (i0, i1, chart) in lift.segments:
@@ -413,13 +421,9 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
 
     def step_field(state):
         xx, uu = state[:d], state[d:].reshape(d, d)
-        A = chart_christoffels(manifold, chart, xx)
-        cols = np.empty((d + d * d, d))
-        for a in range(d):
-            v = uu[:, a]
-            du = -np.einsum("ijl,j,lc->ic", A, v, uu)
-            cols[:, a] = np.concatenate([v, du.reshape(-1)])
-        return cols
+        # column a: the frame vector u_a, then the frame's rate -A<u_a> u
+        du = -np.einsum("ijl,ja,lc->ica", chart_christoffels(manifold, chart, xx), uu, uu)
+        return np.concatenate([uu, du.reshape(d * d, d)])
 
     for i in range(n):
         state = np.concatenate([x, ub.reshape(-1)])
@@ -438,7 +442,8 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
 
 
 def rolled_oneform(a: ControlledOneForm, lift: FrameLift) -> ControlledPath:
-    """Transport a controlled one-form to flat data through the frames."""
+    """Transport a controlled one-form to flat data through the frames of its path."""
+    _check_lift(lift, a.times, a.path.points)
     vals = np.einsum("pnD,pDc->pnc", a.alpha, lift.frames)
     dag = np.einsum("pnaD,pDc->pnca", a.alpha_dag, lift.frames)
     return ControlledPath(a.times, vals, dag)
