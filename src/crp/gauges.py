@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartSingular, GaugeMismatch
+from .errors import GaugeMismatch
 from .linalg import FD_STEP, richardson_diff
-from .manifolds import CHART_FAILURES, Chart, Manifold
+from .manifolds import Chart, Manifold
 
 TAYLOR_FD_STEP = 1e-3
 
@@ -147,29 +147,26 @@ def connection_gauge(manifold: Manifold) -> Gauge:
 
 
 def chart_gauge(manifold: Manifold, chart: Chart) -> Gauge:
-    """Pullback of the standard flat gauge through a chart."""
+    """Pullback of the standard flat gauge through a chart.
 
-    def coords(p):
-        """Chart coordinates of p, read once; ``ChartSingular`` outside the chart."""
-        try:
-            x = chart.to_coords(p)
-        except CHART_FAILURES:
-            x = None
-        if x is None or chart.coords_margin(x) <= 0:
-            raise ChartSingular(f"point outside chart {chart.name}")
-        return x
+    ``psi`` and ``umat`` take one pair of points or stacks of pairs, so each
+    serves both as the single-pair map and as its batch; every call reads each
+    of its two point stacks once through ``Chart.read`` (``ChartSingular``
+    outside the chart).
+    """
 
     def psi(m, n):
-        xm = coords(m)
-        return manifold.unflatten(chart.dfrom(xm) @ (coords(n) - xm))
+        xm = chart.read(m)
+        return (chart.dfrom(xm) @ (chart.read(n) - xm)[..., None])[..., 0]
 
     def umat(a, b):
-        xa = coords(a)
-        coords(b)
+        xa = chart.read(a)
+        chart.read(b)
         return chart.dfrom(xa) @ chart.dto(b)
 
-    par = Parallelism(manifold, umat, name=f"chart({chart.name})", chart=chart)
-    log = Logarithm(manifold, psi, d2_fn=umat, name=f"chart({chart.name})")
+    name = f"chart({chart.name})"
+    par = Parallelism(manifold, umat, name=name, batch_fn=umat, chart=chart)
+    log = Logarithm(manifold, psi, d2_fn=umat, name=name, batch_fn=psi)
     log._induced = par  # the chart gauge is its own induced gauge (exact zero S)
     return Gauge(manifold, log, par, provenance="chart", chart=chart)
 
@@ -310,16 +307,12 @@ class ChristoffelCompatibility(CompatibilityTensor):
 
     def stack(self, points):
         chart = self.chart
-        for i, p in enumerate(points):
-            if chart.margin(p) <= 0:
-                raise ChartSingular(f"point {i} outside chart {chart.name}")
-        xs = np.stack([chart.to_coords(p) for p in points])
+        xs = chart.read(points)
         gam = self.manifold.chart_christoffels(chart, xs)
         if gam is None:
             return super().stack(points)
-        dfrom = np.stack([chart.dfrom(x) for x in xs])
-        dto = np.stack([chart.dto(p) for p in points])
-        return self.sign * np.einsum("pCc,pcjb,pjA,pbB->pCAB", dfrom, np.asarray(gam, dtype=float), dto, dto)
+        dto = chart.dto(points)
+        return self.sign * np.einsum("pCc,pcjb,pjA,pbB->pCAB", chart.dfrom(xs), np.asarray(gam, dtype=float), dto, dto)
 
     def _evaluate(self, m):
         return self.stack(np.asarray(m, dtype=float)[None])[0]

@@ -19,84 +19,90 @@ def richardson_diff(f, h):
     return (4.0 * d2 - d1) / 3.0
 
 
+def sqnorm(v):
+    """Squared norm over the last axis, each row bit for bit ``v @ v``; one vector gives a numpy scalar."""
+    v = np.asarray(v, dtype=float)
+    return v @ v if v.ndim == 1 else (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def any_true(mask):
+    """Whether any entry of a boolean array or numpy bool is set; a single bool skips the reduction's cost."""
+    return bool(mask) if np.ndim(mask) == 0 else bool(mask.any())
+
+
+def norm(v):
+    """Norm over the last axis, each row bit for bit ``np.linalg.norm`` of that row."""
+    return np.sqrt(sqnorm(v))
+
+
+SO3_BASIS = np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]], [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                      [[0, -1, 0], [1, 0, 0], [0, 0, 0]]], dtype=float)  # hat(e_a), shape (3, 3, 3)
+SO3_BASIS.flags.writeable = False
+_HAT = SO3_BASIS.reshape(3, 9)
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+# The so(3) maps below take one vector (3,) or matrix (3, 3), or a stack with leading
+# axes, and return the same leading axes; one vector's result is the scalar formula's.
+
+
 def hat(w):
     """R^3 -> so(3)."""
     w = np.asarray(w, dtype=float)
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
-SO3_BASIS = np.stack([hat(e) for e in np.eye(3)])  # hat(e_a), shape (3, 3, 3)
-SO3_BASIS.flags.writeable = False
+    return (w @ _HAT).reshape(w.shape[:-1] + (3, 3))
 
 
 def vee(W):
     """so(3) -> R^3 (antisymmetrizes first)."""
-    A = 0.5 * (np.asarray(W) - np.asarray(W).T)
-    return np.array([A[2, 1], A[0, 2], A[1, 0]])
+    # .T reverses every axis, so W.T[1, 2] is W[..., 2, 1] for any leading axes
+    W = np.asarray(W, dtype=float).T
+    return np.array([0.5 * (W[1, 2] - W[2, 1]), 0.5 * (W[2, 0] - W[0, 2]), 0.5 * (W[0, 1] - W[1, 0])]).T
+
+
+def _rodrigues(w, cut, a, b):
+    """I + a hat(w) + b hat(w)^2, each coefficient a pair (series value below |w| = cut, closed form in |w|)."""
+    th = norm(w)
+    W = hat(w)
+    small = th < cut
+    t = th + small  # th + 1 on the series lanes, where the closed forms are not read
+    a, b = (np.where(small, series, closed(t))[..., None, None] for series, closed in (a, b))
+    return _EYE3 + a * W + b * (W @ W)
 
 
 def so3_exp(w):
-    """Rodrigues formula for exp of hat(w)."""
-    w = np.asarray(w, dtype=float)
-    th = np.linalg.norm(w)
-    W = hat(w)
-    if th < 1e-8:
-        # series keeps 1e-16 accuracy near 0
-        return np.eye(3) + W + 0.5 * (W @ W)
-    a = np.sin(th) / th
-    b = (1.0 - np.cos(th)) / th**2
-    return np.eye(3) + a * W + b * (W @ W)
+    """Rodrigues formula for exp of hat(w); a series keeps 1e-16 accuracy below |w| = 1e-8."""
+    return _rodrigues(w, 1e-8, (1.0, lambda t: np.sin(t) / t), (0.5, lambda t: (1.0 - np.cos(t)) / t**2))
 
 
 def so3_log(R):
     """Inverse Rodrigues formula, returning the rotation vector in R^3."""
     R = np.asarray(R, dtype=float)
-    c = 0.5 * (np.trace(R) - 1.0)
-    c = min(1.0, max(-1.0, c))
-    th = np.arccos(c)
-    if th < 1e-8:
-        return vee(R - R.T) * 0.5 * (1.0 + th**2 / 6.0)
-    if th > np.pi - 1e-6:
-        # near-antipodal branch via the symmetric part
-        S = 0.5 * (R + np.eye(3))
-        axis = np.sqrt(np.maximum(np.diagonal(S), 0.0))
-        k = int(np.argmax(axis))
-        v = S[:, k] / max(axis[k], 1e-300)
-        v = v / np.linalg.norm(v)
-        w = th * v
-        # fix sign using the antisymmetric part
-        if np.dot(vee(R - R.T), w) < 0:
-            w = -w
-        return w
-    return th / (2.0 * np.sin(th)) * vee(R - R.T)
+    diag = R.T[0, 0] + R.T[1, 1] + R.T[2, 2]
+    th = np.arccos(np.minimum(np.maximum(0.5 * (diag.T - 1.0), -1.0), 1.0))
+    v = vee(R - R.swapaxes(-1, -2))
+    small = th < 1e-8
+    t = th + small
+    w = np.where(small, 0.5 * (1.0 + th**2 / 6.0), t / (2.0 * np.sin(t)))[..., None] * v
+    far = th > np.pi - 1e-6
+    if any_true(far):
+        # near-antipodal branch via the symmetric part, its sign from the antisymmetric part
+        S = 0.5 * (R[far] + np.eye(3))
+        axis = np.sqrt(np.maximum(np.diagonal(S, axis1=-2, axis2=-1), 0.0))
+        k = np.argmax(axis, axis=-1)[:, None]
+        u = np.take_along_axis(S, k[:, None], axis=-1)[..., 0] / np.maximum(np.take_along_axis(axis, k, -1), 1e-300)
+        wf = th[far][:, None] * (u / norm(u)[:, None])
+        w[far] = np.where((np.sum(v[far] * wf, axis=-1) < 0)[:, None], -wf, wf)
+    return w
 
 
 def so3_left_jacobian(w):
     """J_l(w): d/dt exp((w + t v)^) = (J_l(w) v)^ exp(w^)."""
-    w = np.asarray(w, dtype=float)
-    th = np.linalg.norm(w)
-    W = hat(w)
-    if th < 1e-5:
-        return np.eye(3) + 0.5 * W + (W @ W) / 6.0
-    a = (1.0 - np.cos(th)) / th**2
-    b = (th - np.sin(th)) / th**3
-    return np.eye(3) + a * W + b * (W @ W)
+    return _rodrigues(w, 1e-5, (0.5, lambda t: (1.0 - np.cos(t)) / t**2), (1.0 / 6.0, lambda t: (t - np.sin(t)) / t**3))
 
 
 def so3_left_jacobian_inv(w):
-    w = np.asarray(w, dtype=float)
-    th = np.linalg.norm(w)
-    W = hat(w)
-    if th < 1e-5:
-        return np.eye(3) - 0.5 * W + (W @ W) / 12.0
-    c = 1.0 / th**2 - (1.0 + np.cos(th)) / (2.0 * th * np.sin(th))
-    return np.eye(3) - 0.5 * W + c * (W @ W)
+    c = (1.0 / 12.0, lambda t: 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
+    return _rodrigues(w, 1e-5, (-0.5, lambda t: -0.5), c)
 
 
 def polar_retract(g):

@@ -16,19 +16,23 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .errors import AtlasGap, ChartExit, ConfigError, CrpError, DomainError, LogFailure, NearCutLocus, ShapeError
+from .errors import (
+    AtlasGap, ChartExit, ChartSingular, ConfigError, CrpError, DomainError, LogFailure, NearCutLocus, ShapeError,
+)
 from .linalg import (
     FD_STEP,
     SO3_BASIS,
+    any_true,
     hat,
+    norm,
     polar_retract,
     richardson_diff,
     so3_exp,
     so3_left_jacobian,
     so3_left_jacobian_inv,
     so3_log,
+    sqnorm,
     vee,
 )
 
@@ -44,6 +48,12 @@ class Chart:
     ``to_coords``/``from_coords`` map points to R^dim and back; ``dto(p)`` is
     the (dim, D) differential on flattened ambient tangents and ``dfrom(x)``
     its (D, dim) right inverse.  ``radius`` bounds |coords| on the domain.
+
+    Every map, and ``coords_margin``, takes one point (coordinate vector) or a
+    stack of them with leading axes and returns the same leading axes: one call
+    reads a whole stack, and a single point keeps its shape and its values.
+    ``read`` is the one membership check on a stack; ``margin`` and ``contains``
+    are the single-point ones.
     """
 
     name: str
@@ -57,8 +67,7 @@ class Chart:
 
     def coords_margin(self, x):
         x = np.asarray(x, dtype=float)
-        c = 0.0 if self.center_coords is None else self.center_coords
-        return self.radius - float(np.linalg.norm(x - c))
+        return self.radius - norm(x if self.center_coords is None else x - self.center_coords)
 
     def margin(self, p):
         try:
@@ -68,6 +77,24 @@ class Chart:
 
     def contains(self, p):
         return self.margin(p) > 0.0
+
+    def read(self, p, outside=None):
+        """Coordinates of a point or a stack of points, each checked to lie inside the chart.
+
+        The first point (flat stack index i) whose margin is not above 0, NaN included,
+        or that no chart map reads raises ``outside(i)``, by default ``ChartSingular``.
+        """
+        try:
+            x = self.to_coords(p)
+            bad = ~(self.coords_margin(x) > 0.0)
+        except CHART_FAILURES:  # find the point the stacked read fails on, one point at a time
+            p = np.asarray(p, dtype=float)
+            x, one = None, np.ndim(self.from_coords(np.zeros(self.dim)))
+            bad = ~(np.array([self.margin(q) for q in p.reshape((-1,) + p.shape[p.ndim - one :])]) > 0.0)
+        if x is None or any_true(bad):
+            i = int(np.argmax(np.ravel(bad)))
+            raise outside(i) if outside else ChartSingular(f"point {i} outside chart {self.name}")
+        return x
 
 
 class Manifold:
@@ -146,7 +173,7 @@ class Manifold:
         atlas = self.charts() if atlas is None else atlas
         margins = [c.margin(p) for c in atlas]
         best = int(np.argmax(margins))
-        if margins[best] <= 0:
+        if not margins[best] > 0:  # NaN included
             raise AtlasGap(f"no chart of {self.name} contains the point")
         return atlas[best]
 
@@ -340,40 +367,38 @@ def _stereographic_chart(pole=+1):
     # coordinate radius matching |m3| <= 0.9 toward the projection pole
     radius = float(np.sqrt((1 + 0.9) / (1 - 0.9)))
 
+    # on p.T and x.T, row i is a numpy scalar for one point and a row for a stack, and
+    # np.array([...]).T of an array built with reversed axes restores the stack's order
     def to_coords(p):
-        p = np.asarray(p, dtype=float)
+        p = np.asarray(p, dtype=float).T
         den = 1.0 - sign * p[2]
-        if den <= 1e-12:
+        if any_true(den <= 1e-12):
             raise DomainError("point at the projection pole")
-        return p[:2] / den
+        return (p[:2] / den).T
 
     def from_coords(x):
         x = np.asarray(x, dtype=float)
-        r2 = float(x @ x)
+        r2 = sqnorm(x).T
         s = 1.0 / (1.0 + r2)
-        return np.array([2.0 * x[0] * s, 2.0 * x[1] * s, sign * (r2 - 1.0) * s])
+        x = x.T
+        return np.array([2.0 * x[0] * s, 2.0 * x[1] * s, sign * (r2 - 1.0) * s]).T
 
     def dto(p):
-        p = np.asarray(p, dtype=float)
+        p = np.asarray(p, dtype=float).T
         den = 1.0 - sign * p[2]
-        out = np.zeros((2, 3))
-        out[0, 0] = 1.0 / den
-        out[1, 1] = 1.0 / den
-        out[0, 2] = sign * p[0] / den**2
-        out[1, 2] = sign * p[1] / den**2
-        return out
+        a, zero = 1.0 / den, 0.0 * den
+        return np.array([[a, zero], [zero, a], [sign * p[0] / den**2, sign * p[1] / den**2]]).T
 
     def dfrom(x):
         x = np.asarray(x, dtype=float)
-        r2 = float(x @ x)
+        r2 = sqnorm(x).T
         s = 1.0 / (1.0 + r2)
-        out = np.zeros((3, 2))
-        for j in range(2):
-            ds = -2.0 * x[j] * s * s
-            out[0, j] = 2.0 * ((1.0 if j == 0 else 0.0) * s + x[0] * ds)
-            out[1, j] = 2.0 * ((1.0 if j == 1 else 0.0) * s + x[1] * ds)
-            out[2, j] = sign * (2.0 * x[j] * s + (r2 - 1.0) * ds)
-        return out
+        x0, x1 = x.T[0], x.T[1]
+        ds0, ds1 = -2.0 * x0 * s * s, -2.0 * x1 * s * s
+        return np.array([
+            [2.0 * (s + x0 * ds0), 2.0 * (x1 * ds0), sign * (2.0 * x0 * s + (r2 - 1.0) * ds0)],
+            [2.0 * (x0 * ds1), 2.0 * (s + x1 * ds1), sign * (2.0 * x1 * s + (r2 - 1.0) * ds1)],
+        ]).T
 
     return Chart(
         name=f"stereo-{'north' if pole > 0 else 'south'}",
@@ -499,12 +524,13 @@ def _so3_log_chart(center, idx):
         # column (i, c) is J_l^{-1} vee(E_ic g^T), and vee(E_ic g^T)_r = -(hat(e_i) g)_rc / 2
         g = np.asarray(g, dtype=float)
         jli = so3_left_jacobian_inv(so3_log(g @ c.T))
-        return jli @ (-0.5 * np.einsum("irk,kc->ric", SO3_BASIS, g)).reshape(3, 9)
+        return jli @ (-0.5 * np.einsum("irk,...kc->...ric", SO3_BASIS, g)).reshape(g.shape[:-2] + (3, 9))
 
     def dfrom(x):
         # column j is hat(J_l e_j) g
         x = np.asarray(x, dtype=float)
-        return (SO3_BASIS @ (so3_exp(x) @ c)).reshape(3, 9).T @ so3_left_jacobian(x)
+        cols = (SO3_BASIS @ (so3_exp(x) @ c)[..., None, :, :]).reshape(x.shape[:-1] + (3, 9))
+        return cols.swapaxes(-1, -2) @ so3_left_jacobian(x)
 
     return Chart(
         name=f"so3-log-{idx}",
@@ -692,8 +718,8 @@ class ChartManifold(Manifold):
             dim=self.dim,
             to_coords=lambda p: self.flatten(p).copy(),
             from_coords=lambda x: self.unflatten(x).copy(),
-            dto=lambda p: np.eye(self.dim),
-            dfrom=lambda x: np.eye(self.dim),
+            dto=lambda p: np.broadcast_to(np.eye(self.dim), self._lead(p) + (self.dim,) * 2).copy(),
+            dfrom=lambda x: np.broadcast_to(np.eye(self.dim), np.shape(x)[:-1] + (self.dim,) * 2).copy(),
             radius=self.radius,
             center_coords=self.center.reshape(self.dim),
         )
@@ -744,7 +770,7 @@ class ProductManifold(Manifold):
 
     def tangent_projector(self, p):
         a, b = self.split(p)
-        return block_diag(self.first.tangent_projector(a), self.second.tangent_projector(b))
+        return _block_diag(self.first.tangent_projector(a), self.second.tangent_projector(b))
 
     def exp(self, m, v):
         a, b = self.split(m)
@@ -759,12 +785,12 @@ class ProductManifold(Manifold):
     def transport(self, to_pt, from_pt):
         a1, b1 = self.split(to_pt)
         a0, b0 = self.split(from_pt)
-        return block_diag(self.first.transport(a1, a0), self.second.transport(b1, b0))
+        return _block_diag(self.first.transport(a1, a0), self.second.transport(b1, b0))
 
     def d2log(self, m, n):
         a, b = self.split(m)
         na, nb = self.split(n)
-        return block_diag(self.first.d2log(a, na), self.second.d2log(b, nb))
+        return _block_diag(self.first.d2log(a, na), self.second.d2log(b, nb))
 
     def torsion_tensor(self, m):
         # the componentwise connection only twists vectors of one factor
@@ -794,17 +820,19 @@ class ProductManifold(Manifold):
     def _product_chart(self, c1: Chart, c2: Chart):
         def to_coords(p):
             a, b = self.split(p)
-            return np.concatenate([c1.to_coords(a), c2.to_coords(b)])
+            return np.concatenate([c1.to_coords(a), c2.to_coords(b)], axis=-1)
 
         def from_coords(x):
-            return self.join(c1.from_coords(x[: c1.dim]), c2.from_coords(x[c1.dim :]))
+            x = np.asarray(x, dtype=float)
+            return self.join(c1.from_coords(x[..., : c1.dim]), c2.from_coords(x[..., c1.dim :]))
 
         def dto(p):
             a, b = self.split(p)
-            return block_diag(c1.dto(a), c2.dto(b))
+            return _block_diag(c1.dto(a), c2.dto(b))
 
         def dfrom(x):
-            return block_diag(c1.dfrom(x[: c1.dim]), c2.dfrom(x[c1.dim :]))
+            x = np.asarray(x, dtype=float)
+            return _block_diag(c1.dfrom(x[..., : c1.dim]), c2.dfrom(x[..., c1.dim :]))
 
         return Chart(
             name=f"{c1.name}*{c2.name}",
@@ -825,6 +853,15 @@ class ProductManifold(Manifold):
             and self.first.same_geometry(other.first)
             and self.second.same_geometry(other.second)
         )
+
+
+def _block_diag(a, b):
+    """Block-diagonal stack of two stacks of matrices with the same leading axes."""
+    (m, n), (k, l) = a.shape[-2:], b.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (m + k, n + l))
+    out[..., :m, :n] = a
+    out[..., m:, n:] = b
+    return out
 
 
 def manifold_from_spec(doc):

@@ -166,10 +166,7 @@ def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p):
     times = y.times
     pts = y.points
     if gauge.chart is not None:
-        margins = np.array([gauge.chart.margin(p) for p in pts])
-        bad = np.where(margins <= 0)[0]
-        if bad.size:
-            raise DomainError(f"sample t_{bad[0]} = {times[bad[0]]:.6g} outside chart {gauge.chart.name}")
+        gauge.chart.read(pts, lambda i: DomainError(f"sample t_{i} = {times[i]:.6g} outside chart {gauge.chart.name}"))
 
     def residuals(i, j):
         if gauge.chart is None:
@@ -272,12 +269,9 @@ def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None, level
         lo, hi = 0, times.size - 1
     else:
         lo, hi = y.driver.index_of(window[0]), y.driver.index_of(window[1])
-    for idx in range(lo, hi + 1):
-        if not chart.contains(y.points[idx]):
-            raise ChartExit(time=float(times[idx]))
-    zs = np.stack([chart.to_coords(y.points[idx]) for idx in range(lo, hi + 1)])
-    zdag = np.stack([chart.dto(y.points[idx]) @ y.derivative[idx] for idx in range(lo, hi + 1)])
-    sub = ControlledPath(times[lo : hi + 1], zs, zdag)
+    pts = y.points[lo : hi + 1]
+    zs = chart.read(pts, lambda i: ChartExit(time=float(times[lo + i])))
+    sub = ControlledPath(times[lo : hi + 1], zs, chart.dto(pts) @ y.derivative[lo : hi + 1])
     rep = verify_crp(sub, y.driver.restrict(lo, hi), levels=levels)
     rep["chart"] = chart.name
     rep["C2"] = rep["C_remainder"]

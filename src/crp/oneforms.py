@@ -194,9 +194,7 @@ def gauge_integrate(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gaug
         if bad.size:
             raise DomainError(f"step {int(bad[0])} exits the gauge domain")
     else:
-        for idx in range(n + 1):
-            if not gauge.chart.contains(y.points[idx]):
-                raise DomainError(f"sample {idx} exits chart {gauge.chart.name}")
+        gauge.chart.read(y.points, lambda idx: DomainError(f"sample {idx} exits chart {gauge.chart.name}"))
     stensor = gauge.compatibility()
     i = np.arange(n)
     first, second = integrator_increments(y, gauge, stensor, i, i + 1)
@@ -259,9 +257,7 @@ def chart_formula_integral(alpha_fn, y: ManifoldControlledPath, chart) -> Contro
     Pushes the path through the chart and integrates the pulled-back form with
     the flat compensated sum; equals the gauge integral to the global order.
     """
-    n = y.times.size
-    zs = np.stack([chart.to_coords(y.points[i]) for i in range(n)])
-    zdag = np.stack([chart.dto(y.points[i]) @ y.derivative[i] for i in range(n)])
+    zs, zdag = chart.to_coords(y.points), chart.dto(y.points) @ y.derivative
 
     def pulled(x):
         return np.asarray(alpha_fn(chart.from_coords(x)), dtype=float) @ chart.dfrom(x)

@@ -317,13 +317,12 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
         if i1 == i0:
             continue  # a chart switch at the last node: the previous segment set frames[i0]
         pts = y.points[i0 : i1 + 1]
-        xs = np.stack([chart.to_coords(p) for p in pts])
+        xs = chart.to_coords(pts)
 
         def gamma(qs, where, xq=None):
             # gl(d) (row-major) values on ambient e_D: the matrices A(x(q))<dto(q) e_D>
-            xq = np.stack([chart.to_coords(q) for q in qs]) if xq is None else xq
-            a = chart_christoffels(mani, chart, xq)
-            return np.einsum("pijl,pjD->pilD", a, np.stack([chart.dto(q) for q in qs])).reshape(len(qs), d * d, -1)
+            a = chart_christoffels(mani, chart, chart.to_coords(qs) if xq is None else xq)
+            return np.einsum("pijl,pjD->pilD", a, chart.dto(qs)).reshape(len(qs), d * d, -1)
 
         sub = ManifoldControlledPath(
             mani, y.times[i0 : i1 + 1], pts, y.derivative[i0 : i1 + 1], y.driver.restrict(i0, i1)
@@ -332,8 +331,7 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
         z = gauge_integrate(form, sub, base_gauge)
         g = group_rde(z, sub.driver, chart.dto(pts[0]) @ frames[i0], group)
         z_pieces.append(z)
-        for off in range(i1 - i0 + 1):
-            frames[i0 + off] = chart.dfrom(xs[off]) @ g.points[off]
+        frames[i0 : i1 + 1] = chart.dfrom(xs) @ g.points
     return FrameLift(base=y, frames=frames, segments=segs, z_pieces=z_pieces)
 
 
@@ -377,8 +375,7 @@ def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = N
     for (i0, i1, chart) in lift.segments:
         if i1 == i0:
             continue  # a chart switch at the last node: the previous segment set values[i0]
-        xs = np.stack([chart.to_coords(p) for p in y.points[i0 : i1 + 1]])
-        dtos = np.stack([chart.dto(p) for p in y.points[i0:i1]])
+        xs, dtos = chart.to_coords(y.points[i0 : i1 + 1]), chart.dto(y.points[i0:i1])
         ub_inv = np.linalg.inv(dtos @ lift.frames[i0:i1])
         xdag = dtos @ y.derivative[i0:i1]  # (steps, d, k) chart coords of y'
         # d/d ubar of ubar^{-1} v is -ubar^{-1} (d ubar) ubar^{-1} v and the

@@ -1,0 +1,149 @@
+"""Chart maps on stacks.
+
+Every chart map (``to_coords``, ``from_coords``, ``dto``, ``dfrom``) and
+``coords_margin`` takes one point or a stack with leading axes, so the chart
+gauge, the chart–connection compatibility tensor and the chart reads of the
+integral and transport code make one call per stack.  Checked here: stacked
+against per-point calls on every chart kind, the single-point shapes, the
+chart gauge's batches against its single-pair maps, the number of chart reads
+per stack, and the stacked membership check on points outside a chart.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from crp import AtlasGap, ChartSingular, DomainError
+from crp.fixtures import SO3M, SPHERE, latitude_crp
+from crp.gauges import change_tensor, chart_gauge, connection_gauge
+from crp.manifolds import Chart, ChartManifold, ProductManifold
+from crp.oneforms import gauge_integrate, oneform_from_smooth
+
+CENTRED = ChartManifold(3, radius=4.0, center=np.array([1.0, -2.0, 0.5]))
+SPHERE_X_SPHERE = ProductManifold(SPHERE, SPHERE)
+SPHERE_X_FLAT = ProductManifold(SPHERE, ChartManifold(2, radius=3.0, center=np.array([0.5, -0.5])))
+
+
+def chart_cases():
+    """(manifold, chart) for each chart kind: both stereographic charts, the four SO(3) log
+    charts, a centred identity chart and charts of sphere x sphere and sphere x chart manifold."""
+    cases = [(SPHERE, c) for c in SPHERE.charts()] + [(SO3M, c) for c in SO3M.charts()]
+    cases += [(CENTRED, CENTRED.charts()[0])]
+    cases += [(SPHERE_X_SPHERE, c) for c in SPHERE_X_SPHERE.charts()[1:3]]
+    cases += [(SPHERE_X_FLAT, c) for c in SPHERE_X_FLAT.charts()]
+    return cases
+
+
+CASES = chart_cases()
+IDS = [f"{m.name}:{c.name}" for m, c in CASES]
+
+
+def points_in(manifold, chart, n, seed=0):
+    """n random points of the manifold well inside the chart."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        p = manifold.random_point(rng)
+        if chart.margin(p) > 0.2 * chart.radius:
+            out.append(p)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("manifold,chart", CASES, ids=IDS)
+def test_stacked_maps_equal_the_per_point_maps(manifold, chart):
+    pts = points_in(manifold, chart, 12)
+    xs = chart.to_coords(pts)
+    want_shapes = {
+        "to_coords": (chart.dim,),
+        "dto": (chart.dim, manifold.flat_dim),
+        "from_coords": manifold.point_shape,
+        "dfrom": (manifold.flat_dim, chart.dim),
+    }
+    for name, args in (("to_coords", pts), ("dto", pts), ("from_coords", xs), ("dfrom", xs)):
+        fn = getattr(chart, name)
+        single = np.stack([fn(a) for a in args])
+        assert fn(args[0]).shape == want_shapes[name]
+        stacked = fn(args)
+        assert stacked.shape == (len(args),) + want_shapes[name]
+        assert np.max(np.abs(stacked - single)) <= 1e-15
+        # two leading axes read like one
+        grid = fn(args.reshape((3, 4) + args.shape[1:]))
+        assert np.max(np.abs(grid.reshape(stacked.shape) - single)) <= 1e-15
+    margins = chart.coords_margin(xs)
+    assert margins.shape == (len(pts),)
+    assert np.array_equal(margins, [chart.coords_margin(x) for x in xs])
+    assert np.array_equal(chart.read(pts), xs)
+
+
+@pytest.mark.parametrize("manifold,chart", CASES, ids=IDS)
+def test_chart_gauge_batches_equal_its_single_pair_maps(manifold, chart):
+    gauge = chart_gauge(manifold, chart)
+    ms, ns = points_in(manifold, chart, 8, seed=1), points_in(manifold, chart, 8, seed=2)
+    u = gauge.U_batch(ms, ns)
+    psi = gauge.psi_batch(ms, ns)
+    assert u.shape == (8, manifold.flat_dim, manifold.flat_dim) and psi.shape == (8, manifold.flat_dim)
+    assert np.max(np.abs(u - np.stack([gauge.par.matrix(m, n) for m, n in zip(ms, ns)]))) <= 1e-15
+    assert np.max(np.abs(psi - np.stack([gauge.log.value(m, n) for m, n in zip(ms, ns)]))) <= 1e-15
+
+
+def counted_chart(base, reads):
+    """``base`` with its ``to_coords`` calls recorded in ``reads``."""
+    return Chart(base.name, base.dim, lambda p: reads.append(np.shape(p)) or base.to_coords(p),
+                 base.from_coords, base.dto, base.dfrom, base.radius)
+
+
+def test_chart_gauge_batches_read_each_stack_once_and_make_no_margin_calls(monkeypatch):
+    ms, ns = points_in(SPHERE, SPHERE.charts()[1], 40, seed=3), points_in(SPHERE, SPHERE.charts()[1], 40, seed=4)
+    margins, reads = [], []
+    monkeypatch.setattr(Chart, "margin", lambda self, p: margins.append(1) or 0.0)
+    gauge = chart_gauge(SPHERE, counted_chart(SPHERE.charts()[1], reads))
+    gauge.par.matrix_batch(ms, ns)
+    assert len(reads) == 2 and margins == []
+    reads.clear()
+    gauge.psi_batch(ms, ns)
+    assert len(reads) == 2 and margins == []
+
+
+def test_chart_oneform_reads_the_chart_a_fixed_number_of_times(monkeypatch):
+    counts = {}
+    for n in (64, 256):
+        reads = []
+        y = latitude_crp(n)
+        gauge = chart_gauge(SPHERE, counted_chart(SPHERE.chart_at(y.points[0]), reads))
+        a = oneform_from_smooth(lambda m: m[None, :], y, gauge.par)
+        counts[n] = len(reads)
+        gauge_integrate(a, y, gauge)
+        # one membership check of the nodes, then psi reads the left and the right ends of the steps
+        assert len(reads) == counts[n] + 3
+    assert counts[64] == counts[256] == 8  # two stacks per Richardson stencil level
+
+
+def test_non_finite_point_is_outside_the_chart_gauge():
+    chart = SPHERE.charts()[0]
+    gauge = chart_gauge(SPHERE, chart)
+    m, bad = np.array([0.6, 0.0, -0.8]), np.array([np.nan, 0.0, -0.8])
+    assert not chart.contains(bad)
+    with pytest.raises(ChartSingular):
+        gauge.log.value(m, bad)
+    with pytest.raises(ChartSingular):
+        gauge.par.matrix(bad, m)
+    with pytest.raises(ChartSingular, match="point 1 outside"):
+        change_tensor(gauge.par, connection_gauge(SPHERE).par, SPHERE).stack(np.stack([m, bad, m]))
+    with pytest.raises(AtlasGap):
+        SPHERE.chart_at(bad)
+
+
+def test_stacked_read_names_the_first_point_outside():
+    chart = SPHERE.charts()[0]  # stereographic from the north pole: m3 < 0.9
+    inside = np.array([0.6, 0.0, -0.8])
+    near_pole = np.array([0.3, 0.0, np.sqrt(1 - 0.09)])
+    pole = np.array([0.0, 0.0, 1.0])
+    for bad in (near_pole, pole, np.array([0.0, np.inf, 0.0])):
+        pts = np.stack([inside, inside, bad, bad])
+        with pytest.raises(ChartSingular, match="point 2 outside"):
+            chart.read(pts)
+        with pytest.raises(DomainError, match="sample 2"):
+            chart.read(pts, lambda i: DomainError(f"sample {i}"))
+    with pytest.raises(ChartSingular, match="point 0 outside"):
+        chart.read(pole)
