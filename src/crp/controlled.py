@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import Control
-from .errors import GridMismatch, InvalidGrid, ShapeError
-from .pairs import DELTA_SLACK, ZERO_NUM_TOL, pair_sup, ratio
+from .errors import DomainError, GridMismatch, InvalidGrid, ShapeError
+from .pairs import DELTA_SLACK, ZERO_NUM_TOL, by_grid, on_grids, pair_sup, ratio
 from .roughpath import RoughPath, _calibrate_control
 
 
@@ -103,29 +103,40 @@ def associated_roughpath(z: ControlledPath, rp: RoughPath) -> RoughPath:
 # -- verification ----------------------------------------------------------------
 
 
-def _pair_constants(times, values, derivative, rp: RoughPath, p, delta=None, sub_deltas=()):
+def _pair_constants(times, values, derivative, rp: RoughPath, p, delta=None, sub_deltas=(), strides=(1,)):
     """Smallest constants for the two controlled-path inequalities on this grid.
 
-    Returns ``(C_remainder, C_derivative, worst pair, by_sub)``: ``by_sub[m]``
-    is the remainder constant over the probed pairs with t - s <= sub_deltas[m],
-    the same rounded test as the probe horizon, found in the same pair sweep.
+    Returns ``(C_remainder, C_derivative, worst pair, pairs probed, levels, by_sub)``,
+    all from one pair sweep: ``levels`` holds both constants' lists over the
+    ``on_grids`` strides, ``by_sub[m]`` the remainder constant over the probed
+    pairs with t - s <= sub_deltas[m], the same rounded test as the probe horizon.
     """
     n = times.size - 1
     flat_vals = values.reshape(n + 1, -1)
     flat_dag = derivative.reshape(n + 1, -1, derivative.shape[-1])
 
     def residuals(i, j):
-        om = rp.control.omega(times[i], times[j])
-        dx = rp.values[j] - rp.values[i]
-        rem = flat_vals[j] - flat_vals[i] - np.einsum("nva,na->nv", flat_dag[i], dx)
+        om = rp.control.omega(times.take(i), times.take(j))
+        dag_i = flat_dag.take(i, axis=0)
+        rem = flat_vals.take(j, axis=0) - flat_vals.take(i, axis=0)
+        rem -= np.einsum("nva,na->nv", dag_i, rp.values.take(j, axis=0) - rp.values.take(i, axis=0))
         rn = np.linalg.norm(rem, axis=-1)
-        dn = np.linalg.norm((flat_dag[j] - flat_dag[i]).reshape(i.size, -1), axis=-1)
-        r2 = ratio(rn, om ** (2.0 / p))
-        dt = times[j] - times[i]
-        return (r2, ratio(dn, om ** (1.0 / p)), *(np.where(dt <= d + DELTA_SLACK, r2, 0.0) for d in sub_deltas))
+        dn = np.linalg.norm((flat_dag.take(j, axis=0) - dag_i).reshape(i.size, -1), axis=-1)
+        r2, r1 = ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+        dt = times.take(j) - times.take(i)
+        sub = (np.where(dt <= d + DELTA_SLACK, r2, 0.0) for d in sub_deltas)
+        return (*on_grids(strides, i, j, r2, r1), *sub)
 
-    sups, worst, _ = pair_sup(times, delta, residuals)
-    return sups[0], sups[1], worst, [sups[2 + m] for m in range(len(sub_deltas))]
+    sups, worst, probed = pair_sup(times, delta, residuals)
+    cs_rem, cs_der = by_grid(sups, strides)
+    by_sub = [sups[2 * len(strides) + m] for m in range(len(sub_deltas))]
+    return cs_rem[0], cs_der[0], worst, probed, (cs_rem, cs_der), by_sub
+
+
+def check_probed(probed, delta, times):
+    """A verifier's sweep that probed no pair raises ``DomainError``: a sup over no pair certifies nothing."""
+    if probed == 0:
+        raise DomainError(f"no grid pair within delta = {delta:.6g}: the smallest step is {np.min(np.diff(times)):.6g}")
 
 
 def stability_slope(constants, hs):
@@ -164,23 +175,28 @@ def stability_verdict(constants, hs):
     return slope, bool(np.isfinite(constants[0]) and (exact or slope > STABILITY_SLOPE_TOL))
 
 
+def dyadic_strides(times, levels, min_steps):
+    """Strides 1, 2, 4, ... of a dyadic ladder's grids (every stride-th node) and their meshes: at most
+    ``levels`` grids, the last one the first whose step count is odd or below ``min_steps``."""
+    n, strides = times.size - 1, [1]
+    while len(strides) < levels and (n // strides[-1]) % 2 == 0 and n // strides[-1] >= min_steps:
+        strides.append(2 * strides[-1])
+    return strides, [float(np.max(np.diff(times[::s]))) for s in strides]
+
+
 def dyadic_ladder(measure, objs, levels, min_steps):
     """``measure(*objs)`` on the grid and on up to ``levels - 1`` dyadic coarsenings.
 
     Returns ``(hs, rows)``, finest first: the mesh of each grid (read off the
     first object) and what ``measure`` returned there.  All objects are
-    coarsened together; a grid whose step count is odd or below ``min_steps``
-    is the last one measured.
+    coarsened together, on the grids of ``dyadic_strides``.
     """
-    hs, rows = [], []
-    for lev in range(levels):
-        times = objs[0].times
-        hs.append(float(np.max(np.diff(times))))
+    strides, hs = dyadic_strides(objs[0].times, levels, min_steps)
+    rows = []
+    for s in strides:
+        if s > 1:
+            objs = [o.coarsen(2) for o in objs]
         rows.append(measure(*objs))
-        n = times.size - 1
-        if lev == levels - 1 or n % 2 or n < min_steps:
-            break
-        objs = [o.coarsen(2) for o in objs]
     return hs, rows
 
 
@@ -195,22 +211,21 @@ def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
     largest delta at which they stay within a factor two of the local one.
     """
     check_same_grid(y.times, rp.times)
-    p = rp.control.p
-    hs, rows = dyadic_ladder(
-        lambda yy, rr: _pair_constants(yy.times, yy.values, yy.derivative, rr, p, delta), (y, rp), levels, 8
-    )
-    cs_rem, cs_der = [r[0] for r in rows], [r[1] for r in rows]
-    worst = rows[0][2]
-    slope2, pass2 = stability_verdict(cs_rem, hs)
-    slope1, pass1 = stability_verdict(cs_der, hs)
-
-    # delta-restricted diagnostics (reported, not gating), from one sweep of every pair
+    strides, hs = dyadic_strides(y.times, levels, 8)
+    # delta-restricted diagnostics (reported, not gating), from the sweep of every pair
     deltas = []
     d = float(y.times[-1] - y.times[0])
     while d >= 4 * float(np.min(np.diff(y.times))):
         deltas.append(d)
         d /= 2.0
-    by_delta = dict(zip(deltas, _pair_constants(y.times, y.values, y.derivative, rp, p, None, deltas)[3]))
+    args = (y.times, y.values, y.derivative, rp, rp.control.p)
+    _, _, worst, probed, (cs_rem, cs_der), by_sub = _pair_constants(*args, delta, deltas, strides)
+    check_probed(probed, delta, y.times)
+    if delta is not None:  # the sub-delta constants are over every pair
+        by_sub = _pair_constants(*args, None, deltas)[5]
+    slope2, pass2 = stability_verdict(cs_rem, hs)
+    slope1, pass1 = stability_verdict(cs_der, hs)
+    by_delta = dict(zip(deltas, by_sub))
     stable_delta = None
     if by_delta:
         smallest = min(by_delta)

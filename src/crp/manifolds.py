@@ -818,6 +818,9 @@ class ProductManifold(Manifold):
         return out
 
     def _product_chart(self, c1: Chart, c2: Chart):
+        # each factor from its own centre: inside the product ball each factor is inside its own
+        centers = [np.zeros(c.dim) if c.center_coords is None else c.center_coords for c in (c1, c2)]
+
         def to_coords(p):
             a, b = self.split(p)
             return np.concatenate([c1.to_coords(a), c2.to_coords(b)], axis=-1)
@@ -842,6 +845,7 @@ class ProductManifold(Manifold):
             dto=dto,
             dfrom=dfrom,
             radius=min(c1.radius, c2.radius),
+            center_coords=np.concatenate(centers),
         )
 
     def random_point(self, rng):

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, check_same_grid, dyadic_ladder, stability_verdict, verify_crp
-from .errors import ChartExit, DomainError, InvalidGrid, NotOnManifold, ShapeError
+from . import pairs
+from .controlled import ControlledPath, check_probed, check_same_grid, dyadic_strides, stability_verdict, verify_crp
+from .errors import ChartExit, CrpError, DomainError, InvalidGrid, NotOnManifold, ShapeError
 from .gauges import Gauge
 from .manifolds import Chart, Manifold
-from .pairs import pair_sup, ratio
+from .pairs import by_grid, on_grids, pair_sup, ratio
 from .roughpath import RoughPath
 
 BASEPOINT_TOL = 1e-10
@@ -162,34 +163,36 @@ def pushforward_covariance_residual(f, jf, g, jg, y: ManifoldControlledPath, mid
 # -- verifiers ---------------------------------------------------------------------
 
 
-def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p):
+def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p, strides=(1,)):
+    """``(C2, C1, worst pair, pairs probed, (C2s, C1s))`` of one sweep, the lists over the ``on_grids`` strides."""
     times = y.times
     pts = y.points
     if gauge.chart is not None:
         gauge.chart.read(pts, lambda i: DomainError(f"sample t_{i} = {times[i]:.6g} outside chart {gauge.chart.name}"))
 
     def residuals(i, j):
+        pi, pj = pts.take(i, axis=0), pts.take(j, axis=0)
         if gauge.chart is None:
-            d = y.manifold.domain_distance_batch(pts[i], pts[j])
+            d = y.manifold.domain_distance_batch(pi, pj)
             bad = np.where(d >= y.manifold.gauge_radius)[0]
             if bad.size:
                 a, b = int(i[bad[0]]), int(j[bad[0]])
                 raise DomainError(
                     f"pair (t_{a}, t_{b}) = ({times[a]:.6g}, {times[b]:.6g}) outside the gauge domain"
                 )
-        om = y.driver.control.omega(times[i], times[j])
-        dx = y.driver.values[j] - y.driver.values[i]
-        psi = gauge.psi_batch(pts[i], pts[j])
-        pred = np.einsum("pda,pa->pd", y.derivative[i], dx)
-        rn = np.linalg.norm(psi - pred, axis=-1)
-        u = gauge.U_batch(pts[i], pts[j])
-        dn = np.linalg.norm(
-            (np.einsum("pde,pek->pdk", u, y.derivative[j]) - y.derivative[i]).reshape(i.size, -1), axis=-1
-        )
-        return ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+        om = y.driver.control.omega(times.take(i), times.take(j))
+        dx = y.driver.values.take(j, axis=0) - y.driver.values.take(i, axis=0)
+        dag_i = y.derivative.take(i, axis=0)
+        rn = np.linalg.norm(gauge.psi_batch(pi, pj) - np.einsum("pda,pa->pd", dag_i, dx), axis=-1)
+        dd = np.einsum("pde,pek->pdk", gauge.U_batch(pi, pj), y.derivative.take(j, axis=0))
+        dd -= dag_i
+        dn = np.linalg.norm(dd.reshape(i.size, -1), axis=-1)
+        r2, r1 = ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+        return on_grids(strides, i, j, r2, r1)
 
-    sups, worst, pairs = pair_sup(times, delta, residuals)
-    return sups[0], sups[1], worst, pairs
+    sups, worst, probed = pair_sup(times, delta, residuals)
+    cs2, cs1 = by_grid(sups, strides)
+    return cs2[0], cs1[0], worst, probed, (cs2, cs1)
 
 
 def default_probe_delta(y: ManifoldControlledPath):
@@ -211,7 +214,10 @@ def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
 
     Used by the equivalence suites to realize the existential delta of the
     gauge definition on loops, where the full horizon would probe pairs beyond
-    the injectivity ball.
+    the injectivity ball.  Raises ``DomainError`` when even adjacent samples
+    leave the gauge ball.  The gaps are read in blocks of fewer than
+    ``pairs.BLOCK_PAIRS`` pairs; a block whose distances raise is read again
+    gap by gap, so no gap past the first one outside the domain decides.
     """
     horizon = float(y.times[-1] - y.times[0])
     if gauge.chart is not None:
@@ -219,39 +225,53 @@ def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
     radius = y.manifold.gauge_radius
     if not np.isfinite(radius):
         return horizon
-    n = y.times.size
-    best = 0.0
-    for gap in range(1, n):
-        i = np.arange(0, n - gap)
-        d = y.manifold.domain_distance_batch(y.points[i], y.points[i + gap])
-        if float(np.max(d)) >= radius - 1e-9:
+    times, n = y.times, y.times.size
+    best, gap, width = 0.0, 1, max(1, pairs.BLOCK_PAIRS // n)
+    while gap < n:
+        sizes = n - np.arange(gap, min(n, gap + width))  # pairs (i, i + n - size) of each gap
+        starts = np.cumsum(sizes) - sizes
+        i = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+        j = i + np.repeat(n - sizes, sizes)
+        try:
+            d = y.manifold.domain_distance_batch(y.points[i], y.points[j])
+        except CrpError:
+            if width == 1:
+                raise
+            width = 1
+            continue
+        far = np.maximum.reduceat(d, starts) >= radius - 1e-9
+        k = int(np.argmax(far)) if far.any() else sizes.size  # the block's gaps inside the domain
+        best = float(np.maximum.reduceat(times[j] - times[i], starts)[k - 1]) if k else best
+        if k < sizes.size:
             break
-        best = float(np.max(y.times[i + gap] - y.times[i]))
+        gap += k
+    if best == 0.0:
+        raise DomainError(f"adjacent samples already leave the gauge ball of radius {radius:.6g}")
     return best
 
 
 def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None, levels=4):
     """Smallest constants for the gauge-increment inequalities plus stability.
 
-    Constants are measured on the full grid and dyadic coarsenings; ``pass``
-    means finite constants whose growth slope under refinement stays above
-    -0.25.  The remainder and derivative verdicts are reported separately (the
-    degenerate-control fixture has a finite remainder constant at delta = 1/2
-    while its derivative process is not controlled at all).
+    Constants are measured on the full grid and dyadic coarsenings, all from
+    one sweep of the grid's pairs; ``pass`` means finite constants whose growth
+    slope under refinement stays above -0.25.  The remainder and derivative
+    verdicts are reported separately (the degenerate-control fixture has a
+    finite remainder constant at delta = 1/2 while its derivative process is
+    not controlled at all).  A delta below every grid step raises ``DomainError``.
     """
     if delta is None:
         delta = default_probe_delta(y)
-    p = y.driver.control.p
-    hs, rows = dyadic_ladder(lambda cur: _gauge_constants(cur, gauge, delta, p), (y,), levels, 8)
-    cs2, cs1 = [r[0] for r in rows], [r[1] for r in rows]
-    _, _, worst, pairs = rows[0]
+    strides, hs = dyadic_strides(y.times, levels, 8)
+    _, _, worst, pairs_probed, (cs2, cs1) = _gauge_constants(y, gauge, delta, y.driver.control.p, strides)
+    check_probed(pairs_probed, delta, y.times)
     slope2, pass2 = stability_verdict(cs2, hs)
     slope1, pass1 = stability_verdict(cs1, hs)
     return {
         "C2": cs2[0],
         "C1": cs1[0],
         "delta": float(delta),
-        "pairs_probed": pairs,
+        "pairs_probed": pairs_probed,
         "levels": {"h": hs, "C2": cs2, "C1": cs1},
         "slope_C2": slope2,
         "slope_C1": slope1,

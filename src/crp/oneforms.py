@@ -6,12 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, check_same_grid, dyadic_ladder, stability_verdict
+from .controlled import ControlledPath, check_probed, check_same_grid, dyadic_ladder, dyadic_strides, stability_verdict
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor, compatibility_tensor
 from .linalg import FD_STEP, richardson_diff
 from .mcrp import ManifoldControlledPath, crp_pushforward, default_probe_delta
-from .pairs import pair_sup, ratio, triple_defect
+from .pairs import by_grid, on_grids, pair_sup, ratio, triple_defect
 from .roughpath import RoughPath
 from .sewing import rough_integrate
 
@@ -58,45 +58,49 @@ class ControlledOneForm:
 
         Remainder: |alpha_t o U(y_t, y_s) - alpha_s - alpha'_s(x_{s,t} (x) .)|
         measured in the Frobenius norm over probed pairs; derivative:
-        |alpha'_t o (I (x) U(y_t, y_s)) - alpha'_s|.
+        |alpha'_t o (I (x) U(y_t, y_s)) - alpha'_s|.  Every dyadic level comes
+        from one pair sweep; a delta below every grid step raises ``DomainError``.
         """
         if delta is None:
             delta = default_probe_delta(self.path)
-        p = self.path.driver.control.p
-        hs, rows = dyadic_ladder(lambda cur: cur._pair_constants(delta, p), (self,), levels, 8)
-        cs2, cs1 = [r[0] for r in rows], [r[1] for r in rows]
+        strides, hs = dyadic_strides(self.times, levels, 8)
+        _, _, _, probed, (cs2, cs1) = self._pair_constants(delta, self.path.driver.control.p, strides)
+        check_probed(probed, delta, self.times)
         s2, pass2 = stability_verdict(cs2, hs)
         s1, pass1 = stability_verdict(cs1, hs)
         return {
             "C_remainder": cs2[0],
             "C_derivative": cs1[0],
+            "levels": {"h": hs, "C_remainder": cs2, "C_derivative": cs1},
             "slope_remainder": s2,
             "slope_derivative": s1,
             "pass": pass2 and pass1,
             "delta": float(delta),
         }
 
-    def _pair_constants(self, delta, p):
+    def _pair_constants(self, delta, p, strides=(1,)):
+        """``(C2, C1, worst pair, pairs probed, (C2s, C1s))`` of one sweep, the lists over the ``on_grids`` strides."""
         y = self.path
         # only the action on tangents at y_s is meaningful
         projs = np.stack([y.manifold.tangent_projector(pt) for pt in y.points])
 
         def residuals(i, j):
             # U(y_t, y_s): T_{y_s} -> T_{y_t}; the inequality composes alpha_t with it
-            u = self.parallelism.matrix_batch(y.points[j], y.points[i])
-            rem = np.einsum("pnd,pde->pne", self.alpha[j], u) - self.alpha[i]
-            dx = y.driver.values[j] - y.driver.values[i]
-            rem -= np.einsum("pnad,pa->pnd", self.alpha_dag[i], dx)
-            rem = np.einsum("pne,ped->pnd", rem, projs[i])
-            rn = np.linalg.norm(rem.reshape(i.size, -1), axis=-1)
-            dd = np.einsum("pnad,pde->pnae", self.alpha_dag[j], u) - self.alpha_dag[i]
-            dd = np.einsum("pnae,ped->pnad", dd, projs[i])
-            dn = np.linalg.norm(dd.reshape(i.size, -1), axis=-1)
-            om = y.driver.control.omega(self.times[i], self.times[j])
-            return ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+            u = self.parallelism.matrix_batch(y.points.take(j, axis=0), y.points.take(i, axis=0))
+            proj_i = projs.take(i, axis=0)
+            rem = np.einsum("pnd,pde->pne", self.alpha.take(j, axis=0), u) - self.alpha.take(i, axis=0)
+            dx = y.driver.values.take(j, axis=0) - y.driver.values.take(i, axis=0)
+            rem -= np.einsum("pnad,pa->pnd", self.alpha_dag.take(i, axis=0), dx)
+            rn = np.linalg.norm(np.einsum("pne,ped->pnd", rem, proj_i).reshape(i.size, -1), axis=-1)
+            dd = np.einsum("pnad,pde->pnae", self.alpha_dag.take(j, axis=0), u) - self.alpha_dag.take(i, axis=0)
+            dn = np.linalg.norm(np.einsum("pnae,ped->pnad", dd, proj_i).reshape(i.size, -1), axis=-1)
+            om = y.driver.control.omega(self.times.take(i), self.times.take(j))
+            r2, r1 = ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
+            return on_grids(strides, i, j, r2, r1)
 
-        sups, _, _ = pair_sup(self.times, delta, residuals)
-        return sups[0], sups[1]
+        sups, worst, probed = pair_sup(self.times, delta, residuals)
+        cs2, cs1 = by_grid(sups, strides)
+        return cs2[0], cs1[0], worst, probed, (cs2, cs1)
 
 
 # -- constructors -------------------------------------------------------------------

@@ -35,15 +35,21 @@ def ratio(num, om_pow):
 def _row_ends(times, delta):
     """Exclusive end of the kept columns of each row i (columns i+1 .. end-1).
 
-    The test is on the rounded difference t_j - t_i itself: a bound on
-    t_i + delta rounds differently at the boundary.
+    The test is on the rounded difference t_j - t_i itself: a search for
+    t_i + delta rounds differently at the boundary, so its ends are moved onto
+    the rounded test, which is monotone along a row.
     """
     n = times.size
     if delta is None:
         return np.full(n, n)
     lim = delta + DELTA_SLACK
-    ends = [i + 1 + np.searchsorted(times[i + 1:] - times[i], lim, side="right") for i in range(n)]
-    return np.array(ends, dtype=int)
+    rows = np.arange(n)
+    ends = np.maximum(np.searchsorted(times, times + lim, side="right"), rows + 1)
+    while (step := (ends < n) & (times[np.minimum(ends, n - 1)] - times <= lim)).any():
+        ends += step
+    while (step := (ends > rows + 1) & (times[ends - 1] - times > lim)).any():
+        ends -= step
+    return ends
 
 
 def pair_sup(times, delta, fn):
@@ -78,6 +84,19 @@ def pair_sup(times, delta, fn):
                 worst = (int(i[k]), int(j[k]))
         row = stop
     return sups, worst, probed
+
+
+def on_grids(strides, i, j, *arrays):
+    """Each array on the grid of every s-th node (``strides``: 1, then powers of two), 0 on a pair
+    with an end off that grid.  A coarse grid's pairs are fine pairs, so the sups of one sweep of
+    the fine grid are every grid's sups; ``by_grid`` reads them back."""
+    ons = [None if s == 1 else ((i | j) & (s - 1)) == 0 for s in strides]
+    return [a if on is None else np.where(on, a, 0.0) for a in arrays for on in ons]
+
+
+def by_grid(sups, strides):
+    """The sups of a residual that returns ``on_grids`` of two arrays first: a list over the strides for each."""
+    return tuple([sups[a * len(strides) + k] for k in range(len(strides))] for a in range(2))
 
 
 def grid_triples(n):

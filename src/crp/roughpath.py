@@ -100,16 +100,12 @@ class RoughPath:
         families of pairs can be queried at once.
         """
         self._build_cums()
-        i = np.asarray(i)
-        j = np.asarray(j)
-        xi = self.values[i]
-        out = (
-            self._cum_area[j]
-            - self._cum_area[i]
-            + self._cum_xdx[j]
-            - self._cum_xdx[i]
-            - np.einsum("...a,...b->...ab", xi, self.values[j] - xi)
-        )
+        xi = self.values.take(i, axis=0)
+        out = self._cum_area.take(j, axis=0)
+        out -= self._cum_area.take(i, axis=0)
+        out += self._cum_xdx.take(j, axis=0)
+        out -= self._cum_xdx.take(i, axis=0)
+        out -= np.einsum("...a,...b->...ab", xi, self.values.take(j, axis=0) - xi)
         return out
 
     # -- invariants -------------------------------------------------------------
@@ -126,13 +122,13 @@ class RoughPath:
         if self.n_steps < 2:
             return 0.0
         i, j, k = sampled_triples(self.n_steps + 1, max_triples, rng)
+        xj = self.values.take(j, axis=0)
+        rhs = self.area_pairs(i, j)
+        rhs += self.area_pairs(j, k)
+        rhs += np.einsum("...a,...b->...ab", xj - self.values.take(i, axis=0), self.values.take(k, axis=0) - xj)
         lhs = self.area_pairs(i, k)
-        rhs = (
-            self.area_pairs(i, j)
-            + self.area_pairs(j, k)
-            + np.einsum("...a,...b->...ab", self.values[j] - self.values[i], self.values[k] - self.values[j])
-        )
-        return float(np.max(np.abs(lhs - rhs)))
+        lhs -= rhs
+        return float(np.max(np.abs(lhs, out=lhs)))
 
     def bound_constant(self):
         """Smallest C with |x_{s,t}| <= C om^(1/p) and |area| <= C om^(2/p) on the grid."""

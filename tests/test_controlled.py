@@ -194,13 +194,14 @@ class TestLadderCallers:
         sizes = []
         original = ControlledOneForm._pair_constants
 
-        def counted(self, delta, p):
-            sizes.append(self.times.size - 1)
-            return original(self, delta, p)
+        def counted(self, delta, p, strides=(1,)):
+            sizes.append([(self.times.size - 1) // s for s in strides])
+            return original(self, delta, p, strides)
 
         monkeypatch.setattr(ControlledOneForm, "_pair_constants", counted)
-        form.verify(levels=9)
-        assert sizes == [24, 12, 6]
+        rep = form.verify(levels=9)
+        assert sizes == [[24, 12, 6]]  # one sweep measures all three grids
+        assert rep["levels"]["h"] == _meshes(y.times, 3)
 
     def test_flat_defect_ladder(self):
         rp = fx.smooth_2d_driver(24)

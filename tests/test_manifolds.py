@@ -447,6 +447,28 @@ class TestProductManifold:
         assert np.array_equal(got, want)
         assert np.max(np.abs(got[d1:, d1:, d1:])) > 0.1
 
+    def test_centred_factor_chart_is_measured_from_its_centre(self):
+        # the centre of the flat factor lies 7 from the origin, outside a radius-3 ball about it
+        flat = ChartManifold(2, radius=3.0, center=(5.0, 5.0))
+        prod = ProductManifold(SPHERE, flat)
+        p = prod.join(np.array([0.6, 0.0, -0.8]), np.array([5.0, 5.0]))
+        chart = prod.chart_at(p)
+        assert chart.margin(p) > 0.0
+        # conservative: inside a product chart, each factor lies inside its own chart
+        rng = np.random.default_rng(3)
+        factors = [(c1, c2) for c1 in SPHERE.charts() for c2 in flat.charts()]
+        inside = 0
+        for _ in range(200):
+            q = prod.join(SPHERE.random_point(rng), flat.center + rng.uniform(-4.0, 4.0, 2))
+            a, b = prod.split(q)
+            for c, (c1, c2) in zip(prod.charts(), factors):
+                if c.contains(q):
+                    inside += 1
+                    assert c1.contains(a) and c2.contains(b)
+        assert inside > 50
+        q = prod.join(np.array([0.6, 0.0, -0.8]), np.array([5.0, 8.5]))
+        assert not chart.contains(q) and not flat.charts()[0].contains(prod.split(q)[1])
+
 
 def test_levi_civita_from_metric_matches_sphere_chart_coefficients():
     # round-metric pullback through the stereographic chart

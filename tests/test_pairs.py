@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import crp.controlled as controlled
 import crp.fixtures as fx
@@ -13,7 +14,10 @@ import crp.mcrp as mcrp
 import crp.oneforms as oneforms
 import crp.pairs as pairs
 import crp.roughpath as roughpath
+from crp.cli import main
+from crp.errors import DomainError, NearCutLocus
 from crp.gauges import connection_gauge, standard_gauge
+from crp.manifolds import ChartManifold, ProductManifold
 from crp.pairs import grid_triples, pair_sup, ratio, sampled_triples, triple_defect
 
 BUDGETS = {"one-row": 1, "seven-pairs": 7, "default": pairs.BLOCK_PAIRS, "unbounded": 2**62}
@@ -117,6 +121,7 @@ def _case(name):
 def _constants(y, form, gauge, delta):
     rp, flat = y.driver, y.as_flat()
     p = rp.control.p
+    strides = controlled.dyadic_strides(y.times, 4, 8)[0]
     return {
         "calibrate": roughpath._calibrate_control(rp.values, rp.times, rp.step_areas, p),
         "bound": rp.bound_constant(),
@@ -125,6 +130,10 @@ def _constants(y, form, gauge, delta):
         "flat-half": controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, p, 0.5),
         "gauge": mcrp._gauge_constants(y, gauge, delta, p),
         "oneform": form._pair_constants(delta, p),
+        # every dyadic level from one sweep
+        "flat-ladder": controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, p, None, (), strides),
+        "gauge-ladder": mcrp._gauge_constants(y, gauge, delta, p, strides),
+        "oneform-ladder": form._pair_constants(delta, p, strides),
     }
 
 
@@ -179,3 +188,193 @@ class TestTripleDefect:
         # (j - i)^2 per component: 1 + 1 - 4 = -2 on each of the two components
         got = triple_defect(lambda i, j: np.stack([(j - i) ** 2, (j - i) ** 2], axis=-1).astype(float), 5)
         assert got == float(np.hypot(2.0, 2.0))
+
+
+# -- one sweep for every dyadic level ---------------------------------------------------
+
+
+class TestRowEnds:
+    @staticmethod
+    def per_row(times, delta):
+        """The per-row reference: one search of the rounded gaps t_j - t_i per row."""
+        lim = delta + pairs.DELTA_SLACK
+        n = times.size
+        return np.array([i + 1 + np.searchsorted(times[i + 1 :] - times[i], lim, side="right") for i in range(n)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_row_search_on_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(1e-3, 0.3, size=int(rng.integers(2, 200))))
+        gaps = times[None, :] - times[:, None]
+        exact = rng.choice(gaps[gaps > 0], size=20)  # on a node gap, and just off it
+        for delta in [0.0, -1.0, 1e-9, 0.05, 0.5, 1e9, *exact, *(exact - pairs.DELTA_SLACK)]:
+            assert np.array_equal(pairs._row_ends(times, delta), self.per_row(times, delta)), delta
+
+    def test_matches_on_uniform_grids_at_multiples_of_the_step(self):
+        # t_i + k h rounds on both sides of t_{i+k}: the fix-up of the boundary decides
+        for n, T in [(64, 2.0 * np.pi), (100, 1.0), (48, 1.5)]:
+            times = np.linspace(0.0, T, n + 1)
+            h = times[1] - times[0]
+            for k in range(1, n + 1):
+                for delta in (k * h, k * h - pairs.DELTA_SLACK, float(times[k] - times[0]) - pairs.DELTA_SLACK):
+                    assert np.array_equal(pairs._row_ends(times, delta), self.per_row(times, delta))
+
+    def test_no_delta_keeps_every_column(self):
+        assert np.array_equal(pairs._row_ends(np.linspace(0.0, 1.0, 5), None), [5] * 5)
+
+
+def _ladder_case(name):
+    """(path, gauge, delta, one-form) for the sweep-versus-ladder comparison."""
+    if name == "nan":  # a corrupt sample on the grids of strides 1, 2 and 4, not 8
+        y = fx.sphere_spiral_crp(48)
+        gauge = connection_gauge(fx.SPHERE)
+        form = oneforms.oneform_from_smooth(lambda m: np.sin(m)[None, :], y, gauge.par)
+        y.points[20, 0] = np.nan
+        return y, gauge, mcrp.default_probe_delta(fx.sphere_spiral_crp(48)), form
+    if name == "delta-half":
+        y, gauge, _ = _case("sphere-spiral")
+        delta = 0.5
+    else:
+        y, gauge, delta = _case(name)
+    form = oneforms.oneform_from_smooth(lambda m: np.sin(y.manifold.flatten(m))[None, :], y, gauge.par)
+    return y, gauge, delta, form
+
+
+LADDER_CASES = ["sphere-spiral", "equator", "so3-curve", "example-6.7", "line-quadratic", "flat3", "nan", "delta-half"]
+
+
+def _same(a, b):
+    np.testing.assert_array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+@pytest.mark.parametrize("name", LADDER_CASES)
+def test_one_sweep_equals_the_per_level_ladder(name):
+    # the reference sweeps each coarsened grid on its own, as the verifiers did before
+    y, gauge, delta, form = _ladder_case(name)
+    rp, flat = y.driver, y.as_flat()
+    p = rp.control.p
+    strides, hs = controlled.dyadic_strides(y.times, 4, 8)
+    assert len(strides) >= 2 and (name != "example-6.7" or rp.control.kind == "table")
+
+    hs_ref, rows = controlled.dyadic_ladder(lambda cur: mcrp._gauge_constants(cur, gauge, delta, p), (y,), 4, 8)
+    got = mcrp._gauge_constants(y, gauge, delta, p, strides)
+    assert hs == hs_ref and got[2:4] == rows[0][2:4]
+    _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
+
+    for d in (None, delta):
+        _, rows = controlled.dyadic_ladder(
+            lambda z, r: controlled._pair_constants(z.times, z.values, z.derivative, r, p, d), (flat, rp), 4, 8
+        )
+        got = controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, p, d, (), strides)
+        assert got[2:4] == rows[0][2:4]
+        _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
+
+    _, rows = controlled.dyadic_ladder(lambda cur: cur._pair_constants(delta, p), (form,), 4, 8)
+    got = form._pair_constants(delta, p, strides)
+    assert got[2:4] == rows[0][2:4]
+    _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
+    if name == "nan":
+        assert np.isnan(got[4][0][:3]).all() and not np.isnan(got[4][0][3])
+
+
+def _count_pair_sups(monkeypatch):
+    calls = []
+
+    def counting(times, delta, fn):
+        calls.append(delta)
+        return pair_sup(times, delta, fn)
+
+    for mod in (roughpath, controlled, mcrp, oneforms):
+        monkeypatch.setattr(mod, "pair_sup", counting)
+    return calls
+
+
+def test_each_verifier_sweeps_the_pairs_once(monkeypatch):
+    y = fx.sphere_spiral_crp(64)
+    gauge = connection_gauge(fx.SPHERE)
+    form = oneforms.oneform_from_smooth(lambda m: np.sin(m)[None, :], y, gauge.par)
+    calls = _count_pair_sups(monkeypatch)
+    rep = controlled.verify_crp(y.as_flat(), y.driver)
+    assert len(calls) == 1 and len(rep["levels"]["h"]) == 4 and len(rep["delta_constants"]) == 5
+    for verify in (
+        lambda: mcrp.verify_gauge_crp(y, gauge),
+        lambda: mcrp.verify_chart_crp(y, fx.SPHERE.chart_at(y.points[0])),
+        lambda: form.verify(),
+    ):
+        calls.clear()
+        assert len(verify()["levels"]["h"]) == 4
+        assert len(calls) == 1
+    calls.clear()
+    controlled.verify_crp(y.as_flat(), y.driver, delta=1.0)  # a given delta: the sub-deltas take all pairs
+    assert calls == [1.0, None]
+
+
+class TestNoPairProbed:
+    """A sup over no pair certifies nothing: the verifiers raise instead of passing."""
+
+    def test_gauge_verifier(self):
+        y = fx.sphere_spiral_crp(32)
+        with pytest.raises(DomainError, match="delta = 1e-06"):
+            mcrp.verify_gauge_crp(y, connection_gauge(fx.SPHERE), delta=1e-6)
+
+    def test_flat_verifier(self):
+        y = fx.sphere_spiral_crp(32)
+        with pytest.raises(DomainError, match="smallest step is 0.19635"):
+            controlled.verify_crp(y.as_flat(), y.driver, delta=1e-6)
+
+    def test_oneform_verifier(self):
+        y = fx.sphere_spiral_crp(32)
+        form = oneforms.oneform_from_smooth(lambda m: np.sin(m)[None, :], y, connection_gauge(fx.SPHERE).par)
+        with pytest.raises(DomainError):
+            form.verify(delta=1e-6)
+
+    def test_domain_feasible_delta_on_a_two_step_great_circle(self):
+        # adjacent samples are antipodal: no delta keeps a pair inside the gauge ball
+        with pytest.raises(DomainError, match="adjacent samples"):
+            mcrp.domain_feasible_delta(fx.equator_crp(2), connection_gauge(fx.SPHERE))
+
+    def test_cli_verify_exits_one(self, tmp_path):
+        res = CliRunner().invoke(main, ["verify", "--delta", "1e-6", "--out", str(tmp_path)])
+        assert res.exit_code == 1 and "no grid pair" in res.output
+
+
+def _feasible_reference(y, gauge):
+    """The gap-by-gap walk: stop at the first gap with a pair outside the gauge ball."""
+    n, best = y.times.size, 0.0
+    for gap in range(1, n):
+        i = np.arange(0, n - gap)
+        d = y.manifold.domain_distance_batch(y.points[i], y.points[i + gap])
+        if float(np.max(d)) >= gauge.manifold.gauge_radius - 1e-9:
+            break
+        best = float(np.max(y.times[i + gap] - y.times[i]))
+    return best
+
+
+@pytest.mark.parametrize("budget", [1, 200, 1000, pairs.BLOCK_PAIRS])  # 1, 3, 15 and 63 gaps a block at n = 64
+@pytest.mark.parametrize(
+    "maker,n", [(fx.equator_crp, 64), (fx.latitude_crp, 48), (fx.so3_curve_crp, 32), (fx.polar_cap_crp, 40)]
+)
+def test_domain_feasible_delta_walks_blocks_of_gaps(maker, n, budget, monkeypatch):
+    y = maker(n)
+    gauge = connection_gauge(y.manifold)
+    want = _feasible_reference(y, gauge)
+    monkeypatch.setattr(pairs, "BLOCK_PAIRS", budget)
+    assert mcrp.domain_feasible_delta(y, gauge) == want
+
+
+def test_domain_feasible_delta_ignores_a_raise_past_the_first_gap_outside():
+    # sphere x line, the sphere factor turning 0.8 per step: gap 3 (2.4) is the first one past the
+    # product's gauge radius 1.9, and at gap 4 (3.2) the sphere factor's log raises at its cut locus;
+    # the block holding both gaps is read again gap by gap, so the walk stops at gap 3 as before
+    prod = ProductManifold(fx.SPHERE, ChartManifold(1, radius=1.0))
+    n = 8
+    times = np.linspace(0.0, 1.0, n + 1)
+    th = 0.8 * np.arange(n + 1)
+    pts = np.stack([np.cos(th), np.sin(th), np.zeros(n + 1), np.zeros(n + 1)], axis=1)
+    y = mcrp.ManifoldControlledPath(prod, times, pts, np.zeros((n + 1, 4, 1)), roughpath.time_lift(times))
+    gauge = connection_gauge(prod)
+    with pytest.raises(NearCutLocus):
+        prod.domain_distance_batch(pts[:1], pts[4:5])
+    want = _feasible_reference(y, gauge)
+    assert want == float(np.max(times[2:] - times[:-2]))
+    assert mcrp.domain_feasible_delta(y, gauge) == want
