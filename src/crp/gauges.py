@@ -16,14 +16,16 @@ TAYLOR_FD_STEP = 1e-3
 class Parallelism:
     """Smooth family U(to, from): T_from M -> T_to M, identity on the diagonal.
 
-    ``chart`` is set on the chart parallelism of that chart and ``connection`` on
-    the manifold connection's parallel transport; ``change_tensor`` reads them.
+    ``matrix_fn(to, from)`` takes one pair of points or stacks of pairs whose
+    leading axes broadcast and returns the (D, D) matrices with those leading
+    axes.  ``chart`` is set on the chart parallelism of that chart and
+    ``connection`` on the manifold connection's parallel transport;
+    ``change_tensor`` reads them.
     """
 
-    def __init__(self, manifold: Manifold, matrix_fn, name="custom", batch_fn=None, chart=None, connection=False):
+    def __init__(self, manifold: Manifold, matrix_fn, name="custom", chart=None, connection=False):
         self.manifold = manifold
         self._fn = matrix_fn
-        self._batch = batch_fn
         self.name = name
         self.chart = chart
         self.connection = connection
@@ -37,31 +39,24 @@ class Parallelism:
     def matrix(self, to_pt, from_pt):
         return np.asarray(self._fn(to_pt, from_pt), dtype=float)
 
-    def matrix_batch(self, to_pts, from_pts):
-        if self._batch is not None:
-            return np.asarray(self._batch(to_pts, from_pts), dtype=float)
-        return np.stack([self.matrix(a, b) for a, b in zip(to_pts, from_pts)])
-
 
 class Logarithm:
-    """Smooth psi(m, n) in T_mM vanishing on the diagonal with unit differential."""
+    """Smooth psi(m, n) in T_mM vanishing on the diagonal with unit differential.
 
-    def __init__(self, manifold: Manifold, value_fn, d2_fn=None, name="custom", batch_fn=None):
+    ``value_fn(m, n)`` takes one pair or stacks of pairs, as ``Parallelism``'s
+    ``matrix_fn`` does, and returns flattened tangents at m, shape (..., D).
+    """
+
+    def __init__(self, manifold: Manifold, value_fn, d2_fn=None, name="custom"):
         self.manifold = manifold
         self._fn = value_fn
         self._d2 = d2_fn
-        self._batch = batch_fn
         self.name = name
         self._induced = None
 
     def value(self, m, n):
-        """Flattened tangent at m."""
-        return self.manifold.flatten(self._fn(m, n))
-
-    def value_batch(self, ms, ns):
-        if self._batch is not None:
-            return np.asarray(self._batch(ms, ns), dtype=float)
-        return np.stack([self.value(m, n) for m, n in zip(ms, ns)])
+        """Flattened tangents at m, shape (..., D)."""
+        return np.asarray(self._fn(m, n), dtype=float)
 
     def d2(self, m, n):
         """Differential of n -> psi(m, n) as a (D, D) matrix on T_nM."""
@@ -73,14 +68,12 @@ class Logarithm:
         p = mani.tangent_projector(n)
         h = FD_STEP * max(1.0, float(np.linalg.norm(mani.flatten(n))))
         ns = np.broadcast_to(n, (p.shape[1],) + n.shape)
-        return mani.derivative_along(ns, p.T, lambda qs, _: np.stack([self.value(m, q) for q in qs]), h).T
+        return mani.derivative_along(ns, p.T, lambda qs, _: self.value(m, qs), h).T
 
     def induced_parallelism(self):
         """U(to, from) = d/d(from) psi(to, .), the parallelism the logarithm carries."""
         if self._induced is None:
-            self._induced = Parallelism(
-                self.manifold, lambda a, b: self.d2(a, b), name=f"induced({self.name})"
-            )
+            self._induced = Parallelism(self.manifold, self.manifold.pairwise(self.d2), name=f"induced({self.name})")
         return self._induced
 
 
@@ -97,14 +90,8 @@ class Gauge:
     def psi(self, m, n):
         return self.log.value(m, n)
 
-    def psi_batch(self, ms, ns):
-        return self.log.value_batch(ms, ns)
-
     def U(self, to_pt, from_pt):
         return self.par.matrix(to_pt, from_pt)
-
-    def U_batch(self, to_pts, from_pts):
-        return self.par.matrix_batch(to_pts, from_pts)
 
     def d2psi(self, m, n):
         return self.log.d2(m, n)
@@ -131,17 +118,12 @@ def connection_gauge(manifold: Manifold) -> Gauge:
     """Gauge from the manifold's connection: geodesic logarithm + parallel transport."""
     log = Logarithm(
         manifold,
-        lambda m, n: manifold.log(m, n),
+        lambda m, n: manifold.flatten(manifold.log(m, n)),
         d2_fn=lambda m, n: manifold.d2log(m, n),
         name=f"log({manifold.name})",
-        batch_fn=lambda ms, ns: manifold.log_batch(ms, ns),
     )
     par = Parallelism(
-        manifold,
-        lambda a, b: manifold.transport(a, b),
-        name=f"transport({manifold.name})",
-        batch_fn=lambda a, b: manifold.transport_batch(a, b),
-        connection=True,
+        manifold, lambda a, b: manifold.transport(a, b), name=f"transport({manifold.name})", connection=True
     )
     return Gauge(manifold, log, par, provenance="connection")
 
@@ -149,10 +131,8 @@ def connection_gauge(manifold: Manifold) -> Gauge:
 def chart_gauge(manifold: Manifold, chart: Chart) -> Gauge:
     """Pullback of the standard flat gauge through a chart.
 
-    ``psi`` and ``umat`` take one pair of points or stacks of pairs, so each
-    serves both as the single-pair map and as its batch; every call reads each
-    of its two point stacks once through ``Chart.read`` (``ChartSingular``
-    outside the chart).
+    Every call of ``psi`` or ``umat`` reads each of its two point stacks once
+    through ``Chart.read`` (``ChartSingular`` outside the chart).
     """
 
     def psi(m, n):
@@ -165,8 +145,8 @@ def chart_gauge(manifold: Manifold, chart: Chart) -> Gauge:
         return chart.dfrom(xa) @ chart.dto(b)
 
     name = f"chart({chart.name})"
-    par = Parallelism(manifold, umat, name=name, batch_fn=umat, chart=chart)
-    log = Logarithm(manifold, psi, d2_fn=umat, name=name, batch_fn=psi)
+    par = Parallelism(manifold, umat, name=name, chart=chart)
+    log = Logarithm(manifold, psi, d2_fn=umat, name=name)
     log._induced = par  # the chart gauge is its own induced gauge (exact zero S)
     return Gauge(manifold, log, par, provenance="chart", chart=chart)
 
@@ -175,29 +155,18 @@ def standard_gauge(manifold: Manifold) -> Gauge:
     """Flat difference gauge on a chart manifold (psi = n - m, U = I)."""
 
     def psi(m, n):
-        return np.asarray(n, dtype=float) - np.asarray(m, dtype=float)
+        return manifold.flatten(np.asarray(n, dtype=float) - np.asarray(m, dtype=float))
 
     dim = manifold.flat_dim
-    par = Parallelism(
-        manifold,
-        lambda a, b: np.eye(dim),
-        name="identity",
-        batch_fn=lambda a, b: np.broadcast_to(np.eye(dim), (len(a), dim, dim)).copy(),
-    )
-    log = Logarithm(
-        manifold,
-        psi,
-        d2_fn=lambda m, n: np.eye(dim),
-        name="difference",
-        batch_fn=lambda ms, ns: np.asarray(ns, float) - np.asarray(ms, float),
-    )
+    par = Parallelism(manifold, manifold._identities, name="identity")
+    log = Logarithm(manifold, psi, d2_fn=lambda m, n: np.eye(dim), name="difference")
     log._induced = par
     return Gauge(manifold, log, par, provenance="custom")
 
 
 def logarithm_gauge(manifold: Manifold, psi_fn, d2_fn=None, name="psi") -> Gauge:
-    """Gauge generated by a bare logarithm, with its induced parallelism."""
-    log = Logarithm(manifold, psi_fn, d2_fn=d2_fn, name=name)
+    """Gauge generated by a bare logarithm ``psi_fn(m, n)`` of one pair, with its induced parallelism."""
+    log = Logarithm(manifold, manifold.pairwise(lambda m, n: manifold.flatten(psi_fn(m, n))), d2_fn=d2_fn, name=name)
     return Gauge(manifold, log, log.induced_parallelism(), provenance="custom")
 
 

@@ -106,11 +106,11 @@ def so3_left_jacobian_inv(w):
 
 
 def polar_retract(g):
-    """Closest orthogonal matrix (polar factor)."""
+    """Closest orthogonal matrix (polar factor) of a matrix or of each of a stack of them."""
     u, _, vt = np.linalg.svd(np.asarray(g, dtype=float))
     r = u @ vt
-    if np.linalg.det(r) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
+    flip = np.linalg.det(r) < 0
+    if any_true(flip):
+        u[..., -1] *= np.where(flip, -1.0, 1.0)[..., None]
         r = u @ vt
     return r

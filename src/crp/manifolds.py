@@ -98,7 +98,12 @@ class Chart:
 
 
 class Manifold:
-    """Base class; subclasses provide closed-form connection geometry."""
+    """Base class; subclasses provide closed-form connection geometry.
+
+    ``log``, ``transport``, ``distance``, ``project`` and ``tangent_projector``
+    each take one point (pair of points) or stacks whose leading axes broadcast,
+    and return those leading axes: one implementation serves a pair and a stack.
+    """
 
     name = "manifold"
     dim = 0
@@ -142,7 +147,8 @@ class Manifold:
         raise NotImplementedError
 
     def distance(self, m, n):
-        return float(np.linalg.norm(self.flatten(self.log(m, n))))
+        """Closed-form distance that the gauge-domain checks compare with ``gauge_radius``; never raises."""
+        raise NotImplementedError
 
     def torsion_tensor(self, m):
         """(D, D, D) tensor T[c, a, b] of the manifold's default connection.
@@ -157,11 +163,26 @@ class Manifold:
         shape = np.shape(p)
         return shape[: len(shape) - len(self.point_shape)]
 
-    gauge_radius = np.inf
+    def _identities(self, *pts):
+        """(D, D) identities over the broadcast leading axes of the given points."""
+        lead = np.broadcast_shapes(*(self._lead(p) for p in pts))
+        return np.broadcast_to(np.eye(self.flat_dim), lead + (self.flat_dim,) * 2).copy()
 
-    def domain_distance_batch(self, ms, ns):
-        """Per-pair distance surrogate that the gauge-domain checks compare with ``gauge_radius``."""
-        return np.array([self.distance(m, n) for m, n in zip(ms, ns)])
+    def pairwise(self, fn):
+        """``fn(m, n)`` of one pair lifted to stacks of pairs whose leading axes broadcast, pair by pair."""
+
+        def lifted(m, n):
+            m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
+            lead = np.broadcast_shapes(self._lead(m), self._lead(n))
+            if not lead:
+                return fn(m, n)
+            ms, ns = (np.broadcast_to(a, lead + self.point_shape).reshape((-1,) + self.point_shape) for a in (m, n))
+            out = np.stack([np.asarray(fn(a, b), dtype=float) for a, b in zip(ms, ns)])
+            return out.reshape(lead + out.shape[1:])
+
+        return lifted
+
+    gauge_radius = np.inf
 
     # -- atlas -------------------------------------------------------------------
 
@@ -209,8 +230,12 @@ class Manifold:
         out[live] = nv[live].reshape((-1,) + (1,) * (d.ndim - 1)) * d
         return out
 
+    def off_manifold(self, p):
+        """Ambient distance of a point, or of each of a stack of points, from its projection."""
+        return norm(self.flatten(p) - self.flatten(self.project(p)))
+
     def on_manifold(self, p, tol=1e-10):
-        return float(np.linalg.norm(self.flatten(p) - self.flatten(self.project(p)))) <= tol
+        return bool(self.off_manifold(p) <= tol)
 
     def random_point(self, rng):
         raise NotImplementedError
@@ -218,13 +243,6 @@ class Manifold:
     def random_tangent(self, rng, m):
         v = rng.standard_normal(self.flat_dim)
         return self.unflatten(self.tangent_projector(m) @ v)
-
-    # batch hooks (fallbacks loop)
-    def log_batch(self, ms, ns):
-        return np.stack([self.flatten(self.log(m, n)) for m, n in zip(ms, ns)])
-
-    def transport_batch(self, to_pts, from_pts):
-        return np.stack([self.transport(a, b) for a, b in zip(to_pts, from_pts)])
 
     def spec_json(self):
         return {"type": self.name, "dim": self.dim}
@@ -249,11 +267,11 @@ class Sphere(Manifold):
 
     def project(self, p):
         p = np.asarray(p, dtype=float)
-        return p / np.linalg.norm(p)
+        return p / norm(p)[..., None]
 
     def tangent_projector(self, p):
         p = np.asarray(p, dtype=float)
-        return np.eye(3) - np.outer(p, p)
+        return np.eye(3) - p[..., :, None] * p[..., None, :]
 
     def exp(self, m, v):
         m = np.asarray(m, dtype=float)
@@ -270,27 +288,36 @@ class Sphere(Manifold):
         th = eps * nu
         return np.cos(th) * np.asarray(ms, dtype=float) + np.sin(th) * us / nu
 
+    def distance(self, m, n):
+        return np.arccos(np.clip(np.einsum("...i,...i", np.asarray(m, float), np.asarray(n, float)), -1.0, 1.0))
+
     def log(self, m, n):
         m = np.asarray(m, dtype=float)
         n = np.asarray(n, dtype=float)
-        c = float(np.clip(np.dot(m, n), -1.0, 1.0))
+        c = np.clip(np.einsum("...i,...i", m, n), -1.0, 1.0)
         th = np.arccos(c)
-        if th >= self.gauge_radius - 1e-6:
-            raise NearCutLocus(f"points at distance {th:.6f} reach the gauge ball")
-        u = n - c * m
-        un = np.linalg.norm(u)
-        if un < 1e-14:
-            return np.zeros(3)
-        return th * u / un
+        far = th >= self.gauge_radius - 1e-6
+        if any_true(far):
+            raise NearCutLocus(f"points at distance {np.ravel(th)[np.argmax(far)]:.6f} reach the gauge ball")
+        u = n - c[..., None] * m
+        un = np.linalg.norm(u, axis=-1)
+        scale = np.where(un > 1e-14, th / np.maximum(un, 1e-300), 0.0)
+        return scale[..., None] * u
+
+    log_batch = log  # the name the benchmark tracer binds
 
     def transport(self, to_pt, from_pt):
         m = np.asarray(from_pt, dtype=float)
         n = np.asarray(to_pt, dtype=float)
-        c = float(np.dot(m, n))
-        if c <= -1.0 + 1e-12:
+        den = 1.0 + np.einsum("...i,...i", m, n)
+        if any_true(den <= 1e-12):
             raise NearCutLocus("transport through antipode")
         mn = m + n
-        return np.eye(3) - np.outer(mn, mn) / (1.0 + c) + 2.0 * np.outer(n, m)
+        return (
+            np.eye(3)
+            - np.einsum("...i,...j->...ij", mn, mn) / den[..., None, None]
+            + 2.0 * np.einsum("...i,...j->...ij", n, m)
+        )
 
     def d2log(self, m, n):
         """Closed-form differential of n -> log_m(n), as a matrix on T_nM."""
@@ -328,37 +355,6 @@ class Sphere(Manifold):
     def random_point(self, rng):
         v = rng.standard_normal(3)
         return v / np.linalg.norm(v)
-
-    def domain_distance_batch(self, ms, ns):
-        c = np.clip(np.einsum("pi,pi->p", np.asarray(ms, float), np.asarray(ns, float)), -1.0, 1.0)
-        return np.arccos(c)
-
-    # vectorized closed forms used by the pair verifiers
-    def log_batch(self, ms, ns):
-        ms = np.asarray(ms, dtype=float)
-        ns = np.asarray(ns, dtype=float)
-        c = np.clip(np.einsum("pi,pi->p", ms, ns), -1.0, 1.0)
-        th = np.arccos(c)
-        if np.any(th >= self.gauge_radius - 1e-6):
-            raise NearCutLocus("a probed pair reaches the gauge ball")
-        u = ns - c[:, None] * ms
-        un = np.linalg.norm(u, axis=1)
-        scale = np.where(un > 1e-14, th / np.maximum(un, 1e-300), 0.0)
-        return scale[:, None] * u
-
-    def transport_batch(self, to_pts, from_pts):
-        m = np.asarray(from_pts, dtype=float)
-        n = np.asarray(to_pts, dtype=float)
-        den = 1.0 + np.einsum("pi,pi->p", m, n)
-        if np.any(den <= 1e-12):
-            raise NearCutLocus("transport through antipode")
-        mn = m + n
-        eye = np.broadcast_to(np.eye(3), (m.shape[0], 3, 3))
-        return (
-            eye
-            - np.einsum("pi,pj->pij", mn, mn) / den[:, None, None]
-            + 2.0 * np.einsum("pi,pj->pij", n, m)
-        )
 
 
 def _stereographic_chart(pole=+1):
@@ -429,9 +425,9 @@ class SO3(Manifold):
 
     def tangent_projector(self, g):
         g = np.asarray(g, dtype=float)
-        basis = np.stack([(g @ hat(e)).reshape(9) for e in np.eye(3)])  # orthonormal * sqrt(2)
+        basis = (g[..., None, :, :] @ SO3_BASIS).reshape(g.shape[:-2] + (3, 9))  # orthonormal * sqrt(2)
         basis /= np.sqrt(2.0)
-        return basis.T @ basis
+        return np.swapaxes(basis, -1, -2) @ basis
 
     def exp(self, g, v):
         g = np.asarray(g, dtype=float)
@@ -439,17 +435,27 @@ class SO3(Manifold):
         return g @ so3_exp(a)
 
     def log(self, k, g):
+        """The masked closed form of ``so3_log``; a pair past pi - 1e-6, where ``so3_log`` turns to its
+        antipodal branch, lies past the gauge ball."""
         k = np.asarray(k, dtype=float)
-        a = so3_log(k.T @ np.asarray(g, dtype=float))
-        th = np.linalg.norm(a)
-        if th >= self.gauge_radius - 1e-6:
-            raise NearCutLocus(f"rotations at distance {th:.6f} reach the gauge ball")
-        return k @ hat(a)
+        r = np.swapaxes(k, -1, -2) @ np.asarray(g, dtype=float)
+        th = np.arccos(np.clip(0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0), -1.0, 1.0))
+        w = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]], axis=-1)
+        big = np.where(th < 1e-8, 1.0, th)
+        a = np.where(th < 1e-8, 0.5 * (1.0 + th**2 / 6.0), big / (2.0 * np.sin(big)))[..., None] * w
+        cut = (th > np.pi - 1e-6) | (norm(a) >= self.gauge_radius - 1e-6)
+        if any_true(cut):
+            raise NearCutLocus(f"rotations at distance {np.ravel(th)[np.argmax(cut)]:.6f} reach the gauge ball")
+        hats = np.zeros(r.shape)
+        hats[..., [2, 0, 1, 1, 2, 0], [1, 2, 0, 2, 0, 1]] = np.concatenate([a, -a], axis=-1)
+        return k @ hats
+
+    log_batch = log  # the name the benchmark tracer binds
 
     def transport(self, to_pt, from_pt):
-        # left translation by to * from^{-1}: xi -> (to from^T) xi
-        q = np.asarray(to_pt, dtype=float) @ np.asarray(from_pt, dtype=float).T
-        return np.kron(q, np.eye(3))
+        # left translation by to * from^{-1}: xi -> (to from^T) xi, kron(q, I)
+        q = np.einsum("...ij,...kj->...ik", np.asarray(to_pt, float), np.asarray(from_pt, float))
+        return (q[..., :, None, :, None] * np.eye(3)[:, None, :]).reshape(q.shape[:-2] + (9, 9))
 
     def d2log(self, k, g):
         k = np.asarray(k, dtype=float)
@@ -461,7 +467,8 @@ class SO3(Manifold):
         return basis_out @ np.stack([vee(g.T @ xi.reshape(3, 3)) for xi in np.eye(9)], axis=1)
 
     def distance(self, g, h):
-        return float(np.linalg.norm(so3_log(np.asarray(g).T @ np.asarray(h))))
+        tr = np.einsum("...ij,...ij", np.asarray(g, float), np.asarray(h, float))
+        return np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
 
     def torsion_tensor(self, g):
         g = np.asarray(g, dtype=float)
@@ -483,30 +490,6 @@ class SO3(Manifold):
 
     def random_point(self, rng):
         return so3_exp(rng.standard_normal(3))
-
-    def domain_distance_batch(self, ks, gs):
-        tr = np.einsum("pij,pij->p", np.asarray(ks, float), np.asarray(gs, float))
-        return np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
-
-    def log_batch(self, ks, gs):
-        """``log`` of a block of pairs, bit for bit (the same BLAS products, masked coefficients); a pair
-        past pi - 1e-6, where ``so3_log`` turns to its antipodal branch, lies past the gauge ball."""
-        ks = np.asarray(ks, dtype=float)
-        r = np.swapaxes(ks, 1, 2) @ np.asarray(gs, dtype=float)
-        th = np.arccos(np.clip(0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0), -1.0, 1.0))
-        w = np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], axis=1)
-        big = np.where(th < 1e-8, 1.0, th)
-        a = np.where(th < 1e-8, 0.5 * (1.0 + th**2 / 6.0), big / (2.0 * np.sin(big)))[:, None] * w
-        cut = (th > np.pi - 1e-6) | (np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0]) >= self.gauge_radius - 1e-6)
-        if cut.any():
-            self.log(ks[np.argmax(cut)], gs[np.argmax(cut)])  # raises the scalar's NearCutLocus
-        hats = np.zeros(r.shape)
-        hats[:, [2, 0, 1, 1, 2, 0], [1, 2, 0, 2, 0, 1]] = np.concatenate([a, -a], axis=1)
-        return (ks @ hats).reshape(-1, 9)
-
-    def transport_batch(self, to_pts, from_pts):
-        q = np.einsum("pij,pkj->pik", np.asarray(to_pts, float), np.asarray(from_pts, float))
-        return (q[:, :, None, :, None] * np.eye(3)[:, None, :]).reshape(-1, 9, 9)  # kron(q, I) per pair
 
 
 def _so3_log_chart(center, idx):
@@ -593,7 +576,7 @@ class ChartManifold(Manifold):
         return np.asarray(p, dtype=float)
 
     def tangent_projector(self, p):
-        return np.eye(self.dim)
+        return self._identities(p)
 
     def _geodesic(self, m, v, u0=None):
         """RK4 on the geodesic equation over unit time: (point, velocity, frame).
@@ -634,16 +617,17 @@ class ChartManifold(Manifold):
         return self._geodesic(m, v)[0]
 
     def log(self, m, n, tol=1e-12, max_iter=50):
-        """Newton shooting for exp(m, v) = n from the guess v = n - m.
+        """Newton shooting for exp(m, v) = n from the guess v = n - m, pair by pair.
 
         Stops when the endpoint residual is at most ``tol * |v|^2``, the size
         of the bending the guess ignores, or at most ``tol`` once a Newton step
         fails to halve it (the rounding floor of the RK4 endpoint).
         """
-        m = np.asarray(m, dtype=float)
-        n = np.asarray(n, dtype=float)
         if self.gamma is None:
-            return n - m
+            return np.asarray(n, dtype=float) - np.asarray(m, dtype=float)
+        return self.pairwise(lambda a, b: self._shoot(a, b, tol, max_iter))(m, n)
+
+    def _shoot(self, m, n, tol, max_iter):
         v = n - m
         prev = np.inf
         for _ in range(max_iter):
@@ -666,9 +650,8 @@ class ChartManifold(Manifold):
 
     def transport(self, to_pt, from_pt):
         if self.gamma is None:
-            return np.eye(self.dim)
-        v = self.log(from_pt, to_pt)
-        return self._geodesic(from_pt, v, u0=np.eye(self.dim))[2]
+            return self._identities(to_pt, from_pt)
+        return self.pairwise(lambda b, a: self._geodesic(a, self.log(a, b), u0=np.eye(self.dim))[2])(to_pt, from_pt)
 
     def d2log(self, m, n):
         if self.gamma is None:
@@ -677,9 +660,9 @@ class ChartManifold(Manifold):
         cols = [richardson_diff(lambda e, _d=dv: self.log(m, n + e * _d), h) for dv in np.eye(self.dim)]
         return np.stack(cols, axis=1)
 
-    def domain_distance_batch(self, ms, ns):
+    def distance(self, m, n):
         # coordinate distance; the conservative 5% margin absorbs the mismatch
-        return np.linalg.norm(self.flatten(ns) - self.flatten(ms), axis=-1)
+        return np.linalg.norm(self.flatten(n) - self.flatten(m), axis=-1)
 
     def torsion_tensor(self, m):
         A = self._gamma(m)
@@ -718,7 +701,7 @@ class ChartManifold(Manifold):
             dim=self.dim,
             to_coords=lambda p: self.flatten(p).copy(),
             from_coords=lambda x: self.unflatten(x).copy(),
-            dto=lambda p: np.broadcast_to(np.eye(self.dim), self._lead(p) + (self.dim,) * 2).copy(),
+            dto=self._identities,
             dfrom=lambda x: np.broadcast_to(np.eye(self.dim), np.shape(x)[:-1] + (self.dim,) * 2).copy(),
             radius=self.radius,
             center_coords=self.center.reshape(self.dim),
@@ -808,7 +791,7 @@ class ProductManifold(Manifold):
     def distance(self, m, n):
         a, b = self.split(m)
         na, nb = self.split(n)
-        return float(np.hypot(self.first.distance(a, na), self.second.distance(b, nb)))
+        return np.hypot(self.first.distance(a, na), self.second.distance(b, nb))
 
     def charts(self):
         out = []

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import pairs
 from .controlled import ControlledPath, check_probed, check_same_grid, dyadic_strides, stability_verdict, verify_crp
-from .errors import ChartExit, CrpError, DomainError, InvalidGrid, NotOnManifold, ShapeError
+from .errors import ChartExit, DomainError, InvalidGrid, NotOnManifold, ShapeError
 from .gauges import Gauge
 from .manifolds import Chart, Manifold
 from .pairs import by_grid, on_grids, pair_sup, ratio
@@ -65,11 +65,8 @@ class ManifoldControlledPath:
 
     def basepoint_residual(self):
         """Max |(I - P(y_i)) y'_i| over samples."""
-        worst = 0.0
-        for i in range(self.times.size):
-            p = self.manifold.tangent_projector(self.points[i])
-            worst = max(worst, float(np.max(np.abs(self.derivative[i] - p @ self.derivative[i]))))
-        return worst
+        p = self.manifold.tangent_projector(self.points)
+        return float(np.max(np.abs(self.derivative - p @ self.derivative), initial=0.0))
 
     def coarsen(self, factor=2):
         n = self.times.size - 1
@@ -106,13 +103,12 @@ def crp_from_projection(manifold: Manifold, rp: RoughPath, tol=BASEPOINT_TOL) ->
     if rp.dim != manifold.flat_dim:
         raise ShapeError("driver must live in the ambient space of the manifold")
     points = manifold.unflatten(rp.values).copy()  # not a view of the driver
-    deriv = np.empty((rp.times.size, manifold.flat_dim, rp.dim))
-    for i in range(rp.times.size):
-        off = float(np.linalg.norm(rp.values[i] - manifold.flatten(manifold.project(points[i]))))
-        if off > tol:
-            raise NotOnManifold(i, f"sample {i} lies {off:.2e} away from the manifold")
-        deriv[i] = manifold.tangent_projector(points[i])
-    return ManifoldControlledPath(manifold, rp.times, points, deriv, rp)
+    off = manifold.off_manifold(points)
+    bad = np.flatnonzero(off > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise NotOnManifold(i, f"sample {i} lies {off[i]:.2e} away from the manifold")
+    return ManifoldControlledPath(manifold, rp.times, points, manifold.tangent_projector(points), rp)
 
 
 def crp_from_smooth_curve(manifold: Manifold, curve, dcurve, rp: RoughPath) -> ManifoldControlledPath:
@@ -136,9 +132,9 @@ def crp_pushforward(f, jac, y: ManifoldControlledPath, target: Manifold) -> Mani
     for i in range(n):
         deriv[i] = np.asarray(jac(y.points[i]), dtype=float) @ y.derivative[i]
     out = ManifoldControlledPath(target, y.times, pts, deriv, y.driver)
-    for i in range(n):
-        if not target.on_manifold(pts[i], tol=1e-8):
-            raise DomainError(f"pushed sample {i} left the target manifold domain")
+    bad = np.flatnonzero(~(target.off_manifold(pts) <= 1e-8))
+    if bad.size:
+        raise DomainError(f"pushed sample {int(bad[0])} left the target manifold domain")
     return out
 
 
@@ -173,7 +169,7 @@ def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p, strides=
     def residuals(i, j):
         pi, pj = pts.take(i, axis=0), pts.take(j, axis=0)
         if gauge.chart is None:
-            d = y.manifold.domain_distance_batch(pi, pj)
+            d = y.manifold.distance(pi, pj)
             bad = np.where(d >= y.manifold.gauge_radius)[0]
             if bad.size:
                 a, b = int(i[bad[0]]), int(j[bad[0]])
@@ -183,8 +179,8 @@ def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p, strides=
         om = y.driver.control.omega(times.take(i), times.take(j))
         dx = y.driver.values.take(j, axis=0) - y.driver.values.take(i, axis=0)
         dag_i = y.derivative.take(i, axis=0)
-        rn = np.linalg.norm(gauge.psi_batch(pi, pj) - np.einsum("pda,pa->pd", dag_i, dx), axis=-1)
-        dd = np.einsum("pde,pek->pdk", gauge.U_batch(pi, pj), y.derivative.take(j, axis=0))
+        rn = np.linalg.norm(gauge.psi(pi, pj) - np.einsum("pda,pa->pd", dag_i, dx), axis=-1)
+        dd = np.einsum("pde,pek->pdk", gauge.U(pi, pj), y.derivative.take(j, axis=0))
         dd -= dag_i
         dn = np.linalg.norm(dd.reshape(i.size, -1), axis=-1)
         r2, r1 = ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
@@ -216,8 +212,7 @@ def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
     gauge definition on loops, where the full horizon would probe pairs beyond
     the injectivity ball.  Raises ``DomainError`` when even adjacent samples
     leave the gauge ball.  The gaps are read in blocks of fewer than
-    ``pairs.BLOCK_PAIRS`` pairs; a block whose distances raise is read again
-    gap by gap, so no gap past the first one outside the domain decides.
+    ``pairs.BLOCK_PAIRS`` pairs.
     """
     horizon = float(y.times[-1] - y.times[0])
     if gauge.chart is not None:
@@ -232,13 +227,7 @@ def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
         starts = np.cumsum(sizes) - sizes
         i = np.arange(sizes.sum()) - np.repeat(starts, sizes)
         j = i + np.repeat(n - sizes, sizes)
-        try:
-            d = y.manifold.domain_distance_batch(y.points[i], y.points[j])
-        except CrpError:
-            if width == 1:
-                raise
-            width = 1
-            continue
+        d = y.manifold.distance(y.points[i], y.points[j])
         far = np.maximum.reduceat(d, starts) >= radius - 1e-9
         k = int(np.argmax(far)) if far.any() else sizes.size  # the block's gaps inside the domain
         best = float(np.maximum.reduceat(times[j] - times[i], starts)[k - 1]) if k else best

@@ -145,7 +145,7 @@ def rde_solve_manifold(
         if not mani.on_manifold(y, BASEPOINT_TOL):
             raise NotOnManifold(0, f"start point is not on {mani.name}")
         points = linear_flow(field.generators, rp.times, dxs, rp.step_areas, y, "exp", explosion_bound)
-        points = np.stack([mani.project(p) for p in points]) if retraction else points
+        points = mani.project(points) if retraction else points
         deriv = np.einsum("anm,pm...->pn...a", field.generators, points).reshape(n + 1, mani.flat_dim, -1)
         switches = []
     else:
@@ -324,8 +324,4 @@ def f_related_pushforward(
 
 def manifold_distance_drift(y: ManifoldControlledPath):
     """Max ambient distance of the samples from the manifold."""
-    mani = y.manifold
-    worst = 0.0
-    for m in y.points:
-        worst = max(worst, float(np.linalg.norm(mani.flatten(m) - mani.flatten(mani.project(m)))))
-    return worst
+    return float(np.max(y.manifold.off_manifold(y.points), initial=0.0))

@@ -82,11 +82,11 @@ class ControlledOneForm:
         """``(C2, C1, worst pair, pairs probed, (C2s, C1s))`` of one sweep, the lists over the ``on_grids`` strides."""
         y = self.path
         # only the action on tangents at y_s is meaningful
-        projs = np.stack([y.manifold.tangent_projector(pt) for pt in y.points])
+        projs = y.manifold.tangent_projector(y.points)
 
         def residuals(i, j):
             # U(y_t, y_s): T_{y_s} -> T_{y_t}; the inequality composes alpha_t with it
-            u = self.parallelism.matrix_batch(y.points.take(j, axis=0), y.points.take(i, axis=0))
+            u = self.parallelism.matrix(y.points.take(j, axis=0), y.points.take(i, axis=0))
             proj_i = projs.take(i, axis=0)
             rem = np.einsum("pnd,pde->pne", self.alpha.take(j, axis=0), u) - self.alpha.take(i, axis=0)
             dx = y.driver.values.take(j, axis=0) - y.driver.values.take(i, axis=0)
@@ -130,14 +130,14 @@ def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism, alpha
     taken on the whole grid at once: one Richardson stencil over every (node,
     driver direction) pair, so one ``form`` call per stencil level, with the
     stencil points from the manifold's stacked ``curve`` (closed form on the
-    sphere) and the parallelism through ``matrix_batch``.  Raises
+    sphere) and the parallelism on the stacked pairs.  Raises
     ``GaugeMismatch`` for a parallelism of another manifold.
     """
     par.check_manifold(y.manifold)
     alpha = form(y.points, "node") if alpha is None else alpha
 
     def g(qs, bases):
-        return np.einsum("pnd,pde->pne", form(qs, "stencil point"), par.matrix_batch(qs, bases))
+        return np.einsum("pnd,pde->pne", form(qs, "stencil point"), par.matrix(qs, bases))
 
     dag = np.swapaxes(y.derivative_samples(g), 1, 2)  # (N+1, n, k, D)
     return ControlledOneForm(y.times, alpha, dag, par, y)
@@ -172,7 +172,7 @@ def integrator_increments(y: ManifoldControlledPath, gauge: Gauge, stensor: Comp
     """
     i = np.asarray(i)
     j = np.asarray(j)
-    psi = gauge.psi_batch(y.points[i], y.points[j])
+    psi = gauge.psi(y.points[i], y.points[j])
     areas = y.driver.area_pairs(i, j)
     ydag = y.derivative[i]
     pushed = np.einsum("pda,peb,pab->pde", ydag, ydag, areas)
@@ -193,7 +193,7 @@ def gauge_integrate(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gaug
     check_same_grid(a.times, y.times)
     n = y.times.size - 1
     if gauge.chart is None:
-        d = y.manifold.domain_distance_batch(y.points[:-1], y.points[1:])
+        d = y.manifold.distance(y.points[:-1], y.points[1:])
         bad = np.where(d >= y.manifold.gauge_radius)[0]
         if bad.size:
             raise DomainError(f"step {int(bad[0])} exits the gauge domain")

@@ -339,7 +339,7 @@ def frame_transport_defect(lift: FrameLift, step=1):
     """Max |u_t - U(y_t, y_s) u_s| over pairs ``step`` indices apart."""
     y = lift.base
     i = np.arange(0, y.times.size - step, step)
-    u = y.manifold.transport_batch(y.points[i + step], y.points[i])
+    u = y.manifold.transport(y.points[i + step], y.points[i])
     return float(np.max(np.abs(lift.frames[i + step] - u @ lift.frames[i]), initial=0.0))
 
 

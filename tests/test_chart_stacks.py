@@ -5,7 +5,7 @@ Every chart map (``to_coords``, ``from_coords``, ``dto``, ``dfrom``) and
 gauge, the chart–connection compatibility tensor and the chart reads of the
 integral and transport code make one call per stack.  Checked here: stacked
 against per-point calls on every chart kind, the single-point shapes, the
-chart gauge's batches against its single-pair maps, the number of chart reads
+chart gauge's stacked pairs against its single-pair calls, the number of chart reads
 per stack, and the stacked membership check on points outside a chart.
 """
 
@@ -80,8 +80,8 @@ def test_stacked_maps_equal_the_per_point_maps(manifold, chart):
 def test_chart_gauge_batches_equal_its_single_pair_maps(manifold, chart):
     gauge = chart_gauge(manifold, chart)
     ms, ns = points_in(manifold, chart, 8, seed=1), points_in(manifold, chart, 8, seed=2)
-    u = gauge.U_batch(ms, ns)
-    psi = gauge.psi_batch(ms, ns)
+    u = gauge.U(ms, ns)
+    psi = gauge.psi(ms, ns)
     assert u.shape == (8, manifold.flat_dim, manifold.flat_dim) and psi.shape == (8, manifold.flat_dim)
     assert np.max(np.abs(u - np.stack([gauge.par.matrix(m, n) for m, n in zip(ms, ns)]))) <= 1e-15
     assert np.max(np.abs(psi - np.stack([gauge.log.value(m, n) for m, n in zip(ms, ns)]))) <= 1e-15
@@ -98,10 +98,10 @@ def test_chart_gauge_batches_read_each_stack_once_and_make_no_margin_calls(monke
     margins, reads = [], []
     monkeypatch.setattr(Chart, "margin", lambda self, p: margins.append(1) or 0.0)
     gauge = chart_gauge(SPHERE, counted_chart(SPHERE.charts()[1], reads))
-    gauge.par.matrix_batch(ms, ns)
+    gauge.par.matrix(ms, ns)
     assert len(reads) == 2 and margins == []
     reads.clear()
-    gauge.psi_batch(ms, ns)
+    gauge.psi(ms, ns)
     assert len(reads) == 2 and margins == []
 
 

@@ -39,6 +39,11 @@ class TestProjectionConstruction:
         y = sphere_spiral_crp(64)
         assert y.basepoint_residual() <= 1e-10
 
+    def test_nan_sample_makes_the_residual_nan(self):
+        y = sphere_spiral_crp(8)
+        y.derivative[3, 0, 0] = np.nan
+        assert np.isnan(y.basepoint_residual())  # never read as finite, so `<= tol` fails
+
     def test_off_manifold_sample_rejected(self):
         grid = np.linspace(0.0, 1.0, 9)
         rp = lift_smooth(

@@ -117,6 +117,13 @@ def test_sphere_drift_vanishes_with_retraction():
     assert manifold_distance_drift(sol) <= 1e-12
 
 
+def test_drift_of_a_nan_sample_is_nan():
+    rp = linear_drive_driver(16)
+    sol = rde_solve_manifold(sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]), retraction=True)
+    sol.points[5, 1] = np.nan
+    assert np.isnan(manifold_distance_drift(sol))  # never read as finite, so `<= tol` fails
+
+
 def test_manifold_drift_bounded_by_second_order():
     # chart stepping reconstructs points through the chart inverse, which lands
     # on the sphere to rounding; the O(h^2) bound is met with drift ~ eps

@@ -15,7 +15,7 @@ import crp.oneforms as oneforms
 import crp.pairs as pairs
 import crp.roughpath as roughpath
 from crp.cli import main
-from crp.errors import DomainError, NearCutLocus
+from crp.errors import DomainError
 from crp.gauges import connection_gauge, standard_gauge
 from crp.manifolds import ChartManifold, ProductManifold
 from crp.pairs import grid_triples, pair_sup, ratio, sampled_triples, triple_defect
@@ -343,7 +343,7 @@ def _feasible_reference(y, gauge):
     n, best = y.times.size, 0.0
     for gap in range(1, n):
         i = np.arange(0, n - gap)
-        d = y.manifold.domain_distance_batch(y.points[i], y.points[i + gap])
+        d = y.manifold.distance(y.points[i], y.points[i + gap])
         if float(np.max(d)) >= gauge.manifold.gauge_radius - 1e-9:
             break
         best = float(np.max(y.times[i + gap] - y.times[i]))
@@ -362,19 +362,30 @@ def test_domain_feasible_delta_walks_blocks_of_gaps(maker, n, budget, monkeypatc
     assert mcrp.domain_feasible_delta(y, gauge) == want
 
 
-def test_domain_feasible_delta_ignores_a_raise_past_the_first_gap_outside():
-    # sphere x line, the sphere factor turning 0.8 per step: gap 3 (2.4) is the first one past the
-    # product's gauge radius 1.9, and at gap 4 (3.2) the sphere factor's log raises at its cut locus;
-    # the block holding both gaps is read again gap by gap, so the walk stops at gap 3 as before
+def _turning_product_path():
+    """Sphere x line, the sphere factor turning 0.8 per step over 8 steps, the line factor still."""
     prod = ProductManifold(fx.SPHERE, ChartManifold(1, radius=1.0))
     n = 8
     times = np.linspace(0.0, 1.0, n + 1)
     th = 0.8 * np.arange(n + 1)
     pts = np.stack([np.cos(th), np.sin(th), np.zeros(n + 1), np.zeros(n + 1)], axis=1)
-    y = mcrp.ManifoldControlledPath(prod, times, pts, np.zeros((n + 1, 4, 1)), roughpath.time_lift(times))
+    return mcrp.ManifoldControlledPath(prod, times, pts, np.zeros((n + 1, 4, 1)), roughpath.time_lift(times))
+
+
+def test_domain_feasible_delta_ignores_a_raise_past_the_first_gap_outside():
+    # gap 3 (2.4) is the first one past the product's gauge radius 1.9; at gap 4 (3.2) the sphere
+    # factor's log would raise at its cut locus, while the closed-form distance reads on
+    y = _turning_product_path()
+    prod, times, pts = y.manifold, y.times, y.points
     gauge = connection_gauge(prod)
-    with pytest.raises(NearCutLocus):
-        prod.domain_distance_batch(pts[:1], pts[4:5])
+    assert prod.distance(pts[:1], pts[4:5])[0] >= prod.gauge_radius
     want = _feasible_reference(y, gauge)
     assert want == float(np.max(times[2:] - times[:-2]))
     assert mcrp.domain_feasible_delta(y, gauge) == want
+
+
+def test_product_gauge_verifier_names_the_first_pair_outside_the_domain():
+    # the sphere factor's cut locus is past the product's gauge ball: the domain check raises first
+    y = _turning_product_path()
+    with pytest.raises(DomainError, match=r"pair \(t_0, t_3\) = \(0, 0.375\) outside the gauge domain"):
+        mcrp.verify_gauge_crp(y, connection_gauge(y.manifold), delta=1.0)
