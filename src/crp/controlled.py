@@ -209,8 +209,11 @@ def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
     ``delta`` is given only pairs with t - s <= delta are probed; the report
     also carries constants restricted to dyadic deltas together with the
     largest delta at which they stay within a factor two of the local one.
+    A derivative whose driver axis is not the driver's dimension raises ``ShapeError``.
     """
     check_same_grid(y.times, rp.times)
+    if y.driver_dim != rp.dim:
+        raise ShapeError(f"derivative has {y.driver_dim} driver columns, the driver {rp.dim} coordinates")
     strides, hs = dyadic_strides(y.times, levels, 8)
     # delta-restricted diagnostics (reported, not gating), from the sweep of every pair
     deltas = []

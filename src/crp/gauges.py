@@ -59,16 +59,19 @@ class Logarithm:
         return np.asarray(self._fn(m, n), dtype=float)
 
     def d2(self, m, n):
-        """Differential of n -> psi(m, n) as a (D, D) matrix on T_nM."""
+        """Differential of n -> psi(m, n) as a (D, D) matrix on T_nM.
+
+        Without ``d2_fn``: one Richardson stencil along canonical curves at n in the
+        dim M directions e_a of ``Manifold.tangent_basis``, assembled as sum_a (d psi . e_a) e_a^T.
+        """
         if self._d2 is not None:
             return np.asarray(self._d2(m, n), dtype=float)
-        # finite-difference fallback along canonical curves at n, one row per projector column
         mani = self.manifold
         n = np.asarray(n, dtype=float)
-        p = mani.tangent_projector(n)
+        e = mani.tangent_basis(n)  # (D, dim)
         h = FD_STEP * max(1.0, float(np.linalg.norm(mani.flatten(n))))
-        ns = np.broadcast_to(n, (p.shape[1],) + n.shape)
-        return mani.derivative_along(ns, p.T, lambda qs, _: self.value(m, qs), h).T
+        ns = np.broadcast_to(n, (mani.dim,) + n.shape)
+        return mani.derivative_along(ns, e.T, lambda qs, _: self.value(m, qs), h).T @ e.T
 
     def induced_parallelism(self):
         """U(to, from) = d/d(from) psi(to, .), the parallelism the logarithm carries."""

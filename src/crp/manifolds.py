@@ -132,6 +132,10 @@ class Manifold:
         """(D, D) orthogonal projection onto T_pM in flattened coordinates."""
         raise NotImplementedError
 
+    def tangent_basis(self, p):
+        """Orthonormal basis of T_pM, the columns of (..., D, dim): the top eigenvectors of ``tangent_projector``."""
+        return np.linalg.eigh(self.tangent_projector(p))[1][..., -self.dim :]
+
     def exp(self, m, v):
         raise NotImplementedError
 
@@ -231,8 +235,12 @@ class Manifold:
         return out
 
     def off_manifold(self, p):
-        """Ambient distance of a point, or of each of a stack of points, from its projection."""
-        return norm(self.flatten(p) - self.flatten(self.project(p)))
+        """Ambient distance of a point, or of each of a stack of points, from its projection.
+
+        NaN, with no warning, where the projection fails (the origin, for the sphere).
+        """
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return norm(self.flatten(p) - self.flatten(self.project(p)))
 
     def on_manifold(self, p, tol=1e-10):
         return bool(self.off_manifold(p) <= tol)

@@ -55,13 +55,18 @@ class ManifoldControlledPath:
         """Derivatives of g along every column of y' at every node, shape (N+1, k, ...).
 
         One ``Manifold.derivative_along`` call covers all (node, direction) rows;
-        ``g(qs, bases)`` is as there.
+        ``g(qs, bases)`` is as there.  The rows are the k columns of y' if k <= dim M,
+        else the dim M columns of the orthonormal ``Manifold.tangent_basis`` E, contracted
+        with E^T y' (the derivative is linear in the direction): only the tangent part of y' enters.
         """
         n, k = self.times.size, self.driver_dim
-        ms = np.repeat(self.points, k, axis=0)
-        vs = np.swapaxes(self.derivative, 1, 2).reshape(n * k, -1)
-        d = self.manifold.derivative_along(ms, vs, g)
-        return d.reshape((n, k) + d.shape[1:])
+        dirs = np.swapaxes(self.derivative, 1, 2)  # (N+1, k, D)
+        if k > self.manifold.dim:
+            dirs = np.swapaxes(self.manifold.tangent_basis(self.points), 1, 2)  # (N+1, dim, D)
+        r = dirs.shape[1]
+        d = self.manifold.derivative_along(np.repeat(self.points, r, axis=0), dirs.reshape(n * r, -1), g)
+        d = d.reshape((n, r) + d.shape[1:])
+        return d if r == k else np.einsum("nak,na...->nk...", dirs @ self.derivative, d)
 
     def basepoint_residual(self):
         """Max |(I - P(y_i)) y'_i| over samples."""
@@ -104,7 +109,7 @@ def crp_from_projection(manifold: Manifold, rp: RoughPath, tol=BASEPOINT_TOL) ->
         raise ShapeError("driver must live in the ambient space of the manifold")
     points = manifold.unflatten(rp.values).copy()  # not a view of the driver
     off = manifold.off_manifold(points)
-    bad = np.flatnonzero(off > tol)
+    bad = np.flatnonzero(~(off <= tol))
     if bad.size:
         i = int(bad[0])
         raise NotOnManifold(i, f"sample {i} lies {off[i]:.2e} away from the manifold")
@@ -247,8 +252,10 @@ def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None, levels
     slope under refinement stays above -0.25.  The remainder and derivative
     verdicts are reported separately (the degenerate-control fixture has a
     finite remainder constant at delta = 1/2 while its derivative process is
-    not controlled at all).  A delta below every grid step raises ``DomainError``.
+    not controlled at all).  A delta below every grid step raises ``DomainError``,
+    a gauge of another manifold ``GaugeMismatch``.
     """
+    gauge.par.check_manifold(y.manifold)
     if delta is None:
         delta = default_probe_delta(y)
     strides, hs = dyadic_strides(y.times, levels, 8)

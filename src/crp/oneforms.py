@@ -127,11 +127,13 @@ def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism, alpha
     ``where`` ("node" or "stencil point") in errors; ``alpha`` are the node values
     when known.  The derivative samples are the transport-covariant derivatives
     along y' directions, ``Manifold.derivative_along`` of q -> alpha(q) o U(q, m),
-    taken on the whole grid at once: one Richardson stencil over every (node,
-    driver direction) pair, so one ``form`` call per stencil level, with the
-    stencil points from the manifold's stacked ``curve`` (closed form on the
-    sphere) and the parallelism on the stacked pairs.  Raises
-    ``GaugeMismatch`` for a parallelism of another manifold.
+    taken on the whole grid at once (``ManifoldControlledPath.derivative_samples``):
+    one Richardson stencil over min(k, dim M) directions at every node, the
+    columns of y' or, for k > dim M, a tangent basis (only the tangent part of
+    y' enters), so one ``form`` call per stencil level and (N+1)(1 + 4 min(k, dim M))
+    form values in all, with the stencil points from the manifold's stacked
+    ``curve`` (closed form on the sphere) and the parallelism on the stacked
+    pairs.  Raises ``GaugeMismatch`` for a parallelism of another manifold.
     """
     par.check_manifold(y.manifold)
     alpha = form(y.points, "node") if alpha is None else alpha

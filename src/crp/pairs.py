@@ -14,6 +14,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from .errors import DomainError
+
 # Numerators at or below this count as zero when the control vanishes (0/0 -> 0).
 ZERO_NUM_TOL = 1e-13
 
@@ -42,6 +44,8 @@ def _row_ends(times, delta):
     n = times.size
     if delta is None:
         return np.full(n, n)
+    if not np.isfinite(delta):  # a NaN horizon would keep every pair
+        raise DomainError(f"probe delta {delta} is not finite")
     lim = delta + DELTA_SLACK
     rows = np.arange(n)
     ends = np.maximum(np.searchsorted(times, times + lim, side="right"), rows + 1)

@@ -5,7 +5,7 @@ import pytest
 
 import crp.controlled as controlled
 import crp.fixtures as fx
-from crp import Control, ControlledPath, GridMismatch, RoughPath, verify_crp
+from crp import Control, ControlledPath, GridMismatch, RoughPath, ShapeError, verify_crp
 from crp.controlled import associated_roughpath, driver_as_controlled, dyadic_ladder, stability_verdict
 from crp.gauges import connection_gauge
 from crp.mcrp import verify_gauge_crp
@@ -52,6 +52,14 @@ def test_grid_mismatch_rejected():
     other = time_lift(np.linspace(0, 1, 17))
     with pytest.raises(GridMismatch):
         verify_crp(driver_as_controlled(other), rp)
+
+
+def test_derivative_of_another_driver_dimension_rejected():
+    # three driver columns against a one-dimensional time lift: zero values read as `pass: True` before
+    grid = np.linspace(0.0, 1.0, 17)
+    y = ControlledPath(grid, np.zeros((17, 2)), np.zeros((17, 2, 3)))
+    with pytest.raises(ShapeError, match="3 driver columns"):
+        verify_crp(y, time_lift(grid))
 
 
 def example_67_fixture(eps=0.01, p=2.0):

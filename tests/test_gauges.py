@@ -17,16 +17,10 @@ from crp.gauges import (
     standard_gauge,
     torsion_check,
 )
-from crp.linalg import hat
+from crp.linalg import FD_STEP, hat
 
 SPHERE = Sphere()
 SO3M = SO3()
-
-
-def tangent_basis(manifold, p):
-    proj = manifold.tangent_projector(p)
-    w, v = np.linalg.eigh(proj)
-    return v[:, w > 0.5]
 
 
 def decay_slope(errs, scales):
@@ -75,16 +69,40 @@ def test_inverse_transport_approximation_slope(name, mani, gauge):
     v /= np.linalg.norm(v)
     scales = [0.2 / 2**j for j in range(5)]
     errs = []
-    bm = tangent_basis(mani, m)
+    bm = mani.tangent_basis(m)
     for s in scales:
         n = mani.exp(m, s * mani.unflatten(v))
-        bn = tangent_basis(mani, n)
+        bn = mani.tangent_basis(n)
         u_nm = bn.T @ gauge.U(n, m) @ bm  # T_m -> T_n in bases
         u_mn = bm.T @ gauge.U(m, n) @ bn
         errs.append(float(np.max(np.abs(np.linalg.inv(u_nm) - u_mn))))
     # connection transports invert exactly along the same geodesic; the
     # second-order approximation statement is about the generic (chart) case
     assert max(errs) < 1e-12 or decay_slope(errs, scales) >= 1.75
+
+
+@pytest.mark.parametrize("mani", [SPHERE, SO3M], ids=["sphere", "so3"])
+def test_fd_logarithm_differential_runs_along_a_tangent_basis(mani):
+    # the fallback without d2_fn: 4 psi evaluations per tangent basis vector (sphere 2, not 3;
+    # SO(3) 3, not 9), against the stencil along all D projector columns it replaced
+    calls = [0]
+
+    def psi(m, n):
+        calls[0] += 1
+        return mani.log(m, n)
+
+    log = logarithm_gauge(mani, psi).log
+    rng = np.random.default_rng(37)
+    m = mani.random_point(rng)
+    n = mani.exp(m, 0.3 * mani.random_tangent(rng, m))
+    got = log.d2(m, n)
+    assert calls[0] == 4 * mani.dim
+    p = mani.tangent_projector(n)
+    h = FD_STEP * max(1.0, float(np.linalg.norm(mani.flatten(n))))
+    ns = np.broadcast_to(n, (mani.flat_dim,) + n.shape)
+    want = mani.derivative_along(ns, p.T, lambda qs, _: log.value(m, qs), h).T
+    assert np.max(np.abs(got - want)) <= 1e-9
+    assert np.max(np.abs(got - mani.d2log(m, n) @ p)) <= 1e-8
 
 
 class TestCompatibilityTensor:
@@ -193,11 +211,11 @@ class TestCompatibilityTensor:
         v = SPHERE.random_tangent(rng, m)
         w = SPHERE.random_tangent(rng, m)
         h = 1e-5
-        bm = tangent_basis(SPHERE, m)
+        bm = SPHERE.tangent_basis(m)
 
         def comp(eps):
             x = SPHERE.exp(m, eps * v)
-            bx = tangent_basis(SPHERE, x)
+            bx = SPHERE.tangent_basis(x)
             u_xm = bx.T @ u.matrix(x, m) @ bm
             ut_xm = bx.T @ ut.matrix(x, m) @ bm
             return np.linalg.solve(u_xm, ut_xm) @ (bm.T @ SPHERE.flatten(w))
@@ -260,12 +278,12 @@ class TestLogarithmComparison:
         m /= np.linalg.norm(m)
         v = SPHERE.random_tangent(rng, m)
         v /= np.linalg.norm(SPHERE.flatten(v))
-        bm = tangent_basis(SPHERE, m)
+        bm = SPHERE.tangent_basis(m)
         scales = [0.3 / 2**j for j in range(5)]
         errs = []
         for sc in scales:
             n = SPHERE.exp(m, sc * v)
-            bn = tangent_basis(SPHERE, n)
+            bn = SPHERE.tangent_basis(n)
             u_mn = bm.T @ u.matrix(m, n) @ bn
             ut_mn = bm.T @ ut.matrix(m, n) @ bn
             lhs = u_mn @ np.linalg.inv(ut_mn)

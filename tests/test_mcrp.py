@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crp import ChartManifold, DomainError, NotOnManifold, OffGrid
+from crp import SO3, ChartManifold, DomainError, GaugeMismatch, NotOnManifold, OffGrid
 from crp.fixtures import (
     FLAT3,
     LINE,
@@ -52,6 +52,12 @@ class TestProjectionConstruction:
             dpath=lambda t: np.array([0.1, 0.0, 0.0]),
         )
         with pytest.raises(NotOnManifold):
+            crp_from_projection(SPHERE, rp)
+
+    def test_zero_driver_values_rejected(self):
+        # the sphere's projection of 0 is NaN, whose distance compares False against any tolerance
+        rp = lift_smooth(lambda t: np.zeros(3), np.linspace(0.0, 1.0, 9), dpath=lambda t: np.zeros(3))
+        with pytest.raises(NotOnManifold, match="sample 0"):
             crp_from_projection(SPHERE, rp)
 
     def test_points_do_not_alias_the_driver(self):
@@ -106,6 +112,10 @@ class TestGaugeVerifier:
         with pytest.raises(DomainError):
             verify_gauge_crp(y, connection_gauge(SPHERE), delta=np.pi)
 
+
+    def test_gauge_of_another_manifold_raises_gauge_mismatch(self):
+        with pytest.raises(GaugeMismatch):
+            verify_gauge_crp(sphere_spiral_crp(16), connection_gauge(SO3()))
 
     def test_nan_sample_fails_gauge_and_oneform_verifiers(self):
         from crp.oneforms import oneform_from_smooth
@@ -216,6 +226,11 @@ class TestPushforward:
         out = crp_pushforward(lambda m: m, lambda m: np.eye(3), y, SPHERE)
         assert np.allclose(out.flat_points(), y.flat_points())
         assert np.allclose(out.derivative, y.derivative)
+
+    def test_pushforward_to_the_origin_raises_domain_error(self):
+        # the sphere's projection of 0 is NaN: a typed error, not a RuntimeWarning
+        with pytest.raises(DomainError, match="sample 0"):
+            crp_pushforward(lambda m: np.zeros(3), lambda m: np.zeros((3, 3)), sphere_spiral_crp(8), SPHERE)
 
     def test_radial_projection_to_sphere_is_crp(self):
         y = flat3_crp(256)

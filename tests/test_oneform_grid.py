@@ -1,8 +1,10 @@
 """Whole-grid one-form derivative samples and the closed-form chart/connection S.
 
 The per-node reference below is the one-Richardson-stencil-per-(node, direction)
-construction the whole-grid path replaced; the closed-form compatibility tensors
-are checked against the finite-difference oracle ``compatibility_tensor``.
+construction the whole-grid path replaced, and ``column_samples`` the whole-grid
+stencil over every driver column that the tangent-basis stencil replaced; the
+closed-form compatibility tensors are checked against the finite-difference
+oracle ``compatibility_tensor``.
 """
 
 from __future__ import annotations
@@ -149,6 +151,105 @@ def test_pushed_field_path_matches_the_per_node_reference():
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
 
 
+# -- derivative samples on a tangent basis ---------------------------------------------
+
+
+def column_samples(y, g):
+    """Derivatives of g along every column of y', one stencil row per (node, driver column):
+    the whole-grid stencil before the rows ran along a tangent basis, shape (N+1, k, ...)."""
+    n, k = y.times.size, y.driver_dim
+    ms = np.repeat(y.points, k, axis=0)
+    vs = np.swapaxes(y.derivative, 1, 2).reshape(n * k, -1)
+    d = y.manifold.derivative_along(ms, vs, g)
+    return d.reshape((n, k) + d.shape[1:])
+
+
+def transported(form, par):
+    """The stencil function of ``oneform_from_stacks``: q -> alpha(q) o U(q, base)."""
+
+    def g(qs, bases):
+        return np.einsum("pnd,pde->pne", np.stack([form(q) for q in qs]), par.matrix(qs, bases))
+
+    return g
+
+
+def wide_driver(times, k):
+    """A smooth k-dimensional driver on the grid."""
+    w = np.arange(1.0, k + 1.0)
+    return lift_smooth(lambda t: np.sin(w * t), times, dpath=lambda t: w * np.cos(w * t))
+
+
+def wide_chart_path(n=32):
+    """The asymmetric chart path driven through three driver columns: k = 3 > dim = 2."""
+    y = asymmetric_path(n)
+    deriv = np.stack([np.array([[1.0, 0.5 * t, 0.0], [0.0, 1.0, -0.3 * t]]) for t in y.times])
+    return ManifoldControlledPath(y.manifold, y.times, y.points, deriv, wide_driver(y.times, 3))
+
+
+def wide_so3_path(n=32):
+    """The SO(3) curve driven through four driver columns, tangent ones: k = 4 > dim = 3."""
+    y = so3_curve_crp(n)
+    cols = np.random.default_rng(29).standard_normal((y.times.size, 9, 4))
+    return ManifoldControlledPath(y.manifold, y.times, y.points, y.manifold.tangent_projector(y.points) @ cols,
+                                  wide_driver(y.times, 4))
+
+
+def wide_cases():
+    y_s, y_c, y_r = sphere_spiral_crp(32), wide_chart_path(16), wide_so3_path()
+    return [
+        ("sphere-connection", sphere_form, y_s, connection_gauge(SPHERE).par),
+        ("sphere-chart", sphere_form, y_s, chart_gauge(SPHERE, SPHERE.charts()[0]).par),
+        ("chart-asymmetric-k3", chart_form, y_c, connection_gauge(y_c.manifold).par),
+        ("so3-k4", so3_form, y_r, connection_gauge(SO3()).par),
+    ]
+
+
+@pytest.mark.parametrize(
+    "mani",
+    [SPHERE, SO3(), ChartManifold(2, radius=1.0, gamma=asymmetric_connection, h_geo=0.1), product_path(4).manifold],
+    ids=["sphere", "so3", "chart-asymmetric", "sphere*so3"],
+)
+def test_tangent_basis_is_orthonormal_and_spans_the_tangent_space(mani):
+    rng = np.random.default_rng(31)
+    pts = np.stack([mani.random_point(rng) for _ in range(200)]).reshape((20, 10) + mani.point_shape)
+    e = mani.tangent_basis(pts)
+    assert e.shape == (20, 10, mani.flat_dim, mani.dim)
+    et = np.swapaxes(e, -1, -2)
+    # eigh's rounding: 8 machine epsilons (1.8e-15)
+    assert np.max(np.abs(et @ e - np.eye(mani.dim))) <= 8 * np.finfo(float).eps
+    assert np.max(np.abs(e @ et - mani.tangent_projector(pts))) <= 8 * np.finfo(float).eps
+    assert np.array_equal(mani.tangent_basis(pts[3, 4]), e[3, 4])
+
+
+@pytest.mark.parametrize("name,form,y,par", wide_cases(), ids=[c[0] for c in wide_cases()])
+def test_tangent_basis_stencil_matches_the_column_stencil_when_k_exceeds_dim(name, form, y, par):
+    assert y.driver_dim > y.manifold.dim
+    g = transported(form, par)
+    got, want = y.derivative_samples(g), column_samples(y, g)
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("name,form,y,par", grid_cases()[2:], ids=[c[0] for c in grid_cases()[2:]])
+def test_derivative_samples_take_the_columns_bit_for_bit_when_k_is_at_most_dim(name, form, y, par):
+    assert y.driver_dim <= y.manifold.dim
+    g = transported(form, par)
+    assert np.array_equal(y.derivative_samples(g), column_samples(y, g))
+
+
+@pytest.mark.parametrize("name,form,y,par", grid_cases() + wide_cases()[2:],
+                         ids=[c[0] for c in grid_cases() + wide_cases()[2:]])
+def test_form_evaluations_per_construction(name, form, y, par):
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return form(m)
+
+    oneform_from_smooth(counted, y, par)
+    # the nodes, then 4 Richardson points along min(k, dim M) directions at every node
+    assert calls[0] == y.times.size * (1 + 4 * min(y.driver_dim, y.manifold.dim))
+
+
 # -- the work done -----------------------------------------------------------------
 
 
@@ -172,7 +273,7 @@ def test_one_richardson_stencil_and_no_scalar_parallelism_calls(monkeypatch):
     y = sphere_spiral_crp(32)
     oneform_from_smooth(sphere_form, y, connection_gauge(SPHERE).par)
     assert stencils[0] == 1
-    assert shapes == [(33 * 3, 3)] * 4  # one call per stencil level, on all (N+1) k stencil points
+    assert shapes == [(33 * 2, 3)] * 4  # one call per stencil level, on (N+1) min(k, dim) = 33 * 2 stencil points
 
 
 def test_gauge_change_to_a_stereographic_chart_takes_no_finite_differences(monkeypatch):

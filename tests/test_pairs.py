@@ -338,6 +338,26 @@ class TestNoPairProbed:
         assert res.exit_code == 1 and "no grid pair" in res.output
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+class TestNonFiniteDelta:
+    """A NaN probe horizon compared False everywhere and so kept every pair: each verifier raises instead."""
+
+    def test_gauge_verifier(self, delta):
+        with pytest.raises(DomainError, match="not finite"):
+            mcrp.verify_gauge_crp(fx.sphere_spiral_crp(16), connection_gauge(fx.SPHERE), delta=delta)
+
+    def test_flat_verifier(self, delta):
+        y = fx.sphere_spiral_crp(16)
+        with pytest.raises(DomainError, match="not finite"):
+            controlled.verify_crp(y.as_flat(), y.driver, delta=delta)
+
+    def test_oneform_verifier(self, delta):
+        y = fx.sphere_spiral_crp(16)
+        form = oneforms.oneform_from_smooth(lambda m: np.sin(m)[None, :], y, connection_gauge(fx.SPHERE).par)
+        with pytest.raises(DomainError, match="not finite"):
+            form.verify(delta=delta)
+
+
 def _feasible_reference(y, gauge):
     """The gap-by-gap walk: stop at the first gap with a pair outside the gauge ball."""
     n, best = y.times.size, 0.0
