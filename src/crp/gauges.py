@@ -50,7 +50,7 @@ class Logarithm:
     def __init__(self, manifold: Manifold, value_fn, d2_fn=None, name="custom"):
         self.manifold = manifold
         self._fn = value_fn
-        self._d2 = d2_fn
+        self._d2 = d2_fn if d2_fn is not None else manifold.pairwise(self._fd_d2)
         self.name = name
         self._induced = None
 
@@ -59,13 +59,12 @@ class Logarithm:
         return np.asarray(self._fn(m, n), dtype=float)
 
     def d2(self, m, n):
-        """Differential of n -> psi(m, n) as a (D, D) matrix on T_nM.
+        """Differential of n -> psi(m, n) as a (..., D, D) matrix on T_nM; ``d2_fn`` takes pairs as ``value_fn``."""
+        return np.asarray(self._d2(m, n), dtype=float)
 
-        Without ``d2_fn``: one Richardson stencil along canonical curves at n in the
-        dim M directions e_a of ``Manifold.tangent_basis``, assembled as sum_a (d psi . e_a) e_a^T.
-        """
-        if self._d2 is not None:
-            return np.asarray(self._d2(m, n), dtype=float)
+    def _fd_d2(self, m, n):
+        """Without ``d2_fn``, for one pair: one Richardson stencil along canonical curves at n in the
+        dim M directions e_a of ``Manifold.tangent_basis``, assembled as sum_a (d psi . e_a) e_a^T."""
         mani = self.manifold
         n = np.asarray(n, dtype=float)
         e = mani.tangent_basis(n)  # (D, dim)
@@ -76,7 +75,7 @@ class Logarithm:
     def induced_parallelism(self):
         """U(to, from) = d/d(from) psi(to, .), the parallelism the logarithm carries."""
         if self._induced is None:
-            self._induced = Parallelism(self.manifold, self.manifold.pairwise(self.d2), name=f"induced({self.name})")
+            self._induced = Parallelism(self.manifold, self.d2, name=f"induced({self.name})")
         return self._induced
 
 
@@ -122,7 +121,7 @@ def connection_gauge(manifold: Manifold) -> Gauge:
     log = Logarithm(
         manifold,
         lambda m, n: manifold.flatten(manifold.log(m, n)),
-        d2_fn=lambda m, n: manifold.d2log(m, n),
+        d2_fn=manifold.d2log,
         name=f"log({manifold.name})",
     )
     par = Parallelism(
@@ -160,16 +159,18 @@ def standard_gauge(manifold: Manifold) -> Gauge:
     def psi(m, n):
         return manifold.flatten(np.asarray(n, dtype=float) - np.asarray(m, dtype=float))
 
-    dim = manifold.flat_dim
     par = Parallelism(manifold, manifold._identities, name="identity")
-    log = Logarithm(manifold, psi, d2_fn=lambda m, n: np.eye(dim), name="difference")
+    log = Logarithm(manifold, psi, d2_fn=manifold._identities, name="difference")
     log._induced = par
     return Gauge(manifold, log, par, provenance="custom")
 
 
 def logarithm_gauge(manifold: Manifold, psi_fn, d2_fn=None, name="psi") -> Gauge:
-    """Gauge generated by a bare logarithm ``psi_fn(m, n)`` of one pair, with its induced parallelism."""
-    log = Logarithm(manifold, manifold.pairwise(lambda m, n: manifold.flatten(psi_fn(m, n))), d2_fn=d2_fn, name=name)
+    """Gauge of a bare logarithm ``psi_fn(m, n)`` and its induced parallelism; ``psi_fn`` and ``d2_fn``, its
+    differential in n when given, take one pair and are lifted to stacks pair by pair."""
+    lift = manifold.pairwise
+    d2 = None if d2_fn is None else lift(d2_fn)
+    log = Logarithm(manifold, lift(lambda m, n: manifold.flatten(psi_fn(m, n))), d2_fn=d2, name=name)
     return Gauge(manifold, log, log.induced_parallelism(), provenance="custom")
 
 

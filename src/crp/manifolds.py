@@ -100,7 +100,7 @@ class Chart:
 class Manifold:
     """Base class; subclasses provide closed-form connection geometry.
 
-    ``log``, ``transport``, ``distance``, ``project`` and ``tangent_projector``
+    ``log``, ``d2log``, ``transport``, ``distance``, ``project`` and ``tangent_projector``
     each take one point (pair of points) or stacks whose leading axes broadcast,
     and return those leading axes: one implementation serves a pair and a stack.
     """
@@ -147,7 +147,7 @@ class Manifold:
         raise NotImplementedError
 
     def d2log(self, m, n):
-        """Differential of n -> log_m(n) as a (D, D) matrix on T_nM."""
+        """Differential of n -> log_m(n) as a (D, D) matrix on T_nM, with the pairs' leading axes."""
         raise NotImplementedError
 
     def distance(self, m, n):
@@ -328,21 +328,19 @@ class Sphere(Manifold):
         )
 
     def d2log(self, m, n):
-        """Closed-form differential of n -> log_m(n), as a matrix on T_nM."""
+        """Closed-form differential of n -> log_m(n), as a matrix on T_nM; a series below theta = 1e-6."""
         m = np.asarray(m, dtype=float)
         n = np.asarray(n, dtype=float)
-        c = float(np.clip(np.dot(m, n), -1.0, 1.0))
+        c = np.clip(np.einsum("...i,...i", m, n), -1.0, 1.0)
         th = np.arccos(c)
-        u = n - c * m
-        if th < 1e-6:
-            a = 1.0 + th**2 / 6.0
-            b = 1.0 / 3.0
-        else:
-            s = np.sin(th)
-            a = th / s
-            b = (s - th * c) / s**3
+        small = th < 1e-6
+        t = th + small  # th + 1 on the series lanes, where the closed forms are not read
+        s = np.sin(t)
+        a = np.where(small, 1.0 + th**2 / 6.0, t / s)[..., None, None]
+        b = np.where(small, 1.0 / 3.0, (s - t * c) / s**3)[..., None, None]
+        u = n - c[..., None] * m
         # dpsi(w) = a (w - (m.w) m) - b (m.w) u   for w in T_nM
-        return a * (np.eye(3) - np.outer(m, m)) - b * np.outer(u, m)
+        return a * (np.eye(3) - m[..., :, None] * m[..., None, :]) - b * (u[..., :, None] * m[..., None, :])
 
     def charts(self):
         return [_stereographic_chart(pole=+1), _stereographic_chart(pole=-1)]
@@ -466,13 +464,13 @@ class SO3(Manifold):
         return (q[..., :, None, :, None] * np.eye(3)[:, None, :]).reshape(q.shape[:-2] + (9, 9))
 
     def d2log(self, k, g):
+        # tangent xi = g hat(e) maps to k hat(Jr^{-1} e), Jr^{-1} the right Jacobian inverse;
+        # e = vee(g^T xi), and vee(g^T E_rc)_a = (g hat(e_a))_rc / 2 on the unit matrices E_rc
         k = np.asarray(k, dtype=float)
         g = np.asarray(g, dtype=float)
-        ell = so3_log(k.T @ g)
-        jr_inv = so3_left_jacobian_inv(-ell)  # right Jacobian inverse
-        # tangent xi = g hat(e) maps to k hat(Jr^{-1} e)
-        basis_out = np.stack([(k @ hat(jr_inv @ e)).reshape(9) for e in np.eye(3)], axis=1)  # (9, 3)
-        return basis_out @ np.stack([vee(g.T @ xi.reshape(3, 3)) for xi in np.eye(9)], axis=1)
+        jr_inv = so3_left_jacobian_inv(-so3_log(np.swapaxes(k, -1, -2) @ g))
+        kb, gb = ((p[..., None, :, :] @ SO3_BASIS).reshape(p.shape[:-2] + (3, 9)) for p in (k, g))
+        return np.swapaxes(kb, -1, -2) @ jr_inv @ (0.5 * gb)
 
     def distance(self, g, h):
         tr = np.einsum("...ij,...ij", np.asarray(g, float), np.asarray(h, float))
@@ -555,6 +553,10 @@ class ChartManifold(Manifold):
     def __init__(self, dim, radius=10.0, center=None, gamma=None, h_geo=0.01):
         self.dim = int(dim)
         self.radius = float(radius)
+        if self.dim < 1:
+            raise ShapeError(f"a chart manifold needs dimension at least 1, got {dim}")
+        if not self.radius > 0.0:
+            raise DomainError(f"a chart manifold needs a positive radius, got {radius}")
         self.center = np.zeros(self.dim) if center is None else np.asarray(center, dtype=float)
         if self.center.ndim == 0 or self.center.size != self.dim:
             raise ShapeError(f"a center of shape {self.center.shape} does not hold {self.dim} coordinates")
@@ -663,10 +665,13 @@ class ChartManifold(Manifold):
 
     def d2log(self, m, n):
         if self.gamma is None:
-            return np.eye(self.dim)
-        h = FD_STEP * max(1.0, float(np.linalg.norm(n)))
-        cols = [richardson_diff(lambda e, _d=dv: self.log(m, n + e * _d), h) for dv in np.eye(self.dim)]
-        return np.stack(cols, axis=1)
+            return self._identities(m, n)
+
+        def one(m, n):
+            h = FD_STEP * max(1.0, float(np.linalg.norm(n)))
+            return np.stack([richardson_diff(lambda e: self.log(m, n + e * dv), h) for dv in np.eye(self.dim)], axis=1)
+
+        return self.pairwise(one)(m, n)
 
     def distance(self, m, n):
         # coordinate distance; the conservative 5% margin absorbs the mismatch

@@ -139,9 +139,15 @@ def rde_solve_manifold(
         rp = rp.restrict(rp.index_of(horizon[0]), rp.index_of(horizon[1]))
     n, dxs = rp.n_steps, np.diff(rp.values, axis=0)
     y = np.asarray(y0, dtype=float)
-    if field.generators is not None:
-        if y.shape != mani.point_shape or rp.dim != len(field.generators):
-            raise ShapeError(f"need a {len(field.generators)}-dim driver and y0 of shape {mani.point_shape}")
+    gens = field.generators
+    f0 = None if gens is not None or y.shape != mani.point_shape else field.value_matrix(y)  # chart-stepped deriv[0]
+    fshape = (mani.flat_dim, len(gens)) if gens is not None else np.shape(f0)
+    if y.shape != mani.point_shape or fshape != (mani.flat_dim, rp.dim):
+        raise ShapeError(
+            f"y0 of shape {y.shape} and field values of shape {fshape} do not fit {mani.name} points of shape "
+            f"{mani.point_shape} and a {rp.dim}-dim driver"
+        )
+    if gens is not None:
         if not mani.on_manifold(y, BASEPOINT_TOL):
             raise NotOnManifold(0, f"start point is not on {mani.name}")
         points = linear_flow(field.generators, rp.times, dxs, rp.step_areas, y, "exp", explosion_bound)
@@ -152,7 +158,7 @@ def rde_solve_manifold(
         points = np.empty((n + 1,) + mani.point_shape)
         deriv = np.empty((n + 1, mani.flat_dim, rp.dim))
         points[0] = y
-        deriv[0] = field.value_matrix(y)
+        deriv[0] = f0
         walk = ChartWalk(mani, atlas, rp.times, y)
         chart = walk.chart
         rep = field.chart_rep(chart)
@@ -182,48 +188,50 @@ def rde_solve_manifold(
 # -- characterizations -------------------------------------------------------------
 
 
+def _field_at(field: ManifoldDrivingField, qs):
+    """F at each of a stack of points, (R, D, k)."""
+    return np.stack([field.value_matrix(q) for q in qs])
+
+
+def _area_terms(y: ManifoldControlledPath, field: ManifoldDrivingField, g):
+    """F(y_i), (N, D, k), and sum_ab X_i[a, b] d_{F_a}[g_b](y_i) at the left node of every step.
+
+    One ``Manifold.derivative_along`` call over the whole grid, its rows the (node, column)
+    pairs of F(y_i); a column whose area row is zero is zeroed, so it takes no stencil
+    point.  ``g(qs, bases)`` is as there, with values (R, ..., k) whose last axis is b.
+    """
+    ms, areas = y.points[:-1], y.driver.step_areas
+    n, k = areas.shape[:2]
+    cols = _field_at(field, ms)
+    dirs = np.where(np.any(areas != 0, axis=-1)[..., None], np.swapaxes(cols, 1, 2), 0.0)  # (N, k, D)
+    d = y.manifold.derivative_along(np.repeat(ms, k, axis=0), dirs.reshape(n * k, -1), g)
+    return cols, np.einsum("na...b,nab->n...", d.reshape((n, k) + d.shape[1:]), areas)
+
+
 def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, gauge: Gauge, check_split=False):
     """One-step defects of the logarithm characterization of the solve.
 
     Returns the max defect of
         psi(y_i, y_{i+1}) - F_{dx_i}(y_i) - sum_ab X[a,b] d_{F_a}[(psi_{y_i})_* F_b](y_i)
     and, when ``check_split`` is set, the max pointwise difference between that
-    second-order term and its compatibility-tensor split form.
+    second-order term and its compatibility-tensor split form: the derivatives of
+    d2psi(y_i, .) F(.) and U(y_i, .) F(.), each one stacked call per stencil level.
     """
-    mani = y.manifold
-    n = y.times.size - 1
-    dxs = np.diff(y.driver.values, axis=0)
-    worst = 0.0
-    split_worst = 0.0
-    s_tensor = None
-    if check_split:
-        s_tensor = compatibility_tensor(gauge.log.induced_parallelism(), gauge.par, mani)
-    # the second-order term differentiates d2psi(m, .) F(.), and the split form U(m, .) F(.)
     pushes = [gauge.d2psi, gauge.U] if check_split else [gauge.d2psi]
-    for i in range(n):
-        m = y.points[i]
-        cols = field.value_matrix(m)  # (D, k)
-        area = y.driver.step_areas[i]
-        k = area.shape[0]
 
-        def pushed(qs, _bases, _m=m):
-            return np.stack([np.stack([push(_m, q) @ field.value_matrix(q) for push in pushes]) for q in qs])
+    def pushed(qs, bases):
+        fq = _field_at(field, qs)
+        return np.stack([push(bases, qs) @ fq for push in pushes], axis=1)  # (R, push, D, k)
 
-        terms = np.zeros((len(pushes), mani.flat_dim))
-        live = [a for a in range(k) if np.any(area[a])]
-        ms = np.broadcast_to(m, (len(live),) + m.shape)
-        derivs = mani.derivative_along(ms, cols[:, live].T, pushed) if live else []  # (a, push, D, k)
-        for d, a in zip(derivs, live):
-            terms += d @ area[a]
-            if check_split:
-                s_term = np.stack([s_tensor.apply(m, cols[:, a], cols[:, b]) for b in range(k)], axis=1)
-                terms[1] -= s_term @ area[a]
-        pred = cols @ dxs[i] + terms[0]
-        defect = gauge.psi(m, y.points[i + 1]) - pred
-        worst = max(worst, float(np.linalg.norm(defect)))
-        if check_split:
-            split_worst = max(split_worst, float(np.linalg.norm(terms[0] - terms[1])))
-    return {"defect": worst, "split_residual": split_worst}
+    cols, terms = _area_terms(y, field, pushed)
+    pred = np.einsum("ndk,nk->nd", cols, np.diff(y.driver.values, axis=0)) + terms[:, 0]
+    defect = np.linalg.norm(gauge.psi(y.points[:-1], y.points[1:]) - pred, axis=-1)
+    split = 0.0
+    if check_split:
+        s = compatibility_tensor(gauge.log.induced_parallelism(), gauge.par, y.manifold).stack(y.points[:-1])
+        s_term = np.einsum("ncde,nda,neb,nab->nc", s, cols, cols, y.driver.step_areas)
+        split = float(np.max(np.linalg.norm(terms[:, 0] - terms[:, 1] + s_term, axis=-1)))
+    return {"defect": float(np.max(defect)), "split_residual": split}
 
 
 def check_rde_gauge_form(y: ManifoldControlledPath, field, gauge: Gauge, levels=4, check_split=False):
@@ -265,28 +273,15 @@ def check_rde_integral_form(y: ManifoldControlledPath, field, alpha_fn, gauge: G
 
 def scalar_solution_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, f, df):
     """Max one-step defect of the scalar characterization for observable f."""
-    mani = y.manifold
-    n = y.times.size - 1
-    dxs = np.diff(y.driver.values, axis=0)
 
-    def g(qs, _bases):
-        return np.stack([np.asarray(df(q), dtype=float) @ field.value_matrix(q) for q in qs])  # (R, k)
+    def dfs(qs):
+        return np.stack([np.asarray(df(q), dtype=float) for q in qs])
 
-    worst = 0.0
-    for i in range(n):
-        m = y.points[i]
-        cols = field.value_matrix(m)
-        area = y.driver.step_areas[i]
-        term1 = float(np.asarray(df(m), dtype=float) @ (cols @ dxs[i]))
-        term2 = 0.0
-        live = [a for a in range(area.shape[0]) if np.any(area[a])]
-        if live:
-            dd = mani.derivative_along(np.broadcast_to(m, (len(live),) + m.shape), cols[:, live].T, g)
-            for d, a in zip(dd, live):
-                term2 += float(d @ area[a])
-        defect = float(f(y.points[i + 1]) - f(m)) - term1 - term2
-        worst = max(worst, abs(defect))
-    return worst
+    cols, term2 = _area_terms(y, field, lambda qs, _bases: np.einsum("rd,rdk->rk", dfs(qs), _field_at(field, qs)))
+    ms = y.points[:-1]
+    term1 = np.einsum("nd,ndk,nk->n", dfs(ms), cols, np.diff(y.driver.values, axis=0))
+    fs = np.array([float(f(p)) for p in y.points])
+    return float(np.max(np.abs(np.diff(fs) - term1 - term2)))
 
 
 def f_related_pushforward(

@@ -272,28 +272,23 @@ def chart_formula_integral(alpha_fn, y: ManifoldControlledPath, chart) -> Contro
 
 
 def flat_smooth_integral(alpha_fn, z: ControlledPath, rp: RoughPath) -> ControlledPath:
-    """Compensated sum for a smooth matrix one-form along a flat controlled path."""
-    n = z.times.size
-    vals = z.values
-    a0 = np.asarray(alpha_fn(vals[0]), dtype=float)
-    out = np.zeros((n, a0.shape[0]))
-    deriv = np.empty((n, a0.shape[0], z.driver_dim))
-    alphas = np.empty((n,) + a0.shape)
-    for i in range(n):
-        alphas[i] = np.asarray(alpha_fn(vals[i]), dtype=float)
-        deriv[i] = alphas[i] @ z.derivative[i]
-    d = vals.shape[1]
-    for i in range(n - 1):
-        first = alphas[i] @ (vals[i + 1] - vals[i])
-        x = vals[i]
-        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-        grad = np.empty(a0.shape + (d,))  # (m, d_out, d_in)
-        for j, e in enumerate(np.eye(d)):
-            grad[..., j] = richardson_diff(lambda eps, _e=e: np.asarray(alpha_fn(x + eps * _e), float), h)
-        area = rp.step_areas[i]
-        second = np.einsum("mej,ab,ja,eb->m", grad, area, z.derivative[i], z.derivative[i])
-        out[i + 1] = out[i] + first + second
-    return ControlledPath(z.times, out, deriv)
+    """``sewing.rough_integrate`` of a smooth matrix one-form along a flat controlled path.
+
+    The integrand's derivative is grad(alpha) z': the gradient along the d coordinate
+    axes by one Richardson stencil over every node, its step relative to the node's largest entry.
+    Raises as ``oneform_from_smooth`` for a value of alpha that is not (n, d) or not finite.
+    """
+    x = z.values
+    n, d = x.shape
+    alphas = _form_values(alpha_fn, x, d, "node")
+
+    def alpha_at(eps):  # alpha at x_i + eps_i e_j, shape (N+1, d, m, d)
+        pts = (x[:, None, :] + eps.reshape(n, 1, 1) * np.eye(d)).reshape(n * d, d)
+        return _form_values(alpha_fn, pts, d, "stencil point").reshape((n, d) + alphas.shape[1:])
+
+    grad = richardson_diff(alpha_at, FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=1))[:, None, None, None])
+    dag = np.einsum("njme,nja->nmea", grad, z.derivative)
+    return rough_integrate(ControlledPath(z.times, alphas, dag), z, rp)
 
 
 # -- structural checks -----------------------------------------------------------------
@@ -377,30 +372,17 @@ def integrator_difference_defect(y: ManifoldControlledPath, g1: Gauge, g2: Gauge
 
 def log_almost_additivity_defect(y: ManifoldControlledPath, gauge: Gauge):
     """Max defect of the logarithm three-point identity over consecutive triples."""
-    n = y.times.size - 1
-    worst = 0.0
-    for i in range(n - 1):
-        m, t, u = y.points[i], y.points[i + 1], y.points[i + 2]
-        lhs = gauge.psi(t, u)
-        d2 = gauge.d2psi(t, m)
-        rhs = d2 @ (gauge.psi(m, u) - gauge.psi(m, t))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    m, t, u = y.points[:-2], y.points[1:-1], y.points[2:]
+    rhs = (gauge.d2psi(t, m) @ (gauge.psi(m, u) - gauge.psi(m, t))[..., None])[..., 0]
+    return float(np.max(np.linalg.norm(gauge.psi(t, u) - rhs, axis=-1), initial=0.0))
 
 
 def transport_commutation_defect(y: ManifoldControlledPath, u_tilde: Parallelism, u: Parallelism):
     """Max defect of S o U^(x)2 - U o S over consecutive pairs."""
-    s = compatibility_tensor(u_tilde, u, y.manifold)
-    n = y.times.size - 1
-    worst = 0.0
-    for i in range(n):
-        m, t = y.points[i], y.points[i + 1]
-        umat = u.matrix(t, m)
-        s_t = s.at(t)
-        s_m = s.at(m)
-        lhs = np.einsum("cab,ad,be->cde", s_t, umat, umat)
-        rhs = np.einsum("cf,fde->cde", umat, s_m)
-        p = y.manifold.tangent_projector(m)
-        diff = np.einsum("cde,df,eg->cfg", lhs - rhs, p, p)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    m, t = y.points[:-1], y.points[1:]
+    s = compatibility_tensor(u_tilde, u, y.manifold).stack(y.points)
+    umat = u.matrix(t, m)
+    lhs = np.einsum("ncab,nad,nbe->ncde", s[1:], umat, umat)
+    rhs = np.einsum("ncf,nfde->ncde", umat, s[:-1])
+    p = y.manifold.tangent_projector(m)
+    return float(np.max(np.abs(np.einsum("ncde,ndf,neg->ncfg", lhs - rhs, p, p)), initial=0.0))

@@ -49,7 +49,10 @@ class RoughPath:
         self.values = np.asarray(self.values, dtype=float)
         self.step_areas = np.asarray(self.step_areas, dtype=float)
         n = self.times.size - 1
-        if self.values.shape[0] != n + 1 or self.step_areas.shape[0] != n:
+        v, a = self.values.shape, self.step_areas.shape
+        if len(v) != 2 or len(a) != 3 or a[1:] != (v[1],) * 2:
+            raise ShapeError(f"values of shape {v} and step areas of shape {a} are not (N+1, k) and (N, k, k)")
+        if v[0] != n + 1 or a[0] != n:
             raise InvalidGrid("values/areas do not match the grid")
 
     # -- basic queries ---------------------------------------------------------
@@ -283,6 +286,8 @@ def lift_piecewise_linear(points, grid, p=1.0):
     """Exact lift of the piecewise-linear interpolant through ``points``."""
     times = _check_grid(grid)
     values = np.asarray(points, dtype=float)
+    if values.ndim != 2:
+        raise ShapeError(f"points of shape {values.shape} are not (N+1, k)")
     if values.shape[0] != times.size:
         raise InvalidGrid("one point per grid node required")
     dx = np.diff(values, axis=0)

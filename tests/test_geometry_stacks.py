@@ -1,14 +1,15 @@
 """Connection geometry on stacks of pairs.
 
-``Manifold.log``, ``transport`` and ``distance`` take one pair or stacks of
-pairs whose leading axes broadcast, and ``project`` and ``tangent_projector``
-one point or a stack, each with one implementation.  Checked here on the
-sphere, SO(3), a flat and a curved chart manifold and two products: a stack
-(one leading axis, then two) against the per-pair calls, and bit for bit
-against the closed-form stacked kernels and per-point bodies the single
-implementation replaced (copied below as references); the stacked
+``Manifold.log``, ``d2log``, ``transport`` and ``distance`` take one pair or
+stacks of pairs whose leading axes broadcast, and ``project`` and
+``tangent_projector`` one point or a stack, each with one implementation.
+Checked here on the sphere, SO(3), a flat and a curved chart manifold and two
+products: a stack (one leading axis, then two) against the per-pair calls, and
+bit for bit against the closed-form stacked kernels and per-point bodies the
+single implementation replaced (copied below as references); the stacked
 ``NearCutLocus`` message against the single pair's; and a per-pair
-``logarithm_gauge`` logarithm on stacks.
+``logarithm_gauge`` logarithm, its differential and its induced parallelism on
+stacks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from crp import NearCutLocus
 from crp.fixtures import SO3M, SPHERE
 from crp.gauges import connection_gauge, logarithm_gauge
-from crp.linalg import hat, so3_exp
+from crp.linalg import hat, so3_exp, so3_left_jacobian_inv, so3_log, vee
 from crp.manifolds import ChartManifold, ProductManifold
 
 TOL = 4.4e-16  # one unit in the last place of a value below 4
@@ -84,6 +85,24 @@ def so3_transport_batch(to_pts, from_pts):
 def so3_distance_batch(ks, gs):
     tr = np.einsum("pij,pij->p", ks, gs)
     return np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
+
+
+def sphere_d2log_pair(m, n):
+    c = float(np.clip(np.dot(m, n), -1.0, 1.0))
+    th = np.arccos(c)
+    u = n - c * m
+    if th < 1e-6:
+        a, b = 1.0 + th**2 / 6.0, 1.0 / 3.0
+    else:
+        s = np.sin(th)
+        a, b = th / s, (s - th * c) / s**3
+    return a * (np.eye(3) - np.outer(m, m)) - b * np.outer(u, m)
+
+
+def so3_d2log_pair(k, g):
+    jr_inv = so3_left_jacobian_inv(-so3_log(k.T @ g))
+    basis_out = np.stack([(k @ hat(jr_inv @ e)).reshape(9) for e in np.eye(3)], axis=1)
+    return basis_out @ np.stack([vee(g.T @ xi.reshape(3, 3)) for xi in np.eye(9)], axis=1)
 
 
 def sphere_project(p):
@@ -216,7 +235,7 @@ def geometry(mani, name):
     return getattr(mani, name)
 
 
-PAIR_OPS = ["log", "transport", "distance"]
+PAIR_OPS = ["log", "d2log", "transport", "distance"]
 POINT_OPS = ["project", "tangent_projector"]
 
 
@@ -228,6 +247,8 @@ def test_stacks_equal_single_calls_and_the_replaced_kernels(mani, op):
         ns = ms + (1e-3 if op == "project" else 0.0)  # project reads points a little off the manifold
         args = (ns,)
     else:
+        if op == "d2log":
+            ns[0] = ms[0]  # a diagonal pair, on the sphere's series branch
         args = (ms, ns)
     fn = geometry(mani, op)
     stacked = np.asarray(fn(*args))
@@ -302,8 +323,43 @@ def test_a_per_pair_logarithm_gauge_works_on_stacks():
     assert np.allclose(u.reshape(6), 1.0 + 0.6 * (ns - ms)[:, 0], rtol=0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("with_d2", [False, True], ids=["fd-d2", "d2-fn"])
+def test_a_per_pair_logarithm_differential_works_on_stacks(with_d2):
+    plane = ChartManifold(2, radius=5.0)
+
+    def psi(m, n):  # one pair at a time: float() rejects a stack
+        d = n - m
+        return d + 0.3 * float(d[0]) * d
+
+    def d2(m, n):
+        d = n - m
+        return (1.0 + 0.3 * float(d[0])) * np.eye(2) + 0.3 * np.outer(d, [1.0, 0.0])
+
+    gauge = logarithm_gauge(plane, psi, d2_fn=d2 if with_d2 else None)
+    ms, ns = pairs_on(plane, 6, seed=9)
+    got = gauge.log.d2(ms.reshape(2, 3, 2), ns.reshape(2, 3, 2))
+    assert got.shape == (2, 3, 2, 2)
+    single = np.stack([gauge.log.d2(m, n) for m, n in zip(ms, ns)])
+    assert np.array_equal(got.reshape(6, 2, 2), single)
+    assert np.allclose(single, np.stack([d2(m, n) for m, n in zip(ms, ns)]), rtol=0.0, atol=1e-9)
+    # the induced parallelism is the differential, on stacks as on one pair
+    assert np.array_equal(gauge.U(ms, ns), gauge.d2psi(ms, ns))
+    assert np.array_equal(gauge.U(ms[0], ns), gauge.d2psi(np.broadcast_to(ms[0], ns.shape), ns))
+
+
+@pytest.mark.parametrize("mani,pair", [(SPHERE, sphere_d2log_pair), (SO3M, so3_d2log_pair)], ids=["sphere", "so3"])
+def test_stacked_d2log_matches_the_per_pair_closed_form(mani, pair):
+    # the arithmetic order changed, so the match is to rounding, not bit for bit
+    ms, ns = pairs_on(mani, 12, seed=11)
+    ns[0] = ms[0]
+    want = np.stack([pair(m, n) for m, n in zip(ms, ns)])
+    assert np.max(np.abs(mani.d2log(ms, ns) - want)) <= 1e-14
+
+
 def test_connection_gauge_maps_are_the_manifold_maps_on_stacks():
     ms, ns = pairs_on(SO3M, 5, seed=8)
     gauge = connection_gauge(SO3M)
     assert same_bits(gauge.psi(ms, ns), SO3M.flatten(SO3M.log(ms, ns)))
     assert same_bits(gauge.U(ns, ms), SO3M.transport(ns, ms))
+    assert same_bits(gauge.d2psi(ms, ns), SO3M.d2log(ms, ns))
+    assert same_bits(gauge.log.induced_parallelism().matrix(ms, ns), SO3M.d2log(ms, ns))

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from crp import ChartExit, ChartManifold, LogFailure, NearCutLocus, ProductManifold, SO3, ShapeError, Sphere
+from crp import ChartExit, ChartManifold, DomainError, LogFailure, NearCutLocus, ProductManifold, SO3, ShapeError, Sphere
 from crp.convergence import estimate_order
 from crp.linalg import hat, so3_exp, so3_log
 
@@ -409,6 +409,16 @@ class TestChartManifold:
     def test_bad_center_raises(self, dim, center, gamma):
         with pytest.raises(ShapeError):
             ChartManifold(dim, center=center, gamma=gamma)
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dimension_below_one_raises(self, dim):
+        with pytest.raises(ShapeError, match="dimension at least 1"):
+            ChartManifold(dim)
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan])
+    def test_radius_not_positive_raises(self, radius):
+        with pytest.raises(DomainError, match="positive radius"):
+            ChartManifold(2, radius=radius)
 
     def test_domain_distance_batch_on_matrix_points(self):
         mani = ChartManifold(4, center=np.zeros((2, 2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from crp import ChartManifold, Explosion
+from crp import ChartManifold, Explosion, ShapeError
 from crp.convergence import estimate_order
 from crp.fixtures import (
     SPHERE,
@@ -228,6 +228,21 @@ def test_explosion_with_norm_bound():
     assert 0.0 <= exc.value.time <= 4.0
 
 
+@pytest.mark.parametrize("y0", [np.array([0.0, 1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]])])
+def test_chart_stepped_solve_checks_the_start_point_shape(y0):
+    with pytest.raises(ShapeError, match="do not fit sphere points of shape"):
+        rde_solve_manifold(sphere_projection_field(), linear_drive_driver(4), y0)
+
+
+def test_chart_stepped_solve_checks_the_driver_dimension():
+    # a 3-column field on a 2-dim driver; the field is read once, at y0
+    calls = []
+    field = ManifoldDrivingField(SPHERE, lambda m: calls.append(m) or SPHERE.tangent_projector(m))
+    with pytest.raises(ShapeError, match="field values of shape \\(3, 3\\) do not fit .* a 2-dim driver"):
+        rde_solve_manifold(field, smooth_2d_driver(4), np.array([0.0, 1.0, 0.0]))
+    assert len(calls) == 1
+
+
 def test_solution_is_controlled_path():
     from crp.mcrp import verify_gauge_crp
 
@@ -269,24 +284,106 @@ class TestGaugeForm:
 
     def test_field_and_log_evaluated_once_per_stencil_point(self):
         # 8 steps, one nonzero area row (the driver moves along e1 only): F at each
-        # node plus F and d2psi at the 4 Richardson points of that row's derivative
+        # node plus F at the 4 Richardson points of that row's derivative, and one
+        # stacked d2psi call per Richardson level for the whole grid
+        assert count_gauge_form_calls(8) == {"value_matrix": 8 + 8 * 4, "d2psi": 4}
+
+    def test_criterion_08_grid_takes_four_d2psi_calls(self):
+        # criterion-08's N = 256 solve: one stacked d2psi call per Richardson level, and F
+        # once at each node and at each of its 4 stencil points
+        assert count_gauge_form_calls(256) == {"value_matrix": 256 + 256 * 4, "d2psi": 4}
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_whole_grid_defects_match_the_per_node_loop(self, n):
         field = sphere_projection_field()
-        sol = rde_solve_manifold(field, linear_drive_driver(8), np.array([0.0, 1.0, 0.0]))
+        sol = rde_solve_manifold(field, smooth_sphere_driver(n), np.array([0.0, 1.0, 0.0]))
         gauge = connection_gauge(SPHERE)
-        calls = {"value_matrix": 0, "d2psi": 0}
+        got = gauge_form_defects(sol, field, gauge, check_split=True)
+        want = per_node_gauge_form(sol, field, gauge)
+        assert got["defect"] == pytest.approx(want["defect"], rel=1e-9, abs=1e-15)
+        assert got["split_residual"] == pytest.approx(want["split_residual"], rel=1e-6, abs=1e-15)
+        f, df = (lambda m: float(m[0] + m[2] ** 2)), (lambda m: np.array([1.0, 0.0, 2.0 * m[2]]))
+        assert scalar_solution_defects(sol, field, f, df) == pytest.approx(
+            per_node_scalar(sol, field, f, df), rel=1e-9, abs=1e-15
+        )
 
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
 
-            return wrapper
+def count_gauge_form_calls(n):
+    """``field.value_matrix`` and ``gauge.d2psi`` calls of one ``gauge_form_defects`` on an n-step solve."""
+    field = sphere_projection_field()
+    sol = rde_solve_manifold(field, linear_drive_driver(n), np.array([0.0, 1.0, 0.0]))
+    gauge = connection_gauge(SPHERE)
+    calls = {"value_matrix": 0, "d2psi": 0}
 
-        field.value_matrix = counted("value_matrix", field.value_matrix)
-        gauge.d2psi = counted("d2psi", gauge.d2psi)
-        assert sol.driver_dim == 3
-        gauge_form_defects(sol, field, gauge)
-        assert calls == {"value_matrix": 8 + 8 * 4, "d2psi": 8 * 4}
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    field.value_matrix = counted("value_matrix", field.value_matrix)
+    gauge.d2psi = counted("d2psi", gauge.d2psi)
+    assert sol.driver_dim == 3
+    gauge_form_defects(sol, field, gauge)
+    return calls
+
+
+def smooth_sphere_driver(n):
+    """A 3-dim driver whose areas have several nonzero rows, so every field column enters."""
+    grid = np.linspace(0.0, 1.0, n + 1)
+    return lift_smooth(
+        lambda t: np.array([np.sin(2.0 * t), np.cos(3.0 * t), t * t]),
+        grid,
+        dpath=lambda t: np.array([2.0 * np.cos(2.0 * t), -3.0 * np.sin(3.0 * t), 2.0 * t]),
+    )
+
+
+# -- the per-node loops the whole-grid characterizations replaced, as references -----------
+
+
+def per_node_gauge_form(y, field, gauge):
+    from crp.gauges import compatibility_tensor
+
+    mani = y.manifold
+    dxs = np.diff(y.driver.values, axis=0)
+    s_tensor = compatibility_tensor(gauge.log.induced_parallelism(), gauge.par, mani)
+    worst = split_worst = 0.0
+    for i in range(y.times.size - 1):
+        m, cols, area = y.points[i], field.value_matrix(y.points[i]), y.driver.step_areas[i]
+
+        def pushed(qs, _bases, _m=m):
+            return np.stack([np.stack([push(_m, q) @ field.value_matrix(q) for push in (gauge.d2psi, gauge.U)]) for q in qs])
+
+        terms = np.zeros((2, mani.flat_dim))
+        live = [a for a in range(area.shape[0]) if np.any(area[a])]
+        derivs = mani.derivative_along(np.broadcast_to(m, (len(live),) + m.shape), cols[:, live].T, pushed)
+        for d, a in zip(derivs, live):
+            terms += d @ area[a]
+            s_term = np.stack([s_tensor.apply(m, cols[:, a], cols[:, b]) for b in range(area.shape[0])], axis=1)
+            terms[1] -= s_term @ area[a]
+        defect = gauge.psi(m, y.points[i + 1]) - cols @ dxs[i] - terms[0]
+        worst = max(worst, float(np.linalg.norm(defect)))
+        split_worst = max(split_worst, float(np.linalg.norm(terms[0] - terms[1])))
+    return {"defect": worst, "split_residual": split_worst}
+
+
+def per_node_scalar(y, field, f, df):
+    mani = y.manifold
+    dxs = np.diff(y.driver.values, axis=0)
+
+    def g(qs, _bases):
+        return np.stack([np.asarray(df(q), dtype=float) @ field.value_matrix(q) for q in qs])
+
+    worst = 0.0
+    for i in range(y.times.size - 1):
+        m, cols, area = y.points[i], field.value_matrix(y.points[i]), y.driver.step_areas[i]
+        term = float(np.asarray(df(m), dtype=float) @ (cols @ dxs[i]))
+        live = [a for a in range(area.shape[0]) if np.any(area[a])]
+        dd = mani.derivative_along(np.broadcast_to(m, (len(live),) + m.shape), cols[:, live].T, g)
+        term += sum(float(d @ area[a]) for d, a in zip(dd, live))
+        worst = max(worst, abs(float(f(y.points[i + 1]) - f(m)) - term))
+    return worst
 
 
 class TestIntegralForm:

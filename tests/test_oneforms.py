@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crp import ControlledPath, GaugeMismatch, NearCutLocus
+from crp import ControlledPath, DomainError, GaugeMismatch, NearCutLocus
 from crp.controlled import dyadic_ladder
 from crp.convergence import estimate_order
 from crp.fixtures import (
@@ -16,9 +16,10 @@ from crp.fixtures import (
     line_quadratic_gauge,
     sphere_spiral_crp,
 )
-from crp.gauges import Gauge, chart_gauge, connection_gauge, standard_gauge
+from crp.gauges import Gauge, chart_gauge, compatibility_tensor, connection_gauge, standard_gauge
 from crp.oneforms import (
     associativity_check,
+    flat_smooth_integral,
     fundamental_theorem,
     gauge_change,
     gauge_defect_by_level,
@@ -31,6 +32,7 @@ from crp.oneforms import (
     push_pull_check,
     transport_commutation_defect,
 )
+from crp.linalg import FD_STEP, richardson_diff
 from crp.sewing import rough_integrate
 
 
@@ -405,3 +407,77 @@ def test_pure_area_product_ftc_first_order_behavior():
         assert 0.5 / n < rep["endpoint_residual"] < 2.0 / n
     slope, _, _ = estimate_order(errs, hs)
     assert 0.75 <= slope <= 1.25
+
+
+# -- the per-node loops the stacked checks replaced, as references -----------------------------
+
+
+def per_node_log_almost_additivity(y, gauge):
+    worst = 0.0
+    for i in range(y.times.size - 2):
+        m, t, u = y.points[i], y.points[i + 1], y.points[i + 2]
+        rhs = gauge.d2psi(t, m) @ (gauge.psi(m, u) - gauge.psi(m, t))
+        worst = max(worst, float(np.linalg.norm(gauge.psi(t, u) - rhs)))
+    return worst
+
+
+def per_node_transport_commutation(y, u_tilde, u):
+    s = compatibility_tensor(u_tilde, u, y.manifold)
+    worst = 0.0
+    for i in range(y.times.size - 1):
+        m, t = y.points[i], y.points[i + 1]
+        umat = u.matrix(t, m)
+        diff = np.einsum("cab,ad,be->cde", s.at(t), umat, umat) - np.einsum("cf,fde->cde", umat, s.at(m))
+        p = y.manifold.tangent_projector(m)
+        worst = max(worst, float(np.max(np.abs(np.einsum("cde,df,eg->cfg", diff, p, p)))))
+    return worst
+
+
+def compensated_sum(alpha_fn, z, rp):
+    """Node by node: alpha_i dz + grad(alpha)_i (z' (x) z') X_i, the gradient by one stencil per axis."""
+    vals, d = z.values, z.values.shape[1]
+    out = [np.zeros(np.asarray(alpha_fn(vals[0])).shape[0])]
+    for i in range(vals.shape[0] - 1):
+        x = vals[i]
+        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
+        cols = [richardson_diff(lambda eps, _e=e: np.asarray(alpha_fn(x + eps * _e), float), h) for e in np.eye(d)]
+        grad = np.stack(cols, axis=-1)
+        second = np.einsum("mej,ab,ja,eb->m", grad, rp.step_areas[i], z.derivative[i], z.derivative[i])
+        out.append(out[-1] + np.asarray(alpha_fn(x)) @ (vals[i + 1] - x) + second)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("gauge", ["connection", "chart", "quadratic"])
+def test_log_almost_additivity_matches_the_per_triple_loop(gauge):
+    if gauge == "quadratic":
+        y, g = line_quadratic_crp(32), line_quadratic_gauge()
+    else:
+        y = sphere_spiral_crp(32)
+        g = connection_gauge(SPHERE) if gauge == "connection" else chart_gauge(SPHERE, SPHERE.charts()[0])
+    # the chart gauge's defect is exactly zero up to rounding
+    want = per_node_log_almost_additivity(y, g)
+    assert log_almost_additivity_defect(y, g) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_transport_commutation_matches_the_per_pair_loop():
+    y = sphere_spiral_crp(16)
+    u1 = chart_gauge(SPHERE, SPHERE.charts()[0]).par
+    u2 = connection_gauge(SPHERE).par
+    want = per_node_transport_commutation(y, u1, u2)
+    assert transport_commutation_defect(y, u1, u2) == pytest.approx(want, rel=1e-12, abs=1e-17)
+
+
+def test_flat_smooth_integral_matches_the_node_by_node_sum():
+    y = sphere_spiral_crp(64, T=np.pi / 2)
+    chart = SPHERE.charts()[0]
+    z = ControlledPath(y.times, chart.to_coords(y.points), chart.dto(y.points) @ y.derivative)
+
+    def form(x):
+        return np.array([[np.sin(x[0]), x[0] * x[1]], [x[1] ** 2, 1.0]])
+
+    got = flat_smooth_integral(form, z, y.driver)
+    assert np.max(np.abs(got.values - compensated_sum(form, z, y.driver))) <= 1e-14
+    assert np.max(np.abs(got.derivative - np.stack([form(x) @ zd for x, zd in zip(z.values, z.derivative)]))) <= 1e-15
+    # finite at the nodes only
+    with pytest.raises(DomainError, match="stencil point"):
+        flat_smooth_integral(lambda x: form(x) * (1.0 if (z.values == x).all(1).any() else np.nan), z, y.driver)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from crp import Control, InvalidGrid, LiftFailure, OffGrid, ShapeError
+from crp import Control, InvalidGrid, LiftFailure, OffGrid, RoughPath, ShapeError
 from crp import roughpath
 from crp.linalg import richardson_diff
 from crp.roughpath import (
@@ -168,6 +168,29 @@ def kernel_orders(monkeypatch):
 
     monkeypatch.setattr(roughpath, "_gauss_legendre_step_area", counted)
     return orders
+
+
+class TestShapes:
+    def test_values_that_are_not_two_dimensional_raise(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ShapeError, match=re.escape("values of shape (5,)")):
+            RoughPath(grid, grid.copy(), np.zeros((4, 1, 1)), Control.time_scale(1.0, 1.0))
+
+    @pytest.mark.parametrize("areas", [np.zeros((4, 2)), np.zeros((4, 2, 3)), np.zeros((4, 3, 3))])
+    def test_step_areas_that_are_not_n_k_k_raise(self, areas):
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ShapeError, match=re.escape("are not (N+1, k) and (N, k, k)")):
+            RoughPath(grid, np.zeros((5, 2)), areas, Control.time_scale(1.0, 1.0))
+
+    def test_a_count_mismatch_stays_an_invalid_grid(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(InvalidGrid):
+            RoughPath(grid, np.zeros((4, 2)), np.zeros((4, 2, 2)), Control.time_scale(1.0, 1.0))
+
+    def test_piecewise_linear_lift_of_one_dimensional_points_raises(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ShapeError, match=re.escape("points of shape (5,)")):
+            lift_piecewise_linear(grid ** 2, grid)
 
 
 class TestBatchedQuadrature:
