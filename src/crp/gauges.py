@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaugeMismatch
-from .linalg import FD_STEP, richardson_diff
-from .manifolds import Chart, Manifold
+from .errors import DomainError, GaugeMismatch
+from .linalg import FD_STEP, norm
+from .manifolds import Chart, Manifold, chart_rep_derivative
 
 TAYLOR_FD_STEP = 1e-3
 
@@ -177,81 +177,57 @@ def logarithm_gauge(manifold: Manifold, psi_fn, d2_fn=None, name="psi") -> Gauge
 # -- compatibility tensors ---------------------------------------------------------
 
 
-def chart_rep_derivative(matrices, chart: Chart, m, x, dto_m):
-    """Source-point derivatives of parallelisms' chart representatives at m.
-
-    Returns the (k, d, d, d) array D[i, c, b, j] = d/dy_j of
-    dto(m) @ matrices[i](m, p(y)) @ dfrom(y) at y = x, the coordinates of m, by
-    Richardson differences with the relative step ``FD_STEP``.  Each stencil
-    point y is mapped through the chart once for all k parallelisms.
-    """
-    d = chart.dim
-    h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    out = np.empty((len(matrices), d, d, d))
-    for j, e in enumerate(np.eye(d)):
-
-        def ubar(eps, _e=e):
-            y = x + eps * _e
-            p, dfrom_y = chart.from_coords(y), chart.dfrom(y)
-            return np.stack([dto_m @ matrix(m, p) @ dfrom_y for matrix in matrices])
-
-        out[..., j] = richardson_diff(ubar, h)
-    return out
+def _to_ambient(chart: Chart, xs, dto, coeffs):
+    """(P, D, D, D) ambient tensors dfrom(x) A(dto v, dto w) of (P, d, d, d) chart coefficients A."""
+    return np.einsum("pCc,pcjb,pjA,pbB->pCAB", chart.dfrom(xs), coeffs, dto, dto)
 
 
 class CompatibilityTensor:
     """First-order discrepancy S of two parallelisms, S(v (x) w) in T_mM.
 
     Finite differences: ``S[u_tilde, u] = D2(chart rep of u) - D2(chart rep of
-    u_tilde)`` on the diagonal, by Richardson central differences in a chart,
-    mapped back to ambient coordinates; per-point results are cached by the
-    point's bytes.  Every pair built with ``compatibility_tensor`` takes this
-    path, the oracle of ``torsion_check``.  Closed forms, each written once on
-    stacks of points (``stack``): identical parallelisms (chart and flat gauges)
-    are an exact zero, a connection gauge's ``Gauge.compatibility`` is
-    ``TorsionCompatibility`` (half the torsion), and ``change_tensor`` between a
-    chart parallelism and the connection transport is ``ChristoffelCompatibility``
-    (the connection's Christoffel symbols in that chart).
+    u_tilde)`` on the diagonal, mapped back to ambient coordinates: the points of
+    a stack are grouped by their ``chart_at`` chart, one ``chart_rep_derivative``
+    stencil per chart.  Every pair built with ``compatibility_tensor`` takes this
+    path, the oracle of ``torsion_check``.  Closed forms override ``stack``:
+    identical parallelisms (chart and flat gauges) are an exact zero, a connection
+    gauge's ``Gauge.compatibility`` is ``TorsionCompatibility`` (half the torsion),
+    and ``change_tensor`` between a chart parallelism and a connection transport is
+    ``ChristoffelCompatibility`` (the connection's coefficients in that chart).
+    A parallelism of another geometry than ``manifold``'s raises ``GaugeMismatch``.
     """
 
     def __init__(self, u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
+        for par in (u_tilde, u):
+            par.check_manifold(manifold)
         self.u_tilde = u_tilde
         self.u = u
         self.manifold = manifold
         self.exact_zero = u_tilde is u
-        self._cache = {}
 
     def at(self, m):
         """(D, D, D) array S[c, a, b] with S(v (x) w)_c = S[c, a, b] v_a w_b."""
-        dim = self.manifold.flat_dim
-        if self.exact_zero:
-            return np.zeros((dim, dim, dim))
-        key = np.asarray(m, dtype=float).tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._evaluate(m)
-        self._cache[key] = out
-        return out
+        return self.stack(np.asarray(m, dtype=float)[None])[0]
 
     def stack(self, points):
         """(P, D, D, D) array of S at each of a stack of points."""
+        points = np.asarray(points, dtype=float)
+        out = np.zeros((len(points),) + (self.manifold.flat_dim,) * 3)
         if self.exact_zero:
-            return np.zeros((len(points),) + (self.manifold.flat_dim,) * 3)
-        return np.stack([self.at(m) for m in points])
-
-    def _evaluate(self, m):
-        chart = self.manifold.chart_at(m)
-        x = chart.to_coords(m)
-        dto_m = chart.dto(m)
-        du, dut = chart_rep_derivative([self.u.matrix, self.u_tilde.matrix], chart, m, x, dto_m)
-        sbar = np.transpose(du - dut, (0, 2, 1))  # [c, j(=v slot), b(=w slot)]
-        return np.einsum("Cc,cjb,jA,bB->CAB", chart.dfrom(x), sbar, dto_m, dto_m)
+            return out
+        atlas = self.manifold.charts()
+        owners = [self.manifold.chart_at(m, atlas) for m in points]
+        for chart in atlas:
+            rows = [i for i, owner in enumerate(owners) if owner is chart]
+            if rows:
+                ms = points[rows]
+                xs, dto = chart.to_coords(ms), chart.dto(ms)
+                du, dut = chart_rep_derivative([self.u.matrix, self.u_tilde.matrix], chart, ms, xs, dto)
+                out[rows] = _to_ambient(chart, xs, dto, du - dut)
+        return out
 
     def apply(self, m, v, w):
-        return np.einsum(
-            "cab,a,b->c", self.at(m), self.manifold.flatten(v), self.manifold.flatten(w)
-        )
+        return np.einsum("cab,a,b->c", self.at(m), self.manifold.flatten(v), self.manifold.flatten(w))
 
 
 class TorsionCompatibility(CompatibilityTensor):
@@ -260,17 +236,14 @@ class TorsionCompatibility(CompatibilityTensor):
     def stack(self, points):
         return 0.5 * self.manifold.torsion_tensor(np.asarray(points, dtype=float))
 
-    def _evaluate(self, m):
-        return 0.5 * self.manifold.torsion_tensor(m)
-
 
 class ChristoffelCompatibility(CompatibilityTensor):
     """S between the chart parallelism of ``chart`` and the connection transport.
 
     With x the chart coordinates of m, S(v, w) = sign * dfrom(x) Gamma(x)(dto v,
-    dto w), Gamma the manifold's ``chart_christoffels``; sign is +1 when the chart
-    parallelism is u_tilde and -1 when it is u.  A chart without coefficients
-    falls back to the finite-difference oracle.
+    dto w), Gamma the manifold's ``chart_christoffels`` (a closed form or the
+    ``Manifold`` default's finite differences); sign is +1 when the chart
+    parallelism is u_tilde and -1 when it is u.
     """
 
     def __init__(self, u_tilde: Parallelism, u: Parallelism, manifold: Manifold, chart: Chart, sign: float):
@@ -281,14 +254,7 @@ class ChristoffelCompatibility(CompatibilityTensor):
     def stack(self, points):
         chart = self.chart
         xs = chart.read(points)
-        gam = self.manifold.chart_christoffels(chart, xs)
-        if gam is None:
-            return super().stack(points)
-        dto = chart.dto(points)
-        return self.sign * np.einsum("pCc,pcjb,pjA,pbB->pCAB", chart.dfrom(xs), np.asarray(gam, dtype=float), dto, dto)
-
-    def _evaluate(self, m):
-        return self.stack(np.asarray(m, dtype=float)[None])[0]
+        return self.sign * _to_ambient(chart, xs, chart.dto(points), self.manifold.chart_christoffels(chart, xs))
 
 
 def compatibility_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
@@ -299,31 +265,31 @@ def compatibility_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifol
 def change_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
     """S[u_tilde, u] in closed form where one exists, else the finite-difference oracle.
 
-    A chart parallelism against the transport of a connection with
-    ``chart_christoffels`` takes ``ChristoffelCompatibility`` in either order, with
-    the Christoffel symbols of the connection the transport belongs to.
+    A chart parallelism against a connection transport takes ``ChristoffelCompatibility``
+    in either order, with ``manifold``'s connection coefficients in that chart.
+    A parallelism of another geometry than ``manifold``'s raises ``GaugeMismatch``.
     """
     for chart_par, conn_par, sign in ((u_tilde, u, 1.0), (u, u_tilde, -1.0)):
-        closed = getattr(conn_par.manifold, "chart_christoffels", None)
-        if chart_par.chart is not None and conn_par.connection and closed is not None:
-            return ChristoffelCompatibility(u_tilde, u, conn_par.manifold, chart_par.chart, sign)
+        if chart_par.chart is not None and conn_par.connection:
+            return ChristoffelCompatibility(u_tilde, u, manifold, chart_par.chart, sign)
     return compatibility_tensor(u_tilde, u, manifold)
 
 
 def torsion_check(manifold: Manifold, rng=None, n_points=5):
-    """Max mismatch between the connection gauge's finite-difference S and half the torsion."""
+    """Max mismatch between the connection gauge's finite-difference S and half the torsion, on one stack."""
+    if n_points < 1:
+        raise DomainError(f"a torsion check needs at least one point, got {n_points}")
     rng = rng or np.random.default_rng(3)
     g = connection_gauge(manifold)
     s = compatibility_tensor(g.log.induced_parallelism(), g.par, manifold)
-    worst = 0.0
-    for _ in range(n_points):
+    draws = []
+    for _ in range(n_points):  # a point, then two tangents at it
         m = manifold.random_point(rng)
-        t_half = 0.5 * manifold.torsion_tensor(m)
-        v = manifold.flatten(manifold.random_tangent(rng, m))
-        w = manifold.flatten(manifold.random_tangent(rng, m))
-        lhs = s.apply(m, v, w)
-        rhs = np.einsum("cab,a,b->c", t_half, v, w)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        v, w = (manifold.flatten(manifold.random_tangent(rng, m)) for _ in range(2))
+        draws.append((m, v, w))
+    ms, vs, ws = (np.stack(a) for a in zip(*draws))
+    gap = s.stack(ms) - 0.5 * manifold.torsion_tensor(ms)
+    worst = float(np.max(norm(np.einsum("pcab,pa,pb->pc", gap, vs, ws))))
     return {"max_residual": worst, "pass": worst <= 1e-5}
 
 
@@ -356,6 +322,8 @@ def manifold_taylor_check(manifold: Manifold, f, df, hess=None, rng=None, scales
         nv = np.linalg.norm(v)
         if nv > 1e-12:
             dirs.append((m, v / nv))
+    if not dirs:
+        raise DomainError(f"a Taylor check needs at least one direction, got none of {n_dirs}")
     errs = []
     for s in scales:
         worst = 0.0

@@ -24,7 +24,6 @@ from .linalg import (
     FD_STEP,
     SO3_BASIS,
     any_true,
-    hat,
     norm,
     polar_retract,
     richardson_diff,
@@ -95,6 +94,28 @@ class Chart:
             i = int(np.argmax(np.ravel(bad)))
             raise outside(i) if outside else ChartSingular(f"point {i} outside chart {self.name}")
         return x
+
+
+def chart_rep_derivative(matrices, chart: Chart, ms, xs, dto_ms):
+    """Source-point derivatives of parallelisms' chart representatives at a stack of points.
+
+    ``ms`` holds P points of ``chart``, ``xs`` their (P, d) coordinates and ``dto_ms``
+    their (P, d, D) differentials.  Returns the (k, P, d, d, d) array
+    D[i, p, c, j, b] = d/dy_j of [dto(m_p) @ matrices[i](m_p, p(y)) @ dfrom(y)][c, b]
+    at y = x_p, by one Richardson stencil over every (point, coordinate direction)
+    pair with the step ``FD_STEP * max(1, |x_p|)``.  Each stencil level maps its
+    points through the chart once and calls each parallelism once.
+    """
+    n, d = xs.shape
+    m_rows, dto_rows = (np.repeat(a, d, axis=0) for a in (ms, dto_ms))  # row p d + j: point p, direction j
+
+    def ubar(eps):  # (k, P, j, c, b)
+        y = (xs[:, None, :] + eps.reshape(n, 1, 1) * np.eye(d)).reshape(n * d, d)
+        p, dfrom_y = chart.from_coords(y), chart.dfrom(y)
+        return np.stack([dto_rows @ matrix(m_rows, p) @ dfrom_y for matrix in matrices]).reshape((-1, n) + (d,) * 3)
+
+    h = FD_STEP * np.maximum(1.0, norm(xs))
+    return np.swapaxes(richardson_diff(ubar, h.reshape(n, 1, 1, 1)), 2, 3)
 
 
 class Manifold:
@@ -201,6 +222,19 @@ class Manifold:
         if not margins[best] > 0:  # NaN included
             raise AtlasGap(f"no chart of {self.name} contains the point")
         return atlas[best]
+
+    def chart_christoffels(self, chart, x):
+        """Coefficients A of the connection in ``chart``, (A<v>w)_i = A[i, j, l] v_j w_l.
+
+        ``x`` holds chart coordinates, shape (..., d); the result has shape (..., d, d, d).
+        Without a closed form, A<e_j> is the source-point derivative of the chart
+        representative of ``transport``, one Richardson stencil for the whole stack.
+        """
+        x = np.asarray(x, dtype=float)
+        xs = x.reshape(-1, chart.dim)
+        ms = chart.from_coords(xs)
+        coeffs = chart_rep_derivative([self.transport], chart, ms, xs, chart.dto(ms))[0]
+        return coeffs.reshape(x.shape + (chart.dim,) * 2)
 
     # -- misc ---------------------------------------------------------------------
 
@@ -346,12 +380,9 @@ class Sphere(Manifold):
         return [_stereographic_chart(pole=+1), _stereographic_chart(pole=-1)]
 
     def chart_christoffels(self, chart, x):
-        """Levi-Civita coefficients of the round metric in stereographic charts.
-
-        ``x`` holds chart coordinates, shape (..., 2); the result has shape (..., 2, 2, 2).
-        """
+        """Levi-Civita coefficients of the round metric, in closed form in stereographic charts."""
         if not chart.name.startswith("stereo"):
-            return None
+            return super().chart_christoffels(chart, x)
         x = np.asarray(x, dtype=float)
         dl = -2.0 * x / (1.0 + np.sum(x * x, axis=-1, keepdims=True))  # gradient of the conformal factor
         # delta_ij dl_l + delta_il dl_j - delta_jl dl_i
@@ -477,18 +508,11 @@ class SO3(Manifold):
         return np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
 
     def torsion_tensor(self, g):
+        # T(b_a, b_b) = -g [hat(e_a), hat(e_b)] on the orthogonal b_a = vec(g hat(e_a)), |b_a|^2 = 2,
+        # and [hat(e_a), hat(e_b)] = eps_abc hat(e_c) with hat(e_a)[b, c] = -eps_abc
         g = np.asarray(g, dtype=float)
-        lead = g.shape[:-2]
-        out = np.zeros(lead + (9, 9, 9))
-        basis = [g @ hat(e) for e in np.eye(3)]
-        vecs = [b.reshape(lead + (9,)) for b in basis]
-        gram = np.linalg.pinv(np.stack(vecs, axis=-1))  # (..., 3, 9) coefficients map
-        for a in range(3):
-            for b in range(3):
-                A, B = hat(np.eye(3)[a]), hat(np.eye(3)[b])
-                t = -(g @ (A @ B - B @ A))
-                out += np.einsum("...c,...a,...b->...cab", t.reshape(lead + (9,)), gram[..., a, :], gram[..., b, :])
-        return out
+        b = (g[..., None, :, :] @ SO3_BASIS).reshape(g.shape[:-2] + (3, 9))
+        return 0.25 * np.einsum("abc,...cC,...aA,...bB->...CAB", SO3_BASIS, b, b, b)
 
     def charts(self):
         centers = [np.eye(3)] + [so3_exp(np.pi * e) for e in np.eye(3)]

@@ -392,13 +392,13 @@ def criterion_09_compatibility_algebra():
 
     # the finite-difference S, so the formula is checked against an independent oracle
     g = connection_gauge(SO3M)
-    s = compatibility_tensor(g.log.induced_parallelism(), g.par, SO3M)
+    s = compatibility_tensor(g.log.induced_parallelism(), g.par, SO3M).at(np.eye(3))
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(3):
         a = rng.standard_normal(3)
         b = rng.standard_normal(3)
-        got = s.apply(np.eye(3), hat(a).reshape(9), hat(b).reshape(9)).reshape(3, 3)
+        got = np.einsum("cab,a,b->c", s, hat(a).reshape(9), hat(b).reshape(9)).reshape(3, 3)
         want = -0.5 * (hat(a) @ hat(b) - hat(b) @ hat(a))
         worst = max(worst, float(np.max(np.abs(got - want))))
     checks.append(_check("lie-group-half-commutator", worst, 1e-6))
@@ -511,7 +511,10 @@ CRITERIA = {
 
 
 def run_criterion(name):
-    fn = CRITERIA[name]
+    return _run_check(name, CRITERIA[name])
+
+
+def _run_check(name, fn):
     t0 = time.perf_counter()
     checks = fn()
     dt = time.perf_counter() - t0
@@ -524,17 +527,19 @@ def run_criterion(name):
 
 
 def run_suite(names=None, deterministic=False, jobs=1):
-    """Run the named criteria (all by default); returns the report bundle."""
+    """Run the named criteria (all by default), in ``jobs`` worker processes when above 1; returns the bundle."""
     names = list(names) if names else list(CRITERIA)
     for n in names:
         if n not in CRITERIA:
             raise ConfigError(f"unknown criterion {n!r}")
     results = []
     if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_criterion, names))
+        # spawned workers start from a fresh import, so each criterion travels by its import path
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(_run_check, names, [CRITERIA[n] for n in names]))
     else:
         results = [run_criterion(n) for n in names]
     results.sort(key=lambda r: r["name"])

@@ -12,7 +12,7 @@ import numpy as np
 from .controlled import ControlledPath, check_same_grid, pushed_step_areas
 from .errors import DomainError, NotOnManifold, ShapeError
 from .flatrde import EXPLOSION_BOUND, linear_flow
-from .gauges import Gauge, chart_rep_derivative, connection_gauge
+from .gauges import Gauge, connection_gauge
 from .linalg import SO3_BASIS, hat, vee
 from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
@@ -242,27 +242,8 @@ def horizontal_lift(y: ManifoldControlledPath, conn: ConnectionForm, u0_group, b
 
 
 def chart_christoffels(manifold: Manifold, chart: Chart, x):
-    """Connection coefficients of the manifold connection in chart coordinates.
-
-    Returns the (d, d, d) array A with (A<v>w)_i = A[i, j, l] v_j w_l, or a
-    stack (..., d, d, d) for stacked coordinates x of shape (..., d), computed
-    from the closed form when the manifold provides one and otherwise by
-    Richardson differences of the chart representative of parallel transport,
-    one point at a time.
-    """
-    x = np.asarray(x, dtype=float)
-    closed = getattr(manifold, "chart_christoffels", None)
-    if closed is not None:
-        got = closed(chart, x)
-        if got is not None:
-            return np.asarray(got, dtype=float)
-
-    def fd(p):
-        m = chart.from_coords(p)
-        # A_x<e_j> = D2 Ubar(x, x)<e_j> (source-point derivative of transport)
-        return np.transpose(chart_rep_derivative([manifold.transport], chart, m, p, chart.dto(m))[0], (0, 2, 1))
-
-    return np.stack([fd(p) for p in x.reshape(-1, x.shape[-1])]).reshape(x.shape + (x.shape[-1],) * 2)
+    """``manifold.chart_christoffels(chart, x)``: the connection coefficients in chart coordinates."""
+    return manifold.chart_christoffels(chart, x)
 
 
 @dataclass

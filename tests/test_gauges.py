@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crp import ChartManifold, ProductManifold, SO3, Sphere
+from crp import ChartManifold, DomainError, GaugeMismatch, ProductManifold, SO3, Sphere
 from crp.convergence import estimate_order
 from crp.gauges import (
     Parallelism,
+    change_tensor,
     chart_gauge,
     compatibility_tensor,
     connection_gauge,
@@ -113,10 +114,11 @@ class TestCompatibilityTensor:
         assert np.all(s.at(np.array([0.0, 0.0, 1.0])) == 0.0)
 
     def test_evaluation_counts(self):
-        # a new point costs 4 d evaluations of each parallelism (Richardson pairs at
-        # +-h and +-h/2 along each of the chart's d directions), one chart evaluation
-        # per stencil point shared by both, and one more dfrom at the point itself;
-        # a repeated point and an exact zero cost none
+        # a stack costs 4 evaluations of each parallelism per chart its points fall in
+        # (one call per Richardson level, at +-h and +-h/2, on every (point, direction)
+        # pair of the chart's points), one chart evaluation per level shared by both,
+        # and one more dfrom per chart at the points themselves; nothing is cached, so a
+        # repeated point costs again, and an exact zero costs none
         calls = {"u": 0, "ut": 0, "from_coords": 0, "dfrom": 0}
 
         def counted(key, fn):
@@ -137,17 +139,35 @@ class TestCompatibilityTensor:
         u = Parallelism(sphere, counted("u", SPHERE.transport))
         ut = Parallelism(sphere, counted("ut", chart_gauge(SPHERE, SPHERE.charts()[0]).par.matrix))
         s = compatibility_tensor(ut, u, sphere)
-        m = np.array([0.6, 0.0, -0.8])
-        d = sphere.chart_at(m).dim
-        per_point = {"u": 4 * d, "ut": 4 * d, "from_coords": 4 * d, "dfrom": 4 * d + 1}
-        first = s.at(m)
-        assert calls == per_point
-        assert s.at(m.copy()) is first
-        assert calls == per_point
-        s.at(np.array([0.0, 0.6, -0.8]))
-        assert calls == {k: 2 * v for k, v in per_point.items()}
-        assert np.all(compatibility_tensor(u, u, sphere).at(m) == 0.0)
-        assert calls == {k: 2 * v for k, v in per_point.items()}
+        lower = np.array([[0.6, 0.0, -0.8], [0.0, 0.6, -0.8], [0.36, 0.48, -0.8]])
+        assert {sphere.chart_at(m).name for m in lower} == {"stereo-north"}
+        assert {sphere.chart_at(m).name for m in -lower} == {"stereo-south"}
+        per_chart = {"u": 4, "ut": 4, "from_coords": 4, "dfrom": 5}
+
+        def assert_charts(k):
+            assert calls == {key: k * v for key, v in per_chart.items()}
+
+        assert s.stack(lower).shape == (3, 3, 3, 3)
+        assert_charts(1)
+        s.at(lower[0])
+        s.at(lower[0].copy())
+        assert_charts(3)
+        assert s.stack(np.concatenate([lower, -lower])).shape == (6, 3, 3, 3)
+        assert_charts(5)
+        assert np.all(compatibility_tensor(u, u, sphere).stack(lower) == 0.0)
+        assert_charts(5)
+
+    def test_parallelisms_of_another_manifold_raise_gauge_mismatch(self):
+        # a sphere/SO(3) pair used to build, then raise a raw einsum ValueError at its first evaluation
+        sphere, so3 = connection_gauge(SPHERE).par, connection_gauge(SO3M).par
+        chart_par = chart_gauge(SPHERE, SPHERE.charts()[0]).par
+        for u_tilde, u in ((chart_par, so3), (so3, chart_par), (sphere, so3)):
+            with pytest.raises(GaugeMismatch):
+                compatibility_tensor(u_tilde, u, SPHERE)
+            with pytest.raises(GaugeMismatch):
+                change_tensor(u_tilde, u, SPHERE)
+        with pytest.raises(GaugeMismatch):
+            change_tensor(chart_par, sphere, SO3M)
 
     def test_chart_gauge_self_compatibility_zero(self):
         g = chart_gauge(SPHERE, SPHERE.charts()[0])
@@ -241,6 +261,11 @@ class TestTorsion:
     def test_flat_chart_manifold_zero(self):
         rep = torsion_check(ChartManifold(2))
         assert rep["max_residual"] <= 1e-10
+
+    def test_no_point_raises_domain_error(self):
+        # a check over no point used to report a zero residual and pass
+        with pytest.raises(DomainError):
+            torsion_check(SPHERE, n_points=0)
 
 
 class TestLogarithmComparison:
@@ -379,6 +404,11 @@ class TestClosedFormCompatibility:
 
 
 class TestManifoldTaylor:
+    def test_no_direction_raises_domain_error(self):
+        # a check over no direction used to report an exact pass
+        with pytest.raises(DomainError):
+            manifold_taylor_check(SPHERE, lambda m: m[2], lambda m: SPHERE.tangent_projector(m)[2], n_dirs=0)
+
     def test_constant_function_exact(self):
         rep = manifold_taylor_check(SPHERE, lambda m: 1.0, lambda m: np.zeros(3))
         assert rep["exact"]

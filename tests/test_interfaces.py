@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -203,3 +204,20 @@ def test_run_suite_parallel_jobs_consistent():
     a = run_suite(names=names, deterministic=True, jobs=1)
     b = run_suite(names=names, deterministic=True, jobs=2)
     assert canonical_json(a) == canonical_json(b)
+
+
+def _pid_criterion():
+    return [{"name": "pid", "value": os.getpid(), "pass": True}]
+
+
+def test_run_suite_jobs_run_criteria_in_worker_processes(monkeypatch):
+    # the criteria hold the GIL, so threads gained nothing: with jobs > 1 each runs in a worker process
+    import crp.suite
+    from crp.suite import run_suite
+
+    fakes = {f"fake-{i}": _pid_criterion for i in range(3)}
+    monkeypatch.setattr(crp.suite, "CRITERIA", {**crp.suite.CRITERIA, **fakes})
+    serial = run_suite(names=fakes, jobs=1)
+    assert {r["checks"][0]["value"] for r in serial["criteria"]} == {os.getpid()}
+    pids = {r["checks"][0]["value"] for r in run_suite(names=fakes, jobs=2)["criteria"]}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2

@@ -26,7 +26,7 @@ from crp.gauges import (
     connection_gauge,
 )
 from crp.linalg import richardson_diff
-from crp.manifolds import SO3, ChartManifold
+from crp.manifolds import SO3, ChartManifold, ProductManifold
 from crp.mcrp import ManifoldControlledPath
 from crp.mrde import pushed_field_path
 from crp.oneforms import gauge_change, oneform_from_smooth
@@ -278,12 +278,13 @@ def test_one_richardson_stencil_and_no_scalar_parallelism_calls(monkeypatch):
 
 def test_gauge_change_to_a_stereographic_chart_takes_no_finite_differences(monkeypatch):
     fd = counting(monkeypatch, crp.gauges, "chart_rep_derivative")
+    fd_coefficients = counting(monkeypatch, crp.manifolds, "chart_rep_derivative")
     y = sphere_spiral_crp(32)
     conn = connection_gauge(SPHERE)
     a = oneform_from_smooth(sphere_form, y, conn.par)
     moved = gauge_change(a, chart_gauge(SPHERE, SPHERE.charts()[0]).par)
     gauge_change(moved, conn.par)
-    assert fd[0] == 0
+    assert fd[0] == fd_coefficients[0] == 0
 
 
 # -- the closed-form S -----------------------------------------------------------------
@@ -338,7 +339,7 @@ def test_chart_manifold_christoffel_s_matches_the_fd_fallback(h_geo):
 
 
 def test_chart_manifold_chart_christoffels_is_gamma_and_takes_no_fd(monkeypatch):
-    fd = counting(monkeypatch, crp.transport, "chart_rep_derivative")
+    fd = counting(monkeypatch, crp.manifolds, "chart_rep_derivative")
     mani = ChartManifold(2, radius=1.0, gamma=asymmetric_connection)
     chart = mani.charts()[0]
     x = np.array([0.2, -0.1])
@@ -348,12 +349,25 @@ def test_chart_manifold_chart_christoffels_is_gamma_and_takes_no_fd(monkeypatch)
     flat = ChartManifold(3)
     assert np.array_equal(flat.chart_christoffels(flat.charts()[0], np.ones(3)), np.zeros((3, 3, 3)))
     assert fd[0] == 0
+    SO3().chart_christoffels(SO3().charts()[0], np.array([0.1, 0.2, -0.3]))
+    assert fd[0] == 1  # the counter sees the default's finite differences
 
 
-def test_pairs_without_a_closed_form_take_the_fd_oracle():
-    so3 = SO3()
-    s = change_tensor(chart_gauge(so3, so3.charts()[0]).par, connection_gauge(so3).par, so3)
-    assert type(s) is crp.gauges.CompatibilityTensor
+@pytest.mark.parametrize("mani", [SO3(), ProductManifold(SPHERE, SO3())], ids=["so3", "sphere*so3"])
+def test_so3_and_product_chart_connection_s_match_the_fd_oracle(mani):
+    # no closed-form coefficients: ChristoffelCompatibility with the Manifold default's FD coefficients
+    conn = connection_gauge(mani).par
+    chart = mani.charts()[0]
+    chart_par = chart_gauge(mani, chart).par
+    rng = np.random.default_rng(23)
+    pts = np.stack([m for m in (mani.random_point(rng) for _ in range(8)) if chart.margin(m) > 0.3])
+    assert len(pts) >= 3
+    for u_tilde, u in ((chart_par, conn), (conn, chart_par)):
+        closed = change_tensor(u_tilde, u, mani)
+        assert isinstance(closed, ChristoffelCompatibility)
+        got, fd = closed.stack(pts), compatibility_tensor(u_tilde, u, mani).stack(pts)
+        for m, a, b in zip(pts, got, fd):
+            assert np.max(np.abs(on_tangents(mani, m, a) - on_tangents(mani, m, b))) <= 1e-8
 
 
 # -- typed errors ------------------------------------------------------------------------
