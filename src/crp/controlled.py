@@ -124,7 +124,7 @@ def _pair_constants(times, values, derivative, rp: RoughPath, p, delta=None, sub
         dn = np.linalg.norm((flat_dag.take(j, axis=0) - dag_i).reshape(i.size, -1), axis=-1)
         r2, r1 = ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
         dt = times.take(j) - times.take(i)
-        sub = (np.where(dt <= d + DELTA_SLACK, r2, 0.0) for d in sub_deltas)
+        sub = (r2[dt <= d + DELTA_SLACK] for d in sub_deltas)
         return (*on_grids(strides, i, j, r2, r1), *sub)
 
     sups, worst, probed = pair_sup(times, delta, residuals)

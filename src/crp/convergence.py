@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
-from .errors import InsufficientLevels
+from .errors import DomainError, InsufficientLevels, ShapeError
 
 EXACT_FLOOR = 1e-16
 SLOPE_TOL = 0.25  # uniform tolerance on asserted slopes
@@ -20,15 +19,20 @@ def estimate_order(errors, hs, discard_coarsest=True):
 
     Needs at least four levels; the coarsest is discarded when enough levels
     remain.  Zero errors are clipped to 1e-16 and flagged exact; an all-zero
-    family returns the infinite-slope sentinel.
+    family returns the infinite-slope sentinel.  The fit is ``scipy.stats.linregress``'s
+    formula (moments from ``np.cov(bias=1)``), so slopes and constants match it bit for bit.
     Returns (slope, constant, exact_flag).
     """
     errors = np.asarray(errors, dtype=float)
     hs = np.asarray(hs, dtype=float)
+    if errors.ndim != 1 or errors.shape != hs.shape:
+        raise ShapeError(f"errors of shape {errors.shape} and mesh sizes of shape {hs.shape} are not one family")
     if errors.size < MIN_LEVELS:
         raise InsufficientLevels(f"need >= {MIN_LEVELS} levels, got {errors.size}")
-    if np.any(errors < 0):
-        raise ValueError("errors must be nonnegative")
+    if not np.all(np.isfinite(errors) & (errors >= 0)):
+        raise DomainError(f"errors must be finite and nonnegative, got {errors.tolist()}")
+    if not np.all(np.isfinite(hs) & (hs > 0)):
+        raise DomainError(f"mesh sizes must be finite and positive, got {hs.tolist()}")
     exact = bool(np.all(errors <= EXACT_FLOOR))
     if exact:
         return INF_SLOPE, 0.0, True
@@ -37,8 +41,13 @@ def estimate_order(errors, hs, discard_coarsest=True):
     hs, clipped = hs[order], clipped[order]
     if discard_coarsest and hs.size >= 5:
         hs, clipped = hs[:-1], clipped[:-1]
-    fit = linregress(np.log(hs), np.log(clipped))
-    return float(fit.slope), float(np.exp(fit.intercept)), False
+    if hs[0] == hs[-1]:
+        raise InsufficientLevels(f"need >= 2 distinct mesh sizes, got {hs.tolist()}")
+    x, y = np.log(hs), np.log(clipped)
+    ssxm, ssxym, _, _ = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    return float(slope), float(np.exp(intercept)), False
 
 
 @dataclass

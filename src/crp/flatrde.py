@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .controlled import ControlledPath
 from .errors import Explosion, InvalidGrid, ShapeError
@@ -125,6 +124,8 @@ def linear_flow(mats, times, dx, areas, y0, scheme="davie", explosion_bound=EXPL
     """
     k, n = mats.shape[:2]
     if scheme == "exp":
+        from scipy.linalg import expm  # the exp scheme alone needs scipy: loaded on first use
+
         areas = 0.5 * (areas - np.swapaxes(areas, 1, 2))
     elif scheme != "davie":
         raise InvalidGrid(f"unknown scheme {scheme!r}")

@@ -172,7 +172,9 @@ class Manifold:
         raise NotImplementedError
 
     def distance(self, m, n):
-        """Closed-form distance that the gauge-domain checks compare with ``gauge_radius``; never raises."""
+        """Closed-form distance that the gauge-domain checks compare with ``gauge_radius``.
+
+        Never raises on points of ``point_shape``."""
         raise NotImplementedError
 
     def torsion_tensor(self, m):
@@ -187,6 +189,14 @@ class Manifold:
         """Leading (stack) axes of a point or a stack of points."""
         shape = np.shape(p)
         return shape[: len(shape) - len(self.point_shape)]
+
+    def _points(self, *pts):
+        """Points or stacks of points as float arrays; ``ShapeError`` unless each ends in ``point_shape``."""
+        out = tuple(np.asarray(p, dtype=float) for p in pts)
+        for p in out:
+            if p.shape[p.ndim - len(self.point_shape) :] != self.point_shape:
+                raise ShapeError(f"points of shape {p.shape} are not {self.name} points of shape {self.point_shape}")
+        return out
 
     def _identities(self, *pts):
         """(D, D) identities over the broadcast leading axes of the given points."""
@@ -331,11 +341,11 @@ class Sphere(Manifold):
         return np.cos(th) * np.asarray(ms, dtype=float) + np.sin(th) * us / nu
 
     def distance(self, m, n):
-        return np.arccos(np.clip(np.einsum("...i,...i", np.asarray(m, float), np.asarray(n, float)), -1.0, 1.0))
+        m, n = self._points(m, n)
+        return np.arccos(np.clip(np.einsum("...i,...i", m, n), -1.0, 1.0))
 
     def log(self, m, n):
-        m = np.asarray(m, dtype=float)
-        n = np.asarray(n, dtype=float)
+        m, n = self._points(m, n)
         c = np.clip(np.einsum("...i,...i", m, n), -1.0, 1.0)
         th = np.arccos(c)
         far = th >= self.gauge_radius - 1e-6
@@ -349,8 +359,7 @@ class Sphere(Manifold):
     log_batch = log  # the name the benchmark tracer binds
 
     def transport(self, to_pt, from_pt):
-        m = np.asarray(from_pt, dtype=float)
-        n = np.asarray(to_pt, dtype=float)
+        n, m = self._points(to_pt, from_pt)
         den = 1.0 + np.einsum("...i,...i", m, n)
         if any_true(den <= 1e-12):
             raise NearCutLocus("transport through antipode")
@@ -363,8 +372,7 @@ class Sphere(Manifold):
 
     def d2log(self, m, n):
         """Closed-form differential of n -> log_m(n), as a matrix on T_nM; a series below theta = 1e-6."""
-        m = np.asarray(m, dtype=float)
-        n = np.asarray(n, dtype=float)
+        m, n = self._points(m, n)
         c = np.clip(np.einsum("...i,...i", m, n), -1.0, 1.0)
         th = np.arccos(c)
         small = th < 1e-6

@@ -99,9 +99,8 @@ class ChartWalk:
         return [(i0, i1, chart) for (i0, chart), i1 in zip(self.starts, ends)]
 
 
-def _chart_step(rep, x, dx, area):
-    """Additive second-order step of the chart-coordinate scheme."""
-    cols = rep(x)  # (d, k)
+def _chart_step(rep, x, cols, dx, area):
+    """Additive second-order step of the chart-coordinate scheme from x, where ``cols`` = rep(x), (d, k)."""
     out = cols @ dx
     k = dx.size
     scale = max(1.0, float(np.max(np.abs(x))))
@@ -164,7 +163,7 @@ def rde_solve_manifold(
         rep = field.chart_rep(chart)
         x = chart.to_coords(y)
         for i in range(n):
-            x = x + _chart_step(rep, x, dxs[i], rp.step_areas[i])
+            x = x + _chart_step(rep, x, chart.dto(points[i]) @ deriv[i], dxs[i], rp.step_areas[i])
             y = chart.from_coords(x)
             if retraction:
                 y = mani.project(y)

@@ -60,7 +60,8 @@ def pair_sup(times, delta, fn):
     """Sup of per-pair residuals over grid pairs i < j (t_j - t_i <= delta if given).
 
     ``fn(i, j)`` takes equal-length index arrays and returns a tuple of
-    nonnegative arrays, one entry per pair.  Returns ``(sups, worst, probed)``:
+    nonnegative arrays: the first has one entry per pair, the others may hold
+    a subset of the pairs (``on_grids``).  Returns ``(sups, worst, probed)``:
     ``sups[k]`` is the sup of the k-th array (0.0 for every k when no pair is
     probed), ``worst`` the first pair in row-major order attaining the sup of
     the first array ((0, 0) when no pair is probed) and ``probed`` the number
@@ -91,11 +92,12 @@ def pair_sup(times, delta, fn):
 
 
 def on_grids(strides, i, j, *arrays):
-    """Each array on the grid of every s-th node (``strides``: 1, then powers of two), 0 on a pair
-    with an end off that grid.  A coarse grid's pairs are fine pairs, so the sups of one sweep of
-    the fine grid are every grid's sups; ``by_grid`` reads them back."""
+    """Each array on the grid of every s-th node (``strides``: 1, then powers of two): the whole
+    array at stride 1, else only its pairs with both ends on that grid.  A coarse grid's pairs are
+    fine pairs, so the sups of one sweep of the fine grid are every grid's sups; ``by_grid`` reads
+    them back.  ``pair_sup`` reads its worst pair from the first array, the whole stride-1 one."""
     ons = [None if s == 1 else ((i | j) & (s - 1)) == 0 for s in strides]
-    return [a if on is None else np.where(on, a, 0.0) for a in arrays for on in ons]
+    return [a if on is None else a[on] for a in arrays for on in ons]
 
 
 def by_grid(sups, strides):

@@ -405,7 +405,7 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
 
     for i in range(n):
         state = np.concatenate([x, ub.reshape(-1)])
-        state = state + _chart_step(step_field, state, dz[i], areas[i])
+        state = state + _chart_step(step_field, state, step_field(state), dz[i], areas[i])
         x, ub = state[:d], state[d:].reshape(d, d)
         p = chart.from_coords(x)
         new = walk.visit(i + 1, p, chart.coords_margin(x))

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
-from crp import InsufficientLevels
+from crp import DomainError, InsufficientLevels, ShapeError
 from crp.convergence import ComparisonReport, ConvergenceReport, dyadic_levels, estimate_order
 
 
@@ -42,6 +43,66 @@ def test_coarsest_discarded_with_five_levels():
     errs[0] *= 50.0  # corrupt the coarsest level only
     slope, _, _ = estimate_order(errs, hs)
     assert abs(slope - 2.0) < 1e-9
+
+
+def linregress_order(errors, hs, discard_coarsest=True):
+    """The order fit as ``scipy.stats.linregress`` gives it: the reference ``estimate_order`` matches."""
+    hs = np.asarray(hs, dtype=float)
+    order = np.argsort(hs)
+    hs, clipped = hs[order], np.maximum(np.asarray(errors, dtype=float), 1e-16)[order]
+    if discard_coarsest and hs.size >= 5:
+        hs, clipped = hs[:-1], clipped[:-1]
+    fit = linregress(np.log(hs), np.log(clipped))
+    return float(fit.slope), float(np.exp(fit.intercept))
+
+
+@pytest.mark.parametrize("discard_coarsest", [True, False])
+@pytest.mark.parametrize("seed", range(8))
+def test_fit_matches_linregress_bit_for_bit(seed, discard_coarsest):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    hs = 2.0 ** -np.arange(2, 2 + n) * rng.uniform(0.5, 2.0)
+    errors = rng.uniform(0.1, 10.0) * hs ** rng.uniform(0.5, 3.5) * np.exp(rng.normal(0.0, 0.3, n))
+    if seed % 2:
+        perm = rng.permutation(n)  # unsorted levels
+        hs, errors = hs[perm], errors[perm]
+    if seed % 3 == 0:
+        errors[rng.integers(n)] = 0.0  # a clipped exact level
+    slope, const, exact = estimate_order(errors, hs, discard_coarsest=discard_coarsest)
+    assert not exact
+    assert (slope, const) == linregress_order(errors, hs, discard_coarsest)
+
+
+@pytest.mark.parametrize(
+    "errors, hs",
+    [
+        ([1.0, -0.5, 0.25, 0.125], [0.4, 0.2, 0.1, 0.05]),
+        ([1.0, np.nan, 0.25, 0.125], [0.4, 0.2, 0.1, 0.05]),
+        ([1.0, np.inf, 0.25, 0.125], [0.4, 0.2, 0.1, 0.05]),
+        ([1.0, 0.5, 0.25, 0.125], [0.4, 0.0, 0.1, 0.05]),
+        ([1.0, 0.5, 0.25, 0.125], [0.4, -0.2, 0.1, 0.05]),
+        ([1.0, 0.5, 0.25, 0.125], [0.4, np.nan, 0.1, 0.05]),
+        ([1.0, 0.5, 0.25, 0.125], [np.inf, 0.2, 0.1, 0.05]),
+    ],
+)
+def test_bad_errors_or_mesh_sizes_raise_domain_error(errors, hs):
+    with pytest.raises(DomainError):
+        estimate_order(errors, hs)
+
+
+@pytest.mark.parametrize(
+    "hs, discard_coarsest",
+    [([0.1] * 4, False), ([0.1] * 4, True), ([0.1, 0.1, 0.1, 0.1, 0.2], True)],
+)
+def test_fewer_than_two_distinct_mesh_sizes_raise_insufficient_levels(hs, discard_coarsest):
+    errors = np.linspace(1.0, 2.0, len(hs))
+    with pytest.raises(InsufficientLevels, match="distinct"):
+        estimate_order(errors, hs, discard_coarsest=discard_coarsest)
+
+
+def test_errors_and_mesh_sizes_of_other_lengths_raise_shape_error():
+    with pytest.raises(ShapeError):
+        estimate_order([1.0, 0.5, 0.25, 0.125], [0.4, 0.2, 0.1])
 
 
 def test_convergence_report_roundtrip_and_csv():

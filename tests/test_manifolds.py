@@ -151,6 +151,21 @@ class TestSphereClosedForms:
         fd = (SPHERE.log(m, SPHERE.exp(n, h * w)) - SPHERE.log(m, SPHERE.exp(n, -h * w))) / (2 * h)
         assert np.linalg.norm(SPHERE.d2log(m, n) @ w - fd) < 1e-7
 
+    @pytest.mark.parametrize("method", ["log", "distance", "transport", "d2log"])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.array([1.0, 0.0]), np.array([0.0, 1.0])),  # 2-vectors: log and distance used to answer
+            (np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])),  # 4-vectors
+            (np.array([0.0, 0.0, 1.0]), np.array([[0.6, 0.8], [0.8, 0.6]])),  # one stack of 2-vectors
+            (np.array([0.0, 0.0, 1.0]), np.float64(1.0)),
+        ],
+    )
+    def test_points_of_another_shape_raise_shape_error(self, method, a, b):
+        for m, n in ((a, b), (b, a)):
+            with pytest.raises(ShapeError, match="sphere points of shape"):
+                getattr(SPHERE, method)(m, n)
+
 
 class TestSO3ClosedForms:
     def test_rodrigues_against_expm_oracle(self):

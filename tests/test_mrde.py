@@ -478,3 +478,17 @@ class TestRelatedSystems:
             hs.append(1.0 / n)
         slope, _, exact = estimate_order(errs, hs)
         assert exact or slope >= 2.0 - 0.25
+
+
+def test_time_driven_chart_stepped_solve_calls_the_field_3n_plus_1_times():
+    # one value per node (the step's F at its left node is the one stored in the derivative)
+    # and two per step for the central difference of the area term
+    axis = np.array([1.0, 0.0, 0.0])
+    calls = []
+    field = ManifoldDrivingField(SPHERE, lambda m: calls.append(1) or np.cross(axis, m)[:, None], name="rotation")
+    n = 16
+    sol = rde_solve_manifold(field, time_lift(np.linspace(0.0, 1.0, n + 1)), np.array([0.0, 0.6, 0.8]))
+    assert len(calls) == 3 * n + 1
+    # the rotation about the first axis by angle t, at second order
+    c, s = np.cos(1.0), np.sin(1.0)
+    assert np.linalg.norm(sol.points[-1] - np.array([0.0, 0.6 * c - 0.8 * s, 0.6 * s + 0.8 * c])) < 1e-3
