@@ -187,7 +187,7 @@ class CompatibilityTensor:
 
     Finite differences: ``S[u_tilde, u] = D2(chart rep of u) - D2(chart rep of
     u_tilde)`` on the diagonal, mapped back to ambient coordinates: the points of
-    a stack are grouped by their ``chart_at`` chart, one ``chart_rep_derivative``
+    a stack are grouped by their ``chart_index`` chart, one ``chart_rep_derivative``
     stencil per chart.  Every pair built with ``compatibility_tensor`` takes this
     path, the oracle of ``torsion_check``.  Closed forms override ``stack``:
     identical parallelisms (chart and flat gauges) are an exact zero, a connection
@@ -215,15 +215,13 @@ class CompatibilityTensor:
         out = np.zeros((len(points),) + (self.manifold.flat_dim,) * 3)
         if self.exact_zero:
             return out
-        atlas = self.manifold.charts()
-        owners = [self.manifold.chart_at(m, atlas) for m in points]
-        for chart in atlas:
-            rows = [i for i, owner in enumerate(owners) if owner is chart]
-            if rows:
-                ms = points[rows]
-                xs, dto = chart.to_coords(ms), chart.dto(ms)
-                du, dut = chart_rep_derivative([self.u.matrix, self.u_tilde.matrix], chart, ms, xs, dto)
-                out[rows] = _to_ambient(chart, xs, dto, du - dut)
+        owners = self.manifold.chart_index(points, atlas := self.manifold.charts())
+        for k in np.unique(owners):
+            chart, rows = atlas[k], owners == k
+            ms = points[rows]
+            xs, dto = chart.to_coords(ms), chart.dto(ms)
+            du, dut = chart_rep_derivative([self.u.matrix, self.u_tilde.matrix], chart, ms, xs, dto)
+            out[rows] = _to_ambient(chart, xs, dto, du - dut)
         return out
 
     def apply(self, m, v, w):

@@ -8,15 +8,14 @@ import numpy as np
 FD_STEP = 1e-5
 
 
-def richardson_diff(f, h):
-    """Central difference of a vector-valued ``f(eps)`` at 0 with one Richardson level.
+def richardson_combine(f_h, f_mh, f_h2, f_mh2, h):
+    """Central difference with one Richardson level, O(h^4), from the values at h, -h, h/2 and -h/2."""
+    return (4.0 * ((f_h2 - f_mh2) / h) - (f_h - f_mh) / (2.0 * h)) / 3.0
 
-    ``f`` is evaluated at +-h and +-h/2; the combination cancels the h^2 term,
-    leaving O(h^4) truncation.
-    """
-    d1 = (np.asarray(f(h)) - np.asarray(f(-h))) / (2.0 * h)
-    d2 = (np.asarray(f(h / 2.0)) - np.asarray(f(-h / 2.0))) / h
-    return (4.0 * d2 - d1) / 3.0
+
+def richardson_diff(f, h):
+    """``richardson_combine`` of a vector-valued ``f(eps)`` at 0, evaluated at h, -h, h/2 and -h/2 in turn."""
+    return richardson_combine(np.asarray(f(h)), np.asarray(f(-h)), np.asarray(f(h / 2.0)), np.asarray(f(-h / 2.0)), h)
 
 
 def sqnorm(v):

@@ -26,6 +26,7 @@ from .linalg import (
     any_true,
     norm,
     polar_retract,
+    richardson_combine,
     richardson_diff,
     so3_exp,
     so3_left_jacobian,
@@ -51,8 +52,7 @@ class Chart:
     Every map, and ``coords_margin``, takes one point (coordinate vector) or a
     stack of them with leading axes and returns the same leading axes: one call
     reads a whole stack, and a single point keeps its shape and its values.
-    ``read`` is the one membership check on a stack; ``margin`` and ``contains``
-    are the single-point ones.
+    ``read`` and ``margin`` check a stack's membership; ``contains`` checks one point.
     """
 
     name: str
@@ -69,10 +69,15 @@ class Chart:
         return self.radius - norm(x if self.center_coords is None else x - self.center_coords)
 
     def margin(self, p):
+        """Margin of one point or each of a stack; -inf where no chart map reads it (per point if the stack raises)."""
         try:
             return self.coords_margin(self.to_coords(p))
         except CHART_FAILURES:
-            return -np.inf
+            p = np.asarray(p, dtype=float)
+            k = p.ndim - np.ndim(self.from_coords(np.zeros(self.dim)))  # the number of stack axes
+            if k <= 0:
+                return -np.inf
+            return np.array([self.margin(q) for q in p.reshape((-1,) + p.shape[k:])]).reshape(p.shape[:k])
 
     def contains(self, p):
         return self.margin(p) > 0.0
@@ -87,9 +92,7 @@ class Chart:
             x = self.to_coords(p)
             bad = ~(self.coords_margin(x) > 0.0)
         except CHART_FAILURES:  # find the point the stacked read fails on, one point at a time
-            p = np.asarray(p, dtype=float)
-            x, one = None, np.ndim(self.from_coords(np.zeros(self.dim)))
-            bad = ~(np.array([self.margin(q) for q in p.reshape((-1,) + p.shape[p.ndim - one :])]) > 0.0)
+            x, bad = None, ~(self.margin(p) > 0.0)
         if x is None or any_true(bad):
             i = int(np.argmax(np.ravel(bad)))
             raise outside(i) if outside else ChartSingular(f"point {i} outside chart {self.name}")
@@ -203,15 +206,17 @@ class Manifold:
         lead = np.broadcast_shapes(*(self._lead(p) for p in pts))
         return np.broadcast_to(np.eye(self.flat_dim), lead + (self.flat_dim,) * 2).copy()
 
+    def _pair_rows(self, a, b):
+        """Two points or stacks broadcast to their leading axes: (those axes, the rows of a, the rows of b)."""
+        a, b = self._points(a, b)
+        lead = np.broadcast_shapes(self._lead(a), self._lead(b))
+        return lead, *(np.broadcast_to(p, lead + self.point_shape).reshape((-1,) + self.point_shape) for p in (a, b))
+
     def pairwise(self, fn):
         """``fn(m, n)`` of one pair lifted to stacks of pairs whose leading axes broadcast, pair by pair."""
 
         def lifted(m, n):
-            m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
-            lead = np.broadcast_shapes(self._lead(m), self._lead(n))
-            if not lead:
-                return fn(m, n)
-            ms, ns = (np.broadcast_to(a, lead + self.point_shape).reshape((-1,) + self.point_shape) for a in (m, n))
+            lead, ms, ns = self._pair_rows(m, n)
             out = np.stack([np.asarray(fn(a, b), dtype=float) for a, b in zip(ms, ns)])
             return out.reshape(lead + out.shape[1:])
 
@@ -227,11 +232,15 @@ class Manifold:
     def chart_at(self, p, atlas=None):
         """The chart of ``atlas`` (default: all charts) with the largest margin at p."""
         atlas = self.charts() if atlas is None else atlas
-        margins = [c.margin(p) for c in atlas]
-        best = int(np.argmax(margins))
-        if not margins[best] > 0:  # NaN included
-            raise AtlasGap(f"no chart of {self.name} contains the point")
-        return atlas[best]
+        return atlas[int(self.chart_index(p, atlas))]
+
+    def chart_index(self, p, atlas):
+        """Index in ``atlas`` of the chart of largest margin at a point or at each of a stack, the first on a tie."""
+        margins = np.array([c.margin(p) for c in atlas])
+        inside = margins.max(axis=0) > 0  # NaN included: a NaN margin is the maximum, as it is for argmax
+        if not inside.all():
+            raise AtlasGap(f"no chart of {self.name} contains point {int(np.argmin(inside))}")
+        return margins.argmax(axis=0)
 
     def chart_christoffels(self, chart, x):
         """Coefficients A of the connection in ``chart``, (A<v>w)_i = A[i, j, l] v_j w_l.
@@ -326,8 +335,7 @@ class Sphere(Manifold):
         return np.eye(3) - p[..., :, None] * p[..., None, :]
 
     def exp(self, m, v):
-        m = np.asarray(m, dtype=float)
-        v = np.asarray(v, dtype=float)
+        m, v = self._points(m, v)
         th = np.linalg.norm(v)
         if th < 1e-300:
             return m.copy()
@@ -499,7 +507,7 @@ class SO3(Manifold):
 
     def transport(self, to_pt, from_pt):
         # left translation by to * from^{-1}: xi -> (to from^T) xi, kron(q, I)
-        q = np.einsum("...ij,...kj->...ik", np.asarray(to_pt, float), np.asarray(from_pt, float))
+        q = np.einsum("...ij,...kj->...ik", *self._points(to_pt, from_pt))
         return (q[..., :, None, :, None] * np.eye(3)[:, None, :]).reshape(q.shape[:-2] + (9, 9))
 
     def d2log(self, k, g):
@@ -572,12 +580,13 @@ def _so3_log_chart(center, idx):
 class ChartManifold(Manifold):
     """Open ball in R^d with an optional connection ``gamma``.
 
-    ``gamma(x)`` returns the (d, d, d) coefficient array A with
-    (A<v>w)_i = A[i, j, l] v_j w_l; the default connection is flat.  Geodesics
-    run through a fixed-step RK4 integrator and logarithms through Newton
-    shooting, matching the generic-manifold contract.  Points have the shape
-    of ``center`` ((d,) by default); a flat ball may hold matrices, such as
-    GL(n) inside R^{n x n}, whose identity-chart coordinates are their entries.
+    ``gamma(xs)`` maps a point or a stack of points (..., d) to coefficients A,
+    (A<v>w)_i = A[i, j, l] v_j w_l, that broadcast to (..., d, d, d), so a constant
+    array serves every stack; the default connection is flat.  Newton shooting makes one
+    RK4 run per iteration for a whole stack: ``log`` is its shot v, ``transport`` the frame
+    the run carries and ``d2log`` J^{-1}, J the Jacobi field (the implicit function theorem
+    on exp(m, log(m, n)) = n).  Points have the shape of ``center`` ((d,) by default); a
+    flat ball may hold matrices, such as GL(n), whose identity-chart coordinates are their entries.
     """
 
     name = "chart"
@@ -601,14 +610,17 @@ class ChartManifold(Manifold):
         self.gauge_radius = 2.0 * self.radius * 0.95
 
     def _gamma(self, x):
-        """Connection coefficients at a point or a stack of points (zeros when flat)."""
+        """Connection coefficients at a point or a stack of points (zeros when flat), in one ``gamma`` call."""
         x = np.asarray(x, dtype=float)
-        lead = self._lead(x)
+        shape = self._lead(x) + (self.dim,) * 3
         if self.gamma is None:
-            return np.zeros(lead + (self.dim,) * 3)
-        if lead:
-            return np.stack([self._gamma(p) for p in x.reshape(-1, self.dim)]).reshape(lead + (self.dim,) * 3)
-        return np.asarray(self.gamma(x), dtype=float)
+            return np.zeros(shape)
+        try:
+            out = np.asarray(self.gamma(x), dtype=float)
+            return out if out.shape == shape else np.broadcast_to(out, shape)
+        except (ValueError, IndexError, TypeError) as exc:  # a per-point callable fails on a stack
+            raise ShapeError(f"gamma(xs) must map points (..., d) to arrays that broadcast to (..., d, d, d), and "
+                             f"from_metric's metric(xs) to (..., d, d); on points of shape {x.shape}: {exc}") from exc
 
     def chart_christoffels(self, chart, x):
         """``gamma`` at identity-chart coordinates x, shape (..., d), which are the flattened points."""
@@ -620,29 +632,29 @@ class ChartManifold(Manifold):
     def tangent_projector(self, p):
         return self._identities(p)
 
-    def _geodesic(self, m, v, u0=None):
-        """RK4 on the geodesic equation over unit time: (point, velocity, frame).
+    def _geodesic(self, ms, vs):
+        """RK4 over unit time from (P, d) points and velocities: endpoints, Jacobi fields J = dx/dv0, frames U from I.
 
-        A frame ``u0`` (d, c) is parallel-transported along when given; the
-        frame slot is None otherwise.
+        RK4 on (J, V = dv/dv0), V' = -dGamma(J)(v, v) - Gamma(V, v) - Gamma(v, V), is the scheme's forward-mode
+        derivative.  Each stage calls ``gamma`` once, on the (P, 1 + 4d, d) points and stencils of dGamma.
         """
-        m = np.asarray(m, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.gamma is None:
-            return m + v, v, u0
+        n, d = ms.shape
         n_steps = max(1, int(np.ceil(1.0 / self.h_geo)))
-        h = 1.0 / n_steps
-        d = self.dim
-        # one flat state: point, velocity and, when given, the frame's entries
-        state = np.concatenate([m, v] + ([] if u0 is None else [np.asarray(u0, dtype=float).ravel()]))
+        h, eye = 1.0 / n_steps, np.eye(d)
+        step = FD_STEP * np.maximum(1.0, norm(ms)).reshape(n, 1, 1, 1, 1)
+        stencil = step[..., 0, 0] * np.concatenate([np.zeros((1, d)), eye, -eye, 0.5 * eye, -0.5 * eye])
+        state = np.dstack([ms, vs, np.broadcast_to(np.hstack([0.0 * eye, eye, eye]), (n, d, 3 * d))])  # x, v, J, V, U
 
         def rates(st):
-            p, vv = st[:d], st[d : 2 * d]
-            A = self._gamma(p)
-            out = [vv, -np.einsum("ijl,j,l->i", A, vv, vv)]
-            if st.size > 2 * d:
-                out.append(-np.einsum("ijl,j,lc->ic", A, vv, st[2 * d :].reshape(d, -1)).ravel())
-            return np.concatenate(out)
+            x, v = st[..., 0], st[..., 1]
+            jac, vel, frame = st[..., 2 : 2 + d], st[..., 2 + d : 2 + 2 * d], st[..., 2 + 2 * d :]
+            g = self._gamma(x[:, None, :] + stencil)
+            fd = g[:, 1:].reshape((n, 4) + (d,) * 4)  # at x + h e_k, x - h e_k, x + h e_k / 2 and x - h e_k / 2
+            dg = richardson_combine(fd[:, 0], fd[:, 1], fd[:, 2], fd[:, 3], step)  # (P, k, i, j, l)
+            gv = (g[:, 0] @ v[:, None, :, None])[..., 0]  # Gamma(., v), (P, i, j)
+            vg = (v[:, None, None, :] @ g[:, 0])[:, :, 0]  # Gamma(v, .), (P, i, l)
+            dv = -np.einsum("pkijl,pj,pl->pik", dg, v, v) @ jac - (gv + vg) @ vel
+            return np.concatenate([v[..., None], -(gv @ v[..., None]), vel, dv, -vg @ frame], axis=-1)
 
         for _ in range(n_steps):
             k1 = rates(state)
@@ -650,60 +662,51 @@ class ChartManifold(Manifold):
             k3 = rates(state + 0.5 * h * k2)
             k4 = rates(state + h * k3)
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if np.linalg.norm(state[:d] - self.center) > self.radius:
+            if any_true(norm(state[..., 0] - self.center) > self.radius):
                 raise ChartExit(message="geodesic left the coordinate domain")
-        u = None if u0 is None else state[2 * d :].reshape(d, -1)
-        return state[:d], state[d : 2 * d], u
+        return state[..., 0], state[..., 2 : 2 + d], state[..., 2 + 2 * d :]
 
     def exp(self, m, v):
-        return self._geodesic(m, v)[0]
-
-    def log(self, m, n, tol=1e-12, max_iter=50):
-        """Newton shooting for exp(m, v) = n from the guess v = n - m, pair by pair.
-
-        Stops when the endpoint residual is at most ``tol * |v|^2``, the size
-        of the bending the guess ignores, or at most ``tol`` once a Newton step
-        fails to halve it (the rounding floor of the RK4 endpoint).
-        """
         if self.gamma is None:
-            return np.asarray(n, dtype=float) - np.asarray(m, dtype=float)
-        return self.pairwise(lambda a, b: self._shoot(a, b, tol, max_iter))(m, n)
+            return np.asarray(m, dtype=float) + np.asarray(v, dtype=float)
+        lead, ms, vs = self._pair_rows(m, v)
+        return self._geodesic(ms, vs)[0].reshape(lead + (self.dim,))
 
-    def _shoot(self, m, n, tol, max_iter):
-        v = n - m
-        prev = np.inf
+    def _shoot(self, m, n, tol=1e-12, max_iter=50):
+        """Newton shooting for exp(m, v) = n from v = n - m on a pair or stacks: (v, J, U) at the shot.
+
+        J = dexp_m/dv is the Newton Jacobian.  A pair leaves the stack once its endpoint
+        residual is at most ``tol * |v|^2``, the bending the guess ignores, or at most ``tol``
+        once a Newton step fails to halve it (the rounding floor of the RK4 endpoint).
+        """
+        lead, ms, ns = self._pair_rows(m, n)
+        v = ns - ms
+        jac, frame = np.empty((2, len(v), self.dim, self.dim))
+        live, prev = np.arange(len(v)), np.full(len(v), np.inf)
         for _ in range(max_iter):
-            res = self.exp(m, v) - n
-            r = float(np.linalg.norm(res))
-            if r <= tol * float(v @ v) or (r <= tol and r > 0.5 * prev):
-                return v
-            prev = r
-            jac = np.empty((self.dim, self.dim))
-            hstep = 1e-6 * max(1.0, float(np.linalg.norm(v)))
-            for j in range(self.dim):
-                dv = np.zeros(self.dim)
-                dv[j] = hstep
-                jac[:, j] = (self.exp(m, v + dv) - self.exp(m, v - dv)) / (2.0 * hstep)
+            x, j, u = self._geodesic(ms[live], v[live])
+            r = norm(res := x - ns[live])
+            done = (r <= tol * sqnorm(v[live])) | ((r <= tol) & (r > 0.5 * prev))
+            jac[live[done]], frame[live[done]] = j[done], u[done]
+            live, prev, j, res = live[~done], r[~done], j[~done], res[~done]
+            if not live.size:
+                return tuple(a.reshape(lead + a.shape[1:]) for a in (v, jac, frame))
             try:
-                v = v - np.linalg.solve(jac, res)
+                v[live] -= np.linalg.solve(j, res[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
                 raise LogFailure(str(exc)) from exc
-        raise LogFailure(f"Newton shooting stalled at residual {np.linalg.norm(res):.3e}")
+        raise LogFailure(f"Newton shooting stalled at residual {np.max(prev):.3e}")
+
+    def log(self, m, n, tol=1e-12, max_iter=50):
+        if self.gamma is None:
+            return np.asarray(n, dtype=float) - np.asarray(m, dtype=float)
+        return self._shoot(m, n, tol, max_iter)[0]
 
     def transport(self, to_pt, from_pt):
-        if self.gamma is None:
-            return self._identities(to_pt, from_pt)
-        return self.pairwise(lambda b, a: self._geodesic(a, self.log(a, b), u0=np.eye(self.dim))[2])(to_pt, from_pt)
+        return self._identities(to_pt, from_pt) if self.gamma is None else self._shoot(from_pt, to_pt)[2]
 
     def d2log(self, m, n):
-        if self.gamma is None:
-            return self._identities(m, n)
-
-        def one(m, n):
-            h = FD_STEP * max(1.0, float(np.linalg.norm(n)))
-            return np.stack([richardson_diff(lambda e: self.log(m, n + e * dv), h) for dv in np.eye(self.dim)], axis=1)
-
-        return self.pairwise(one)(m, n)
+        return self._identities(m, n) if self.gamma is None else np.linalg.inv(self._shoot(m, n)[1])
 
     def distance(self, m, n):
         # coordinate distance; the conservative 5% margin absorbs the mismatch
@@ -721,22 +724,18 @@ class ChartManifold(Manifold):
     def from_metric(dim, metric, radius=10.0, center=None, h_geo=0.01):
         """Chart manifold with the Levi-Civita connection of a coordinate metric.
 
-        ``metric(x)`` returns the (d, d) Gram matrix; its derivative array
-        dg[i, j, l] = d g_{ij} / d x_l comes from Richardson central differences.
+        ``metric(xs)`` maps a point or a stack (..., d) to Gram matrices (..., d, d);
+        dg[..., i, j, l] = d g_{ij} / d x_l is one Richardson stencil over the stack.
         """
 
-        def gamma(x):
-            g = np.asarray(metric(x), dtype=float)
-            h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-            dg = np.stack(
-                [richardson_diff(lambda e, _d=dl: np.asarray(metric(x + e * _d), float), h) for dl in np.eye(dim)],
-                axis=2,
-            )
-            ginv = np.linalg.inv(g)
+        def gamma(xs):
+            xs = np.asarray(xs, dtype=float)
+            h = FD_STEP * np.maximum(1.0, norm(xs))[..., None, None, None]
+            # stencil point l moves x along e_l: Gram matrices (..., l, i, j)
+            dg = np.moveaxis(richardson_diff(lambda e: metric(xs[..., None, :] + e[..., 0] * np.eye(dim)), h), -3, -1)
             # Gamma^i_{jl} = g^{im}(dg[m,l,j] + dg[m,j,l] - dg[j,l,m]) / 2
-            return 0.5 * np.einsum(
-                "im,mjl->ijl", ginv, np.transpose(dg, (0, 2, 1)) + dg - np.transpose(dg, (2, 1, 0))
-            )
+            ginv = np.linalg.inv(metric(xs))
+            return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, np.swapaxes(dg, -1, -2) + dg - np.swapaxes(dg, -1, -3))
 
         return ChartManifold(dim, radius=radius, center=center, gamma=gamma, h_geo=h_geo)
 

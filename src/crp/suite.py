@@ -42,6 +42,8 @@ from .transport import (
 
 SPHERE = fx.SPHERE
 SO3M = fx.SO3M
+# the constant connection Gamma^0_01 = 0.3, Gamma^0_11 = 0.05, Gamma^1_10 = -0.2 (gamma[i, j, l] = Gamma^i_jl)
+TORSION_CHART = ChartManifold(2, radius=1, gamma=lambda x: np.array([[[0, 0.3], [0, 0.05]], [[0, 0], [-0.2, 0]]]))
 
 # 64-bit seed recorded in every report bundle; all randomized sampling below
 # derives from fixed per-check generators so reruns are bit-identical
@@ -389,6 +391,7 @@ def criterion_09_compatibility_algebra():
     checks.append(_check("antisymmetry", worst_anti, 1e-8))
     checks.append(_check("torsion-sphere", torsion_check(SPHERE)["max_residual"], 1e-6))
     checks.append(_check("torsion-so3", torsion_check(SO3M)["max_residual"], 1e-5))
+    checks.append(_check("torsion-chart", torsion_check(TORSION_CHART)["max_residual"], 1e-5))
 
     # the finite-difference S, so the formula is checked against an independent oracle
     g = connection_gauge(SO3M)

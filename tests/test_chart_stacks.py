@@ -16,7 +16,7 @@ import pytest
 
 from crp import AtlasGap, ChartSingular, DomainError
 from crp.fixtures import SO3M, SPHERE, latitude_crp
-from crp.gauges import change_tensor, chart_gauge, connection_gauge
+from crp.gauges import change_tensor, chart_gauge, compatibility_tensor, connection_gauge
 from crp.manifolds import Chart, ChartManifold, ProductManifold
 from crp.oneforms import gauge_integrate, oneform_from_smooth
 
@@ -147,3 +147,38 @@ def test_stacked_read_names_the_first_point_outside():
             chart.read(pts, lambda i: DomainError(f"sample {i}"))
     with pytest.raises(ChartSingular, match="point 0 outside"):
         chart.read(pole)
+
+
+def test_stacked_margins_and_chart_choice_equal_the_per_point_ones():
+    # a pole makes the stacked stereographic read raise, so that chart reads its points one at a time
+    rng = np.random.default_rng(31)
+    pts = rng.standard_normal((40, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts[3], pts[7] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+    atlas = SPHERE.charts()
+    for chart in atlas:
+        assert np.array_equal(chart.margin(pts), [chart.margin(p) for p in pts])
+        assert np.array_equal(chart.margin(pts.reshape(8, 5, 3)), chart.margin(pts).reshape(8, 5))
+    owners = SPHERE.chart_index(pts, atlas)
+    assert [atlas[k] for k in owners] == [SPHERE.chart_at(p, atlas) for p in pts]
+    # a tie goes to the first chart, as in chart_at: the equator is 1 from both poles
+    equator = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert atlas[0].margin(equator[0]) == atlas[1].margin(equator[0])
+    assert list(SPHERE.chart_index(equator, atlas)) == [0, 0]
+    for bad in (np.array([np.nan, 0.0, -0.8]), np.array([0.0, np.inf, 0.0])):
+        with pytest.raises(AtlasGap, match="point 2"):
+            SPHERE.chart_index(np.stack([pts[0], pts[1], bad]), atlas)
+
+
+def test_fd_oracle_picks_each_points_chart_in_one_stacked_choice(monkeypatch):
+    rng = np.random.default_rng(8)
+    pts = np.stack([SPHERE.random_point(rng) for _ in range(20)])
+    g = connection_gauge(SPHERE)
+    s = compatibility_tensor(g.log.induced_parallelism(), g.par, SPHERE)
+    want = np.stack([s.at(p) for p in pts])  # each point's chart chosen on its own
+    calls = []
+    margin = Chart.margin
+    monkeypatch.setattr(Chart, "margin", lambda self, p: calls.append(np.shape(p)) or margin(self, p))
+    got = s.stack(pts)
+    assert calls == [(20, 3), (20, 3)]  # each chart's margins read once, on the whole stack
+    assert np.max(np.abs(got - want)) <= 1e-12

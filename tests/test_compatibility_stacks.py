@@ -23,9 +23,9 @@ from crp.manifolds import ChartManifold, Manifold, ProductManifold
 
 
 def _asymmetric(x):
-    a = np.zeros((2, 2, 2))
-    a[0, 0, 1] = 0.3 + 0.1 * x[0]
-    a[1, 1, 0] = -0.2 + 0.05 * x[1]
+    a = np.zeros(x.shape[:-1] + (2, 2, 2))
+    a[..., 0, 0, 1] = 0.3 + 0.1 * x[..., 0]
+    a[..., 1, 1, 0] = -0.2 + 0.05 * x[..., 1]
     return a
 
 

@@ -320,17 +320,17 @@ class TestLogarithmComparison:
 
 def asymmetric_connection(x):
     # Gamma^0_{01} != Gamma^0_{10} and Gamma^1_{10} != Gamma^1_{01}, varying with x
-    a = np.zeros((2, 2, 2))
-    a[0, 0, 1] = 0.3 + 0.1 * x[0]
-    a[1, 1, 0] = -0.2 + 0.05 * x[1]
+    a = np.zeros(x.shape[:-1] + (2, 2, 2))
+    a[..., 0, 0, 1] = 0.3 + 0.1 * x[..., 0]
+    a[..., 1, 1, 0] = -0.2 + 0.05 * x[..., 1]
     return a
 
 
 def diagonal_connection(x):
     # a diagonal term Gamma^0_{11} bends the geodesics along the axes, so the
     # Newton logarithm must shoot even at FD stencil points |n - m| ~ 1e-5, where
-    # an unshot guess is off by O(|n - m|^2), an error the nested FD oracle
-    # divides by h^2 = 1e-10
+    # an unshot guess is off by O(|n - m|^2), an error the FD oracle's stencil
+    # divides by h = 1e-5
     a = np.zeros((2, 2, 2))
     a[0, 0, 1], a[1, 1, 0], a[0, 1, 1] = 0.3, -0.2, 0.05
     return a

@@ -28,9 +28,9 @@ TOL = 4.4e-16  # one unit in the last place of a value below 4
 
 def _curl(x):
     """A torsion-free connection with small, point-dependent coefficients."""
-    a = 0.1 * np.array([x[0], x[1]])
-    out = np.zeros((2, 2, 2))
-    out[0, 0, 0], out[1, 1, 1], out[0, 1, 1] = a[0], a[1], a[0] * a[1]
+    a0, a1 = 0.1 * x[..., 0], 0.1 * x[..., 1]
+    out = np.zeros(x.shape[:-1] + (2, 2, 2))
+    out[..., 0, 0, 0], out[..., 1, 1, 1], out[..., 0, 1, 1] = a0, a1, a0 * a1
     return out
 
 

@@ -315,14 +315,21 @@ class TestSphereCharts:
 def quadratic_connection(c=0.25):
     def gamma(x):
         # smooth, symmetric coefficients in two dimensions
-        a = np.zeros((2, 2, 2))
-        a[0, 0, 0] = c * np.sin(x[1])
-        a[1, 0, 1] = c * x[0]
-        a[1, 1, 0] = c * x[0]
-        a[0, 1, 1] = -c * np.cos(x[0])
+        a = np.zeros(x.shape[:-1] + (2, 2, 2))
+        a[..., 0, 0, 0] = c * np.sin(x[..., 1])
+        a[..., 1, 0, 1] = c * x[..., 0]
+        a[..., 1, 1, 0] = c * x[..., 0]
+        a[..., 0, 1, 1] = -c * np.cos(x[..., 0])
         return a
 
     return gamma
+
+
+def torsion_block(x):
+    # Gamma^0_{01} = 0.3 and Gamma^1_{10} = x_0: a torsionful connection
+    a = np.zeros(x.shape[:-1] + (2, 2, 2))
+    a[..., 0, 0, 1], a[..., 1, 1, 0] = 0.3, x[..., 0]
+    return a
 
 
 class TestChartManifold:
@@ -459,7 +466,7 @@ class TestProductManifold:
 
     @pytest.mark.parametrize(
         "first,second",
-        [(SPHERE, SO3M), (SO3M, ChartManifold(2, gamma=lambda x: np.array([[[0, 0.3], [0, 0]], [[0, 0], [x[0], 0]]])))],
+        [(SPHERE, SO3M), (SO3M, ChartManifold(2, gamma=torsion_block))],
     )
     def test_torsion_is_blockwise(self, first, second):
         # T[c, a, b] vanishes unless a, b and c lie in one factor, where it is that factor's
@@ -500,8 +507,8 @@ class TestProductManifold:
 def test_levi_civita_from_metric_matches_sphere_chart_coefficients():
     # round-metric pullback through the stereographic chart
     def metric(x):
-        s = 2.0 / (1.0 + float(x @ x))
-        return s * s * np.eye(2)
+        s = 2.0 / (1.0 + np.sum(x * x, axis=-1))
+        return (s * s)[..., None, None] * np.eye(2)
 
     mani = ChartManifold.from_metric(2, metric, radius=5.0)
     from crp.transport import chart_christoffels

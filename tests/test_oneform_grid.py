@@ -36,9 +36,9 @@ from crp.transport import ConnectionForm, MatrixGroup, horizontal_lift
 
 def asymmetric_connection(x):
     # the torsionful connection of test_gauges: Gamma^0_{01} != Gamma^0_{10}, varying with x
-    a = np.zeros((2, 2, 2))
-    a[0, 0, 1] = 0.3 + 0.1 * x[0]
-    a[1, 1, 0] = -0.2 + 0.05 * x[1]
+    a = np.zeros(x.shape[:-1] + (2, 2, 2))
+    a[..., 0, 0, 1] = 0.3 + 0.1 * x[..., 0]
+    a[..., 1, 1, 0] = -0.2 + 0.05 * x[..., 1]
     return a
 
 
