@@ -11,6 +11,7 @@ charts expose explicit ``to/from`` differentials instead of implicit casts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -119,6 +120,15 @@ def chart_rep_derivative(matrices, chart: Chart, ms, xs, dto_ms):
 
     h = FD_STEP * np.maximum(1.0, norm(xs))
     return np.swapaxes(richardson_diff(ubar, h.reshape(n, 1, 1, 1)), 2, 3)
+
+
+@functools.cache
+def _jet_stencil(d):
+    """The (1 + 4d, d) offsets of ``chart_christoffels_jet``: 0, then e_k, -e_k, e_k / 2 and -e_k / 2 for each k."""
+    eye = np.eye(d)
+    out = np.concatenate([0.0 * eye[:1], eye, -eye, 0.5 * eye, -0.5 * eye])
+    out.flags.writeable = False
+    return out
 
 
 class Manifold:
@@ -254,6 +264,19 @@ class Manifold:
         ms = chart.from_coords(xs)
         coeffs = chart_rep_derivative([self.transport], chart, ms, xs, chart.dto(ms))[0]
         return coeffs.reshape(x.shape + (chart.dim,) * 2)
+
+    def chart_christoffels_jet(self, chart, x):
+        """``chart_christoffels`` A at chart coordinates x, (..., d), and its derivative dA, (..., d, d, d, d).
+
+        dA[..., k, i, j, l] = d_k A[i, j, l].  Without a closed form, one ``chart_christoffels``
+        call reads x and its Richardson stencil x +- h e_k, x +- h e_k / 2, h = ``FD_STEP * max(1, |x|)``.
+        """
+        x = np.asarray(x, dtype=float)
+        d = chart.dim
+        h = FD_STEP * np.maximum(1.0, norm(x))[..., None, None]
+        a = self.chart_christoffels(chart, x[..., None, :] + h * _jet_stencil(d))
+        fd = a[..., 1:, :, :, :].reshape(x.shape[:-1] + (4, d) + (d,) * 3)
+        return a[..., 0, :, :, :], richardson_combine(*(fd[..., q, :, :, :, :] for q in range(4)), h[..., None, None])
 
     # -- misc ---------------------------------------------------------------------
 
@@ -400,14 +423,31 @@ class Sphere(Manifold):
         if not chart.name.startswith("stereo"):
             return super().chart_christoffels(chart, x)
         x = np.asarray(x, dtype=float)
-        dl = -2.0 * x / (1.0 + np.sum(x * x, axis=-1, keepdims=True))  # gradient of the conformal factor
-        # delta_ij dl_l + delta_il dl_j - delta_jl dl_i
-        return (_EYE2[:, :, None] * dl[..., None, None, :] + _EYE2[:, None] * dl[..., None, :, None]
-                - _EYE2 * dl[..., None, None])
+        return _conformal_christoffels(-2.0 * x / (1.0 + np.sum(x * x, axis=-1, keepdims=True)))
+
+    def chart_christoffels_jet(self, chart, x):
+        """The coefficients and their derivative in closed form in stereographic charts: with s = 1 + |x|^2 the
+        conformal gradient is g = -2 x / s, and d_k g_l = -2 delta_kl / s + 4 x_k x_l / s^2."""
+        if not chart.name.startswith("stereo"):
+            return super().chart_christoffels_jet(chart, x)
+        x = np.asarray(x, dtype=float)
+        s = 1.0 + np.sum(x * x, axis=-1, keepdims=True)
+        dg = (4.0 * x[..., :, None] * x[..., None, :] / s[..., None] - 2.0 * _EYE2) / s[..., None]
+        return _conformal_christoffels(-2.0 * x / s), _conformal_christoffels(dg)
 
     def random_point(self, rng):
         v = rng.standard_normal(3)
         return v / np.linalg.norm(v)
+
+
+# E[m, (i, j, l)] = delta_ij delta_lm + delta_il delta_jm - delta_jl delta_im: each entry of g @ E is one signed g_m
+_CONFORMAL = (np.einsum("ij,lm->mijl", _EYE2, _EYE2) + np.einsum("il,jm->mijl", _EYE2, _EYE2)
+              - np.einsum("jl,im->mijl", _EYE2, _EYE2)).reshape(2, 8)
+
+
+def _conformal_christoffels(g):
+    """delta_ij g_l + delta_il g_j - delta_jl g_i, (..., i, j, l), of g over its last axis; g's d_k rows give d_k."""
+    return (g @ _CONFORMAL).reshape(g.shape[:-1] + (2, 2, 2))
 
 
 def _stereographic_chart(pole=+1):
@@ -421,8 +461,8 @@ def _stereographic_chart(pole=+1):
     def to_coords(p):
         p = np.asarray(p, dtype=float).T
         den = 1.0 - sign * p[2]
-        if any_true(den <= 1e-12):
-            raise DomainError("point at the projection pole")
+        if any_true((den <= 1e-12) | np.isposinf(den)):  # an infinite den would divide inf by inf
+            raise DomainError("point at the projection pole or at infinity")
         return (p[:2] / den).T
 
     def from_coords(x):
@@ -632,29 +672,31 @@ class ChartManifold(Manifold):
     def tangent_projector(self, p):
         return self._identities(p)
 
-    def _geodesic(self, ms, vs):
-        """RK4 over unit time from (P, d) points and velocities: endpoints, Jacobi fields J = dx/dv0, frames U from I.
+    def _geodesic(self, ms, vs, jacobi=True):
+        """RK4 over unit time from (P, d) points and velocities: endpoints, and with ``jacobi`` Jacobi fields
+        J = dx/dv0 and frames U from I.
 
         RK4 on (J, V = dv/dv0), V' = -dGamma(J)(v, v) - Gamma(V, v) - Gamma(v, V), is the scheme's forward-mode
-        derivative.  Each stage calls ``gamma`` once, on the (P, 1 + 4d, d) points and stencils of dGamma.
+        derivative.  Each stage makes one ``gamma`` call: at the points, or with ``jacobi`` through
+        ``chart_christoffels_jet`` on the points and their stencils of dGamma.
         """
         n, d = ms.shape
         n_steps = max(1, int(np.ceil(1.0 / self.h_geo)))
-        h, eye = 1.0 / n_steps, np.eye(d)
-        step = FD_STEP * np.maximum(1.0, norm(ms)).reshape(n, 1, 1, 1, 1)
-        stencil = step[..., 0, 0] * np.concatenate([np.zeros((1, d)), eye, -eye, 0.5 * eye, -0.5 * eye])
-        state = np.dstack([ms, vs, np.broadcast_to(np.hstack([0.0 * eye, eye, eye]), (n, d, 3 * d))])  # x, v, J, V, U
+        h, eye, chart = 1.0 / n_steps, np.eye(d), self.charts()[0]
+        carried = np.hstack([0.0 * eye, eye, eye]) if jacobi else np.zeros((d, 0))  # J, V, U
+        state = np.dstack([ms, vs, np.broadcast_to(carried, (n, d, carried.shape[1]))])
 
         def rates(st):
             x, v = st[..., 0], st[..., 1]
-            jac, vel, frame = st[..., 2 : 2 + d], st[..., 2 + d : 2 + 2 * d], st[..., 2 + 2 * d :]
-            g = self._gamma(x[:, None, :] + stencil)
-            fd = g[:, 1:].reshape((n, 4) + (d,) * 4)  # at x + h e_k, x - h e_k, x + h e_k / 2 and x - h e_k / 2
-            dg = richardson_combine(fd[:, 0], fd[:, 1], fd[:, 2], fd[:, 3], step)  # (P, k, i, j, l)
-            gv = (g[:, 0] @ v[:, None, :, None])[..., 0]  # Gamma(., v), (P, i, j)
-            vg = (v[:, None, None, :] @ g[:, 0])[:, :, 0]  # Gamma(v, .), (P, i, l)
-            dv = -np.einsum("pkijl,pj,pl->pik", dg, v, v) @ jac - (gv + vg) @ vel
-            return np.concatenate([v[..., None], -(gv @ v[..., None]), vel, dv, -vg @ frame], axis=-1)
+            g, dg = self.chart_christoffels_jet(chart, x) if jacobi else (self.chart_christoffels(chart, x), None)
+            gv = (g @ v[:, None, :, None])[..., 0]  # Gamma(., v), (P, i, j)
+            out = [v[..., None], -(gv @ v[..., None])]
+            if jacobi:
+                jac, vel, frame = st[..., 2 : 2 + d], st[..., 2 + d : 2 + 2 * d], st[..., 2 + 2 * d :]
+                vg = (v[:, None, None, :] @ g)[:, :, 0]  # Gamma(v, .), (P, i, l)
+                dv = -np.einsum("pkijl,pj,pl->pik", dg, v, v) @ jac - (gv + vg) @ vel
+                out += [vel, dv, -vg @ frame]
+            return np.concatenate(out, axis=-1)
 
         for _ in range(n_steps):
             k1 = rates(state)
@@ -670,7 +712,7 @@ class ChartManifold(Manifold):
         if self.gamma is None:
             return np.asarray(m, dtype=float) + np.asarray(v, dtype=float)
         lead, ms, vs = self._pair_rows(m, v)
-        return self._geodesic(ms, vs)[0].reshape(lead + (self.dim,))
+        return self._geodesic(ms, vs, jacobi=False)[0].reshape(lead + (self.dim,))
 
     def _shoot(self, m, n, tol=1e-12, max_iter=50):
         """Newton shooting for exp(m, v) = n from v = n - m on a pair or stacks: (v, J, U) at the shot.

@@ -93,6 +93,16 @@ class ChartWalk:
             self.starts.append((i, best))
         return best
 
+    def scan(self, points):
+        """``close`` after ``visit`` at every node of ``points``, with each atlas chart's margin read
+        over the stack once: only the nodes under the current chart's re-chart margin are visited."""
+        margins = {id(c): c.margin(points) for c in self.atlas}
+        i = 0
+        while (below := np.flatnonzero(~(margins[id(self.chart)][i + 1 :] >= RECHART_MARGIN * self.chart.radius))).size:
+            i += 1 + int(below[0])  # ~(m >= bound) holds for NaN, as in visit
+            self.visit(i, points[i], margins[id(self.chart)][i])
+        return self.close(len(points) - 1)
+
     def close(self, n):
         """Single-chart segments [(i0, i1, chart)] covering nodes 0..n."""
         ends = [i for i, _ in self.starts[1:]] + [n]

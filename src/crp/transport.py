@@ -16,7 +16,7 @@ from .gauges import Gauge, connection_gauge
 from .linalg import SO3_BASIS, hat, vee
 from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
-from .mrde import ChartWalk, ManifoldDrivingField, _chart_step
+from .mrde import ChartWalk, ManifoldDrivingField
 from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform, oneform_from_stacks
 from .roughpath import RoughPath
 from .sewing import rough_integrate
@@ -287,10 +287,7 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
     base_gauge = base_gauge or connection_gauge(mani)
     group = MatrixGroup("gl", d)
     n = y.times.size
-    walk = ChartWalk(mani, atlas, y.times, y.points[0])
-    for i in range(1, n):
-        walk.visit(i, y.points[i], walk.chart.margin(y.points[i]))
-    segs = walk.close(n - 1)
+    segs = ChartWalk(mani, atlas, y.times, y.points[0]).scan(y.points)
     frames = np.empty((n, mani.flat_dim, d))
     frames[0] = u0
     z_pieces = []
@@ -372,9 +369,13 @@ def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = N
 def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None):
     """Development: solve the frame-bundle horizontal equation driven by z.
 
-    State is (chart coords, frame matrix); the horizontal field moves the base
-    with the frame image of dz and rotates the frame by the connection.
-    Returns (manifold controlled path, frame lift).
+    State is (chart coords x, chart frame U); the horizontal field H_a = (U e_a, -A<U e_a> U),
+    A the chart connection coefficients, moves the base with the frame image of dz and
+    rotates the frame by the connection.  Each step is the Davie step H dz + sum_ab
+    X[a, b] DH_b[H_a] with the exact derivative, from one ``chart_christoffels_jet`` call
+    (A, dA) at x: with M = U X U^T, dx = U dz - A[i, j, l] M[j, l] and dU = -R U, where
+    R[i, l] = A[i, j, l] dx_j + d_k A[i, j, l] M[k, j] - A[i, j, m] M[k, j] A[m, k, l].
+    Frames change chart at chart switches.  Returns (manifold controlled path, frame lift).
     """
     check_same_grid(z.times, rp.times)
     d = manifold.dim
@@ -396,17 +397,12 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
     x = chart.to_coords(pts[0])
     ub = chart.dto(pts[0]) @ frames[0]
     dz, areas = np.diff(z.values, axis=0), pushed_step_areas(z, rp)
-
-    def step_field(state):
-        xx, uu = state[:d], state[d:].reshape(d, d)
-        # column a: the frame vector u_a, then the frame's rate -A<u_a> u
-        du = -np.einsum("ijl,ja,lc->ica", chart_christoffels(manifold, chart, xx), uu, uu)
-        return np.concatenate([uu, du.reshape(d * d, d)])
-
     for i in range(n):
-        state = np.concatenate([x, ub.reshape(-1)])
-        state = state + _chart_step(step_field, state, step_field(state), dz[i], areas[i])
-        x, ub = state[:d], state[d:].reshape(d, d)
+        a, da = manifold.chart_christoffels_jet(chart, x)
+        m = ub @ areas[i] @ ub.T  # the step tensor in chart coordinates, sum_ab X[a, b] U e_a (x) U e_b
+        dx = ub @ dz[i] - np.einsum("ijl,jl->i", a, m)
+        rot = np.einsum("ijl,j->il", a, dx) + np.einsum("kijl,kj->il", da, m) - np.einsum("ijm,kj,mkl->il", a, m, a)
+        x, ub = x + dx, ub - rot @ ub
         p = chart.from_coords(x)
         new = walk.visit(i + 1, p, chart.coords_margin(x))
         if new is not None and new is not chart:
