@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -16,101 +15,21 @@ EXPLOSION_BOUND = 1e8
 
 @dataclass
 class DrivingField:
-    """Field F with value F_w(a) linear in the driver direction w.
+    """Linear field F_w(a) = sum_j w_j M_j a of a (k, n, n) matrix family ``matrices``.
 
-    Either a closed-form pair (``eval``, ``jacobian``) or a linear matrix family
-    ``matrices`` with F_w(a) = sum_j w_j M_j a, which sets that pair.
-    ``jacobian(a, v, w)`` is the directional derivative of a -> F_w(a) along v.
+    A nonlinear flat field is a ``mrde.ManifoldDrivingField`` on a flat ``ChartManifold``.
     """
 
-    eval: Callable | None = None
-    jacobian: Callable | None = None
-    matrices: np.ndarray | None = None  # (k, n, n)
+    matrices: np.ndarray  # (k, n, n)
 
     def __post_init__(self):
-        if self.matrices is not None:
-            mats = self.matrices = np.asarray(self.matrices, dtype=float)
-            if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-                raise ShapeError("matrix family must have shape (k, n, n)")
-            self.eval = lambda a, w: np.einsum("j,jnm,m->n", np.asarray(w, float), mats, np.asarray(a, float))
-            self.jacobian = lambda a, v, w: np.einsum("j,jnm,m->n", np.asarray(w, float), mats, v)
-            self.bind(mats.shape[0])
-        elif self.eval is None:
-            raise ShapeError("need either eval or matrices")
-
-    def value(self, a, w):
-        return np.asarray(self.eval(a, w), dtype=float)
+        mats = self.matrices = np.asarray(self.matrices, dtype=float)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ShapeError("matrix family must have shape (k, n, n)")
 
     def value_matrix(self, a):
-        """F(a) as an (n, k) matrix: column j is F_{e_j}(a)."""
-        k = self._driver_dim(a)
-        return np.stack([self.value(a, e) for e in np.eye(k)], axis=1)
-
-    def _driver_dim(self, a):
-        if not hasattr(self, "_kdim"):
-            raise ShapeError("callback field needs driver_dim set via bind()")
-        return self._kdim
-
-    def bind(self, driver_dim):
-        self._kdim = int(driver_dim)
-        return self
-
-    def second_order(self, a, area):
-        """sum_{ab} area[a,b] (d_{F_{e_a}(a)} F_{e_b})(a)."""
-        k = area.shape[0]
-        cols = self.value_matrix(a)
-        out = np.zeros_like(np.asarray(a, float))
-        for ai in range(k):
-            v = cols[:, ai]
-            for bi in range(k):
-                if area[ai, bi] == 0.0:
-                    continue
-                out = out + area[ai, bi] * self._jac(a, v, np.eye(k)[bi])
-        return out
-
-    def _jac(self, a, v, w):
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(a, v, w), dtype=float)
-        h = 1e-6 * max(1.0, float(np.max(np.abs(a))))
-        return (self.value(a + h * v, w) - self.value(a - h * v, w)) / (2.0 * h)
-
-    def jacobian_residual(self, points, rng=None):
-        """Worst relative mismatch between the jacobian and a central difference."""
-        if self.jacobian is None:
-            return 0.0
-        rng = rng or np.random.default_rng(7)
-        worst = 0.0
-        for a in points:
-            a = np.asarray(a, dtype=float)
-            v = rng.standard_normal(a.shape)
-            w = rng.standard_normal(self._driver_dim(a))
-            h = 1e-6 * max(1.0, float(np.max(np.abs(a))))
-            fd = (self.value(a + h * v, w) - self.value(a - h * v, w)) / (2.0 * h)
-            jac = self._jac(a, v, w)
-            denom = max(1.0, float(np.linalg.norm(fd)))
-            worst = max(worst, float(np.linalg.norm(jac - fd)) / denom)
-        return worst
-
-
-def _exp_step(field: DrivingField, y, dx, area, substeps=2):
-    """Flow of the quadratic expansion field with antisymmetrized area, by a short RK4 run.
-
-    Third-order equivalent to the additive step for weak-geometric drivers.
-    """
-    anti = 0.5 * (area - area.T)
-
-    def vf(z):
-        return field.value(z, dx) + field.second_order(z, anti)
-
-    z = np.asarray(y, dtype=float)
-    h = 1.0 / substeps
-    for _ in range(substeps):
-        k1 = vf(z)
-        k2 = vf(z + 0.5 * h * k1)
-        k3 = vf(z + 0.5 * h * k2)
-        k4 = vf(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return z
+        """F(a) as an (n, k) matrix: column j is M_j a."""
+        return np.einsum("jnm,m->nj", self.matrices, np.asarray(a, dtype=float))
 
 
 def linear_flow(mats, times, dx, areas, y0, scheme="davie", explosion_bound=EXPLOSION_BOUND):
@@ -147,45 +66,19 @@ def linear_flow(mats, times, dx, areas, y0, scheme="davie", explosion_bound=EXPL
 
 
 def rde_solve_flat(
-    field: DrivingField,
-    rp: RoughPath,
-    y0,
-    interval=None,
-    scheme="davie",
-    explosion_bound=EXPLOSION_BOUND,
+    field: DrivingField, rp: RoughPath, y0, scheme="davie", explosion_bound=EXPLOSION_BOUND
 ) -> ControlledPath:
-    """Second-order one-step solve of dy = F_{dX}(y).
+    """Second-order one-step solve of dy = F_{dX}(y) for a matrix family, on the whole grid by ``linear_flow``.
 
     scheme="davie" is the additive step
         y_{i+1} = y_i + F_{dx_i}(y_i) + (d_{F_w(y_i)} F_w~)(y_i) at the step area;
-    scheme="exp" realizes the same local expansion as the flow of the quadratic
-    field, exact on commutator fixtures.  A matrix family runs on the whole grid by
-    ``linear_flow``, a callback field node by node; the derivative is F(y_i).
+    scheme="exp" realizes the same local expansion as the log-ODE step of ``linear_flow``,
+    exact on commutator fixtures.  The derivative is F(y_i).
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if interval is not None:
-        i0, i1 = rp.index_of(interval[0]), rp.index_of(interval[1])
-        rp = rp.restrict(i0, i1)
+    k, n = field.matrices.shape[:2]
+    if rp.dim != k or y0.shape != (n,):
+        raise ShapeError(f"a ({k}, {n}, {n}) family needs driver dimension {k} and y0 of size {n}")
     dx = np.diff(rp.values, axis=0)
-    if field.matrices is not None:
-        k, n = field.matrices.shape[:2]
-        if rp.dim != k or y0.shape != (n,):
-            raise ShapeError(f"a ({k}, {n}, {n}) family needs driver dimension {k} and y0 of size {n}")
-        values = linear_flow(field.matrices, rp.times, dx, rp.step_areas, y0, scheme, explosion_bound)
-        return ControlledPath(rp.times, values, np.einsum("jnm,pm->pnj", field.matrices, values))
-    field.bind(rp.dim)
-    values = np.empty((rp.n_steps + 1, y0.size))
-    values[0] = y0
-    for i in range(rp.n_steps):
-        y = values[i]
-        if scheme == "exp":
-            ynew = _exp_step(field, y, dx[i], rp.step_areas[i])
-        elif scheme == "davie":
-            ynew = y + field.value(y, dx[i]) + field.second_order(y, rp.step_areas[i])
-        else:
-            raise InvalidGrid(f"unknown scheme {scheme!r}")
-        if not np.all(np.isfinite(ynew)) or float(np.max(np.abs(ynew))) > explosion_bound:
-            raise Explosion(rp.times[i])
-        values[i + 1] = ynew
-    deriv = np.stack([field.value_matrix(values[i]) for i in range(rp.n_steps + 1)], axis=0)
-    return ControlledPath(rp.times, values, deriv)
+    values = linear_flow(field.matrices, rp.times, dx, rp.step_areas, y0, scheme, explosion_bound)
+    return ControlledPath(rp.times, values, np.einsum("jnm,pm->pnj", field.matrices, values))

@@ -183,6 +183,13 @@ def integrator_increments(y: ManifoldControlledPath, gauge: Gauge, stensor: Comp
     return psi + corr, second
 
 
+def gauge_expression(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, stensor, i, j):
+    """The one-step expression alpha_i(first) + alpha'_i(second) over index pairs (i, j), from
+    ``integrator_increments``."""
+    first, second = integrator_increments(y, gauge, stensor, i, j)
+    return np.einsum("pnd,pd->pn", a.alpha[i], first) + np.einsum("pnad,pad->pn", a.alpha_dag[i], second)
+
+
 def gauge_integrate(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge) -> ControlledPath:
     """Rough integral of a controlled one-form against the gauge integrator.
 
@@ -201,12 +208,8 @@ def gauge_integrate(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gaug
             raise DomainError(f"step {int(bad[0])} exits the gauge domain")
     else:
         gauge.chart.read(y.points, lambda idx: DomainError(f"sample {idx} exits chart {gauge.chart.name}"))
-    stensor = gauge.compatibility()
     i = np.arange(n)
-    first, second = integrator_increments(y, gauge, stensor, i, i + 1)
-    steps = np.einsum("pnd,pd->pn", a.alpha[:-1], first) + np.einsum(
-        "pnad,pad->pn", a.alpha_dag[:-1], second
-    )
+    steps = gauge_expression(a, y, gauge, gauge.compatibility(), i, i + 1)
     values = np.zeros((n + 1, a.value_dim))
     np.cumsum(steps, axis=0, out=values[1:])
     deriv = np.einsum("pnd,pdk->pnk", a.alpha, y.derivative)
@@ -216,14 +219,7 @@ def gauge_integrate(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gaug
 def gauge_local_defect(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, stensor=None):
     """Max almost-additivity defect of the one-step expression over triples."""
     stensor = stensor or gauge.compatibility()
-
-    def expr(ii, jj):
-        first, second = integrator_increments(y, gauge, stensor, ii, jj)
-        return np.einsum("pnd,pd->pn", a.alpha[ii], first) + np.einsum(
-            "pnad,pad->pn", a.alpha_dag[ii], second
-        )
-
-    return triple_defect(expr, y.times.size - 1)
+    return triple_defect(lambda i, j: gauge_expression(a, y, gauge, stensor, i, j), y.times.size - 1)
 
 
 def gauge_defect_by_level(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, levels=5):

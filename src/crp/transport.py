@@ -223,15 +223,14 @@ class HorizontalLift:
         return float(np.max(np.abs(integ.values)))
 
 
-def horizontal_lift(y: ManifoldControlledPath, conn: ConnectionForm, u0_group, base_gauge=None) -> HorizontalLift:
+def horizontal_lift(y: ManifoldControlledPath, conn: ConnectionForm, u0_group) -> HorizontalLift:
     """Unique horizontal lift through (y_0, u0_group).
 
     Integrates the base connection form along y and solves the group equation
     driven by the result; right translation by the fiber initial condition is
     exact by construction.
     """
-    base_gauge = base_gauge or connection_gauge(y.manifold)
-    z = integrate_smooth_oneform(conn.gamma_matrix, y, base_gauge)
+    z = integrate_smooth_oneform(conn.gamma_matrix, y, connection_gauge(y.manifold))
     g = group_rde(z, y.driver, u0_group, conn.group)
     return HorizontalLift(base=y, group_path=g, connection=conn, z=z)
 
@@ -272,7 +271,7 @@ def _check_frame(manifold: Manifold, u0):
     return u0
 
 
-def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gauge=None) -> FrameLift:
+def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None) -> FrameLift:
     """Parallel translation of a frame along y via the frame-bundle lift.
 
     On each chart segment the frame's chart representative is the horizontal
@@ -284,7 +283,7 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None, base_gau
     mani = y.manifold
     d = mani.dim
     u0 = _check_frame(mani, u0)
-    base_gauge = base_gauge or connection_gauge(mani)
+    base_gauge = connection_gauge(mani)
     group = MatrixGroup("gl", d)
     n = y.times.size
     segs = ChartWalk(mani, atlas, y.times, y.points[0]).scan(y.points)
@@ -375,7 +374,8 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
     X[a, b] DH_b[H_a] with the exact derivative, from one ``chart_christoffels_jet`` call
     (A, dA) at x: with M = U X U^T, dx = U dz - A[i, j, l] M[j, l] and dU = -R U, where
     R[i, l] = A[i, j, l] dx_j + d_k A[i, j, l] M[k, j] - A[i, j, m] M[k, j] A[m, k, l].
-    Frames change chart at chart switches.  Returns (manifold controlled path, frame lift).
+    Frames change chart at chart switches, and each chart segment maps its frames to the ambient
+    space in one ``dfrom`` call.  Returns (manifold controlled path, frame lift).
     """
     check_same_grid(z.times, rp.times)
     d = manifold.dim
@@ -389,13 +389,12 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
     u0 = _check_frame(manifold, u0)
     n = rp.n_steps
     pts = np.empty((n + 1,) + manifold.point_shape)
-    frames = np.empty((n + 1, manifold.flat_dim, d))
+    xs, ubs = np.empty((n + 1, d)), np.empty((n + 1, d, d))  # chart coordinates and chart frames
     pts[0] = o
-    frames[0] = u0
     walk = ChartWalk(manifold, atlas, rp.times, pts[0])
     chart = walk.chart
-    x = chart.to_coords(pts[0])
-    ub = chart.dto(pts[0]) @ frames[0]
+    x = xs[0] = chart.to_coords(pts[0])
+    ub = ubs[0] = chart.dto(pts[0]) @ u0
     dz, areas = np.diff(z.values, axis=0), pushed_step_areas(z, rp)
     for i in range(n):
         a, da = manifold.chart_christoffels_jet(chart, x)
@@ -408,11 +407,16 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
         if new is not None and new is not chart:
             x, ub = new.to_coords(p), new.dto(p) @ (chart.dfrom(x) @ ub)
             chart = new
-        pts[i + 1] = p
-        frames[i + 1] = chart.dfrom(x) @ ub
+        pts[i + 1], xs[i + 1], ubs[i + 1] = p, x, ub
+    segments = walk.close(n)
+    frames = np.empty((n + 1, manifold.flat_dim, d))
+    for i0, i1, ch in segments:
+        seg = np.s_[i0 : i1 + (i1 == n)]  # a switch node i1 < n is stored in the next segment's chart
+        frames[seg] = ch.dfrom(xs[seg]) @ ubs[seg]
+    frames[0] = u0  # the start frame as given, not its chart round trip
     deriv = np.einsum("pDc,pck->pDk", frames, z.derivative)
     y = ManifoldControlledPath(manifold, rp.times, pts, deriv, rp)
-    return y, FrameLift(base=y, frames=frames, segments=walk.close(n))
+    return y, FrameLift(base=y, frames=frames, segments=segments)
 
 
 def rolled_oneform(a: ControlledOneForm, lift: FrameLift) -> ControlledPath:

@@ -5,10 +5,17 @@ import pytest
 
 from crp import DrivingField, Explosion, rde_solve_flat
 from crp.convergence import estimate_order
+from crp.manifolds import ChartManifold
+from crp.mrde import ManifoldDrivingField, rde_solve_manifold
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
 from crp.sewing import rough_integrate
 
 COMMUTATOR_MATS = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+
+
+def flat_field(n, field):
+    """A nonlinear flat field: ``field(a)``, the (n, k) matrix of F at a, on a large flat chart ball."""
+    return ManifoldDrivingField(ChartManifold(n, radius=1e3), field)
 
 
 def test_translation_field_is_exact():
@@ -16,10 +23,9 @@ def test_translation_field_is_exact():
     rp = lift_smooth(
         lambda t: np.array([np.sin(t), np.cos(t)]), grid, dpath=lambda t: np.array([np.cos(t), -np.sin(t)])
     )
-    field = DrivingField(eval=lambda a, w: np.asarray(w), jacobian=lambda a, v, w: np.zeros(2))
-    sol = rde_solve_flat(field, rp, np.array([1.0, -1.0]))
+    sol = rde_solve_manifold(flat_field(2, lambda a: np.eye(2)), rp, np.array([1.0, -1.0]))
     want = np.array([1.0, -1.0]) + rp.values[-1] - rp.values[0]
-    assert np.allclose(sol.values[-1], want, atol=1e-12)
+    assert np.allclose(sol.points[-1], want, atol=1e-12)
 
 
 def test_scalar_exponential_closed_form():
@@ -68,36 +74,19 @@ def test_derivative_process_matches_field():
 def test_explosion_reported_with_time():
     grid = np.linspace(0.0, 4.0, 257)
     rp = lift_smooth(lambda t: np.array([t]), grid, dpath=lambda t: np.array([1.0]))
-    field = DrivingField(
-        eval=lambda a, w: w[0] * a**2 * 40.0,
-        jacobian=lambda a, v, w: w[0] * 80.0 * a * v,
-    )
+    field = flat_field(1, lambda a: 40.0 * a[:, None] ** 2)
     with pytest.raises(Explosion) as exc:
-        rde_solve_flat(field, rp, np.array([1.0]))
+        rde_solve_manifold(field, rp, np.array([1.0]))
     assert 0.0 <= exc.value.time <= 4.0
 
 
-def test_jacobian_residual_check():
-    field = DrivingField(
-        eval=lambda a, w: w[0] * np.array([a[1], -a[0]]),
-        jacobian=lambda a, v, w: w[0] * np.array([v[1], -v[0]]),
-    ).bind(1)
-    pts = [np.array([0.3, -1.0]), np.array([2.0, 0.5])]
-    assert field.jacobian_residual(pts) < 1e-6
-
-
-def test_callback_and_matrix_fields_agree():
+def test_nonlinear_flat_solve_agrees_with_the_matrix_family():
     mats = COMMUTATOR_MATS
-    fm = DrivingField(matrices=mats)
-    fc = DrivingField(
-        eval=lambda a, w: np.einsum("j,jnm,m->n", w, mats, a),
-        jacobian=lambda a, v, w: np.einsum("j,jnm,m->n", w, mats, v),
-    )
     rp = pure_area_driver(0.5, np.linspace(0.0, 1.0, 65))
     y0 = np.array([1.0, 2.0])
-    sa = rde_solve_flat(fm, rp, y0)
-    sb = rde_solve_flat(fc, rp, y0)
-    assert np.allclose(sa.values, sb.values, atol=1e-12)
+    sa = rde_solve_flat(DrivingField(matrices=mats), rp, y0)
+    sb = rde_solve_manifold(flat_field(2, lambda a: np.einsum("jnm,m->nj", mats, a)), rp, y0)
+    assert np.max(np.abs(sa.values - sb.points)) <= 1e-10
 
 
 def flat_oneform_defect(field, sol, rp, alpha_fn, dalpha_fn):
@@ -119,17 +108,15 @@ def flat_oneform_defect(field, sol, rp, alpha_fn, dalpha_fn):
     dx = np.diff(rp.values, axis=0)
     for i in range(n):
         y = sol.values[i]
-        rhs += alpha_fn(y) @ field.value(y, dx[i])
         cols = field.value_matrix(y)
+        rhs += alpha_fn(y) @ cols @ dx[i]
         for a in range(rp.dim):
             for b in range(rp.dim):
                 area = rp.step_areas[i][a, b]
                 if area == 0.0:
                     continue
-                # d_{F_a}[alpha o F_b](y)
-                term = dalpha_fn(y) @ cols[:, a] @ cols[:, b] + alpha_fn(y) @ field._jac(
-                    y, cols[:, a], np.eye(rp.dim)[b]
-                )
+                # d_{F_a}[alpha o F_b](y), with d_v F_b = M_b v
+                term = dalpha_fn(y) @ cols[:, a] @ cols[:, b] + alpha_fn(y) @ field.matrices[b] @ cols[:, a]
                 rhs += area * term
     return float(np.max(np.abs(lhs.values[-1] - rhs)))
 
@@ -197,7 +184,7 @@ def test_concatenated_solution_matches_single_run():
     field = DrivingField(matrices=np.array([[[0.0, 1.0], [-1.0, 0.0]]]))
     y0 = np.array([1.0, 0.0])
     full = rde_solve_flat(field, rp, y0)
-    first = rde_solve_flat(field, rp, y0, interval=(0.0, 0.5))
-    second = rde_solve_flat(field, rp, first.values[-1], interval=(0.5, 1.0))
+    first = rde_solve_flat(field, rp.restrict(rp.index_of(0.0), rp.index_of(0.5)), y0)
+    second = rde_solve_flat(field, rp.restrict(rp.index_of(0.5), rp.index_of(1.0)), first.values[-1])
     glued = np.concatenate([first.values[:-1], second.values], axis=0)
     assert np.allclose(glued, full.values, atol=1e-12)

@@ -25,7 +25,7 @@ from crp.mrde import ChartWalk
 from crp.roughpath import lift_piecewise_linear, pure_area_driver, time_lift
 from crp.transport import parallel_translate_frame, roll
 from test_manifolds import quadratic_connection
-from test_transport_grid import meridian_crp
+from test_transport_grid import meridian_crp, roll_ending_in_a_chart_switch
 
 
 def quadratic_connection_jet(x, c=0.25):
@@ -94,27 +94,19 @@ def test_stacked_jet_equals_its_rows(case):
 # -- roll against the finite-difference step it replaced ---------------------------------------
 
 
-def fd_roll(z, rp, manifold, o, u0):
-    """``roll`` before the jet: ``mrde._chart_step`` on the horizontal field, its derivative by central FD."""
-    d = manifold.dim
+def node_roll(z, rp, manifold, o, u0, step):
+    """``roll`` node by node: ``step(chart, x, ub, dz, area)`` gives the next chart coordinates and
+    chart frame, and each node's ambient frame is its own ``dfrom`` call."""
     n = rp.n_steps
     pts = np.empty((n + 1,) + manifold.point_shape)
-    frames = np.empty((n + 1, manifold.flat_dim, d))
+    frames = np.empty((n + 1, manifold.flat_dim, manifold.dim))
     pts[0], frames[0] = o, u0
     walk = ChartWalk(manifold, None, rp.times, o)
     chart = walk.chart
     x, ub = chart.to_coords(o), chart.dto(o) @ u0
     dz, areas = np.diff(z.values, axis=0), pushed_step_areas(z, rp)
-
-    def step_field(state):
-        xx, uu = state[:d], state[d:].reshape(d, d)
-        du = -np.einsum("ijl,ja,lc->ica", manifold.chart_christoffels(chart, xx), uu, uu)
-        return np.concatenate([uu, du.reshape(d * d, d)])
-
     for i in range(n):
-        state = np.concatenate([x, ub.reshape(-1)])
-        state = state + crp.mrde._chart_step(step_field, state, step_field(state), dz[i], areas[i])
-        x, ub = state[:d], state[d:].reshape(d, d)
+        x, ub = step(chart, x, ub, dz[i], areas[i])
         p = chart.from_coords(x)
         new = walk.visit(i + 1, p, chart.coords_margin(x))
         if new is not None and new is not chart:
@@ -123,6 +115,36 @@ def fd_roll(z, rp, manifold, o, u0):
         pts[i + 1] = p
         frames[i + 1] = chart.dfrom(x) @ ub
     return pts, frames, walk.close(n)
+
+
+def fd_roll(z, rp, manifold, o, u0):
+    """``roll`` before the jet: ``mrde._chart_step`` on the horizontal field, its derivative by central FD."""
+    d = manifold.dim
+
+    def step(chart, x, ub, dz, area):
+        def step_field(state):
+            xx, uu = state[:d], state[d:].reshape(d, d)
+            du = -np.einsum("ijl,ja,lc->ica", manifold.chart_christoffels(chart, xx), uu, uu)
+            return np.concatenate([uu, du.reshape(d * d, d)])
+
+        state = np.concatenate([x, ub.reshape(-1)])
+        state = state + crp.mrde._chart_step(step_field, state, step_field(state), dz, area)
+        return state[:d], state[d:].reshape(d, d)
+
+    return node_roll(z, rp, manifold, o, u0, step)
+
+
+def jet_roll(z, rp, manifold, o, u0):
+    """``roll``'s jet step with a ``dfrom`` call per node, as it was before one call per chart segment."""
+
+    def step(chart, x, ub, dz, area):
+        a, da = manifold.chart_christoffels_jet(chart, x)
+        m = ub @ area @ ub.T
+        dx = ub @ dz - np.einsum("ijl,jl->i", a, m)
+        rot = np.einsum("ijl,j->il", a, dx) + np.einsum("kijl,kj->il", da, m) - np.einsum("ijm,kj,mkl->il", a, m, a)
+        return x + dx, ub - rot @ ub
+
+    return node_roll(z, rp, manifold, o, u0, step)
 
 
 def driver(kind, n):
@@ -154,6 +176,23 @@ def test_roll_matches_the_finite_difference_step(kind, n):
     assert (len(segs) > 1) == (kind == "meridian")
     assert np.max(np.abs(y.points - pts)) <= 1e-9
     assert np.max(np.abs(lift.frames - frames)) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["pure-area", "meridian", "ends-in-a-switch"])
+def test_roll_frames_per_segment_equal_the_per_node_frames(case):
+    o = np.array([0.0, 1.0, 0.0])
+    if case == "ends-in-a-switch":  # a one-node last segment
+        z, _, u0, _ = roll_ending_in_a_chart_switch()
+        rp = time_lift(z.times)
+    else:
+        z, rp = driver(case, 128)
+        u0 = tangent_frame(o)
+    y, lift = roll(z, rp, SPHERE, o, u0)
+    pts, frames, segs = jet_roll(z, rp, SPHERE, o, u0)
+    assert [s[:2] for s in lift.segments] == [s[:2] for s in segs]
+    assert (len(segs) > 1) == (case != "pure-area")
+    assert np.array_equal(y.points, pts)
+    assert np.array_equal(lift.frames, frames)
 
 
 def test_roll_makes_one_jet_call_per_step_and_no_chart_steps(monkeypatch):

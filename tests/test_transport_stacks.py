@@ -73,7 +73,7 @@ def per_point_frame_lift(y, u0, segments):
             mani, y.times[i0 : i1 + 1], y.points[i0 : i1 + 1], y.derivative[i0 : i1 + 1], y.driver.restrict(i0, i1)
         )
         ubar0 = chart.dto(y.points[i0]) @ frames[i0]
-        lift = horizontal_lift(sub, ConnectionForm(mani, group, gamma_fn), ubar0, connection_gauge(mani))
+        lift = horizontal_lift(sub, ConnectionForm(mani, group, gamma_fn), ubar0)
         z_pieces.append(lift.z)
         for off in range(i1 - i0 + 1):
             frames[i0 + off] = chart.dfrom(chart.to_coords(y.points[i0 + off])) @ lift.group_path.points[off]
