@@ -40,6 +40,8 @@ from .linalg import (
 GAUGE_RADIUS_MARGIN = 0.1  # geodesic-ball radius pi - 0.1 on S^2 and SO(3)
 CHART_FAILURES = (CrpError, FloatingPointError, ValueError, ZeroDivisionError)  # a point no chart map reads
 _EYE2 = np.eye(2)
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 @dataclass
@@ -70,7 +72,8 @@ class Chart:
         return self.radius - norm(x if self.center_coords is None else x - self.center_coords)
 
     def margin(self, p):
-        """Margin of one point or each of a stack; -inf where no chart map reads it (per point if the stack raises)."""
+        """Margin of one point or each of a stack; -inf where no chart map reads it (a stack that raises is
+        halved, and only the halves that raise again are split further, down to single points)."""
         try:
             return self.coords_margin(self.to_coords(p))
         except CHART_FAILURES:
@@ -78,7 +81,11 @@ class Chart:
             k = p.ndim - np.ndim(self.from_coords(np.zeros(self.dim)))  # the number of stack axes
             if k <= 0:
                 return -np.inf
-            return np.array([self.margin(q) for q in p.reshape((-1,) + p.shape[k:])]).reshape(p.shape[:k])
+            flat = p.reshape((-1,) + p.shape[k:])
+            if len(flat) <= 1:
+                return np.array([self.margin(q) for q in flat]).reshape(p.shape[:k])
+            half = len(flat) // 2
+            return np.concatenate([self.margin(flat[:half]), self.margin(flat[half:])]).reshape(p.shape[:k])
 
     def contains(self, p):
         return self.margin(p) > 0.0
@@ -355,7 +362,7 @@ class Sphere(Manifold):
 
     def tangent_projector(self, p):
         p = np.asarray(p, dtype=float)
-        return np.eye(3) - p[..., :, None] * p[..., None, :]
+        return _EYE3 - p[..., :, None] * p[..., None, :]
 
     def exp(self, m, v):
         m, v = self._points(m, v)
@@ -396,7 +403,7 @@ class Sphere(Manifold):
             raise NearCutLocus("transport through antipode")
         mn = m + n
         return (
-            np.eye(3)
+            _EYE3
             - np.einsum("...i,...j->...ij", mn, mn) / den[..., None, None]
             + 2.0 * np.einsum("...i,...j->...ij", n, m)
         )
@@ -413,7 +420,7 @@ class Sphere(Manifold):
         b = np.where(small, 1.0 / 3.0, (s - t * c) / s**3)[..., None, None]
         u = n - c[..., None] * m
         # dpsi(w) = a (w - (m.w) m) - b (m.w) u   for w in T_nM
-        return a * (np.eye(3) - m[..., :, None] * m[..., None, :]) - b * (u[..., :, None] * m[..., None, :])
+        return a * (_EYE3 - m[..., :, None] * m[..., None, :]) - b * (u[..., :, None] * m[..., None, :])
 
     def charts(self):
         return [_stereographic_chart(pole=+1), _stereographic_chart(pole=-1)]

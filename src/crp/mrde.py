@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
@@ -110,21 +111,20 @@ class ChartWalk:
 
 
 def _chart_step(rep, x, cols, dx, area):
-    """Additive second-order step of the chart-coordinate scheme from x, where ``cols`` = rep(x), (d, k)."""
+    """Additive second-order step of the chart-coordinate scheme from x, where ``cols`` = rep(x), (d, k);
+    each area row not all zero (NaN included) takes two ``rep`` calls, a central difference along its column."""
     out = cols @ dx
-    k = dx.size
-    scale = max(1.0, float(np.max(np.abs(x))))
-    for a in range(k):
-        row = area[a]
-        if not np.any(row):
+    scale = max(1.0, max(map(abs, x.tolist())))
+    for a, row in enumerate(area.tolist()):
+        if not any(row):
             continue
         v = cols[:, a]
-        nv = float(np.linalg.norm(v))
+        nv = math.sqrt(v @ v)
         if nv < 1e-300:
             continue
         h = FD_STEP * scale / nv if nv > FD_STEP else FD_STEP * scale
         dcols = (rep(x + h * v) - rep(x - h * v)) / (2.0 * h)
-        out = out + dcols @ row
+        out = out + dcols @ area[a]
     return out
 
 
@@ -171,23 +171,25 @@ def rde_solve_manifold(
         walk = ChartWalk(mani, atlas, rp.times, y)
         chart = walk.chart
         rep = field.chart_rep(chart)
-        x = chart.to_coords(y)
-        for i in range(n):
-            x = x + _chart_step(rep, x, chart.dto(points[i]) @ deriv[i], dxs[i], rp.step_areas[i])
-            y = chart.from_coords(x)
-            if retraction:
-                y = mani.project(y)
-                x = chart.to_coords(y)
-            flat = mani.flatten(y)
-            if not np.all(np.isfinite(flat)) or float(np.linalg.norm(flat)) > explosion_bound:
-                raise Explosion(rp.times[i])
-            got = walk.visit(i + 1, y, chart.coords_margin(x))
-            if got is not None:
-                if got is not chart:
-                    chart, rep = got, field.chart_rep(got)
-                x = chart.to_coords(y)
-            points[i + 1] = y
-            deriv[i + 1] = field.value_matrix(y)
+        with np.errstate(all="ignore"):  # a non-finite field value flows quietly to the explosion check
+            x, cols = chart.to_coords(y), chart.dto(y) @ deriv[0]
+            for i in range(n):
+                x = x + _chart_step(rep, x, cols, dxs[i], rp.step_areas[i])
+                y = chart.from_coords(x)
+                if retraction:
+                    y = mani.project(y)
+                    x = chart.to_coords(y)
+                flat = mani.flatten(y)
+                if not math.sqrt(flat @ flat) <= explosion_bound:  # NaN and inf included
+                    raise Explosion(rp.times[i])
+                got = walk.visit(i + 1, y, chart.coords_margin(x))
+                if got is not None:
+                    if got is not chart:
+                        chart, rep = got, field.chart_rep(got)
+                    x = chart.to_coords(y)
+                points[i + 1] = y
+                deriv[i + 1] = field.value_matrix(y)
+                cols = chart.dto(y) @ deriv[i + 1]
         switches = [float(rp.times[i0]) for i0, _, _ in walk.close(n)[1:]]
     out = ManifoldControlledPath(mani, rp.times, points, deriv, rp)
     out.meta = {"chart_switches": switches, "retraction": bool(retraction)}

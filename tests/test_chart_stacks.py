@@ -150,7 +150,7 @@ def test_stacked_read_names_the_first_point_outside():
 
 
 def test_stacked_margins_and_chart_choice_equal_the_per_point_ones():
-    # a pole makes the stacked stereographic read raise, so that chart reads its points one at a time
+    # a pole makes the stacked stereographic read raise, so that chart bisects the stack down to it
     rng = np.random.default_rng(31)
     pts = rng.standard_normal((40, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
@@ -168,6 +168,25 @@ def test_stacked_margins_and_chart_choice_equal_the_per_point_ones():
     for bad in (np.array([np.nan, 0.0, -0.8]), np.array([0.0, np.inf, 0.0])):
         with pytest.raises(AtlasGap, match="point 2"):
             SPHERE.chart_index(np.stack([pts[0], pts[1], bad]), atlas)
+
+
+def test_margins_of_a_stack_with_both_poles_bisect_down_to_the_poles():
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((925, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    stack = np.insert(pts, [300, 925], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], axis=0)
+    atlas = SPHERE.charts()
+    calls = []
+    for chart in atlas:
+        chart.to_coords = lambda p, read=chart.to_coords: calls.append(np.shape(p)) or read(p)
+    margins = [chart.margin(stack) for chart in atlas]
+    # each chart has one failing point: its root read, two half reads per level and the point itself
+    assert len(calls) <= 4 * int(np.ceil(np.log2(len(stack)))) + 4
+    north, south = margins
+    assert north[300] == -np.inf and south[926] == -np.inf
+    for chart, m in zip(atlas, margins):
+        assert np.array_equal(np.delete(m, [300, 926]), chart.margin(pts))
+    assert list(SPHERE.chart_index(stack, atlas)[[300, 926]]) == [1, 0]
 
 
 def test_fd_oracle_picks_each_points_chart_in_one_stacked_choice(monkeypatch):

@@ -492,3 +492,8 @@ def test_time_driven_chart_stepped_solve_calls_the_field_3n_plus_1_times():
     # the rotation about the first axis by angle t, at second order
     c, s = np.cos(1.0), np.sin(1.0)
     assert np.linalg.norm(sol.points[-1] - np.array([0.0, 0.6 * c - 0.8 * s, 0.6 * s + 0.8 * c])) < 1e-3
+    # the projection field on a 3-dim driver moving along e1: its two zero area rows take no stencil point
+    calls.clear()
+    projection = ManifoldDrivingField(SPHERE, lambda m: calls.append(1) or SPHERE.tangent_projector(m))
+    rde_solve_manifold(projection, linear_drive_driver(n), np.array([0.0, 0.6, 0.8]))
+    assert len(calls) == 3 * n + 1
