@@ -33,7 +33,7 @@ class Explosion(CrpError):
 
     def __init__(self, time, message=None):
         self.time = float(time)
-        super().__init__(message or f"solution exploded after t={time!r}")
+        super().__init__(message or f"solution exploded after t={self.time!r}")
 
 
 class ChartExit(CrpError):

@@ -113,6 +113,13 @@ def polar_cap_crp(n, theta=np.pi / 6, T=2.0 * np.pi):
     return latitude_crp(n, theta=theta, T=T)
 
 
+def tilted_great_circle_crp(n, tilt=-1.4):
+    """The equator turned by ``tilt`` about e_1, through both polar caps, driven by time: its frames switch chart."""
+    rot, grid = so3_exp(np.array([tilt, 0.0, 0.0])), time_lift(np.linspace(0.0, 2.0 * np.pi, n + 1))
+    curve, dcurve = (lambda t: rot @ [np.cos(t), np.sin(t), 0.0]), (lambda t: rot @ [-np.sin(t), np.cos(t), 0.0])
+    return crp_from_smooth_curve(SPHERE, curve, dcurve, grid)
+
+
 # -- SO(3) paths ------------------------------------------------------------------------
 
 

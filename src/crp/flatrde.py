@@ -32,13 +32,21 @@ class DrivingField:
         return np.einsum("jnm,m->nj", self.matrices, np.asarray(a, dtype=float))
 
 
+def running_products(ops):
+    """The (N+1, n, n) stack I, P_0, P_1 P_0, ..., P_{N-1} ... P_0 of (N, n, n) step operators, by a log-depth scan."""
+    ys, s = np.concatenate([np.eye(ops.shape[-1])[None], ops]), 1
+    while s < len(ys):  # ys[i] holds P_{i-1} ... P_{max(0, i - 2s)} after this pass
+        ys[s:], s = ys[s:] @ ys[:-s], 2 * s
+    return ys
+
+
 def linear_flow(mats, times, dx, areas, y0, scheme="davie", explosion_bound=EXPLOSION_BOUND):
     """States y_0 .. y_N of dy = sum_a M_a y dx^a from a vector or matrix y0, on the whole grid.
 
     One contraction of the (k, n, n) family with the (N, k) increments and (N, k, k) step
     areas A builds every step operator, "davie" P_i = I + dx_ia M_a + A_iab M_b M_a or "exp"
     (log-ODE) P_i = expm(dx_ia M_a + Anti(A_i)_ab M_b M_a), applied in turn: y_{i+1} = P_i y_i;
-    from y0=None, the identity, a log-depth scan forms the products P_i ... P_0 instead.
+    from y0=None, the identity, ``running_products`` forms the products P_i ... P_0 instead.
     Raises ``Explosion`` at times[i] for the first state not finite or past ``explosion_bound``.
     """
     k, n = mats.shape[:2]
@@ -51,12 +59,11 @@ def linear_flow(mats, times, dx, areas, y0, scheme="davie", explosion_bound=EXPL
     pairs = np.einsum("bnp,apm->abnm", mats, mats).reshape(k * k, n * n)  # [a, b] -> M_b M_a
     with np.errstate(all="ignore"):
         gen = (dx @ mats.reshape(k, n * n) + areas.reshape(-1, k * k) @ pairs).reshape(-1, n, n)
-        ys, s = np.concatenate([np.eye(n)[None], expm(gen) if scheme == "exp" else gen + np.eye(n)]), 1
+        ops = expm(gen) if scheme == "exp" else gen + np.eye(n)
         if y0 is None:
-            while s < len(ys):  # ys[i] holds P_{i-1} ... P_{max(0, i - 2s)} after this pass
-                ys[s:], s = ys[s:] @ ys[:-s], 2 * s
+            ys = running_products(ops)
         else:
-            ops, ys = ys[1:], np.broadcast_to(y0, (len(ys),) + np.shape(y0)).astype(float)
+            ys = np.broadcast_to(y0, (len(ops) + 1,) + np.shape(y0)).astype(float)
             for i, op in enumerate(ops):
                 ys[i + 1] = op @ ys[i]
         bad = ~np.all(np.isfinite(ys[1:]) & (np.abs(ys[1:]) <= explosion_bound), axis=tuple(range(1, ys.ndim)))

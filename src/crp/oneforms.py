@@ -120,13 +120,13 @@ def _form_values(alpha_fn, points, flat_dim, where):
     return out
 
 
-def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism, alpha=None) -> ControlledOneForm:
+def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:
     """Controlled restriction of a smooth one-form along the path.
 
     ``form(qs, where)`` returns the (P, n, D) values at a stack of points, named
-    ``where`` ("node" or "stencil point") in errors; ``alpha`` are the node values
-    when known.  The derivative samples are the transport-covariant derivatives
-    along y' directions, ``Manifold.derivative_along`` of q -> alpha(q) o U(q, m),
+    ``where`` ("node" or "stencil point") in errors.  The derivative samples are
+    the transport-covariant derivatives along y' directions,
+    ``Manifold.derivative_along`` of q -> alpha(q) o U(q, m),
     taken on the whole grid at once (``ManifoldControlledPath.derivative_samples``):
     one Richardson stencil over min(k, dim M) directions at every node, the
     columns of y' or, for k > dim M, a tangent basis (only the tangent part of
@@ -136,7 +136,7 @@ def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism, alpha
     pairs.  Raises ``GaugeMismatch`` for a parallelism of another manifold.
     """
     par.check_manifold(y.manifold)
-    alpha = form(y.points, "node") if alpha is None else alpha
+    alpha = form(y.points, "node")
 
     def g(qs, bases):
         return np.einsum("pnd,pde->pne", form(qs, "stencil point"), par.matrix(qs, bases))

@@ -420,6 +420,12 @@ def criterion_10_transport():
     want = min(want, 2.0 * np.pi - want)
     checks.append(_check("latitude-holonomy", abs(angle - want), 1e-6))
 
+    # a closed geodesic through a chart switch has zero holonomy
+    ygs = [fx.tilted_great_circle_crp(n) for n in (64, 128, 256, 512)]
+    errs = [abs(parallel_translate_frame(yg, fx.tangent_frame(yg.points[0])).holonomy_angle()) for yg in ygs]
+    hs = [float(np.max(np.diff(yg.times))) for yg in ygs]
+    checks.append(_slope_check("great-circle-holonomy-slope", errs, hs, 1.75))
+
     # roll(unroll) roundtrip on a smooth path
     errs, hs = [], []
     for n in (128, 256, 512, 1024):

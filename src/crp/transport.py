@@ -4,20 +4,20 @@ and the development/anti-development correspondence."""
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .controlled import ControlledPath, check_same_grid, pushed_step_areas
 from .errors import DomainError, NotOnManifold, ShapeError
-from .flatrde import EXPLOSION_BOUND, linear_flow
+from .flatrde import EXPLOSION_BOUND, linear_flow, running_products
 from .gauges import Gauge, connection_gauge
 from .linalg import SO3_BASIS, hat, vee
 from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
 from .mrde import ChartWalk, ManifoldDrivingField
-from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform, oneform_from_stacks
+from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
 from .roughpath import RoughPath
 from .sewing import rough_integrate
 
@@ -149,14 +149,9 @@ def right_maurer_cartan_form(group: MatrixGroup):
     """theta_r as a smooth algebra-valued one-form on the group manifold."""
 
     def alpha(g):
-        g = np.asarray(g, dtype=float)
-        ginv = np.linalg.inv(g)
-        rows = []
-        for i in range(group.manifold.flat_dim):
-            xi = np.zeros(group.manifold.flat_dim)
-            xi[i] = 1.0
-            rows.append(group.matrix_to_alg(xi.reshape(g.shape) @ ginv))
-        return np.stack(rows, axis=1)
+        ginv = np.linalg.inv(np.asarray(g, dtype=float))
+        xis = np.eye(group.manifold.flat_dim).reshape((-1,) + ginv.shape)  # the unit tangents
+        return np.stack([group.matrix_to_alg(xi @ ginv) for xi in xis], axis=1)
 
     return alpha
 
@@ -188,9 +183,7 @@ class HorizontalLift:
 
     def product_path(self) -> ManifoldControlledPath:
         prod = ProductManifold(self.base.manifold, self.connection.group.manifold)
-        pts = np.stack(
-            [prod.join(self.base.points[i], self.group_path.points[i]) for i in range(self.base.times.size)]
-        )
+        pts = np.stack([prod.join(m, g) for m, g in zip(self.base.points, self.group_path.points)])
         deriv = np.concatenate([self.base.derivative, self.group_path.derivative], axis=1)
         return ManifoldControlledPath(prod, self.base.times, pts, deriv, self.base.driver)
 
@@ -201,18 +194,11 @@ class HorizontalLift:
 
         def alpha(p):
             m, g = prod.split(p)
-            ginv = np.linalg.inv(g)
-            gam = conn.gamma_matrix(m)
-            rows = np.empty((conn.group.alg_dim, prod.flat_dim))
-            for c in range(prod.flat_dim):
-                e = np.zeros(prod.flat_dim)
-                e[c] = 1.0
-                if c < d1:
-                    val = ginv @ conn.group.alg_to_matrix(gam @ e[:d1]) @ g
-                else:
-                    val = ginv @ e[d1:].reshape(g.shape)
-                rows[:, c] = conn.group.matrix_to_alg(val)
-            return rows
+            ginv, gam = np.linalg.inv(g), conn.gamma_matrix(m)
+            # columns: the base unit tangents, then the fiber unit tangents
+            vals = [ginv @ conn.group.alg_to_matrix(gam @ e) @ g for e in np.eye(d1)]
+            vals += [ginv @ e.reshape(g.shape) for e in np.eye(prod.flat_dim - d1)]
+            return np.stack([conn.group.matrix_to_alg(v) for v in vals], axis=1)
 
         return alpha, prod
 
@@ -251,8 +237,7 @@ class FrameLift:
 
     base: ManifoldControlledPath
     frames: np.ndarray  # (N+1, D, d) ambient frames
-    segments: list = dc_field(default_factory=list)  # [(i0, i1, chart)]
-    z_pieces: list = dc_field(default_factory=list)  # per-segment connection integrals
+    segments: list  # [(i0, i1, chart)]
 
     def holonomy_angle(self):
         """Rotation angle of the loop holonomy in the initial frame (2d fibers)."""
@@ -271,45 +256,42 @@ def _check_frame(manifold: Manifold, u0):
     return u0
 
 
-def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None) -> FrameLift:
-    """Parallel translation of a frame along y via the frame-bundle lift.
+def _frame_rotation(a, da, dx, m):
+    """The frame steps dU = -R U on (P, ...) stacks of A, dA, chart increments dx and step tensors M:
+    R[i, l] = A[i, j, l] dx_j + d_k A[i, j, l] M[k, j] - A[i, j, m] M[k, j] A[m, k, l]."""
+    rot = np.einsum("pijl,pj->pil", a, dx) + np.einsum("pkijl,pkj->pil", da, m)
+    return rot - np.einsum("pijm,pkj,pmkl->pil", a, m, a)
 
-    On each chart segment the frame's chart representative is the horizontal
-    lift for the GL(d) connection form A(x(m))<dto(m) .> of the chart connection
-    coefficients A, evaluated on the nodes and once per Richardson stencil level;
-    frame coordinates are converted at chart switches.  A one-node last segment
-    (a switch at the last node) is skipped.
+
+def _step_tensors(y: ManifoldControlledPath, i0, i1, chart: Chart):
+    """Chart coordinates xs of y's nodes i0 .. i1 and the step tensors M_k = x'_k X_k x'_k^T, x' = dto y'."""
+    pts = y.points[i0 : i1 + 1]
+    xdag = chart.dto(pts[:-1]) @ y.derivative[i0:i1]  # (steps, d, k) chart coords of y'
+    return chart.to_coords(pts), xdag @ y.driver.step_areas[i0:i1] @ np.swapaxes(xdag, 1, 2)
+
+
+def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None) -> FrameLift:
+    """Parallel translation of a frame along y: the horizontal lift to the frame bundle.
+
+    On each chart segment the chart frame takes roll's frame steps I - R_k on the path's chart
+    increments and step tensors, A and dA from one ``chart_christoffels_jet`` call on the nodes,
+    multiplied out by ``running_products``.  Frame coordinates are converted at chart switches;
+    a one-node last segment (a switch at the last node) is skipped.
     """
     mani = y.manifold
     d = mani.dim
     u0 = _check_frame(mani, u0)
-    base_gauge = connection_gauge(mani)
-    group = MatrixGroup("gl", d)
-    n = y.times.size
     segs = ChartWalk(mani, atlas, y.times, y.points[0]).scan(y.points)
-    frames = np.empty((n, mani.flat_dim, d))
+    frames = np.empty((y.times.size, mani.flat_dim, d))
     frames[0] = u0
-    z_pieces = []
     for (i0, i1, chart) in segs:
         if i1 == i0:
             continue  # a chart switch at the last node: the previous segment set frames[i0]
-        pts = y.points[i0 : i1 + 1]
-        xs = chart.to_coords(pts)
-
-        def gamma(qs, where, xq=None):
-            # gl(d) (row-major) values on ambient e_D: the matrices A(x(q))<dto(q) e_D>
-            a = chart_christoffels(mani, chart, chart.to_coords(qs) if xq is None else xq)
-            return np.einsum("pijl,pjD->pilD", a, chart.dto(qs)).reshape(len(qs), d * d, -1)
-
-        sub = ManifoldControlledPath(
-            mani, y.times[i0 : i1 + 1], pts, y.derivative[i0 : i1 + 1], y.driver.restrict(i0, i1)
-        )
-        form = oneform_from_stacks(gamma, sub, base_gauge.par, alpha=gamma(pts, "node", xq=xs))
-        z = gauge_integrate(form, sub, base_gauge)
-        g = group_rde(z, sub.driver, chart.dto(pts[0]) @ frames[i0], group)
-        z_pieces.append(z)
-        frames[i0 : i1 + 1] = chart.dfrom(xs) @ g.points
-    return FrameLift(base=y, frames=frames, segments=segs, z_pieces=z_pieces)
+        xs, m = _step_tensors(y, i0, i1, chart)
+        a, da = mani.chart_christoffels_jet(chart, xs[:-1])
+        ops = np.eye(d) - _frame_rotation(a, da, np.diff(xs, axis=0), m)
+        frames[i0 : i1 + 1] = chart.dfrom(xs) @ (running_products(ops) @ (chart.dto(y.points[i0]) @ frames[i0]))
+    return FrameLift(base=y, frames=frames, segments=segs)
 
 
 def frame_transport_defect(lift: FrameLift, step=1):
@@ -352,14 +334,12 @@ def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = N
     for (i0, i1, chart) in lift.segments:
         if i1 == i0:
             continue  # a chart switch at the last node: the previous segment set values[i0]
-        xs, dtos = chart.to_coords(y.points[i0 : i1 + 1]), chart.dto(y.points[i0:i1])
-        ub_inv = np.linalg.inv(dtos @ lift.frames[i0:i1])
-        xdag = dtos @ y.derivative[i0:i1]  # (steps, d, k) chart coords of y'
+        xs, m = _step_tensors(y, i0, i1, chart)
+        ub_inv = np.linalg.inv(chart.dto(y.points[i0:i1]) @ lift.frames[i0:i1])
         # d/d ubar of ubar^{-1} v is -ubar^{-1} (d ubar) ubar^{-1} v and the
         # lift moves with d ubar = -A<v_a> ubar, so the area correction is
-        # ubar^{-1} A<v_a> v_b contracted against the step tensor.
-        area = np.einsum("pijl,pja,plb,pab->pi", chart_christoffels(mani, chart, xs[:-1]), xdag, xdag,
-                         y.driver.step_areas[i0:i1])
+        # ubar^{-1} A<v_a> v_b contracted against the step tensor, A[i, j, l] M[j, l].
+        area = np.einsum("pijl,pjl->pi", chart_christoffels(mani, chart, xs[:-1]), m)
         inc = np.einsum("pij,pj->pi", ub_inv, np.diff(xs, axis=0) + area)
         values[i0 : i1 + 1] = np.cumsum(np.concatenate([values[i0 : i0 + 1], inc]), axis=0)
     return ControlledPath(y.times, values, deriv), lift
@@ -372,10 +352,9 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
     A the chart connection coefficients, moves the base with the frame image of dz and
     rotates the frame by the connection.  Each step is the Davie step H dz + sum_ab
     X[a, b] DH_b[H_a] with the exact derivative, from one ``chart_christoffels_jet`` call
-    (A, dA) at x: with M = U X U^T, dx = U dz - A[i, j, l] M[j, l] and dU = -R U, where
-    R[i, l] = A[i, j, l] dx_j + d_k A[i, j, l] M[k, j] - A[i, j, m] M[k, j] A[m, k, l].
-    Frames change chart at chart switches, and each chart segment maps its frames to the ambient
-    space in one ``dfrom`` call.  Returns (manifold controlled path, frame lift).
+    (A, dA) at x: with M = U X U^T, dx = U dz - A[i, j, l] M[j, l] and dU = -R U, R from
+    ``_frame_rotation``, as in frame transport.  Frames change chart at chart switches, and each chart
+    segment maps its frames to the ambient space in one ``dfrom`` call.  Returns (path, frame lift).
     """
     check_same_grid(z.times, rp.times)
     d = manifold.dim
@@ -400,7 +379,7 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
         a, da = manifold.chart_christoffels_jet(chart, x)
         m = ub @ areas[i] @ ub.T  # the step tensor in chart coordinates, sum_ab X[a, b] U e_a (x) U e_b
         dx = ub @ dz[i] - np.einsum("ijl,jl->i", a, m)
-        rot = np.einsum("ijl,j->il", a, dx) + np.einsum("kijl,kj->il", da, m) - np.einsum("ijm,kj,mkl->il", a, m, a)
+        rot = _frame_rotation(a[None], da[None], dx[None], m[None])[0]
         x, ub = x + dx, ub - rot @ ub
         p = chart.from_coords(x)
         new = walk.visit(i + 1, p, chart.coords_margin(x))

@@ -134,3 +134,14 @@ def test_non_finite_field_value_raises_explosion_at_its_step(bad):
             rde_solve_manifold(ManifoldDrivingField(SPHERE, lambda m: np.full((3, 1), bad)), rp, y0)
     assert exc.value.time == rp.times[first]
     assert at_start.value.time == rp.times[0]
+
+
+def test_explosion_message_reads_the_time_as_a_plain_number():
+    axis = np.array([1.0, 0.0, 0.0])
+    field = ManifoldDrivingField(SPHERE, lambda m: np.full((3, 1), np.nan) if m[2] < 0.3 else np.cross(axis, m)[:, None])
+    rp = time_lift(np.linspace(0.0, 3.0, 65))
+    with pytest.raises(Explosion) as exc:
+        rde_solve_manifold(field, rp, np.array([0.0, 0.6, 0.8]))
+    assert 0.0 < exc.value.time < 3.0
+    assert str(exc.value) == f"solution exploded after t={exc.value.time}"
+    assert "np.float64" not in str(exc.value)

@@ -4,6 +4,8 @@
 derivative, in closed form in the sphere's stereographic charts and by one Richardson
 stencil elsewhere.  ``roll`` takes the exact derivative of its horizontal field from one
 jet call per step; the finite-difference step it replaced is kept here as a reference.
+Frame transport takes the same frame step along a given path, so along roll's own path
+it gives roll's frames.
 The chart walk of frame transport reads each chart's margin over the whole path at once,
 and a curved ``ChartManifold.exp`` carries the geodesic alone.
 """
@@ -193,6 +195,24 @@ def test_roll_frames_per_segment_equal_the_per_node_frames(case):
     assert (len(segs) > 1) == (case != "pure-area")
     assert np.array_equal(y.points, pts)
     assert np.array_equal(lift.frames, frames)
+
+
+@pytest.mark.parametrize("kind", ["pure-area", "piecewise-linear", "piecewise-linear-through-a-switch"])
+def test_frame_transport_along_the_rolled_path_reproduces_the_rolled_frames(kind):
+    # roll and frame transport take one frame step, so along roll's own path they agree up to rounding
+    n = 128
+    if kind == "piecewise-linear-through-a-switch":  # a random walk drifting over a pole
+        steps = np.random.default_rng(n).standard_normal((n, 2)) * (0.2 / np.sqrt(n)) + [0.0, 2.0 * np.pi / n]
+        rp = lift_piecewise_linear(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]), np.linspace(0.0, 1.0, n + 1))
+        z, o = driver_as_controlled(rp), np.array([0.0, 1.0, 0.0])
+    else:
+        (z, rp), o = driver(kind, n), np.array([0.3, 0.4, np.sqrt(0.75)])
+    u0 = tangent_frame(o)
+    y, lift = roll(z, rp, SPHERE, o, u0)
+    got = parallel_translate_frame(y, u0)
+    assert [s[:2] for s in got.segments] == [s[:2] for s in lift.segments]
+    assert (len(lift.segments) > 1) == (kind == "piecewise-linear-through-a-switch")
+    assert np.max(np.abs(got.frames - lift.frames)) <= 1e-12
 
 
 def test_roll_makes_one_jet_call_per_step_and_no_chart_steps(monkeypatch):

@@ -313,17 +313,14 @@ class TestDevelopment:
         z2, _ = unroll(y, u0, lift=lift)
         assert np.max(np.abs(z2.values - z.values)) <= 1e-5
 
-    def test_roundtrip_roll_of_unroll_slope(self):
-        errs, hs = [], []
+    def test_roundtrip_roll_of_unroll_is_exact(self):
+        # frame transport takes roll's own frame step, so roll inverts unroll up to rounding
         for n in (128, 256, 512, 1024):
             y = sphere_spiral_crp(n, T=np.pi)
             u0 = tangent_frame(y.points[0])
             z, lift = unroll(y, u0)
             y2, _ = roll(z, y.driver, SPHERE, y.points[0], u0)
-            errs.append(float(np.max(np.linalg.norm(y.flat_points() - y2.flat_points(), axis=1))))
-            hs.append(float(np.max(np.diff(y.times))))
-        slope, _, exact = estimate_order(errs, hs)
-        assert exact or slope >= 2.0 - 0.25
+            assert float(np.max(np.linalg.norm(y.flat_points() - y2.flat_points(), axis=1))) <= 1e-12
 
     def test_pure_area_roll_roundtrip(self):
         n = 512
@@ -403,17 +400,27 @@ def test_orthogonality_drift_without_retraction():
 
 
 def test_frame_lift_annihilates_connection_form():
-    # horizontality of the fiber solve: the right-invariant form integrated
-    # along the frame path reproduces minus the integrated connection values
+    # horizontality of the frame lift: on each chart segment the right-invariant form
+    # integrated along the chart frames reproduces minus the integrated chart connection form
     from crp.mcrp import ManifoldControlledPath
-    from crp.transport import MatrixGroup, maurer_cartan_check
+    from crp.oneforms import integrate_smooth_oneform
 
     y = sphere_spiral_crp(256)
     u0 = tangent_frame(y.points[0])
     lift = parallel_translate_frame(y, u0)
     group = MatrixGroup("gl", 2)
-    assert len(lift.z_pieces) >= 1
-    for (i0, i1, chart), z in zip(lift.segments, lift.z_pieces):
+    segments = [s for s in lift.segments if s[1] > s[0]]
+    assert len(segments) >= 1
+    for i0, i1, chart in segments:
+
+        def gamma_fn(m, _chart=chart):
+            a = chart_christoffels(SPHERE, _chart, _chart.to_coords(m))
+            return np.einsum("ijl,jD->ilD", a, _chart.dto(m)).reshape(4, 3)
+
+        sub = ManifoldControlledPath(
+            SPHERE, y.times[i0 : i1 + 1], y.points[i0 : i1 + 1], y.derivative[i0 : i1 + 1], y.driver.restrict(i0, i1)
+        )
+        z = integrate_smooth_oneform(gamma_fn, sub, connection_gauge(SPHERE))
         ubar = np.stack([chart.dto(y.points[i]) @ lift.frames[i] for i in range(i0, i1 + 1)])
         # chain rule: dg = -(dz) g with dz = Gamma(y' .) in algebra coordinates
         gd = np.empty((i1 - i0 + 1, 4, y.driver_dim))

@@ -1,11 +1,12 @@
-"""Frame transport on whole stencils.
+"""Frame transport by roll's frame step, chart segment by chart segment.
 
-``parallel_translate_frame`` evaluates the chart connection form of each chart
-segment on stacks of points: once on the segment's nodes and once on each
-Richardson stencil level.  The per-point form behind ``horizontal_lift``, which
-it replaced, is kept here as the reference.  Also: the one-node last segment,
-the check that a frame lift belongs to its path, and the whole-grid
-``frame_transport_defect``.
+``parallel_translate_frame`` takes roll's Christoffel-jet step of the frame along
+the path: one ``chart_christoffels_jet`` call on the nodes of each chart segment,
+and the step products from one log-depth scan.  The paper's construction, the
+horizontal lift of the chart connection form by ``horizontal_lift`` evaluated one
+point at a time, is kept here as the reference the frames converge to.  Also: the
+one-node last segment, the check that a frame lift belongs to its path, and the
+whole-grid ``frame_transport_defect``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import crp.transport
 from crp import DomainError, GridMismatch
-from crp.fixtures import SPHERE, latitude_crp, sphere_spiral_crp, tangent_frame
+from crp.convergence import estimate_order
+from crp.fixtures import SPHERE, latitude_crp, sphere_spiral_crp, tangent_frame, tilted_great_circle_crp
+from crp.manifolds import Sphere
 from crp.gauges import connection_gauge
-from crp.mcrp import ManifoldControlledPath, crp_from_projection, crp_from_smooth_curve
+from crp.mcrp import ManifoldControlledPath, crp_from_projection
 from crp.oneforms import oneform_from_smooth
-from crp.roughpath import lift_smooth, time_lift
+from crp.roughpath import lift_smooth
 from crp.transport import (
     ConnectionForm,
     MatrixGroup,
@@ -30,18 +32,6 @@ from crp.transport import (
     rolled_oneform,
     unroll,
 )
-
-
-def tilted_great_circle_crp(n, tilt=-1.4):
-    """Great circle tilted through both polar caps, driven by time: its frame lift switches chart."""
-    c, s = np.cos(tilt), np.sin(tilt)
-    rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    return crp_from_smooth_curve(
-        SPHERE,
-        lambda t: rot @ np.array([np.cos(t), np.sin(t), 0.0]),
-        lambda t: rot @ np.array([-np.sin(t), np.cos(t), 0.0]),
-        time_lift(np.linspace(0.0, 2.0 * np.pi, n + 1)),
-    )
 
 
 def meridian_to_the_switch(n):
@@ -56,13 +46,12 @@ def meridian_to_the_switch(n):
 
 
 def per_point_frame_lift(y, u0, segments):
-    """Frame transport with the connection form evaluated one point at a time, as before the stacked form."""
+    """Frame transport as the horizontal lift of the chart connection form, evaluated one point at a time."""
     mani = y.manifold
     d = mani.dim
     group = MatrixGroup("gl", d)
     frames = np.empty((y.times.size, mani.flat_dim, d))
     frames[0] = u0
-    z_pieces = []
     for i0, i1, chart in segments:
 
         def gamma_fn(m, _chart=chart):
@@ -74,50 +63,49 @@ def per_point_frame_lift(y, u0, segments):
         )
         ubar0 = chart.dto(y.points[i0]) @ frames[i0]
         lift = horizontal_lift(sub, ConnectionForm(mani, group, gamma_fn), ubar0)
-        z_pieces.append(lift.z)
         for off in range(i1 - i0 + 1):
             frames[i0 + off] = chart.dfrom(chart.to_coords(y.points[i0 + off])) @ lift.group_path.points[off]
-    return frames, z_pieces
+    return frames
 
 
-# -- the stacked connection form -----------------------------------------------------------
+# -- the jet step against the paper's construction ---------------------------------------------
 
 
 @pytest.mark.parametrize("path", ["small-circle", "tilted-great-circle"])
-def test_stacked_connection_form_matches_the_per_point_reference(path):
-    y = latitude_crp(64, theta=np.pi / 5) if path == "small-circle" else tilted_great_circle_crp(96)
-    u0 = tangent_frame(y.points[0])
-    lift = parallel_translate_frame(y, u0)
-    if path == "tilted-great-circle":
-        assert len(lift.segments) >= 2
-    frames, z_pieces = per_point_frame_lift(y, u0, lift.segments)
-    assert np.max(np.abs(lift.frames - frames)) <= 1e-14
-    assert len(lift.z_pieces) == len(z_pieces)
-    for got, want in zip(lift.z_pieces, z_pieces):
-        assert np.max(np.abs(got.values - want.values)) <= 1e-14
-        assert np.max(np.abs(got.derivative - want.derivative)) <= 1e-14
+def test_frame_transport_converges_to_the_per_point_horizontal_lift(path):
+    # two second-order discretizations of one lift: their frames meet at order two
+    errs, hs = [], []
+    for n in (64, 128, 256, 512):
+        y = latitude_crp(n, theta=np.pi / 5) if path == "small-circle" else tilted_great_circle_crp(n)
+        u0 = tangent_frame(y.points[0])
+        lift = parallel_translate_frame(y, u0)
+        if path == "tilted-great-circle":
+            assert len(lift.segments) >= 2
+        errs.append(float(np.max(np.abs(lift.frames - per_point_frame_lift(y, u0, lift.segments)))))
+        hs.append(float(np.max(np.diff(y.times))))
+    slope, _, exact = estimate_order(errs, hs)
+    assert exact or slope >= 1.75
 
 
-def count_christoffel_calls(monkeypatch, y):
+def count_jet_calls(monkeypatch, y):
     calls = []
+    original = Sphere.chart_christoffels_jet
 
-    def counting(manifold, chart, x):
+    def counting(self, chart, x):
         calls.append(np.shape(x))
-        return chart_christoffels(manifold, chart, x)
+        return original(self, chart, x)
 
-    monkeypatch.setattr(crp.transport, "chart_christoffels", counting)
+    monkeypatch.setattr(Sphere, "chart_christoffels_jet", counting)
     lift = parallel_translate_frame(y, tangent_frame(y.points[0]))
-    return len(calls), lift
+    return calls, lift
 
 
-def test_frame_transport_evaluates_the_connection_once_per_stencil_level(monkeypatch):
-    counts = {}
-    for n in (64, 256):
-        counts[n], lift = count_christoffel_calls(monkeypatch, latitude_crp(n))
-        assert counts[n] <= 5 * len(lift.segments)
-    assert counts[64] == counts[256]
-    n_calls, lift = count_christoffel_calls(monkeypatch, tilted_great_circle_crp(256))
-    assert len(lift.segments) >= 2 and n_calls <= 5 * len(lift.segments)
+def test_frame_transport_makes_one_jet_call_per_chart_segment(monkeypatch):
+    for y in (latitude_crp(64), latitude_crp(256), tilted_great_circle_crp(256), meridian_to_the_switch(32)):
+        calls, lift = count_jet_calls(monkeypatch, y)
+        # one call on the nodes of each segment of two or more nodes, whatever N
+        assert calls == [(i1 - i0, 2) for i0, i1, _ in lift.segments if i1 > i0]
+    assert len(lift.segments) == 2 and lift.segments[-1][:2] == (32, 32)
 
 
 def test_oneform_from_smooth_names_a_bad_stencil_point():
@@ -141,7 +129,6 @@ def test_frame_transport_through_a_one_node_last_segment():
         u0 = tangent_frame(y.points[0])
         lift = parallel_translate_frame(y, u0)
         assert lift.segments[-1][:2] == (n, n)
-        assert len(lift.z_pieces) == len(lift.segments) - 1
         # along a geodesic shorter than pi, the closed-form transport is the parallel transport
         want = np.stack([SPHERE.transport(p, y.points[0]) @ u0 for p in y.points])
         errs.append(float(np.max(np.abs(lift.frames - want))))
