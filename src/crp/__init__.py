@@ -3,7 +3,7 @@ chart-patched RDEs, and frame transport, with a verification harness."""
 
 from .controls import Control
 from .controlled import ControlledPath, associated_roughpath, driver_as_controlled, verify_crp
-from .convergence import ComparisonReport, ConvergenceReport, estimate_order
+from .convergence import ConvergenceReport, estimate_order
 from .errors import (
     AtlasGap,
     ChartExit,
@@ -34,7 +34,6 @@ from .gauges import (
     compatibility_tensor,
     connection_gauge,
     logarithm_gauge,
-    manifold_taylor_check,
     standard_gauge,
     torsion_check,
 )
@@ -50,7 +49,6 @@ from .mcrp import (
 )
 from .mrde import (
     ManifoldDrivingField,
-    check_rde_gauge_form,
     check_rde_integral_form,
     f_related_pushforward,
     rde_solve_manifold,
@@ -62,13 +60,11 @@ from .oneforms import (
     gauge_change,
     gauge_integrate,
     integrate_smooth_oneform,
-    oneform_from_flat,
     oneform_from_smooth,
     push_pull_check,
 )
 from .roughpath import (
     RoughPath,
-    chen_compose,
     lift_piecewise_linear,
     lift_smooth,
     pure_area_driver,
@@ -76,12 +72,9 @@ from .roughpath import (
 )
 from .sewing import rough_integrate
 from .transport import (
-    ConnectionForm,
     FrameLift,
-    HorizontalLift,
     MatrixGroup,
     group_rde,
-    horizontal_lift,
     maurer_cartan_check,
     parallel_translate_frame,
     roll,

@@ -10,13 +10,7 @@ import click
 import numpy as np
 
 from . import fixtures as fx
-from .convergence import (
-    COMPARISON_CSV_HEADER,
-    CONVERGENCE_CSV_HEADER,
-    MIN_LEVELS,
-    ConvergenceReport,
-    dyadic_levels,
-)
+from .convergence import CONVERGENCE_CSV_HEADER, MIN_LEVELS, ConvergenceReport, dyadic_levels
 from .errors import ConfigError, CrpError
 from .gauges import connection_gauge, standard_gauge
 from .mcrp import ratio_at_pair, verify_chart_crp, verify_gauge_crp
@@ -24,6 +18,8 @@ from .mrde import rde_solve_manifold
 from .oneforms import integrate_smooth_oneform
 from .serialize import path_csv_header, path_csv_rows, write_csv, write_json
 from .transport import parallel_translate_frame, unroll
+
+SUITE_CSV_HEADER = ["check", "value", "tolerance", "mode", "pass"]
 
 
 def _out_dir(out):
@@ -366,9 +362,9 @@ def suite(config_path, out, deterministic, jobs, names):
     for crit in bundle["criteria"]:
         for c in crit["checks"]:
             rows.append(
-                [crit["name"] + ":" + c["check"], repr(c["value"]), repr(c["tolerance"]), c["mode"], "", str(c["pass"])]
+                [crit["name"] + ":" + c["check"], repr(c["value"]), repr(c["tolerance"]), c["mode"], str(c["pass"])]
             )
-    write_csv(os.path.join(odir, "suite-checks.csv"), COMPARISON_CSV_HEADER, rows)
+    write_csv(os.path.join(odir, "suite-checks.csv"), SUITE_CSV_HEADER, rows)
     for crit in bundle["criteria"]:
         click.echo(("PASS " if crit["pass"] else "FAIL ") + crit["name"])
     if not bundle["pass"]:

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidGrid, OffGrid
-from .pairs import sampled_triples
-
-SUPERADD_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,23 +85,6 @@ class Control:
         t = np.asarray(times, dtype=float)
         idx = self._nodes(t)
         return Control(p=self.p, kind="table", times=t, table=self.table[np.ix_(idx, idx)])
-
-    # -- invariants -----------------------------------------------------------
-
-    def check_superadditive(self, times, rng=None, max_triples=200_000):
-        """Largest violation of superadditivity over grid triples.
-
-        Checks every triple when the count is small, otherwise a seeded sample.
-        Returns the worst value of omega(s,t) + omega(t,u) - omega(s,u)
-        (positive means violation beyond the documented slack).
-        """
-        t = np.asarray(times, dtype=float)
-        if t.size < 3:
-            return 0.0
-        i, j, k = sampled_triples(t.size, max_triples, rng)
-        osu = self.omega(t[i], t[k])
-        viol = self.omega(t[i], t[j]) + self.omega(t[j], t[k]) - osu - SUPERADD_SLACK * np.maximum(1.0, osu)
-        return float(np.max(viol))
 
     # -- serialization --------------------------------------------------------
 

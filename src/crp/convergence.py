@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,41 +122,6 @@ class ConvergenceReport:
 
 
 CONVERGENCE_CSV_HEADER = ["level", "N", "h", "error", "slope_partial"]
-COMPARISON_CSV_HEADER = ["fixture", "lhs", "rhs", "diff_sup", "slope", "pass"]
-
-
-@dataclass
-class ComparisonReport:
-    """Two-sided computation with sup difference and refinement slope."""
-
-    name: str
-    lhs: float
-    rhs: float
-    diff_sup: float
-    slope: float | None = None
-    passed: bool = False
-    details: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "fixture": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "diff_sup": self.diff_sup,
-            "slope": self.slope,
-            "pass": self.passed,
-            **({"details": self.details} if self.details else {}),
-        }
-
-    def csv_row(self):
-        return [
-            self.name,
-            repr(float(self.lhs)),
-            repr(float(self.rhs)),
-            repr(float(self.diff_sup)),
-            "" if self.slope is None else repr(float(self.slope)),
-            str(self.passed),
-        ]
 
 
 def dyadic_levels(n_finest, n_levels):

@@ -11,7 +11,6 @@ import numpy as np
 
 from .controls import Control
 from .errors import ConfigError
-from .gauges import logarithm_gauge
 from .linalg import SO3_BASIS, hat, so3_exp
 from .manifolds import ChartManifold, SO3, Sphere
 from .mcrp import ManifoldControlledPath, crp_from_projection, crp_from_smooth_curve
@@ -221,19 +220,6 @@ def tangent_frame(m):
     e1 = np.cross(m, ref)
     e1 /= np.linalg.norm(e1)
     return np.stack([e1, np.cross(m, e1)], axis=1)
-
-
-# -- gauges -------------------------------------------------------------------------------
-
-
-def line_quadratic_gauge(c=0.3):
-    def psi(m, n):
-        d = float(n[0] - m[0])
-        return np.array([d + c * d * d])
-
-    return logarithm_gauge(
-        LINE, psi, d2_fn=lambda m, n: np.array([[1.0 + 2.0 * c * float(n[0] - m[0])]]), name="quadratic"
-    )
 
 
 # -- scalar observables ----------------------------------------------------------------------

@@ -10,8 +10,6 @@ from .errors import DomainError, GaugeMismatch
 from .linalg import FD_STEP, norm
 from .manifolds import Chart, Manifold, chart_rep_derivative
 
-TAYLOR_FD_STEP = 1e-3
-
 
 class Parallelism:
     """Smooth family U(to, from): T_from M -> T_to M, identity on the diagonal.
@@ -289,52 +287,3 @@ def torsion_check(manifold: Manifold, rng=None, n_points=5):
     gap = s.stack(ms) - 0.5 * manifold.torsion_tensor(ms)
     worst = float(np.max(norm(np.einsum("pcab,pa,pb->pc", gap, vs, ws))))
     return {"max_residual": worst, "pass": worst <= 1e-5}
-
-
-def manifold_taylor_check(manifold: Manifold, f, df, hess=None, rng=None, scales=None, n_dirs=3):
-    """Second-order intrinsic Taylor remainder decay along random geodesics.
-
-    ``df(m)`` is the flattened differential; ``hess(m, v)`` evaluates the
-    covariant second derivative on v (x) v (finite differences along geodesics
-    when omitted).  Returns per-scale worst remainders and the fitted slope.
-    """
-    from .convergence import estimate_order
-
-    rng = rng or np.random.default_rng(11)
-    scales = scales if scales is not None else [0.2 / 2**j for j in range(5)]
-    if hess is None:
-
-        def hess(m, v, _f=f):
-            h = TAYLOR_FD_STEP
-            vv = manifold.unflatten(v)
-            d1 = (_f(manifold.exp(m, h * vv)) - 2.0 * _f(m) + _f(manifold.exp(m, -h * vv))) / h**2
-            d2 = (_f(manifold.exp(m, 0.5 * h * vv)) - 2.0 * _f(m) + _f(manifold.exp(m, -0.5 * h * vv))) / (
-                0.25 * h**2
-            )
-            return (4.0 * d2 - d1) / 3.0
-
-    dirs = []
-    for _ in range(n_dirs):
-        m = manifold.random_point(rng)
-        v = manifold.flatten(manifold.random_tangent(rng, m))
-        nv = np.linalg.norm(v)
-        if nv > 1e-12:
-            dirs.append((m, v / nv))
-    if not dirs:
-        raise DomainError(f"a Taylor check needs at least one direction, got none of {n_dirs}")
-    errs = []
-    for s in scales:
-        worst = 0.0
-        for m, v in dirs:
-            n = manifold.exp(m, s * manifold.unflatten(v))
-            rem = f(n) - f(m) - s * float(df(m) @ v) - 0.5 * s**2 * float(hess(m, v))
-            worst = max(worst, abs(rem))
-        errs.append(worst)
-    slope, const, exact = estimate_order(errs, scales, discard_coarsest=False)
-    return {
-        "scales": scales,
-        "remainders": errs,
-        "slope": slope if not exact else float("inf"),
-        "exact": exact,
-        "pass": exact or slope >= 2.75,
-    }

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    AtlasGap, ChartExit, ChartSingular, ConfigError, CrpError, DomainError, LogFailure, NearCutLocus, ShapeError,
+    AtlasGap, ChartExit, ChartSingular, CrpError, DomainError, LogFailure, NearCutLocus, ShapeError,
 )
 from .linalg import (
     FD_STEP,
@@ -666,8 +666,8 @@ class ChartManifold(Manifold):
             out = np.asarray(self.gamma(x), dtype=float)
             return out if out.shape == shape else np.broadcast_to(out, shape)
         except (ValueError, IndexError, TypeError) as exc:  # a per-point callable fails on a stack
-            raise ShapeError(f"gamma(xs) must map points (..., d) to arrays that broadcast to (..., d, d, d), and "
-                             f"from_metric's metric(xs) to (..., d, d); on points of shape {x.shape}: {exc}") from exc
+            raise ShapeError(f"gamma(xs) must map points (..., d) to arrays that broadcast to (..., d, d, d), "
+                             f"and a metric it reads to (..., d, d); on points of shape {x.shape}: {exc}") from exc
 
     def chart_christoffels(self, chart, x):
         """``gamma`` at identity-chart coordinates x, shape (..., d), which are the flattened points."""
@@ -768,25 +768,6 @@ class ChartManifold(Manifold):
     def curve(self, ms, us, eps):
         # any curves with the right velocities do for directional derivatives
         return np.asarray(ms, dtype=float) + eps * np.asarray(us, dtype=float)
-
-    @staticmethod
-    def from_metric(dim, metric, radius=10.0, center=None, h_geo=0.01):
-        """Chart manifold with the Levi-Civita connection of a coordinate metric.
-
-        ``metric(xs)`` maps a point or a stack (..., d) to Gram matrices (..., d, d);
-        dg[..., i, j, l] = d g_{ij} / d x_l is one Richardson stencil over the stack.
-        """
-
-        def gamma(xs):
-            xs = np.asarray(xs, dtype=float)
-            h = FD_STEP * np.maximum(1.0, norm(xs))[..., None, None, None]
-            # stencil point l moves x along e_l: Gram matrices (..., l, i, j)
-            dg = np.moveaxis(richardson_diff(lambda e: metric(xs[..., None, :] + e[..., 0] * np.eye(dim)), h), -3, -1)
-            # Gamma^i_{jl} = g^{im}(dg[m,l,j] + dg[m,j,l] - dg[j,l,m]) / 2
-            ginv = np.linalg.inv(metric(xs))
-            return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, np.swapaxes(dg, -1, -2) + dg - np.swapaxes(dg, -1, -3))
-
-        return ChartManifold(dim, radius=radius, center=center, gamma=gamma, h_geo=h_geo)
 
     def charts(self):
         ident = Chart(
@@ -942,20 +923,3 @@ def _block_diag(a, b):
     out[..., :m, :n] = a
     out[..., m:, n:] = b
     return out
-
-
-def manifold_from_spec(doc):
-    """Manifold factory for the JSON manifold-spec schema."""
-    kind = doc["type"]
-    if kind == "sphere":
-        return Sphere()
-    if kind == "so3":
-        return SO3()
-    if kind == "chart":
-        # a spec carries neither a custom connection (a callable) nor a second chart
-        if doc.get("connection", {}).get("kind", "levi-civita") != "levi-civita" or len(doc.get("charts", [])) > 1:
-            raise ConfigError("only a flat chart manifold with its one identity chart can be read from a spec")
-        ident = (doc.get("charts") or [{}])[0]
-        radius = ident.get("radius", doc.get("radius", 10.0))
-        return ChartManifold(dim=doc["dim"], radius=radius, center=ident.get("center"))
-    raise DomainError(f"unknown manifold type {kind!r}")

@@ -68,11 +68,6 @@ class ManifoldControlledPath:
         d = d.reshape((n, r) + d.shape[1:])
         return d if r == k else np.einsum("nak,na...->nk...", dirs @ self.derivative, d)
 
-    def basepoint_residual(self):
-        """Max |(I - P(y_i)) y'_i| over samples."""
-        p = self.manifold.tangent_projector(self.points)
-        return float(np.max(np.abs(self.derivative - p @ self.derivative), initial=0.0))
-
     def coarsen(self, factor=2):
         n = self.times.size - 1
         if n % factor:
@@ -141,24 +136,6 @@ def crp_pushforward(f, jac, y: ManifoldControlledPath, target: Manifold) -> Mani
     if bad.size:
         raise DomainError(f"pushed sample {int(bad[0])} left the target manifold domain")
     return out
-
-
-def pushforward_covariance_residual(f, jf, g, jg, y: ManifoldControlledPath, mid: Manifold, target: Manifold):
-    """Max mismatch between pushing through g o f and the composition of pushes."""
-    yf = crp_pushforward(f, jf, y, mid)
-    ygf = crp_pushforward(g, jg, yf, target)
-
-    def comp(p):
-        return g(f(p))
-
-    def jcomp(p):
-        return np.asarray(jg(f(p)), dtype=float) @ np.asarray(jf(p), dtype=float)
-
-    direct = crp_pushforward(comp, jcomp, y, target)
-    return max(
-        float(np.max(np.abs(direct.flat_points() - ygf.flat_points()))),
-        float(np.max(np.abs(direct.derivative - ygf.derivative))),
-    )
 
 
 # -- verifiers ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .controlled import ControlledPath, driver_as_controlled, dyadic_ladder
+from .controlled import ControlledPath, driver_as_controlled
 from .errors import AtlasGap, DomainError, Explosion, NotOnManifold, NotRelated, ShapeError
 from .flatrde import EXPLOSION_BOUND, linear_flow
 from .gauges import Gauge, compatibility_tensor
@@ -245,17 +245,6 @@ def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, g
     return {"defect": float(np.max(defect)), "split_residual": split}
 
 
-def check_rde_gauge_form(y: ManifoldControlledPath, field, gauge: Gauge, levels=4, check_split=False):
-    """Per-level gauge-form defects (finest first) for slope fitting.
-
-    The split form is checked on the finest grid only.
-    """
-    hs, reps = dyadic_ladder(
-        lambda cur: gauge_form_defects(cur, field, gauge, check_split=check_split and cur is y), (y,), levels, 4
-    )
-    return {"levels": [(h, r["defect"]) for h, r in zip(hs, reps)], "split_residual": reps[0]["split_residual"]}
-
-
 def pushed_field_path(y: ManifoldControlledPath, field: ManifoldDrivingField, alpha_fn):
     """Flat controlled path of samples alpha(y) o F(y), the driver-integrand.
 
@@ -326,8 +315,3 @@ def f_related_pushforward(
         )
     )
     return {"pushed": pushed, "direct": direct, "diff_sup": diff, "relatedness_residual": worst}
-
-
-def manifold_distance_drift(y: ManifoldControlledPath):
-    """Max ambient distance of the samples from the manifold."""
-    return float(np.max(y.manifold.off_manifold(y.points), initial=0.0))

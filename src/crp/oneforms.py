@@ -8,11 +8,9 @@ import numpy as np
 
 from .controlled import ControlledPath, check_probed, check_same_grid, dyadic_ladder, dyadic_strides, stability_verdict
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
-from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor, compatibility_tensor
-from .linalg import FD_STEP, richardson_diff
+from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor
 from .mcrp import ManifoldControlledPath, crp_pushforward, default_probe_delta
 from .pairs import by_grid, on_grids, pair_sup, ratio, triple_defect
-from .roughpath import RoughPath
 from .sewing import rough_integrate
 
 
@@ -154,15 +152,6 @@ def oneform_from_smooth(alpha_fn, y: ManifoldControlledPath, par: Parallelism) -
     return oneform_from_stacks(lambda qs, where: _form_values(alpha_fn, qs, dim, where), y, par)
 
 
-def oneform_from_flat(alpha_cp: ControlledPath, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:
-    """Adapter: a flat matrix-valued controlled integrand viewed as a one-form."""
-    if alpha_cp.values.ndim != 3:
-        raise ShapeError("flat integrand must be matrix-valued")
-    alpha = alpha_cp.values
-    dag = np.transpose(alpha_cp.derivative, (0, 1, 3, 2))  # (N+1, n, k, D)
-    return ControlledOneForm(y.times, alpha.copy(), dag.copy(), par, y)
-
-
 # -- the gauge integral ---------------------------------------------------------------
 
 
@@ -253,40 +242,6 @@ def integrate_smooth_oneform(alpha_fn, y: ManifoldControlledPath, gauge: Gauge) 
     return gauge_integrate(a, y, gauge)
 
 
-def chart_formula_integral(alpha_fn, y: ManifoldControlledPath, chart) -> ControlledPath:
-    """Chart evaluation of the smooth one-form integral (single-chart paths).
-
-    Pushes the path through the chart and integrates the pulled-back form with
-    the flat compensated sum; equals the gauge integral to the global order.
-    """
-    zs, zdag = chart.to_coords(y.points), chart.dto(y.points) @ y.derivative
-
-    def pulled(x):
-        return np.asarray(alpha_fn(chart.from_coords(x)), dtype=float) @ chart.dfrom(x)
-
-    return flat_smooth_integral(pulled, ControlledPath(y.times, zs, zdag), y.driver)
-
-
-def flat_smooth_integral(alpha_fn, z: ControlledPath, rp: RoughPath) -> ControlledPath:
-    """``sewing.rough_integrate`` of a smooth matrix one-form along a flat controlled path.
-
-    The integrand's derivative is grad(alpha) z': the gradient along the d coordinate
-    axes by one Richardson stencil over every node, its step relative to the node's largest entry.
-    Raises as ``oneform_from_smooth`` for a value of alpha that is not (n, d) or not finite.
-    """
-    x = z.values
-    n, d = x.shape
-    alphas = _form_values(alpha_fn, x, d, "node")
-
-    def alpha_at(eps):  # alpha at x_i + eps_i e_j, shape (N+1, d, m, d)
-        pts = (x[:, None, :] + eps.reshape(n, 1, 1) * np.eye(d)).reshape(n * d, d)
-        return _form_values(alpha_fn, pts, d, "stencil point").reshape((n, d) + alphas.shape[1:])
-
-    grad = richardson_diff(alpha_at, FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=1))[:, None, None, None])
-    dag = np.einsum("njme,nja->nmea", grad, z.derivative)
-    return rough_integrate(ControlledPath(z.times, alphas, dag), z, rp)
-
-
 # -- structural checks -----------------------------------------------------------------
 
 
@@ -349,36 +304,3 @@ def push_pull_check(f, jac, alpha_fn, y: ManifoldControlledPath, gauge: Gauge, t
         "rhs": rhs,
         "pushed": fy,
     }
-
-
-def integrator_difference_defect(y: ManifoldControlledPath, g1: Gauge, g2: Gauge):
-    """Per-level defect of the two-gauge integrator identity (first components)."""
-    s12 = compatibility_tensor(g2.par, g1.par, y.manifold)
-    s1 = g1.compatibility()
-    s2 = g2.compatibility()
-    n = y.times.size - 1
-    i = np.arange(n)
-    f1, _ = integrator_increments(y, g1, s1, i, i + 1)
-    f2, _ = integrator_increments(y, g2, s2, i, i + 1)
-    ydag = y.derivative[: n]
-    pushed = np.einsum("pda,peb,pab->pde", ydag, ydag, y.driver.step_areas)
-    corr = np.einsum("pcab,pab->pc", s12.stack(y.points[:n]), pushed)
-    return float(np.max(np.linalg.norm(f1 - f2 - corr, axis=-1)))
-
-
-def log_almost_additivity_defect(y: ManifoldControlledPath, gauge: Gauge):
-    """Max defect of the logarithm three-point identity over consecutive triples."""
-    m, t, u = y.points[:-2], y.points[1:-1], y.points[2:]
-    rhs = (gauge.d2psi(t, m) @ (gauge.psi(m, u) - gauge.psi(m, t))[..., None])[..., 0]
-    return float(np.max(np.linalg.norm(gauge.psi(t, u) - rhs, axis=-1), initial=0.0))
-
-
-def transport_commutation_defect(y: ManifoldControlledPath, u_tilde: Parallelism, u: Parallelism):
-    """Max defect of S o U^(x)2 - U o S over consecutive pairs."""
-    m, t = y.points[:-1], y.points[1:]
-    s = compatibility_tensor(u_tilde, u, y.manifold).stack(y.points)
-    umat = u.matrix(t, m)
-    lhs = np.einsum("ncab,nad,nbe->ncde", s[1:], umat, umat)
-    rhs = np.einsum("ncf,nfde->ncde", umat, s[:-1])
-    p = y.manifold.tangent_projector(m)
-    return float(np.max(np.abs(np.einsum("ncde,ndf,neg->ncfg", lhs - rhs, p, p)), initial=0.0))

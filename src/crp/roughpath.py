@@ -191,14 +191,6 @@ class RoughPath:
         )
 
 
-def chen_compose(rp: RoughPath, s, t):
-    """Increment and area over a grid pair (s, t) by left-fold composition."""
-    i, j = rp.index_of(s), rp.index_of(t)
-    if j < i:
-        raise OffGrid("need s <= t")
-    return rp.increment(i, j), rp.area(i, j)
-
-
 # -- lifts --------------------------------------------------------------------
 
 

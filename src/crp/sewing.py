@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .controlled import ControlledPath, check_same_grid, driver_as_controlled, dyadic_ladder
+from .controlled import ControlledPath, check_same_grid, dyadic_ladder
 from .errors import ShapeError
 from .pairs import triple_defect
 from .roughpath import RoughPath
@@ -23,11 +23,6 @@ def rough_integrate(alpha: ControlledPath, y: ControlledPath, rp: RoughPath) -> 
     np.cumsum(steps, axis=0, out=values[1:])
     deriv = np.einsum("imn,ina->ima", alpha.values, y.derivative)
     return ControlledPath(rp.times, values, deriv)
-
-
-def integrate_against_driver(alpha: ControlledPath, rp: RoughPath) -> ControlledPath:
-    """Integral of an L(W, V)-valued controlled path against the driver itself."""
-    return rough_integrate(alpha, driver_as_controlled(rp), rp)
 
 
 def local_expression(alpha: ControlledPath, y: ControlledPath, areas, i, j):

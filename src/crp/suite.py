@@ -14,9 +14,11 @@ from .flatrde import DrivingField, rde_solve_flat
 from .gauges import chart_gauge, compatibility_tensor, connection_gauge, standard_gauge, torsion_check
 from .linalg import hat
 from .manifolds import ChartManifold
-from .mcrp import domain_feasible_delta, ratio_at_pair, verify_chart_crp, verify_gauge_crp
+from .mcrp import domain_feasible_delta, ratio_at_pair, scalar_test_suite, verify_chart_crp, verify_gauge_crp
 from .mrde import (
+    ManifoldDrivingField,
     check_rde_integral_form,
+    f_related_pushforward,
     gauge_form_defects,
     rde_solve_manifold,
     scalar_solution_defects,
@@ -69,6 +71,17 @@ def _slope_check(name, errors, hs, target, noise_floor=1e-12):
 
 def _area_form(m):
     return np.array([[-m[1], m[0], 0.0]])
+
+
+def _radial(x):
+    """The radial projection x -> x / |x| of R^3 minus the origin onto the sphere."""
+    return x / np.linalg.norm(x)
+
+
+def _radial_jac(x):
+    r = np.linalg.norm(x)
+    u = x / r
+    return (np.eye(3) - np.outer(u, u)) / r
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +233,11 @@ def criterion_06_push_pull_associativity():
     rep = push_pull_check(lambda m: m, lambda m: np.eye(3), _area_form, y, g, g, SPHERE)
     checks.append(_check("pushpull-identity", rep["diff_sup"], 1e-12))
 
-    def f_rad(x):
-        return x / np.linalg.norm(x)
-
-    def j_rad(x):
-        r = np.linalg.norm(x)
-        u = x / r
-        return (np.eye(3) - np.outer(u, u)) / r
-
     errs, hs = [], []
     for n in (128, 256, 512, 1024):
         yf = fx.flat3_crp(n, T=np.pi / 2)
         repn = push_pull_check(
-            f_rad, j_rad, lambda m: np.array([[0.0, 0.0, 1.0]]), yf, standard_gauge(fx.FLAT3), g, SPHERE
+            _radial, _radial_jac, lambda m: np.array([[0.0, 0.0, 1.0]]), yf, standard_gauge(fx.FLAT3), g, SPHERE
         )
         errs.append(repn["diff_sup"])
         hs.append(float(np.max(np.diff(yf.times))))
@@ -288,7 +293,7 @@ def criterion_06_push_pull_associativity():
 
 
 def criterion_07_rde_correctness():
-    """Manifold and flat RDE solves against their oracles."""
+    """Manifold and flat RDE solves against their oracles, and their push-forwards along related fields."""
     checks = []
     # S^2 projection field vs its closed-form flow (sup over the grid)
     speed = 1.0
@@ -323,13 +328,31 @@ def criterion_07_rde_correctness():
         errs.append(float(np.max(np.abs(soln.values[-1] - np.array([np.e, 1.0 / np.e])))))
         hs.append(1.0 / nn)
     checks.append(_slope_check("pure-area-davie-global-order", errs, hs, 0.75))
+
+    # push-forwards of solutions along related fields: g -> g e3 relates the right-invariant
+    # field on SO(3) to the minus-cross field on the sphere
+    right_invariant = fx.so3_right_invariant_field()
+    sol4 = rde_solve_manifold(right_invariant, fx.so3_constant_driver(512, 0.9 * np.array([0.4, -0.3, 0.6])), np.eye(3))
+    jac_e3 = np.zeros((3, 9))
+    jac_e3[0, 2] = jac_e3[1, 5] = jac_e3[2, 8] = 1.0
+    minus_cross = ManifoldDrivingField(SPHERE, lambda m: np.stack([-np.cross(e, m) for e in np.eye(3)], axis=1))
+    rep4 = f_related_pushforward(lambda g: g[:, 2], lambda g: jac_e3, right_invariant, minus_cross, sol4)
+    checks.append(_check("so3-to-sphere-pushforward", rep4["diff_sup"], 1e-6))
+    # the radial projection relates |x| dx on R^3 to the sphere's projection field
+    radial_field = ManifoldDrivingField(ChartManifold(3, radius=50.0), lambda x: np.linalg.norm(x) * np.eye(3))
+    errs, hs = [], []
+    for nn in (64, 128, 256, 512):
+        soln = rde_solve_manifold(radial_field, fx.linear_drive_driver(nn, speed=0.5), np.array([0.0, 1.0, 0.0]))
+        repn = f_related_pushforward(_radial, _radial_jac, radial_field, fx.sphere_projection_field(), soln)
+        errs.append(repn["diff_sup"])
+        hs.append(1.0 / nn)
+    checks.append(_slope_check("radial-pushforward-slope", errs, hs, 2.0 - 0.25))
     return checks
 
 
 def criterion_08_equivalence_theorems():
-    """Gauge vs chart verifier verdicts and the RDE characterizations."""
-    checks = []
-    verdicts = []
+    """Gauge vs chart (and, on the sphere, scalar-test) verifier verdicts and the RDE characterizations."""
+    checks, scalar_checks = [], []
     cases = [
         ("equator", fx.equator_crp(128)),
         ("latitude", fx.latitude_crp(128)),
@@ -346,8 +369,13 @@ def criterion_08_equivalence_theorems():
         grep = verify_gauge_crp(y, gauge, delta=delta)
         crep = verify_chart_crp(y, mani.chart_at(y.points[0]))
         agree = grep["pass_remainder"] == crep["pass_remainder"]
-        verdicts.append({"fixture": name, "gauge": grep["pass_remainder"], "chart": crep["pass_remainder"]})
         checks.append(_check(f"verdicts-agree[{name}]", 0.0 if agree else 1.0, 0.5))
+        if mani is SPHERE:
+            # the scalar-test definition: f(y) is a flat controlled path for every observable f
+            scalar = scalar_test_suite(y, fx.sphere_observables())["pass"]
+            same = scalar == grep["pass_remainder"] == crep["pass_remainder"]
+            scalar_checks.append(_check(f"verdicts-agree-scalar[{name}]", 0.0 if same else 1.0, 0.5))
+    checks += scalar_checks
 
     # Thm on RDE characterizations: chart solve defect, scalar defect, integral form
     rp = fx.linear_drive_driver(256)

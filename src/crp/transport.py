@@ -1,11 +1,10 @@
-"""Principal-bundle machinery: connection forms, group RDEs, frame transport,
-and the development/anti-development correspondence."""
+"""Principal-bundle machinery: group RDEs, frame transport, and the
+development/anti-development correspondence."""
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -14,9 +13,9 @@ from .errors import DomainError, NotOnManifold, ShapeError
 from .flatrde import EXPLOSION_BOUND, linear_flow, running_products
 from .gauges import Gauge, connection_gauge
 from .linalg import SO3_BASIS, hat, vee
-from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3
+from .manifolds import Chart, ChartManifold, Manifold, SO3
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
-from .mrde import ChartWalk, ManifoldDrivingField
+from .mrde import ChartWalk
 from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
 from .roughpath import RoughPath
 from .sewing import rough_integrate
@@ -61,60 +60,6 @@ class MatrixGroup:
 
     def identity(self):
         return np.eye(self.size)
-
-
-# ---------------------------------------------------------------------------
-# connection one-forms on trivial bundles
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConnectionForm:
-    """Connection on the trivial bundle M x G, reconstructed from a base form.
-
-    ``gamma(m)`` returns the (alg_dim, D) matrix of the algebra-valued base
-    one-form in vee coordinates; the full form on the product is
-    omega(v, xi) = theta(xi) + Ad_{g^-1} gamma(v).
-    """
-
-    manifold: Manifold
-    group: MatrixGroup
-    gamma: Callable
-
-    def gamma_matrix(self, m):
-        return np.asarray(self.gamma(m), dtype=float)
-
-    def omega(self, m, g, v_flat, xi_mat):
-        """Algebra value (vee coords) of the form on a product tangent."""
-        ginv = np.linalg.inv(g)
-        theta = ginv @ xi_mat
-        ad = ginv @ self.group.alg_to_matrix(self.gamma_matrix(m) @ v_flat) @ g
-        return self.group.matrix_to_alg(theta + ad)
-
-    def axiom_residuals(self, rng=None, n_samples=8):
-        """Def axioms: vertical reproduction and Ad-equivariance at samples."""
-        rng = rng or np.random.default_rng(5)
-        worst_vert = 0.0
-        worst_ad = 0.0
-        for _ in range(n_samples):
-            m = self.manifold.random_point(rng)
-            g = self.group.manifold.random_point(rng)
-            a = rng.standard_normal(self.group.alg_dim)
-            xi = g @ self.group.alg_to_matrix(a)
-            got = self.omega(m, g, np.zeros(self.manifold.flat_dim), xi)
-            worst_vert = max(worst_vert, float(np.max(np.abs(got - a))))
-            v = self.manifold.flatten(self.manifold.random_tangent(rng, m))
-            h = self.group.manifold.random_point(rng)
-            lhs = self.omega(m, g @ h, v, xi @ h)
-            hinv = np.linalg.inv(h)
-            rhs = self.group.matrix_to_alg(hinv @ self.group.alg_to_matrix(self.omega(m, g, v, xi)) @ h)
-            worst_ad = max(worst_ad, float(np.max(np.abs(lhs - rhs))))
-        return {"vertical": worst_vert, "equivariance": worst_ad}
-
-
-def right_invariant_field(group: MatrixGroup) -> ManifoldDrivingField:
-    """F_a(g) = -hat(a) g on the group manifold (driver = algebra coords)."""
-    return ManifoldDrivingField.linear(group.manifold, -group.basis, name=f"right-invariant({group.kind})")
 
 
 def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup) -> ManifoldControlledPath:
@@ -165,60 +110,6 @@ def maurer_cartan_check(gpath: ManifoldControlledPath, z: ControlledPath, group:
         "diff_sup": float(np.max(np.abs(integ.values + zc))),
         "integral": integ,
     }
-
-
-# ---------------------------------------------------------------------------
-# horizontal lifts on trivial bundles
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class HorizontalLift:
-    """Lift (y, g) of a base path, with the integrated connection values."""
-
-    base: ManifoldControlledPath
-    group_path: ManifoldControlledPath
-    connection: ConnectionForm
-    z: ControlledPath  # integral of the base connection form along y
-
-    def product_path(self) -> ManifoldControlledPath:
-        prod = ProductManifold(self.base.manifold, self.connection.group.manifold)
-        pts = np.stack([prod.join(m, g) for m, g in zip(self.base.points, self.group_path.points)])
-        deriv = np.concatenate([self.base.derivative, self.group_path.derivative], axis=1)
-        return ManifoldControlledPath(prod, self.base.times, pts, deriv, self.base.driver)
-
-    def omega_form(self):
-        conn = self.connection
-        prod = ProductManifold(self.base.manifold, conn.group.manifold)
-        d1 = self.base.manifold.flat_dim
-
-        def alpha(p):
-            m, g = prod.split(p)
-            ginv, gam = np.linalg.inv(g), conn.gamma_matrix(m)
-            # columns: the base unit tangents, then the fiber unit tangents
-            vals = [ginv @ conn.group.alg_to_matrix(gam @ e) @ g for e in np.eye(d1)]
-            vals += [ginv @ e.reshape(g.shape) for e in np.eye(prod.flat_dim - d1)]
-            return np.stack([conn.group.matrix_to_alg(v) for v in vals], axis=1)
-
-        return alpha, prod
-
-    def horizontality_residual(self):
-        """Sup of the partial sums of the connection form along the lift."""
-        alpha, prod = self.omega_form()
-        integ = integrate_smooth_oneform(alpha, self.product_path(), connection_gauge(prod))
-        return float(np.max(np.abs(integ.values)))
-
-
-def horizontal_lift(y: ManifoldControlledPath, conn: ConnectionForm, u0_group) -> HorizontalLift:
-    """Unique horizontal lift through (y_0, u0_group).
-
-    Integrates the base connection form along y and solves the group equation
-    driven by the result; right translation by the fiber initial condition is
-    exact by construction.
-    """
-    z = integrate_smooth_oneform(conn.gamma_matrix, y, connection_gauge(y.manifold))
-    g = group_rde(z, y.driver, u0_group, conn.group)
-    return HorizontalLift(base=y, group_path=g, connection=conn, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +183,6 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None) -> Frame
         ops = np.eye(d) - _frame_rotation(a, da, np.diff(xs, axis=0), m)
         frames[i0 : i1 + 1] = chart.dfrom(xs) @ (running_products(ops) @ (chart.dto(y.points[i0]) @ frames[i0]))
     return FrameLift(base=y, frames=frames, segments=segs)
-
-
-def frame_transport_defect(lift: FrameLift, step=1):
-    """Max |u_t - U(y_t, y_s) u_s| over pairs ``step`` indices apart."""
-    y = lift.base
-    i = np.arange(0, y.times.size - step, step)
-    u = y.manifold.transport(y.points[i + step], y.points[i])
-    return float(np.max(np.abs(lift.frames[i + step] - u @ lift.frames[i]), initial=0.0))
 
 
 def _check_lift(lift: FrameLift, times, points):
@@ -418,25 +301,3 @@ def rolled_integral_check(a: ControlledOneForm, y: ManifoldControlledPath, gauge
         "rhs": rhs,
         "unrolled": ytil,
     }
-
-
-def vertical_horizontal_split(conn: ConnectionForm, m, g, rng=None, n_samples=6):
-    """Split residual: tangents decompose into vertical plus horizontal parts.
-
-    The horizontal lift of a base direction v is (v, -Gamma(v)^ g); the
-    vertical remainder projects to zero on the base by construction.  Returns
-    the worst of: the form on horizontal lifts, and the reconstruction of the
-    form value from the vertical part alone.
-    """
-    rng = rng or np.random.default_rng(9)
-    mani = conn.manifold
-    worst = 0.0
-    for _ in range(n_samples):
-        v = mani.flatten(mani.random_tangent(rng, m))
-        xi = g @ conn.group.alg_to_matrix(rng.standard_normal(conn.group.alg_dim))
-        xi_h = -conn.group.alg_to_matrix(conn.gamma_matrix(m) @ v) @ g
-        worst = max(worst, float(np.max(np.abs(conn.omega(m, g, v, xi_h)))))
-        vert = xi - xi_h
-        res = conn.omega(m, g, np.zeros_like(v), vert) - conn.omega(m, g, v, xi)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst

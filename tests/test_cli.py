@@ -80,6 +80,17 @@ def test_deterministic_suite_is_byte_identical(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_suite_checks_csv_names_its_columns(runner, tmp_path):
+    args = ["suite", "--criteria", "criterion-03-example-6.7", "--deterministic", "--out", str(tmp_path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    lines = (tmp_path / "suite-checks.csv").read_text().splitlines()
+    assert lines[0] == "check,value,tolerance,mode,pass"
+    check, value, tolerance, mode, passed = lines[1].split(",")
+    assert check == "criterion-03-example-6.7:chart-ratio-minus-10"
+    assert float(value) <= float(tolerance) == 1e-9 and (mode, passed) == ("le", "True")
+
+
 def test_out_env_override(runner, tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("CRP_OUT", str(target))

@@ -9,10 +9,11 @@ from crp import Control, ControlledPath, GridMismatch, RoughPath, ShapeError, ve
 from crp.controlled import associated_roughpath, driver_as_controlled, dyadic_ladder, stability_verdict
 from crp.gauges import connection_gauge
 from crp.mcrp import verify_gauge_crp
-from crp.mrde import check_rde_gauge_form, rde_solve_manifold
+from crp.mrde import rde_solve_manifold
 from crp.oneforms import ControlledOneForm, gauge_defect_by_level, oneform_from_smooth
 from crp.roughpath import lift_smooth, time_lift
 from crp.sewing import defect_by_level
+from paper_reference import check_rde_gauge_form
 
 
 def smooth_driver(n=64, T=1.0):
@@ -45,6 +46,13 @@ def test_constant_path_zero_constants():
     rep = verify_crp(y, rp)
     assert rep["C_remainder"] == 0.0 and rep["C_derivative"] == 0.0
     assert rep["pass"]
+
+
+def test_flat_verifier_reads_the_constants_of_t_squared():
+    # y = t^2 on the time driver: y_t - y_s - 2s (t - s) = (t - s)^2 and |2t - 2s| = 2 (t - s), with omega = t - s
+    grid = np.linspace(0.0, 1.0, 257)
+    rep = verify_crp(ControlledPath(grid, grid[:, None] ** 2, 2.0 * grid[:, None, None]), time_lift(grid))
+    assert rep["C_derivative"] == 2.0 and rep["C_remainder"] == 1.0
 
 
 def test_grid_mismatch_rejected():

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import linregress
 
 from crp import DomainError, InsufficientLevels, ShapeError
-from crp.convergence import ComparisonReport, ConvergenceReport, dyadic_levels, estimate_order
+from crp.convergence import ConvergenceReport, dyadic_levels, estimate_order
 
 
 def test_exact_power_law_recovered():
@@ -123,12 +123,6 @@ def test_convergence_report_abs_cap():
         "probe", [64, 128, 256, 512], [1 / 64, 1 / 128, 1 / 256, 1 / 512], [4.0, 1.0, 0.25, 0.0625], 2.0, abs_cap=1e-3
     )
     assert not rep.passed  # slope fine but finest error above the cap
-
-
-def test_comparison_report_csv_row():
-    rep = ComparisonReport("fix", 1.0, 1.0, 0.0, slope=2.5, passed=True)
-    row = rep.csv_row()
-    assert row[0] == "fix" and row[-1] == "True"
 
 
 def test_dyadic_levels():

@@ -14,11 +14,11 @@ from crp.gauges import (
     compatibility_tensor,
     connection_gauge,
     logarithm_gauge,
-    manifold_taylor_check,
     standard_gauge,
     torsion_check,
 )
 from crp.linalg import FD_STEP, hat
+from paper_reference import manifold_taylor_check
 
 SPHERE = Sphere()
 SO3M = SO3()

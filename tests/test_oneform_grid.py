@@ -31,7 +31,8 @@ from crp.mcrp import ManifoldControlledPath
 from crp.mrde import pushed_field_path
 from crp.oneforms import gauge_change, oneform_from_smooth
 from crp.roughpath import lift_smooth
-from crp.transport import ConnectionForm, MatrixGroup, horizontal_lift
+from crp.transport import MatrixGroup
+from paper_reference import ConnectionForm, horizontal_lift
 
 
 def asymmetric_connection(x):

@@ -13,27 +13,29 @@ from crp.fixtures import (
     flat3_crp,
     latitude_crp,
     line_quadratic_crp,
-    line_quadratic_gauge,
     sphere_spiral_crp,
 )
 from crp.gauges import Gauge, chart_gauge, compatibility_tensor, connection_gauge, standard_gauge
 from crp.oneforms import (
     associativity_check,
-    flat_smooth_integral,
     fundamental_theorem,
     gauge_change,
     gauge_defect_by_level,
     gauge_integrate,
     integrate_smooth_oneform,
-    integrator_difference_defect,
-    log_almost_additivity_defect,
-    oneform_from_flat,
     oneform_from_smooth,
     push_pull_check,
-    transport_commutation_defect,
 )
 from crp.linalg import FD_STEP, richardson_diff
 from crp.sewing import rough_integrate
+from paper_reference import (
+    flat_smooth_integral,
+    integrator_difference_defect,
+    line_quadratic_gauge,
+    log_almost_additivity_defect,
+    oneform_from_flat,
+    transport_commutation_defect,
+)
 
 
 def fit_slope(levels):

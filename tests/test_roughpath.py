@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from crp import Control, InvalidGrid, LiftFailure, OffGrid, RoughPath, ShapeError
-from crp import roughpath
+from crp import fixtures, roughpath
 from crp.linalg import richardson_diff
 from crp.roughpath import (
     _calibrate_control,
-    chen_compose,
     lift_piecewise_linear,
     lift_smooth,
     pure_area_driver,
     time_lift,
 )
+from paper_reference import check_superadditive
 
 
 def simpson_area_oracle(path, a, b, n=1_000_001):
@@ -278,14 +278,14 @@ class TestPureArea:
 class TestChenCompose:
     def test_diagonal_is_zero(self):
         rp = time_lift(np.linspace(0, 1, 5))
-        inc, area = chen_compose(rp, 0.25, 0.25)
+        inc, area = rp.increment(1, 1), rp.area(1, 1)  # t = 0.25
         assert np.all(inc == 0.0) and np.all(area == 0.0)
 
     def test_linear_path_closed_form(self):
         v = np.array([1.5, -0.5, 2.0])
         grid = np.linspace(0.0, 1.0, 9)
         rp = lift_piecewise_linear(np.outer(grid, v), grid)
-        inc, area = chen_compose(rp, 0.25, 0.75)
+        inc, area = rp.increment(2, 6), rp.area(2, 6)  # (t_2, t_6) = (0.25, 0.75)
         assert np.allclose(inc, 0.5 * v)
         assert np.allclose(area, 0.5 * 0.25 * np.outer(v, v), atol=1e-14)
 
@@ -294,16 +294,16 @@ class TestChenCompose:
         pts = rng.standard_normal((4, 3))
         grid = np.array([0.0, 1.0, 2.0, 3.0])
         rp = lift_piecewise_linear(pts, grid)
-        inc02, a02 = chen_compose(rp, 0.0, 2.0)
-        inc23, a23 = chen_compose(rp, 2.0, 3.0)
+        inc02, a02 = rp.increment(0, 2), rp.area(0, 2)
+        inc23, a23 = rp.increment(2, 3), rp.area(2, 3)
         refold = a02 + a23 + np.outer(inc02, inc23)
-        _, a03 = chen_compose(rp, 0.0, 3.0)
+        a03 = rp.area(0, 3)
         assert np.max(np.abs(refold - a03)) < 1e-13
 
     def test_off_grid_time_rejected(self):
         rp = time_lift(np.linspace(0, 1, 5))
         with pytest.raises(OffGrid):
-            chen_compose(rp, 0.0, 0.33)
+            rp.index_of(0.33)
 
     def test_vectorized_pairs_match_fold(self):
         rng = np.random.default_rng(3)
@@ -321,6 +321,35 @@ class TestChenCompose:
         assert rp.chen_residual() <= 1e-12
 
 
+class NonAdditiveAreas(RoughPath):
+    """Pair areas off by delta (t_j - t_i)^2 I: not Chen-composed from the step areas."""
+
+    delta = 1e-3
+
+    def area_pairs(self, i, j):
+        dt = self.times.take(j) - self.times.take(i)
+        return super().area_pairs(i, j) + self.delta * dt[..., None, None] ** 2 * np.eye(self.dim)
+
+
+class TestResidualsCanFail:
+    """Each residual reads the size of a planted defect, not only a small value on a valid path."""
+
+    def test_weak_geometric_residual_reads_a_symmetric_area_defect(self):
+        rp = fixtures.smooth_2d_driver(64)
+        areas = rp.step_areas.copy()
+        areas[10] += 1e-3 * np.eye(2)
+        assert rp.weak_geometric_residual() <= 1e-15
+        bad = RoughPath(rp.times, rp.values, areas, rp.control)
+        assert bad.weak_geometric_residual() == pytest.approx(1e-3, rel=1e-12)
+
+    def test_chen_residual_reads_a_non_additive_area(self):
+        # every triple of the 33 nodes is checked: the worst, 2 delta (t_j - t_i)(t_k - t_j), is at (0, 1/2, 1)
+        rp = fixtures.smooth_2d_driver(32)
+        assert rp.chen_residual() <= 1e-15
+        bad = NonAdditiveAreas(rp.times, rp.values, rp.step_areas, rp.control)
+        assert bad.chen_residual() == pytest.approx(0.5 * NonAdditiveAreas.delta, rel=1e-12)
+
+
 class TestCoarsen:
     def test_coarsen_preserves_pair_data(self):
         grid = np.linspace(0.0, np.pi / 2, 33)
@@ -333,7 +362,7 @@ class TestCoarsen:
 class TestControl:
     def test_superadditivity_time_scale(self):
         c = Control.time_scale(2.0, 1.0)
-        assert c.check_superadditive(np.linspace(0, 1, 20)) <= 0.0
+        assert check_superadditive(c, np.linspace(0, 1, 20)) <= 0.0
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -1.0])
     def test_time_scale_rejects_a_non_finite_or_negative_scale(self, scale):
@@ -364,7 +393,7 @@ class TestControl:
     def test_degenerate_control_is_superadditive(self):
         grid = np.linspace(0.0, 2.0, 41)
         c = Control.from_callable(lambda s, t: np.maximum(t - np.maximum(s, 1.0), 0.0), grid, p=2.0)
-        assert c.check_superadditive(grid) <= 0.0
+        assert check_superadditive(c, grid) <= 0.0
 
     def test_p_range_guard(self):
         with pytest.raises(InvalidGrid):

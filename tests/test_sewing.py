@@ -7,7 +7,7 @@ from crp import ControlledPath, ShapeError
 from crp.controlled import driver_as_controlled
 from crp.convergence import estimate_order
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
-from crp.sewing import defect_by_level, integrate_against_driver, rough_integrate
+from crp.sewing import defect_by_level, rough_integrate
 
 
 def test_identity_integrand_recovers_increment():
@@ -135,6 +135,6 @@ def test_two_partition_consistency_slope():
 
 def test_integrate_against_driver_matches_theorem_form():
     alpha, x, rp = smooth_fixture(64)
-    z1 = integrate_against_driver(alpha, rp)
+    z1 = rough_integrate(alpha, driver_as_controlled(rp), rp)
     z2 = rough_integrate(alpha, x, rp)
     assert np.allclose(z1.values, z2.values, atol=1e-14)

@@ -21,19 +21,16 @@ from crp.mcrp import crp_from_projection, verify_gauge_crp
 from crp.oneforms import oneform_from_smooth
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
 from crp.transport import (
-    ConnectionForm,
     MatrixGroup,
     chart_christoffels,
-    frame_transport_defect,
     group_rde,
-    horizontal_lift,
     maurer_cartan_check,
     parallel_translate_frame,
     roll,
     rolled_integral_check,
     unroll,
-    vertical_horizontal_split,
 )
+from paper_reference import ConnectionForm, frame_transport_defect, horizontal_lift, vertical_horizontal_split
 
 SO3G = MatrixGroup("so3")
 

@@ -37,7 +37,6 @@ from crp.transport import (
     chart_christoffels,
     group_rde,
     parallel_translate_frame,
-    right_invariant_field,
     roll,
     unroll,
 )
@@ -58,7 +57,7 @@ def chart_stepped_group_rde(z, rp, g0, group):
     The field is passed as an opaque callable, without its generators, so the
     solve steps in charts.
     """
-    field = right_invariant_field(group)
+    field = ManifoldDrivingField.linear(group.manifold, -group.basis)
     opaque = ManifoldDrivingField(field.manifold, field.field, name=field.name)
     sol = rde_solve_manifold(opaque, associated_roughpath(z, rp), group.identity())
     return np.einsum("pij,jk->pik", sol.points, g0)
@@ -246,7 +245,8 @@ def test_so3_chart_differentials_match_list_comprehensions(idx):
 @pytest.mark.parametrize("idx", range(4))
 def test_so3_group_fields_match_list_comprehensions(idx):
     chart = SO3M.charts()[idx]
-    group_field = right_invariant_field(MatrixGroup("so3"))
+    group = MatrixGroup("so3")
+    group_field = ManifoldDrivingField.linear(group.manifold, -group.basis)
     for g in so3_chart_points(chart, np.random.default_rng(10 + idx)):
         right = np.stack([(-(hat(e) @ g)).reshape(9) for e in np.eye(3)], axis=1)
         left = np.stack([(g @ hat(e)).reshape(9) for e in np.eye(3)], axis=1)
@@ -259,7 +259,7 @@ def test_gl_right_invariant_field_matches_list_comprehension():
     group = MatrixGroup("gl", 3)
     g = np.arange(9.0).reshape(3, 3) / 7.0 + np.eye(3)
     want = np.stack([(-(group.alg_to_matrix(e) @ g)).reshape(-1) for e in np.eye(9)], axis=1)
-    assert np.array_equal(right_invariant_field(group).value_matrix(g), want)
+    assert np.array_equal(ManifoldDrivingField.linear(group.manifold, -group.basis).value_matrix(g), want)
 
 
 # -- typed errors on the transport surface ---------------------------------------------------

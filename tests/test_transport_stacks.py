@@ -4,7 +4,8 @@
 the path: one ``chart_christoffels_jet`` call on the nodes of each chart segment,
 and the step products from one log-depth scan.  The paper's construction, the
 horizontal lift of the chart connection form by ``horizontal_lift`` evaluated one
-point at a time, is kept here as the reference the frames converge to.  Also: the
+point at a time, is the reference the frames converge to; it lives with the other
+references of the paper in ``paper_reference.py``, outside the library.  Also: the
 one-node last segment, the check that a frame lift belongs to its path, and the
 whole-grid ``frame_transport_defect``.
 """
@@ -22,16 +23,8 @@ from crp.gauges import connection_gauge
 from crp.mcrp import ManifoldControlledPath, crp_from_projection
 from crp.oneforms import oneform_from_smooth
 from crp.roughpath import lift_smooth
-from crp.transport import (
-    ConnectionForm,
-    MatrixGroup,
-    chart_christoffels,
-    frame_transport_defect,
-    horizontal_lift,
-    parallel_translate_frame,
-    rolled_oneform,
-    unroll,
-)
+from crp.transport import MatrixGroup, chart_christoffels, parallel_translate_frame, rolled_oneform, unroll
+from paper_reference import ConnectionForm, frame_transport_defect, horizontal_lift
 
 
 def meridian_to_the_switch(n):
