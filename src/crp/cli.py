@@ -10,7 +10,7 @@ import click
 import numpy as np
 
 from . import fixtures as fx
-from .convergence import CONVERGENCE_CSV_HEADER, MIN_LEVELS, ConvergenceReport, dyadic_levels
+from .convergence import CONVERGENCE_CSV_HEADER, MIN_LEVELS
 from .errors import ConfigError, CrpError
 from .gauges import connection_gauge, standard_gauge
 from .mcrp import ratio_at_pair, verify_chart_crp, verify_gauge_crp
@@ -300,37 +300,11 @@ def verify(config_path, out, deterministic, fixture, p, delta):
 @add_common
 @click.option("--fixture", default="sphere-projection-rde")
 @click.option("--levels", default=5, type=int)
-@click.option("--p", default=1.0, type=float)
-def convergence(config_path, out, deterministic, fixture, levels, p):
+def convergence(config_path, out, deterministic, fixture, levels):
     """Mesh-refinement study of a fixture against its oracle."""
     cfg = _load_config(config_path)
     fixture = cfg.get("fixture", fixture)
-    levels = _number(cfg, "levels", levels, minimum=MIN_LEVELS)
-    if fixture == "sphere-projection-rde":
-        ns = dyadic_levels(1 << (5 + levels), levels)
-        errs, hs = [], []
-        for n in ns:
-            rp = fx.linear_drive_driver(n)
-            sol = rde_solve_manifold(fx.sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]))
-            oracle = fx.sphere_projection_flow(np.array([0.0, 1.0, 0.0]), 1.0, rp.times)
-            errs.append(float(np.max(np.linalg.norm(sol.points - oracle, axis=1))))
-            hs.append(1.0 / n)
-        report = ConvergenceReport.from_levels(fixture, ns, hs, errs, target=2.0)
-    elif fixture == "pure-area-commutator":
-        from .flatrde import DrivingField, rde_solve_flat
-
-        ns = dyadic_levels(1 << (5 + levels), levels)
-        errs, hs = [], []
-        for n in ns:
-            rp = fx.pure_area_fixture(n)
-            sol = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rp, np.array([1.0, 1.0]))
-            errs.append(float(np.max(np.abs(sol.values[-1] - np.array([np.e, 1.0 / np.e])))))
-            hs.append(1.0 / n)
-        report = ConvergenceReport.from_levels(fixture, ns, hs, errs, target=1.0)
-    else:
-        raise ConfigError(f"unknown convergence fixture {fixture!r}")
-    if deterministic:
-        report.runtime = 0.0
+    report = fx.run_study(fixture, _number(cfg, "levels", levels, minimum=MIN_LEVELS))
     odir = _out_dir(out)
     write_json(os.path.join(odir, f"convergence-{fixture}.json"), report.to_json())
     write_csv(os.path.join(odir, f"convergence-{fixture}.csv"), CONVERGENCE_CSV_HEADER, report.csv_rows())

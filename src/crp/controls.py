@@ -53,9 +53,6 @@ class Control:
             return self.scale * np.maximum(t - s, 0.0)
         return self.table[self._nodes(s), self._nodes(t)]
 
-    def __call__(self, s, t):
-        return self.omega(s, t)
-
     def _nodes(self, t):
         """Indices of the times ``t`` on a table control's grid; OffGrid unless all are nodes."""
         idx = np.searchsorted(self.times, t)

@@ -10,6 +10,7 @@ from .errors import DomainError, InsufficientLevels, ShapeError
 
 EXACT_FLOOR = 1e-16
 SLOPE_TOL = 0.25  # uniform tolerance on asserted slopes
+NOISE_FLOOR = 1e-12  # a study whose every error is at most this is exact: rounding, not a rate
 INF_SLOPE = float("inf")
 MIN_LEVELS = 4  # fewest refinement levels an order estimate is fitted to
 
@@ -52,39 +53,28 @@ def estimate_order(errors, hs, discard_coarsest=True):
 
 @dataclass
 class ConvergenceReport:
-    """Per-level errors with the fitted slope for one refinement study."""
+    """Per-level errors with the fitted slope and the order verdict of one refinement study."""
 
     name: str
     ns: list
     hs: list
     errors: list
     target: float
-    slope: float = 0.0
-    constant: float = 0.0
-    exact: bool = False
-    abs_cap: float | None = None
-    runtime: float = 0.0
-    passed: bool = False
+    slope: float
+    constant: float
+    exact: bool
+    passed: bool
 
     @staticmethod
-    def from_levels(name, ns, hs, errors, target, abs_cap=None, runtime=0.0):
+    def from_levels(name, ns, hs, errors, target, noise_floor=NOISE_FLOOR):
+        """The order verdict of a study of nominal order ``target``: exact, with slope inf, when every
+        error is at most ``noise_floor``; else a pass when the fitted slope is at least ``target - SLOPE_TOL``."""
         slope, constant, exact = estimate_order(errors, hs)
-        passed = exact or slope >= target - SLOPE_TOL
-        if abs_cap is not None:
-            passed = passed and (min(errors) <= abs_cap)
-        return ConvergenceReport(
-            name=name,
-            ns=list(int(n) for n in ns),
-            hs=list(float(h) for h in hs),
-            errors=list(float(e) for e in errors),
-            target=float(target),
-            slope=slope,
-            constant=constant,
-            exact=exact,
-            abs_cap=abs_cap,
-            runtime=runtime,
-            passed=bool(passed),
-        )
+        if max(errors) <= noise_floor:
+            slope, constant, exact = INF_SLOPE, 0.0, True
+        passed = bool(exact or slope >= target - SLOPE_TOL)
+        ns, hs, errors = [int(n) for n in ns], [float(h) for h in hs], [float(e) for e in errors]
+        return ConvergenceReport(name, ns, hs, errors, float(target), slope, constant, exact, passed)
 
     def partial_slopes(self):
         out = [""]
@@ -107,8 +97,6 @@ class ConvergenceReport:
             "constant": self.constant,
             "exact": self.exact,
             "target": self.target,
-            "abs_cap": self.abs_cap,
-            "runtime": self.runtime,
             "pass": self.passed,
         }
 
@@ -130,3 +118,9 @@ def dyadic_levels(n_finest, n_levels):
     if ns[-1] < 4:
         raise InsufficientLevels("coarsest level too small")
     return ns
+
+
+def refinement_study(name, measure, ns, target, noise_floor=NOISE_FLOOR):
+    """The report of ``measure(n) -> (error, mesh)`` at each grid size of ``ns``, under the order verdict."""
+    errors, hs = zip(*(measure(n) for n in ns))
+    return ConvergenceReport.from_levels(name, ns, hs, errors, target, noise_floor)

@@ -10,11 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .controls import Control
+from .convergence import dyadic_levels, refinement_study
 from .errors import ConfigError
+from .flatrde import DrivingField, rde_solve_flat
 from .linalg import SO3_BASIS, hat, so3_exp
 from .manifolds import ChartManifold, SO3, Sphere
 from .mcrp import ManifoldControlledPath, crp_from_projection, crp_from_smooth_curve
-from .mrde import ManifoldDrivingField
+from .mrde import ManifoldDrivingField, rde_solve_manifold
 from .roughpath import RoughPath, lift_smooth, pure_area_driver, time_lift
 
 SPHERE = Sphere()
@@ -197,6 +199,13 @@ def sphere_projection_flow(y0, speed, times):
     return np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * u
 
 
+def sphere_projection_rde(n):
+    """The projection field's solve from e_2 under ``linear_drive_driver(n)`` and its sup error against the flow."""
+    rp, y0 = linear_drive_driver(n), np.array([0.0, 1.0, 0.0])
+    sol = rde_solve_manifold(sphere_projection_field(), rp, y0)
+    return sol, float(np.max(np.linalg.norm(sol.points - sphere_projection_flow(y0, 1.0, rp.times), axis=1)))
+
+
 def so3_right_invariant_field():
     return ManifoldDrivingField.linear(SO3M, -SO3_BASIS, name="right-invariant")
 
@@ -212,6 +221,27 @@ def so3_left_invariant_field():
 
 # pure-area commutator system: dy = A_1 y dX^1 + A_2 y dX^2, solved by [e, 1/e]
 COMMUTATOR_MATS = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+
+
+def pure_area_commutator_error(n):
+    """The endpoint error of the Davie solve of the commutator system from (1, 1) against [e, 1/e]."""
+    sol = rde_solve_flat(DrivingField(matrices=COMMUTATOR_MATS), pure_area_fixture(n), np.array([1.0, 1.0]))
+    return float(np.max(np.abs(sol.values[-1] - np.array([np.e, 1.0 / np.e]))))
+
+
+# the refinement studies: name -> (the error against the oracle at grid size N, on the mesh 1/N; the nominal order)
+STUDIES = {
+    "sphere-projection-rde": (lambda n: sphere_projection_rde(n)[1], 2.0),
+    "pure-area-commutator": (pure_area_commutator_error, 1.0),
+}
+
+
+def run_study(name, levels=5):
+    """The named refinement study on N = 2^(5 + levels), halved down to N = 64."""
+    if not isinstance(name, str) or name not in STUDIES:
+        raise ConfigError(f"unknown convergence fixture {name!r}")
+    error, order = STUDIES[name]
+    return refinement_study(name, lambda n: (error(n), 1.0 / n), dyadic_levels(1 << (5 + levels), levels), order)
 
 
 def tangent_frame(m):
@@ -238,18 +268,18 @@ def sphere_observables():
 
 
 FIXTURES = {
-    "smooth-2d": {"kind": "driver", "p": 1.0, "build": smooth_2d_driver},
-    "pure-area": {"kind": "driver", "p": 2.0, "build": pure_area_fixture},
-    "linear-drive": {"kind": "driver", "p": 1.0, "build": linear_drive_driver},
-    "equator": {"kind": "mcrp", "p": 1.0, "build": equator_crp},
-    "latitude": {"kind": "mcrp", "p": 1.0, "build": latitude_crp},
-    "sphere-spiral": {"kind": "mcrp", "p": 1.0, "build": sphere_spiral_crp},
-    "polar-cap": {"kind": "mcrp", "p": 1.0, "build": polar_cap_crp},
-    "so3-curve": {"kind": "mcrp", "p": 1.0, "build": so3_curve_crp},
-    "flat3": {"kind": "mcrp", "p": 1.0, "build": flat3_crp},
-    "line-quadratic": {"kind": "mcrp", "p": 1.0, "build": line_quadratic_crp},
+    "smooth-2d": {"kind": "driver", "build": smooth_2d_driver},
+    "pure-area": {"kind": "driver", "build": pure_area_fixture},
+    "linear-drive": {"kind": "driver", "build": linear_drive_driver},
+    "equator": {"kind": "mcrp", "build": equator_crp},
+    "latitude": {"kind": "mcrp", "build": latitude_crp},
+    "sphere-spiral": {"kind": "mcrp", "build": sphere_spiral_crp},
+    "polar-cap": {"kind": "mcrp", "build": polar_cap_crp},
+    "so3-curve": {"kind": "mcrp", "build": so3_curve_crp},
+    "flat3": {"kind": "mcrp", "build": flat3_crp},
+    "line-quadratic": {"kind": "mcrp", "build": line_quadratic_crp},
     # on its own grid: the builder takes no size
-    "example-6.7": {"kind": "fixed-mcrp", "p": 2.0, "build": lambda eps=0.01, p=2.0: example_67_crp(eps, p)},
+    "example-6.7": {"kind": "fixed-mcrp", "build": lambda eps=0.01, p=2.0: example_67_crp(eps, p)},
 }
 
 

@@ -173,28 +173,15 @@ def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p, strides=
     return cs2[0], cs1[0], worst, probed, (cs2, cs1)
 
 
-def default_probe_delta(y: ManifoldControlledPath):
-    """A quarter of the gauge-ball radius divided by the measured path speed."""
-    radius = y.manifold.gauge_radius
-    if not np.isfinite(radius):
-        return float(y.times[-1] - y.times[0])
-    flat = y.flat_points()
-    speed = float(
-        np.max(np.linalg.norm(np.diff(flat, axis=0), axis=-1) / np.maximum(np.diff(y.times), 1e-300))
-    )
-    if speed <= 0:
-        return float(y.times[-1] - y.times[0])
-    return min(float(y.times[-1] - y.times[0]), 0.25 * radius / speed)
-
-
 def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
     """Largest time gap whose probed pairs all stay inside the gauge domain.
 
-    Used by the equivalence suites to realize the existential delta of the
+    The verifiers' default delta: it realizes the existential delta of the
     gauge definition on loops, where the full horizon would probe pairs beyond
-    the injectivity ball.  Raises ``DomainError`` when even adjacent samples
-    leave the gauge ball.  The gaps are read in blocks of fewer than
-    ``pairs.BLOCK_PAIRS`` pairs.
+    the injectivity ball.  A chart gauge reads every pair, and so does a chart
+    parallelism, which ``ControlledOneForm.verify`` passes for ``gauge``.
+    Raises ``DomainError`` when even adjacent samples leave the gauge ball.
+    The gaps are read in blocks of fewer than ``pairs.BLOCK_PAIRS`` pairs.
     """
     horizon = float(y.times[-1] - y.times[0])
     if gauge.chart is not None:
@@ -229,12 +216,13 @@ def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None, levels
     slope under refinement stays above -0.25.  The remainder and derivative
     verdicts are reported separately (the degenerate-control fixture has a
     finite remainder constant at delta = 1/2 while its derivative process is
-    not controlled at all).  A delta below every grid step raises ``DomainError``,
-    a gauge of another manifold ``GaugeMismatch``.
+    not controlled at all).  ``delta`` defaults to ``domain_feasible_delta``.  A
+    delta below every grid step raises ``DomainError``, a gauge of another manifold
+    ``GaugeMismatch``.
     """
     gauge.par.check_manifold(y.manifold)
     if delta is None:
-        delta = default_probe_delta(y)
+        delta = domain_feasible_delta(y, gauge)
     strides, hs = dyadic_strides(y.times, levels, 8)
     _, _, worst, pairs_probed, (cs2, cs1) = _gauge_constants(y, gauge, delta, y.driver.control.p, strides)
     check_probed(pairs_probed, delta, y.times)

@@ -9,7 +9,7 @@ import numpy as np
 from .controlled import ControlledPath, check_probed, check_same_grid, dyadic_ladder, dyadic_strides, stability_verdict
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor
-from .mcrp import ManifoldControlledPath, crp_pushforward, default_probe_delta
+from .mcrp import ManifoldControlledPath, crp_pushforward, domain_feasible_delta
 from .pairs import by_grid, on_grids, pair_sup, ratio, triple_defect
 from .sewing import rough_integrate
 
@@ -57,10 +57,11 @@ class ControlledOneForm:
         Remainder: |alpha_t o U(y_t, y_s) - alpha_s - alpha'_s(x_{s,t} (x) .)|
         measured in the Frobenius norm over probed pairs; derivative:
         |alpha'_t o (I (x) U(y_t, y_s)) - alpha'_s|.  Every dyadic level comes
-        from one pair sweep; a delta below every grid step raises ``DomainError``.
+        from one pair sweep.  ``delta`` defaults to the path's ``domain_feasible_delta``
+        under this form's parallelism; a delta below every grid step raises ``DomainError``.
         """
         if delta is None:
-            delta = default_probe_delta(self.path)
+            delta = domain_feasible_delta(self.path, self.parallelism)
         strides, hs = dyadic_strides(self.times, levels, 8)
         _, _, _, probed, (cs2, cs1) = self._pair_constants(delta, self.path.driver.control.p, strides)
         check_probed(probed, delta, self.times)

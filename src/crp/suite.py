@@ -8,11 +8,11 @@ import numpy as np
 
 from . import fixtures as fx
 from .controlled import ControlledPath, driver_as_controlled
-from .convergence import estimate_order
+from .convergence import NOISE_FLOOR, SLOPE_TOL, dyadic_levels, refinement_study
 from .errors import ConfigError
 from .flatrde import DrivingField, rde_solve_flat
-from .gauges import chart_gauge, compatibility_tensor, connection_gauge, standard_gauge, torsion_check
-from .linalg import hat
+from .gauges import Gauge, chart_gauge, compatibility_tensor, connection_gauge, standard_gauge, torsion_check
+from .linalg import SO3_BASIS, hat
 from .manifolds import ChartManifold
 from .mcrp import domain_feasible_delta, ratio_at_pair, scalar_test_suite, verify_chart_crp, verify_gauge_crp
 from .mrde import (
@@ -62,11 +62,26 @@ def _check(name, value, tol, mode="le"):
     return {"check": name, "value": float(value), "tolerance": float(tol), "mode": mode, "pass": bool(ok)}
 
 
-def _slope_check(name, errors, hs, target, noise_floor=1e-12):
-    slope, _, exact = estimate_order(errors, hs)
-    if exact or max(errors) <= noise_floor:
-        return {"check": name, "value": float("inf"), "tolerance": target, "mode": "ge", "pass": True, "exact": True}
-    return {"check": name, "value": float(slope), "tolerance": float(target), "mode": "ge", "pass": bool(slope >= target)}
+def _order_check(name, report):
+    """The row of a study's order verdict: its fitted slope, inf when exact, against target - SLOPE_TOL."""
+    row = {**_check(name, report.slope, report.target - SLOPE_TOL, mode="ge"), "pass": report.passed}
+    return {**row, "exact": True} if report.exact else row
+
+
+def _study_check(name, measure, ns, order, noise_floor=NOISE_FLOOR):
+    """The order row of ``measure(n) -> (error, mesh)`` at the grid sizes ``ns``."""
+    return _order_check(name, refinement_study(name, measure, ns, order, noise_floor))
+
+
+def _ladder_check(name, ladder, fine_n, order, noise_floor=NOISE_FLOOR):
+    """The order row of a dyadic defect ladder [(mesh, defect)] down from ``fine_n`` steps, finest first."""
+    ns = dyadic_levels(fine_n, len(ladder))
+    return _study_check(name, lambda n: ladder[ns.index(n)][::-1], ns, order, noise_floor)
+
+
+def _mesh(y):
+    """The largest step of a path's grid."""
+    return float(np.max(np.diff(y.times)))
 
 
 def _area_form(m):
@@ -121,7 +136,7 @@ def criterion_02_sewing_order():
         gb = np.array([[0.0, 1.0], [a, np.cos(b)]])
         ad[i] = np.stack([ga, gb], axis=-1)
     levels = defect_by_level(ControlledPath(rp.times, av, ad), x, rp, levels=5)
-    checks.append(_slope_check("flat-defect-smooth", [e for _, e in levels], [h for h, _ in levels], 3.0 - 0.25))
+    checks.append(_ladder_check("flat-defect-smooth", levels, 256, 3.0))
 
     # flat, pure-area driver (p = 2)
     rp2 = fx.pure_area_fixture(256)
@@ -134,14 +149,13 @@ def criterion_02_sewing_order():
     ad2[:, 0, 0] = sol.derivative[:, 0]
     ad2[:, 1, 1] = sol.derivative[:, 1]
     levels = defect_by_level(ControlledPath(rp2.times, av2, ad2), sol, rp2, levels=5)
-    checks.append(_slope_check("flat-defect-pure-area", [e for _, e in levels], [h for h, _ in levels], 1.5 - 0.25))
+    checks.append(_ladder_check("flat-defect-pure-area", levels, 256, 1.5))
 
     # gauge integrator, smooth sphere path (p = 1)
     y = fx.sphere_spiral_crp(256)
     g = connection_gauge(SPHERE)
     a = oneform_from_smooth(_area_form, y, g.par)
-    levels = gauge_defect_by_level(a, y, g, levels=5)
-    checks.append(_slope_check("gauge-defect-smooth", [e for _, e in levels], [h for h, _ in levels], 3.0 - 0.25))
+    checks.append(_ladder_check("gauge-defect-smooth", gauge_defect_by_level(a, y, g, levels=5), 256, 3.0))
 
     # gauge integrator along a pure-area development (p = 2); the start point
     # sits away from the chart center so the connection genuinely acts
@@ -151,11 +165,7 @@ def criterion_02_sewing_order():
     yroll, _ = roll(driver_as_controlled(rp3), rp3, SPHERE, o, u0)
     a3 = oneform_from_smooth(_area_form, yroll, g.par)
     levels = gauge_defect_by_level(a3, yroll, g, levels=5)
-    checks.append(
-        _slope_check(
-            "gauge-defect-pure-area", [e for _, e in levels], [h for h, _ in levels], 1.5 - 0.25, noise_floor=1e-10
-        )
-    )
+    checks.append(_ladder_check("gauge-defect-pure-area", levels, 256, 1.5, noise_floor=1e-10))
     return checks
 
 
@@ -177,19 +187,42 @@ def criterion_03_example_67():
 
 
 def criterion_04_gauge_independence():
-    """Levi-Civita vs stereographic-chart gauge integrals agree."""
+    """Gauge integrals agree: Levi-Civita against a stereographic chart gauge, and, through the
+    compatibility term S, against the mixed gauge (chart logarithm, Levi-Civita parallelism) and, on
+    SO(3), where S is half the torsion, against a chart gauge."""
     conn = connection_gauge(SPHERE)
     chartg = chart_gauge(SPHERE, SPHERE.charts()[0])
-    errs, hs = [], []
-    for n in (128, 256, 512, 1024):
-        y = fx.sphere_spiral_crp(n, T=np.pi / 2)
-        z1 = integrate_smooth_oneform(_area_form, y, conn)
-        z2 = integrate_smooth_oneform(_area_form, y, chartg)
-        errs.append(float(np.max(np.abs(z1.values - z2.values))))
-        hs.append(float(np.max(np.diff(y.times))))
+
+    ns = (128, 256, 512, 1024)
+    paths = {n: fx.sphere_spiral_crp(n, T=np.pi / 2) for n in ns}  # built once for both studies
+
+    def gap(gauge, n):
+        z1, z2 = (integrate_smooth_oneform(_area_form, paths[n], g) for g in (conn, gauge))
+        return float(np.max(np.abs(z1.values - z2.values))), _mesh(paths[n])
+
+    mixed = Gauge(SPHERE, chartg.log, conn.par)
+    chart_study = refinement_study("inter-gauge", lambda n: gap(chartg, n), ns, 2.0)
+    mixed_study = refinement_study("mixed-gauge", lambda n: gap(mixed, n), ns, 2.0)
+
+    # a right-invariant field in two algebra directions, driven by pure area from I, moves only along
+    # their bracket; without S the two integrals differ by about 0.36 at every N, with it by rounding
+    field = ManifoldDrivingField.linear(SO3M, -SO3_BASIS[:2])
+    so3_gauges = (connection_gauge(SO3M), chart_gauge(SO3M, SO3M.chart_at(np.eye(3))))
+
+    def so3_form(g):
+        return np.array([[g[0, 1], g[1, 2], g[2, 0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]) + 0.1
+
+    def so3_gap(n):
+        sol = rde_solve_manifold(field, fx.pure_area_fixture(n), np.eye(3))
+        z1, z2 = (integrate_smooth_oneform(so3_form, sol, g) for g in so3_gauges)
+        return float(np.max(np.abs(z1.values - z2.values)))
+
     return [
-        _check("inter-gauge-diff-at-2^10", errs[-1], 1e-5),
-        _slope_check("inter-gauge-slope", errs, hs, 2.0 - 0.25),
+        _check("inter-gauge-diff-at-2^10", chart_study.errors[-1], 1e-5),
+        _order_check("inter-gauge-slope", chart_study),
+        _check("mixed-gauge-diff-at-2^10", mixed_study.errors[-1], 1e-5),
+        _order_check("mixed-gauge-slope", mixed_study),
+        _check("half-torsion-so3-sup", max(so3_gap(n) for n in (64, 128, 256, 512)), 1e-10),
     ]
 
 
@@ -233,16 +266,16 @@ def criterion_06_push_pull_associativity():
     rep = push_pull_check(lambda m: m, lambda m: np.eye(3), _area_form, y, g, g, SPHERE)
     checks.append(_check("pushpull-identity", rep["diff_sup"], 1e-12))
 
-    errs, hs = [], []
-    for n in (128, 256, 512, 1024):
+    def radial_gap(n):
         yf = fx.flat3_crp(n, T=np.pi / 2)
-        repn = push_pull_check(
+        rep = push_pull_check(
             _radial, _radial_jac, lambda m: np.array([[0.0, 0.0, 1.0]]), yf, standard_gauge(fx.FLAT3), g, SPHERE
         )
-        errs.append(repn["diff_sup"])
-        hs.append(float(np.max(np.diff(yf.times))))
-    checks.append(_check("pushpull-radial-at-2^10", errs[-1], 1e-5))
-    checks.append(_slope_check("pushpull-radial-slope", errs, hs, 2.0 - 0.25))
+        return rep["diff_sup"], _mesh(yf)
+
+    radial = refinement_study("pushpull-radial", radial_gap, (128, 256, 512, 1024), 2.0)
+    checks.append(_check("pushpull-radial-at-2^10", radial.errors[-1], 1e-5))
+    checks.append(_order_check("pushpull-radial-slope", radial))
 
     line = ChartManifold(1, radius=10.0)
     ylat = fx.latitude_crp(1024, theta=np.pi / 4, T=np.pi)
@@ -296,12 +329,7 @@ def criterion_07_rde_correctness():
     """Manifold and flat RDE solves against their oracles, and their push-forwards along related fields."""
     checks = []
     # S^2 projection field vs its closed-form flow (sup over the grid)
-    speed = 1.0
-    n = 1024
-    rp = fx.linear_drive_driver(n, speed=speed)
-    sol = rde_solve_manifold(fx.sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]))
-    oracle = fx.sphere_projection_flow(np.array([0.0, 1.0, 0.0]), speed, rp.times)
-    sup = float(np.max(np.linalg.norm(sol.points - oracle, axis=1)))
+    sol, sup = fx.sphere_projection_rde(1024)
     checks.append(_check("sphere-projection-sup-vs-rk4", sup, 1e-6))
     drift = float(np.max(np.abs(np.linalg.norm(sol.points, axis=1) - 1.0)))
     checks.append(_check("sphere-unit-drift", drift, 1e-9))
@@ -320,14 +348,8 @@ def criterion_07_rde_correctness():
     sol3 = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rp3, np.array([1.0, 1.0]), scheme="exp")
     err3 = float(np.max(np.abs(sol3.values[-1] - np.array([np.e, 1.0 / np.e]))))
     checks.append(_check("pure-area-commutator-closed-form", err3, 1e-6))
-    # the default additive scheme keeps its stated global order on this fixture
-    errs, hs = [], []
-    for nn in (128, 256, 512, 1024):
-        rpn = fx.pure_area_fixture(nn)
-        soln = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rpn, np.array([1.0, 1.0]))
-        errs.append(float(np.max(np.abs(soln.values[-1] - np.array([np.e, 1.0 / np.e])))))
-        hs.append(1.0 / nn)
-    checks.append(_slope_check("pure-area-davie-global-order", errs, hs, 0.75))
+    # the default additive scheme keeps its stated global order on this fixture: `crp convergence`'s study
+    checks.append(_order_check("pure-area-davie-global-order", fx.run_study("pure-area-commutator")))
 
     # push-forwards of solutions along related fields: g -> g e3 relates the right-invariant
     # field on SO(3) to the minus-cross field on the sphere
@@ -340,13 +362,13 @@ def criterion_07_rde_correctness():
     checks.append(_check("so3-to-sphere-pushforward", rep4["diff_sup"], 1e-6))
     # the radial projection relates |x| dx on R^3 to the sphere's projection field
     radial_field = ManifoldDrivingField(ChartManifold(3, radius=50.0), lambda x: np.linalg.norm(x) * np.eye(3))
-    errs, hs = [], []
-    for nn in (64, 128, 256, 512):
-        soln = rde_solve_manifold(radial_field, fx.linear_drive_driver(nn, speed=0.5), np.array([0.0, 1.0, 0.0]))
-        repn = f_related_pushforward(_radial, _radial_jac, radial_field, fx.sphere_projection_field(), soln)
-        errs.append(repn["diff_sup"])
-        hs.append(1.0 / nn)
-    checks.append(_slope_check("radial-pushforward-slope", errs, hs, 2.0 - 0.25))
+
+    def pushforward_gap(n):
+        soln = rde_solve_manifold(radial_field, fx.linear_drive_driver(n, speed=0.5), np.array([0.0, 1.0, 0.0]))
+        rep = f_related_pushforward(_radial, _radial_jac, radial_field, fx.sphere_projection_field(), soln)
+        return rep["diff_sup"], 1.0 / n
+
+    checks.append(_study_check("radial-pushforward-slope", pushforward_gap, (64, 128, 256, 512), 2.0))
     return checks
 
 
@@ -449,34 +471,33 @@ def criterion_10_transport():
     checks.append(_check("latitude-holonomy", abs(angle - want), 1e-6))
 
     # a closed geodesic through a chart switch has zero holonomy
-    ygs = [fx.tilted_great_circle_crp(n) for n in (64, 128, 256, 512)]
-    errs = [abs(parallel_translate_frame(yg, fx.tangent_frame(yg.points[0])).holonomy_angle()) for yg in ygs]
-    hs = [float(np.max(np.diff(yg.times))) for yg in ygs]
-    checks.append(_slope_check("great-circle-holonomy-slope", errs, hs, 1.75))
+    def holonomy(n):
+        yg = fx.tilted_great_circle_crp(n)
+        return abs(parallel_translate_frame(yg, fx.tangent_frame(yg.points[0])).holonomy_angle()), _mesh(yg)
 
-    # roll(unroll) roundtrip on a smooth path
-    errs, hs = [], []
-    for n in (128, 256, 512, 1024):
+    checks.append(_study_check("great-circle-holonomy-slope", holonomy, (64, 128, 256, 512), 2.0))
+
+    # roll(unroll) roundtrip on a smooth path, of order 3/p - 1 at p = 1
+    def roll_unroll(n):
         ys = fx.sphere_spiral_crp(n, T=np.pi)
         u0s = fx.tangent_frame(ys.points[0])
-        z, lf = unroll(ys, u0s)
-        y2, _ = roll(z, ys.driver, SPHERE, ys.points[0], u0s)
-        errs.append(float(np.max(np.linalg.norm(ys.flat_points() - y2.flat_points(), axis=1))))
-        hs.append(float(np.max(np.diff(ys.times))))
-    checks.append(_slope_check("roll-unroll-roundtrip-slope", errs, hs, 1.75))  # 3/p - 1 - 0.25 at p = 1
+        y2, _ = roll(unroll(ys, u0s)[0], ys.driver, SPHERE, ys.points[0], u0s)
+        return float(np.max(np.linalg.norm(ys.flat_points() - y2.flat_points(), axis=1))), _mesh(ys)
 
-    # unroll(roll) roundtrip on a pure-area driver
-    errs2, hs2 = [], []
+    checks.append(_study_check("roll-unroll-roundtrip-slope", roll_unroll, (128, 256, 512, 1024), 2.0))
+
+    # unroll(roll) roundtrip on a pure-area driver, of order 3/p - 1 at p = 2
     o = np.array([0.0, 1.0, 0.0])
     u0o = fx.tangent_frame(o)
-    for n in (64, 128, 256, 512):
+
+    def unroll_roll(n):
         rpn = fx.pure_area_fixture(n)
         zn = driver_as_controlled(rpn)
         yy, ll = roll(zn, rpn, SPHERE, o, u0o)
         back, _ = unroll(yy, u0o, lift=ll)
-        errs2.append(float(np.max(np.abs(back.values - zn.values))))
-        hs2.append(1.0 / n)
-    checks.append(_slope_check("unroll-roll-pure-area-slope", errs2, hs2, 1.5 - 1.0 - 0.25, noise_floor=1e-10))
+        return float(np.max(np.abs(back.values - zn.values))), 1.0 / n
+
+    checks.append(_study_check("unroll-roll-pure-area-slope", unroll_roll, (64, 128, 256, 512), 0.5, noise_floor=1e-10))
 
     # Maurer-Cartan duality
     grid = np.linspace(0.0, 1.0, 513)
@@ -490,41 +511,27 @@ def criterion_10_transport():
 
     # rolled-integral equality
     g = connection_gauge(SPHERE)
-    errs3, hs3 = [], []
-    for n in (128, 256, 512, 1024):
+
+    def rolled_gap(n):
         ys = fx.sphere_spiral_crp(n, T=np.pi / 2)
         a = oneform_from_smooth(_area_form, ys, g.par)
-        rep = rolled_integral_check(a, ys, g, fx.tangent_frame(ys.points[0]))
-        errs3.append(rep["diff_sup"])
-        hs3.append(float(np.max(np.diff(ys.times))))
-    checks.append(_check("rolled-integral-at-2^10", errs3[-1], 1e-5))
-    checks.append(_slope_check("rolled-integral-slope", errs3, hs3, 1.75))
+        return rolled_integral_check(a, ys, g, fx.tangent_frame(ys.points[0]))["diff_sup"], _mesh(ys)
+
+    rolled = refinement_study("rolled-integral", rolled_gap, (128, 256, 512, 1024), 2.0)
+    checks.append(_check("rolled-integral-at-2^10", rolled.errors[-1], 1e-5))
+    checks.append(_order_check("rolled-integral-slope", rolled))
     return checks
 
 
 def criterion_11_determinism():
     """Identical configs render byte-identical report bundles."""
     from .serialize import canonical_json, render_csv
-    from .convergence import CONVERGENCE_CSV_HEADER, ConvergenceReport
+    from .convergence import CONVERGENCE_CSV_HEADER
 
     def build_once():
-        y = fx.example_67_crp()
-        chart = fx.LINE.charts()[0]
-        rep = verify_chart_crp(y, chart)
-        errs, hs, ns = [], [], []
-        for n in (64, 128, 256):
-            rpn = fx.pure_area_fixture(n)
-            soln = rde_solve_flat(DrivingField(matrices=fx.COMMUTATOR_MATS), rpn, np.array([1.0, 1.0]))
-            errs.append(float(np.max(np.abs(soln.values[-1] - np.array([np.e, 1.0 / np.e])))))
-            hs.append(1.0 / n)
-            ns.append(n)
-        conv = ConvergenceReport(
-            name="determinism-probe", ns=ns, hs=hs, errors=errs, target=0.75, slope=0.0, runtime=0.0
-        )
-        doc = {
-            "verify": {k: v for k, v in rep.items() if k not in ("levels",)},
-            "convergence": conv.to_json(),
-        }
+        rep = verify_chart_crp(fx.example_67_crp(), fx.LINE.charts()[0])
+        conv = fx.run_study("pure-area-commutator", levels=4)
+        doc = {"verify": {k: v for k, v in rep.items() if k != "levels"}, "convergence": conv.to_json()}
         return canonical_json(doc) + render_csv(CONVERGENCE_CSV_HEADER, conv.csv_rows())
 
     a = build_once()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
-from crp import DomainError, InsufficientLevels, ShapeError
-from crp.convergence import ConvergenceReport, dyadic_levels, estimate_order
+from crp import ConfigError, DomainError, InsufficientLevels, ShapeError
+from crp.convergence import SLOPE_TOL, ConvergenceReport, dyadic_levels, estimate_order, refinement_study
+from crp.fixtures import run_study
 
 
 def test_exact_power_law_recovered():
@@ -118,11 +119,42 @@ def test_convergence_report_roundtrip_and_csv():
     assert rows[1][4] != ""
 
 
-def test_convergence_report_abs_cap():
-    rep = ConvergenceReport.from_levels(
-        "probe", [64, 128, 256, 512], [1 / 64, 1 / 128, 1 / 256, 1 / 512], [4.0, 1.0, 0.25, 0.0625], 2.0, abs_cap=1e-3
-    )
-    assert not rep.passed  # slope fine but finest error above the cap
+def test_errors_at_the_noise_floor_are_exact_at_any_slope():
+    # an error family that grows under refinement, but only in rounding: exact, slope inf, a pass
+    ns, errors = [64, 128, 256, 512], [1e-15, 2e-15, 4e-15, 1e-12]
+    rep = ConvergenceReport.from_levels("probe", ns, [1.0 / n for n in ns], errors, 2.0)
+    assert rep.exact and rep.passed and rep.slope == float("inf") and rep.constant == 0.0
+    # the same family above a lower floor is fitted, and its negative slope fails
+    rep = ConvergenceReport.from_levels("probe", ns, [1.0 / n for n in ns], errors, 2.0, noise_floor=1e-13)
+    assert not rep.exact and not rep.passed and rep.slope < 0
+
+
+def test_order_verdict_passes_at_the_nominal_order_less_the_tolerance():
+    hs = np.array([1 / 64, 1 / 128, 1 / 256, 1 / 512])
+    for slope, passed in ((2.0 - SLOPE_TOL + 0.01, True), (2.0 - SLOPE_TOL - 0.01, False)):
+        rep = ConvergenceReport.from_levels("probe", [64, 128, 256, 512], hs, 3.0 * hs**slope, 2.0)
+        assert rep.passed is passed and abs(rep.slope - slope) < 1e-12
+
+
+def test_refinement_study_measures_each_grid_size_in_order():
+    seen = []
+
+    def measure(n):
+        seen.append(n)
+        return 5.0 / n**2, 1.0 / n
+
+    rep = refinement_study("probe", measure, [512, 256, 128, 64], 2.0)
+    assert seen == [512, 256, 128, 64] and rep.ns == seen and rep.hs == [1.0 / n for n in seen]
+    assert rep.errors == [5.0 / n**2 for n in seen] and rep.passed and abs(rep.slope - 2.0) < 1e-12
+    assert set(rep.to_json()) == {"name", "levels", "slope", "constant", "exact", "target", "pass"}
+
+
+def test_named_studies_run_on_dyadic_levels_down_to_64():
+    rep = run_study("pure-area-commutator", levels=4)
+    assert rep.name == "pure-area-commutator" and rep.ns == [512, 256, 128, 64] and rep.target == 1.0
+    assert rep.passed and rep.slope >= 1.0 - SLOPE_TOL
+    with pytest.raises(ConfigError):
+        run_study("nope")
 
 
 def test_dyadic_levels():

@@ -100,6 +100,18 @@ class TestGaugeVerifier:
         rep = verify_gauge_crp(y, connection_gauge(y.manifold))
         assert rep["pass"]
 
+    def test_gauge_and_oneform_verifiers_default_to_the_domain_feasible_delta(self):
+        from crp.mcrp import domain_feasible_delta
+        from crp.oneforms import oneform_from_smooth
+
+        y = equator_crp(64)
+        conn, chart = connection_gauge(SPHERE), chart_gauge(SPHERE, SPHERE.charts()[0])
+        # the loop leaves the geodesic ball within its horizon; a chart gauge reads every pair
+        assert domain_feasible_delta(y, conn) < domain_feasible_delta(y, chart) == y.times[-1] - y.times[0]
+        for gauge in (conn, chart):
+            form = oneform_from_smooth(lambda m: np.array([[-m[1], m[0], 0.0]]), y, gauge.par)
+            assert verify_gauge_crp(y, gauge)["delta"] == form.verify()["delta"] == domain_feasible_delta(y, gauge)
+
     def test_domain_error_names_pair(self):
         # near-antipodal pair on the sphere exits the gauge ball
         grid = np.linspace(0.0, np.pi * 0.995, 65)

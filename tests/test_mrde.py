@@ -10,6 +10,7 @@ from crp.fixtures import (
     SPHERE,
     linear_drive_driver,
     smooth_2d_driver,
+    so3_constant_driver,
     sphere_projection_field,
     sphere_projection_flow,
     so3_left_invariant_field,
@@ -132,22 +133,9 @@ def test_manifold_drift_bounded_by_second_order():
         assert np.max(sol.manifold.off_manifold(sol.points)) <= max(1e-12, 2.0 * (1.0 / n) ** 2)
 
 
-def so3_time_driver(n, a0):
-    """Driver z(t) = t a0 in R^3 (algebra coordinates)."""
-    grid = np.linspace(0.0, 1.0, n + 1)
-    pts = np.outer(grid, a0)
-    dx = np.diff(pts, axis=0)
-    areas = 0.5 * np.einsum("ia,ib->iab", dx, dx)
-    from crp.controls import Control
-    from crp.roughpath import RoughPath
-
-    c = max(np.linalg.norm(a0), np.linalg.norm(a0) ** 2)
-    return RoughPath(grid, pts, areas, Control.time_scale(c, 1.0))
-
-
 def test_so3_constant_direction_matches_matrix_exponential():
     a0 = (np.pi / 2) * np.array([0.0, 0.0, 1.0])
-    rp = so3_time_driver(1024, a0)
+    rp = so3_constant_driver(1024, a0)
     sol = rde_solve_manifold(so3_right_invariant_field(), rp, np.eye(3))
     oracle = expm(-hat(a0))
     assert np.max(np.abs(sol.points[-1] - oracle)) <= 1e-9
@@ -159,7 +147,7 @@ def test_so3_constant_direction_matches_matrix_exponential():
 def test_so3_left_invariant_field_matches_matrix_exponential():
     # dg = g hat(dx) with x = t a0 has the solution g(t) = g0 expm(t hat(a0))
     a0 = (np.pi / 2) * np.array([0.0, 0.0, 1.0])
-    sol = rde_solve_manifold(so3_left_invariant_field(), so3_time_driver(1024, a0), np.eye(3))
+    sol = rde_solve_manifold(so3_left_invariant_field(), so3_constant_driver(1024, a0), np.eye(3))
     assert np.max(np.abs(sol.points[-1] - expm(hat(a0)))) <= 1e-9
     assert np.max(np.abs(sol.points[-1] - expm(-hat(a0)))) > 1.0  # not the right-invariant solution
     # from a g0 that does not commute with hat(a0) the chart-patched scheme is not exact:
@@ -168,7 +156,7 @@ def test_so3_left_invariant_field_matches_matrix_exponential():
     ns = [64, 128, 256, 512]
     errs = []
     for n in ns:
-        sol = rde_solve_manifold(so3_left_invariant_field(), so3_time_driver(n, a0), g0)
+        sol = rde_solve_manifold(so3_left_invariant_field(), so3_constant_driver(n, a0), g0)
         errs.append(max(np.max(np.abs(g - g0 @ expm(t * hat(a0)))) for t, g in zip(sol.times, sol.points)))
     slope, _, exact = estimate_order(errs, 1.0 / np.array(ns))
     assert exact or slope >= 2.0 - 0.25
@@ -431,7 +419,7 @@ class TestRelatedSystems:
         # rotate-and-project: g -> g e3 relates the right-invariant system to
         # the cross-product system on the sphere
         a0 = 0.9 * np.array([0.4, -0.3, 0.6])
-        rp = so3_time_driver(512, a0)
+        rp = so3_constant_driver(512, a0)
         fso3 = so3_right_invariant_field()
         sol = rde_solve_manifold(fso3, rp, np.eye(3))
 

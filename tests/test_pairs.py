@@ -115,7 +115,8 @@ def _case(name):
         "line-quadratic": lambda: fx.line_quadratic_crp(48),
         "flat3": lambda: fx.flat3_crp(48),
     }[name]()
-    return y, connection_gauge(y.manifold), mcrp.default_probe_delta(y)
+    gauge = connection_gauge(y.manifold)
+    return y, gauge, mcrp.domain_feasible_delta(y, gauge)
 
 
 def _constants(y, form, gauge, delta):
@@ -230,7 +231,7 @@ def _ladder_case(name):
         gauge = connection_gauge(fx.SPHERE)
         form = oneforms.oneform_from_smooth(lambda m: np.sin(m)[None, :], y, gauge.par)
         y.points[20, 0] = np.nan
-        return y, gauge, mcrp.default_probe_delta(fx.sphere_spiral_crp(48)), form
+        return y, gauge, mcrp.domain_feasible_delta(fx.sphere_spiral_crp(48), gauge), form
     if name == "delta-half":
         y, gauge, _ = _case("sphere-spiral")
         delta = 0.5

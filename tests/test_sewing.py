@@ -134,7 +134,14 @@ def test_two_partition_consistency_slope():
 
 
 def test_integrate_against_driver_matches_theorem_form():
-    alpha, x, rp = smooth_fixture(64)
-    z1 = rough_integrate(alpha, driver_as_controlled(rp), rp)
-    z2 = rough_integrate(alpha, x, rp)
-    assert np.allclose(z1.values, z2.values, atol=1e-14)
+    # alpha = [0, x^1] with alpha' = d/dx^1 integrates against the driver, by Chen, to exactly
+    # x^1_0 (x^2_T - x^2_0) + X^12_{0,T}, the area by the left fold of the step areas
+    _, x, rp = smooth_fixture(64)
+    n1 = rp.times.size
+    av = np.zeros((n1, 1, 2))
+    av[:, 0, 1] = rp.values[:, 0]
+    ad = np.zeros((n1, 1, 2, 2))
+    ad[:, 0, 1, 0] = 1.0
+    z = rough_integrate(ControlledPath(rp.times, av, ad), x, rp)
+    want = rp.values[0, 0] * (rp.values[-1, 1] - rp.values[0, 1]) + rp.area(0, n1 - 1)[0, 1]
+    assert abs(z.values[-1, 0] - want) <= 1e-12
