@@ -8,7 +8,7 @@ import numpy as np
 
 from .controls import Control
 from .errors import DomainError, GridMismatch, InvalidGrid, ShapeError
-from .pairs import DELTA_SLACK, ZERO_NUM_TOL, by_grid, on_grids, pair_sup, ratio
+from .pairs import ZERO_NUM_TOL, control_sups
 from .roughpath import RoughPath, _calibrate_control
 
 
@@ -103,40 +103,22 @@ def associated_roughpath(z: ControlledPath, rp: RoughPath) -> RoughPath:
 # -- verification ----------------------------------------------------------------
 
 
-def _pair_constants(times, values, derivative, rp: RoughPath, p, delta=None, sub_deltas=(), strides=(1,)):
-    """Smallest constants for the two controlled-path inequalities on this grid.
-
-    Returns ``(C_remainder, C_derivative, worst pair, pairs probed, levels, by_sub)``,
-    all from one pair sweep: ``levels`` holds both constants' lists over the
-    ``on_grids`` strides, ``by_sub[m]`` the remainder constant over the probed
-    pairs with t - s <= sub_deltas[m], the same rounded test as the probe horizon.
-    """
+def _pair_constants(times, values, derivative, rp: RoughPath, delta=None, strides=(1,)):
+    """``(C_remainder, C_derivative, worst pair, pairs probed, (C_remainders, C_derivatives))`` of one
+    sweep of the controlled-path inequalities under ``rp``'s control, the lists over the ``on_grids`` strides."""
     n = times.size - 1
     flat_vals = values.reshape(n + 1, -1)
     flat_dag = derivative.reshape(n + 1, -1, derivative.shape[-1])
 
-    def residuals(i, j):
-        om = rp.control.omega(times.take(i), times.take(j))
+    def norms(i, j):
         dag_i = flat_dag.take(i, axis=0)
         rem = flat_vals.take(j, axis=0) - flat_vals.take(i, axis=0)
         rem -= np.einsum("nva,na->nv", dag_i, rp.values.take(j, axis=0) - rp.values.take(i, axis=0))
         rn = np.linalg.norm(rem, axis=-1)
-        dn = np.linalg.norm((flat_dag.take(j, axis=0) - dag_i).reshape(i.size, -1), axis=-1)
-        r2, r1 = ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
-        dt = times.take(j) - times.take(i)
-        sub = (r2[dt <= d + DELTA_SLACK] for d in sub_deltas)
-        return (*on_grids(strides, i, j, r2, r1), *sub)
+        return rn, np.linalg.norm((flat_dag.take(j, axis=0) - dag_i).reshape(i.size, -1), axis=-1)
 
-    sups, worst, probed = pair_sup(times, delta, residuals)
-    cs_rem, cs_der = by_grid(sups, strides)
-    by_sub = [sups[2 * len(strides) + m] for m in range(len(sub_deltas))]
-    return cs_rem[0], cs_der[0], worst, probed, (cs_rem, cs_der), by_sub
-
-
-def check_probed(probed, delta, times):
-    """A verifier's sweep that probed no pair raises ``DomainError``: a sup over no pair certifies nothing."""
-    if probed == 0:
-        raise DomainError(f"no grid pair within delta = {delta:.6g}: the smallest step is {np.min(np.diff(times)):.6g}")
+    cs_rem, cs_der, worst, probed = control_sups(times, rp.control, delta, norms, strides)
+    return cs_rem[0], cs_der[0], worst, probed, (cs_rem, cs_der)
 
 
 def stability_slope(constants, hs):
@@ -200,59 +182,46 @@ def dyadic_ladder(measure, objs, levels, min_steps):
     return hs, rows
 
 
+def certificate(sweep, hs, delta, times):
+    """The one verifier report of a sweep ``(C2, C1, worst pair, pairs probed, (C2s, C1s))`` at meshes ``hs``.
+
+    A sweep that probed no pair raises ``DomainError``: a sup over no pair certifies nothing.
+    ``C2``/``C1`` alias ``C_remainder``/``C_derivative``; each constant has its ``stability_verdict``.
+    """
+    c2, c1, worst, probed, (cs2, cs1) = sweep
+    if probed == 0:
+        raise DomainError(f"no grid pair within delta = {delta:.6g}: the smallest step is {np.min(np.diff(times)):.6g}")
+    slope2, pass2 = stability_verdict(cs2, hs)
+    slope1, pass1 = stability_verdict(cs1, hs)
+    return {
+        "C_remainder": c2,
+        "C_derivative": c1,
+        "C2": c2,
+        "C1": c1,
+        "levels": {"h": hs, "C_remainder": cs2, "C_derivative": cs1},
+        "slope_remainder": slope2,
+        "slope_derivative": slope1,
+        "worst_pair": worst,
+        "pairs_probed": probed,
+        "pass_remainder": pass2,
+        "pass_derivative": pass1,
+        "pass": pass2 and pass1,
+        "delta": delta,
+    }
+
+
 def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
     """Report the smallest controlled-path constants and their mesh stability.
 
     The constants are measured on the full grid and on up to three dyadic
-    coarsenings; ``pass`` requires finite constants whose fitted growth slope
-    against the mesh stays above -0.25 (stable under refinement).  When
-    ``delta`` is given only pairs with t - s <= delta are probed; the report
-    also carries constants restricted to dyadic deltas together with the
-    largest delta at which they stay within a factor two of the local one.
-    A derivative whose driver axis is not the driver's dimension raises ``ShapeError``.
+    coarsenings, all from one sweep of the grid's pairs; ``pass`` requires
+    finite constants whose fitted growth slope against the mesh stays above
+    -0.25 (stable under refinement).  When ``delta`` is given only pairs with
+    t - s <= delta are probed.  A derivative whose driver axis is not the
+    driver's dimension raises ``ShapeError``.
     """
     check_same_grid(y.times, rp.times)
     if y.driver_dim != rp.dim:
         raise ShapeError(f"derivative has {y.driver_dim} driver columns, the driver {rp.dim} coordinates")
     strides, hs = dyadic_strides(y.times, levels, 8)
-    # delta-restricted diagnostics (reported, not gating), from the sweep of every pair
-    deltas = []
-    d = float(y.times[-1] - y.times[0])
-    while d >= 4 * float(np.min(np.diff(y.times))):
-        deltas.append(d)
-        d /= 2.0
-    args = (y.times, y.values, y.derivative, rp, rp.control.p)
-    _, _, worst, probed, (cs_rem, cs_der), by_sub = _pair_constants(*args, delta, deltas, strides)
-    check_probed(probed, delta, y.times)
-    if delta is not None:  # the sub-delta constants are over every pair
-        by_sub = _pair_constants(*args, None, deltas)[5]
-    slope2, pass2 = stability_verdict(cs_rem, hs)
-    slope1, pass1 = stability_verdict(cs_der, hs)
-    by_delta = dict(zip(deltas, by_sub))
-    stable_delta = None
-    if by_delta:
-        smallest = min(by_delta)
-        base = by_delta[smallest]
-        for dd in sorted(by_delta, reverse=True):
-            if base == 0.0:
-                ok = by_delta[dd] == 0.0
-            else:
-                ok = np.isfinite(by_delta[dd]) and by_delta[dd] <= 2.0 * base
-            if ok:
-                stable_delta = dd
-                break
-
-    return {
-        "C_remainder": cs_rem[0],
-        "C_derivative": cs_der[0],
-        "levels": {"h": hs, "C_remainder": cs_rem, "C_derivative": cs_der},
-        "slope_remainder": slope2,
-        "slope_derivative": slope1,
-        "worst_pair": worst,
-        "pass_remainder": pass2,
-        "pass_derivative": pass1,
-        "pass": pass2 and pass1,
-        "delta": delta,
-        "delta_constants": {f"{k:.6g}": v for k, v in by_delta.items()},
-        "largest_stable_delta": stable_delta,
-    }
+    return certificate(_pair_constants(y.times, y.values, y.derivative, rp, delta, strides), hs, delta, y.times)

@@ -799,7 +799,10 @@ class ChartManifold(Manifold):
 
 
 # ---------------------------------------------------------------------------
-# Products (used for bundle lifts)
+# Products: a public manifold built from two factors, with the componentwise
+# connection.  No library code builds one; it is the total space M x G of the
+# paper's horizontal lift in the tests' reference, and a two-factor geometry
+# (a gauge radius and compatibility tensors from both factors) under test.
 # ---------------------------------------------------------------------------
 
 

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pairs
-from .controlled import ControlledPath, check_probed, check_same_grid, dyadic_strides, stability_verdict, verify_crp
+from .controlled import ControlledPath, certificate, check_same_grid, dyadic_strides, verify_crp
 from .errors import ChartExit, DomainError, InvalidGrid, NotOnManifold, ShapeError
 from .gauges import Gauge
 from .manifolds import Chart, Manifold
-from .pairs import by_grid, on_grids, pair_sup, ratio
 from .roughpath import RoughPath
 
 BASEPOINT_TOL = 1e-10
@@ -98,26 +97,34 @@ class ManifoldControlledPath:
 # -- constructors -----------------------------------------------------------------
 
 
-def crp_from_projection(manifold: Manifold, rp: RoughPath, tol=BASEPOINT_TOL) -> ManifoldControlledPath:
-    """Embedded driver trace: points x(t_i) with derivative P(x(t_i))."""
-    if rp.dim != manifold.flat_dim:
-        raise ShapeError("driver must live in the ambient space of the manifold")
-    points = manifold.unflatten(rp.values).copy()  # not a view of the driver
+def _check_on_manifold(manifold: Manifold, points, tol=BASEPOINT_TOL):
+    """Raise ``NotOnManifold`` at the first sample farther than ``tol`` from the manifold (or NaN)."""
     off = manifold.off_manifold(points)
     bad = np.flatnonzero(~(off <= tol))
     if bad.size:
         i = int(bad[0])
         raise NotOnManifold(i, f"sample {i} lies {off[i]:.2e} away from the manifold")
+
+
+def crp_from_projection(manifold: Manifold, rp: RoughPath, tol=BASEPOINT_TOL) -> ManifoldControlledPath:
+    """Embedded driver trace: points x(t_i) with derivative P(x(t_i))."""
+    if rp.dim != manifold.flat_dim:
+        raise ShapeError("driver must live in the ambient space of the manifold")
+    points = manifold.unflatten(rp.values).copy()  # not a view of the driver
+    _check_on_manifold(manifold, points, tol)
     return ManifoldControlledPath(manifold, rp.times, points, manifold.tangent_projector(points), rp)
 
 
 def crp_from_smooth_curve(manifold: Manifold, curve, dcurve, rp: RoughPath) -> ManifoldControlledPath:
-    """Samples of a smooth manifold curve driven by a one-dimensional driver."""
+    """Samples of a smooth manifold curve driven by a one-dimensional driver; a sample
+    farther than ``BASEPOINT_TOL`` from the manifold raises ``NotOnManifold``."""
     pts = np.stack([np.asarray(curve(t), dtype=float) for t in rp.times])
     deriv = np.stack([manifold.flatten(dcurve(t))[:, None] for t in rp.times])
     if rp.dim != 1:
         raise ShapeError("smooth-curve construction expects a scalar driver")
-    return ManifoldControlledPath(manifold, rp.times, pts, deriv, rp)
+    y = ManifoldControlledPath(manifold, rp.times, pts, deriv, rp)  # checks the point shape first
+    _check_on_manifold(manifold, y.points)
+    return y
 
 
 def crp_pushforward(f, jac, y: ManifoldControlledPath, target: Manifold) -> ManifoldControlledPath:
@@ -141,14 +148,14 @@ def crp_pushforward(f, jac, y: ManifoldControlledPath, target: Manifold) -> Mani
 # -- verifiers ---------------------------------------------------------------------
 
 
-def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p, strides=(1,)):
+def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, strides=(1,)):
     """``(C2, C1, worst pair, pairs probed, (C2s, C1s))`` of one sweep, the lists over the ``on_grids`` strides."""
     times = y.times
     pts = y.points
     if gauge.chart is not None:
         gauge.chart.read(pts, lambda i: DomainError(f"sample t_{i} = {times[i]:.6g} outside chart {gauge.chart.name}"))
 
-    def residuals(i, j):
+    def norms(i, j):
         pi, pj = pts.take(i, axis=0), pts.take(j, axis=0)
         if gauge.chart is None:
             d = y.manifold.distance(pi, pj)
@@ -158,18 +165,14 @@ def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, p, strides=
                 raise DomainError(
                     f"pair (t_{a}, t_{b}) = ({times[a]:.6g}, {times[b]:.6g}) outside the gauge domain"
                 )
-        om = y.driver.control.omega(times.take(i), times.take(j))
         dx = y.driver.values.take(j, axis=0) - y.driver.values.take(i, axis=0)
         dag_i = y.derivative.take(i, axis=0)
         rn = np.linalg.norm(gauge.psi(pi, pj) - np.einsum("pda,pa->pd", dag_i, dx), axis=-1)
         dd = np.einsum("pde,pek->pdk", gauge.U(pi, pj), y.derivative.take(j, axis=0))
         dd -= dag_i
-        dn = np.linalg.norm(dd.reshape(i.size, -1), axis=-1)
-        r2, r1 = ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
-        return on_grids(strides, i, j, r2, r1)
+        return rn, np.linalg.norm(dd.reshape(i.size, -1), axis=-1)
 
-    sups, worst, probed = pair_sup(times, delta, residuals)
-    cs2, cs1 = by_grid(sups, strides)
+    cs2, cs1, worst, probed = pairs.control_sups(times, y.driver.control, delta, norms, strides)
     return cs2[0], cs1[0], worst, probed, (cs2, cs1)
 
 
@@ -224,23 +227,7 @@ def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None, levels
     if delta is None:
         delta = domain_feasible_delta(y, gauge)
     strides, hs = dyadic_strides(y.times, levels, 8)
-    _, _, worst, pairs_probed, (cs2, cs1) = _gauge_constants(y, gauge, delta, y.driver.control.p, strides)
-    check_probed(pairs_probed, delta, y.times)
-    slope2, pass2 = stability_verdict(cs2, hs)
-    slope1, pass1 = stability_verdict(cs1, hs)
-    return {
-        "C2": cs2[0],
-        "C1": cs1[0],
-        "delta": float(delta),
-        "pairs_probed": pairs_probed,
-        "levels": {"h": hs, "C2": cs2, "C1": cs1},
-        "slope_C2": slope2,
-        "slope_C1": slope1,
-        "worst_pair": worst,
-        "pass_remainder": pass2,
-        "pass_derivative": pass1,
-        "pass": bool(pass2 and pass1),
-    }
+    return certificate(_gauge_constants(y, gauge, delta, strides), hs, float(delta), y.times)
 
 
 def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None, levels=4):
@@ -253,11 +240,7 @@ def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None, level
     pts = y.points[lo : hi + 1]
     zs = chart.read(pts, lambda i: ChartExit(time=float(times[lo + i])))
     sub = ControlledPath(times[lo : hi + 1], zs, chart.dto(pts) @ y.derivative[lo : hi + 1])
-    rep = verify_crp(sub, y.driver.restrict(lo, hi), levels=levels)
-    rep["chart"] = chart.name
-    rep["C2"] = rep["C_remainder"]
-    rep["C1"] = rep["C_derivative"]
-    return rep
+    return {**verify_crp(sub, y.driver.restrict(lo, hi), levels=levels), "chart": chart.name}
 
 
 def ratio_at_pair(y: ManifoldControlledPath, chart: Chart, s, t):

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, check_probed, check_same_grid, dyadic_ladder, dyadic_strides, stability_verdict
+from .controlled import ControlledPath, certificate, check_same_grid, dyadic_ladder, dyadic_strides
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor
 from .mcrp import ManifoldControlledPath, crp_pushforward, domain_feasible_delta
-from .pairs import by_grid, on_grids, pair_sup, ratio, triple_defect
+from .pairs import control_sups, triple_defect
 from .sewing import rough_integrate
 
 
@@ -63,27 +63,15 @@ class ControlledOneForm:
         if delta is None:
             delta = domain_feasible_delta(self.path, self.parallelism)
         strides, hs = dyadic_strides(self.times, levels, 8)
-        _, _, _, probed, (cs2, cs1) = self._pair_constants(delta, self.path.driver.control.p, strides)
-        check_probed(probed, delta, self.times)
-        s2, pass2 = stability_verdict(cs2, hs)
-        s1, pass1 = stability_verdict(cs1, hs)
-        return {
-            "C_remainder": cs2[0],
-            "C_derivative": cs1[0],
-            "levels": {"h": hs, "C_remainder": cs2, "C_derivative": cs1},
-            "slope_remainder": s2,
-            "slope_derivative": s1,
-            "pass": pass2 and pass1,
-            "delta": float(delta),
-        }
+        return certificate(self._pair_constants(delta, strides), hs, float(delta), self.times)
 
-    def _pair_constants(self, delta, p, strides=(1,)):
+    def _pair_constants(self, delta, strides=(1,)):
         """``(C2, C1, worst pair, pairs probed, (C2s, C1s))`` of one sweep, the lists over the ``on_grids`` strides."""
         y = self.path
         # only the action on tangents at y_s is meaningful
         projs = y.manifold.tangent_projector(y.points)
 
-        def residuals(i, j):
+        def norms(i, j):
             # U(y_t, y_s): T_{y_s} -> T_{y_t}; the inequality composes alpha_t with it
             u = self.parallelism.matrix(y.points.take(j, axis=0), y.points.take(i, axis=0))
             proj_i = projs.take(i, axis=0)
@@ -92,13 +80,9 @@ class ControlledOneForm:
             rem -= np.einsum("pnad,pa->pnd", self.alpha_dag.take(i, axis=0), dx)
             rn = np.linalg.norm(np.einsum("pne,ped->pnd", rem, proj_i).reshape(i.size, -1), axis=-1)
             dd = np.einsum("pnad,pde->pnae", self.alpha_dag.take(j, axis=0), u) - self.alpha_dag.take(i, axis=0)
-            dn = np.linalg.norm(np.einsum("pnae,ped->pnad", dd, proj_i).reshape(i.size, -1), axis=-1)
-            om = y.driver.control.omega(self.times.take(i), self.times.take(j))
-            r2, r1 = ratio(rn, om ** (2.0 / p)), ratio(dn, om ** (1.0 / p))
-            return on_grids(strides, i, j, r2, r1)
+            return rn, np.linalg.norm(np.einsum("pnae,ped->pnad", dd, proj_i).reshape(i.size, -1), axis=-1)
 
-        sups, worst, probed = pair_sup(self.times, delta, residuals)
-        cs2, cs1 = by_grid(sups, strides)
+        cs2, cs1, worst, probed = control_sups(self.times, y.driver.control, delta, norms, strides)
         return cs2[0], cs1[0], worst, probed, (cs2, cs1)
 
 

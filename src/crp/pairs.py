@@ -2,9 +2,10 @@
 
 Each constant the library certifies a path with is a sup over grid pairs
 s < t (optionally with t - s <= delta) of a per-pair residual divided by a
-power of the control.  ``pair_sup`` walks those pairs in row-major order in
-row blocks of bounded size, so memory stays flat in the grid size while the
-sups, being maxima, do not depend on the block size.
+power of the control, and ``control_sups`` is the one place that divides.
+``pair_sup`` walks those pairs in row-major order in row blocks of bounded
+size, so memory stays flat in the grid size while the sups, being maxima, do
+not depend on the block size.
 """
 
 from __future__ import annotations
@@ -94,15 +95,31 @@ def pair_sup(times, delta, fn):
 def on_grids(strides, i, j, *arrays):
     """Each array on the grid of every s-th node (``strides``: 1, then powers of two): the whole
     array at stride 1, else only its pairs with both ends on that grid.  A coarse grid's pairs are
-    fine pairs, so the sups of one sweep of the fine grid are every grid's sups; ``by_grid`` reads
-    them back.  ``pair_sup`` reads its worst pair from the first array, the whole stride-1 one."""
+    fine pairs, so the sups of one sweep of the fine grid are every grid's sups.  ``pair_sup``
+    reads its worst pair from the first array, the whole stride-1 one."""
     ons = [None if s == 1 else ((i | j) & (s - 1)) == 0 for s in strides]
     return [a if on is None else a[on] for a in arrays for on in ons]
 
 
-def by_grid(sups, strides):
-    """The sups of a residual that returns ``on_grids`` of two arrays first: a list over the strides for each."""
-    return tuple([sups[a * len(strides) + k] for k in range(len(strides))] for a in range(2))
+def control_sups(times, control, delta, norms, strides=(1,)):
+    """The two constants of a pair of inequalities |a| <= C om^(2/p) and |b| <= C om^(1/p) on one sweep.
+
+    ``norms(i, j)`` returns the nonnegative norms (a, b) of each pair's two residuals;
+    ``control`` supplies om = omega(t_i, t_j) and p.  Returns ``(C2s, C1s, worst, probed)``:
+    the sups of a / om^(2/p) and of b / om^(1/p) over the probed pairs (t_j - t_i <= delta
+    if given) on the grid of every stride, finest first, with the worst pair of the first
+    and the pairs probed as in ``pair_sup``.
+    """
+    p = control.p
+
+    def residuals(i, j):
+        a, b = norms(i, j)
+        om = control.omega(times.take(i), times.take(j))
+        return on_grids(strides, i, j, ratio(a, om ** (2.0 / p)), ratio(b, om ** (1.0 / p)))
+
+    sups, worst, probed = pair_sup(times, delta, residuals)
+    k = len(strides)
+    return [sups[m] for m in range(k)], [sups[k + m] for m in range(k)], worst, probed
 
 
 def grid_triples(n):

@@ -16,7 +16,7 @@ import numpy as np
 from .controls import Control
 from .errors import InvalidGrid, LiftFailure, OffGrid, ShapeError
 from .linalg import richardson_diff
-from .pairs import pair_sup, ratio, sampled_triples
+from .pairs import control_sups, pair_sup, sampled_triples
 
 WEAK_GEO_TOL_QUAD = 1e-10
 CHEN_TOL = 1e-12
@@ -135,16 +135,13 @@ class RoughPath:
 
     def bound_constant(self):
         """Smallest C with |x_{s,t}| <= C om^(1/p) and |area| <= C om^(2/p) on the grid."""
-        p = self.control.p
 
-        def residuals(i, j):
-            om = self.control.omega(self.times[i], self.times[j])
-            xin = np.linalg.norm(self.values[j] - self.values[i], axis=-1)
+        def norms(i, j):
             ain = np.linalg.norm(self.area_pairs(i, j).reshape(i.size, -1), axis=-1)
-            return ratio(xin, om ** (1.0 / p)), ratio(ain, om ** (2.0 / p))
+            return ain, np.linalg.norm(self.values[j] - self.values[i], axis=-1)
 
-        sups, _, _ = pair_sup(self.times, None, residuals)
-        return max(sups[0], sups[1])
+        c_area, c_x, _, _ = control_sups(self.times, self.control, None, norms)
+        return max(c_x[0], c_area[0])
 
     # -- restriction / coarsening ------------------------------------------------
 

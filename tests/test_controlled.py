@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import crp.controlled as controlled
 import crp.fixtures as fx
 from crp import Control, ControlledPath, GridMismatch, RoughPath, ShapeError, verify_crp
 from crp.controlled import associated_roughpath, driver_as_controlled, dyadic_ladder, stability_verdict
@@ -110,33 +109,6 @@ def test_associated_roughpath_satisfies_chen_and_geometry():
     assert np.allclose(zrp.step_areas, rp.step_areas, atol=1e-14)
 
 
-def test_verify_reports_delta_diagnostics():
-    rp = smooth_driver(64)
-    rep = verify_crp(driver_as_controlled(rp), rp)
-    assert rep["largest_stable_delta"] is not None
-    assert rep["largest_stable_delta"] >= 0.25
-
-
-@pytest.mark.parametrize("corrupt", [False, True])
-def test_delta_constants_equal_one_restricted_sweep_per_delta(corrupt):
-    # the diagnostics come from one sweep of every pair; the reference probes each delta on its own
-    y = fx.sphere_spiral_crp(64)
-    flat = y.as_flat()
-    vals = flat.values.copy()
-    if corrupt:
-        vals[20, 1] = np.nan
-    path = ControlledPath(flat.times, vals, flat.derivative)
-    rep = verify_crp(path, y.driver)
-    want, d = {}, float(path.times[-1] - path.times[0])
-    while d >= 4 * float(np.min(np.diff(path.times))):
-        args = (path.times, path.values, path.derivative, y.driver, y.driver.control.p, d)
-        want[f"{d:.6g}"] = controlled._pair_constants(*args)[0]
-        d /= 2.0
-    assert list(rep["delta_constants"]) == list(want) and len(want) == 5
-    np.testing.assert_array_equal(list(rep["delta_constants"].values()), list(want.values()))
-    assert np.isnan(list(want.values())).all() == corrupt
-
-
 class TestDyadicLadder:
     @staticmethod
     def steps(n, levels, min_steps):
@@ -210,9 +182,9 @@ class TestLadderCallers:
         sizes = []
         original = ControlledOneForm._pair_constants
 
-        def counted(self, delta, p, strides=(1,)):
+        def counted(self, delta, strides=(1,)):
             sizes.append([(self.times.size - 1) // s for s in strides])
-            return original(self, delta, p, strides)
+            return original(self, delta, strides)
 
         monkeypatch.setattr(ControlledOneForm, "_pair_constants", counted)
         rep = form.verify(levels=9)

@@ -75,6 +75,44 @@ def test_verification_report_schema():
     json.dumps({k: rep[k] for k in ("C2", "C1", "delta", "pairs_probed", "pass")})
 
 
+CERTIFICATE_KEYS = {
+    "C_remainder",
+    "C_derivative",
+    "C2",
+    "C1",
+    "levels",
+    "slope_remainder",
+    "slope_derivative",
+    "worst_pair",
+    "pairs_probed",
+    "pass_remainder",
+    "pass_derivative",
+    "pass",
+    "delta",
+}
+
+
+def test_every_verifier_returns_the_one_certificate():
+    from crp.controlled import verify_crp
+    from crp.mcrp import verify_chart_crp, verify_gauge_crp
+    from crp.oneforms import oneform_from_smooth
+
+    y = sphere_spiral_crp(32)
+    gauge = connection_gauge(SPHERE)
+    form = oneform_from_smooth(lambda m: np.sin(m)[None, :], y, gauge.par)
+    reports = {
+        "flat": verify_crp(y.as_flat(), y.driver),
+        "gauge": verify_gauge_crp(y, gauge),
+        "chart": verify_chart_crp(y, SPHERE.chart_at(y.points[0])),
+        "oneform": form.verify(),
+    }
+    assert reports.pop("chart").keys() - {"chart"} == CERTIFICATE_KEYS
+    for name, rep in reports.items():
+        assert set(rep) == CERTIFICATE_KEYS, name
+        assert set(rep["levels"]) == {"h", "C_remainder", "C_derivative"}, name
+        assert (rep["C2"], rep["C1"]) == (rep["C_remainder"], rep["C_derivative"]), name
+
+
 def test_csv_path_export_schema():
     rp = smooth_2d_driver(4)
     header = path_csv_header(rp.values)

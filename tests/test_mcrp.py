@@ -7,6 +7,7 @@ from crp import SO3, ChartManifold, DomainError, GaugeMismatch, NotOnManifold, O
 from crp.fixtures import (
     FLAT3,
     LINE,
+    SO3M,
     SPHERE,
     equator_crp,
     example_67_crp,
@@ -17,15 +18,17 @@ from crp.fixtures import (
     sphere_spiral_crp,
 )
 from crp.gauges import chart_gauge, connection_gauge, standard_gauge
+from crp.linalg import so3_exp
 from crp.mcrp import (
     crp_from_projection,
+    crp_from_smooth_curve,
     crp_pushforward,
     ratio_at_pair,
     scalar_test_suite,
     verify_chart_crp,
     verify_gauge_crp,
 )
-from crp.roughpath import lift_smooth
+from crp.roughpath import lift_smooth, time_lift
 from paper_reference import basepoint_residual, pushforward_covariance_residual
 
 
@@ -59,6 +62,24 @@ class TestProjectionConstruction:
         rp = lift_smooth(lambda t: np.zeros(3), np.linspace(0.0, 1.0, 9), dpath=lambda t: np.zeros(3))
         with pytest.raises(NotOnManifold, match="sample 0"):
             crp_from_projection(SPHERE, rp)
+
+    @pytest.mark.parametrize(
+        "manifold,scale,first",
+        [
+            (SO3M, lambda t: 2.0, 0),  # 2 R(t) lies 2 sqrt(3) - sqrt(3) = 1.73 from SO(3)
+            (SPHERE, lambda t: 1.5, 0),  # a circle of radius 1.5
+            (SPHERE, lambda t: 1.0 + (t > 0.55), 5),  # the first sample past t = 0.55 doubles
+        ],
+    )
+    def test_smooth_curve_off_the_manifold_rejected(self, manifold, scale, first):
+        rp = time_lift(np.linspace(0.0, 1.0, 9))
+        if manifold is SO3M:
+            curve, dcurve = lambda t: scale(t) * so3_exp(np.array([0.0, 0.0, t])), lambda t: np.zeros((3, 3))
+        else:
+            curve, dcurve = lambda t: scale(t) * np.array([np.cos(t), np.sin(t), 0.0]), lambda t: np.zeros(3)
+        with pytest.raises(NotOnManifold, match=f"sample {first} lies") as err:
+            crp_from_smooth_curve(manifold, curve, dcurve, rp)
+        assert err.value.index == first
 
     def test_points_do_not_alias_the_driver(self):
         y = sphere_spiral_crp(16)

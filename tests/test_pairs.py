@@ -121,20 +121,19 @@ def _case(name):
 
 def _constants(y, form, gauge, delta):
     rp, flat = y.driver, y.as_flat()
-    p = rp.control.p
     strides = controlled.dyadic_strides(y.times, 4, 8)[0]
     return {
-        "calibrate": roughpath._calibrate_control(rp.values, rp.times, rp.step_areas, p),
+        "calibrate": roughpath._calibrate_control(rp.values, rp.times, rp.step_areas, rp.control.p),
         "bound": rp.bound_constant(),
         "associated": controlled.associated_roughpath(flat, rp).control.scale,
-        "flat": controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, p),
-        "flat-half": controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, p, 0.5),
-        "gauge": mcrp._gauge_constants(y, gauge, delta, p),
-        "oneform": form._pair_constants(delta, p),
+        "flat": controlled._pair_constants(flat.times, flat.values, flat.derivative, rp),
+        "flat-half": controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, 0.5),
+        "gauge": mcrp._gauge_constants(y, gauge, delta),
+        "oneform": form._pair_constants(delta),
         # every dyadic level from one sweep
-        "flat-ladder": controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, p, None, (), strides),
-        "gauge-ladder": mcrp._gauge_constants(y, gauge, delta, p, strides),
-        "oneform-ladder": form._pair_constants(delta, p, strides),
+        "flat-ladder": controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, None, strides),
+        "gauge-ladder": mcrp._gauge_constants(y, gauge, delta, strides),
+        "oneform-ladder": form._pair_constants(delta, strides),
     }
 
 
@@ -152,7 +151,7 @@ def test_callers_bit_identical_across_block_budgets(name, monkeypatch):
             probed.append(out[2])
             return out
 
-        for mod in (roughpath, controlled, mcrp, oneforms):
+        for mod in (pairs, roughpath):  # the verifiers sweep through pairs.control_sups
             monkeypatch.setattr(mod, "pair_sup", counting)
         results[label] = (_constants(y, form, gauge, delta), probed)
     assert all(res == results["default"] for res in results.values())
@@ -253,25 +252,24 @@ def test_one_sweep_equals_the_per_level_ladder(name):
     # the reference sweeps each coarsened grid on its own, as the verifiers did before
     y, gauge, delta, form = _ladder_case(name)
     rp, flat = y.driver, y.as_flat()
-    p = rp.control.p
     strides, hs = controlled.dyadic_strides(y.times, 4, 8)
     assert len(strides) >= 2 and (name != "example-6.7" or rp.control.kind == "table")
 
-    hs_ref, rows = controlled.dyadic_ladder(lambda cur: mcrp._gauge_constants(cur, gauge, delta, p), (y,), 4, 8)
-    got = mcrp._gauge_constants(y, gauge, delta, p, strides)
+    hs_ref, rows = controlled.dyadic_ladder(lambda cur: mcrp._gauge_constants(cur, gauge, delta), (y,), 4, 8)
+    got = mcrp._gauge_constants(y, gauge, delta, strides)
     assert hs == hs_ref and got[2:4] == rows[0][2:4]
     _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
 
     for d in (None, delta):
         _, rows = controlled.dyadic_ladder(
-            lambda z, r: controlled._pair_constants(z.times, z.values, z.derivative, r, p, d), (flat, rp), 4, 8
+            lambda z, r: controlled._pair_constants(z.times, z.values, z.derivative, r, d), (flat, rp), 4, 8
         )
-        got = controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, p, d, (), strides)
+        got = controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, d, strides)
         assert got[2:4] == rows[0][2:4]
         _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
 
-    _, rows = controlled.dyadic_ladder(lambda cur: cur._pair_constants(delta, p), (form,), 4, 8)
-    got = form._pair_constants(delta, p, strides)
+    _, rows = controlled.dyadic_ladder(lambda cur: cur._pair_constants(delta), (form,), 4, 8)
+    got = form._pair_constants(delta, strides)
     assert got[2:4] == rows[0][2:4]
     _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
     if name == "nan":
@@ -285,8 +283,7 @@ def _count_pair_sups(monkeypatch):
         calls.append(delta)
         return pair_sup(times, delta, fn)
 
-    for mod in (roughpath, controlled, mcrp, oneforms):
-        monkeypatch.setattr(mod, "pair_sup", counting)
+    monkeypatch.setattr(pairs, "pair_sup", counting)
     return calls
 
 
@@ -295,9 +292,9 @@ def test_each_verifier_sweeps_the_pairs_once(monkeypatch):
     gauge = connection_gauge(fx.SPHERE)
     form = oneforms.oneform_from_smooth(lambda m: np.sin(m)[None, :], y, gauge.par)
     calls = _count_pair_sups(monkeypatch)
-    rep = controlled.verify_crp(y.as_flat(), y.driver)
-    assert len(calls) == 1 and len(rep["levels"]["h"]) == 4 and len(rep["delta_constants"]) == 5
     for verify in (
+        lambda: controlled.verify_crp(y.as_flat(), y.driver),
+        lambda: controlled.verify_crp(y.as_flat(), y.driver, delta=0.5),
         lambda: mcrp.verify_gauge_crp(y, gauge),
         lambda: mcrp.verify_chart_crp(y, fx.SPHERE.chart_at(y.points[0])),
         lambda: form.verify(),
@@ -305,9 +302,6 @@ def test_each_verifier_sweeps_the_pairs_once(monkeypatch):
         calls.clear()
         assert len(verify()["levels"]["h"]) == 4
         assert len(calls) == 1
-    calls.clear()
-    controlled.verify_crp(y.as_flat(), y.driver, delta=1.0)  # a given delta: the sub-deltas take all pairs
-    assert calls == [1.0, None]
 
 
 class TestNoPairProbed:

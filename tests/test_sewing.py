@@ -5,7 +5,7 @@ import pytest
 
 from crp import ControlledPath, ShapeError
 from crp.controlled import driver_as_controlled
-from crp.convergence import estimate_order
+from crp.convergence import ConvergenceReport, dyadic_levels
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
 from crp.sewing import defect_by_level, rough_integrate
 
@@ -87,11 +87,9 @@ def smooth_fixture(n):
 def test_local_defect_slope_smooth_driver():
     alpha, x, rp = smooth_fixture(256)
     levels = defect_by_level(alpha, x, rp, levels=5)
-    hs = [h for h, _ in levels]
-    errs = [e for _, e in levels]
-    slope, _, exact = estimate_order(errs, hs)
-    assert not exact
-    assert slope >= 3.0 - 0.25  # p = 1
+    hs, errs = zip(*levels)
+    rep = ConvergenceReport.from_levels("local-defect", dyadic_levels(256, 5), hs, errs, 3.0)  # p = 1
+    assert not rep.exact and rep.passed
 
 
 def test_local_defect_slope_pure_area():
@@ -113,9 +111,9 @@ def test_local_defect_slope_pure_area():
         ad[i, 1, 0] = 0.0
     alpha = ControlledPath(rp.times, av, ad)
     levels = defect_by_level(alpha, sol, rp, levels=5)
-    slope, _, exact = estimate_order([e for _, e in levels], [h for h, _ in levels])
-    assert not exact
-    assert slope >= 1.5 - 0.25  # p = 2
+    hs, errs = zip(*levels)
+    rep = ConvergenceReport.from_levels("local-defect", dyadic_levels(n, 5), hs, errs, 1.5)  # p = 2
+    assert not rep.exact and rep.passed
 
 
 def test_two_partition_consistency_slope():
@@ -129,8 +127,7 @@ def test_two_partition_consistency_slope():
         z = rough_integrate(a, y, r)
         errs.append(float(np.max(np.abs(z.values[-1] - finest.values[-1]))))
         hs.append(float(np.max(np.diff(r.times))))
-    slope, _, _ = estimate_order(errs, hs)
-    assert slope >= 2.0 - 0.25
+    assert ConvergenceReport.from_levels("two-partition", dyadic_levels(256, 4), hs, errs, 2.0).passed
 
 
 def test_integrate_against_driver_matches_theorem_form():

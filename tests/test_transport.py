@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from crp import ControlledPath, Explosion
 from crp.controlled import driver_as_controlled
-from crp.convergence import estimate_order
+from crp.convergence import ConvergenceReport, estimate_order
 from crp.fixtures import (
     SO3M,
     SPHERE,
@@ -372,9 +372,8 @@ class TestRolledIntegral:
             rep = rolled_integral_check(a, y, g, tangent_frame(y.points[0]))
             errs.append(rep["diff_sup"])
             hs.append(float(np.max(np.diff(y.times))))
-        slope, _, exact = estimate_order(errs, hs)
         assert errs[-1] <= 1e-4
-        assert exact or slope >= 1.75
+        assert ConvergenceReport.from_levels("rolled-integral", (128, 256, 512, 1024), hs, errs, 2.0).passed
 
 
 def test_chart_christoffels_closed_form_matches_fd():

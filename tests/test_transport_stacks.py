@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from crp import DomainError, GridMismatch
-from crp.convergence import estimate_order
+from crp.convergence import ConvergenceReport
 from crp.fixtures import SPHERE, latitude_crp, sphere_spiral_crp, tangent_frame, tilted_great_circle_crp
 from crp.manifolds import Sphere
 from crp.gauges import connection_gauge
@@ -76,8 +76,7 @@ def test_frame_transport_converges_to_the_per_point_horizontal_lift(path):
             assert len(lift.segments) >= 2
         errs.append(float(np.max(np.abs(lift.frames - per_point_frame_lift(y, u0, lift.segments)))))
         hs.append(float(np.max(np.diff(y.times))))
-    slope, _, exact = estimate_order(errs, hs)
-    assert exact or slope >= 1.75
+    assert ConvergenceReport.from_levels(path, (64, 128, 256, 512), hs, errs, 2.0).passed
 
 
 def count_jet_calls(monkeypatch, y):
