@@ -62,7 +62,7 @@ class GaugeMismatch(CrpError):
     pass
 
 
-class NotOnManifold(CrpError):
+class NotOnManifold(DomainError):
     def __init__(self, index, message=None):
         self.index = index
         super().__init__(message or f"sample {index} is not on the manifold")

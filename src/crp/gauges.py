@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GaugeMismatch
-from .linalg import FD_STEP, norm
+from .linalg import FD_STEP, norm, pointwise
 from .manifolds import Chart, Manifold, chart_rep_derivative
 
 
@@ -48,7 +48,7 @@ class Logarithm:
     def __init__(self, manifold: Manifold, value_fn, d2_fn=None, name="custom"):
         self.manifold = manifold
         self._fn = value_fn
-        self._d2 = d2_fn if d2_fn is not None else manifold.pairwise(self._fd_d2)
+        self._d2 = d2_fn if d2_fn is not None else _by_pair(manifold, self._fd_d2, f"FD d2 of {name} at pair")
         self.name = name
         self._induced = None
 
@@ -61,8 +61,8 @@ class Logarithm:
         return np.asarray(self._d2(m, n), dtype=float)
 
     def _fd_d2(self, m, n):
-        """Without ``d2_fn``, for one pair: one Richardson stencil along canonical curves at n in the
-        dim M directions e_a of ``Manifold.tangent_basis``, assembled as sum_a (d psi . e_a) e_a^T."""
+        """Without ``d2_fn``, for one pair (``_by_pair`` lifts it): one Richardson stencil along canonical curves at
+        n in the dim M directions e_a of ``Manifold.tangent_basis``, assembled as sum_a (d psi . e_a) e_a^T."""
         mani = self.manifold
         n = np.asarray(n, dtype=float)
         e = mani.tangent_basis(n)  # (D, dim)
@@ -163,12 +163,26 @@ def standard_gauge(manifold: Manifold) -> Gauge:
     return Gauge(manifold, log, par, provenance="custom")
 
 
+def _by_pair(manifold: Manifold, fn, what, shape=None):
+    """``fn(m, n)`` of one pair on stacks of pairs whose leading axes broadcast, one call per pair through
+    ``linalg.pointwise``, its values (shape ``shape``) on those leading axes."""
+
+    def lifted(m, n):
+        lead, ms, ns = manifold._pair_rows(m, n)
+        out = pointwise(lambda mn: fn(*mn), np.stack([ms, ns], axis=1), what, shape)
+        return out.reshape(lead + out.shape[1:])
+
+    return lifted
+
+
 def logarithm_gauge(manifold: Manifold, psi_fn, d2_fn=None, name="psi") -> Gauge:
-    """Gauge of a bare logarithm ``psi_fn(m, n)`` and its induced parallelism; ``psi_fn`` and ``d2_fn``, its
-    differential in n when given, take one pair and are lifted to stacks pair by pair."""
-    lift = manifold.pairwise
-    d2 = None if d2_fn is None else lift(d2_fn)
-    log = Logarithm(manifold, lift(lambda m, n: manifold.flatten(psi_fn(m, n))), d2_fn=d2, name=name)
+    """Gauge of a bare logarithm ``psi_fn(m, n)``, a tangent at m, and its induced parallelism; ``psi_fn``
+    and ``d2_fn``, its (D, D) differential in n when given, take one pair and are lifted to stacks by
+    ``_by_pair``: a value of another shape raises ``ShapeError``, a non-finite one ``DomainError``."""
+    d = manifold.flat_dim
+    d2 = None if d2_fn is None else _by_pair(manifold, d2_fn, f"d2 of {name} at pair", (d, d))
+    psi = _by_pair(manifold, psi_fn, f"{name} at pair", manifold.point_shape)
+    log = Logarithm(manifold, lambda m, n: manifold.flatten(psi(m, n)), d2_fn=d2, name=name)
     return Gauge(manifold, log, log.induced_parallelism(), provenance="custom")
 
 

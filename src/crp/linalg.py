@@ -1,11 +1,43 @@
-"""Small numerical helpers: so(3) closed forms and finite differences."""
+"""Small numerical helpers: the one loop over a user callable, so(3) closed forms and finite differences."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError, ShapeError
+
 # Relative finite-difference step (geometry design default) and one Richardson level.
 FD_STEP = 1e-5
+
+
+def pointwise(fn, rows, what, shape=None, error=DomainError):
+    """``fn`` called once per row, its values stacked (R, *shape): the library's one loop over a user callable.
+
+    ``rows`` is a stack of R times, points or pairs of points.  Each value is read as a float
+    array, a scalar as shape (1,).  The first row whose value's shape is not ``shape``
+    (default: the first value's; an axis given as None takes the first value's length)
+    raises ShapeError, the first non-finite one ``error``.  A time row is named "what(t)"
+    and "what ... at t=", any other row "what r".
+    """
+    vals = [np.asarray(fn(row), dtype=float) for row in rows]
+    first = (vals[0].shape or (1,)) if vals else ()
+    shape = first if shape is None else tuple(shape)
+    if len(shape) == len(first):
+        shape = tuple(f if s is None else s for s, f in zip(shape, first))
+    ts = rows if np.ndim(rows) == 1 else None
+    for r, v in enumerate(vals):
+        if v.shape != shape:
+            if v.shape == () and shape == (1,):
+                vals[r] = v.reshape(1)
+                continue
+            name = f"{what}({float(ts[r])!r})" if ts is not None else f"{what} {r}"
+            raise ShapeError(f"{name} has shape {v.shape}, not {shape}")
+    out = np.array(vals).reshape((len(vals),) + shape)
+    finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise error(f"{what} is not finite at t={float(ts[r])!r}" if ts is not None else f"{what} {r} is not finite")
+    return out
 
 
 def richardson_combine(f_h, f_mh, f_h2, f_mh2, h):

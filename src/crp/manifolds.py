@@ -229,16 +229,6 @@ class Manifold:
         lead = np.broadcast_shapes(self._lead(a), self._lead(b))
         return lead, *(np.broadcast_to(p, lead + self.point_shape).reshape((-1,) + self.point_shape) for p in (a, b))
 
-    def pairwise(self, fn):
-        """``fn(m, n)`` of one pair lifted to stacks of pairs whose leading axes broadcast, pair by pair."""
-
-        def lifted(m, n):
-            lead, ms, ns = self._pair_rows(m, n)
-            out = np.stack([np.asarray(fn(a, b), dtype=float) for a, b in zip(ms, ns)])
-            return out.reshape(lead + out.shape[1:])
-
-        return lifted
-
     gauge_radius = np.inf
 
     # -- atlas -------------------------------------------------------------------

@@ -10,7 +10,8 @@ from . import pairs
 from .controlled import ControlledPath, certificate, check_same_grid, dyadic_strides, verify_crp
 from .errors import ChartExit, DomainError, InvalidGrid, NotOnManifold, ShapeError
 from .gauges import Gauge
-from .manifolds import Chart, Manifold
+from .linalg import pointwise
+from .manifolds import Chart, ChartManifold, Manifold
 from .roughpath import RoughPath
 
 BASEPOINT_TOL = 1e-10
@@ -117,12 +118,13 @@ def crp_from_projection(manifold: Manifold, rp: RoughPath, tol=BASEPOINT_TOL) ->
 
 def crp_from_smooth_curve(manifold: Manifold, curve, dcurve, rp: RoughPath) -> ManifoldControlledPath:
     """Samples of a smooth manifold curve driven by a one-dimensional driver; a sample
-    farther than ``BASEPOINT_TOL`` from the manifold raises ``NotOnManifold``."""
-    pts = np.stack([np.asarray(curve(t), dtype=float) for t in rp.times])
-    deriv = np.stack([manifold.flatten(dcurve(t))[:, None] for t in rp.times])
+    farther than ``BASEPOINT_TOL`` from the manifold raises ``NotOnManifold``, a value of
+    ``curve`` or ``dcurve`` of another shape than a point's ``ShapeError``, a non-finite one ``DomainError``."""
     if rp.dim != 1:
         raise ShapeError("smooth-curve construction expects a scalar driver")
-    y = ManifoldControlledPath(manifold, rp.times, pts, deriv, rp)  # checks the point shape first
+    pts = pointwise(curve, rp.times, "curve", manifold.point_shape)
+    deriv = pointwise(dcurve, rp.times, "dcurve", manifold.point_shape).reshape(-1, manifold.flat_dim, 1)
+    y = ManifoldControlledPath(manifold, rp.times, pts, deriv, rp)
     _check_on_manifold(manifold, y.points)
     return y
 
@@ -131,17 +133,14 @@ def crp_pushforward(f, jac, y: ManifoldControlledPath, target: Manifold) -> Mani
     """Push a controlled path through a smooth map between manifolds.
 
     ``f`` maps points of the source manifold to points of the target; ``jac(m)``
-    is its ambient Jacobian (target_flat_dim, source_flat_dim).
+    is its ambient Jacobian (target_flat_dim, source_flat_dim).  A value of
+    another shape raises ``ShapeError``, a non-finite one ``DomainError`` and a
+    pushed sample farther than ``BASEPOINT_TOL`` from the target ``NotOnManifold``.
     """
-    n = y.times.size
-    pts = np.stack([np.asarray(f(y.points[i]), dtype=float) for i in range(n)])
-    deriv = np.empty((n, target.flat_dim, y.driver_dim))
-    for i in range(n):
-        deriv[i] = np.asarray(jac(y.points[i]), dtype=float) @ y.derivative[i]
-    out = ManifoldControlledPath(target, y.times, pts, deriv, y.driver)
-    bad = np.flatnonzero(~(target.off_manifold(pts) <= 1e-8))
-    if bad.size:
-        raise DomainError(f"pushed sample {int(bad[0])} left the target manifold domain")
+    pts = pointwise(f, y.points, "f at sample", target.point_shape)
+    jacs = pointwise(jac, y.points, "jac at sample", (target.flat_dim, y.manifold.flat_dim))
+    out = ManifoldControlledPath(target, y.times, pts, jacs @ y.derivative, y.driver)
+    _check_on_manifold(target, pts)
     return out
 
 
@@ -244,31 +243,27 @@ def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None, level
 
 
 def ratio_at_pair(y: ManifoldControlledPath, chart: Chart, s, t):
-    """Chart remainder ratio |z_{s,t} - z'_s x_{s,t}| / omega^{2/p} at one pair."""
+    """Chart remainder ratio |z_{s,t} - z'_s x_{s,t}| / omega^{2/p} at one pair, read by
+    ``pairs.control_sups`` on the two-node grid (s, t): a vanishing control follows its 0/0 rule."""
     i = y.driver.index_of(s)
     j = y.driver.index_of(t)
-    zi = chart.to_coords(y.points[i])
-    zj = chart.to_coords(y.points[j])
+    zi, zj = chart.to_coords(y.points[[i, j]])
     zdag = chart.dto(y.points[i]) @ y.derivative[i]
     dx = y.driver.values[j] - y.driver.values[i]
-    om = float(y.driver.control.omega(y.times[i], y.times[j]))
-    p = y.driver.control.p
-    return float(np.linalg.norm(zj - zi - zdag @ dx)) / om ** (2.0 / p)
+    rem = np.linalg.norm(zj - zi - zdag @ dx)[None]
+    c2s, _, _, _ = pairs.control_sups(y.times[[i, j]], y.driver.control, None, lambda a, b: (rem, 0.0 * rem))
+    return c2s[0]
 
 
 def scalar_test_suite(y: ManifoldControlledPath, fns):
     """Push through scalar observables and verify each flat image path.
 
-    ``fns`` is a list of (f, df) pairs with ambient differentials; returns the
-    per-function flat reports plus an aggregate verdict.
+    ``fns`` is a list of (f, df) pairs with ambient differentials; each image f_* y is
+    ``crp_pushforward`` onto a flat line, verified as a flat path (``as_flat``).  Returns
+    the per-function flat reports plus an aggregate verdict.
     """
-    reports = []
-    for f, df in fns:
-        vals = np.array([[float(f(p))] for p in y.points])
-        deriv = np.empty((y.times.size, 1, y.driver_dim))
-        for i in range(y.times.size):
-            deriv[i, 0] = np.asarray(df(y.points[i]), dtype=float) @ y.derivative[i]
-        reports.append(verify_crp(ControlledPath(y.times, vals, deriv), y.driver))
+    line = ChartManifold(1)
+    reports = [verify_crp(crp_pushforward(f, lambda m: [df(m)], y, line).as_flat(), y.driver) for f, df in fns]
     return {
         "C_remainder": max(r["C_remainder"] for r in reports),
         "C_derivative": max(r["C_derivative"] for r in reports),

@@ -12,6 +12,7 @@ from .controlled import ControlledPath, driver_as_controlled
 from .errors import AtlasGap, DomainError, Explosion, NotOnManifold, NotRelated, ShapeError
 from .flatrde import EXPLOSION_BOUND, linear_flow
 from .gauges import Gauge, compatibility_tensor
+from .linalg import pointwise
 from .manifolds import SO3, Manifold, Sphere
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath, crp_pushforward
 from .oneforms import integrate_smooth_oneform
@@ -51,6 +52,10 @@ class ManifoldDrivingField:
 
     def value_matrix(self, m):
         return np.asarray(self.field(m), dtype=float)
+
+    def stack(self, ms):
+        """F at each of a stack of points, (R, D, k), one ``value_matrix`` call per point through ``linalg.pointwise``."""
+        return pointwise(self.value_matrix, ms, f"field {self.name} at point", (self.manifold.flat_dim, None))
 
     def chart_rep(self, chart):
         """F in chart coordinates: x -> dto(p) field(p), p = from_coords(x)."""
@@ -199,11 +204,6 @@ def rde_solve_manifold(
 # -- characterizations -------------------------------------------------------------
 
 
-def _field_at(field: ManifoldDrivingField, qs):
-    """F at each of a stack of points, (R, D, k)."""
-    return np.stack([field.value_matrix(q) for q in qs])
-
-
 def _area_terms(y: ManifoldControlledPath, field: ManifoldDrivingField, g):
     """F(y_i), (N, D, k), and sum_ab X_i[a, b] d_{F_a}[g_b](y_i) at the left node of every step.
 
@@ -213,7 +213,7 @@ def _area_terms(y: ManifoldControlledPath, field: ManifoldDrivingField, g):
     """
     ms, areas = y.points[:-1], y.driver.step_areas
     n, k = areas.shape[:2]
-    cols = _field_at(field, ms)
+    cols = field.stack(ms)
     dirs = np.where(np.any(areas != 0, axis=-1)[..., None], np.swapaxes(cols, 1, 2), 0.0)  # (N, k, D)
     d = y.manifold.derivative_along(np.repeat(ms, k, axis=0), dirs.reshape(n * k, -1), g)
     return cols, np.einsum("na...b,nab->n...", d.reshape((n, k) + d.shape[1:]), areas)
@@ -231,7 +231,7 @@ def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, g
     pushes = [gauge.d2psi, gauge.U] if check_split else [gauge.d2psi]
 
     def pushed(qs, bases):
-        fq = _field_at(field, qs)
+        fq = field.stack(qs)
         return np.stack([push(bases, qs) @ fq for push in pushes], axis=1)  # (R, push, D, k)
 
     cols, terms = _area_terms(y, field, pushed)
@@ -253,7 +253,7 @@ def pushed_field_path(y: ManifoldControlledPath, field: ManifoldDrivingField, al
     """
 
     def vals(qs, _bases=None):
-        return np.stack([np.asarray(alpha_fn(q), dtype=float) @ field.value_matrix(q) for q in qs])
+        return pointwise(alpha_fn, qs, "one-form value at point", (None, y.manifold.flat_dim)) @ field.stack(qs)
 
     dag = np.moveaxis(y.derivative_samples(vals), 1, -1)  # (N+1, n, k', k)
     return ControlledPath(y.times, vals(y.points), dag)
@@ -274,13 +274,13 @@ def check_rde_integral_form(y: ManifoldControlledPath, field, alpha_fn, gauge: G
 def scalar_solution_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, f, df):
     """Max one-step defect of the scalar characterization for observable f."""
 
-    def dfs(qs):
-        return np.stack([np.asarray(df(q), dtype=float) for q in qs])
+    def term(qs, _bases):
+        return np.einsum("rd,rdk->rk", pointwise(df, qs, "df at point"), field.stack(qs))
 
-    cols, term2 = _area_terms(y, field, lambda qs, _bases: np.einsum("rd,rdk->rk", dfs(qs), _field_at(field, qs)))
+    cols, term2 = _area_terms(y, field, term)
     ms = y.points[:-1]
-    term1 = np.einsum("nd,ndk,nk->n", dfs(ms), cols, np.diff(y.driver.values, axis=0))
-    fs = np.array([float(f(p)) for p in y.points])
+    term1 = np.einsum("nd,ndk,nk->n", pointwise(df, ms, "df at point"), cols, np.diff(y.driver.values, axis=0))
+    fs = pointwise(f, y.points, "f at point", (1,))[:, 0]
     return float(np.max(np.abs(np.diff(fs) - term1 - term2)))
 
 
@@ -298,20 +298,16 @@ def f_related_pushforward(
     pushed path together with a direct solve from the pushed initial condition
     for comparison.
     """
-    worst = 0.0
-    for m in y.points[:: max(1, y.points.shape[0] // 64)]:
-        lhs = np.asarray(jac(m), dtype=float) @ field_src.value_matrix(m)
-        rhs = field_dst.value_matrix(f(m))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    ms = y.points[:: max(1, y.points.shape[0] // 64)]
+    jacs = pointwise(jac, ms, "jac at point", (field_dst.manifold.flat_dim, y.manifold.flat_dim))
+    lhs = jacs @ field_src.stack(ms)
+    fms = pointwise(f, ms, "f at point", field_dst.manifold.point_shape)
+    rhs = pointwise(field_dst.value_matrix, fms, f"field {field_dst.name} at point", lhs.shape[1:])
+    worst = float(np.max(np.abs(lhs - rhs)))
     if worst > tol:
         raise NotRelated(worst)
     pushed = crp_pushforward(f, jac, y, field_dst.manifold)
-    direct = rde_solve_manifold(field_dst, y.driver, f(y.points[0]))
-    diff = float(
-        np.max(
-            np.linalg.norm(
-                field_dst.manifold.flatten(pushed.points) - field_dst.manifold.flatten(direct.points), axis=-1
-            )
-        )
-    )
+    direct = rde_solve_manifold(field_dst, y.driver, pushed.points[0])
+    flat = field_dst.manifold.flatten
+    diff = float(np.max(np.linalg.norm(flat(pushed.points) - flat(direct.points), axis=-1)))
     return {"pushed": pushed, "direct": direct, "diff_sup": diff, "relatedness_residual": worst}

@@ -9,6 +9,8 @@ import numpy as np
 from .controlled import ControlledPath, certificate, check_same_grid, dyadic_ladder, dyadic_strides
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor
+from .linalg import pointwise
+from .manifolds import ChartManifold
 from .mcrp import ManifoldControlledPath, crp_pushforward, domain_feasible_delta
 from .pairs import control_sups, triple_defect
 from .sewing import rough_integrate
@@ -89,20 +91,6 @@ class ControlledOneForm:
 # -- constructors -------------------------------------------------------------------
 
 
-def _form_values(alpha_fn, points, flat_dim, where):
-    """Stacked (P, n, D) values of ``alpha_fn`` at points, each checked to be a finite (n, D) matrix."""
-    vals = [np.asarray(alpha_fn(p), dtype=float) for p in points]
-    want = vals[0].shape if vals[0].ndim == 2 and vals[0].shape[1] == flat_dim else None
-    for i, v in enumerate(vals):
-        if v.shape != want:
-            raise ShapeError(f"one-form value at {where} {i} has shape {v.shape}: not (n, {flat_dim}), one n on every {where}")
-    out = np.array(vals)
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
-    if bad.size:
-        raise DomainError(f"one-form value at {where} {int(bad[0])} is not finite")
-    return out
-
-
 def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:
     """Controlled restriction of a smooth one-form along the path.
 
@@ -129,12 +117,13 @@ def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism) -> Co
 
 
 def oneform_from_smooth(alpha_fn, y: ManifoldControlledPath, par: Parallelism) -> ControlledOneForm:
-    """``oneform_from_stacks`` of ``alpha_fn(m)``, the (n, D) matrix of the form at m, called point by point.
+    """``oneform_from_stacks`` of ``alpha_fn(m)``, the (n, D) matrix of the form at m, called point by point
+    through ``linalg.pointwise``.
 
     Also raises ``ShapeError`` for a value that is not (n, D) or changes shape, ``DomainError`` for a non-finite one.
     """
-    dim = y.manifold.flat_dim
-    return oneform_from_stacks(lambda qs, where: _form_values(alpha_fn, qs, dim, where), y, par)
+    shape = (None, y.manifold.flat_dim)
+    return oneform_from_stacks(lambda qs, where: pointwise(alpha_fn, qs, f"one-form value at {where}", shape), y, par)
 
 
 # -- the gauge integral ---------------------------------------------------------------
@@ -231,18 +220,12 @@ def integrate_smooth_oneform(alpha_fn, y: ManifoldControlledPath, gauge: Gauge) 
 
 
 def fundamental_theorem(f, df, y: ManifoldControlledPath, gauge: Gauge):
-    """Endpoint identity for exact forms plus the exact derivative identity."""
-
-    def alpha_fn(m):
-        return np.asarray(df(m), dtype=float)[None, :]
-
-    z = integrate_smooth_oneform(alpha_fn, y, gauge)
-    endpoint = float(f(y.points[-1]) - f(y.points[0]))
-    resid = abs(float(z.values[-1, 0]) - endpoint)
-    dmax = 0.0
-    for i in range(y.times.size):
-        want = np.asarray(df(y.points[i]), dtype=float) @ y.derivative[i]
-        dmax = max(dmax, float(np.max(np.abs(z.derivative[i, 0] - want))))
+    """Endpoint identity for exact forms plus the exact derivative identity, both read off the
+    push-forward f_* y onto a flat line (``crp_pushforward``)."""
+    z = integrate_smooth_oneform(lambda m: [df(m)], y, gauge)
+    fy = crp_pushforward(f, lambda m: [df(m)], y, ChartManifold(1))
+    resid = abs(float(z.values[-1, 0]) - float(fy.points[-1, 0] - fy.points[0, 0]))
+    dmax = float(np.max(np.abs(z.derivative - fy.derivative)))
     return {"endpoint_residual": resid, "derivative_residual": dmax, "integral": z}
 
 

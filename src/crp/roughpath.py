@@ -15,7 +15,7 @@ import numpy as np
 
 from .controls import Control
 from .errors import InvalidGrid, LiftFailure, OffGrid, ShapeError
-from .linalg import richardson_diff
+from .linalg import pointwise, richardson_diff
 from .pairs import control_sups, pair_sup, sampled_triples
 
 WEAK_GEO_TOL_QUAD = 1e-10
@@ -213,29 +213,14 @@ def _gauss_legendre_rule(order):
     return nodes, weights
 
 
-def _sample(fn, ts, what, shape=None):
-    """``fn`` at every time of ``ts``, as ts.shape + (k,), a scalar read as a 1-vector.  The first
-    time whose value is not a vector of ``shape`` (default: the first value's) raises ShapeError,
-    the first non-finite one LiftFailure."""
-    flat = ts.ravel()
-    vals = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in flat]
-    shape = vals[0].shape if shape is None else shape
-    for t, v in zip(flat, vals):
-        if v.shape != shape or v.ndim != 1:
-            raise ShapeError(f"{what}({float(t)!r}) has shape {v.shape}, not a vector of shape {shape}")
-    out = np.array(vals)
-    if not np.isfinite(out).all():
-        raise LiftFailure(f"{what} is not finite at t={float(flat[~np.isfinite(out).all(axis=1)][0])!r}")
-    return out.reshape(ts.shape + shape)
-
-
 def _gauss_legendre_step_area(path, dpath, times, values, order):
     """Areas of all N steps at once, (N, k, k); one call per (step, node), left ends from ``values``."""
     nodes, weights = _gauss_legendre_rule(order)
     mid, half = 0.5 * (times[:-1] + times[1:]), 0.5 * (times[1:] - times[:-1])
     ts = mid[:, None] + half[:, None] * nodes
-    xs = _sample(path, ts, "path", values.shape[1:]) - values[:-1, None, :]
-    dxs = _sample(dpath, ts, "dpath", values.shape[1:])
+    shape = ts.shape + values.shape[1:]
+    xs = pointwise(path, ts.ravel(), "path", values.shape[1:], LiftFailure).reshape(shape) - values[:-1, None, :]
+    dxs = pointwise(dpath, ts.ravel(), "dpath", values.shape[1:], LiftFailure).reshape(shape)
     return half[:, None, None] * np.einsum("q,nqa,nqb->nab", weights, xs, dxs)
 
 
@@ -256,7 +241,7 @@ def lift_smooth(path, grid, quad_order=8, dpath=None, p=1.0):
         def dpath(t, _p=path):
             return richardson_diff(lambda h: np.asarray(_p(t + h), dtype=float), 1e-3)
 
-    values = _sample(path, times, "path")
+    values = pointwise(path, times, "path", (None,), LiftFailure)
     dx = np.diff(values, axis=0)
     order = quad_order
     for _ in range(3):

@@ -12,7 +12,7 @@ from .convergence import NOISE_FLOOR, SLOPE_TOL, dyadic_levels, refinement_study
 from .errors import ConfigError
 from .flatrde import DrivingField, rde_solve_flat
 from .gauges import Gauge, chart_gauge, compatibility_tensor, connection_gauge, standard_gauge, torsion_check
-from .linalg import SO3_BASIS, hat
+from .linalg import SO3_BASIS, hat, pointwise
 from .manifolds import ChartManifold
 from .mcrp import domain_feasible_delta, ratio_at_pair, scalar_test_suite, verify_chart_crp, verify_gauge_crp
 from .mrde import (
@@ -502,8 +502,8 @@ def criterion_10_transport():
     # Maurer-Cartan duality
     grid = np.linspace(0.0, 1.0, 513)
     rp = time_lift(grid)
-    vals = np.stack([np.array([np.sin(t), 0.3 * t, 0.2 * np.cos(t) - 0.2]) for t in grid])
-    dag = np.stack([np.array([[np.cos(t)], [0.3], [-0.2 * np.sin(t)]]) for t in grid])
+    vals = pointwise(lambda t: [np.sin(t), 0.3 * t, 0.2 * np.cos(t) - 0.2], grid, "curve")
+    dag = pointwise(lambda t: [[np.cos(t)], [0.3], [-0.2 * np.sin(t)]], grid, "dcurve")
     z = ControlledPath(grid, vals, dag)
     sol = group_rde(z, rp, np.eye(3), MatrixGroup("so3"))
     mc = maurer_cartan_check(sol, z, MatrixGroup("so3"))

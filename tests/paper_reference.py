@@ -21,11 +21,11 @@ from crp.convergence import estimate_order
 from crp.errors import DomainError, ShapeError
 from crp.fixtures import LINE
 from crp.gauges import Gauge, Parallelism, compatibility_tensor, connection_gauge, logarithm_gauge
-from crp.linalg import FD_STEP, norm, richardson_diff
+from crp.linalg import FD_STEP, norm, pointwise, richardson_diff
 from crp.manifolds import ChartManifold, Manifold, ProductManifold
 from crp.mcrp import ManifoldControlledPath, crp_pushforward
 from crp.mrde import gauge_form_defects
-from crp.oneforms import ControlledOneForm, _form_values, integrate_smooth_oneform, integrator_increments
+from crp.oneforms import ControlledOneForm, integrate_smooth_oneform, integrator_increments
 from crp.pairs import sampled_triples
 from crp.roughpath import RoughPath
 from crp.sewing import rough_integrate
@@ -196,15 +196,16 @@ def flat_smooth_integral(alpha_fn, z: ControlledPath, rp: RoughPath) -> Controll
 
     The integrand's derivative is grad(alpha) z': the gradient along the d coordinate
     axes by one Richardson stencil over every node, its step relative to the node's largest entry.
-    Raises as ``oneform_from_smooth`` for a value of alpha that is not (n, d) or not finite.
+    Values go through ``linalg.pointwise``: one of another shape than the first node's raises
+    ``ShapeError``, a non-finite one ``DomainError``.
     """
     x = z.values
     n, d = x.shape
-    alphas = _form_values(alpha_fn, x, d, "node")
+    alphas = pointwise(alpha_fn, x, "one-form value at node")
 
     def alpha_at(eps):  # alpha at x_i + eps_i e_j, shape (N+1, d, m, d)
         pts = (x[:, None, :] + eps.reshape(n, 1, 1) * np.eye(d)).reshape(n * d, d)
-        return _form_values(alpha_fn, pts, d, "stencil point").reshape((n, d) + alphas.shape[1:])
+        return pointwise(alpha_fn, pts, "one-form value at stencil point", alphas.shape[1:]).reshape((n, d) + alphas.shape[1:])
 
     grad = richardson_diff(alpha_at, FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=1))[:, None, None, None])
     dag = np.einsum("njme,nja->nmea", grad, z.derivative)

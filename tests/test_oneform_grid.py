@@ -28,7 +28,7 @@ from crp.gauges import (
 from crp.linalg import richardson_diff
 from crp.manifolds import SO3, ChartManifold, ProductManifold
 from crp.mcrp import ManifoldControlledPath
-from crp.mrde import pushed_field_path
+from crp.mrde import ManifoldDrivingField, pushed_field_path
 from crp.oneforms import gauge_change, oneform_from_smooth
 from crp.roughpath import lift_smooth
 from crp.transport import MatrixGroup
@@ -142,13 +142,9 @@ def test_zero_speed_direction_columns_stay_exactly_zero():
 def test_pushed_field_path_matches_the_per_node_reference():
     y = sphere_spiral_crp(32)
 
-    class Field:
-        @staticmethod
-        def value_matrix(m):
-            return SPHERE.tangent_projector(m)
-
-    got = pushed_field_path(y, Field, sphere_form).derivative  # (N+1, n, k', k)
-    want = np.moveaxis(reference_samples(lambda q, m: sphere_form(q) @ Field.value_matrix(q), y), 1, -1)
+    field = ManifoldDrivingField(SPHERE, SPHERE.tangent_projector)
+    got = pushed_field_path(y, field, sphere_form).derivative  # (N+1, n, k', k)
+    want = np.moveaxis(reference_samples(lambda q, m: sphere_form(q) @ field.value_matrix(q), y), 1, -1)
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
 
 
