@@ -39,16 +39,6 @@ class ControlledPath:
     def driver_dim(self):
         return self.derivative.shape[-1]
 
-    def coarsen(self, factor=2):
-        n = self.times.size - 1
-        if n % factor:
-            raise InvalidGrid(f"cannot coarsen {n} steps by {factor}")
-        idx = np.arange(0, n + 1, factor)
-        return ControlledPath(self.times[idx], self.values[idx], self.derivative[idx])
-
-    def restrict(self, i, j):
-        return ControlledPath(self.times[i : j + 1], self.values[i : j + 1], self.derivative[i : j + 1])
-
     def to_json(self, control: Control | None = None):
         doc = {
             "times": self.times.tolist(),
@@ -164,22 +154,6 @@ def dyadic_strides(times, levels, min_steps):
     while len(strides) < levels and (n // strides[-1]) % 2 == 0 and n // strides[-1] >= min_steps:
         strides.append(2 * strides[-1])
     return strides, [float(np.max(np.diff(times[::s]))) for s in strides]
-
-
-def dyadic_ladder(measure, objs, levels, min_steps):
-    """``measure(*objs)`` on the grid and on up to ``levels - 1`` dyadic coarsenings.
-
-    Returns ``(hs, rows)``, finest first: the mesh of each grid (read off the
-    first object) and what ``measure`` returned there.  All objects are
-    coarsened together, on the grids of ``dyadic_strides``.
-    """
-    strides, hs = dyadic_strides(objs[0].times, levels, min_steps)
-    rows = []
-    for s in strides:
-        if s > 1:
-            objs = [o.coarsen(2) for o in objs]
-        rows.append(measure(*objs))
-    return hs, rows
 
 
 def certificate(sweep, hs, delta, times):

@@ -76,7 +76,7 @@ class Control:
         return Control(p=p, kind="table", times=t, table=table)
 
     def restrict(self, times):
-        """Restriction to a subgrid (used when coarsening paths)."""
+        """Restriction to a subgrid (the RDE horizon, the chart verifier's window)."""
         if self.kind == "time-scale":
             return self
         t = np.asarray(times, dtype=float)

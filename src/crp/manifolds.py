@@ -38,6 +38,7 @@ from .linalg import (
 )
 
 GAUGE_RADIUS_MARGIN = 0.1  # geodesic-ball radius pi - 0.1 on S^2 and SO(3)
+GAUGE_EDGE = 1e-6  # a pair lies inside the gauge ball when its distance is this far below its radius
 CHART_FAILURES = (CrpError, FloatingPointError, ValueError, ZeroDivisionError)  # a point no chart map reads
 _EYE2 = np.eye(2)
 _EYE3 = np.eye(3)
@@ -192,7 +193,7 @@ class Manifold:
         raise NotImplementedError
 
     def distance(self, m, n):
-        """Closed-form distance that the gauge-domain checks compare with ``gauge_radius``.
+        """Closed-form distance that ``past_gauge_ball`` compares with ``gauge_radius``.
 
         Never raises on points of ``point_shape``."""
         raise NotImplementedError
@@ -230,6 +231,15 @@ class Manifold:
         return lead, *(np.broadcast_to(p, lead + self.point_shape).reshape((-1,) + self.point_shape) for p in (a, b))
 
     gauge_radius = np.inf
+
+    def past_gauge_ball(self, d):
+        """Where distances ``d`` (from ``distance``) reach the gauge ball's edge, ``GAUGE_EDGE`` inside its radius.
+
+        The one rule of the gauge ball: the gauge-domain checks, ``mcrp.domain_feasible_delta``
+        and the logarithms that raise ``NearCutLocus`` all read it, so a default delta never
+        probes a pair that the logarithm rejects.  A NaN distance is not past the edge.
+        """
+        return d >= self.gauge_radius - GAUGE_EDGE
 
     # -- atlas -------------------------------------------------------------------
 
@@ -376,7 +386,7 @@ class Sphere(Manifold):
         m, n = self._points(m, n)
         c = np.clip(np.einsum("...i,...i", m, n), -1.0, 1.0)
         th = np.arccos(c)
-        far = th >= self.gauge_radius - 1e-6
+        far = self.past_gauge_ball(th)
         if any_true(far):
             raise NearCutLocus(f"points at distance {np.ravel(th)[np.argmax(far)]:.6f} reach the gauge ball")
         u = n - c[..., None] * m
@@ -525,15 +535,15 @@ class SO3(Manifold):
         return g @ so3_exp(a)
 
     def log(self, k, g):
-        """The masked closed form of ``so3_log``; a pair past pi - 1e-6, where ``so3_log`` turns to its
-        antipodal branch, lies past the gauge ball."""
+        """The masked closed form of ``so3_log``.  A pair whose rotation angle is ``past_gauge_ball`` raises
+        ``NearCutLocus``: the edge lies short of pi, where ``so3_log`` turns to its antipodal branch."""
         k = np.asarray(k, dtype=float)
         r = np.swapaxes(k, -1, -2) @ np.asarray(g, dtype=float)
         th = np.arccos(np.clip(0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0), -1.0, 1.0))
         w = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]], axis=-1)
         big = np.where(th < 1e-8, 1.0, th)
         a = np.where(th < 1e-8, 0.5 * (1.0 + th**2 / 6.0), big / (2.0 * np.sin(big)))[..., None] * w
-        cut = (th > np.pi - 1e-6) | (norm(a) >= self.gauge_radius - 1e-6)
+        cut = self.past_gauge_ball(th)
         if any_true(cut):
             raise NearCutLocus(f"rotations at distance {np.ravel(th)[np.argmax(cut)]:.6f} reach the gauge ball")
         hats = np.zeros(r.shape)

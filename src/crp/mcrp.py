@@ -68,19 +68,6 @@ class ManifoldControlledPath:
         d = d.reshape((n, r) + d.shape[1:])
         return d if r == k else np.einsum("nak,na...->nk...", dirs @ self.derivative, d)
 
-    def coarsen(self, factor=2):
-        n = self.times.size - 1
-        if n % factor:
-            raise InvalidGrid(f"cannot coarsen {n} steps by {factor}")
-        idx = np.arange(0, n + 1, factor)
-        return ManifoldControlledPath(
-            self.manifold,
-            self.times[idx],
-            self.points[idx],
-            self.derivative[idx],
-            self.driver.coarsen(factor),
-        )
-
     def to_json(self):
         return {
             "manifold": self.manifold.spec_json(),
@@ -158,7 +145,7 @@ def _gauge_constants(y: ManifoldControlledPath, gauge: Gauge, delta, strides=(1,
         pi, pj = pts.take(i, axis=0), pts.take(j, axis=0)
         if gauge.chart is None:
             d = y.manifold.distance(pi, pj)
-            bad = np.where(d >= y.manifold.gauge_radius)[0]
+            bad = np.flatnonzero(y.manifold.past_gauge_ball(d))
             if bad.size:
                 a, b = int(i[bad[0]]), int(j[bad[0]])
                 raise DomainError(
@@ -188,8 +175,7 @@ def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
     horizon = float(y.times[-1] - y.times[0])
     if gauge.chart is not None:
         return horizon
-    radius = y.manifold.gauge_radius
-    if not np.isfinite(radius):
+    if not np.isfinite(y.manifold.gauge_radius):
         return horizon
     times, n = y.times, y.times.size
     best, gap, width = 0.0, 1, max(1, pairs.BLOCK_PAIRS // n)
@@ -199,14 +185,14 @@ def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
         i = np.arange(sizes.sum()) - np.repeat(starts, sizes)
         j = i + np.repeat(n - sizes, sizes)
         d = y.manifold.distance(y.points[i], y.points[j])
-        far = np.maximum.reduceat(d, starts) >= radius - 1e-9
+        far = y.manifold.past_gauge_ball(np.maximum.reduceat(d, starts))
         k = int(np.argmax(far)) if far.any() else sizes.size  # the block's gaps inside the domain
         best = float(np.maximum.reduceat(times[j] - times[i], starts)[k - 1]) if k else best
         if k < sizes.size:
             break
         gap += k
     if best == 0.0:
-        raise DomainError(f"adjacent samples already leave the gauge ball of radius {radius:.6g}")
+        raise DomainError(f"adjacent samples already leave the gauge ball of radius {y.manifold.gauge_radius:.6g}")
     return best
 
 

@@ -193,7 +193,10 @@ def rde_solve_manifold(
                         chart, rep = got, field.chart_rep(got)
                     x = chart.to_coords(y)
                 points[i + 1] = y
-                deriv[i + 1] = field.value_matrix(y)
+                f = field.value_matrix(y)
+                if f.shape != fshape:
+                    raise ShapeError(f"field {field.name} at t={rp.times[i + 1]:.6g} has shape {f.shape}, not {fshape}")
+                deriv[i + 1] = f
                 cols = chart.dto(y) @ deriv[i + 1]
         switches = [float(rp.times[i0]) for i0, _, _ in walk.close(n)[1:]]
     out = ManifoldControlledPath(mani, rp.times, points, deriv, rp)

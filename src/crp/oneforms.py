@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, certificate, check_same_grid, dyadic_ladder, dyadic_strides
+from .controlled import ControlledPath, certificate, check_same_grid, dyadic_strides
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor
 from .linalg import pointwise
@@ -45,13 +45,6 @@ class ControlledOneForm:
     @property
     def value_dim(self):
         return self.alpha.shape[1]
-
-    def coarsen(self, factor=2):
-        n = self.times.size - 1
-        idx = np.arange(0, n + 1, factor)
-        return ControlledOneForm(
-            self.times[idx], self.alpha[idx], self.alpha_dag[idx], self.parallelism, self.path.coarsen(factor)
-        )
 
     def verify(self, delta=None, levels=4):
         """Constants for the two controlled-one-form inequalities.
@@ -166,7 +159,7 @@ def gauge_integrate(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gaug
     n = y.times.size - 1
     if gauge.chart is None:
         d = y.manifold.distance(y.points[:-1], y.points[1:])
-        bad = np.where(d >= y.manifold.gauge_radius)[0]
+        bad = np.flatnonzero(y.manifold.past_gauge_ball(d))
         if bad.size:
             raise DomainError(f"step {int(bad[0])} exits the gauge domain")
     else:
@@ -179,17 +172,16 @@ def gauge_integrate(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gaug
     return ControlledPath(y.times, values, deriv)
 
 
-def gauge_local_defect(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, stensor=None):
-    """Max almost-additivity defect of the one-step expression over triples."""
-    stensor = stensor or gauge.compatibility()
-    return triple_defect(lambda i, j: gauge_expression(a, y, gauge, stensor, i, j), y.times.size - 1)
-
-
-def gauge_defect_by_level(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, levels=5):
-    """Local defect measured on successive dyadic coarsenings (finest first)."""
+def gauge_defect_by_level(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, levels):
+    """``[(h, defect)]``, finest first: the max almost-additivity defect of ``gauge_expression`` over the
+    consecutive triples of each grid of ``dyadic_strides``, read at its stride on the fine grid."""
+    strides, hs = dyadic_strides(y.times, levels, 4)
     stensor = gauge.compatibility()
-    hs, defects = dyadic_ladder(lambda yy, aa: gauge_local_defect(aa, yy, gauge, stensor), (y, a), levels, 4)
-    return list(zip(hs, defects))
+
+    def expr(i, j):
+        return gauge_expression(a, y, gauge, stensor, i, j)
+
+    return [(h, triple_defect(expr, y.times.size - 1, s)) for s, h in zip(strides, hs)]
 
 
 # -- gauge changes --------------------------------------------------------------------

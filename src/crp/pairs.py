@@ -5,7 +5,9 @@ s < t (optionally with t - s <= delta) of a per-pair residual divided by a
 power of the control, and ``control_sups`` is the one place that divides.
 ``pair_sup`` walks those pairs in row-major order in row blocks of bounded
 size, so memory stays flat in the grid size while the sups, being maxima, do
-not depend on the block size.
+not depend on the block size.  Every dyadic level of a verifier or a defect
+ladder is read at a stride on the fine grid (``on_grids``, ``triple_defect``):
+a coarse grid's pairs and triples are fine ones, so no object is coarsened.
 """
 
 from __future__ import annotations
@@ -141,14 +143,15 @@ def sampled_triples(n, max_triples, rng=None):
     return i, j, k
 
 
-def triple_defect(expr, n):
-    """Max norm of expr(i, i+1) + expr(i+1, i+2) - expr(i, i+2) over consecutive triples.
+def triple_defect(expr, n, s):
+    """Max norm of expr(i, i+s) + expr(i+s, i+2s) - expr(i, i+2s) over the consecutive triples of the
+    grid of every s-th node, i = 0, s, 2s, ...: a coarse grid's triples are three fine nodes.
 
     ``expr(i, j)`` takes equal-length index arrays into a grid of n steps and
-    returns one vector per pair; the result is 0.0 when n < 2 (no triple).
+    returns one vector per pair; the result is 0.0 when n < 2s (no triple).
     """
-    if n < 2:
+    if n < 2 * s:
         return 0.0
-    i = np.arange(n - 1)
-    d = expr(i, i + 1) + expr(i + 1, i + 2) - expr(i, i + 2)
+    i = np.arange(0, n - 2 * s + 1, s)
+    d = expr(i, i + s) + expr(i + s, i + 2 * s) - expr(i, i + 2 * s)
     return float(np.max(np.linalg.norm(d, axis=-1)))

@@ -143,21 +143,7 @@ class RoughPath:
         c_area, c_x, _, _ = control_sups(self.times, self.control, None, norms)
         return max(c_x[0], c_area[0])
 
-    # -- restriction / coarsening ------------------------------------------------
-
-    def coarsen(self, factor=2):
-        """Keep every ``factor``-th node; block areas composed by Chen."""
-        n = self.n_steps
-        if n % factor:
-            raise InvalidGrid(f"cannot coarsen {n} steps by {factor}")
-        idx = np.arange(0, n + 1, factor)
-        areas = self.area_pairs(idx[:-1], idx[1:])
-        return RoughPath(
-            times=self.times[idx],
-            values=self.values[idx],
-            step_areas=areas,
-            control=self.control.restrict(self.times[idx]),
-        )
+    # -- restriction -------------------------------------------------------------
 
     def restrict(self, i, j):
         """Sub-path over [t_i, t_j]."""
@@ -270,13 +256,11 @@ def lift_piecewise_linear(points, grid, p=1.0):
     return RoughPath(times, values, areas, Control.time_scale(c, p))
 
 
-def pure_area_driver(a, grid, k=2):
-    """Canonical weak-geometric driver with zero trace and constant area rate.
+def pure_area_driver(a, grid):
+    """Canonical two-dimensional weak-geometric driver with zero trace and constant area rate.
 
     Zero increments; the step tensor over [s, t] is a (t-s) (e1 (x) e2 - e2 (x) e1).
     """
-    if k != 2:
-        raise InvalidGrid("pure-area driver is two-dimensional")
     times = _check_grid(grid)
     n = times.size - 1
     values = np.zeros((n + 1, 2))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .controlled import ControlledPath, check_same_grid, dyadic_ladder
+from .controlled import ControlledPath, check_same_grid, dyadic_strides
 from .errors import ShapeError
 from .pairs import triple_defect
 from .roughpath import RoughPath
@@ -41,12 +41,12 @@ def local_expression(alpha: ControlledPath, y: ControlledPath, areas, i, j):
     return first + second
 
 
-def almost_additivity_defect(alpha: ControlledPath, y: ControlledPath, rp: RoughPath):
-    """Max defect of the one-step expression over consecutive grid triples."""
-    return triple_defect(lambda i, j: local_expression(alpha, y, rp.area_pairs(i, j), i, j), rp.times.size - 1)
-
-
 def defect_by_level(alpha: ControlledPath, y: ControlledPath, rp: RoughPath, levels):
-    """Local defect measured on successive dyadic coarsenings (finest first)."""
-    hs, defects = dyadic_ladder(lambda r, a, yy: almost_additivity_defect(a, yy, r), (rp, alpha, y), levels, 4)
-    return list(zip(hs, defects))
+    """``[(h, defect)]``, finest first: the max defect of the one-step expression over the consecutive
+    triples of each grid of ``dyadic_strides``, read at its stride on the fine grid."""
+    strides, hs = dyadic_strides(rp.times, levels, 4)
+
+    def expr(i, j):
+        return local_expression(alpha, y, rp.area_pairs(i, j), i, j)
+
+    return [(h, triple_defect(expr, rp.n_steps, s)) for s, h in zip(strides, hs)]

@@ -4,7 +4,9 @@ Nothing in ``crp`` calls these.  They are references (the frame-bundle
 construction of a connection form and its horizontal lift, the chart route to
 the smooth one-form integral, the Levi-Civita connection of a coordinate metric)
 or checks of identities the library's maps satisfy (logarithm almost
-additivity, the two-gauge integrator identity, superadditivity of a control).
+additivity, the two-gauge integrator identity, superadditivity of a control),
+and the per-level copies of a path on coarser grids that the library's
+stride reads of one fine grid are compared against.
 Tests import them from here; pytest puts this directory on ``sys.path``.
 """
 
@@ -15,10 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from crp.controlled import ControlledPath, dyadic_ladder
+from crp.controlled import ControlledPath, dyadic_strides
 from crp.controls import Control
 from crp.convergence import estimate_order
-from crp.errors import DomainError, ShapeError
+from crp.errors import DomainError, InvalidGrid, ShapeError
 from crp.fixtures import LINE
 from crp.gauges import Gauge, Parallelism, compatibility_tensor, connection_gauge, logarithm_gauge
 from crp.linalg import FD_STEP, norm, pointwise, richardson_diff
@@ -33,6 +35,42 @@ from crp.transport import FrameLift, MatrixGroup, group_rde
 
 SUPERADD_SLACK = 1e-12
 TAYLOR_FD_STEP = 1e-3
+
+
+# ---------------------------------------------------------------------------
+# per-level copies on dyadic coarsenings
+# ---------------------------------------------------------------------------
+
+
+def coarsen(obj):
+    """``obj`` on the grid of every other node: a rough path, a controlled path, a manifold path (with
+    its driver) or a one-form (with its path).  A rough path's block areas are its Chen compositions
+    over the fine steps (``area_pairs``), re-summed on the coarse grid."""
+    n = obj.times.size - 1
+    if n % 2:
+        raise InvalidGrid(f"cannot coarsen {n} steps by 2")
+    idx = np.arange(0, n + 1, 2)
+    if isinstance(obj, RoughPath):
+        areas = obj.area_pairs(idx[:-1], idx[1:])
+        return RoughPath(obj.times[idx], obj.values[idx], areas, obj.control.restrict(obj.times[idx]))
+    if isinstance(obj, ControlledPath):
+        return ControlledPath(obj.times[idx], obj.values[idx], obj.derivative[idx])
+    if isinstance(obj, ManifoldControlledPath):
+        driver = coarsen(obj.driver)
+        return ManifoldControlledPath(obj.manifold, obj.times[idx], obj.points[idx], obj.derivative[idx], driver)
+    return ControlledOneForm(obj.times[idx], obj.alpha[idx], obj.alpha_dag[idx], obj.parallelism, coarsen(obj.path))
+
+
+def dyadic_ladder(measure, objs, levels, min_steps):
+    """``(hs, rows)``, finest first: ``measure(*objs)`` on the grid and on each coarser grid of
+    ``dyadic_strides``, every object copied there by ``coarsen``; the meshes are the first object's."""
+    strides, hs = dyadic_strides(objs[0].times, levels, min_steps)
+    rows = []
+    for s in strides:
+        if s > 1:
+            objs = [coarsen(o) for o in objs]
+        rows.append(measure(*objs))
+    return hs, rows
 
 
 # ---------------------------------------------------------------------------

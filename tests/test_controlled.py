@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 import crp.fixtures as fx
+import crp.suite as suite
 from crp import Control, ControlledPath, GridMismatch, RoughPath, ShapeError, verify_crp
-from crp.controlled import associated_roughpath, driver_as_controlled, dyadic_ladder, stability_verdict
+from crp.controlled import associated_roughpath, driver_as_controlled, dyadic_strides, stability_verdict
 from crp.gauges import connection_gauge
 from crp.mcrp import verify_gauge_crp
 from crp.mrde import rde_solve_manifold
-from crp.oneforms import ControlledOneForm, gauge_defect_by_level, oneform_from_smooth
+from crp.oneforms import ControlledOneForm, gauge_defect_by_level, gauge_expression, oneform_from_smooth
+from crp.pairs import triple_defect
 from crp.roughpath import lift_smooth, time_lift
-from crp.sewing import defect_by_level
-from paper_reference import check_rde_gauge_form
+from crp.sewing import defect_by_level, local_expression
+from paper_reference import check_rde_gauge_form, dyadic_ladder
 
 
 def smooth_driver(n=64, T=1.0):
@@ -110,32 +112,82 @@ def test_associated_roughpath_satisfies_chen_and_geometry():
 
 
 class TestDyadicLadder:
+    """The stop rule of every ladder, ``dyadic_strides``; the defect ladders take it with min_steps 4."""
+
     @staticmethod
     def steps(n, levels, min_steps):
+        strides, _ = dyadic_strides(np.linspace(0.0, 1.0, n + 1), levels, min_steps)
+        return [n // s for s in strides]
+
+    @staticmethod
+    def defect_steps(n, levels):
+        """The step counts of the flat defect ladder's grids, read off its meshes."""
         rp = smooth_driver(n)
-        _, rows = dyadic_ladder(lambda r: r.times.size - 1, (rp,), levels, min_steps)
-        return rows
+        alpha = ControlledPath(rp.times, np.ones((n + 1, 2, 2)), np.zeros((n + 1, 2, 2, 2)))
+        return [round(1.0 / h) for h, _ in defect_by_level(alpha, driver_as_controlled(rp), rp, levels)]
 
     def test_stops_after_an_odd_step_count(self):
-        assert self.steps(40, 9, 4) == [40, 20, 10, 5]
+        assert self.steps(40, 9, 4) == self.defect_steps(40, 9) == [40, 20, 10, 5]
         assert self.steps(40, 9, 8) == [40, 20, 10, 5]
 
     def test_stops_below_min_steps(self):
         assert self.steps(64, 9, 8) == [64, 32, 16, 8, 4]
-        assert self.steps(64, 9, 4) == [64, 32, 16, 8, 4, 2]
+        assert self.steps(64, 9, 4) == self.defect_steps(64, 9) == [64, 32, 16, 8, 4, 2]
         assert self.steps(24, 9, 8) == [24, 12, 6]
-        assert self.steps(24, 9, 4) == [24, 12, 6, 3]
+        assert self.steps(24, 9, 4) == self.defect_steps(24, 9) == [24, 12, 6, 3]
 
     def test_stops_at_levels(self):
-        assert self.steps(64, 2, 4) == [64, 32]
-        assert self.steps(64, 1, 4) == [64]
+        assert self.steps(64, 2, 4) == self.defect_steps(64, 2) == [64, 32]
+        assert self.steps(64, 1, 4) == self.defect_steps(64, 1) == [64]
 
-    def test_coarsens_every_object_and_reports_the_mesh(self):
-        rp = smooth_driver(16, T=2.0)
-        y = driver_as_controlled(rp)
-        hs, rows = dyadic_ladder(lambda a, b: (a.times.size, b.times.size), (rp, y), 3, 4)
-        assert rows == [(17, 17), (9, 9), (5, 5)]
-        assert hs == [0.125, 0.25, 0.5]
+
+def _coarsened_flat_ladder(alpha, y, rp, levels):
+    """The flat defect ladder on per-level copies of the three paths."""
+
+    def measure(r, a, yy):
+        return triple_defect(lambda i, j: local_expression(a, yy, r.area_pairs(i, j), i, j), r.n_steps, 1)
+
+    return list(zip(*dyadic_ladder(measure, (rp, alpha, y), levels, 4)))
+
+
+def _coarsened_gauge_ladder(a, y, gauge, levels):
+    """The gauge defect ladder on per-level copies of the path and the one-form."""
+    stensor = gauge.compatibility()
+
+    def measure(yy, aa):
+        return triple_defect(lambda i, j: gauge_expression(aa, yy, gauge, stensor, i, j), yy.times.size - 1, 1)
+
+    return list(zip(*dyadic_ladder(measure, (y, a), levels, 4)))
+
+
+def test_criterion_02_ladders_equal_the_coarsened_reference(monkeypatch):
+    # the ladders read each coarse triple at its stride on the fine grid, the reference on per-level
+    # copies whose coarse areas are re-summed: the pure-area ladders agree exactly, the smooth ones to
+    # rounding (at most 3.2e-11 relative, 2e-17 absolute, on the second grid of flat-defect-smooth)
+    seen = []
+    for name, ladder, reference in [
+        ("defect_by_level", defect_by_level, _coarsened_flat_ladder),
+        ("gauge_defect_by_level", gauge_defect_by_level, _coarsened_gauge_ladder),
+    ]:
+
+        def recorded(*args, levels, ladder=ladder, reference=reference):
+            rows = ladder(*args, levels)
+            seen.append((rows, reference(*args, levels)))
+            return rows
+
+        monkeypatch.setattr(suite, name, recorded)
+    checks = suite.criterion_02_sewing_order()
+    assert [c["check"] for c in checks] == [
+        "flat-defect-smooth", "flat-defect-pure-area", "gauge-defect-smooth", "gauge-defect-pure-area"
+    ]
+    assert all(c["pass"] for c in checks) and len(seen) == 4
+    for check, (rows, ref) in zip(checks, seen):
+        (hs, ds), (hs_ref, ds_ref) = zip(*rows), zip(*ref)
+        assert hs == hs_ref and len(hs) == 5
+        if check["check"].endswith("pure-area"):
+            assert np.array_equal(ds, ds_ref)
+        else:
+            np.testing.assert_allclose(ds, ds_ref, rtol=1e-10, atol=0.0)
 
 
 class TestStabilityVerdict:

@@ -97,6 +97,16 @@ def field_values(i):
     return gauge_form_defects(y, ManifoldDrivingField(SPHERE, value, name="bad"), connection_gauge(SPHERE))
 
 
+def chart_stepped_drop():
+    """The chart-stepped solve of a field that drops a column once m[0] >= 0.05, first at t = 1/16."""
+
+    def value(m):
+        return SPHERE.tangent_projector(m)[:, : 2 if m[0] >= 0.05 else 3]
+
+    field = ManifoldDrivingField(SPHERE, value, name="drop")
+    return rde_solve_manifold(field, linear_drive_driver(16), np.array([0.0, 0.6, 0.8]))
+
+
 NAN3 = np.full(3, np.nan)
 
 # (site, the call with its malformed callable, expected error, the row its message names)
@@ -120,6 +130,7 @@ CASES = [
     ("f_related_pushforward:field", related_fields, ShapeError, "field narrow at point 0 has shape (3, 2), not (3, 3)"),
     ("logarithm_gauge:psi", lambda: log_gauge_psi(1), ShapeError, "psi at pair 1 has shape (2,)"),
     ("field-values", lambda: field_values(3), ShapeError, "field bad at point 3 has shape (3, 2)"),
+    ("rde_solve_manifold:field", chart_stepped_drop, ShapeError, "field drop at t=0.0625 has shape (3, 2), not (3, 3)"),
 ]
 
 

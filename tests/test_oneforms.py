@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crp import ControlledPath, DomainError, GaugeMismatch, NearCutLocus
-from crp.controlled import dyadic_ladder
 from crp.convergence import ConvergenceReport, dyadic_levels, estimate_order
 from crp.fixtures import (
     LINE,
@@ -29,6 +28,8 @@ from crp.oneforms import (
 from crp.linalg import FD_STEP, richardson_diff
 from crp.sewing import rough_integrate
 from paper_reference import (
+    coarsen,
+    dyadic_ladder,
     flat_smooth_integral,
     integrator_difference_defect,
     line_quadratic_gauge,
@@ -180,7 +181,7 @@ def test_gauge_independence_same_parallelism():
         zb = gauge_integrate(cur_a, cur_y, mixed)
         errs.append(float(np.max(np.abs(za.values - zb.values))))
         hs.append(float(np.max(np.diff(cur_y.times))))
-        cur_y, cur_a = cur_y.coarsen(2), cur_a.coarsen(2)
+        cur_y, cur_a = coarsen(cur_y), coarsen(cur_a)
     assert abs(z1.values[-1, 0] - z2.values[-1, 0]) < 5e-3
     assert order_passes(list(zip(hs, errs)), 256, 2.0)
 

@@ -15,10 +15,11 @@ import crp.oneforms as oneforms
 import crp.pairs as pairs
 import crp.roughpath as roughpath
 from crp.cli import main
-from crp.errors import DomainError
+from crp.errors import DomainError, NearCutLocus
 from crp.gauges import connection_gauge, standard_gauge
-from crp.manifolds import ChartManifold, ProductManifold
+from crp.manifolds import GAUGE_EDGE, GAUGE_RADIUS_MARGIN, ChartManifold, ProductManifold
 from crp.pairs import grid_triples, pair_sup, ratio, sampled_triples, triple_defect
+from paper_reference import dyadic_ladder
 
 BUDGETS = {"one-row": 1, "seven-pairs": 7, "default": pairs.BLOCK_PAIRS, "unbounded": 2**62}
 
@@ -177,17 +178,31 @@ class TestTripleDefect:
         def expr(i, j):
             raise AssertionError("evaluated")
 
-        assert triple_defect(expr, 0) == 0.0
-        assert triple_defect(expr, 1) == 0.0
+        assert triple_defect(expr, 0, 1) == 0.0
+        assert triple_defect(expr, 1, 1) == 0.0
+        assert triple_defect(expr, 7, 4) == 0.0
 
     def test_additive_expression_has_zero_defect(self):
         x = np.random.default_rng(0).integers(-9, 9, (9, 2)).astype(float)  # exact sums
-        assert triple_defect(lambda i, j: x[j] - x[i], 8) == 0.0
+        assert triple_defect(lambda i, j: x[j] - x[i], 8, 1) == 0.0
+        assert triple_defect(lambda i, j: x[j] - x[i], 8, 2) == 0.0
 
     def test_max_norm_over_consecutive_triples(self):
         # (j - i)^2 per component: 1 + 1 - 4 = -2 on each of the two components
-        got = triple_defect(lambda i, j: np.stack([(j - i) ** 2, (j - i) ** 2], axis=-1).astype(float), 5)
+        got = triple_defect(lambda i, j: np.stack([(j - i) ** 2, (j - i) ** 2], axis=-1).astype(float), 5, 1)
         assert got == float(np.hypot(2.0, 2.0))
+
+    def test_a_stride_reads_the_triples_of_every_s_th_node(self):
+        calls = []
+
+        def expr(i, j):
+            calls.append((i.tolist(), j.tolist()))
+            return ((j - i) ** 2 * (1.0 + i))[:, None]
+
+        # 8 steps at stride 2: the coarse grid 0, 2, 4, 6, 8 and its triples from i = 0, 2 and 4,
+        # whose defects 4 (1 + i) + 4 (3 + i) - 16 (1 + i) = -8 i peak at the last
+        assert triple_defect(expr, 8, 2) == 32.0
+        assert calls == [([0, 2, 4], [2, 4, 6]), ([2, 4, 6], [4, 6, 8]), ([0, 2, 4], [4, 6, 8])]
 
 
 # -- one sweep for every dyadic level ---------------------------------------------------
@@ -255,20 +270,20 @@ def test_one_sweep_equals_the_per_level_ladder(name):
     strides, hs = controlled.dyadic_strides(y.times, 4, 8)
     assert len(strides) >= 2 and (name != "example-6.7" or rp.control.kind == "table")
 
-    hs_ref, rows = controlled.dyadic_ladder(lambda cur: mcrp._gauge_constants(cur, gauge, delta), (y,), 4, 8)
+    hs_ref, rows = dyadic_ladder(lambda cur: mcrp._gauge_constants(cur, gauge, delta), (y,), 4, 8)
     got = mcrp._gauge_constants(y, gauge, delta, strides)
     assert hs == hs_ref and got[2:4] == rows[0][2:4]
     _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
 
     for d in (None, delta):
-        _, rows = controlled.dyadic_ladder(
+        _, rows = dyadic_ladder(
             lambda z, r: controlled._pair_constants(z.times, z.values, z.derivative, r, d), (flat, rp), 4, 8
         )
         got = controlled._pair_constants(flat.times, flat.values, flat.derivative, rp, d, strides)
         assert got[2:4] == rows[0][2:4]
         _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
 
-    _, rows = controlled.dyadic_ladder(lambda cur: cur._pair_constants(delta), (form,), 4, 8)
+    _, rows = dyadic_ladder(lambda cur: cur._pair_constants(delta), (form,), 4, 8)
     got = form._pair_constants(delta, strides)
     assert got[2:4] == rows[0][2:4]
     _same(got[4], [[r[0] for r in rows], [r[1] for r in rows]])
@@ -359,7 +374,7 @@ def _feasible_reference(y, gauge):
     for gap in range(1, n):
         i = np.arange(0, n - gap)
         d = y.manifold.distance(y.points[i], y.points[i + gap])
-        if float(np.max(d)) >= gauge.manifold.gauge_radius - 1e-9:
+        if float(np.max(d)) >= gauge.manifold.gauge_radius - GAUGE_EDGE:
             break
         best = float(np.max(y.times[i + gap] - y.times[i]))
     return best
@@ -375,6 +390,22 @@ def test_domain_feasible_delta_walks_blocks_of_gaps(maker, n, budget, monkeypatc
     want = _feasible_reference(y, gauge)
     monkeypatch.setattr(pairs, "BLOCK_PAIRS", budget)
     assert mcrp.domain_feasible_delta(y, gauge) == want
+
+
+def test_the_default_delta_never_probes_a_pair_the_logarithm_rejects():
+    # 32 equal steps along the equator: gap 16 lies 5e-7 short of the gauge radius, inside the
+    # logarithm's edge GAUGE_EDGE, so the default delta must stop at gap 15
+    n = 32
+    th = (np.pi - GAUGE_RADIUS_MARGIN - 5e-7) / 16 * np.arange(n + 1)
+    pts = np.stack([np.cos(th), np.sin(th), np.zeros(n + 1)], axis=1)
+    y = mcrp.crp_from_projection(fx.SPHERE, roughpath.lift_piecewise_linear(pts, np.linspace(0.0, 1.0, n + 1)))
+    gauge = connection_gauge(fx.SPHERE)
+    rep = mcrp.verify_gauge_crp(y, gauge)
+    assert rep["delta"] == mcrp.domain_feasible_delta(y, gauge) == pytest.approx(15 / 32, rel=1e-12)
+    assert rep["pass"]
+    assert fx.SPHERE.past_gauge_ball(fx.SPHERE.distance(pts[0], pts[16]))
+    with pytest.raises(NearCutLocus):
+        fx.SPHERE.log(pts[0], pts[16])
 
 
 def _turning_product_path():

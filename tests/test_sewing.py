@@ -8,6 +8,7 @@ from crp.controlled import driver_as_controlled
 from crp.convergence import ConvergenceReport, dyadic_levels
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
 from crp.sewing import defect_by_level, rough_integrate
+from paper_reference import coarsen
 
 
 def test_identity_integrand_recovers_increment():
@@ -123,7 +124,7 @@ def test_two_partition_consistency_slope():
     errs, hs = [], []
     a, y, r = alpha, x, rp
     for lev in range(4):
-        a, y, r = a.coarsen(2), y.coarsen(2), r.coarsen(2)
+        a, y, r = coarsen(a), coarsen(y), coarsen(r)
         z = rough_integrate(a, y, r)
         errs.append(float(np.max(np.abs(z.values[-1] - finest.values[-1]))))
         hs.append(float(np.max(np.diff(r.times))))
