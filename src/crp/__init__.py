@@ -37,7 +37,7 @@ from .gauges import (
     standard_gauge,
     torsion_check,
 )
-from .manifolds import Chart, ChartManifold, Manifold, ProductManifold, SO3, Sphere
+from .manifolds import Chart, ChartManifold, Manifold, SO3, Sphere
 from .mcrp import (
     ManifoldControlledPath,
     crp_from_projection,

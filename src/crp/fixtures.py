@@ -17,7 +17,7 @@ from .linalg import SO3_BASIS, hat, so3_exp
 from .manifolds import ChartManifold, SO3, Sphere
 from .mcrp import ManifoldControlledPath, crp_from_projection, crp_from_smooth_curve
 from .mrde import ManifoldDrivingField, rde_solve_manifold
-from .roughpath import RoughPath, lift_smooth, pure_area_driver, time_lift
+from .roughpath import RoughPath, lift_piecewise_linear, lift_smooth, pure_area_driver, time_lift
 
 SPHERE = Sphere()
 SO3M = SO3()
@@ -39,6 +39,13 @@ def smooth_2d_driver(n, T=1.0):
 
 def pure_area_fixture(n, a=1.0, T=1.0):
     return pure_area_driver(a, np.linspace(0.0, T, n + 1))
+
+
+def brownian_lift(n, shift=0.0):
+    """Piecewise-linear lift at p = 2.5 of a two-dimensional Brownian path of seed 7 on [0, 1], started at ``shift``."""
+    steps = np.random.default_rng(7).standard_normal((n, 2)) * np.sqrt(1.0 / n)
+    values = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]) + shift
+    return lift_piecewise_linear(values, np.linspace(0.0, 1.0, n + 1), p=2.5)
 
 
 def so3_constant_driver(n, a0=(0.0, 0.0, np.pi / 2)):

@@ -56,7 +56,7 @@ class Chart:
     Every map, and ``coords_margin``, takes one point (coordinate vector) or a
     stack of them with leading axes and returns the same leading axes: one call
     reads a whole stack, and a single point keeps its shape and its values.
-    ``read`` and ``margin`` check a stack's membership; ``contains`` checks one point.
+    ``read`` and ``margin`` check a stack's membership.
     """
 
     name: str
@@ -87,9 +87,6 @@ class Chart:
                 return np.array([self.margin(q) for q in flat]).reshape(p.shape[:k])
             half = len(flat) // 2
             return np.concatenate([self.margin(flat[:half]), self.margin(flat[half:])]).reshape(p.shape[:k])
-
-    def contains(self, p):
-        return self.margin(p) > 0.0
 
     def read(self, p, outside=None):
         """Coordinates of a point or a stack of points, each checked to lie inside the chart.
@@ -246,9 +243,9 @@ class Manifold:
     def charts(self):
         raise NotImplementedError
 
-    def chart_at(self, p, atlas=None):
-        """The chart of ``atlas`` (default: all charts) with the largest margin at p."""
-        atlas = self.charts() if atlas is None else atlas
+    def chart_at(self, p):
+        """The chart with the largest margin at p."""
+        atlas = self.charts()
         return atlas[int(self.chart_index(p, atlas))]
 
     def chart_index(self, p, atlas):
@@ -796,133 +793,3 @@ class ChartManifold(Manifold):
             "charts": [{"name": "identity", "center": self.center.tolist(), "radius": self.radius}],
             "connection": {"kind": "custom" if self.gamma is not None else "levi-civita"},
         }
-
-
-# ---------------------------------------------------------------------------
-# Products: a public manifold built from two factors, with the componentwise
-# connection.  No library code builds one; it is the total space M x G of the
-# paper's horizontal lift in the tests' reference, and a two-factor geometry
-# (a gauge radius and compatibility tensors from both factors) under test.
-# ---------------------------------------------------------------------------
-
-
-class ProductManifold(Manifold):
-    """Product with componentwise connection; points are concatenated flats."""
-
-    def __init__(self, first: Manifold, second: Manifold):
-        self.first = first
-        self.second = second
-        self.name = f"{first.name}*{second.name}"
-        self.dim = first.dim + second.dim
-        self.point_shape = (first.flat_dim + second.flat_dim,)
-
-    def split(self, p):
-        p = np.asarray(p, dtype=float)
-        d1 = self.first.flat_dim
-        return self.first.unflatten(p[..., :d1]), self.second.unflatten(p[..., d1:])
-
-    def join(self, a, b):
-        return np.concatenate([self.first.flatten(a), self.second.flatten(b)], axis=-1)
-
-    def project(self, p):
-        a, b = self.split(p)
-        return self.join(self.first.project(a), self.second.project(b))
-
-    def tangent_projector(self, p):
-        a, b = self.split(p)
-        return _block_diag(self.first.tangent_projector(a), self.second.tangent_projector(b))
-
-    def exp(self, m, v):
-        a, b = self.split(m)
-        va, vb = self.split(v)
-        return self.join(self.first.exp(a, va), self.second.exp(b, vb))
-
-    def log(self, m, n):
-        a, b = self.split(m)
-        na, nb = self.split(n)
-        return self.join(self.first.log(a, na), self.second.log(b, nb))
-
-    def transport(self, to_pt, from_pt):
-        a1, b1 = self.split(to_pt)
-        a0, b0 = self.split(from_pt)
-        return _block_diag(self.first.transport(a1, a0), self.second.transport(b1, b0))
-
-    def d2log(self, m, n):
-        a, b = self.split(m)
-        na, nb = self.split(n)
-        return _block_diag(self.first.d2log(a, na), self.second.d2log(b, nb))
-
-    def torsion_tensor(self, m):
-        # the componentwise connection only twists vectors of one factor
-        a, b = self.split(m)
-        d1 = self.first.flat_dim
-        out = np.zeros(self._lead(m) + (self.flat_dim,) * 3)
-        out[..., :d1, :d1, :d1] = self.first.torsion_tensor(a)
-        out[..., d1:, d1:, d1:] = self.second.torsion_tensor(b)
-        return out
-
-    @property
-    def gauge_radius(self):
-        return min(self.first.gauge_radius, self.second.gauge_radius)
-
-    def distance(self, m, n):
-        a, b = self.split(m)
-        na, nb = self.split(n)
-        return np.hypot(self.first.distance(a, na), self.second.distance(b, nb))
-
-    def charts(self):
-        out = []
-        for c1 in self.first.charts():
-            for c2 in self.second.charts():
-                out.append(self._product_chart(c1, c2))
-        return out
-
-    def _product_chart(self, c1: Chart, c2: Chart):
-        # each factor from its own centre: inside the product ball each factor is inside its own
-        centers = [np.zeros(c.dim) if c.center_coords is None else c.center_coords for c in (c1, c2)]
-
-        def to_coords(p):
-            a, b = self.split(p)
-            return np.concatenate([c1.to_coords(a), c2.to_coords(b)], axis=-1)
-
-        def from_coords(x):
-            x = np.asarray(x, dtype=float)
-            return self.join(c1.from_coords(x[..., : c1.dim]), c2.from_coords(x[..., c1.dim :]))
-
-        def dto(p):
-            a, b = self.split(p)
-            return _block_diag(c1.dto(a), c2.dto(b))
-
-        def dfrom(x):
-            x = np.asarray(x, dtype=float)
-            return _block_diag(c1.dfrom(x[..., : c1.dim]), c2.dfrom(x[..., c1.dim :]))
-
-        return Chart(
-            name=f"{c1.name}*{c2.name}",
-            dim=c1.dim + c2.dim,
-            to_coords=to_coords,
-            from_coords=from_coords,
-            dto=dto,
-            dfrom=dfrom,
-            radius=min(c1.radius, c2.radius),
-            center_coords=np.concatenate(centers),
-        )
-
-    def random_point(self, rng):
-        return self.join(self.first.random_point(rng), self.second.random_point(rng))
-
-    def same_geometry(self, other):
-        return self is other or (
-            isinstance(other, ProductManifold)
-            and self.first.same_geometry(other.first)
-            and self.second.same_geometry(other.second)
-        )
-
-
-def _block_diag(a, b):
-    """Block-diagonal stack of two stacks of matrices with the same leading axes."""
-    (m, n), (k, l) = a.shape[-2:], b.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (m + k, n + l))
-    out[..., :m, :n] = a
-    out[..., m:, n:] = b
-    return out

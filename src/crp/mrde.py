@@ -57,12 +57,16 @@ class ManifoldDrivingField:
         """F at each of a stack of points, (R, D, k), one ``value_matrix`` call per point through ``linalg.pointwise``."""
         return pointwise(self.value_matrix, ms, f"field {self.name} at point", (self.manifold.flat_dim, None))
 
-    def chart_rep(self, chart):
-        """F in chart coordinates: x -> dto(p) field(p), p = from_coords(x)."""
+    def chart_rep(self, chart, shape):
+        """F in chart coordinates: x -> dto(p) field(p), p = from_coords(x); ``ShapeError`` naming the
+        point p unless field(p) has ``shape``, the shape of the field's node values."""
 
         def rep(x):
             p = chart.from_coords(x)
-            return chart.dto(p) @ self.value_matrix(p)
+            f = self.value_matrix(p)
+            if f.shape != shape:
+                raise ShapeError(f"field {self.name} at point {p} has shape {f.shape}, not {shape}")
+            return chart.dto(p) @ f
 
         return rep
 
@@ -76,11 +80,11 @@ class ChartWalk:
     whenever the chart changes.
     """
 
-    def __init__(self, manifold: Manifold, atlas, times, p0):
+    def __init__(self, manifold: Manifold, times, p0):
         self.manifold = manifold
-        self.atlas = list(atlas) if atlas is not None else manifold.charts()
+        self.atlas = manifold.charts()
         self.times = times
-        self.chart = manifold.chart_at(p0, self.atlas)
+        self.chart = self.atlas[int(manifold.chart_index(p0, self.atlas))]
         self.starts = [(0, self.chart)]
 
     def visit(self, i, p, margin):
@@ -91,7 +95,7 @@ class ChartWalk:
         if margin >= RECHART_MARGIN * self.chart.radius:
             return None
         try:
-            best = self.manifold.chart_at(p, self.atlas)
+            best = self.atlas[int(self.manifold.chart_index(p, self.atlas))]
         except AtlasGap:
             raise Explosion(self.times[i - 1], "trajectory left every atlas chart") from None
         if best is not self.chart:
@@ -139,7 +143,6 @@ def rde_solve_manifold(
     y0,
     horizon=None,
     retraction=False,
-    atlas=None,
     explosion_bound=EXPLOSION_BOUND,
 ) -> ManifoldControlledPath:
     """Second-order solve of dy = F_{dX}(y), chart-patched unless F has generators.
@@ -173,9 +176,9 @@ def rde_solve_manifold(
         deriv = np.empty((n + 1, mani.flat_dim, rp.dim))
         points[0] = y
         deriv[0] = f0
-        walk = ChartWalk(mani, atlas, rp.times, y)
+        walk = ChartWalk(mani, rp.times, y)
         chart = walk.chart
-        rep = field.chart_rep(chart)
+        rep = field.chart_rep(chart, fshape)
         with np.errstate(all="ignore"):  # a non-finite field value flows quietly to the explosion check
             x, cols = chart.to_coords(y), chart.dto(y) @ deriv[0]
             for i in range(n):
@@ -190,7 +193,7 @@ def rde_solve_manifold(
                 got = walk.visit(i + 1, y, chart.coords_margin(x))
                 if got is not None:
                     if got is not chart:
-                        chart, rep = got, field.chart_rep(got)
+                        chart, rep = got, field.chart_rep(got, fshape)
                     x = chart.to_coords(y)
                 points[i + 1] = y
                 f = field.value_matrix(y)

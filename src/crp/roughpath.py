@@ -40,7 +40,7 @@ class RoughPath:
     step_areas: np.ndarray  # (N, k, k), tensor for [t_i, t_{i+1}]
     control: Control
 
-    # cumulative helpers for O(1) pair queries, built lazily
+    # cumulative helpers for O(1) pair queries, built lazily; x dx is summed from x_0, so a shift never enters
     _cum_area: np.ndarray | None = field(default=None, repr=False)
     _cum_xdx: np.ndarray | None = field(default=None, repr=False)
 
@@ -71,19 +71,6 @@ class RoughPath:
             raise OffGrid(f"t={t!r} is not a grid node")
         return i
 
-    def increment(self, i, j):
-        return self.values[j] - self.values[i]
-
-    def area(self, i, j):
-        """Second-level tensor over [t_i, t_j] by left-fold composition."""
-        if j < i:
-            raise OffGrid("need i <= j")
-        k = self.dim
-        out = np.zeros((k, k))
-        for m in range(i, j):
-            out += self.step_areas[m] + np.outer(self.values[m] - self.values[i], self.values[m + 1] - self.values[m])
-        return out
-
     def _build_cums(self):
         if self._cum_area is not None:
             return
@@ -92,15 +79,15 @@ class RoughPath:
         cum_area = np.zeros((n + 1, k, k))
         cum_area[1:] = np.cumsum(self.step_areas, axis=0)
         cum_xdx = np.zeros((n + 1, k, k))
-        cum_xdx[1:] = np.cumsum(np.einsum("ia,ib->iab", self.values[:-1], dx), axis=0)
+        cum_xdx[1:] = np.cumsum(np.einsum("ia,ib->iab", self.values[:-1] - self.values[0], dx), axis=0)
         self._cum_area = cum_area
         self._cum_xdx = cum_xdx
 
     def area_pairs(self, i, j):
         """Vectorized areas for index arrays i, j (i <= j elementwise).
 
-        Algebraically identical to the left fold; uses cumulative sums so whole
-        families of pairs can be queried at once.
+        The Chen composition of the steps from t_i to t_j; uses cumulative sums so
+        whole families of pairs can be queried at once.
         """
         self._build_cums()
         xi = self.values.take(i, axis=0)
@@ -108,7 +95,7 @@ class RoughPath:
         out -= self._cum_area.take(i, axis=0)
         out += self._cum_xdx.take(j, axis=0)
         out -= self._cum_xdx.take(i, axis=0)
-        out -= np.einsum("...a,...b->...ab", xi, self.values.take(j, axis=0) - xi)
+        out -= np.einsum("...a,...b->...ab", xi - self.values[0], self.values.take(j, axis=0) - xi)
         return out
 
     # -- invariants -------------------------------------------------------------

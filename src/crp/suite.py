@@ -117,6 +117,8 @@ def criterion_01_algebraic_exactness():
         checks.append(_check(f"chen-residual[{name}]", rp.chen_residual(), 1e-12))
         tol = 0.0 if name in ("pure-area", "piecewise-linear") else 1e-10
         checks.append(_check(f"weak-geometric[{name}]", rp.weak_geometric_residual(), max(tol, 0.0)))
+    # pair areas do not depend on where the driver sits: a Brownian lift shifted by 1e4
+    checks.append(_check("chen-residual[translated]", fx.brownian_lift(4096, shift=1e4).chen_residual(), 1e-12))
     return checks
 
 

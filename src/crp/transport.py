@@ -161,7 +161,7 @@ def _step_tensors(y: ManifoldControlledPath, i0, i1, chart: Chart):
     return chart.to_coords(pts), xdag @ y.driver.step_areas[i0:i1] @ np.swapaxes(xdag, 1, 2)
 
 
-def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None) -> FrameLift:
+def parallel_translate_frame(y: ManifoldControlledPath, u0) -> FrameLift:
     """Parallel translation of a frame along y: the horizontal lift to the frame bundle.
 
     On each chart segment the chart frame takes roll's frame steps I - R_k on the path's chart
@@ -172,7 +172,7 @@ def parallel_translate_frame(y: ManifoldControlledPath, u0, atlas=None) -> Frame
     mani = y.manifold
     d = mani.dim
     u0 = _check_frame(mani, u0)
-    segs = ChartWalk(mani, atlas, y.times, y.points[0]).scan(y.points)
+    segs = ChartWalk(mani, y.times, y.points[0]).scan(y.points)
     frames = np.empty((y.times.size, mani.flat_dim, d))
     frames[0] = u0
     for (i0, i1, chart) in segs:
@@ -201,7 +201,7 @@ def _check_lift(lift: FrameLift, times, points):
 # ---------------------------------------------------------------------------
 
 
-def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = None):
+def unroll(y: ManifoldControlledPath, u0, lift: FrameLift | None = None):
     """Anti-development: flat path read off through the parallel frames.
 
     Returns (flat controlled path, frame lift).  The increments integrate the
@@ -210,7 +210,7 @@ def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = N
     """
     mani = y.manifold
     u0 = _check_frame(mani, u0)
-    lift = lift or parallel_translate_frame(y, u0, atlas=atlas)
+    lift = lift or parallel_translate_frame(y, u0)
     _check_lift(lift, y.times, y.points)
     values = np.zeros((y.times.size, mani.dim))
     deriv = np.linalg.pinv(lift.frames) @ y.derivative
@@ -228,7 +228,7 @@ def unroll(y: ManifoldControlledPath, u0, atlas=None, lift: FrameLift | None = N
     return ControlledPath(y.times, values, deriv), lift
 
 
-def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None):
+def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0):
     """Development: solve the frame-bundle horizontal equation driven by z.
 
     State is (chart coords x, chart frame U); the horizontal field H_a = (U e_a, -A<U e_a> U),
@@ -253,7 +253,7 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0, atlas=None
     pts = np.empty((n + 1,) + manifold.point_shape)
     xs, ubs = np.empty((n + 1, d)), np.empty((n + 1, d, d))  # chart coordinates and chart frames
     pts[0] = o
-    walk = ChartWalk(manifold, atlas, rp.times, pts[0])
+    walk = ChartWalk(manifold, rp.times, pts[0])
     chart = walk.chart
     x = xs[0] = chart.to_coords(pts[0])
     ub = ubs[0] = chart.dto(pts[0]) @ u0
@@ -289,10 +289,10 @@ def rolled_oneform(a: ControlledOneForm, lift: FrameLift) -> ControlledPath:
     return ControlledPath(a.times, vals, dag)
 
 
-def rolled_integral_check(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, u0, atlas=None):
+def rolled_integral_check(a: ControlledOneForm, y: ManifoldControlledPath, gauge: Gauge, u0):
     """Gauge integral along y vs flat integral of the rolled data."""
     lhs = gauge_integrate(a, y, gauge)
-    ytil, lift = unroll(y, u0, atlas=atlas)
+    ytil, lift = unroll(y, u0)
     atil = rolled_oneform(a, lift)
     rhs = rough_integrate(atil, ytil, y.driver)
     return {

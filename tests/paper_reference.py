@@ -6,7 +6,8 @@ the smooth one-form integral, the Levi-Civita connection of a coordinate metric)
 or checks of identities the library's maps satisfy (logarithm almost
 additivity, the two-gauge integrator identity, superadditivity of a control),
 and the per-level copies of a path on coarser grids that the library's
-stride reads of one fine grid are compared against.
+stride reads of one fine grid are compared against, the left-fold area that
+``RoughPath.area_pairs`` is compared against, and the product of two manifolds.
 Tests import them from here; pytest puts this directory on ``sys.path``.
 """
 
@@ -20,11 +21,11 @@ import numpy as np
 from crp.controlled import ControlledPath, dyadic_strides
 from crp.controls import Control
 from crp.convergence import estimate_order
-from crp.errors import DomainError, InvalidGrid, ShapeError
+from crp.errors import DomainError, InvalidGrid, OffGrid, ShapeError
 from crp.fixtures import LINE
 from crp.gauges import Gauge, Parallelism, compatibility_tensor, connection_gauge, logarithm_gauge
 from crp.linalg import FD_STEP, norm, pointwise, richardson_diff
-from crp.manifolds import ChartManifold, Manifold, ProductManifold
+from crp.manifolds import Chart, ChartManifold, Manifold
 from crp.mcrp import ManifoldControlledPath, crp_pushforward
 from crp.mrde import gauge_form_defects
 from crp.oneforms import ControlledOneForm, integrate_smooth_oneform, integrator_increments
@@ -71,6 +72,22 @@ def dyadic_ladder(measure, objs, levels, min_steps):
             objs = [coarsen(o) for o in objs]
         rows.append(measure(*objs))
     return hs, rows
+
+
+# ---------------------------------------------------------------------------
+# rough paths: the left fold of the steps
+# ---------------------------------------------------------------------------
+
+
+def left_fold_area(rp: RoughPath, i, j):
+    """Second-level tensor over [t_i, t_j] by left-fold composition."""
+    if j < i:
+        raise OffGrid("need i <= j")
+    k = rp.dim
+    out = np.zeros((k, k))
+    for m in range(i, j):
+        out += rp.step_areas[m] + np.outer(rp.values[m] - rp.values[i], rp.values[m + 1] - rp.values[m])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -418,3 +435,133 @@ def check_superadditive(control: Control, times, rng=None, max_triples=200_000):
     osu = control.omega(t[i], t[k])
     viol = control.omega(t[i], t[j]) + control.omega(t[j], t[k]) - osu - SUPERADD_SLACK * np.maximum(1.0, osu)
     return float(np.max(viol))
+
+
+# ---------------------------------------------------------------------------
+# products: a manifold built from two factors, with the componentwise
+# connection.  It is the total space M x G of the horizontal lift above, and a
+# two-factor geometry (a gauge radius and compatibility tensors from both
+# factors) that tests run the library's stacked maps on.
+# ---------------------------------------------------------------------------
+
+
+class ProductManifold(Manifold):
+    """Product with componentwise connection; points are concatenated flats."""
+
+    def __init__(self, first: Manifold, second: Manifold):
+        self.first = first
+        self.second = second
+        self.name = f"{first.name}*{second.name}"
+        self.dim = first.dim + second.dim
+        self.point_shape = (first.flat_dim + second.flat_dim,)
+
+    def split(self, p):
+        p = np.asarray(p, dtype=float)
+        d1 = self.first.flat_dim
+        return self.first.unflatten(p[..., :d1]), self.second.unflatten(p[..., d1:])
+
+    def join(self, a, b):
+        return np.concatenate([self.first.flatten(a), self.second.flatten(b)], axis=-1)
+
+    def project(self, p):
+        a, b = self.split(p)
+        return self.join(self.first.project(a), self.second.project(b))
+
+    def tangent_projector(self, p):
+        a, b = self.split(p)
+        return _block_diag(self.first.tangent_projector(a), self.second.tangent_projector(b))
+
+    def exp(self, m, v):
+        a, b = self.split(m)
+        va, vb = self.split(v)
+        return self.join(self.first.exp(a, va), self.second.exp(b, vb))
+
+    def log(self, m, n):
+        a, b = self.split(m)
+        na, nb = self.split(n)
+        return self.join(self.first.log(a, na), self.second.log(b, nb))
+
+    def transport(self, to_pt, from_pt):
+        a1, b1 = self.split(to_pt)
+        a0, b0 = self.split(from_pt)
+        return _block_diag(self.first.transport(a1, a0), self.second.transport(b1, b0))
+
+    def d2log(self, m, n):
+        a, b = self.split(m)
+        na, nb = self.split(n)
+        return _block_diag(self.first.d2log(a, na), self.second.d2log(b, nb))
+
+    def torsion_tensor(self, m):
+        # the componentwise connection only twists vectors of one factor
+        a, b = self.split(m)
+        d1 = self.first.flat_dim
+        out = np.zeros(self._lead(m) + (self.flat_dim,) * 3)
+        out[..., :d1, :d1, :d1] = self.first.torsion_tensor(a)
+        out[..., d1:, d1:, d1:] = self.second.torsion_tensor(b)
+        return out
+
+    @property
+    def gauge_radius(self):
+        return min(self.first.gauge_radius, self.second.gauge_radius)
+
+    def distance(self, m, n):
+        a, b = self.split(m)
+        na, nb = self.split(n)
+        return np.hypot(self.first.distance(a, na), self.second.distance(b, nb))
+
+    def charts(self):
+        out = []
+        for c1 in self.first.charts():
+            for c2 in self.second.charts():
+                out.append(self._product_chart(c1, c2))
+        return out
+
+    def _product_chart(self, c1: Chart, c2: Chart):
+        # each factor from its own centre: inside the product ball each factor is inside its own
+        centers = [np.zeros(c.dim) if c.center_coords is None else c.center_coords for c in (c1, c2)]
+
+        def to_coords(p):
+            a, b = self.split(p)
+            return np.concatenate([c1.to_coords(a), c2.to_coords(b)], axis=-1)
+
+        def from_coords(x):
+            x = np.asarray(x, dtype=float)
+            return self.join(c1.from_coords(x[..., : c1.dim]), c2.from_coords(x[..., c1.dim :]))
+
+        def dto(p):
+            a, b = self.split(p)
+            return _block_diag(c1.dto(a), c2.dto(b))
+
+        def dfrom(x):
+            x = np.asarray(x, dtype=float)
+            return _block_diag(c1.dfrom(x[..., : c1.dim]), c2.dfrom(x[..., c1.dim :]))
+
+        return Chart(
+            name=f"{c1.name}*{c2.name}",
+            dim=c1.dim + c2.dim,
+            to_coords=to_coords,
+            from_coords=from_coords,
+            dto=dto,
+            dfrom=dfrom,
+            radius=min(c1.radius, c2.radius),
+            center_coords=np.concatenate(centers),
+        )
+
+    def random_point(self, rng):
+        return self.join(self.first.random_point(rng), self.second.random_point(rng))
+
+    def same_geometry(self, other):
+        return self is other or (
+            isinstance(other, ProductManifold)
+            and self.first.same_geometry(other.first)
+            and self.second.same_geometry(other.second)
+        )
+
+
+def _block_diag(a, b):
+    """Block-diagonal stack of two stacks of matrices with the same leading axes."""
+    (m, n), (k, l) = a.shape[-2:], b.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (m + k, n + l))
+    out[..., :m, :n] = a
+    out[..., m:, n:] = b
+    return out

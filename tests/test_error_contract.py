@@ -107,6 +107,17 @@ def chart_stepped_drop():
     return rde_solve_manifold(field, linear_drive_driver(16), np.array([0.0, 0.6, 0.8]))
 
 
+def chart_stepped_stencil_drop():
+    """The same solve of a field that drops a column once m[0] > 1e-7: the first step's FD stencil
+    reads it at a point 1.8e-6 along the first axis, before any node does."""
+
+    def value(m):
+        return SPHERE.tangent_projector(m)[:, : 2 if m[0] > 1e-7 else 3]
+
+    field = ManifoldDrivingField(SPHERE, value, name="stencil-drop")
+    return rde_solve_manifold(field, linear_drive_driver(16), np.array([0.0, 0.6, 0.8]))
+
+
 NAN3 = np.full(3, np.nan)
 
 # (site, the call with its malformed callable, expected error, the row its message names)
@@ -131,6 +142,8 @@ CASES = [
     ("logarithm_gauge:psi", lambda: log_gauge_psi(1), ShapeError, "psi at pair 1 has shape (2,)"),
     ("field-values", lambda: field_values(3), ShapeError, "field bad at point 3 has shape (3, 2)"),
     ("rde_solve_manifold:field", chart_stepped_drop, ShapeError, "field drop at t=0.0625 has shape (3, 2), not (3, 3)"),
+    ("rde_solve_manifold:field-stencil", chart_stepped_stencil_drop, ShapeError,
+     "field stencil-drop at point [1.8e-06 6.0e-01 8.0e-01] has shape (3, 2), not (3, 3)"),
 ]
 
 

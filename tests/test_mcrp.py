@@ -105,6 +105,12 @@ class TestGaugeVerifier:
         assert rep["pass"], rep
         assert np.isfinite(rep["C2"]) and np.isfinite(rep["C1"])
 
+    def test_equator_derivative_constant_is_one_under_connection_gauge(self):
+        # U(y_s, y_t) P(y_t) - P(y_s) = e_s (e_t - e_s)^T for the unit tangents e of the equator, so its norm is
+        # the chord 2 sin((t - s) / 2) = |x_t - x_s|, whose largest ratio to t - s calibrated the control
+        rep = verify_gauge_crp(equator_crp(64), connection_gauge(SPHERE))
+        assert rep["C_derivative"] == pytest.approx(1.0, rel=1e-12)
+
     def test_spiral_passes_both_gauges(self):
         y = sphere_spiral_crp(256)
         g1 = connection_gauge(SPHERE)

@@ -26,13 +26,13 @@ from crp.gauges import (
     connection_gauge,
 )
 from crp.linalg import richardson_diff
-from crp.manifolds import SO3, ChartManifold, ProductManifold
+from crp.manifolds import SO3, ChartManifold
 from crp.mcrp import ManifoldControlledPath
 from crp.mrde import ManifoldDrivingField, pushed_field_path
 from crp.oneforms import gauge_change, oneform_from_smooth
 from crp.roughpath import lift_smooth
 from crp.transport import MatrixGroup
-from paper_reference import ConnectionForm, horizontal_lift
+from paper_reference import ConnectionForm, ProductManifold, horizontal_lift
 
 
 def asymmetric_connection(x):
@@ -416,6 +416,6 @@ def test_parallelism_of_another_manifold_raises_gauge_mismatch():
 
 def test_equal_manifold_instances_are_accepted():
     y = product_path(16)
-    twin = crp.manifolds.ProductManifold(SPHERE, SO3())
+    twin = ProductManifold(SPHERE, SO3())
     a = oneform_from_smooth(product_form, y, connection_gauge(twin).par)
     assert a.alpha_dag.shape == (17, 2, 3, 12)

@@ -16,6 +16,7 @@ from crp.fixtures import (
 )
 from crp.gauges import Gauge, chart_gauge, compatibility_tensor, connection_gauge, standard_gauge
 from crp.oneforms import (
+    ControlledOneForm,
     associativity_check,
     fundamental_theorem,
     gauge_change,
@@ -115,6 +116,17 @@ def test_controlled_oneform_invariants_hold():
     a = oneform_from_smooth(area_form, y, g.par)
     rep = a.verify()
     assert rep["pass"], rep
+
+
+def test_oneform_derivative_constant_reads_a_constant_covector_on_the_equator():
+    # alpha' = e_x^T in driver slot 0: e_x^T (U(y_t, y_s) - I) P(y_s) = (sin s - sin t) e_s^T, whose largest ratio
+    # to the control, omega = (2 sin(h / 2) / h) (t - s), is cos(h / 2), at adjacent and at two-step pairs
+    n = 64
+    y = equator_crp(n)
+    dag = np.zeros((n + 1, 1, 3, 3))
+    dag[:, 0, 0, 0] = 1.0
+    a = ControlledOneForm(y.times, np.zeros((n + 1, 1, 3)), dag, connection_gauge(SPHERE).par, y)
+    assert a.verify()["C_derivative"] == pytest.approx(np.cos(np.pi / n), rel=1e-12)
 
 
 def test_oneform_constants_through_antipode_raise():

@@ -17,9 +17,9 @@ import crp.roughpath as roughpath
 from crp.cli import main
 from crp.errors import DomainError, NearCutLocus
 from crp.gauges import connection_gauge, standard_gauge
-from crp.manifolds import GAUGE_EDGE, GAUGE_RADIUS_MARGIN, ChartManifold, ProductManifold
+from crp.manifolds import GAUGE_EDGE, GAUGE_RADIUS_MARGIN, ChartManifold
 from crp.pairs import grid_triples, pair_sup, ratio, sampled_triples, triple_defect
-from paper_reference import dyadic_ladder
+from paper_reference import ProductManifold, dyadic_ladder
 
 BUDGETS = {"one-row": 1, "seven-pairs": 7, "default": pairs.BLOCK_PAIRS, "unbounded": 2**62}
 

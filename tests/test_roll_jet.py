@@ -22,10 +22,11 @@ import crp.transport
 from crp import AtlasGap
 from crp.controlled import ControlledPath, driver_as_controlled, pushed_step_areas
 from crp.fixtures import SO3M, SPHERE, so3_curve_crp, tangent_frame
-from crp.manifolds import Chart, ChartManifold, Manifold, ProductManifold, Sphere
+from crp.manifolds import Chart, ChartManifold, Manifold, Sphere
 from crp.mrde import ChartWalk
 from crp.roughpath import lift_piecewise_linear, pure_area_driver, time_lift
 from crp.transport import parallel_translate_frame, roll
+from paper_reference import ProductManifold
 from test_manifolds import quadratic_connection
 from test_transport_grid import meridian_crp, roll_ending_in_a_chart_switch
 
@@ -103,7 +104,7 @@ def node_roll(z, rp, manifold, o, u0, step):
     pts = np.empty((n + 1,) + manifold.point_shape)
     frames = np.empty((n + 1, manifold.flat_dim, manifold.dim))
     pts[0], frames[0] = o, u0
-    walk = ChartWalk(manifold, None, rp.times, o)
+    walk = ChartWalk(manifold, rp.times, o)
     chart = walk.chart
     x, ub = chart.to_coords(o), chart.dto(o) @ u0
     dz, areas = np.diff(z.values, axis=0), pushed_step_areas(z, rp)
@@ -266,12 +267,11 @@ def test_frame_transport_reads_each_chart_margin_once_per_path(monkeypatch, marg
 @pytest.mark.parametrize("case", ["sphere", "so3"])
 def test_chart_walk_scan_matches_visits_node_by_node(case):
     mani, y = (SPHERE, meridian_crp(512, phase=1.0)) if case == "sphere" else (SO3M, so3_curve_crp(128, T=6.0))
-    atlas = mani.charts()
-    walk = ChartWalk(mani, atlas, y.times, y.points[0])
+    walk = ChartWalk(mani, y.times, y.points[0])
     for i in range(1, y.times.size):
         walk.visit(i, y.points[i], walk.chart.margin(y.points[i]))
     want = walk.close(y.times.size - 1)
-    got = ChartWalk(mani, atlas, y.times, y.points[0]).scan(y.points)
+    got = ChartWalk(mani, y.times, y.points[0]).scan(y.points)
     assert len(want) > 1
     assert [(i0, i1, c.name) for i0, i1, c in got] == [(i0, i1, c.name) for i0, i1, c in want]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from crp import ControlledPath, Explosion
+from crp import ChartManifold, ControlledPath, Explosion
 from crp.controlled import driver_as_controlled
 from crp.convergence import ConvergenceReport, estimate_order
 from crp.fixtures import (
@@ -19,7 +19,7 @@ from crp.linalg import hat, so3_exp
 from crp.manifolds import Manifold
 from crp.mcrp import crp_from_projection, verify_gauge_crp
 from crp.oneforms import oneform_from_smooth
-from crp.roughpath import lift_smooth, pure_area_driver, time_lift
+from crp.roughpath import lift_piecewise_linear, lift_smooth, pure_area_driver, time_lift
 from crp.transport import (
     MatrixGroup,
     chart_christoffels,
@@ -243,11 +243,13 @@ class TestFrameTransport:
         assert len(lift2.segments) == 3
 
     def test_leaving_every_chart_reports_the_last_valid_time(self):
-        y = meridian_crp(256, phase=np.pi / 2)  # from the equator down, round and up to the north pole
-        north = SPHERE.charts()[0]
-        first_out = next(i for i, p in enumerate(y.points) if north.margin(p) <= 0)
+        ball = ChartManifold(2, radius=1.0)  # one chart, which the line from the centre leaves
+        grid = np.linspace(0.0, 1.0, 257)
+        y = crp_from_projection(ball, lift_piecewise_linear(np.outer(grid, [1.5, 1.0]), grid))
+        chart = ball.charts()[0]
+        first_out = next(i for i, p in enumerate(y.points) if chart.margin(p) <= 0)
         with pytest.raises(Explosion, match="left every atlas chart") as exc:
-            parallel_translate_frame(y, tangent_frame(y.points[0]), atlas=[north])
+            parallel_translate_frame(y, np.eye(2))
         assert exc.value.time == y.times[first_out - 1]
 
 

@@ -26,7 +26,7 @@ from crp.fixtures import (
 )
 from crp.gauges import chart_gauge, connection_gauge
 from crp.linalg import hat, so3_exp, so3_left_jacobian, so3_left_jacobian_inv, so3_log, vee
-from crp.manifolds import Chart, ChartManifold, ProductManifold
+from crp.manifolds import Chart, ChartManifold
 from crp.mcrp import ManifoldControlledPath, crp_from_projection
 from crp.mrde import ManifoldDrivingField, rde_solve_manifold
 from crp.oneforms import oneform_from_smooth
@@ -40,6 +40,7 @@ from crp.transport import (
     roll,
     unroll,
 )
+from paper_reference import ProductManifold
 
 
 def gl_alg_path(n, d=2):
