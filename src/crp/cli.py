@@ -29,7 +29,8 @@ def _out_dir(out):
     return path
 
 
-def _load_config(path):
+def _load_config(path, known):
+    """The JSON object at ``path`` ({} when None); ConfigError unless every top-level key is in ``known``."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -39,6 +40,9 @@ def _load_config(path):
             raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(f"config key {unknown[0]!r} is not one of {', '.join(sorted(known))}")
     return doc
 
 
@@ -120,7 +124,7 @@ def add_common(fn):
 @click.option("--n", default=256, type=int, help="grid size")
 def lift(config_path, out, deterministic, fixture, n):
     """Build a rough-path lift and report its algebraic residuals."""
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, {"fixture", "n"})
     fixture = cfg.get("fixture", fixture)
     n = _number(cfg, "n", n, minimum=1)
     built = _fixture(fixture, n, ("driver", "mcrp"))
@@ -148,7 +152,7 @@ def lift(config_path, out, deterministic, fixture, n):
 @click.option("--gauge", "gauge_name", default="connection", type=click.Choice(["connection", "chart"]))
 def integrate(config_path, out, deterministic, fixture, n, gauge_name):
     """Integrate the area-type one-form along a fixture path."""
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, {"fixture", "n"})
     fixture = cfg.get("fixture", fixture)
     n = _number(cfg, "n", n, minimum=1)
     y = _fixture(fixture, n, ("mcrp", "fixed-mcrp"))
@@ -177,14 +181,13 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
 RDE_FIXTURES = {"sphere-projection-rde": "projection", "so3-constant-rde": "right-invariant"}
 
 
-def _build_rde_from_config(cfg, fixture, n, retraction):
-    """Config schema: {manifold, field:{kind}, driver, y0, horizon, scheme}.
+def _build_rde_from_config(cfg, fixture, n):
+    """Config schema: {manifold, field:{kind}, driver, y0, horizon}; ``horizon`` [a, b] restricts the driver.
 
     A named fixture is this schema with its field kind as the default kind.
     """
     fixture = cfg.get("fixture", fixture)
     n = _number(cfg, "n", _section(cfg, "driver").get("n", n), minimum=1)
-    retraction = bool(_section(cfg, "scheme").get("retraction", retraction))
     horizon = cfg.get("horizon")
     if fixture not in RDE_FIXTURES and "field" not in cfg and "manifold" not in cfg:
         raise ConfigError(f"unknown rde fixture {fixture!r}")
@@ -208,19 +211,19 @@ def _build_rde_from_config(cfg, fixture, n, retraction):
         raise ConfigError(f"config 'manifold' type {mtype!r} is not {field.manifold.name!r}, the {kind} field's")
     y0 = _array(y0, "y0", field.manifold.point_shape)
     if horizon is not None:
-        horizon = tuple(float(t) for t in _array(horizon, "horizon", (2,)))
-    return fixture, rde_solve_manifold(field, rp, y0, horizon=horizon, retraction=retraction)
+        a, b = (float(t) for t in _array(horizon, "horizon", (2,)))
+        rp = rp.restrict(rp.index_of(a), rp.index_of(b))
+    return fixture, rde_solve_manifold(field, rp, y0)
 
 
 @main.command()
 @add_common
 @click.option("--fixture", default="sphere-projection-rde", help="rde fixture name")
 @click.option("--n", default=1024, type=int)
-@click.option("--retraction", is_flag=True, default=False)
-def rde(config_path, out, deterministic, fixture, n, retraction):
+def rde(config_path, out, deterministic, fixture, n):
     """Solve a manifold RDE (named fixture or full JSON config)."""
-    cfg = _load_config(config_path)
-    fixture, sol = _build_rde_from_config(cfg, fixture, n, retraction)
+    cfg = _load_config(config_path, {"fixture", "n", "manifold", "field", "driver", "y0", "horizon"})
+    fixture, sol = _build_rde_from_config(cfg, fixture, n)
     doc = sol.to_json()
     doc["metadata"] = getattr(sol, "meta", {})
     odir = _out_dir(out)
@@ -238,7 +241,7 @@ def rde(config_path, out, deterministic, fixture, n, retraction):
 @click.option("--n", default=1024, type=int)
 def transport(config_path, out, deterministic, fixture, n):
     """Parallel-translate a frame along a fixture path and unroll it."""
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, {"fixture", "n"})
     fixture = cfg.get("fixture", fixture)
     n = _number(cfg, "n", n, minimum=1)
     y = _fixture(fixture, n, ("mcrp",))
@@ -270,7 +273,7 @@ def transport(config_path, out, deterministic, fixture, n):
 @click.option("--delta", default=None, type=float, help="probe radius; default 0.5 on example-6.7, else the verifier's")
 def verify(config_path, out, deterministic, fixture, p, delta):
     """Run the gauge and chart verifiers on a fixture."""
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, {"fixture", "n", "p"})
     fixture = cfg.get("fixture", fixture)
     p = _number(cfg, "p", p, float)
     if fixture == "example-6.7":
@@ -302,7 +305,7 @@ def verify(config_path, out, deterministic, fixture, p, delta):
 @click.option("--levels", default=5, type=int)
 def convergence(config_path, out, deterministic, fixture, levels):
     """Mesh-refinement study of a fixture against its oracle."""
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, {"fixture", "levels"})
     fixture = cfg.get("fixture", fixture)
     report = fx.run_study(fixture, _number(cfg, "levels", levels, minimum=MIN_LEVELS))
     odir = _out_dir(out)
@@ -320,7 +323,7 @@ def suite(config_path, out, deterministic, jobs, names):
     """Run the acceptance suites; exit 0 iff every criterion passes."""
     from .suite import run_suite
 
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, {"criteria", "fixtures"})
     names = list(names) or cfg.get("criteria")
     if names == []:
         names = None

@@ -135,6 +135,7 @@ def stability_slope(constants, hs):
 
 
 STABILITY_SLOPE_TOL = -0.25
+VERIFY_LEVELS = 4  # grids a verifier measures its constants on: the full grid and up to three dyadic coarsenings
 
 
 def stability_verdict(constants, hs):
@@ -184,7 +185,7 @@ def certificate(sweep, hs, delta, times):
     }
 
 
-def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
+def verify_crp(y: ControlledPath, rp: RoughPath, delta=None):
     """Report the smallest controlled-path constants and their mesh stability.
 
     The constants are measured on the full grid and on up to three dyadic
@@ -197,5 +198,5 @@ def verify_crp(y: ControlledPath, rp: RoughPath, delta=None, levels=4):
     check_same_grid(y.times, rp.times)
     if y.driver_dim != rp.dim:
         raise ShapeError(f"derivative has {y.driver_dim} driver columns, the driver {rp.dim} coordinates")
-    strides, hs = dyadic_strides(y.times, levels, 8)
+    strides, hs = dyadic_strides(y.times, VERIFY_LEVELS, 8)
     return certificate(_pair_constants(y.times, y.values, y.derivative, rp, delta, strides), hs, delta, y.times)

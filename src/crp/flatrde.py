@@ -72,9 +72,7 @@ def linear_flow(mats, times, dx, areas, y0, scheme="davie", explosion_bound=EXPL
     return ys
 
 
-def rde_solve_flat(
-    field: DrivingField, rp: RoughPath, y0, scheme="davie", explosion_bound=EXPLOSION_BOUND
-) -> ControlledPath:
+def rde_solve_flat(field: DrivingField, rp: RoughPath, y0, scheme="davie") -> ControlledPath:
     """Second-order one-step solve of dy = F_{dX}(y) for a matrix family, on the whole grid by ``linear_flow``.
 
     scheme="davie" is the additive step
@@ -87,5 +85,5 @@ def rde_solve_flat(
     if rp.dim != k or y0.shape != (n,):
         raise ShapeError(f"a ({k}, {n}, {n}) family needs driver dimension {k} and y0 of size {n}")
     dx = np.diff(rp.values, axis=0)
-    values = linear_flow(field.matrices, rp.times, dx, rp.step_areas, y0, scheme, explosion_bound)
+    values = linear_flow(field.matrices, rp.times, dx, rp.step_areas, y0, scheme)
     return ControlledPath(rp.times, values, np.einsum("jnm,pm->pnj", field.matrices, values))

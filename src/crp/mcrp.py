@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pairs
-from .controlled import ControlledPath, certificate, check_same_grid, dyadic_strides, verify_crp
+from .controlled import VERIFY_LEVELS, ControlledPath, certificate, check_same_grid, dyadic_strides, verify_crp
 from .errors import ChartExit, DomainError, InvalidGrid, NotOnManifold, ShapeError
 from .gauges import Gauge
 from .linalg import pointwise
@@ -85,21 +85,21 @@ class ManifoldControlledPath:
 # -- constructors -----------------------------------------------------------------
 
 
-def _check_on_manifold(manifold: Manifold, points, tol=BASEPOINT_TOL):
-    """Raise ``NotOnManifold`` at the first sample farther than ``tol`` from the manifold (or NaN)."""
+def _check_on_manifold(manifold: Manifold, points):
+    """Raise ``NotOnManifold`` at the first sample farther than ``BASEPOINT_TOL`` from the manifold (or NaN)."""
     off = manifold.off_manifold(points)
-    bad = np.flatnonzero(~(off <= tol))
+    bad = np.flatnonzero(~(off <= BASEPOINT_TOL))
     if bad.size:
         i = int(bad[0])
         raise NotOnManifold(i, f"sample {i} lies {off[i]:.2e} away from the manifold")
 
 
-def crp_from_projection(manifold: Manifold, rp: RoughPath, tol=BASEPOINT_TOL) -> ManifoldControlledPath:
+def crp_from_projection(manifold: Manifold, rp: RoughPath) -> ManifoldControlledPath:
     """Embedded driver trace: points x(t_i) with derivative P(x(t_i))."""
     if rp.dim != manifold.flat_dim:
         raise ShapeError("driver must live in the ambient space of the manifold")
     points = manifold.unflatten(rp.values).copy()  # not a view of the driver
-    _check_on_manifold(manifold, points, tol)
+    _check_on_manifold(manifold, points)
     return ManifoldControlledPath(manifold, rp.times, points, manifold.tangent_projector(points), rp)
 
 
@@ -196,7 +196,7 @@ def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
     return best
 
 
-def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None, levels=4):
+def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None):
     """Smallest constants for the gauge-increment inequalities plus stability.
 
     Constants are measured on the full grid and dyadic coarsenings, all from
@@ -211,11 +211,11 @@ def verify_gauge_crp(y: ManifoldControlledPath, gauge: Gauge, delta=None, levels
     gauge.par.check_manifold(y.manifold)
     if delta is None:
         delta = domain_feasible_delta(y, gauge)
-    strides, hs = dyadic_strides(y.times, levels, 8)
+    strides, hs = dyadic_strides(y.times, VERIFY_LEVELS, 8)
     return certificate(_gauge_constants(y, gauge, delta, strides), hs, float(delta), y.times)
 
 
-def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None, levels=4):
+def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None):
     """Chart-window controlled-path constants (all pairs inside the window)."""
     times = y.times
     if window is None:
@@ -225,7 +225,7 @@ def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None, level
     pts = y.points[lo : hi + 1]
     zs = chart.read(pts, lambda i: ChartExit(time=float(times[lo + i])))
     sub = ControlledPath(times[lo : hi + 1], zs, chart.dto(pts) @ y.derivative[lo : hi + 1])
-    return {**verify_crp(sub, y.driver.restrict(lo, hi), levels=levels), "chart": chart.name}
+    return {**verify_crp(sub, y.driver.restrict(lo, hi)), "chart": chart.name}
 
 
 def ratio_at_pair(y: ManifoldControlledPath, chart: Chart, s, t):

@@ -21,6 +21,7 @@ from .sewing import rough_integrate
 
 RECHART_MARGIN = 0.2  # re-chart when margin falls under 20% of the chart radius
 FD_STEP = 1e-6  # relative central-difference step of the second-order term
+RELATEDNESS_TOL = 1e-8  # worst |J F_src - F_dst o f| that f_related_pushforward accepts
 
 
 @dataclass
@@ -137,23 +138,15 @@ def _chart_step(rep, x, cols, dx, area):
     return out
 
 
-def rde_solve_manifold(
-    field: ManifoldDrivingField,
-    rp: RoughPath,
-    y0,
-    horizon=None,
-    retraction=False,
-    explosion_bound=EXPLOSION_BOUND,
-) -> ManifoldControlledPath:
+def rde_solve_manifold(field: ManifoldDrivingField, rp: RoughPath, y0) -> ManifoldControlledPath:
     """Second-order solve of dy = F_{dX}(y), chart-patched unless F has generators.
 
     Skew generators take the log-ODE step of ``flatrde.linear_flow`` on the whole grid,
     no chart.  Other fields step in the chart of a ``ChartWalk``, with chart changes in
-    ``meta``.  Explosion is proxied by exceeding the ambient bound or leaving every chart.
+    ``meta``; ``Chart.from_coords`` puts every step back on the manifold.  Explosion is
+    proxied by exceeding the ambient bound ``EXPLOSION_BOUND`` or leaving every chart.
     """
     mani = field.manifold
-    if horizon is not None:
-        rp = rp.restrict(rp.index_of(horizon[0]), rp.index_of(horizon[1]))
     n, dxs = rp.n_steps, np.diff(rp.values, axis=0)
     y = np.asarray(y0, dtype=float)
     gens = field.generators
@@ -167,8 +160,7 @@ def rde_solve_manifold(
     if gens is not None:
         if not mani.on_manifold(y, BASEPOINT_TOL):
             raise NotOnManifold(0, f"start point is not on {mani.name}")
-        points = linear_flow(field.generators, rp.times, dxs, rp.step_areas, y, "exp", explosion_bound)
-        points = mani.project(points) if retraction else points
+        points = linear_flow(field.generators, rp.times, dxs, rp.step_areas, y, "exp")
         deriv = np.einsum("anm,pm...->pn...a", field.generators, points).reshape(n + 1, mani.flat_dim, -1)
         switches = []
     else:
@@ -184,11 +176,8 @@ def rde_solve_manifold(
             for i in range(n):
                 x = x + _chart_step(rep, x, cols, dxs[i], rp.step_areas[i])
                 y = chart.from_coords(x)
-                if retraction:
-                    y = mani.project(y)
-                    x = chart.to_coords(y)
                 flat = mani.flatten(y)
-                if not math.sqrt(flat @ flat) <= explosion_bound:  # NaN and inf included
+                if not math.sqrt(flat @ flat) <= EXPLOSION_BOUND:  # NaN and inf included
                     raise Explosion(rp.times[i])
                 got = walk.visit(i + 1, y, chart.coords_margin(x))
                 if got is not None:
@@ -203,7 +192,7 @@ def rde_solve_manifold(
                 cols = chart.dto(y) @ deriv[i + 1]
         switches = [float(rp.times[i0]) for i0, _, _ in walk.close(n)[1:]]
     out = ManifoldControlledPath(mani, rp.times, points, deriv, rp)
-    out.meta = {"chart_switches": switches, "retraction": bool(retraction)}
+    out.meta = {"chart_switches": switches}
     return out
 
 
@@ -296,13 +285,12 @@ def f_related_pushforward(
     field_src: ManifoldDrivingField,
     field_dst: ManifoldDrivingField,
     y: ManifoldControlledPath,
-    tol=1e-8,
 ):
     """Push a solution through a map relating the two dynamical systems.
 
-    Verifies the relatedness residual on trajectory samples, then returns the
-    pushed path together with a direct solve from the pushed initial condition
-    for comparison.
+    Verifies the relatedness residual on trajectory samples (``NotRelated`` past
+    ``RELATEDNESS_TOL``), then returns the pushed path together with a direct
+    solve from the pushed initial condition for comparison.
     """
     ms = y.points[:: max(1, y.points.shape[0] // 64)]
     jacs = pointwise(jac, ms, "jac at point", (field_dst.manifold.flat_dim, y.manifold.flat_dim))
@@ -310,7 +298,7 @@ def f_related_pushforward(
     fms = pointwise(f, ms, "f at point", field_dst.manifold.point_shape)
     rhs = pointwise(field_dst.value_matrix, fms, f"field {field_dst.name} at point", lhs.shape[1:])
     worst = float(np.max(np.abs(lhs - rhs)))
-    if worst > tol:
+    if worst > RELATEDNESS_TOL:
         raise NotRelated(worst)
     pushed = crp_pushforward(f, jac, y, field_dst.manifold)
     direct = rde_solve_manifold(field_dst, y.driver, pushed.points[0])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, certificate, check_same_grid, dyadic_strides
+from .controlled import VERIFY_LEVELS, ControlledPath, certificate, check_same_grid, dyadic_strides
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor
 from .linalg import pointwise
@@ -46,7 +46,7 @@ class ControlledOneForm:
     def value_dim(self):
         return self.alpha.shape[1]
 
-    def verify(self, delta=None, levels=4):
+    def verify(self, delta=None):
         """Constants for the two controlled-one-form inequalities.
 
         Remainder: |alpha_t o U(y_t, y_s) - alpha_s - alpha'_s(x_{s,t} (x) .)|
@@ -57,7 +57,7 @@ class ControlledOneForm:
         """
         if delta is None:
             delta = domain_feasible_delta(self.path, self.parallelism)
-        strides, hs = dyadic_strides(self.times, levels, 8)
+        strides, hs = dyadic_strides(self.times, VERIFY_LEVELS, 8)
         return certificate(self._pair_constants(delta, strides), hs, float(delta), self.times)
 
     def _pair_constants(self, delta, strides=(1,)):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .controls import Control
 from .errors import InvalidGrid, LiftFailure, OffGrid, ShapeError
-from .linalg import pointwise, richardson_diff
+from .linalg import pointwise
 from .pairs import control_sups, pair_sup, sampled_triples
 
 WEAK_GEO_TOL_QUAD = 1e-10
@@ -197,32 +197,25 @@ def _gauss_legendre_step_area(path, dpath, times, values, order):
     return half[:, None, None] * np.einsum("q,nqa,nqb->nab", weights, xs, dxs)
 
 
-def lift_smooth(path, grid, quad_order=8, dpath=None, p=1.0):
-    """Iterated-integral lift of a twice continuously differentiable path.
+def lift_smooth(path, grid, dpath):
+    """Iterated-integral lift of a twice continuously differentiable path with derivative ``dpath``.
 
     Per-step areas are Gauss-Legendre quadratures of the first iterated
-    integral; the order is doubled (twice at most) until the weak-geometric
-    residual drops below tolerance.  The control is calibrated so the p-bounds
-    hold with constant one on the grid.  A path or derivative value of the
+    integral, of order 8 doubled (twice at most) until the weak-geometric
+    residual drops below tolerance.  The control is calibrated so the 1-variation
+    bounds hold with constant one on the grid.  A path or derivative value of the
     wrong shape raises ShapeError, a non-finite one LiftFailure.
     """
     times = _check_grid(grid)
-    if quad_order < 2:
-        raise InvalidGrid("quad_order must be >= 2")
-    if dpath is None:
-
-        def dpath(t, _p=path):
-            return richardson_diff(lambda h: np.asarray(_p(t + h), dtype=float), 1e-3)
-
     values = pointwise(path, times, "path", (None,), LiftFailure)
     dx = np.diff(values, axis=0)
-    order = quad_order
+    order = 8
     for _ in range(3):
         areas = _gauss_legendre_step_area(path, dpath, times, values, order)
         res = 0.5 * (areas + np.swapaxes(areas, 1, 2)) - 0.5 * np.einsum("ia,ib->iab", dx, dx)
         if float(np.max(np.abs(res))) <= WEAK_GEO_TOL_QUAD:
-            c = _calibrate_control(values, times, areas, p)
-            return RoughPath(times, values, areas, Control.time_scale(c, p))
+            c = _calibrate_control(values, times, areas, 1.0)
+            return RoughPath(times, values, areas, Control.time_scale(c, 1.0))
         order *= 2
     raise LiftFailure(
         f"weak-geometric residual {float(np.max(np.abs(res))):.3e} > {WEAK_GEO_TOL_QUAD} after order doubling"

@@ -12,7 +12,7 @@ from .convergence import NOISE_FLOOR, SLOPE_TOL, dyadic_levels, refinement_study
 from .errors import ConfigError
 from .flatrde import DrivingField, rde_solve_flat
 from .gauges import Gauge, chart_gauge, compatibility_tensor, connection_gauge, standard_gauge, torsion_check
-from .linalg import SO3_BASIS, hat, pointwise
+from .linalg import SO3_BASIS, hat, pointwise, so3_exp
 from .manifolds import ChartManifold
 from .mcrp import domain_feasible_delta, ratio_at_pair, scalar_test_suite, verify_chart_crp, verify_gauge_crp
 from .mrde import (
@@ -30,7 +30,7 @@ from .oneforms import (
     oneform_from_smooth,
     push_pull_check,
 )
-from .roughpath import lift_piecewise_linear, time_lift
+from .roughpath import RoughPath, lift_piecewise_linear, time_lift
 from .sewing import defect_by_level, rough_integrate
 from .transport import (
     MatrixGroup,
@@ -371,6 +371,18 @@ def criterion_07_rde_correctness():
         return rep["diff_sup"], 1.0 / n
 
     checks.append(_study_check("radial-pushforward-slope", pushforward_gap, (64, 128, 256, 512), 2.0))
+    # a rotation R maps the projection field to itself, so R y solves it under values R x and areas R A R^T;
+    # the chart-stepped solve reads R y in other chart coordinates, so the gap closes at the scheme's order
+    rot, e2 = so3_exp(np.array([0.7, -1.1, 0.4])), np.array([0.0, 1.0, 0.0])
+
+    def rotation_gap(n):
+        rp = fx.linear_drive_driver(n)
+        turned = RoughPath(rp.times, rp.values @ rot.T, rot @ rp.step_areas @ rot.T, rp.control)
+        plain = rde_solve_manifold(fx.sphere_projection_field(), rp, e2).flat_points()
+        got = rde_solve_manifold(fx.sphere_projection_field(), turned, rot @ e2).flat_points()
+        return float(np.max(np.abs(got - plain @ rot.T))), 1.0 / n
+
+    checks.append(_study_check("rde-rotation-equivariance-slope", rotation_gap, (128, 256, 512, 1024), 2.0))
     return checks
 
 

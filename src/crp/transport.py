@@ -68,7 +68,7 @@ def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup) -> Manif
     The equation is linear in g, so ``flatrde.linear_flow`` solves it from the identity
     on the whole grid from z's increments and step areas z' (x) z' . A: GL(d) by the
     additive step, exploding where an entry passes the group chart's radius, SO(3) by
-    the exponential step, orthogonal without retraction.  Right translation by g0 gives
+    the exponential step, whose products stay orthogonal.  Right translation by g0 gives
     the same solution by right invariance and makes equivariance exact.  The returned
     path is controlled by the original driver (chain rule through z').
     """
@@ -86,7 +86,7 @@ def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup) -> Manif
     gens = np.einsum("bij,pba->paij", group.basis, z.derivative)
     deriv = np.moveaxis(-(gens @ pts[:, None]), 1, -1).reshape(-1, s * s, rp.dim)
     out = ManifoldControlledPath(group.manifold, rp.times, pts, deriv, rp)
-    out.meta = {"chart_switches": [], "retraction": False}
+    out.meta = {"chart_switches": []}
     return out
 
 
@@ -101,10 +101,9 @@ def right_maurer_cartan_form(group: MatrixGroup):
     return alpha
 
 
-def maurer_cartan_check(gpath: ManifoldControlledPath, z: ControlledPath, group: MatrixGroup, gauge=None):
-    """Residual of the inverse relation: integral of theta_r along g vs -z."""
-    gauge = gauge or connection_gauge(group.manifold)
-    integ = integrate_smooth_oneform(right_maurer_cartan_form(group), gpath, gauge)
+def maurer_cartan_check(gpath: ManifoldControlledPath, z: ControlledPath, group: MatrixGroup):
+    """Residual of the inverse relation: integral of theta_r along g, under the connection gauge, vs -z."""
+    integ = integrate_smooth_oneform(right_maurer_cartan_form(group), gpath, connection_gauge(group.manifold))
     zc = z.values - z.values[0]
     return {
         "diff_sup": float(np.max(np.abs(integ.values + zc))),

@@ -40,7 +40,7 @@ def reference_step(rep, x, cols, dx, area):
     return out
 
 
-def reference_solve(field, rp, y0, retraction=False, explosion_bound=EXPLOSION_BOUND):
+def reference_solve(field, rp, y0):
     """(points, derivative, chart switch times) of the chart-stepped solve, one node at a time."""
     mani, n, dxs = field.manifold, rp.n_steps, np.diff(rp.values, axis=0)
     y = np.asarray(y0, dtype=float)
@@ -54,11 +54,8 @@ def reference_solve(field, rp, y0, retraction=False, explosion_bound=EXPLOSION_B
     for i in range(n):
         x = x + reference_step(rep, x, chart.dto(points[i]) @ deriv[i], dxs[i], rp.step_areas[i])
         y = chart.from_coords(x)
-        if retraction:
-            y = mani.project(y)
-            x = chart.to_coords(y)
         flat = mani.flatten(y)
-        if not np.all(np.isfinite(flat)) or float(np.linalg.norm(flat)) > explosion_bound:
+        if not np.all(np.isfinite(flat)) or float(np.linalg.norm(flat)) > EXPLOSION_BOUND:
             raise Explosion(rp.times[i])
         got = walk.visit(i + 1, y, chart.coords_margin(x))
         if got is not None:
@@ -87,28 +84,21 @@ def flat_nonlinear():
     return field, smooth_2d_driver(96), np.array([0.3, -0.2])
 
 
-CASES = {  # name: (field, driver, start point), solver options
-    "projection-linear-drive": (
-        lambda: (sphere_projection_field(), linear_drive_driver(128), np.array([0.0, 0.6, 0.8])), {}
-    ),
-    "rotation-through-a-pole": (rotation_through_a_pole, {}),
-    "projection-retraction": (
-        lambda: (sphere_projection_field(), linear_drive_driver(96, speed=2.0), np.array([0.0, 1.0, 0.0])),
-        {"retraction": True},
-    ),
-    "flat-nonlinear": (flat_nonlinear, {}),
+CASES = {  # name: (field, driver, start point)
+    "projection-linear-drive": lambda: (sphere_projection_field(), linear_drive_driver(128), np.array([0.0, 0.6, 0.8])),
+    "rotation-through-a-pole": rotation_through_a_pole,
+    "flat-nonlinear": flat_nonlinear,
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_chart_stepped_solve_equals_the_per_step_reference(name):
-    make, opts = CASES[name]
-    field, rp, y0 = make()
-    sol = rde_solve_manifold(field, rp, y0, **opts)
-    points, deriv, switches = reference_solve(field, rp, y0, **opts)
+    field, rp, y0 = CASES[name]()
+    sol = rde_solve_manifold(field, rp, y0)
+    points, deriv, switches = reference_solve(field, rp, y0)
     assert np.array_equal(sol.points, points)
     assert np.array_equal(sol.derivative, deriv)
-    assert sol.meta == {"chart_switches": switches, "retraction": bool(opts.get("retraction", False))}
+    assert sol.meta == {"chart_switches": switches}
     if name == "rotation-through-a-pole":
         assert switches  # the case re-charts
     if name == "projection-linear-drive":

@@ -128,14 +128,13 @@ def test_rde_full_config_schema(runner, tmp_path):
                 "field": {"kind": "projection", "params": {"speed": 0.5}},
                 "driver": {"n": 64},
                 "y0": [0.0, 1.0, 0.0],
-                "scheme": {"retraction": True},
             }
         )
     )
     res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     doc = json.loads((tmp_path / "rde-config-sphere.json").read_text())
-    assert doc["metadata"]["retraction"] is True
+    assert doc["metadata"] == {"chart_switches": []}
     assert len(doc["times"]) == 65
 
 
@@ -265,6 +264,14 @@ MALFORMED_CONFIGS = [
     ("verify", {"fixture": "equator", "n": 0}),
     ("convergence", {"levels": 0}),
     ("convergence", {"levels": 3}),
+    # a top-level key outside the command's known set, which would otherwise be ignored
+    ("lift", {"n": 8, "levels": 3}),
+    ("integrate", {"n": 16, "p": 2.0}),
+    ("rde", {"n": 8, "scheme": {"retraction": True}}),
+    ("transport", {"n": 16, "horizon": [0, 1]}),
+    ("verify", {"delta": 0.1}),
+    ("convergence", {"levels": 4, "n": 64}),
+    ("suite", {"fixtures": [], "jobs": 2}),
 ]
 
 
@@ -276,6 +283,14 @@ def test_malformed_config_exits_two_with_one_line(runner, tmp_path, command, doc
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: config") and res.output.count("\n") == 1, res.output
+
+
+def test_unknown_config_key_is_named(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 8, "scheme": {"retraction": True}}))
+    res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: config key 'scheme' is not one of "), res.output
 
 
 @pytest.mark.parametrize(

@@ -213,6 +213,11 @@ class TestStabilityVerdict:
     def test_nan_constant_fails(self):
         assert not stability_verdict([np.nan, 1.0, 1.0], [0.1, 0.2, 0.4])[1]
 
+    def test_coarsest_of_four_levels_is_dropped(self):
+        # the verifiers measure VERIFY_LEVELS = 4 grids, and the coarsest probes too few pairs to sit
+        # at the sup: its small constant must not tip the fit (kept, the slope reads -2.99 and fails)
+        assert stability_verdict([1, 1, 1, 1e-3], [1, 2, 4, 8]) == (0.0, True)
+
 
 def _area_form(m):
     return np.array([[-m[1], m[0], 0.0]])
@@ -228,12 +233,12 @@ class TestLadderCallers:
 
     def test_flat_verifier(self):
         y = fx.sphere_spiral_crp(24)
-        rep = verify_crp(y.as_flat(), y.driver, levels=9)
+        rep = verify_crp(y.as_flat(), y.driver)
         assert rep["levels"]["h"] == _meshes(y.times, 3)
 
     def test_gauge_verifier(self):
         y = fx.sphere_spiral_crp(24)
-        rep = verify_gauge_crp(y, connection_gauge(fx.SPHERE), levels=9)
+        rep = verify_gauge_crp(y, connection_gauge(fx.SPHERE))
         assert rep["levels"]["h"] == _meshes(y.times, 3)
 
     def test_oneform_verifier(self, monkeypatch):
@@ -247,7 +252,7 @@ class TestLadderCallers:
             return original(self, delta, strides)
 
         monkeypatch.setattr(ControlledOneForm, "_pair_constants", counted)
-        rep = form.verify(levels=9)
+        rep = form.verify()
         assert sizes == [[24, 12, 6]]  # one sweep measures all three grids
         assert rep["levels"]["h"] == _meshes(y.times, 3)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 
@@ -17,6 +18,8 @@ from crp import (
     Explosion,
     LogFailure,
     RoughPath,
+    rde_solve_flat,
+    verify_crp,
 )
 from crp.controlled import driver_as_controlled
 from crp.fixtures import (
@@ -26,9 +29,12 @@ from crp.fixtures import (
     sphere_spiral_crp,
 )
 from crp.gauges import chart_gauge, connection_gauge
-from crp.mrde import ManifoldDrivingField, rde_solve_manifold
-from crp.oneforms import integrate_smooth_oneform
+from crp.mcrp import crp_from_projection, verify_chart_crp, verify_gauge_crp
+from crp.mrde import ManifoldDrivingField, f_related_pushforward, rde_solve_manifold
+from crp.oneforms import ControlledOneForm, integrate_smooth_oneform
+from crp.roughpath import lift_smooth
 from crp.serialize import canonical_json, path_csv_header, path_csv_rows, render_csv
+from crp.transport import maurer_cartan_check
 from paper_reference import chart_formula_integral
 
 
@@ -225,3 +231,27 @@ def test_run_suite_jobs_run_criteria_in_worker_processes(monkeypatch):
     assert {r["checks"][0]["value"] for r in serial["criteria"]} == {os.getpid()}
     pids = {r["checks"][0]["value"] for r in run_suite(names=fakes, jobs=2)["criteria"]}
     assert os.getpid() not in pids and 1 <= len(pids) <= 2
+
+
+# the parameter lists of the entry points whose test-only options were removed: every option left has a caller
+ENTRY_POINT_PARAMETERS = {
+    "rde_solve_manifold": (rde_solve_manifold, ["field", "rp", "y0"]),
+    "rde_solve_flat": (rde_solve_flat, ["field", "rp", "y0", "scheme"]),
+    "f_related_pushforward": (f_related_pushforward, ["f", "jac", "field_src", "field_dst", "y"]),
+    "maurer_cartan_check": (maurer_cartan_check, ["gpath", "z", "group"]),
+    "crp_from_projection": (crp_from_projection, ["manifold", "rp"]),
+    "lift_smooth": (lift_smooth, ["path", "grid", "dpath"]),
+    "verify_crp": (verify_crp, ["y", "rp", "delta"]),
+    "verify_gauge_crp": (verify_gauge_crp, ["y", "gauge", "delta"]),
+    "verify_chart_crp": (verify_chart_crp, ["y", "chart", "window"]),
+    "ControlledOneForm.verify": (ControlledOneForm.verify, ["self", "delta"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINT_PARAMETERS))
+def test_entry_point_parameters(name):
+    fn, params = ENTRY_POINT_PARAMETERS[name]
+    sig = inspect.signature(fn)
+    assert list(sig.parameters) == params
+    if name == "lift_smooth":
+        assert sig.parameters["dpath"].default is inspect.Parameter.empty  # no finite-difference fallback

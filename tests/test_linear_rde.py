@@ -18,7 +18,7 @@ import crp.mrde
 from crp import DomainError, DrivingField, Explosion, NotOnManifold, ShapeError, rde_solve_flat
 from crp.controlled import ControlledPath
 from crp.fixtures import COMMUTATOR_MATS, SO3M, SPHERE, so3_left_invariant_field, so3_right_invariant_field
-from crp.flatrde import linear_flow
+from crp.flatrde import EXPLOSION_BOUND, linear_flow
 from crp.linalg import SO3_BASIS
 from crp.mrde import ManifoldDrivingField, rde_solve_manifold
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
@@ -81,7 +81,10 @@ def test_whole_grid_flat_solve_explodes_when_the_loop_did(scheme, bound):
     with pytest.raises(Explosion) as want:
         per_step_solve(mats, rp, [1.0, 1.0], scheme, bound)
     with pytest.raises(Explosion) as got:
-        rde_solve_flat(DrivingField(matrices=mats), rp, [1.0, 1.0], scheme=scheme, explosion_bound=bound)
+        if bound == EXPLOSION_BOUND:
+            rde_solve_flat(DrivingField(matrices=mats), rp, [1.0, 1.0], scheme=scheme)
+        else:  # a smaller bound is linear_flow's alone
+            linear_flow(mats, rp.times, np.diff(rp.values, axis=0), rp.step_areas, np.array([1.0, 1.0]), scheme, bound)
     assert got.value.time == want.value.time
 
 
@@ -104,10 +107,17 @@ def test_scan_from_the_identity_matches_the_steps_applied_in_turn(scheme):
 
 def test_overflowing_flat_solve_raises_explosion_without_a_warning():
     rp = time_lift(np.linspace(0.0, 1.0, 9))
-    with warnings.catch_warnings(), pytest.raises(Explosion) as got:
-        warnings.simplefilter("error")
-        rde_solve_flat(DrivingField(matrices=np.array([[[1e308]]])), rp, [1e10], explosion_bound=np.inf)
-    assert got.value.time == 0.0
+    mats, dx = np.array([[[1e308]]]), np.diff(rp.values, axis=0)
+    solves = [
+        lambda: rde_solve_flat(DrivingField(matrices=mats), rp, [1e10]),
+        # under an infinite bound only the overflow itself trips the check
+        lambda: linear_flow(mats, rp.times, dx, rp.step_areas, np.array([1e10]), "davie", np.inf),
+    ]
+    for solve in solves:
+        with warnings.catch_warnings(), pytest.raises(Explosion) as got:
+            warnings.simplefilter("error")
+            solve()
+        assert got.value.time == 0.0
 
 
 def test_flat_solve_leaves_an_unexcited_growing_direction_alone():
@@ -177,7 +187,7 @@ def test_linear_field_agrees_with_its_chart_stepped_solve_at_second_order(name, 
     for n in (64, 128, 256):
         rp = smooth_driver(n)
         got = rde_solve_manifold(field, rp, y0)
-        assert calls == [] and got.meta == {"chart_switches": [], "retraction": False}
+        assert calls == [] and got.meta == {"chart_switches": []}
         want = rde_solve_manifold(opaque, rp, y0)
         assert len(calls) == n
         calls.clear()

@@ -111,15 +111,50 @@ def test_sphere_unit_norm_drift():
     assert np.max(np.abs(np.linalg.norm(sol.points, axis=1) - 1.0)) <= 1e-9
 
 
-def test_sphere_drift_vanishes_with_retraction():
-    rp = linear_drive_driver(256)
-    sol = rde_solve_manifold(sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]), retraction=True)
+def _rotation_through_a_pole(n):
+    """A rotation about a horizontal axis that heads for the pole its start chart cannot reach."""
+    omega, phi, beta = 1.3, 1.1, -0.4
+    axis = np.array([np.cos(phi), np.sin(phi), 0.0])
+    y0 = np.cos(beta) * np.array([-np.sin(phi), np.cos(phi), 0.0]) + np.sin(beta) * np.array([0.0, 0.0, 1.0])
+    field = ManifoldDrivingField(SPHERE, lambda m: np.cross(omega * axis, m)[:, None], name="rotation")
+    return field, time_lift(np.linspace(0.0, np.pi, n + 1)), y0
+
+
+ON_MANIFOLD_SOLVES = {  # name: n -> (field, driver, start point), whether the field steps in charts
+    "projection": (lambda n: (sphere_projection_field(), linear_drive_driver(n), np.array([0.0, 1.0, 0.0])), True),
+    "rotation-through-a-pole": (_rotation_through_a_pole, True),
+    "so3-left-invariant": (
+        lambda n: (
+            so3_left_invariant_field(),
+            so3_constant_driver(n, (np.pi / 2) * np.array([0.0, 0.0, 1.0])),
+            expm(hat(np.array([0.3, -0.2, 0.5]))),
+        ),
+        True,
+    ),
+    "so3-right-invariant": (
+        lambda n: (so3_right_invariant_field(), so3_constant_driver(n, np.array([0.4, -0.3, 0.6])), np.eye(3)),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("name", sorted(ON_MANIFOLD_SOLVES))
+def test_solve_stays_on_the_manifold(name, n):
+    # chart steps land on the manifold through Chart.from_coords and whole-grid steps are
+    # products of exponentials, so no solve needs projecting back
+    make, chart_stepped = ON_MANIFOLD_SOLVES[name]
+    field, rp, y0 = make(n)
+    assert (field.generators is None) == chart_stepped
+    sol = rde_solve_manifold(field, rp, y0)
+    if name == "rotation-through-a-pole":
+        assert sol.meta["chart_switches"]  # the solve re-charts
     assert np.max(sol.manifold.off_manifold(sol.points)) <= 1e-12
 
 
 def test_drift_of_a_nan_sample_is_nan():
     rp = linear_drive_driver(16)
-    sol = rde_solve_manifold(sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]), retraction=True)
+    sol = rde_solve_manifold(sphere_projection_field(), rp, np.array([0.0, 1.0, 0.0]))
     sol.points[5, 1] = np.nan
     assert np.isnan(np.max(sol.manifold.off_manifold(sol.points)))  # never read as finite, so `<= tol` fails
 
@@ -186,11 +221,7 @@ def test_chart_stepped_solve_is_rotation_equivariant():
 def test_chart_switches_are_segment_starts_of_a_margin_scan(margin_scan):
     # a rotation about a horizontal axis heads for the pole its start chart
     # cannot reach, so the solve re-charts on the way
-    omega, phi, beta = 1.3, 1.1, -0.4
-    axis = np.array([np.cos(phi), np.sin(phi), 0.0])
-    y0 = np.cos(beta) * np.array([-np.sin(phi), np.cos(phi), 0.0]) + np.sin(beta) * np.array([0.0, 0.0, 1.0])
-    field = ManifoldDrivingField(SPHERE, lambda m: np.cross(omega * axis, m)[:, None])
-    rp = time_lift(np.linspace(0.0, np.pi, 129))
+    field, rp, y0 = _rotation_through_a_pole(128)
     sol = rde_solve_manifold(field, rp, y0)
     segs = margin_scan(sol.points, SPHERE.charts())
     assert len(segs) >= 2
@@ -203,7 +234,7 @@ def test_explosion_with_norm_bound():
     grid = np.linspace(0.0, 4.0, 513)
     rp = lift_smooth(lambda t: np.array([t]), grid, dpath=lambda t: np.array([1.0]))
     with pytest.raises(Explosion) as exc:
-        rde_solve_manifold(field, rp, np.array([1.0]), explosion_bound=1e6)
+        rde_solve_manifold(field, rp, np.array([1.0]))
     assert 0.0 <= exc.value.time <= 4.0
 
 

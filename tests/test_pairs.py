@@ -98,7 +98,7 @@ class TestKernel:
     def test_pairs_probed_closed_form(self, n, m):
         y = fx.line_quadratic_crp(n)
         h = float(y.times[1] - y.times[0])
-        rep = mcrp.verify_gauge_crp(y, standard_gauge(fx.LINE), delta=m * h, levels=1)
+        rep = mcrp.verify_gauge_crp(y, standard_gauge(fx.LINE), delta=m * h)
         assert rep["pairs_probed"] == sum(min(m, n - i) for i in range(n))
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from crp import Control, InvalidGrid, LiftFailure, OffGrid, RoughPath, ShapeError
 from crp import fixtures, roughpath
-from crp.linalg import richardson_diff
 from crp.roughpath import (
     CHEN_TOL,
     _calibrate_control,
@@ -75,11 +74,6 @@ class TestLiftSmooth:
         rp = lift_smooth(circle, grid, dpath=dcircle)
         assert rp.weak_geometric_residual() <= 1e-10
 
-    def test_fd_derivative_fallback(self):
-        grid = np.linspace(0.0, 1.0, 17)
-        rp = lift_smooth(lambda t: np.array([np.sin(t), np.cos(2 * t)]), grid)
-        assert rp.weak_geometric_residual() <= 1e-10
-
     def test_control_calibrated_to_unit_constant(self):
         grid = np.linspace(0.0, np.pi / 2, 33)
         rp = lift_smooth(circle, grid, dpath=dcircle)
@@ -87,11 +81,7 @@ class TestLiftSmooth:
 
     def test_nonincreasing_grid_rejected(self):
         with pytest.raises(InvalidGrid):
-            lift_smooth(circle, np.array([0.0, 0.5, 0.5, 1.0]))
-
-    def test_low_quad_order_rejected(self):
-        with pytest.raises(InvalidGrid):
-            lift_smooth(circle, np.linspace(0, 1, 5), quad_order=1)
+            lift_smooth(circle, np.array([0.0, 0.5, 0.5, 1.0]), dpath=dcircle)
 
     def test_quadrature_nonconvergence_raises(self):
         # a deliberately inconsistent "derivative" breaks the residual check
@@ -99,18 +89,13 @@ class TestLiftSmooth:
             lift_smooth(circle, np.linspace(0, 1, 5), dpath=lambda t: np.array([1.0, 5.0]))
 
 
-def reference_lift(path, grid, dpath=None, quad_order=8, p=1.0):
+def reference_lift(path, grid, dpath):
     """Per-step Gauss-Legendre lift: a fresh rule and path(a) at every step, as the
     lift was first written.  Returns (values, step areas, control scale)."""
-    if dpath is None:
-
-        def dpath(t):
-            return richardson_diff(lambda h: np.asarray(path(t + h), dtype=float), 1e-3)
-
     times = np.asarray(grid, dtype=float)
     values = np.array([np.atleast_1d(np.asarray(path(t), dtype=float)) for t in times])
     dx = np.diff(values, axis=0)
-    order = quad_order
+    order = 8
     while True:
         areas = np.empty((times.size - 1,) + 2 * values.shape[1:])
         for i, (a, b) in enumerate(zip(times[:-1], times[1:])):
@@ -121,7 +106,7 @@ def reference_lift(path, grid, dpath=None, quad_order=8, p=1.0):
             areas[i] = half * np.einsum("q,qa,qb->ab", weights, xs, np.array([dpath(t) for t in ts]))
         res = 0.5 * (areas + np.swapaxes(areas, 1, 2)) - 0.5 * np.einsum("ia,ib->iab", dx, dx)
         if np.max(np.abs(res)) <= roughpath.WEAK_GEO_TOL_QUAD:
-            return values, areas, _calibrate_control(values, times, areas, p)
+            return values, areas, _calibrate_control(values, times, areas, 1.0)
         order *= 2
 
 
@@ -152,7 +137,6 @@ LIFT_CASES = {
         lambda t: np.array([3.0 * np.cos(3.0 * t)]),
         np.linspace(0.0, 1.0, 33),
     ),
-    "default-dpath": (circle, None, np.linspace(0.0, np.pi / 2, 33)),
     "order-doubling": (oscillating, doscillating, np.linspace(0.0, 1.0, 9)),
 }
 
@@ -233,7 +217,7 @@ class TestBatchedQuadrature:
 
     def test_path_changing_shape_raises_shape_error_at_first_time(self):
         with pytest.raises(ShapeError, match=re.escape("path(0.5) has shape (3,)")):
-            lift_smooth(lambda t: np.zeros(2) if t < 0.5 else np.zeros(3), np.linspace(0.0, 1.0, 5))
+            lift_smooth(lambda t: np.zeros(2) if t < 0.5 else np.zeros(3), np.linspace(0.0, 1.0, 5), dpath=dcircle)
 
     def test_dpath_shape_mismatch_raises_shape_error_at_first_node(self):
         first_node = float(0.125 * (1.0 + np.polynomial.legendre.leggauss(8)[0][0]))
@@ -242,11 +226,13 @@ class TestBatchedQuadrature:
 
     def test_matrix_valued_path_raises_shape_error(self):
         with pytest.raises(ShapeError):
-            lift_smooth(lambda t: t * np.eye(2), np.linspace(0.0, 1.0, 5))
+            lift_smooth(lambda t: t * np.eye(2), np.linspace(0.0, 1.0, 5), dpath=lambda t: np.eye(2))
 
     def test_non_finite_grid_value_raises_before_any_quadrature(self, kernel_orders):
         with pytest.raises(LiftFailure, match=re.escape("path is not finite at t=1.0")):
-            lift_smooth(lambda t: np.array([np.inf, 0.0]) if t == 1.0 else circle(t), np.linspace(0.0, 1.0, 5))
+            lift_smooth(
+                lambda t: np.array([np.inf, 0.0]) if t == 1.0 else circle(t), np.linspace(0.0, 1.0, 5), dpath=dcircle
+            )
         assert kernel_orders == []
 
     def test_non_finite_node_value_raises_without_order_doubling(self, kernel_orders):

@@ -105,7 +105,7 @@ def test_gl_group_rde_matches_chart_stepped_solve(d):
     got = group_rde(z, rp, g0, group)
     want = chart_stepped_group_rde(z, rp, g0, group)
     assert np.max(np.abs(got.points - want)) <= 1e-10 * np.max(np.abs(want))
-    assert got.meta == {"chart_switches": [], "retraction": False}
+    assert got.meta == {"chart_switches": []}
     # the derivative is -(z'_a)^ g at every node
     for i in (0, 17, 64):
         col = -(z.derivative[i][:, 0].reshape(d, d) @ got.points[i]).reshape(-1)
