@@ -73,7 +73,6 @@ from .roughpath import (
 from .sewing import rough_integrate
 from .transport import (
     FrameLift,
-    MatrixGroup,
     group_rde,
     maurer_cartan_check,
     parallel_translate_frame,

@@ -40,9 +40,14 @@ def _load_config(path, known):
             raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
-    unknown = sorted(set(doc) - known)
+    return _known_keys(doc, known, "config")
+
+
+def _known_keys(doc, known, where):
+    """``doc``; ConfigError naming ``where`` and the first key of ``doc`` that is not in ``known``."""
+    unknown = sorted(set(doc) - set(known))
     if unknown:
-        raise ConfigError(f"config key {unknown[0]!r} is not one of {', '.join(sorted(known))}")
+        raise ConfigError(f"{where} key {unknown[0]!r} is not one of {', '.join(sorted(known))}")
     return doc
 
 
@@ -70,12 +75,12 @@ def _array(value, key, shape):
     return arr
 
 
-def _section(cfg, key):
-    """``cfg[key]`` ({} when absent); ConfigError unless it is a JSON object."""
+def _section(cfg, key, known):
+    """``cfg[key]`` ({} when absent); ConfigError unless it is a JSON object whose keys are all in ``known``."""
     value = cfg.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"config {key!r} must be a JSON object, not {type(value).__name__}")
-    return value
+    return _known_keys(value, known, f"config {key!r}")
 
 
 def _fixture(name, n, kinds):
@@ -177,8 +182,9 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
     click.echo(json.dumps({"fixture": fixture, "endpoint": z.values[-1].tolist()}, sort_keys=True))
 
 
-# the field kind each named rde fixture solves
+# the field kind each named rde fixture solves, and the keys of each field kind's params
 RDE_FIXTURES = {"sphere-projection-rde": "projection", "so3-constant-rde": "right-invariant"}
+RDE_PARAMS = {"projection": {"speed"}, "left-invariant": {"direction"}, "right-invariant": {"direction"}}
 
 
 def _build_rde_from_config(cfg, fixture, n):
@@ -187,31 +193,33 @@ def _build_rde_from_config(cfg, fixture, n):
     A named fixture is this schema with its field kind as the default kind.
     """
     fixture = cfg.get("fixture", fixture)
-    n = _number(cfg, "n", _section(cfg, "driver").get("n", n), minimum=1)
+    n = _number(cfg, "n", _section(cfg, "driver", {"n"}).get("n", n), minimum=1)
     horizon = cfg.get("horizon")
     if fixture not in RDE_FIXTURES and "field" not in cfg and "manifold" not in cfg:
         raise ConfigError(f"unknown rde fixture {fixture!r}")
-    field_cfg = _section(cfg, "field")
-    params = _section(field_cfg, "params")
+    field_cfg = _section(cfg, "field", {"kind", "params"})
     kind = field_cfg.get("kind", RDE_FIXTURES.get(fixture, "projection"))
+    if not isinstance(kind, str) or kind not in RDE_PARAMS:
+        raise ConfigError(f"unsupported field kind {kind!r}")
+    params = _section(field_cfg, "params", RDE_PARAMS[kind])
     if kind == "projection":
         rp = fx.linear_drive_driver(n, speed=_number(params, "speed", 1.0, cast=float))
         field = fx.sphere_projection_field()
         y0 = cfg.get("y0", [0.0, 1.0, 0.0])
-    elif kind in ("left-invariant", "right-invariant"):
+    else:
         rp = fx.so3_constant_driver(n, _array(params.get("direction", [0.0, 0.0, np.pi / 2]), "direction", (3,)))
         field = fx.so3_left_invariant_field() if kind == "left-invariant" else fx.so3_right_invariant_field()
         y0 = cfg.get("y0", np.eye(3).tolist())
-    else:
-        raise ConfigError(f"unsupported field kind {kind!r}")
     if "field" in cfg and "fixture" not in cfg:
         fixture = kind  # the output is named after the field kind it solved
-    mtype = _section(cfg, "manifold").get("type", field.manifold.name)
+    mtype = _section(cfg, "manifold", {"type"}).get("type", field.manifold.name)
     if mtype != field.manifold.name:
         raise ConfigError(f"config 'manifold' type {mtype!r} is not {field.manifold.name!r}, the {kind} field's")
     y0 = _array(y0, "y0", field.manifold.point_shape)
     if horizon is not None:
         a, b = (float(t) for t in _array(horizon, "horizon", (2,)))
+        if not a < b:
+            raise ConfigError(f"config 'horizon' must be two grid times a < b, got {horizon!r}")
         rp = rp.restrict(rp.index_of(a), rp.index_of(b))
     return fixture, rde_solve_manifold(field, rp, y0)
 
@@ -269,18 +277,19 @@ def transport(config_path, out, deterministic, fixture, n):
 @main.command()
 @add_common
 @click.option("--fixture", default="example-6.7")
-@click.option("--p", default=2.0, type=float)
+@click.option("--p", default=None, type=float, help="the p of example-6.7 (default 2); other fixtures take none")
 @click.option("--delta", default=None, type=float, help="probe radius; default 0.5 on example-6.7, else the verifier's")
 def verify(config_path, out, deterministic, fixture, p, delta):
     """Run the gauge and chart verifiers on a fixture."""
     cfg = _load_config(config_path, {"fixture", "n", "p"})
     fixture = cfg.get("fixture", fixture)
-    p = _number(cfg, "p", p, float)
     if fixture == "example-6.7":
-        y = fx.example_67_crp(p=p)
+        y = fx.example_67_crp(p=_number(cfg, "p", 2.0 if p is None else p, float))
         gauge = standard_gauge(fx.LINE)
         delta = 0.5 if delta is None else delta
     else:
+        if p is not None or "p" in cfg:
+            raise ConfigError(f"config 'p' is example-6.7's alone; fixture {fixture!r} takes none")
         y = _fixture(fixture, _number(cfg, "n", 256, minimum=1), ("mcrp",))
         gauge = connection_gauge(y.manifold)
     grep = verify_gauge_crp(y, gauge, delta=delta)
@@ -327,6 +336,8 @@ def suite(config_path, out, deterministic, jobs, names):
     names = list(names) or cfg.get("criteria")
     if names == []:
         names = None
+    if "fixtures" in cfg and cfg["fixtures"] != []:
+        raise ConfigError(f"config 'fixtures' must be [] (run nothing), got {cfg['fixtures']!r}")
     if cfg.get("fixtures") == []:
         odir = _out_dir(out)
         write_json(os.path.join(odir, "suite-report.json"), {"criteria": [], "pass": True, "failed": []})

@@ -27,10 +27,6 @@ class DrivingField:
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ShapeError("matrix family must have shape (k, n, n)")
 
-    def value_matrix(self, a):
-        """F(a) as an (n, k) matrix: column j is M_j a."""
-        return np.einsum("jnm,m->nj", self.matrices, np.asarray(a, dtype=float))
-
 
 def running_products(ops):
     """The (N+1, n, n) stack I, P_0, P_1 P_0, ..., P_{N-1} ... P_0 of (N, n, n) step operators, by a log-depth scan."""
@@ -40,14 +36,14 @@ def running_products(ops):
     return ys
 
 
-def linear_flow(mats, times, dx, areas, y0, scheme="davie", explosion_bound=EXPLOSION_BOUND):
+def linear_flow(mats, times, dx, areas, y0, scheme="davie"):
     """States y_0 .. y_N of dy = sum_a M_a y dx^a from a vector or matrix y0, on the whole grid.
 
     One contraction of the (k, n, n) family with the (N, k) increments and (N, k, k) step
     areas A builds every step operator, "davie" P_i = I + dx_ia M_a + A_iab M_b M_a or "exp"
     (log-ODE) P_i = expm(dx_ia M_a + Anti(A_i)_ab M_b M_a), applied in turn: y_{i+1} = P_i y_i;
     from y0=None, the identity, ``running_products`` forms the products P_i ... P_0 instead.
-    Raises ``Explosion`` at times[i] for the first state not finite or past ``explosion_bound``.
+    Raises ``Explosion`` at times[i] for the first state not finite or past ``EXPLOSION_BOUND``.
     """
     k, n = mats.shape[:2]
     if scheme == "exp":
@@ -66,7 +62,7 @@ def linear_flow(mats, times, dx, areas, y0, scheme="davie", explosion_bound=EXPL
             ys = np.broadcast_to(y0, (len(ops) + 1,) + np.shape(y0)).astype(float)
             for i, op in enumerate(ops):
                 ys[i + 1] = op @ ys[i]
-        bad = ~np.all(np.isfinite(ys[1:]) & (np.abs(ys[1:]) <= explosion_bound), axis=tuple(range(1, ys.ndim)))
+        bad = ~np.all(np.isfinite(ys[1:]) & (np.abs(ys[1:]) <= EXPLOSION_BOUND), axis=tuple(range(1, ys.ndim)))
     if np.any(bad):
         raise Explosion(times[int(np.argmax(bad))])
     return ys

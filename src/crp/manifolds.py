@@ -630,7 +630,7 @@ class ChartManifold(Manifold):
     RK4 run per iteration for a whole stack: ``log`` is its shot v, ``transport`` the frame
     the run carries and ``d2log`` J^{-1}, J the Jacobi field (the implicit function theorem
     on exp(m, log(m, n)) = n).  Points have the shape of ``center`` ((d,) by default); a
-    flat ball may hold matrices, such as GL(n), whose identity-chart coordinates are their entries.
+    flat ball may hold matrices, whose identity-chart coordinates are their entries.
     """
 
     name = "chart"

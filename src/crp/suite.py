@@ -33,7 +33,6 @@ from .oneforms import (
 from .roughpath import RoughPath, lift_piecewise_linear, time_lift
 from .sewing import defect_by_level, rough_integrate
 from .transport import (
-    MatrixGroup,
     group_rde,
     maurer_cartan_check,
     parallel_translate_frame,
@@ -519,8 +518,8 @@ def criterion_10_transport():
     vals = pointwise(lambda t: [np.sin(t), 0.3 * t, 0.2 * np.cos(t) - 0.2], grid, "curve")
     dag = pointwise(lambda t: [[np.cos(t)], [0.3], [-0.2 * np.sin(t)]], grid, "dcurve")
     z = ControlledPath(grid, vals, dag)
-    sol = group_rde(z, rp, np.eye(3), MatrixGroup("so3"))
-    mc = maurer_cartan_check(sol, z, MatrixGroup("so3"))
+    sol = group_rde(z, rp, np.eye(3))
+    mc = maurer_cartan_check(sol, z)
     checks.append(_check("maurer-cartan-duality", mc["diff_sup"], 1e-5))
 
     # rolled-integral equality

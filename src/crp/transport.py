@@ -1,19 +1,18 @@
-"""Principal-bundle machinery: group RDEs, frame transport, and the
+"""Principal-bundle machinery: the SO(3) group RDE, frame transport, and the
 development/anti-development correspondence."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controlled import ControlledPath, check_same_grid, pushed_step_areas
 from .errors import DomainError, NotOnManifold, ShapeError
-from .flatrde import EXPLOSION_BOUND, linear_flow, running_products
+from .flatrde import linear_flow, running_products
 from .gauges import Gauge, connection_gauge
-from .linalg import SO3_BASIS, hat, vee
-from .manifolds import Chart, ChartManifold, Manifold, SO3
+from .linalg import SO3_BASIS, vee
+from .manifolds import Chart, Manifold, SO3
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
 from .mrde import ChartWalk
 from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
@@ -22,93 +21,48 @@ from .sewing import rough_integrate
 
 
 # ---------------------------------------------------------------------------
-# matrix groups
+# the group equation on SO(3)
 # ---------------------------------------------------------------------------
 
 
-class MatrixGroup:
-    """Thin interface over a matrix Lie group used by the group equation."""
-
-    def __init__(self, kind, size=None):
-        if kind == "so3":
-            self.kind = "so3"
-            self.size = 3
-            self.alg_dim = 3
-            self.manifold = SO3()
-            self.basis = SO3_BASIS  # hat(e_a), shape (3, 3, 3)
-        elif kind == "gl":
-            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-                raise ShapeError(f"GL(n) needs a positive integer n, got {size!r}")
-            self.kind = "gl"
-            self.size = int(size)
-            self.alg_dim = self.size**2
-            # GL(d) is an open subset of the flat R^{d x d}; points are matrices
-            self.manifold = ChartManifold(self.alg_dim, radius=1e6, center=np.zeros((self.size, self.size)))
-            self.basis = np.eye(self.alg_dim).reshape(self.alg_dim, self.size, self.size)  # alg_to_matrix(e_a)
-        else:
-            raise ShapeError(f"unknown group {kind!r}")
-
-    def alg_to_matrix(self, a):
-        if self.kind == "so3":
-            return hat(a)
-        return np.asarray(a, dtype=float).reshape(self.size, self.size)
-
-    def matrix_to_alg(self, m):
-        if self.kind == "so3":
-            return vee(m)
-        return np.asarray(m, dtype=float).reshape(-1)
-
-    def identity(self):
-        return np.eye(self.size)
-
-
-def group_rde(z: ControlledPath, rp: RoughPath, g0, group: MatrixGroup) -> ManifoldControlledPath:
-    """Solve dg = -(dz) g from g0 along the rough path associated to z.
+def group_rde(z: ControlledPath, rp: RoughPath, g0) -> ManifoldControlledPath:
+    """Solve dg = -(dz) g on SO(3) from g0 along the rough path associated to z.
 
     The equation is linear in g, so ``flatrde.linear_flow`` solves it from the identity
-    on the whole grid from z's increments and step areas z' (x) z' . A: GL(d) by the
-    additive step, exploding where an entry passes the group chart's radius, SO(3) by
-    the exponential step, whose products stay orthogonal.  Right translation by g0 gives
-    the same solution by right invariance and makes equivariance exact.  The returned
-    path is controlled by the original driver (chain rule through z').
+    on the whole grid from z's increments and step areas z' (x) z' . A by the exponential
+    step, whose products stay orthogonal.  Right translation by g0 gives the same solution
+    by right invariance and makes equivariance exact.  The returned path is controlled by
+    the original driver (chain rule through z').
     """
     check_same_grid(z.times, rp.times)
     g0 = np.asarray(g0, dtype=float)
-    s = group.size
-    if g0.shape != (s, s):
-        raise ShapeError(f"g0 has shape {g0.shape}, the group acts on ({s}, {s}) matrices")
-    if z.values.shape[1:] != (group.alg_dim,):
-        raise ShapeError(f"z takes values of shape {z.values.shape[1:]}, the algebra has dimension {group.alg_dim}")
-    scheme, bound = ("davie", group.manifold.radius) if group.kind == "gl" else ("exp", EXPLOSION_BOUND)
+    if g0.shape != (3, 3):
+        raise ShapeError(f"g0 has shape {g0.shape}, the group acts on (3, 3) matrices")
+    if z.values.shape[1:] != (3,):
+        raise ShapeError(f"z takes values of shape {z.values.shape[1:]}, the algebra has dimension 3")
+    group = SO3()
+    if not group.on_manifold(g0, tol=BASEPOINT_TOL):
+        raise NotOnManifold(0, f"start point is not on {group.name}")
     dz, areas = np.diff(z.values, axis=0), pushed_step_areas(z, rp)
-    pts = linear_flow(-group.basis, rp.times, dz, areas, None, scheme, bound) @ g0
+    pts = linear_flow(-SO3_BASIS, rp.times, dz, areas, None, "exp") @ g0
     # column a of g' is -(z'_a)^ g, with z'_a the algebra element of column a of z's derivative
-    gens = np.einsum("bij,pba->paij", group.basis, z.derivative)
-    deriv = np.moveaxis(-(gens @ pts[:, None]), 1, -1).reshape(-1, s * s, rp.dim)
-    out = ManifoldControlledPath(group.manifold, rp.times, pts, deriv, rp)
+    gens = np.einsum("bij,pba->paij", SO3_BASIS, z.derivative)
+    deriv = np.moveaxis(-(gens @ pts[:, None]), 1, -1).reshape(-1, 9, rp.dim)
+    out = ManifoldControlledPath(group, rp.times, pts, deriv, rp)
     out.meta = {"chart_switches": []}
     return out
 
 
-def right_maurer_cartan_form(group: MatrixGroup):
-    """theta_r as a smooth algebra-valued one-form on the group manifold."""
-
-    def alpha(g):
-        ginv = np.linalg.inv(np.asarray(g, dtype=float))
-        xis = np.eye(group.manifold.flat_dim).reshape((-1,) + ginv.shape)  # the unit tangents
-        return np.stack([group.matrix_to_alg(xi @ ginv) for xi in xis], axis=1)
-
-    return alpha
+def right_maurer_cartan_form(g):
+    """theta_r(g), the (3, 9) matrix of the right Maurer-Cartan form at g in SO(3): column j is
+    vee(E_j g^T) for the unit tangent E_j, since g^-1 = g^T."""
+    return vee(np.eye(9).reshape(9, 3, 3) @ np.asarray(g, dtype=float).T).T
 
 
-def maurer_cartan_check(gpath: ManifoldControlledPath, z: ControlledPath, group: MatrixGroup):
+def maurer_cartan_check(gpath: ManifoldControlledPath, z: ControlledPath):
     """Residual of the inverse relation: integral of theta_r along g, under the connection gauge, vs -z."""
-    integ = integrate_smooth_oneform(right_maurer_cartan_form(group), gpath, connection_gauge(group.manifold))
-    zc = z.values - z.values[0]
-    return {
-        "diff_sup": float(np.max(np.abs(integ.values + zc))),
-        "integral": integ,
-    }
+    integ = integrate_smooth_oneform(right_maurer_cartan_form, gpath, connection_gauge(gpath.manifold))
+    return {"diff_sup": float(np.max(np.abs(integ.values + (z.values - z.values[0])))), "integral": integ}
 
 
 # ---------------------------------------------------------------------------

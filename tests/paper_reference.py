@@ -24,15 +24,15 @@ from crp.convergence import estimate_order
 from crp.errors import DomainError, InvalidGrid, OffGrid, ShapeError
 from crp.fixtures import LINE
 from crp.gauges import Gauge, Parallelism, compatibility_tensor, connection_gauge, logarithm_gauge
-from crp.linalg import FD_STEP, norm, pointwise, richardson_diff
-from crp.manifolds import Chart, ChartManifold, Manifold
+from crp.linalg import FD_STEP, hat, norm, pointwise, richardson_diff, vee
+from crp.manifolds import Chart, ChartManifold, Manifold, SO3
 from crp.mcrp import ManifoldControlledPath, crp_pushforward
 from crp.mrde import gauge_form_defects
 from crp.oneforms import ControlledOneForm, integrate_smooth_oneform, integrator_increments
 from crp.pairs import sampled_triples
 from crp.roughpath import RoughPath
 from crp.sewing import rough_integrate
-from crp.transport import FrameLift, MatrixGroup, group_rde
+from crp.transport import FrameLift, group_rde
 
 SUPERADD_SLACK = 1e-12
 TAYLOR_FD_STEP = 1e-3
@@ -97,15 +97,14 @@ def left_fold_area(rp: RoughPath, i, j):
 
 @dataclass
 class ConnectionForm:
-    """Connection on the trivial bundle M x G, reconstructed from a base form.
+    """Connection on the trivial bundle M x SO(3), reconstructed from a base form.
 
-    ``gamma(m)`` returns the (alg_dim, D) matrix of the algebra-valued base
-    one-form in vee coordinates; the full form on the product is
+    ``gamma(m)`` returns the (3, D) matrix of the so(3)-valued base one-form in
+    vee coordinates; the full form on the product is
     omega(v, xi) = theta(xi) + Ad_{g^-1} gamma(v).
     """
 
     manifold: Manifold
-    group: MatrixGroup
     gamma: Callable
 
     def gamma_matrix(self, m):
@@ -115,8 +114,8 @@ class ConnectionForm:
         """Algebra value (vee coords) of the form on a product tangent."""
         ginv = np.linalg.inv(g)
         theta = ginv @ xi_mat
-        ad = ginv @ self.group.alg_to_matrix(self.gamma_matrix(m) @ v_flat) @ g
-        return self.group.matrix_to_alg(theta + ad)
+        ad = ginv @ hat(self.gamma_matrix(m) @ v_flat) @ g
+        return vee(theta + ad)
 
     def axiom_residuals(self, rng=None, n_samples=8):
         """Def axioms: vertical reproduction and Ad-equivariance at samples."""
@@ -125,16 +124,16 @@ class ConnectionForm:
         worst_ad = 0.0
         for _ in range(n_samples):
             m = self.manifold.random_point(rng)
-            g = self.group.manifold.random_point(rng)
-            a = rng.standard_normal(self.group.alg_dim)
-            xi = g @ self.group.alg_to_matrix(a)
+            g = SO3().random_point(rng)
+            a = rng.standard_normal(3)
+            xi = g @ hat(a)
             got = self.omega(m, g, np.zeros(self.manifold.flat_dim), xi)
             worst_vert = max(worst_vert, float(np.max(np.abs(got - a))))
             v = self.manifold.flatten(self.manifold.random_tangent(rng, m))
-            h = self.group.manifold.random_point(rng)
+            h = SO3().random_point(rng)
             lhs = self.omega(m, g @ h, v, xi @ h)
             hinv = np.linalg.inv(h)
-            rhs = self.group.matrix_to_alg(hinv @ self.group.alg_to_matrix(self.omega(m, g, v, xi)) @ h)
+            rhs = vee(hinv @ hat(self.omega(m, g, v, xi)) @ h)
             worst_ad = max(worst_ad, float(np.max(np.abs(lhs - rhs))))
         return {"vertical": worst_vert, "equivariance": worst_ad}
 
@@ -149,23 +148,23 @@ class HorizontalLift:
     z: ControlledPath  # integral of the base connection form along y
 
     def product_path(self) -> ManifoldControlledPath:
-        prod = ProductManifold(self.base.manifold, self.connection.group.manifold)
+        prod = ProductManifold(self.base.manifold, SO3())
         pts = np.stack([prod.join(m, g) for m, g in zip(self.base.points, self.group_path.points)])
         deriv = np.concatenate([self.base.derivative, self.group_path.derivative], axis=1)
         return ManifoldControlledPath(prod, self.base.times, pts, deriv, self.base.driver)
 
     def omega_form(self):
         conn = self.connection
-        prod = ProductManifold(self.base.manifold, conn.group.manifold)
+        prod = ProductManifold(self.base.manifold, SO3())
         d1 = self.base.manifold.flat_dim
 
         def alpha(p):
             m, g = prod.split(p)
             ginv, gam = np.linalg.inv(g), conn.gamma_matrix(m)
             # columns: the base unit tangents, then the fiber unit tangents
-            vals = [ginv @ conn.group.alg_to_matrix(gam @ e) @ g for e in np.eye(d1)]
+            vals = [ginv @ hat(gam @ e) @ g for e in np.eye(d1)]
             vals += [ginv @ e.reshape(g.shape) for e in np.eye(prod.flat_dim - d1)]
-            return np.stack([conn.group.matrix_to_alg(v) for v in vals], axis=1)
+            return np.stack([vee(v) for v in vals], axis=1)
 
         return alpha, prod
 
@@ -184,7 +183,7 @@ def horizontal_lift(y: ManifoldControlledPath, conn: ConnectionForm, u0_group) -
     exact by construction.
     """
     z = integrate_smooth_oneform(conn.gamma_matrix, y, connection_gauge(y.manifold))
-    g = group_rde(z, y.driver, u0_group, conn.group)
+    g = group_rde(z, y.driver, u0_group)
     return HorizontalLift(base=y, group_path=g, connection=conn, z=z)
 
 
@@ -201,8 +200,8 @@ def vertical_horizontal_split(conn: ConnectionForm, m, g, rng=None, n_samples=6)
     worst = 0.0
     for _ in range(n_samples):
         v = mani.flatten(mani.random_tangent(rng, m))
-        xi = g @ conn.group.alg_to_matrix(rng.standard_normal(conn.group.alg_dim))
-        xi_h = -conn.group.alg_to_matrix(conn.gamma_matrix(m) @ v) @ g
+        xi = g @ hat(rng.standard_normal(3))
+        xi_h = -hat(conn.gamma_matrix(m) @ v) @ g
         worst = max(worst, float(np.max(np.abs(conn.omega(m, g, v, xi_h)))))
         vert = xi - xi_h
         res = conn.omega(m, g, np.zeros_like(v), vert) - conn.omega(m, g, v, xi)

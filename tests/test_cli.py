@@ -272,6 +272,18 @@ MALFORMED_CONFIGS = [
     ("verify", {"delta": 0.1}),
     ("convergence", {"levels": 4, "n": 64}),
     ("suite", {"fixtures": [], "jobs": 2}),
+    # a key of a nested rde section outside that section's known set, also ignored otherwise
+    ("rde", {"driver": {"n": 8, "speed": 3}}),
+    ("rde", {"field": {"kind": "projection", "params": {"spede": 2}}}),
+    ("rde", {"field": {"kind": "right-invariant", "params": {"speed": 2}}}),
+    ("rde", {"field": {"kind": "projection", "scheme": "exp"}}),
+    ("rde", {"manifold": {"type": "sphere", "dim": 2}}),
+    # a horizon of fewer than two nodes
+    ("rde", {"field": {}, "horizon": [0.5, 0.0]}),
+    ("rde", {"field": {}, "horizon": [0.5, 0.5]}),
+    # options that would do nothing: fixtures the suite does not read, a p on a fixture without one
+    ("suite", {"fixtures": ["equator"]}),
+    ("verify", {"fixture": "equator", "p": 2.5}),
 ]
 
 
@@ -291,6 +303,20 @@ def test_unknown_config_key_is_named(runner, tmp_path):
     res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
     assert res.exit_code == 2, res.output
     assert res.output.startswith("error: config key 'scheme' is not one of "), res.output
+
+
+def test_unknown_nested_config_key_names_its_section(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"driver": {"n": 8, "speed": 3}}))
+    res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output == "error: config 'driver' key 'speed' is not one of n\n", res.output
+
+
+def test_verify_p_on_a_fixture_without_one_exits_two(runner, tmp_path):
+    res = runner.invoke(main, ["verify", "--fixture", "equator", "--p", "2.5", "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: config 'p'") and res.output.count("\n") == 1, res.output
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from crp import (
     verify_crp,
 )
 from crp.controlled import driver_as_controlled
+from crp.flatrde import linear_flow
 from crp.fixtures import (
     SPHERE,
     equator_crp,
@@ -34,7 +35,7 @@ from crp.mrde import ManifoldDrivingField, f_related_pushforward, rde_solve_mani
 from crp.oneforms import ControlledOneForm, integrate_smooth_oneform
 from crp.roughpath import lift_smooth
 from crp.serialize import canonical_json, path_csv_header, path_csv_rows, render_csv
-from crp.transport import maurer_cartan_check
+from crp.transport import group_rde, maurer_cartan_check
 from paper_reference import chart_formula_integral
 
 
@@ -194,19 +195,6 @@ def test_newton_log_failure_outside_reach():
         bumpy.log(np.array([0.0]), np.array([2.9]))
 
 
-def test_group_rde_gl_explosion():
-    from crp.roughpath import time_lift
-    from crp.transport import MatrixGroup, group_rde
-
-    grid = np.linspace(0.0, 1.0, 257)
-    rp = time_lift(grid)
-    vals = (-30.0 * grid)[:, None]
-    dag = np.full((257, 1, 1), -30.0)
-    z = ControlledPath(grid, vals, dag)
-    with pytest.raises(Explosion):
-        group_rde(z, rp, np.array([[1.0]]), MatrixGroup("gl", 1))
-
-
 def test_run_suite_parallel_jobs_consistent():
     from crp.suite import run_suite
 
@@ -238,7 +226,9 @@ ENTRY_POINT_PARAMETERS = {
     "rde_solve_manifold": (rde_solve_manifold, ["field", "rp", "y0"]),
     "rde_solve_flat": (rde_solve_flat, ["field", "rp", "y0", "scheme"]),
     "f_related_pushforward": (f_related_pushforward, ["f", "jac", "field_src", "field_dst", "y"]),
-    "maurer_cartan_check": (maurer_cartan_check, ["gpath", "z", "group"]),
+    "maurer_cartan_check": (maurer_cartan_check, ["gpath", "z"]),
+    "group_rde": (group_rde, ["z", "rp", "g0"]),
+    "linear_flow": (linear_flow, ["mats", "times", "dx", "areas", "y0", "scheme"]),
     "crp_from_projection": (crp_from_projection, ["manifold", "rp"]),
     "lift_smooth": (lift_smooth, ["path", "grid", "dpath"]),
     "verify_crp": (verify_crp, ["y", "rp", "delta"]),

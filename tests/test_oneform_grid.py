@@ -31,7 +31,6 @@ from crp.mcrp import ManifoldControlledPath
 from crp.mrde import ManifoldDrivingField, pushed_field_path
 from crp.oneforms import gauge_change, oneform_from_smooth
 from crp.roughpath import lift_smooth
-from crp.transport import MatrixGroup
 from paper_reference import ConnectionForm, ProductManifold, horizontal_lift
 
 
@@ -98,7 +97,7 @@ def asymmetric_path(n=32):
 
 def product_path(n=32):
     y = sphere_spiral_crp(n)
-    conn = ConnectionForm(SPHERE, MatrixGroup("so3"), lambda m: 0.4 * SPHERE.tangent_projector(m))
+    conn = ConnectionForm(SPHERE, lambda m: 0.4 * SPHERE.tangent_projector(m))
     return horizontal_lift(y, conn, np.eye(3)).product_path()
 
 

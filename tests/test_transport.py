@@ -21,7 +21,6 @@ from crp.mcrp import crp_from_projection, verify_gauge_crp
 from crp.oneforms import oneform_from_smooth
 from crp.roughpath import lift_piecewise_linear, lift_smooth, pure_area_driver, time_lift
 from crp.transport import (
-    MatrixGroup,
     chart_christoffels,
     group_rde,
     maurer_cartan_check,
@@ -31,8 +30,6 @@ from crp.transport import (
     unroll,
 )
 from paper_reference import ConnectionForm, frame_transport_defect, horizontal_lift, vertical_horizontal_split
-
-SO3G = MatrixGroup("so3")
 
 
 def tangent_frame(m):
@@ -66,7 +63,7 @@ def smooth_alg_path(n, T=1.0):
 
 class TestConnectionForm:
     def connection(self, kappa=0.7):
-        return ConnectionForm(SPHERE, SO3G, lambda m: kappa * SPHERE.tangent_projector(m))
+        return ConnectionForm(SPHERE, lambda m: kappa * SPHERE.tangent_projector(m))
 
     def test_axioms(self):
         rep = self.connection().axiom_residuals()
@@ -89,7 +86,7 @@ class TestGroupRDE:
         z, rp = smooth_alg_path(32)
         zero = ControlledPath(z.times, np.zeros_like(z.values), np.zeros_like(z.derivative))
         g0 = so3_exp(np.array([0.1, 0.2, -0.3]))
-        sol = group_rde(zero, rp, g0, SO3G)
+        sol = group_rde(zero, rp, g0)
         assert np.max(np.abs(sol.points - g0)) == 0.0
 
     def test_constant_direction_matrix_exponential(self):
@@ -98,20 +95,20 @@ class TestGroupRDE:
         rp = time_lift(grid)
         z = ControlledPath(grid, np.outer(grid, a0), np.broadcast_to(a0[:, None], (1025, 3, 1)).copy())
         g0 = so3_exp(np.array([0.3, 0.0, 0.1]))
-        sol = group_rde(z, rp, g0, SO3G)
+        sol = group_rde(z, rp, g0)
         want = expm(-hat(a0)) @ g0
         assert np.max(np.abs(sol.points[-1] - want)) <= 1e-9
 
     def test_equivariance_exact(self):
         z, rp = smooth_alg_path(64)
         h = so3_exp(np.array([0.5, -0.1, 0.2]))
-        lift_e = group_rde(z, rp, np.eye(3), SO3G)
-        lift_h = group_rde(z, rp, h, SO3G)
+        lift_e = group_rde(z, rp, np.eye(3))
+        lift_h = group_rde(z, rp, h)
         assert np.max(np.abs(lift_h.points - np.einsum("pij,jk->pik", lift_e.points, h))) <= 1e-12
 
     def test_orthogonality_preserved(self):
         z, rp = smooth_alg_path(256)
-        sol = group_rde(z, rp, np.eye(3), SO3G)
+        sol = group_rde(z, rp, np.eye(3))
         gtg = np.einsum("pji,pjk->pik", sol.points, sol.points)
         assert np.max(np.abs(gtg - np.eye(3))) <= 1e-8
 
@@ -119,8 +116,8 @@ class TestGroupRDE:
         errs = []
         for n in (64, 128, 256, 512):
             z, rp = smooth_alg_path(n)
-            sol = group_rde(z, rp, np.eye(3), SO3G)
-            rep = maurer_cartan_check(sol, z, SO3G)
+            sol = group_rde(z, rp, np.eye(3))
+            rep = maurer_cartan_check(sol, z)
             errs.append(rep["diff_sup"])
         assert errs[-1] <= 1e-5
         # the exponential step is g_{i+1} = expm(-hat(dz_i)) g_i here (a one-dimensional
@@ -130,20 +127,20 @@ class TestGroupRDE:
 
     def test_solution_is_crp_on_group(self):
         z, rp = smooth_alg_path(256)
-        sol = group_rde(z, rp, np.eye(3), SO3G)
+        sol = group_rde(z, rp, np.eye(3))
         rep = verify_gauge_crp(sol, connection_gauge(SO3M))
         assert rep["pass"], rep
 
 
 class TestHorizontalLift:
     def test_flat_connection_keeps_fiber_constant(self):
-        conn = ConnectionForm(SPHERE, SO3G, lambda m: np.zeros((3, 3)))
+        conn = ConnectionForm(SPHERE, lambda m: np.zeros((3, 3)))
         y = sphere_spiral_crp(64)
         lift = horizontal_lift(y, conn, np.eye(3))
         assert np.max(np.abs(lift.group_path.points - np.eye(3))) <= 1e-14
 
     def test_equivariance_of_lift(self):
-        conn = ConnectionForm(SPHERE, SO3G, lambda m: 0.5 * SPHERE.tangent_projector(m))
+        conn = ConnectionForm(SPHERE, lambda m: 0.5 * SPHERE.tangent_projector(m))
         y = sphere_spiral_crp(64)
         h = so3_exp(np.array([0.2, 0.7, -0.4]))
         l1 = horizontal_lift(y, conn, np.eye(3))
@@ -153,7 +150,7 @@ class TestHorizontalLift:
 
     def test_smooth_ode_oracle(self):
         kappa = 0.6
-        conn = ConnectionForm(SPHERE, SO3G, lambda m: kappa * SPHERE.tangent_projector(m))
+        conn = ConnectionForm(SPHERE, lambda m: kappa * SPHERE.tangent_projector(m))
         n = 1024
         y = equator_crp(n, T=1.0)
         lift = horizontal_lift(y, conn, np.eye(3))
@@ -180,7 +177,7 @@ class TestHorizontalLift:
         assert np.max(np.abs(lift.group_path.points[-1] - g)) <= 1e-7
 
     def test_horizontality_residual_small(self):
-        conn = ConnectionForm(SPHERE, SO3G, lambda m: 0.4 * SPHERE.tangent_projector(m))
+        conn = ConnectionForm(SPHERE, lambda m: 0.4 * SPHERE.tangent_projector(m))
         y = sphere_spiral_crp(128)
         lift = horizontal_lift(y, conn, np.eye(3))
         assert lift.horizontality_residual() <= 1e-4
@@ -392,7 +389,7 @@ def test_orthogonality_drift_without_retraction():
     # envelope the invariant allows)
     for n in (64, 256):
         z, rp = smooth_alg_path(n)
-        sol = group_rde(z, rp, np.eye(3), SO3G)
+        sol = group_rde(z, rp, np.eye(3))
         gtg = np.einsum("pji,pjk->pik", sol.points, sol.points)
         assert float(np.max(np.abs(gtg - np.eye(3)))) <= 1e-12
 
@@ -406,7 +403,12 @@ def test_frame_lift_annihilates_connection_form():
     y = sphere_spiral_crp(256)
     u0 = tangent_frame(y.points[0])
     lift = parallel_translate_frame(y, u0)
-    group = MatrixGroup("gl", 2)
+    gl2 = ChartManifold(4, radius=1e6, center=np.zeros((2, 2)))
+
+    def right_maurer_cartan_gl2(g):
+        """GL(2)'s theta_r(g): column j is E_j g^-1 for the unit tangent E_j, flattened."""
+        return (np.eye(4).reshape(4, 2, 2) @ np.linalg.inv(g)).reshape(4, 4).T
+
     segments = [s for s in lift.segments if s[1] > s[0]]
     assert len(segments) >= 1
     for i0, i1, chart in segments:
@@ -425,6 +427,6 @@ def test_frame_lift_annihilates_connection_form():
         for off in range(i1 - i0 + 1):
             gam = z.derivative[off].reshape(2, 2, -1)
             gd[off] = (-np.einsum("abk,bc->ack", gam, ubar[off])).reshape(4, -1)
-        gpath = ManifoldControlledPath(group.manifold, z.times, ubar, gd, y.driver.restrict(i0, i1))
-        rep = maurer_cartan_check(gpath, z, group)
-        assert rep["diff_sup"] <= 1e-4
+        gpath = ManifoldControlledPath(gl2, z.times, ubar, gd, y.driver.restrict(i0, i1))
+        integ = integrate_smooth_oneform(right_maurer_cartan_gl2, gpath, connection_gauge(gl2))
+        assert np.max(np.abs(integ.values + z.values - z.values[0])) <= 1e-4

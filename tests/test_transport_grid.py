@@ -1,9 +1,9 @@
 """Frame transport without per-step finite differences.
 
-The GL(d) group equation runs on the flat linear solver, ``unroll`` works on
-each chart segment's whole grid, and the SO(3) chart differentials and group
-fields are closed forms.  Each is checked against the construction it replaced,
-kept here as a reference: the chart-stepped group solve, the per-node unroll
+The SO(3) group equation runs on the flat linear solver, ``unroll`` works on
+each chart segment's whole grid, and the SO(3) chart differentials, group
+fields and right Maurer-Cartan form are closed forms.  Each is checked against
+the construction it replaced, kept here as a reference: the per-node unroll
 and the list comprehensions of ``vee``/``hat``.
 """
 
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import crp.mrde
-from crp import ChartSingular, ControlledPath, DomainError, Explosion, GaugeMismatch, NotOnManifold, ShapeError
-from crp.controlled import associated_roughpath, driver_as_controlled
+from crp import ChartSingular, ControlledPath, DomainError, GaugeMismatch, NotOnManifold, ShapeError
+from crp.controlled import driver_as_controlled
 from crp.fixtures import (
     SO3M,
     SPHERE,
@@ -25,18 +25,18 @@ from crp.fixtures import (
     tangent_frame,
 )
 from crp.gauges import chart_gauge, connection_gauge
-from crp.linalg import hat, so3_exp, so3_left_jacobian, so3_left_jacobian_inv, so3_log, vee
+from crp.linalg import SO3_BASIS, hat, so3_exp, so3_left_jacobian, so3_left_jacobian_inv, so3_log, vee
 from crp.manifolds import Chart, ChartManifold
 from crp.mcrp import ManifoldControlledPath, crp_from_projection
-from crp.mrde import ManifoldDrivingField, rde_solve_manifold
+from crp.mrde import ManifoldDrivingField
 from crp.oneforms import oneform_from_smooth
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
 from crp.transport import (
     FrameLift,
-    MatrixGroup,
     chart_christoffels,
     group_rde,
     parallel_translate_frame,
+    right_maurer_cartan_form,
     roll,
     unroll,
 )
@@ -50,18 +50,6 @@ def gl_alg_path(n, d=2):
     vals = np.sin(np.outer(grid, rates) + rates)
     dag = (rates * np.cos(np.outer(grid, rates) + rates))[:, :, None]
     return ControlledPath(grid, vals - vals[0], dag), time_lift(grid)
-
-
-def chart_stepped_group_rde(z, rp, g0, group):
-    """The GL solve before the flat solver: chart-patched steps with FD second-order terms.
-
-    The field is passed as an opaque callable, without its generators, so the
-    solve steps in charts.
-    """
-    field = ManifoldDrivingField.linear(group.manifold, -group.basis)
-    opaque = ManifoldDrivingField(field.manifold, field.field, name=field.name)
-    sol = rde_solve_manifold(opaque, associated_roughpath(z, rp), group.identity())
-    return np.einsum("pij,jk->pik", sol.points, g0)
 
 
 def per_node_unroll_values(y, lift):
@@ -94,25 +82,10 @@ def meridian_crp(n, phase=0.3):
     return crp_from_projection(SPHERE, rp)
 
 
-# -- GL(d) group equation on the flat solver ----------------------------------------------
+# -- SO(3) group equation on the flat solver ---------------------------------------------
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_gl_group_rde_matches_chart_stepped_solve(d):
-    z, rp = gl_alg_path(64, d)
-    group = MatrixGroup("gl", d)
-    g0 = np.eye(d) + 0.1 * np.arange(d * d).reshape(d, d) / (d * d)
-    got = group_rde(z, rp, g0, group)
-    want = chart_stepped_group_rde(z, rp, g0, group)
-    assert np.max(np.abs(got.points - want)) <= 1e-10 * np.max(np.abs(want))
-    assert got.meta == {"chart_switches": []}
-    # the derivative is -(z'_a)^ g at every node
-    for i in (0, 17, 64):
-        col = -(z.derivative[i][:, 0].reshape(d, d) @ got.points[i]).reshape(-1)
-        assert np.array_equal(got.derivative[i][:, 0], col)
-
-
-def test_gl_group_rde_makes_no_chart_steps(monkeypatch):
+def test_group_rde_makes_no_chart_steps(monkeypatch):
     calls = []
     original = crp.mrde._chart_step
 
@@ -121,32 +94,31 @@ def test_gl_group_rde_makes_no_chart_steps(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(crp.mrde, "_chart_step", counted)
-    z, rp = gl_alg_path(32)
-    group_rde(z, rp, np.eye(2), MatrixGroup("gl", 2))
-    assert calls == []
     y = sphere_spiral_crp(32)
     parallel_translate_frame(y, tangent_frame(y.points[0]))
     assert calls == []
     # the SO(3) solve takes the exponential step on the whole grid: no chart steps either
+    z, rp = gl_alg_path(32)
     zs = ControlledPath(z.times, z.values[:, :3], z.derivative[:, :3])
-    group_rde(zs, rp, np.eye(3), MatrixGroup("so3"))
+    group_rde(zs, rp, np.eye(3))
     assert calls == []
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_gl_group_rde_explodes_when_the_chart_stepped_solve_did(d):
-    # g = diag(e^{30t}, 1, ...) leaves the chart of radius 1e6 near t = ln(1e6) / 30
-    grid = np.linspace(0.0, 1.0, 257)
-    rates = np.zeros(d * d)
-    rates[0] = -30.0
-    z = ControlledPath(grid, np.outer(grid, rates), np.broadcast_to(rates[:, None], (257, d * d, 1)).copy())
-    group = MatrixGroup("gl", d)
-    with pytest.raises(Explosion) as want:
-        chart_stepped_group_rde(z, time_lift(grid), np.eye(d), group)
-    with pytest.raises(Explosion) as got:
-        group_rde(z, time_lift(grid), np.eye(d), group)
-    assert got.value.time == want.value.time
-    assert abs(got.value.time - np.log(1e6) / 30.0) <= 2.0 / 256
+def so3_rotations(k, seed):
+    return so3_exp(np.random.default_rng(seed).standard_normal((k, 3)))
+
+
+def test_right_maurer_cartan_form_matches_the_inverse_formula():
+    for g in so3_rotations(200, 21):
+        want = np.stack([vee(xi.reshape(3, 3) @ np.linalg.inv(g)) for xi in np.eye(9)], axis=1)
+        assert np.max(np.abs(right_maurer_cartan_form(g) - want)) <= 1e-14
+
+
+def test_right_maurer_cartan_form_reproduces_right_invariant_tangents():
+    rng = np.random.default_rng(22)
+    for g in so3_rotations(100, 23):
+        a = rng.standard_normal(3)
+        assert np.max(np.abs(right_maurer_cartan_form(g) @ (hat(a) @ g).reshape(9) - a)) <= 1e-14
 
 
 # -- whole-grid unroll -----------------------------------------------------------------------
@@ -246,8 +218,7 @@ def test_so3_chart_differentials_match_list_comprehensions(idx):
 @pytest.mark.parametrize("idx", range(4))
 def test_so3_group_fields_match_list_comprehensions(idx):
     chart = SO3M.charts()[idx]
-    group = MatrixGroup("so3")
-    group_field = ManifoldDrivingField.linear(group.manifold, -group.basis)
+    group_field = ManifoldDrivingField.linear(SO3M, -SO3_BASIS)
     for g in so3_chart_points(chart, np.random.default_rng(10 + idx)):
         right = np.stack([(-(hat(e) @ g)).reshape(9) for e in np.eye(3)], axis=1)
         left = np.stack([(g @ hat(e)).reshape(9) for e in np.eye(3)], axis=1)
@@ -257,10 +228,10 @@ def test_so3_group_fields_match_list_comprehensions(idx):
 
 
 def test_gl_right_invariant_field_matches_list_comprehension():
-    group = MatrixGroup("gl", 3)
+    gl3 = ChartManifold(9, center=np.zeros((3, 3)))
     g = np.arange(9.0).reshape(3, 3) / 7.0 + np.eye(3)
-    want = np.stack([(-(group.alg_to_matrix(e) @ g)).reshape(-1) for e in np.eye(9)], axis=1)
-    assert np.array_equal(ManifoldDrivingField.linear(group.manifold, -group.basis).value_matrix(g), want)
+    want = np.stack([(-(e.reshape(3, 3) @ g)).reshape(-1) for e in np.eye(9)], axis=1)
+    assert np.array_equal(ManifoldDrivingField.linear(gl3, -np.eye(9).reshape(9, 3, 3)).value_matrix(g), want)
 
 
 # -- typed errors on the transport surface ---------------------------------------------------
@@ -301,22 +272,17 @@ def test_roll_checks_its_start_point_and_driver():
 def test_group_rde_checks_its_start_and_algebra_dimension():
     z, rp = gl_alg_path(8)
     with pytest.raises(ShapeError):
-        group_rde(z, rp, np.eye(3), MatrixGroup("gl", 2))
-    with pytest.raises(ShapeError):
-        group_rde(z, rp, np.eye(3), MatrixGroup("so3"))
+        group_rde(z, rp, np.eye(3))
     zs = ControlledPath(z.times, z.values[:, :3], z.derivative[:, :3])
     with pytest.raises(ShapeError):
-        group_rde(zs, rp, np.eye(3).reshape(9), MatrixGroup("so3"))
+        group_rde(zs, rp, np.eye(3).reshape(9))
 
 
-@pytest.mark.parametrize("size", [0, -1, 1.5, 2.0, True, "2"])
-def test_gl_size_must_be_a_positive_integer(size):
-    with pytest.raises(ShapeError):
-        MatrixGroup("gl", size)
-
-
-def test_gl_size_accepts_numpy_integers():
-    assert MatrixGroup("gl", np.int64(2)).size == 2
+def test_group_rde_rejects_a_start_off_so3():
+    z, rp = gl_alg_path(8)
+    zs = ControlledPath(z.times, z.values[:, :3], z.derivative[:, :3])
+    with pytest.raises(NotOnManifold):
+        group_rde(zs, rp, 2.0 * np.eye(3))
 
 
 # -- parallelism manifolds and the chart gauge ---------------------------------------------------

@@ -3,10 +3,9 @@
 ``parallel_translate_frame`` takes roll's Christoffel-jet step of the frame along
 the path: one ``chart_christoffels_jet`` call on the nodes of each chart segment,
 and the step products from one log-depth scan.  The paper's construction, the
-horizontal lift of the chart connection form by ``horizontal_lift`` evaluated one
-point at a time, is the reference the frames converge to; it lives with the other
-references of the paper in ``paper_reference.py``, outside the library.  Also: the
-one-node last segment, the check that a frame lift belongs to its path, and the
+horizontal lift of the chart connection form, its integral evaluated one point at
+a time and its GL(d) group equation solved by ``linear_flow``, is the reference
+the frames converge to.  Also: the one-node last segment, the check that a frame lift belongs to its path, and the
 whole-grid ``frame_transport_defect``.
 """
 
@@ -16,15 +15,17 @@ import numpy as np
 import pytest
 
 from crp import DomainError, GridMismatch
+from crp.controlled import pushed_step_areas
 from crp.convergence import ConvergenceReport
 from crp.fixtures import SPHERE, latitude_crp, sphere_spiral_crp, tangent_frame, tilted_great_circle_crp
+from crp.flatrde import linear_flow
 from crp.manifolds import Sphere
 from crp.gauges import connection_gauge
 from crp.mcrp import ManifoldControlledPath, crp_from_projection
-from crp.oneforms import oneform_from_smooth
+from crp.oneforms import integrate_smooth_oneform, oneform_from_smooth
 from crp.roughpath import lift_smooth
-from crp.transport import MatrixGroup, chart_christoffels, parallel_translate_frame, rolled_oneform, unroll
-from paper_reference import ConnectionForm, frame_transport_defect, horizontal_lift
+from crp.transport import chart_christoffels, parallel_translate_frame, rolled_oneform, unroll
+from paper_reference import frame_transport_defect
 
 
 def meridian_to_the_switch(n):
@@ -39,10 +40,13 @@ def meridian_to_the_switch(n):
 
 
 def per_point_frame_lift(y, u0, segments):
-    """Frame transport as the horizontal lift of the chart connection form, evaluated one point at a time."""
+    """Frame transport as the horizontal lift of the chart connection form, evaluated one point at a time.
+
+    On each chart segment the chart frame solves the GL(d) group equation d ubar = -(dz) ubar, z the
+    integral of the chart connection form, by the additive step of ``linear_flow`` from the identity.
+    """
     mani = y.manifold
     d = mani.dim
-    group = MatrixGroup("gl", d)
     frames = np.empty((y.times.size, mani.flat_dim, d))
     frames[0] = u0
     for i0, i1, chart in segments:
@@ -51,13 +55,14 @@ def per_point_frame_lift(y, u0, segments):
             a = chart_christoffels(mani, _chart, _chart.to_coords(m))
             return np.einsum("ijl,jD->ilD", a, _chart.dto(m)).reshape(d * d, mani.flat_dim)
 
-        sub = ManifoldControlledPath(
-            mani, y.times[i0 : i1 + 1], y.points[i0 : i1 + 1], y.derivative[i0 : i1 + 1], y.driver.restrict(i0, i1)
-        )
+        rp = y.driver.restrict(i0, i1)
+        sub = ManifoldControlledPath(mani, rp.times, y.points[i0 : i1 + 1], y.derivative[i0 : i1 + 1], rp)
+        z = integrate_smooth_oneform(gamma_fn, sub, connection_gauge(mani))
+        gens = -np.eye(d * d).reshape(d * d, d, d)
         ubar0 = chart.dto(y.points[i0]) @ frames[i0]
-        lift = horizontal_lift(sub, ConnectionForm(mani, group, gamma_fn), ubar0)
+        ubars = linear_flow(gens, rp.times, np.diff(z.values, axis=0), pushed_step_areas(z, rp), None, "davie") @ ubar0
         for off in range(i1 - i0 + 1):
-            frames[i0 + off] = chart.dfrom(chart.to_coords(y.points[i0 + off])) @ lift.group_path.points[off]
+            frames[i0 + off] = chart.dfrom(chart.to_coords(y.points[i0 + off])) @ ubars[off]
     return frames
 
 
