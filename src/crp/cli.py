@@ -8,6 +8,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import fixtures as fx
 from .convergence import CONVERGENCE_CSV_HEADER, MIN_LEVELS
@@ -83,12 +84,24 @@ def _section(cfg, key, known):
     return _known_keys(value, known, f"config {key!r}")
 
 
-def _fixture(name, n, kinds):
-    """Named fixture at grid size n; ConfigError unless its kind is one of ``kinds``."""
+def _refuse_n(name, cfg):
+    """ConfigError if the config or the command line (not an option's default) gives an ``n`` to
+    the fixed-size fixture ``name``."""
+    source = click.get_current_context().get_parameter_source("n")
+    if "n" in cfg or source not in (None, ParameterSource.DEFAULT):
+        raise ConfigError(f"fixture {name!r} has a fixed grid and takes no 'n'")
+
+
+def _fixture(name, cfg, n, kinds):
+    """Named fixture at grid size n; ConfigError unless its kind is one of ``kinds``, or when a
+    fixed-size fixture is given an ``n``."""
     kind = fx.FIXTURES.get(name, {}).get("kind")
     if kind is not None and kind not in kinds:
         raise ConfigError(f"fixture {name!r} is of kind {kind}; this command takes {', '.join(kinds)}")
-    return fx.build_fixture(name) if kind == "fixed-mcrp" else fx.build_fixture(name, n=n)
+    if kind == "fixed-mcrp":
+        _refuse_n(name, cfg)
+        return fx.build_fixture(name)
+    return fx.build_fixture(name, n=n)
 
 
 class _Main(click.Group):
@@ -132,7 +145,7 @@ def lift(config_path, out, deterministic, fixture, n):
     cfg = _load_config(config_path, {"fixture", "n"})
     fixture = cfg.get("fixture", fixture)
     n = _number(cfg, "n", n, minimum=1)
-    built = _fixture(fixture, n, ("driver", "mcrp"))
+    built = _fixture(fixture, cfg, n, ("driver", "mcrp"))
     rp = built if fx.FIXTURES[fixture]["kind"] == "driver" else built.driver
     doc = {
         "fixture": fixture,
@@ -160,7 +173,7 @@ def integrate(config_path, out, deterministic, fixture, n, gauge_name):
     cfg = _load_config(config_path, {"fixture", "n"})
     fixture = cfg.get("fixture", fixture)
     n = _number(cfg, "n", n, minimum=1)
-    y = _fixture(fixture, n, ("mcrp", "fixed-mcrp"))
+    y = _fixture(fixture, cfg, n, ("mcrp", "fixed-mcrp"))
     mani = y.manifold
     if gauge_name == "connection":
         gauge = connection_gauge(mani)
@@ -252,7 +265,7 @@ def transport(config_path, out, deterministic, fixture, n):
     cfg = _load_config(config_path, {"fixture", "n"})
     fixture = cfg.get("fixture", fixture)
     n = _number(cfg, "n", n, minimum=1)
-    y = _fixture(fixture, n, ("mcrp",))
+    y = _fixture(fixture, cfg, n, ("mcrp",))
     if y.manifold is not fx.SPHERE:
         raise ConfigError(f"transport takes sphere path fixtures; {fixture!r} lives on {y.manifold.name}")
     u0 = fx.tangent_frame(y.points[0])
@@ -284,13 +297,14 @@ def verify(config_path, out, deterministic, fixture, p, delta):
     cfg = _load_config(config_path, {"fixture", "n", "p"})
     fixture = cfg.get("fixture", fixture)
     if fixture == "example-6.7":
+        _refuse_n(fixture, cfg)
         y = fx.example_67_crp(p=_number(cfg, "p", 2.0 if p is None else p, float))
         gauge = standard_gauge(fx.LINE)
         delta = 0.5 if delta is None else delta
     else:
         if p is not None or "p" in cfg:
             raise ConfigError(f"config 'p' is example-6.7's alone; fixture {fixture!r} takes none")
-        y = _fixture(fixture, _number(cfg, "n", 256, minimum=1), ("mcrp",))
+        y = _fixture(fixture, cfg, _number(cfg, "n", 256, minimum=1), ("mcrp",))
         gauge = connection_gauge(y.manifold)
     grep = verify_gauge_crp(y, gauge, delta=delta)
     chart = y.manifold.chart_at(y.points[0])

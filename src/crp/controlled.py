@@ -9,7 +9,7 @@ import numpy as np
 from .controls import Control
 from .errors import DomainError, GridMismatch, InvalidGrid, ShapeError
 from .pairs import ZERO_NUM_TOL, control_sups
-from .roughpath import RoughPath, _calibrate_control
+from .roughpath import RoughPath, calibrated_roughpath
 
 
 @dataclass
@@ -85,9 +85,7 @@ def associated_roughpath(z: ControlledPath, rp: RoughPath) -> RoughPath:
     check_same_grid(z.times, rp.times)
     if z.values.ndim != 2:
         raise ShapeError("associated rough path needs vector-valued z")
-    areas = pushed_step_areas(z, rp)
-    c = _calibrate_control(z.values, rp.times, areas, rp.control.p)
-    return RoughPath(rp.times, z.values.copy(), areas, Control.time_scale(c, rp.control.p))
+    return calibrated_roughpath(rp.times, z.values, pushed_step_areas(z, rp), rp.control.p)
 
 
 # -- verification ----------------------------------------------------------------

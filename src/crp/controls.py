@@ -4,11 +4,15 @@ A control is the superadditive modulus omega(s, t) every Hoelder-type estimate i
 this library is measured against.  Two representations are supported: the
 time-scale control ``omega(s, t) = scale * (t - s)`` and a tabulated control
 holding values on a fixed grid (used for degenerate drivers whose control is not
-a multiple of t - s).
+a multiple of t - s).  A time-scale control may be given a thunk for its scale:
+the scale is then computed on its first read (``omega``, ``scale``, ``to_json``),
+once, so a path whose control nothing reads never pays for its calibration.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +26,7 @@ class Control:
 
     p: float
     kind: str = "time-scale"  # "time-scale" | "table"
-    scale: float = 1.0
+    calibration: float | Callable[[], float] = field(default=1.0, repr=False)  # the scale, or a thunk for it
     times: np.ndarray | None = field(default=None, repr=False)
     table: np.ndarray | None = field(default=None, repr=False)
 
@@ -30,8 +34,8 @@ class Control:
         if not (1.0 <= self.p < 3.0):
             raise InvalidGrid(f"p={self.p} outside [1, 3)")
         if self.kind == "time-scale":
-            if not (np.isfinite(self.scale) and self.scale >= 0):
-                raise InvalidGrid(f"time-scale control needs a finite nonnegative scale, got {self.scale!r}")
+            if not callable(self.calibration):
+                self.scale  # a given scale is checked now, a thunk's on its first read
         elif self.kind == "table":
             if self.times is None or self.table is None:
                 raise InvalidGrid("table control needs times and table")
@@ -42,6 +46,14 @@ class Control:
                 raise InvalidGrid("table must be square over the grid")
         else:
             raise InvalidGrid(f"unknown control kind {self.kind!r}")
+
+    @functools.cached_property
+    def scale(self):
+        """The time-scale factor; a thunk's is computed here, on the first read, and kept."""
+        c = self.calibration() if callable(self.calibration) else self.calibration
+        if not (np.isfinite(c) and c >= 0):
+            raise InvalidGrid(f"time-scale control needs a finite nonnegative scale, got {c!r}")
+        return float(c)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -65,7 +77,8 @@ class Control:
 
     @staticmethod
     def time_scale(scale, p):
-        return Control(p=p, kind="time-scale", scale=float(scale))
+        """omega(s, t) = scale (t - s); ``scale`` is a number or a thunk that computes it on the first read."""
+        return Control(p=p, kind="time-scale", calibration=scale)
 
     @staticmethod
     def from_callable(fn, times, p):
@@ -101,4 +114,4 @@ class Control:
                 times=np.asarray(doc["times"], dtype=float),
                 table=np.asarray(doc["table"], dtype=float),
             )
-        return Control(p=doc["p"], kind="time-scale", scale=doc["scale"])
+        return Control.time_scale(doc["scale"], doc["p"])

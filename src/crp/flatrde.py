@@ -8,6 +8,7 @@ import numpy as np
 
 from .controlled import ControlledPath
 from .errors import Explosion, InvalidGrid, ShapeError
+from .linalg import expm
 from .roughpath import RoughPath
 
 EXPLOSION_BOUND = 1e8
@@ -41,14 +42,13 @@ def linear_flow(mats, times, dx, areas, y0, scheme="davie"):
 
     One contraction of the (k, n, n) family with the (N, k) increments and (N, k, k) step
     areas A builds every step operator, "davie" P_i = I + dx_ia M_a + A_iab M_b M_a or "exp"
-    (log-ODE) P_i = expm(dx_ia M_a + Anti(A_i)_ab M_b M_a), applied in turn: y_{i+1} = P_i y_i;
-    from y0=None, the identity, ``running_products`` forms the products P_i ... P_0 instead.
+    (log-ODE) P_i = expm(dx_ia M_a + Anti(A_i)_ab M_b M_a), one ``linalg.expm`` of the whole stack,
+    applied in turn: y_{i+1} = P_i y_i; from y0=None, the identity, ``running_products`` forms the
+    products P_i ... P_0 instead.
     Raises ``Explosion`` at times[i] for the first state not finite or past ``EXPLOSION_BOUND``.
     """
     k, n = mats.shape[:2]
     if scheme == "exp":
-        from scipy.linalg import expm  # the exp scheme alone needs scipy: loaded on first use
-
         areas = 0.5 * (areas - np.swapaxes(areas, 1, 2))
     elif scheme != "davie":
         raise InvalidGrid(f"unknown scheme {scheme!r}")

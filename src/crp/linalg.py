@@ -1,4 +1,5 @@
-"""Small numerical helpers: the one loop over a user callable, so(3) closed forms and finite differences."""
+"""Small numerical helpers: the one loop over a user callable, the stacked matrix exponential, so(3) closed
+forms and finite differences."""
 
 from __future__ import annotations
 
@@ -134,6 +135,37 @@ def so3_left_jacobian(w):
 def so3_left_jacobian_inv(w):
     c = (1.0 / 12.0, lambda t: 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
     return _rodrigues(w, 1e-5, (-0.5, lambda t: -0.5), c)
+
+
+# Degree-13 Pade coefficients of exp (Higham 2005), divided by the constant one so that it is 1: a zero
+# matrix then gives the identity exactly.  THETA_13 is the largest 1-norm the approximant takes unscaled.
+_PADE13 = np.array([64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
+                    10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1],
+                   dtype=float) / 64764752532480000
+_THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """exp of a matrix, or of each of an (..., n, n) stack: scaling and squaring with the degree-13 Pade
+    approximant (Higham 2005) in batched matmuls and one batched solve, each matrix scaled by 2^-s for
+    the fewest s that brings its 1-norm under THETA_13, then squared s times."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    mant, exp2 = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(exp2 - (mant == 0.5), 0)  # ceil(log2(norm / THETA_13)), 0 when under it
+    x = np.ldexp(stack, -s[:, None, None])
+    eye, b = np.eye(n), _PADE13
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r.reshape(a.shape)
 
 
 def polar_retract(g):

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    AtlasGap, ChartExit, ChartSingular, CrpError, DomainError, LogFailure, NearCutLocus, ShapeError,
+    AtlasGap, ChartExit, ChartSingular, CrpError, DomainError, LogFailure, NearCutLocus, NotOnManifold, ShapeError,
 )
 from .linalg import (
     FD_STEP,
@@ -38,6 +38,7 @@ from .linalg import (
 )
 
 GAUGE_RADIUS_MARGIN = 0.1  # geodesic-ball radius pi - 0.1 on S^2 and SO(3)
+ROTATION_TOL = 1e-6  # largest |r^T r - I| (Frobenius) of a pair's relative rotation r that SO3.log takes
 GAUGE_EDGE = 1e-6  # a pair lies inside the gauge ball when its distance is this far below its radius
 CHART_FAILURES = (CrpError, FloatingPointError, ValueError, ZeroDivisionError)  # a point no chart map reads
 _EYE2 = np.eye(2)
@@ -533,9 +534,15 @@ class SO3(Manifold):
 
     def log(self, k, g):
         """The masked closed form of ``so3_log``.  A pair whose rotation angle is ``past_gauge_ball`` raises
-        ``NearCutLocus``: the edge lies short of pi, where ``so3_log`` turns to its antipodal branch."""
-        k = np.asarray(k, dtype=float)
-        r = np.swapaxes(k, -1, -2) @ np.asarray(g, dtype=float)
+        ``NearCutLocus``: the edge lies short of pi, where ``so3_log`` turns to its antipodal branch.  A pair
+        whose relative matrix k^T g is farther than ``ROTATION_TOL`` from orthogonal raises ``NotOnManifold``
+        (the closed form would read, say, 2 I as the zero rotation)."""
+        k, g = np.asarray(k, dtype=float), np.asarray(g, dtype=float)
+        r = np.swapaxes(k, -1, -2) @ g
+        off = norm((np.swapaxes(g, -1, -2) @ k @ r - _EYE3).reshape(r.shape[:-2] + (9,)))
+        if any_true(off > ROTATION_TOL):
+            i = int(np.argmax(np.ravel(off > ROTATION_TOL)))
+            raise NotOnManifold(i, f"pair {i} is not a pair of rotations: |r^T r - I| = {np.ravel(off)[i]:.2e}")
         th = np.arccos(np.clip(0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0), -1.0, 1.0))
         w = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]], axis=-1)
         big = np.where(th < 1e-8, 1.0, th)

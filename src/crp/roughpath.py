@@ -3,7 +3,9 @@
 A rough path is stored per step: node values x(t_i) and one second-level tensor
 per consecutive interval.  Values over arbitrary grid pairs are produced by the
 multiplicative (Chen) composition of the steps, so the composition identity holds
-by construction and never needs to be repaired.
+by construction and never needs to be repaired.  A path's arrays are read-only
+(a writable input is copied), so its lazily built prefix sums and its control's
+deferred calibration read the data it was built from.
 """
 
 from __future__ import annotations
@@ -31,6 +33,19 @@ def _check_grid(times):
     return t
 
 
+def _read_only(a):
+    """``a`` as a float array nothing can write through: itself when it and every array it views
+    are read-only, else a read-only copy."""
+    a = np.asarray(a, dtype=float)
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass
 class RoughPath:
     """Grid samples of a p-rough path: values at nodes plus per-step areas."""
@@ -45,9 +60,9 @@ class RoughPath:
     _cum_xdx: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.times = _check_grid(self.times)
-        self.values = np.asarray(self.values, dtype=float)
-        self.step_areas = np.asarray(self.step_areas, dtype=float)
+        self.times = _read_only(_check_grid(self.times))
+        self.values = _read_only(self.values)
+        self.step_areas = _read_only(self.step_areas)
         n = self.times.size - 1
         v, a = self.values.shape, self.step_areas.shape
         if len(v) != 2 or len(a) != 3 or a[1:] != (v[1],) * 2:
@@ -178,6 +193,18 @@ def _calibrate_control(rp_values, times, areas, p):
     return max(sups[0], sups[1], 1e-300)
 
 
+def calibrated_roughpath(times, values, areas, p):
+    """Rough path whose time-scale control is ``_calibrate_control`` of its own arrays, run on the first read.
+
+    The O(N^2) calibration is deferred; a non-finite value or area, which would make it
+    NaN or infinite, raises InvalidGrid here, in O(N).
+    """
+    times, values, areas = _read_only(times), _read_only(values), _read_only(areas)
+    if not (np.isfinite(values).all() and np.isfinite(areas).all()):
+        raise InvalidGrid("a calibrated rough path needs finite values and step areas")
+    return RoughPath(times, values, areas, Control.time_scale(lambda: _calibrate_control(values, times, areas, p), p))
+
+
 @functools.cache
 def _gauss_legendre_rule(order):
     """The order-point Gauss-Legendre nodes and weights on [-1, 1], built once and read-only."""
@@ -203,7 +230,7 @@ def lift_smooth(path, grid, dpath):
     Per-step areas are Gauss-Legendre quadratures of the first iterated
     integral, of order 8 doubled (twice at most) until the weak-geometric
     residual drops below tolerance.  The control is calibrated so the 1-variation
-    bounds hold with constant one on the grid.  A path or derivative value of the
+    bounds hold with constant one on the grid, when it is first read.  A path or derivative value of the
     wrong shape raises ShapeError, a non-finite one LiftFailure.
     """
     times = _check_grid(grid)
@@ -214,8 +241,7 @@ def lift_smooth(path, grid, dpath):
         areas = _gauss_legendre_step_area(path, dpath, times, values, order)
         res = 0.5 * (areas + np.swapaxes(areas, 1, 2)) - 0.5 * np.einsum("ia,ib->iab", dx, dx)
         if float(np.max(np.abs(res))) <= WEAK_GEO_TOL_QUAD:
-            c = _calibrate_control(values, times, areas, 1.0)
-            return RoughPath(times, values, areas, Control.time_scale(c, 1.0))
+            return calibrated_roughpath(times, values, areas, 1.0)
         order *= 2
     raise LiftFailure(
         f"weak-geometric residual {float(np.max(np.abs(res))):.3e} > {WEAK_GEO_TOL_QUAD} after order doubling"
@@ -223,7 +249,7 @@ def lift_smooth(path, grid, dpath):
 
 
 def lift_piecewise_linear(points, grid, p=1.0):
-    """Exact lift of the piecewise-linear interpolant through ``points``."""
+    """Exact lift of the piecewise-linear interpolant through ``points``, its control calibrated when first read."""
     times = _check_grid(grid)
     values = np.asarray(points, dtype=float)
     if values.ndim != 2:
@@ -231,9 +257,7 @@ def lift_piecewise_linear(points, grid, p=1.0):
     if values.shape[0] != times.size:
         raise InvalidGrid("one point per grid node required")
     dx = np.diff(values, axis=0)
-    areas = 0.5 * np.einsum("ia,ib->iab", dx, dx)
-    c = _calibrate_control(values, times, areas, p)
-    return RoughPath(times, values, areas, Control.time_scale(c, p))
+    return calibrated_roughpath(times, values, 0.5 * np.einsum("ia,ib->iab", dx, dx), p)
 
 
 def pure_area_driver(a, grid):

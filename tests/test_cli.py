@@ -170,12 +170,13 @@ SPHERE_PATHS = {"equator", "latitude", "sphere-spiral", "polar-cap"}
 
 
 def _accepts(command, fixture):
+    # with the config's n: a fixed-size fixture (example-6.7) takes none
     kind = FIXTURES.get(fixture, {}).get("kind")
     return {
         "lift": kind in ("driver", "mcrp"),
-        "integrate": kind in ("mcrp", "fixed-mcrp"),
+        "integrate": kind == "mcrp",
         "transport": fixture in SPHERE_PATHS,
-        "verify": kind in ("mcrp", "fixed-mcrp"),
+        "verify": kind == "mcrp",
         "rde": False,
         "convergence": False,
     }[command]
@@ -311,6 +312,23 @@ def test_unknown_nested_config_key_names_its_section(runner, tmp_path):
     res = runner.invoke(main, ["rde", "--config", str(cfg), "--out", str(tmp_path)])
     assert res.exit_code == 2, res.output
     assert res.output == "error: config 'driver' key 'speed' is not one of n\n", res.output
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    [(["verify"], {"n": 64}), (["integrate", "--fixture", "example-6.7", "--n", "64"], None),
+     (["integrate", "--fixture", "example-6.7", "--n", "8"], None),
+     (["integrate", "--fixture", "example-6.7"], {"n": 64})],
+)
+def test_n_on_the_fixed_size_fixture_exits_two(runner, tmp_path, args, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = args + ["--config", str(tmp_path / "cfg.json")]
+    res = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output == "error: fixture 'example-6.7' has a fixed grid and takes no 'n'\n", res.output
+    res = runner.invoke(main, ["integrate", "--fixture", "example-6.7", "--out", str(tmp_path)])
+    assert res.exit_code == 0 and json.loads(res.output)["endpoint"] == [1.0], res.output
 
 
 def test_verify_p_on_a_fixture_without_one_exits_two(runner, tmp_path):

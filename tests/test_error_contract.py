@@ -1,7 +1,8 @@
 """The user-callable contract: every curve, one-form, field, observable and map the library
 evaluates goes through ``linalg.pointwise``, one call per row, so a value of the wrong shape
 raises ``ShapeError`` and a non-finite one a typed error, each naming the first bad time,
-point or pair, never a raw numpy error or a silent NaN."""
+point or pair, never a raw numpy error or a silent NaN.  A geometry map given points off its
+manifold raises ``NotOnManifold`` rather than a silent wrong value."""
 
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ import re
 import numpy as np
 import pytest
 
-from crp import CrpError, DomainError, ShapeError
+from crp import SO3, CrpError, DomainError, NotOnManifold, ShapeError
 from crp.fixtures import LINE, SPHERE, example_67_crp, linear_drive_driver, sphere_projection_field, sphere_spiral_crp
 from crp.gauges import connection_gauge, logarithm_gauge
-from crp.linalg import pointwise
+from crp.linalg import pointwise, so3_exp
 from crp.mcrp import crp_from_smooth_curve, crp_pushforward, ratio_at_pair, scalar_test_suite
 from crp.mrde import (
     ManifoldDrivingField,
@@ -205,3 +206,15 @@ def test_oneform_from_smooth_makes_the_documented_number_of_form_calls(maker):
     form, calls = counted(lambda m: np.array([[m[1], -m[0], 0.5]]))
     oneform_from_smooth(form, y, connection_gauge(SPHERE).par)
     assert len(calls) == y.times.size * (1 + 4 * min(y.driver_dim, y.manifold.dim))
+
+
+@pytest.mark.parametrize("g", [2.0 * np.eye(3), np.ones((3, 3))], ids=["2I", "ones"])
+def test_so3_log_of_a_non_rotation_raises(g):
+    # the closed form reads both as the zero rotation: trace 3 or 6 clips to angle 0, and both are symmetric
+    with pytest.raises(NotOnManifold, match="pair 0 is not a pair of rotations"):
+        SO3().log(np.eye(3), g)
+    rotations = so3_exp(np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-0.4, 0.1, 0.2]]))
+    with pytest.raises(NotOnManifold) as err:
+        SO3().log(rotations, np.stack([rotations[0], g, rotations[2]]))
+    assert err.value.index == 1
+    assert np.array_equal(SO3().log(rotations, rotations), np.zeros((3, 3, 3)))

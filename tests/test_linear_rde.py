@@ -3,7 +3,8 @@
 ``flatrde.linear_flow`` builds every step operator of a linear matrix family at
 once and applies them in turn, or forms their products by a scan from the identity.  It is checked against the per-step
 loop it replaced, kept here as a reference, and through its three callers:
-the flat solver, the SO(3) group equation and linear manifold fields.
+the flat solver, the SO(3) group equation and linear manifold fields.  Its exp
+scheme's stacked exponential ``linalg.expm`` is checked against scipy's.
 """
 
 from __future__ import annotations
@@ -12,19 +13,20 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
 import crp.mrde
 from crp import ChartManifold, DomainError, DrivingField, Explosion, NotOnManifold, ShapeError, rde_solve_flat
 from crp.fixtures import COMMUTATOR_MATS, SO3M, SPHERE, so3_left_invariant_field, so3_right_invariant_field
 from crp.flatrde import EXPLOSION_BOUND, linear_flow
-from crp.linalg import SO3_BASIS
+from crp.linalg import SO3_BASIS, expm
 from crp.mrde import ManifoldDrivingField, rde_solve_manifold
 from crp.roughpath import lift_smooth, pure_area_driver, time_lift
 
 
 def per_step_solve(mats, rp, y0, scheme, bound=1e8):
-    """The flat linear solve one step at a time, as before the whole-grid kernel."""
+    """The flat linear solve one step at a time, as before the whole-grid kernel; the exp scheme takes
+    ``linalg.expm`` of one step's generator at a time (its agreement with scipy's is tested with the kernel)."""
     ys = [np.asarray(y0, dtype=float)]
     for i, dx in enumerate(np.diff(rp.values, axis=0)):
         y, area = ys[-1], rp.step_areas[i]
@@ -54,6 +56,28 @@ CASES = {
     "commutator": (COMMUTATOR_MATS, lambda: pure_area_driver(1.0, np.linspace(0.0, 1.0, 257)), [1.0, 1.0]),
     "gl3": (gl3_family(), lambda: smooth_driver(256), [1.0, -0.5, 0.25]),
 }
+
+
+def seeded_stack(n, norms, seed=11):
+    """Seeded (len(norms), n, n) Gaussian matrices, matrix m scaled to 1-norm norms[m]."""
+    a = np.random.default_rng(seed).standard_normal((len(norms), n, n))
+    return a * (np.asarray(norms) / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+@pytest.mark.parametrize("norm", [1e-8, 1e-4, 0.1, 1.0, 5.0, 30.0, "mixed"])
+def test_stacked_expm_matches_scipy(n, norm):
+    # "mixed" puts every norm in one stack, so each matrix takes its own number of squarings
+    norms = np.geomspace(1e-8, 30.0, 40) if norm == "mixed" else np.full(40, norm)
+    a = seeded_stack(n, norms)
+    got, want = expm(a), np.stack([scipy_expm(m) for m in a])
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-11 * np.max(np.abs(want), axis=(1, 2)))
+    assert np.array_equal(expm(a[3]), got[3])  # one matrix is a stack of one
+
+
+def test_stacked_expm_of_zero_is_the_identity_exactly():
+    assert np.array_equal(expm(np.zeros((5, 3, 3))), np.broadcast_to(np.eye(3), (5, 3, 3)))
+    assert np.array_equal(expm(np.zeros((0, 2, 2))), np.zeros((0, 2, 2)))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

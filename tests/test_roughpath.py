@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from crp import Control, InvalidGrid, LiftFailure, OffGrid, RoughPath, ShapeError
-from crp import fixtures, roughpath
+from crp import fixtures, pairs, roughpath
+from crp.controlled import associated_roughpath, driver_as_controlled
 from crp.roughpath import (
     CHEN_TOL,
     _calibrate_control,
@@ -15,6 +16,7 @@ from crp.roughpath import (
     pure_area_driver,
     time_lift,
 )
+from crp.transport import group_rde, roll
 from paper_reference import check_superadditive, coarsen, left_fold_area
 
 
@@ -386,3 +388,120 @@ class TestControl:
     def test_p_range_guard(self):
         with pytest.raises(InvalidGrid):
             Control.time_scale(1.0, 3.5)
+
+
+def seeded_walk(n, k, seed=5):
+    """Grid and points of a seeded k-dimensional random walk with n steps."""
+    rng = np.random.default_rng(seed)
+    return np.linspace(0.0, 1.0, n + 1), np.cumsum(0.1 * rng.standard_normal((n + 1, k)), axis=0)
+
+
+@pytest.fixture()
+def sweeps(monkeypatch):
+    """The pair count of every ``pair_sup`` sweep run after the fixture is set up, in order."""
+    probed, original = [], pairs.pair_sup
+
+    def counting(times, delta, fn):
+        out = original(times, delta, fn)
+        probed.append(out[2])
+        return out
+
+    for mod in (pairs, roughpath):  # the calibration sweeps through roughpath's name, the verifiers through pairs'
+        monkeypatch.setattr(mod, "pair_sup", counting)
+    return probed
+
+
+def _walk_lift():
+    grid, walk = seeded_walk(32, 2)
+    return lift_piecewise_linear(walk, grid, p=1.5)
+
+
+def _associated():
+    rp = _walk_lift()  # its own control is not read: the associated path takes only its p
+    return associated_roughpath(driver_as_controlled(rp), rp)
+
+
+BUILDS = {
+    "lift_smooth": lambda: lift_smooth(circle, np.linspace(0.0, np.pi / 2, 33), dpath=dcircle),
+    "lift_piecewise_linear": _walk_lift,
+    "associated_roughpath": _associated,
+}
+
+
+class TestDeferredCalibration:
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_control_is_calibrated_once_on_its_first_read(self, build, sweeps):
+        rp = BUILDS[build]()
+        assert sweeps == []  # the build runs no all-pairs sweep
+        scale = rp.control.scale
+        n = rp.n_steps + 1
+        assert sweeps == [n * (n - 1) // 2]
+        rp.control.omega(0.0, 1.0)
+        rp.control.to_json()
+        rp.bound_constant()
+        assert len(sweeps) == 2  # bound_constant's own sweep; the scale is not computed again
+        assert scale == _calibrate_control(rp.values, rp.times, rp.step_areas, rp.control.p)
+
+    def test_roll_and_group_rde_on_a_fresh_lift_run_no_sweep(self, sweeps):
+        grid, walk = seeded_walk(32, 2)
+        rp = lift_piecewise_linear(walk, grid)
+        o = np.array([0.0, 0.0, 1.0])
+        roll(driver_as_controlled(rp), rp, fixtures.SPHERE, o, fixtures.tangent_frame(o))
+        rp3 = lift_piecewise_linear(seeded_walk(32, 3)[1], grid)
+        group_rde(driver_as_controlled(rp3), rp3, np.eye(3))
+        assert sweeps == []
+
+    @pytest.mark.parametrize("build", ["RoughPath", "lift_piecewise_linear"])
+    def test_writing_the_callers_arrays_moves_nothing(self, build):
+        grid, walk = seeded_walk(16, 2)
+        areas = 0.5 * np.einsum("ia,ib->iab", np.diff(walk, axis=0), np.diff(walk, axis=0))
+        want_scale = _calibrate_control(walk, grid, areas, 1.0)
+        if build == "RoughPath":
+            rp = RoughPath(grid, walk, areas, Control.time_scale(lambda: want_scale, 1.0))
+        else:
+            rp = lift_piecewise_linear(walk, grid)
+        i, j = np.triu_indices(grid.size, 1)
+        want_areas = RoughPath(grid.copy(), walk.copy(), areas.copy(), Control.time_scale(1.0, 1.0)).area_pairs(i, j)
+        walk[5] += 10.0
+        areas[3] += 1.0
+        grid[-1] = 2.0
+        assert not (rp.values.flags.writeable or rp.step_areas.flags.writeable or rp.times.flags.writeable)
+        assert np.array_equal(rp.area_pairs(i, j), want_areas)
+        assert rp.control.scale == want_scale and rp.times[-1] == 1.0
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+        grid, walk = seeded_walk(8, 2)
+        view = np.broadcast_to(walk, walk.shape)  # read-only, but walk writes through it
+        rp = RoughPath(grid, view, np.zeros((8, 2, 2)), Control.time_scale(1.0, 1.0))
+        walk[3] = 7.0
+        assert not np.any(rp.values == 7.0)
+        sub = rp.restrict(2, 6)
+        assert np.shares_memory(sub.values, rp.values)  # a view of a read-only path is kept as it is
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lift_raises_when_built(self, bad, sweeps):
+        grid, walk = seeded_walk(16, 2)
+        walk[7, 1] = bad
+        with pytest.raises(InvalidGrid, match="finite"):
+            lift_piecewise_linear(walk, grid)
+        rp = lift_piecewise_linear(seeded_walk(16, 2)[1], grid)
+        z = driver_as_controlled(rp)
+        z.values[4, 0] = bad
+        with pytest.raises(InvalidGrid, match="finite"):
+            associated_roughpath(z, rp)
+        assert sweeps == []
+
+    def test_json_round_trip_keeps_the_scale(self, sweeps):
+        rp = _walk_lift()
+        back = RoughPath.from_json(rp.to_json())
+        assert len(sweeps) == 1
+        assert back.control.scale == rp.control.scale and back.control.to_json() == rp.control.to_json()
+        assert len(sweeps) == 1
+
+    def test_a_thunk_is_called_once_and_its_non_finite_scale_rejected(self):
+        calls = []
+        c = Control.time_scale(lambda: calls.append(1) or 2.5, 1.0)
+        assert calls == [] and c.omega(0.0, 2.0) == 5.0 and c.scale == 2.5 and calls == [1]
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(InvalidGrid):
+                Control.time_scale(lambda: bad, 1.0).scale
