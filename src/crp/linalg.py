@@ -9,36 +9,76 @@ from .errors import DomainError, ShapeError
 
 # Relative finite-difference step (geometry design default) and one Richardson level.
 FD_STEP = 1e-5
+_REAL_KINDS = "biuf"  # numpy dtype kinds that ``pointwise`` reads as real numbers: bool, int, unsigned, float
 
 
 def pointwise(fn, rows, what, shape=None, error=DomainError):
     """``fn`` called once per row, its values stacked (R, *shape): the library's one loop over a user callable.
 
-    ``rows`` is a stack of R times, points or pairs of points.  Each value is read as a float
-    array, a scalar as shape (1,).  The first row whose value's shape is not ``shape``
-    (default: the first value's; an axis given as None takes the first value's length)
-    raises ShapeError, the first non-finite one ``error``.  A time row is named "what(t)"
+    ``rows`` is a stack of R times, points or pairs of points.  Each value must be a real
+    number array, a scalar read as shape (1,).  The values are stacked by one ``np.array``
+    and checked on the stack; only when a check fails are the rows walked, and the first
+    value that is not a real number array, or whose shape is not ``shape`` (default: the
+    first value's; an axis given as None takes the first value's length), raises
+    ShapeError.  The first non-finite row raises ``error``.  A time row is named "what(t)"
     and "what ... at t=", any other row "what r".
     """
-    vals = [np.asarray(fn(row), dtype=float) for row in rows]
-    first = (vals[0].shape or (1,)) if vals else ()
-    shape = first if shape is None else tuple(shape)
-    if len(shape) == len(first):
-        shape = tuple(f if s is None else s for s, f in zip(shape, first))
+    vals = [fn(row) for row in rows]
     ts = rows if np.ndim(rows) == 1 else None
-    for r, v in enumerate(vals):
-        if v.shape != shape:
-            if v.shape == () and shape == (1,):
-                vals[r] = v.reshape(1)
-                continue
-            name = f"{what}({float(ts[r])!r})" if ts is not None else f"{what} {r}"
-            raise ShapeError(f"{name} has shape {v.shape}, not {shape}")
-    out = np.array(vals).reshape((len(vals),) + shape)
+    out = _stack(vals, shape)
+    if out is None:
+        out = _walk_rows(vals, ts, what, shape)
     finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
     if not finite.all():
         r = int(np.argmin(finite))
         raise error(f"{what} is not finite at t={float(ts[r])!r}" if ts is not None else f"{what} {r} is not finite")
     return out
+
+
+def _value_shape(shape, first):
+    """``pointwise``'s value shape: ``shape``, by default ``first``, its None axes taking ``first``'s lengths."""
+    shape = first if shape is None else tuple(shape)
+    if len(shape) == len(first):
+        shape = tuple(f if s is None else s for s, f in zip(shape, first))
+    return shape
+
+
+def _stack(vals, shape):
+    """``pointwise``'s values as one float stack (R, *value shape), or None unless each is a real number array
+    of the value shape (a scalar passes for shape (1,))."""
+    try:
+        out = np.array(vals)
+    except ValueError:  # a ragged nest
+        return None
+    if out.dtype.kind not in _REAL_KINDS:
+        return None
+    want = _value_shape(shape, (out.shape[1:] or (1,)) if vals else ())
+    if out.shape[1:] != want and not (out.shape[1:] == () and want == (1,)):
+        return None
+    return out.reshape((len(vals),) + want).astype(float, copy=False)
+
+
+def _walk_rows(vals, ts, what, shape):
+    """``pointwise``'s stack built row by row: ShapeError at the first value that is not a real number array of
+    the value shape (a scalar passes for shape (1,))."""
+    arrays, want = [], None
+    for r, v in enumerate(vals):
+        name = f"{what}({float(ts[r])!r})" if ts is not None else f"{what} {r}"
+        try:
+            a = np.asarray(v)
+        except ValueError:  # a ragged nest
+            a = None
+        if a is None or a.dtype.kind not in _REAL_KINDS:
+            kind = "a ragged nest" if a is None else f"of dtype {a.dtype}"
+            raise ShapeError(f"{name} is {kind}, not a real number array")
+        want = _value_shape(shape, a.shape or (1,)) if want is None else want
+        if a.shape == () and want == (1,):
+            a = a.reshape(1)
+        if a.shape != want:
+            raise ShapeError(f"{name} has shape {a.shape}, not {want}")
+        arrays.append(a)
+    want = _value_shape(shape, ()) if want is None else want
+    return np.array(arrays, dtype=float).reshape((len(arrays),) + want)
 
 
 def richardson_combine(f_h, f_mh, f_h2, f_mh2, h):
@@ -47,8 +87,11 @@ def richardson_combine(f_h, f_mh, f_h2, f_mh2, h):
 
 
 def richardson_diff(f, h):
-    """``richardson_combine`` of a vector-valued ``f(eps)`` at 0, evaluated at h, -h, h/2 and -h/2 in turn."""
-    return richardson_combine(np.asarray(f(h)), np.asarray(f(-h)), np.asarray(f(h / 2.0)), np.asarray(f(-h / 2.0)), h)
+    """``richardson_combine`` of a vector-valued ``f`` at 0 with step h (a scalar or an array), from one call
+    ``f(eps)`` on the (4, *shape(h)) stack of the steps h, -h, h/2 and -h/2, whose values stack those levels'
+    along a leading axis of 4."""
+    v = np.asarray(f(np.stack([h, -h, h / 2.0, -h / 2.0])))
+    return richardson_combine(v[0], v[1], v[2], v[3], h)
 
 
 def sqnorm(v):

@@ -113,16 +113,18 @@ def chart_rep_derivative(matrices, chart: Chart, ms, xs, dto_ms):
     their (P, d, D) differentials.  Returns the (k, P, d, d, d) array
     D[i, p, c, j, b] = d/dy_j of [dto(m_p) @ matrices[i](m_p, p(y)) @ dfrom(y)][c, b]
     at y = x_p, by one Richardson stencil over every (point, coordinate direction)
-    pair with the step ``FD_STEP * max(1, |x_p|)``.  Each stencil level maps its
-    points through the chart once and calls each parallelism once.
+    pair with the step ``FD_STEP * max(1, |x_p|)``.  The stencil maps the points of
+    all four levels through the chart once and calls each parallelism once.
     """
     n, d = xs.shape
-    m_rows, dto_rows = (np.repeat(a, d, axis=0) for a in (ms, dto_ms))  # row p d + j: point p, direction j
+    # row (q n + p) d + j: level q, point p, direction j
+    m_rows, dto_rows = (np.concatenate([np.repeat(a, d, axis=0)] * 4) for a in (ms, dto_ms))
 
-    def ubar(eps):  # (k, P, j, c, b)
-        y = (xs[:, None, :] + eps.reshape(n, 1, 1) * np.eye(d)).reshape(n * d, d)
+    def ubar(eps):  # (4, k, P, j, c, b)
+        y = (xs[:, None, :] + eps.reshape(4, n, 1, 1) * np.eye(d)).reshape(4 * n * d, d)
         p, dfrom_y = chart.from_coords(y), chart.dfrom(y)
-        return np.stack([dto_rows @ matrix(m_rows, p) @ dfrom_y for matrix in matrices]).reshape((-1, n) + (d,) * 3)
+        u = np.stack([dto_rows @ matrix(m_rows, p) @ dfrom_y for matrix in matrices])
+        return np.swapaxes(u.reshape((-1, 4, n) + (d,) * 3), 0, 1)
 
     h = FD_STEP * np.maximum(1.0, norm(xs))
     return np.swapaxes(richardson_diff(ubar, h.reshape(n, 1, 1, 1)), 2, 3)
@@ -286,21 +288,22 @@ class Manifold:
     # -- misc ---------------------------------------------------------------------
 
     def curve(self, ms, us, eps):
-        """Canonical curves through a stack of points with unit velocities, at parameter eps.
+        """Canonical curves through a stack of points with unit velocities, each at its own parameter.
 
-        ``ms`` and ``us`` have shape (R, *point_shape); the fallback runs ``exp`` row by row.
+        ``ms`` and ``us`` have shape (R, *point_shape), ``eps`` shape (R, 1, ...), one axis
+        per point axis; the fallback runs ``exp`` row by row.
         """
-        return np.stack([self.exp(m, eps * u) for m, u in zip(ms, np.asarray(us, dtype=float))])
+        return np.stack([self.exp(m, e * u) for m, u, e in zip(ms, np.asarray(us, dtype=float), eps)])
 
     def derivative_along(self, ms, vs, g, h=1e-4):
         """Richardson derivatives of g along ``curve`` at a stack of points, one Richardson stencil for all rows.
 
         Row r runs the unit-speed curve through ``ms[r]`` in the flattened direction
         ``vs[r]`` with step h and scales the result by |vs[r]|.  ``g(qs, bases)``
-        maps the stacked curve points of some rows and those rows' base points to
-        one value per row.  Rows with |v| < 1e-14 are exactly zero and take no
-        stencil point; when every row is such, g runs once at a base point for
-        the value shape.
+        maps stacked curve points and their rows' base points to one value per row;
+        it runs once, on the 4R points of the stencil's four levels.  Rows with
+        |v| < 1e-14 are exactly zero and take no stencil point; when every row is
+        such, g runs once at a base point for the value shape.
         """
         ms = np.asarray(ms, dtype=float)
         vs = np.asarray(vs, dtype=float)
@@ -308,9 +311,15 @@ class Manifold:
         live = np.flatnonzero(nv >= 1e-14)
         if live.size == 0:
             return np.zeros((len(ms),) + np.shape(g(ms[:1], ms[:1]))[1:])
-        bases = ms[live]
-        us = self.unflatten(vs[live] / nv[live, None])
-        d = richardson_diff(lambda e: g(self.curve(bases, us, e), bases), h)
+        r = live.size
+        bases, us = (np.concatenate([a] * 4) for a in (ms[live], self.unflatten(vs[live] / nv[live, None])))
+        eps_shape = (4 * r,) + (1,) * len(self.point_shape)
+
+        def levels(eps):  # (4, R, ...): stack row q R + i is level q of live row i
+            vals = np.asarray(g(self.curve(bases, us, np.repeat(eps, r).reshape(eps_shape)), bases))
+            return vals.reshape((4, r) + vals.shape[1:])
+
+        d = richardson_diff(levels, h)
         out = np.zeros((len(ms),) + d.shape[1:])
         out[live] = nv[live].reshape((-1,) + (1,) * (d.ndim - 1)) * d
         return out

@@ -55,8 +55,8 @@ class ManifoldDrivingField:
         return np.asarray(self.field(m), dtype=float)
 
     def stack(self, ms):
-        """F at each of a stack of points, (R, D, k), one ``value_matrix`` call per point through ``linalg.pointwise``."""
-        return pointwise(self.value_matrix, ms, f"field {self.name} at point", (self.manifold.flat_dim, None))
+        """F at each of a stack of points, (R, D, k), one ``field`` call per point through ``linalg.pointwise``."""
+        return pointwise(self.field, ms, f"field {self.name} at point", (self.manifold.flat_dim, None))
 
     def chart_rep(self, chart, shape):
         """F in chart coordinates: x -> dto(p) field(p), p = from_coords(x); ``ShapeError`` naming the
@@ -221,7 +221,7 @@ def gauge_form_defects(y: ManifoldControlledPath, field: ManifoldDrivingField, g
         psi(y_i, y_{i+1}) - F_{dx_i}(y_i) - sum_ab X[a,b] d_{F_a}[(psi_{y_i})_* F_b](y_i)
     and, when ``check_split`` is set, the max pointwise difference between that
     second-order term and its compatibility-tensor split form: the derivatives of
-    d2psi(y_i, .) F(.) and U(y_i, .) F(.), each one stacked call per stencil level.
+    d2psi(y_i, .) F(.) and U(y_i, .) F(.), each one stacked call for the whole stencil.
     """
     pushes = [gauge.d2psi, gauge.U] if check_split else [gauge.d2psi]
 
@@ -296,7 +296,7 @@ def f_related_pushforward(
     jacs = pointwise(jac, ms, "jac at point", (field_dst.manifold.flat_dim, y.manifold.flat_dim))
     lhs = jacs @ field_src.stack(ms)
     fms = pointwise(f, ms, "f at point", field_dst.manifold.point_shape)
-    rhs = pointwise(field_dst.value_matrix, fms, f"field {field_dst.name} at point", lhs.shape[1:])
+    rhs = pointwise(field_dst.field, fms, f"field {field_dst.name} at point", lhs.shape[1:])
     worst = float(np.max(np.abs(lhs - rhs)))
     if worst > RELATEDNESS_TOL:
         raise NotRelated(worst)

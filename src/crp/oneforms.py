@@ -10,7 +10,6 @@ from .controlled import VERIFY_LEVELS, ControlledPath, certificate, check_same_g
 from .errors import DomainError, GaugeMismatch, InvalidGrid, ShapeError
 from .gauges import CompatibilityTensor, Gauge, Parallelism, change_tensor
 from .linalg import pointwise
-from .manifolds import ChartManifold
 from .mcrp import ManifoldControlledPath, crp_pushforward, domain_feasible_delta
 from .pairs import control_sups, triple_defect
 from .sewing import rough_integrate
@@ -94,7 +93,7 @@ def oneform_from_stacks(form, y: ManifoldControlledPath, par: Parallelism) -> Co
     taken on the whole grid at once (``ManifoldControlledPath.derivative_samples``):
     one Richardson stencil over min(k, dim M) directions at every node, the
     columns of y' or, for k > dim M, a tangent basis (only the tangent part of
-    y' enters), so one ``form`` call per stencil level and (N+1)(1 + 4 min(k, dim M))
+    y' enters), so one ``form`` call for the stencil's four levels and (N+1)(1 + 4 min(k, dim M))
     form values in all, with the stencil points from the manifold's stacked
     ``curve`` (closed form on the sphere) and the parallelism on the stacked
     pairs.  Raises ``GaugeMismatch`` for a parallelism of another manifold.
@@ -213,11 +212,13 @@ def integrate_smooth_oneform(alpha_fn, y: ManifoldControlledPath, gauge: Gauge) 
 
 def fundamental_theorem(f, df, y: ManifoldControlledPath, gauge: Gauge):
     """Endpoint identity for exact forms plus the exact derivative identity, both read off the
-    push-forward f_* y onto a flat line (``crp_pushforward``)."""
-    z = integrate_smooth_oneform(lambda m: [df(m)], y, gauge)
-    fy = crp_pushforward(f, lambda m: [df(m)], y, ChartManifold(1))
-    resid = abs(float(z.values[-1, 0]) - float(fy.points[-1, 0] - fy.points[0, 0]))
-    dmax = float(np.max(np.abs(z.derivative - fy.derivative)))
+    push-forward f_* y onto a flat line: f at the nodes, and the form's node values df as its Jacobian,
+    so df runs once per node and stencil point."""
+    a = oneform_from_smooth(lambda m: [df(m)], y, gauge.par)
+    z = gauge_integrate(a, y, gauge)
+    fs = pointwise(f, y.points, "f at sample", (1,))
+    resid = abs(float(z.values[-1, 0]) - float(fs[-1, 0] - fs[0, 0]))
+    dmax = float(np.max(np.abs(z.derivative - a.alpha @ y.derivative)))
     return {"endpoint_residual": resid, "derivative_residual": dmax, "integral": z}
 
 

@@ -7,7 +7,8 @@ or checks of identities the library's maps satisfy (logarithm almost
 additivity, the two-gauge integrator identity, superadditivity of a control),
 and the per-level copies of a path on coarser grids that the library's
 stride reads of one fine grid are compared against, the left-fold area that
-``RoughPath.area_pairs`` is compared against, and the product of two manifolds.
+``RoughPath.area_pairs`` is compared against, the Richardson stencil that calls
+its function once per level, and the product of two manifolds.
 Tests import them from here; pytest puts this directory on ``sys.path``.
 """
 
@@ -24,7 +25,7 @@ from crp.convergence import estimate_order
 from crp.errors import DomainError, InvalidGrid, OffGrid, ShapeError
 from crp.fixtures import LINE
 from crp.gauges import Gauge, Parallelism, compatibility_tensor, connection_gauge, logarithm_gauge
-from crp.linalg import FD_STEP, hat, norm, pointwise, richardson_diff, vee
+from crp.linalg import FD_STEP, hat, norm, pointwise, richardson_combine, vee
 from crp.manifolds import Chart, ChartManifold, Manifold, SO3
 from crp.mcrp import ManifoldControlledPath, crp_pushforward
 from crp.mrde import gauge_form_defects
@@ -72,6 +73,44 @@ def dyadic_ladder(measure, objs, levels, min_steps):
             objs = [coarsen(o) for o in objs]
         rows.append(measure(*objs))
     return hs, rows
+
+
+# ---------------------------------------------------------------------------
+# finite differences: the Richardson stencil one level at a time
+# ---------------------------------------------------------------------------
+
+
+def richardson_levels(f, h):
+    """``linalg.richardson_combine`` of ``f`` at 0 from four calls, f(h), f(-h), f(h/2) and f(-h/2): the
+    per-level stencil that ``linalg.richardson_diff``'s one call on the four stacked steps replaced."""
+    return richardson_combine(np.asarray(f(h)), np.asarray(f(-h)), np.asarray(f(h / 2.0)), np.asarray(f(-h / 2.0)), h)
+
+
+def derivative_along_by_level(mani: Manifold, ms, vs, g, h=1e-4):
+    """``Manifold.derivative_along`` with one ``g`` call per stencil level, on the rows with |v| >= 1e-14."""
+    ms, vs = np.asarray(ms, dtype=float), np.asarray(vs, dtype=float)
+    nv = np.linalg.norm(vs, axis=-1)
+    live = np.flatnonzero(nv >= 1e-14)
+    bases, us = ms[live], mani.unflatten(vs[live] / nv[live, None])
+    eps_shape = (live.size,) + (1,) * len(mani.point_shape)
+    d = richardson_levels(lambda e: g(mani.curve(bases, us, np.full(eps_shape, e)), bases), h)
+    out = np.zeros((len(ms),) + d.shape[1:])
+    out[live] = nv[live].reshape((-1,) + (1,) * (d.ndim - 1)) * d
+    return out
+
+
+def chart_rep_derivative_by_level(matrices, chart: Chart, ms, xs, dto_ms):
+    """``manifolds.chart_rep_derivative`` with one chart read and one call of each parallelism per stencil level."""
+    n, d = xs.shape
+    m_rows, dto_rows = (np.repeat(a, d, axis=0) for a in (ms, dto_ms))  # row p d + j: point p, direction j
+
+    def ubar(eps):  # (k, P, j, c, b)
+        y = (xs[:, None, :] + eps.reshape(n, 1, 1) * np.eye(d)).reshape(n * d, d)
+        p, dfrom_y = chart.from_coords(y), chart.dfrom(y)
+        return np.stack([dto_rows @ matrix(m_rows, p) @ dfrom_y for matrix in matrices]).reshape((-1, n) + (d,) * 3)
+
+    h = FD_STEP * np.maximum(1.0, norm(xs))
+    return np.swapaxes(richardson_levels(ubar, h.reshape(n, 1, 1, 1)), 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +300,7 @@ def flat_smooth_integral(alpha_fn, z: ControlledPath, rp: RoughPath) -> Controll
         pts = (x[:, None, :] + eps.reshape(n, 1, 1) * np.eye(d)).reshape(n * d, d)
         return pointwise(alpha_fn, pts, "one-form value at stencil point", alphas.shape[1:]).reshape((n, d) + alphas.shape[1:])
 
-    grad = richardson_diff(alpha_at, FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=1))[:, None, None, None])
+    grad = richardson_levels(alpha_at, FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=1))[:, None, None, None])
     dag = np.einsum("njme,nja->nmea", grad, z.derivative)
     return rough_integrate(ControlledPath(z.times, alphas, dag), z, rp)
 
@@ -407,7 +446,7 @@ def from_metric(dim, metric, radius=10.0, center=None, h_geo=0.01) -> ChartManif
         xs = np.asarray(xs, dtype=float)
         h = FD_STEP * np.maximum(1.0, norm(xs))[..., None, None, None]
         # stencil point l moves x along e_l: Gram matrices (..., l, i, j)
-        dg = np.moveaxis(richardson_diff(lambda e: metric(xs[..., None, :] + e[..., 0] * np.eye(dim)), h), -3, -1)
+        dg = np.moveaxis(richardson_levels(lambda e: metric(xs[..., None, :] + e[..., 0] * np.eye(dim)), h), -3, -1)
         # Gamma^i_{jl} = g^{im}(dg[m,l,j] + dg[m,j,l] - dg[j,l,m]) / 2
         ginv = np.linalg.inv(metric(xs))
         return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, np.swapaxes(dg, -1, -2) + dg - np.swapaxes(dg, -1, -3))

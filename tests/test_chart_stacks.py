@@ -117,7 +117,7 @@ def test_chart_oneform_reads_the_chart_a_fixed_number_of_times(monkeypatch):
         gauge_integrate(a, y, gauge)
         # one membership check of the nodes, then psi reads the left and the right ends of the steps
         assert len(reads) == counts[n] + 3
-    assert counts[64] == counts[256] == 8  # two stacks per Richardson stencil level
+    assert counts[64] == counts[256] == 2  # two stacks, each of all four Richardson stencil levels
 
 
 def test_non_finite_point_is_outside_the_chart_gauge():

@@ -18,9 +18,9 @@ import pytest
 
 from crp.fixtures import SO3M, SPHERE
 from crp.gauges import chart_gauge, compatibility_tensor, connection_gauge
-from crp.linalg import FD_STEP, hat, richardson_diff
-from crp.manifolds import ChartManifold, Manifold
-from paper_reference import ProductManifold
+from crp.linalg import FD_STEP, hat
+from crp.manifolds import ChartManifold, Manifold, chart_rep_derivative
+from paper_reference import ProductManifold, chart_rep_derivative_by_level, richardson_levels
 
 
 def _asymmetric(x):
@@ -49,7 +49,7 @@ def chart_rep_derivative_at(matrices, chart, m, x, dto_m):
             p, dfrom_y = chart.from_coords(y), chart.dfrom(y)
             return np.stack([dto_m @ matrix(m, p) @ dfrom_y for matrix in matrices])
 
-        out[..., j] = richardson_diff(ubar, h)
+        out[..., j] = richardson_levels(ubar, h)
     return out
 
 
@@ -118,6 +118,35 @@ def test_stacked_fd_oracle_matches_the_per_point_body(mani, n):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-9
         assert np.array_equal(s.at(pts[1]), s.stack(pts[1:2])[0])
+
+
+@pytest.mark.parametrize(
+    "mani,n", [(SPHERE, 6), (SO3M, 4), (CURVED, 3), (SPHERE_X_SO3, 4)],
+    ids=["sphere", "so3", "curved-chart", "sphere*so3"],
+)
+def test_one_stencil_call_matches_the_per_level_stencil_bit_for_bit(mani, n):
+    chart = mani.charts()[0]
+    pts = _points(mani, n, 7)
+    ms = np.stack([m for m in pts if chart.margin(m) > 0.3])
+    xs, dto = chart.to_coords(ms), chart.dto(ms)
+    conn, chart_par = connection_gauge(mani).par, chart_gauge(mani, chart).par
+    matrices = [conn.matrix, chart_par.matrix]
+    calls = {"from_coords": 0, "dfrom": 0, "conn": 0, "chart": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    counted_chart = replace(chart, from_coords=counted("from_coords", chart.from_coords),
+                            dfrom=counted("dfrom", chart.dfrom))
+    got = chart_rep_derivative([counted("conn", conn.matrix), counted("chart", chart_par.matrix)],
+                               counted_chart, ms, xs, dto)
+    assert calls == {"from_coords": 1, "dfrom": 1, "conn": 1, "chart": 1}
+    assert got.shape == (2, len(ms)) + (chart.dim,) * 3
+    assert np.array_equal(got, chart_rep_derivative_by_level(matrices, chart, ms, xs, dto))
 
 
 @pytest.mark.parametrize("mani", [SO3M, SPHERE_X_SO3], ids=["so3", "sphere*so3"])

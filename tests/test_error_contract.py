@@ -1,5 +1,6 @@
 """The user-callable contract: every curve, one-form, field, observable and map the library
-evaluates goes through ``linalg.pointwise``, one call per row, so a value of the wrong shape
+evaluates goes through ``linalg.pointwise``, one call per row, so a value of the wrong shape or
+one that is not a real number array (a string, a dict, None, a ragged nest, a complex array)
 raises ``ShapeError`` and a non-finite one a typed error, each naming the first bad time,
 point or pair, never a raw numpy error or a silent NaN.  A geometry map given points off its
 manifold raises ``NotOnManifold`` rather than a silent wrong value."""
@@ -92,10 +93,18 @@ def log_gauge_psi(i):
     return logarithm_gauge(LINE, psi).psi(ms, ns)
 
 
-def field_values(i):
+def field_values(i, bad=None):
+    """``gauge_form_defects`` of a field that returns ``bad`` (default: two of its three columns) at point i."""
     y = solve()
-    value = at(y.points, i, lambda m: SPHERE.tangent_projector(m)[:, :2], SPHERE.tangent_projector)
+    value = at(y.points, i, lambda m: SPHERE.tangent_projector(m)[:, :2] if bad is None else bad, SPHERE.tangent_projector)
     return gauge_form_defects(y, ManifoldDrivingField(SPHERE, value, name="bad"), connection_gauge(SPHERE))
+
+
+def form_values(i, bad):
+    """``oneform_from_smooth`` of a form that returns ``bad`` at node i of the spiral."""
+    y = spiral()
+    form = at(y.points, i, lambda m: bad, lambda m: np.array([[m[1], -m[0], 0.0]]))
+    return oneform_from_smooth(form, y, connection_gauge(SPHERE).par)
 
 
 def chart_stepped_drop():
@@ -145,6 +154,17 @@ CASES = [
     ("rde_solve_manifold:field", chart_stepped_drop, ShapeError, "field drop at t=0.0625 has shape (3, 2), not (3, 3)"),
     ("rde_solve_manifold:field-stencil", chart_stepped_stencil_drop, ShapeError,
      "field stencil-drop at point [1.8e-06 6.0e-01 8.0e-01] has shape (3, 2), not (3, 3)"),
+    # values that are not real number arrays, once each at a curve, a one-form and a field site
+    ("crp_from_smooth_curve:curve-string", lambda: smooth_curve(lambda t: "oops" if t == 0.5 else circle(t), dcircle),
+     ShapeError, "curve(0.5) is of dtype <U4, not a real number array"),
+    ("crp_from_smooth_curve:dcurve-none", lambda: smooth_curve(circle, lambda t: None if t == 0.25 else dcircle(t)),
+     ShapeError, "dcurve(0.25) is of dtype object, not a real number array"),
+    ("oneform_from_smooth:dict", lambda: form_values(3, {"alpha": 1.0}), ShapeError,
+     "one-form value at node 3 is of dtype object, not a real number array"),
+    ("oneform_from_smooth:complex", lambda: form_values(2, np.array([[1.0, 1.0j, 0.0]])), ShapeError,
+     "one-form value at node 2 is of dtype complex128, not a real number array"),
+    ("field-values:ragged", lambda: field_values(3, [[1.0, 0.0], [0.0]]), ShapeError,
+     "field bad at point 3 is a ragged nest, not a real number array"),
 ]
 
 
@@ -190,6 +210,24 @@ def test_pointwise_calls_fn_exactly_once_per_row(rows, fn):
     assert len(calls) == len(rows) == out.shape[0]
     assert all(np.array_equal(args[0], row) for args, row in zip(calls, rows))
     assert np.array_equal(out, np.stack([np.atleast_1d(fn(row)) for row in rows]))
+
+
+@pytest.mark.parametrize(
+    "bad", ["oops", {"a": 1.0}, [[1.0, 2.0], [3.0]], np.array([1.0j, 0.0]), None, np.ones(3)],
+    ids=["string", "dict", "ragged", "complex", "none", "shape"],
+)
+def test_pointwise_calls_fn_once_per_row_on_the_failure_path(bad):
+    wrapper, calls = counted(lambda t: bad if t == 0.5 else np.array([t, 1.0]))
+    with pytest.raises(ShapeError, match=re.escape("value(0.5) ")):
+        pointwise(wrapper, np.linspace(0.0, 1.0, 5), "value")
+    assert [args[0] for args in calls] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_pointwise_reads_scalars_and_length_one_arrays_alike():
+    out = pointwise(lambda t: t if t < 0.5 else np.array([t]), np.linspace(0.0, 1.0, 5), "value")
+    assert out.shape == (5, 1) and np.array_equal(out[:, 0], np.linspace(0.0, 1.0, 5))
+    ints = pointwise(lambda t: [1, int(t > 0.5)], np.linspace(0.0, 1.0, 3), "value")
+    assert ints.dtype == float and np.array_equal(ints, [[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
 
 def test_pointwise_fixes_a_none_axis_from_the_first_value():

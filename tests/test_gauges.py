@@ -114,11 +114,11 @@ class TestCompatibilityTensor:
         assert np.all(s.at(np.array([0.0, 0.0, 1.0])) == 0.0)
 
     def test_evaluation_counts(self):
-        # a stack costs 4 evaluations of each parallelism per chart its points fall in
-        # (one call per Richardson level, at +-h and +-h/2, on every (point, direction)
-        # pair of the chart's points), one chart evaluation per level shared by both,
-        # and one more dfrom per chart at the points themselves; nothing is cached, so a
-        # repeated point costs again, and an exact zero costs none
+        # a stack costs 1 evaluation of each parallelism per chart its points fall in
+        # (one call for the whole Richardson stencil, at +-h and +-h/2, on every (point,
+        # direction) pair of the chart's points), one chart evaluation for the stencil shared
+        # by both, and one more dfrom per chart at the points themselves; nothing is cached, so
+        # a repeated point costs again, and an exact zero costs none
         calls = {"u": 0, "ut": 0, "from_coords": 0, "dfrom": 0}
 
         def counted(key, fn):
@@ -142,7 +142,7 @@ class TestCompatibilityTensor:
         lower = np.array([[0.6, 0.0, -0.8], [0.0, 0.6, -0.8], [0.36, 0.48, -0.8]])
         assert {sphere.chart_at(m).name for m in lower} == {"stereo-north"}
         assert {sphere.chart_at(m).name for m in -lower} == {"stereo-south"}
-        per_chart = {"u": 4, "ut": 4, "from_coords": 4, "dfrom": 5}
+        per_chart = {"u": 1, "ut": 1, "from_coords": 1, "dfrom": 2}
 
         def assert_charts(k):
             assert calls == {key: k * v for key, v in per_chart.items()}

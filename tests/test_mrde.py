@@ -294,13 +294,13 @@ class TestGaugeForm:
     def test_field_and_log_evaluated_once_per_stencil_point(self):
         # 8 steps, one nonzero area row (the driver moves along e1 only): F at each
         # node plus F at the 4 Richardson points of that row's derivative, and one
-        # stacked d2psi call per Richardson level for the whole grid
-        assert count_gauge_form_calls(8) == {"value_matrix": 8 + 8 * 4, "d2psi": 4}
+        # stacked d2psi call for the whole grid's stencil
+        assert count_gauge_form_calls(8) == {"field": 8 + 8 * 4, "d2psi": 1}
 
-    def test_criterion_08_grid_takes_four_d2psi_calls(self):
-        # criterion-08's N = 256 solve: one stacked d2psi call per Richardson level, and F
-        # once at each node and at each of its 4 stencil points
-        assert count_gauge_form_calls(256) == {"value_matrix": 256 + 256 * 4, "d2psi": 4}
+    def test_criterion_08_grid_takes_one_d2psi_call(self):
+        # criterion-08's N = 256 solve: one stacked d2psi call for all four Richardson levels,
+        # and F once at each node and at each of its 4 stencil points
+        assert count_gauge_form_calls(256) == {"field": 256 + 256 * 4, "d2psi": 1}
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_whole_grid_defects_match_the_per_node_loop(self, n):
@@ -318,11 +318,11 @@ class TestGaugeForm:
 
 
 def count_gauge_form_calls(n):
-    """``field.value_matrix`` and ``gauge.d2psi`` calls of one ``gauge_form_defects`` on an n-step solve."""
+    """``field.field`` and ``gauge.d2psi`` calls of one ``gauge_form_defects`` on an n-step solve."""
     field = sphere_projection_field()
     sol = rde_solve_manifold(field, linear_drive_driver(n), np.array([0.0, 1.0, 0.0]))
     gauge = connection_gauge(SPHERE)
-    calls = {"value_matrix": 0, "d2psi": 0}
+    calls = {"field": 0, "d2psi": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -331,7 +331,7 @@ def count_gauge_form_calls(n):
 
         return wrapper
 
-    field.value_matrix = counted("value_matrix", field.value_matrix)
+    field.field = counted("field", field.field)
     gauge.d2psi = counted("d2psi", gauge.d2psi)
     assert sol.driver_dim == 3
     gauge_form_defects(sol, field, gauge)

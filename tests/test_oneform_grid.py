@@ -25,13 +25,18 @@ from crp.gauges import (
     compatibility_tensor,
     connection_gauge,
 )
-from crp.linalg import richardson_diff
 from crp.manifolds import SO3, ChartManifold
 from crp.mcrp import ManifoldControlledPath
 from crp.mrde import ManifoldDrivingField, pushed_field_path
 from crp.oneforms import gauge_change, oneform_from_smooth
 from crp.roughpath import lift_smooth
-from paper_reference import ConnectionForm, ProductManifold, horizontal_lift
+from paper_reference import (
+    ConnectionForm,
+    ProductManifold,
+    derivative_along_by_level,
+    horizontal_lift,
+    richardson_levels,
+)
 
 
 def asymmetric_connection(x):
@@ -61,7 +66,7 @@ def reference_samples(value_fn, y, h=1e-4):
             if speed < 1e-14:
                 continue
             u = mani.unflatten(v / speed)
-            out[idx, a] = speed * richardson_diff(lambda e, _m=m, _u=u: value_fn(curve(_m, _u, e), _m), h)
+            out[idx, a] = speed * richardson_levels(lambda e, _m=m, _u=u: value_fn(curve(_m, _u, e), _m), h)
     return out
 
 
@@ -124,6 +129,20 @@ def test_whole_grid_derivative_samples_match_the_per_node_reference(name, form, 
     got = oneform_from_smooth(form, y, par).alpha_dag
     want = reference_dag(form, y, par)
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("name,form,y,par", grid_cases(), ids=[c[0] for c in grid_cases()])
+def test_one_stencil_call_matches_the_per_level_stencil_bit_for_bit(name, form, y, par):
+    # every driver column at every node, one of them zero: g runs once on the four levels' points
+    n, k = y.times.size, y.driver_dim
+    ms = np.repeat(y.points, k, axis=0)
+    vs = np.swapaxes(y.derivative, 1, 2).reshape(n * k, -1).copy()
+    vs[1] = 0.0
+    g, calls = transported(form, par), []
+    got = y.manifold.derivative_along(ms, vs, lambda qs, bases: calls.append(len(qs)) or g(qs, bases))
+    assert calls == [4 * (n * k - 1)]
+    assert np.array_equal(got, derivative_along_by_level(y.manifold, ms, vs, g))
+    assert np.all(got[1] == 0.0)
 
 
 def test_zero_speed_direction_columns_stay_exactly_zero():
@@ -269,7 +288,8 @@ def test_one_richardson_stencil_and_no_scalar_parallelism_calls(monkeypatch):
     y = sphere_spiral_crp(32)
     oneform_from_smooth(sphere_form, y, connection_gauge(SPHERE).par)
     assert stencils[0] == 1
-    assert shapes == [(33 * 2, 3)] * 4  # one call per stencil level, on (N+1) min(k, dim) = 33 * 2 stencil points
+    # one call for the whole stencil: its 4 levels of (N+1) min(k, dim) = 33 * 2 stencil points
+    assert shapes == [(4 * 33 * 2, 3)]
 
 
 def test_gauge_change_to_a_stereographic_chart_takes_no_finite_differences(monkeypatch):

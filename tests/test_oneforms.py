@@ -26,7 +26,9 @@ from crp.oneforms import (
     oneform_from_smooth,
     push_pull_check,
 )
-from crp.linalg import FD_STEP, richardson_diff
+from crp.linalg import FD_STEP
+from crp.manifolds import ChartManifold
+from crp.mcrp import crp_pushforward
 from crp.sewing import rough_integrate
 from paper_reference import (
     coarsen,
@@ -36,6 +38,7 @@ from paper_reference import (
     line_quadratic_gauge,
     log_almost_additivity_defect,
     oneform_from_flat,
+    richardson_levels,
     transport_commutation_defect,
 )
 
@@ -161,6 +164,27 @@ def test_ftc_on_polar_cap():
     )
     assert rep["endpoint_residual"] <= 1e-7
     assert rep["derivative_residual"] <= 1e-12
+
+
+def test_ftc_reads_df_once_per_node_and_stencil_point():
+    y = sphere_spiral_crp(16)  # a projection path: k = 3 driver columns, a 2-dim tangent basis per node
+    gauge, calls = connection_gauge(SPHERE), []
+
+    def f(m):
+        return m[0] ** 2 + m[2]
+
+    def df(m):
+        calls.append(m)
+        return np.array([2.0 * m[0], 0.0, 1.0])
+
+    rep = fundamental_theorem(f, df, y, gauge)
+    assert len(calls) == 9 * 17  # each node once, and 4 stencil points in each of 2 directions
+    # the push-forward that read df again as its Jacobian gives the same residuals bit for bit
+    z = integrate_smooth_oneform(lambda m: [df(m)], y, gauge)
+    fy = crp_pushforward(f, lambda m: [df(m)], y, ChartManifold(1))
+    assert rep["endpoint_residual"] == abs(float(z.values[-1, 0]) - float(fy.points[-1, 0] - fy.points[0, 0]))
+    assert rep["derivative_residual"] == float(np.max(np.abs(z.derivative - fy.derivative)))
+    assert np.array_equal(rep["integral"].values, z.values)
 
 
 def test_ftc_constant_function():
@@ -451,7 +475,7 @@ def compensated_sum(alpha_fn, z, rp):
     for i in range(vals.shape[0] - 1):
         x = vals[i]
         h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-        cols = [richardson_diff(lambda eps, _e=e: np.asarray(alpha_fn(x + eps * _e), float), h) for e in np.eye(d)]
+        cols = [richardson_levels(lambda eps, _e=e: np.asarray(alpha_fn(x + eps * _e), float), h) for e in np.eye(d)]
         grad = np.stack(cols, axis=-1)
         second = np.einsum("mej,ab,ja,eb->m", grad, rp.step_areas[i], z.derivative[i], z.derivative[i])
         out.append(out[-1] + np.asarray(alpha_fn(x)) @ (vals[i + 1] - x) + second)
