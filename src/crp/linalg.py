@@ -58,19 +58,28 @@ def _stack(vals, shape):
     return out.reshape((len(vals),) + want).astype(float, copy=False)
 
 
+def real_array(v, name, shape=None):
+    """``v`` as an array, ``ShapeError`` naming ``name()`` unless it is a real number array (not a string,
+    a dict, None, a ragged nest or a complex array), of ``shape`` when given."""
+    try:
+        a = np.asarray(v)
+    except ValueError:  # a ragged nest
+        a = None
+    if a is None or a.dtype.kind not in _REAL_KINDS:
+        kind = "a ragged nest" if a is None else f"of dtype {a.dtype}"
+        raise ShapeError(f"{name()} is {kind}, not a real number array")
+    if shape is not None and a.shape != shape:
+        raise ShapeError(f"{name()} has shape {a.shape}, not {shape}")
+    return a
+
+
 def _walk_rows(vals, ts, what, shape):
     """``pointwise``'s stack built row by row: ShapeError at the first value that is not a real number array of
     the value shape (a scalar passes for shape (1,))."""
     arrays, want = [], None
     for r, v in enumerate(vals):
         name = f"{what}({float(ts[r])!r})" if ts is not None else f"{what} {r}"
-        try:
-            a = np.asarray(v)
-        except ValueError:  # a ragged nest
-            a = None
-        if a is None or a.dtype.kind not in _REAL_KINDS:
-            kind = "a ragged nest" if a is None else f"of dtype {a.dtype}"
-            raise ShapeError(f"{name} is {kind}, not a real number array")
+        a = real_array(v, lambda: name)
         want = _value_shape(shape, a.shape or (1,)) if want is None else want
         if a.shape == () and want == (1,):
             a = a.reshape(1)

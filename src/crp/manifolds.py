@@ -142,7 +142,7 @@ def _jet_stencil(d):
 class Manifold:
     """Base class; subclasses provide closed-form connection geometry.
 
-    ``log``, ``d2log``, ``transport``, ``distance``, ``project`` and ``tangent_projector``
+    ``exp``, ``log``, ``d2log``, ``transport``, ``distance``, ``project`` and ``tangent_projector``
     each take one point (pair of points) or stacks whose leading axes broadcast,
     and return those leading axes: one implementation serves a pair and a stack.
     """
@@ -291,9 +291,9 @@ class Manifold:
         """Canonical curves through a stack of points with unit velocities, each at its own parameter.
 
         ``ms`` and ``us`` have shape (R, *point_shape), ``eps`` shape (R, 1, ...), one axis
-        per point axis; the fallback runs ``exp`` row by row.
+        per point axis: the geodesics ``exp(ms, eps us)``.
         """
-        return np.stack([self.exp(m, e * u) for m, u, e in zip(ms, np.asarray(us, dtype=float), eps)])
+        return self.exp(ms, eps * us)
 
     def derivative_along(self, ms, vs, g, h=1e-4):
         """Richardson derivatives of g along ``curve`` at a stack of points, one Richardson stencil for all rows.
@@ -372,18 +372,10 @@ class Sphere(Manifold):
         return _EYE3 - p[..., :, None] * p[..., None, :]
 
     def exp(self, m, v):
+        # cos |v| m + sin |v| v / |v|; a zero velocity divides 0 by 1e-300 and returns m exactly
         m, v = self._points(m, v)
-        th = np.linalg.norm(v)
-        if th < 1e-300:
-            return m.copy()
-        return np.cos(th) * m + np.sin(th) * v / th
-
-    def curve(self, ms, us, eps):
-        # the geodesics cos(eps |u|) m + sin(eps |u|) u / |u| of the whole stack
-        us = np.asarray(us, dtype=float)
-        nu = np.linalg.norm(us, axis=-1, keepdims=True)
-        th = eps * nu
-        return np.cos(th) * np.asarray(ms, dtype=float) + np.sin(th) * us / nu
+        th = norm(v)[..., None]
+        return np.cos(th) * m + np.sin(th) * v / np.maximum(th, 1e-300)
 
     def distance(self, m, n):
         m, n = self._points(m, n)
@@ -537,9 +529,8 @@ class SO3(Manifold):
         return np.swapaxes(basis, -1, -2) @ basis
 
     def exp(self, g, v):
-        g = np.asarray(g, dtype=float)
-        a = vee(g.T @ np.asarray(v, dtype=float))
-        return g @ so3_exp(a)
+        g, v = self._points(g, v)
+        return g @ so3_exp(vee(np.swapaxes(g, -1, -2) @ v))
 
     def log(self, k, g):
         """The masked closed form of ``so3_log``.  A pair whose rotation angle is ``past_gauge_ball`` raises

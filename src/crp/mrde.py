@@ -12,7 +12,7 @@ from .controlled import ControlledPath, driver_as_controlled
 from .errors import AtlasGap, DomainError, Explosion, NotOnManifold, NotRelated, ShapeError
 from .flatrde import EXPLOSION_BOUND, linear_flow
 from .gauges import Gauge, compatibility_tensor
-from .linalg import pointwise
+from .linalg import pointwise, real_array
 from .manifolds import SO3, Manifold, Sphere
 from .mcrp import BASEPOINT_TOL, ManifoldControlledPath, crp_pushforward
 from .oneforms import integrate_smooth_oneform
@@ -51,8 +51,14 @@ class ManifoldDrivingField:
             out.generators = gens
         return out
 
-    def value_matrix(self, m):
-        return np.asarray(self.field(m), dtype=float)
+    def value_matrix(self, m, shape=None, t=None):
+        """field(m) as a float matrix, the chart-stepped solve's one read of a start, node or stencil value:
+        ``ShapeError`` naming the time t (default: the point m) unless it is a real number array of ``shape``."""
+
+        def name():
+            return f"field {self.name} at " + (f"t={t:.6g}" if t is not None else f"point {m}")
+
+        return real_array(self.field(m), name, shape).astype(float, copy=False)
 
     def stack(self, ms):
         """F at each of a stack of points, (R, D, k), one ``field`` call per point through ``linalg.pointwise``."""
@@ -60,14 +66,11 @@ class ManifoldDrivingField:
 
     def chart_rep(self, chart, shape):
         """F in chart coordinates: x -> dto(p) field(p), p = from_coords(x); ``ShapeError`` naming the
-        point p unless field(p) has ``shape``, the shape of the field's node values."""
+        point p unless field(p) is a real number array of ``shape``, the shape of the field's node values."""
 
         def rep(x):
             p = chart.from_coords(x)
-            f = self.value_matrix(p)
-            if f.shape != shape:
-                raise ShapeError(f"field {self.name} at point {p} has shape {f.shape}, not {shape}")
-            return chart.dto(p) @ f
+            return chart.dto(p) @ self.value_matrix(p, shape)
 
         return rep
 
@@ -150,7 +153,7 @@ def rde_solve_manifold(field: ManifoldDrivingField, rp: RoughPath, y0) -> Manifo
     n, dxs = rp.n_steps, np.diff(rp.values, axis=0)
     y = np.asarray(y0, dtype=float)
     gens = field.generators
-    f0 = None if gens is not None or y.shape != mani.point_shape else field.value_matrix(y)  # chart-stepped deriv[0]
+    f0 = None if gens is not None or y.shape != mani.point_shape else field.value_matrix(y, t=rp.times[0])
     fshape = (mani.flat_dim, len(gens)) if gens is not None else np.shape(f0)
     if y.shape != mani.point_shape or fshape != (mani.flat_dim, rp.dim):
         raise ShapeError(
@@ -185,10 +188,7 @@ def rde_solve_manifold(field: ManifoldDrivingField, rp: RoughPath, y0) -> Manifo
                         chart, rep = got, field.chart_rep(got, fshape)
                     x = chart.to_coords(y)
                 points[i + 1] = y
-                f = field.value_matrix(y)
-                if f.shape != fshape:
-                    raise ShapeError(f"field {field.name} at t={rp.times[i + 1]:.6g} has shape {f.shape}, not {fshape}")
-                deriv[i + 1] = f
+                deriv[i + 1] = field.value_matrix(y, fshape, rp.times[i + 1])
                 cols = chart.dto(y) @ deriv[i + 1]
         switches = [float(rp.times[i0]) for i0, _, _ in walk.close(n)[1:]]
     out = ManifoldControlledPath(mani, rp.times, points, deriv, rp)

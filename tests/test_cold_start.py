@@ -1,5 +1,5 @@
 """Cold start: importing the library loads no scipy, and neither does the exp scheme, whose exponential is
-the library's own ``linalg.expm``.
+the library's own ``linalg.expm``, nor criterion-07, whose SO(3) oracle is a literal quarter turn.
 
 Each check runs in a fresh interpreter, since the test process has imported scipy already.
 """
@@ -49,4 +49,17 @@ def test_exp_scheme_matches_expm_in_a_fresh_interpreter():
     )
     err, *loaded = out.split()
     assert float(err) < 1e-14
+    assert loaded == []
+
+
+def test_criterion_07_loads_no_scipy_in_a_fresh_interpreter():
+    out = run_fresh(
+        "import sys\n"
+        "from crp.suite import criterion_07_rde_correctness\n"
+        "rows = {row['check']: row for row in criterion_07_rde_correctness()}\n"
+        "print(all(row['pass'] for row in rows.values()), rows['so3-constant-direction']['value'])\n"
+        "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+    )
+    passed, err, *loaded = out.split()
+    assert passed == "True" and float(err) < 1e-13
     assert loaded == []

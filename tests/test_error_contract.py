@@ -1,5 +1,6 @@
 """The user-callable contract: every curve, one-form, field, observable and map the library
-evaluates goes through ``linalg.pointwise``, one call per row, so a value of the wrong shape or
+evaluates goes through ``linalg.pointwise``, one call per row (the chart-stepped solve's field reads
+through ``ManifoldDrivingField.value_matrix``, with the same checks), so a value of the wrong shape or
 one that is not a real number array (a string, a dict, None, a ragged nest, a complex array)
 raises ``ShapeError`` and a non-finite one a typed error, each naming the first bad time,
 point or pair, never a raw numpy error or a silent NaN.  A geometry map given points off its
@@ -128,6 +129,12 @@ def chart_stepped_stencil_drop():
     return rde_solve_manifold(field, linear_drive_driver(16), np.array([0.0, 0.6, 0.8]))
 
 
+def chart_stepped_value(bad):
+    """The same solve of a field that returns ``bad(m)`` once m[0] > 0.05."""
+    field = ManifoldDrivingField(SPHERE, lambda m: bad(m) if m[0] > 0.05 else SPHERE.tangent_projector(m), name="bad")
+    return rde_solve_manifold(field, linear_drive_driver(16), np.array([0.0, 0.6, 0.8]))
+
+
 NAN3 = np.full(3, np.nan)
 
 # (site, the call with its malformed callable, expected error, the row its message names)
@@ -165,6 +172,10 @@ CASES = [
      "one-form value at node 2 is of dtype complex128, not a real number array"),
     ("field-values:ragged", lambda: field_values(3, [[1.0, 0.0], [0.0]]), ShapeError,
      "field bad at point 3 is a ragged nest, not a real number array"),
+    ("rde_solve_manifold:field-string", lambda: chart_stepped_value(lambda m: "oops"), ShapeError,
+     "field bad at t=0.0625 is of dtype <U4, not a real number array"),
+    ("rde_solve_manifold:field-complex", lambda: chart_stepped_value(lambda m: SPHERE.tangent_projector(m) + 0.5j),
+     ShapeError, "field bad at t=0.0625 is of dtype complex128, not a real number array"),
 ]
 
 

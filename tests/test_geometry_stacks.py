@@ -1,6 +1,6 @@
 """Connection geometry on stacks of pairs.
 
-``Manifold.log``, ``d2log``, ``transport`` and ``distance`` take one pair or
+``Manifold.exp``, ``log``, ``d2log``, ``transport`` and ``distance`` take one pair or
 stacks of pairs whose leading axes broadcast, and ``project`` and
 ``tangent_projector`` one point or a stack, each with one implementation.
 Checked here on the sphere, SO(3), a flat and a curved chart manifold and two
@@ -130,6 +130,19 @@ def so3_tangent_projector(g):
     return basis.T @ basis
 
 
+def sphere_curve(ms, us, eps):
+    # the geodesics cos(eps |u|) m + sin(eps |u|) u / |u| of the whole stack
+    us = np.asarray(us, dtype=float)
+    nu = np.linalg.norm(us, axis=-1, keepdims=True)
+    th = eps * nu
+    return np.cos(th) * np.asarray(ms, dtype=float) + np.sin(th) * us / nu
+
+
+def so3_curve(ms, us, eps):
+    # the base class's row-by-row curve over the one-pair exp g so3_exp(vee(g^T v))
+    return np.stack([g @ so3_exp(vee(g.T @ (e * u))) for g, u, e in zip(ms, np.asarray(us, dtype=float), eps)])
+
+
 def per_point(fn):
     return lambda ps: np.stack([fn(p) for p in ps])
 
@@ -185,6 +198,7 @@ SPHERE_REFS = {
     "distance": sphere_distance_batch,
     "project": per_point(sphere_project),
     "tangent_projector": per_point(sphere_tangent_projector),
+    "curve": sphere_curve,
 }
 SO3_REFS = {
     "log": so3_log_batch,
@@ -192,6 +206,7 @@ SO3_REFS = {
     "distance": so3_distance_batch,
     "project": per_point(so3_project),
     "tangent_projector": per_point(so3_tangent_projector),
+    "curve": so3_curve,
 }
 REFERENCES = {
     "sphere": SPHERE_REFS,
@@ -364,3 +379,53 @@ def test_connection_gauge_maps_are_the_manifold_maps_on_stacks():
     assert same_bits(gauge.U(ns, ms), SO3M.transport(ns, ms))
     assert same_bits(gauge.d2psi(ms, ns), SO3M.d2log(ms, ns))
     assert same_bits(gauge.log.induced_parallelism().matrix(ms, ns), SO3M.d2log(ms, ns))
+
+
+# -- exp on stacks --------------------------------------------------------------------------
+
+
+def velocities_on(mani, ms, seed):
+    """A short tangent velocity at each point of ``ms``, the first one zero."""
+    rng = np.random.default_rng(seed)
+    vs = np.stack([0.5 * mani.random_tangent(rng, m) for m in ms])
+    vs[0] = 0.0
+    return vs
+
+
+@pytest.mark.parametrize("mani", CASES, ids=IDS)
+def test_exp_takes_stacks(mani):
+    ms, ns = pairs_on(mani, 12, seed=13)
+    vs = velocities_on(mani, ms, seed=14)
+    stacked = mani.exp(ms, vs)
+    single = np.stack([mani.exp(m, v) for m, v in zip(ms, vs)])
+    assert stacked.shape == single.shape == ms.shape
+    assert np.max(np.abs(stacked - single)) <= TOL
+    grid = mani.exp(ms.reshape((3, 4) + ms.shape[1:]), vs.reshape((3, 4) + vs.shape[1:]))
+    assert same_bits(grid.reshape(stacked.shape), stacked)
+    assert np.array_equal(stacked[0], ms[0])  # a zero velocity returns m exactly
+    back = mani.exp(ms, mani.log(ms, ns))
+    assert np.max(np.abs(mani.flatten(back) - mani.flatten(ns))) <= 1e-10
+
+
+@pytest.mark.parametrize("mani", [SPHERE, SO3M], ids=["sphere", "so3"])
+def test_curve_is_exp_and_matches_the_replaced_curves(mani):
+    ms, _ = pairs_on(mani, 12, seed=15)
+    vs = mani.flatten(velocities_on(mani, ms, seed=16))[1:]
+    ms, us = ms[1:], mani.unflatten(vs / np.linalg.norm(vs, axis=-1, keepdims=True))
+    eps = np.linspace(-1e-4, 2e-4, len(ms)).reshape((-1,) + (1,) * len(mani.point_shape))
+    got = mani.curve(ms, us, eps)
+    assert same_bits(got, mani.exp(ms, eps * us))
+    want = REFERENCES[IDS[CASES.index(mani)]]["curve"](ms, us, eps)
+    assert np.max(np.abs(got - want)) <= TOL  # the sphere's angle was eps |u|, now |eps u|
+    assert mani is SPHERE or same_bits(got, want)  # SO(3) does the per-row arithmetic on the stack
+
+
+def test_so3_derivative_along_calls_exp_once_per_stencil(monkeypatch):
+    ms, _ = pairs_on(SO3M, 5, seed=17)
+    vs = SO3M.flatten(velocities_on(SO3M, ms, seed=18))
+    calls, exp = [], SO3M.exp
+    monkeypatch.setattr(SO3M, "exp", lambda g, v: calls.append(np.shape(g)) or exp(g, v))
+    out = SO3M.derivative_along(ms, vs, lambda qs, bases: SO3M.flatten(qs))
+    assert calls == [(16, 3, 3)]  # the four levels of the four rows with a nonzero velocity, in one call
+    # the derivative of g -> g along a curve with velocity v is v
+    assert np.array_equal(out[0], np.zeros(9)) and np.max(np.abs(out - vs)) <= 1e-9
