@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GaugeMismatch
+from .errors import GaugeMismatch
 from .linalg import FD_STEP, norm, pointwise
 from .manifolds import Chart, Manifold, chart_rep_derivative
 
@@ -16,17 +16,18 @@ class Parallelism:
 
     ``matrix_fn(to, from)`` takes one pair of points or stacks of pairs whose
     leading axes broadcast and returns the (D, D) matrices with those leading
-    axes.  ``chart`` is set on the chart parallelism of that chart and
-    ``connection`` on the manifold connection's parallel transport;
-    ``change_tensor`` reads them.
+    axes.  ``chart`` is set on the chart parallelism of that chart.  ``closed(points)``,
+    when given, is this parallelism's S against the manifold connection's parallel
+    transport T at a (P, *point_shape) stack: (P, D, D, D) tensors, or a scalar
+    that broadcasts; ``change_tensor`` reads it.
     """
 
-    def __init__(self, manifold: Manifold, matrix_fn, name="custom", chart=None, connection=False):
+    def __init__(self, manifold: Manifold, matrix_fn, name="custom", chart=None, closed=None):
         self.manifold = manifold
         self._fn = matrix_fn
         self.name = name
         self.chart = chart
-        self.connection = connection
+        self.closed = closed
 
     def check_manifold(self, manifold: Manifold):
         """Raise ``GaugeMismatch`` unless ``manifold`` has this parallelism's manifold's geometry."""
@@ -43,26 +44,28 @@ class Logarithm:
 
     ``value_fn(m, n)`` takes one pair or stacks of pairs, as ``Parallelism``'s
     ``matrix_fn`` does, and returns flattened tangents at m, shape (..., D).
+    ``induced`` is the parallelism U(to, from) = d/d(from) psi(to, .) that the
+    logarithm carries; without it, finite differences of psi (``_fd_d2``).
     """
 
-    def __init__(self, manifold: Manifold, value_fn, d2_fn=None, name="custom"):
+    def __init__(self, manifold: Manifold, value_fn, induced: Parallelism | None = None, name="custom"):
         self.manifold = manifold
         self._fn = value_fn
-        self._d2 = d2_fn if d2_fn is not None else _by_pair(manifold, self._fd_d2, f"FD d2 of {name} at pair")
         self.name = name
-        self._induced = None
+        fd = _by_pair(manifold, self._fd_d2, f"FD d2 of {name} at pair")
+        self._parallelism = induced or Parallelism(manifold, fd, name=f"induced({name})")
 
     def value(self, m, n):
         """Flattened tangents at m, shape (..., D)."""
         return np.asarray(self._fn(m, n), dtype=float)
 
     def d2(self, m, n):
-        """Differential of n -> psi(m, n) as a (..., D, D) matrix on T_nM; ``d2_fn`` takes pairs as ``value_fn``."""
-        return np.asarray(self._d2(m, n), dtype=float)
+        """Differential of n -> psi(m, n) as a (..., D, D) matrix on T_nM: the induced parallelism's matrices."""
+        return self._parallelism.matrix(m, n)
 
     def _fd_d2(self, m, n):
-        """Without ``d2_fn``, for one pair (``_by_pair`` lifts it): one Richardson stencil along canonical curves at
-        n in the dim M directions e_a of ``Manifold.tangent_basis``, assembled as sum_a (d psi . e_a) e_a^T."""
+        """Without ``induced``, for one pair (``_by_pair`` lifts it): one Richardson stencil along canonical curves
+        at n in the dim M directions e_a of ``Manifold.tangent_basis``, assembled as sum_a (d psi . e_a) e_a^T."""
         mani = self.manifold
         n = np.asarray(n, dtype=float)
         e = mani.tangent_basis(n)  # (D, dim)
@@ -72,9 +75,7 @@ class Logarithm:
 
     def induced_parallelism(self):
         """U(to, from) = d/d(from) psi(to, .), the parallelism the logarithm carries."""
-        if self._induced is None:
-            self._induced = Parallelism(self.manifold, self.d2, name=f"induced({self.name})")
-        return self._induced
+        return self._parallelism
 
 
 @dataclass
@@ -84,7 +85,6 @@ class Gauge:
     manifold: Manifold
     log: Logarithm
     par: Parallelism
-    provenance: str = "custom"
     chart: Chart | None = None
 
     def psi(self, m, n):
@@ -98,41 +98,31 @@ class Gauge:
 
     def compatibility(self):
         """S between the logarithm's induced parallelism and the gauge parallelism."""
-        if self.provenance == "connection":
-            return TorsionCompatibility(self.log.induced_parallelism(), self.par, self.manifold)
-        return compatibility_tensor(self.log.induced_parallelism(), self.par, self.manifold)
-
-    def spec_json(self):
-        doc = {"provenance": self.provenance}
-        if self.chart is not None:
-            doc["chart"] = self.chart.name
-        if self.provenance == "connection":
-            doc["connection"] = self.manifold.name
-        return doc
+        return change_tensor(self.log.induced_parallelism(), self.par, self.manifold)
 
 
 # -- constructors ---------------------------------------------------------------
 
 
 def connection_gauge(manifold: Manifold) -> Gauge:
-    """Gauge from the manifold's connection: geodesic logarithm + parallel transport."""
-    log = Logarithm(
-        manifold,
-        lambda m, n: manifold.flatten(manifold.log(m, n)),
-        d2_fn=manifold.d2log,
-        name=f"log({manifold.name})",
-    )
+    """Gauge from the manifold's connection: geodesic logarithm + parallel transport.  Against the
+    transport, the logarithm's induced parallelism d2log is S = T / 2, T the torsion, and the transport S = 0."""
+    name = f"log({manifold.name})"
+    d2log = Parallelism(manifold, manifold.d2log, f"induced({name})", closed=lambda p: 0.5 * manifold.torsion_tensor(p))
+    log = Logarithm(manifold, lambda m, n: manifold.flatten(manifold.log(m, n)), induced=d2log, name=name)
     par = Parallelism(
-        manifold, lambda a, b: manifold.transport(a, b), name=f"transport({manifold.name})", connection=True
+        manifold, lambda a, b: manifold.transport(a, b), f"transport({manifold.name})", closed=lambda p: 0.0
     )
-    return Gauge(manifold, log, par, provenance="connection")
+    return Gauge(manifold, log, par)
 
 
 def chart_gauge(manifold: Manifold, chart: Chart) -> Gauge:
-    """Pullback of the standard flat gauge through a chart.
+    """Pullback of the standard flat gauge through a chart, its own induced gauge (an exact zero S).
 
-    Every call of ``psi`` or ``umat`` reads each of its two point stacks once
-    through ``Chart.read`` (``ChartSingular`` outside the chart).
+    Every call of ``psi`` or ``umat`` reads each of its two point stacks once through ``Chart.read``
+    (``ChartSingular`` outside the chart).  Against the connection transport the chart parallelism is
+    S(v, w) = dfrom(x) Gamma(x)(dto v, dto w), x the chart coordinates and Gamma the manifold's
+    ``chart_christoffels`` (a closed form or the ``Manifold`` default's finite differences).
     """
 
     def psi(m, n):
@@ -144,23 +134,23 @@ def chart_gauge(manifold: Manifold, chart: Chart) -> Gauge:
         chart.read(b)
         return chart.dfrom(xa) @ chart.dto(b)
 
+    def christoffel(pts):
+        xs = chart.read(pts)
+        return _to_ambient(chart, xs, chart.dto(pts), manifold.chart_christoffels(chart, xs))
+
     name = f"chart({chart.name})"
-    par = Parallelism(manifold, umat, name=name, chart=chart)
-    log = Logarithm(manifold, psi, d2_fn=umat, name=name)
-    log._induced = par  # the chart gauge is its own induced gauge (exact zero S)
-    return Gauge(manifold, log, par, provenance="chart", chart=chart)
+    par = Parallelism(manifold, umat, name=name, chart=chart, closed=christoffel)
+    return Gauge(manifold, Logarithm(manifold, psi, induced=par, name=name), par, chart=chart)
 
 
 def standard_gauge(manifold: Manifold) -> Gauge:
-    """Flat difference gauge on a chart manifold (psi = n - m, U = I)."""
+    """Flat difference gauge on a chart manifold (psi = n - m, U = I), its own induced gauge."""
 
     def psi(m, n):
         return manifold.flatten(np.asarray(n, dtype=float) - np.asarray(m, dtype=float))
 
     par = Parallelism(manifold, manifold._identities, name="identity")
-    log = Logarithm(manifold, psi, d2_fn=manifold._identities, name="difference")
-    log._induced = par
-    return Gauge(manifold, log, par, provenance="custom")
+    return Gauge(manifold, Logarithm(manifold, psi, induced=par, name="difference"), par)
 
 
 def _by_pair(manifold: Manifold, fn, what, shape=None):
@@ -180,10 +170,11 @@ def logarithm_gauge(manifold: Manifold, psi_fn, d2_fn=None, name="psi") -> Gauge
     and ``d2_fn``, its (D, D) differential in n when given, take one pair and are lifted to stacks by
     ``_by_pair``: a value of another shape raises ``ShapeError``, a non-finite one ``DomainError``."""
     d = manifold.flat_dim
-    d2 = None if d2_fn is None else _by_pair(manifold, d2_fn, f"d2 of {name} at pair", (d, d))
     psi = _by_pair(manifold, psi_fn, f"{name} at pair", manifold.point_shape)
-    log = Logarithm(manifold, lambda m, n: manifold.flatten(psi(m, n)), d2_fn=d2, name=name)
-    return Gauge(manifold, log, log.induced_parallelism(), provenance="custom")
+    d2 = None if d2_fn is None else _by_pair(manifold, d2_fn, f"d2 of {name} at pair", (d, d))
+    induced = None if d2 is None else Parallelism(manifold, d2, name=f"induced({name})")
+    log = Logarithm(manifold, lambda m, n: manifold.flatten(psi(m, n)), induced=induced, name=name)
+    return Gauge(manifold, log, log.induced_parallelism())
 
 
 # -- compatibility tensors ---------------------------------------------------------
@@ -197,15 +188,13 @@ def _to_ambient(chart: Chart, xs, dto, coeffs):
 class CompatibilityTensor:
     """First-order discrepancy S of two parallelisms, S(v (x) w) in T_mM.
 
-    Finite differences: ``S[u_tilde, u] = D2(chart rep of u) - D2(chart rep of
-    u_tilde)`` on the diagonal, mapped back to ambient coordinates: the points of
-    a stack are grouped by their ``chart_index`` chart, one ``chart_rep_derivative``
-    stencil per chart.  Every pair built with ``compatibility_tensor`` takes this
-    path, the oracle of ``torsion_check``.  Closed forms override ``stack``:
-    identical parallelisms (chart and flat gauges) are an exact zero, a connection
-    gauge's ``Gauge.compatibility`` is ``TorsionCompatibility`` (half the torsion),
-    and ``change_tensor`` between a chart parallelism and a connection transport is
-    ``ChristoffelCompatibility`` (the connection's coefficients in that chart).
+    One rule.  One parallelism is an exact zero.  When both parallelisms have a
+    ``closed`` form against the connection transport T, S[u_tilde, u] = S[u_tilde, T]
+    - S[u, T], S being a cocycle.  Otherwise finite differences: ``S[u_tilde, u] =
+    D2(chart rep of u) - D2(chart rep of u_tilde)`` on the diagonal, mapped back to
+    ambient coordinates: the points of a stack are grouped by their ``chart_index``
+    chart, one ``chart_rep_derivative`` stencil per chart.  ``compatibility_tensor``,
+    the oracle of ``torsion_check``, always takes the finite differences.
     A parallelism of another geometry than ``manifold``'s raises ``GaugeMismatch``.
     """
 
@@ -216,6 +205,7 @@ class CompatibilityTensor:
         self.u = u
         self.manifold = manifold
         self.exact_zero = u_tilde is u
+        self.closed_form = u_tilde.closed is not None and u.closed is not None
 
     def at(self, m):
         """(D, D, D) array S[c, a, b] with S(v (x) w)_c = S[c, a, b] v_a w_b."""
@@ -226,6 +216,9 @@ class CompatibilityTensor:
         points = np.asarray(points, dtype=float)
         out = np.zeros((len(points),) + (self.manifold.flat_dim,) * 3)
         if self.exact_zero:
+            return out
+        if self.closed_form:
+            out[...] = self.u_tilde.closed(points) - self.u.closed(points)
             return out
         owners = self.manifold.chart_index(points, atlas := self.manifold.charts())
         for k in np.unique(owners):
@@ -240,60 +233,28 @@ class CompatibilityTensor:
         return np.einsum("cab,a,b->c", self.at(m), self.manifold.flatten(v), self.manifold.flatten(w))
 
 
-class TorsionCompatibility(CompatibilityTensor):
-    """S of a connection gauge (geodesic logarithm, parallel transport): half the torsion."""
-
-    def stack(self, points):
-        return 0.5 * self.manifold.torsion_tensor(np.asarray(points, dtype=float))
-
-
-class ChristoffelCompatibility(CompatibilityTensor):
-    """S between the chart parallelism of ``chart`` and the connection transport.
-
-    With x the chart coordinates of m, S(v, w) = sign * dfrom(x) Gamma(x)(dto v,
-    dto w), Gamma the manifold's ``chart_christoffels`` (a closed form or the
-    ``Manifold`` default's finite differences); sign is +1 when the chart
-    parallelism is u_tilde and -1 when it is u.
-    """
-
-    def __init__(self, u_tilde: Parallelism, u: Parallelism, manifold: Manifold, chart: Chart, sign: float):
-        super().__init__(u_tilde, u, manifold)
-        self.chart = chart
-        self.sign = sign
-
-    def stack(self, points):
-        chart = self.chart
-        xs = chart.read(points)
-        return self.sign * _to_ambient(chart, xs, chart.dto(points), self.manifold.chart_christoffels(chart, xs))
-
-
 def compatibility_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
     """The finite-difference S[u_tilde, u] (exact zero for one parallelism): the oracle."""
-    return CompatibilityTensor(u_tilde, u, manifold)
+    s = CompatibilityTensor(u_tilde, u, manifold)
+    s.closed_form = False
+    return s
 
 
 def change_tensor(u_tilde: Parallelism, u: Parallelism, manifold: Manifold):
-    """S[u_tilde, u] in closed form where one exists, else the finite-difference oracle.
+    """S[u_tilde, u] by ``CompatibilityTensor``'s one rule: a closed form where both parallelisms have one.
 
-    A chart parallelism against a connection transport takes ``ChristoffelCompatibility``
-    in either order, with ``manifold``'s connection coefficients in that chart.
     A parallelism of another geometry than ``manifold``'s raises ``GaugeMismatch``.
     """
-    for chart_par, conn_par, sign in ((u_tilde, u, 1.0), (u, u_tilde, -1.0)):
-        if chart_par.chart is not None and conn_par.connection:
-            return ChristoffelCompatibility(u_tilde, u, manifold, chart_par.chart, sign)
-    return compatibility_tensor(u_tilde, u, manifold)
+    return CompatibilityTensor(u_tilde, u, manifold)
 
 
-def torsion_check(manifold: Manifold, rng=None, n_points=5):
-    """Max mismatch between the connection gauge's finite-difference S and half the torsion, on one stack."""
-    if n_points < 1:
-        raise DomainError(f"a torsion check needs at least one point, got {n_points}")
-    rng = rng or np.random.default_rng(3)
+def torsion_check(manifold: Manifold):
+    """Max mismatch between the connection gauge's finite-difference S and half the torsion at 5 seeded points."""
+    rng = np.random.default_rng(3)
     g = connection_gauge(manifold)
     s = compatibility_tensor(g.log.induced_parallelism(), g.par, manifold)
     draws = []
-    for _ in range(n_points):  # a point, then two tangents at it
+    for _ in range(5):  # a point, then two tangents at it
         m = manifold.random_point(rng)
         v, w = (manifold.flatten(manifold.random_tangent(rng, m)) for _ in range(2))
         draws.append((m, v, w))

@@ -721,7 +721,8 @@ class ChartManifold(Manifold):
 
     def exp(self, m, v):
         if self.gamma is None:
-            return np.asarray(m, dtype=float) + np.asarray(v, dtype=float)
+            m, v = self._points(m, v)
+            return m + v
         lead, ms, vs = self._pair_rows(m, v)
         return self._geodesic(ms, vs, jacobi=False)[0].reshape(lead + (self.dim,))
 
@@ -752,7 +753,8 @@ class ChartManifold(Manifold):
 
     def log(self, m, n, tol=1e-12, max_iter=50):
         if self.gamma is None:
-            return np.asarray(n, dtype=float) - np.asarray(m, dtype=float)
+            m, n = self._points(m, n)
+            return n - m
         return self._shoot(m, n, tol, max_iter)[0]
 
     def transport(self, to_pt, from_pt):

@@ -122,11 +122,11 @@ class RoughPath:
         res = sym - 0.5 * np.einsum("ia,ib->iab", dx, dx)
         return float(np.max(np.abs(res))) if res.size else 0.0
 
-    def chen_residual(self, rng=None, max_triples=20_000):
-        """Worst associativity defect over grid triples (sampled when large)."""
+    def chen_residual(self):
+        """Worst associativity defect over grid triples (20,000 seeded draws when there are more)."""
         if self.n_steps < 2:
             return 0.0
-        i, j, k = sampled_triples(self.n_steps + 1, max_triples, rng)
+        i, j, k = sampled_triples(self.n_steps + 1, 20_000)
         xj = self.values.take(j, axis=0)
         rhs = self.area_pairs(i, j)
         rhs += self.area_pairs(j, k)

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from crp import SO3, CrpError, DomainError, NotOnManifold, ShapeError
+from crp import SO3, ChartManifold, CrpError, DomainError, NotOnManifold, ShapeError
 from crp.fixtures import LINE, SPHERE, example_67_crp, linear_drive_driver, sphere_projection_field, sphere_spiral_crp
 from crp.gauges import connection_gauge, logarithm_gauge
 from crp.linalg import pointwise, so3_exp
@@ -176,6 +176,11 @@ CASES = [
      "field bad at t=0.0625 is of dtype <U4, not a real number array"),
     ("rde_solve_manifold:field-complex", lambda: chart_stepped_value(lambda m: SPHERE.tangent_projector(m) + 0.5j),
      ShapeError, "field bad at t=0.0625 is of dtype complex128, not a real number array"),
+    # the flat chart manifold's geodesic maps read their points, as the curved ones do
+    ("ChartManifold.exp:flat-velocity", lambda: ChartManifold(3).exp(np.zeros(3), np.zeros(2)), ShapeError,
+     "points of shape (2,) are not chart points of shape (3,)"),
+    ("ChartManifold.exp:flat-column", lambda: ChartManifold(3).exp(np.zeros((2, 3)), np.zeros((2, 1))), ShapeError,
+     "points of shape (2, 1) are not chart points of shape (3,)"),
 ]
 
 

@@ -262,11 +262,6 @@ class TestTorsion:
         rep = torsion_check(ChartManifold(2))
         assert rep["max_residual"] <= 1e-10
 
-    def test_no_point_raises_domain_error(self):
-        # a check over no point used to report a zero residual and pass
-        with pytest.raises(DomainError):
-            torsion_check(SPHERE, n_points=0)
-
 
 class TestLogarithmComparison:
     def test_two_logarithms_second_order_identity(self):

@@ -65,14 +65,6 @@ def test_manifold_spec_json():
     assert doc["type"] == "chart" and doc["connection"]["kind"] == "levi-civita"
 
 
-def test_gauge_spec_json():
-    g = connection_gauge(SPHERE)
-    assert g.spec_json() == {"provenance": "connection", "connection": "sphere"}
-    cg = chart_gauge(SPHERE, SPHERE.charts()[0])
-    doc = cg.spec_json()
-    assert doc["provenance"] == "chart" and doc["chart"] == "stereo-north"
-
-
 def test_verification_report_schema():
     from crp.mcrp import verify_gauge_crp
 

@@ -18,7 +18,7 @@ import crp.transport
 from crp import DomainError, GaugeMismatch, ShapeError
 from crp.fixtures import SPHERE, so3_curve_crp, sphere_spiral_crp
 from crp.gauges import (
-    ChristoffelCompatibility,
+    Gauge,
     Parallelism,
     change_tensor,
     chart_gauge,
@@ -311,7 +311,8 @@ def on_tangents(mani, m, s):
     return np.einsum("Cc,cab,aA,bB->CAB", p, s, p, p)
 
 
-def test_christoffel_s_matches_the_fd_oracle_in_both_orders_and_either_chart():
+def test_christoffel_s_matches_the_fd_oracle_in_both_orders_and_either_chart(monkeypatch):
+    fd = counting(monkeypatch, crp.gauges, "chart_rep_derivative")
     rng = np.random.default_rng(17)
     conn = connection_gauge(SPHERE).par
     chart = SPHERE.charts()[0]
@@ -323,11 +324,11 @@ def test_christoffel_s_matches_the_fd_oracle_in_both_orders_and_either_chart():
             continue  # outside the north chart's domain
         other += SPHERE.chart_at(m).name != chart.name
         for u_tilde, u in ((chart_par, conn), (conn, chart_par)):
-            closed = change_tensor(u_tilde, u, SPHERE)
-            assert isinstance(closed, ChristoffelCompatibility)
-            fd = compatibility_tensor(u_tilde, u, SPHERE)
-            gap = on_tangents(SPHERE, m, closed.at(m)) - on_tangents(SPHERE, m, fd.at(m))
-            assert np.max(np.abs(gap)) <= 1e-8
+            before = fd[0]
+            closed = change_tensor(u_tilde, u, SPHERE).at(m)
+            assert fd[0] == before  # a closed form, no finite-difference stencil
+            oracle = compatibility_tensor(u_tilde, u, SPHERE).at(m)
+            assert np.max(np.abs(on_tangents(SPHERE, m, closed) - on_tangents(SPHERE, m, oracle))) <= 1e-8
     assert other >= 5
 
 
@@ -338,6 +339,25 @@ def test_christoffel_s_flips_sign_with_the_pair_order():
     forward = change_tensor(chart_par, conn, SPHERE).stack(pts)
     assert np.array_equal(change_tensor(conn, chart_par, SPHERE).stack(pts), -forward)
     assert np.max(np.abs(forward)) > 0.1
+
+
+def test_chart_to_chart_and_mixed_gauge_s_take_no_finite_differences(monkeypatch):
+    # S[north, south] = S[north, T] - S[south, T], and a chart logarithm with the Levi-Civita
+    # parallelism is S[north, T]: both closed, against the finite-difference oracle
+    fd = counting(monkeypatch, crp.gauges, "chart_rep_derivative")
+    fd_coefficients = counting(monkeypatch, crp.manifolds, "chart_rep_derivative")
+    north, south = (chart_gauge(SPHERE, c) for c in SPHERE.charts())
+    conn = connection_gauge(SPHERE)
+    mixed = Gauge(SPHERE, north.log, conn.par)
+    pts = np.array([[0.6, 0.0, -0.8], [0.0, 0.8, 0.6], [0.36, 0.48, 0.8], [-0.48, 0.6, 0.64]])
+    pairs = ((north.par, south.par), (south.par, north.par))
+    closed = [change_tensor(u_tilde, u, SPHERE).stack(pts) for u_tilde, u in pairs] + [mixed.compatibility().stack(pts)]
+    assert fd[0] == fd_coefficients[0] == 0
+    oracles = [compatibility_tensor(u_tilde, u, SPHERE).stack(pts) for u_tilde, u in pairs + ((north.par, conn.par),)]
+    assert np.max(np.abs(closed[0])) > 0.1
+    for got, want in zip(closed, oracles):
+        for m, a, b in zip(pts, got, want):
+            assert np.max(np.abs(on_tangents(SPHERE, m, a) - on_tangents(SPHERE, m, b))) <= 1e-8
 
 
 @pytest.mark.parametrize("h_geo", (0.1, 0.01))
@@ -370,19 +390,20 @@ def test_chart_manifold_chart_christoffels_is_gamma_and_takes_no_fd(monkeypatch)
 
 
 @pytest.mark.parametrize("mani", [SO3(), ProductManifold(SPHERE, SO3())], ids=["so3", "sphere*so3"])
-def test_so3_and_product_chart_connection_s_match_the_fd_oracle(mani):
-    # no closed-form coefficients: ChristoffelCompatibility with the Manifold default's FD coefficients
+def test_so3_and_product_chart_connection_s_match_the_fd_oracle(mani, monkeypatch):
+    # no closed-form coefficients: the chart parallelism's closed S with the Manifold default's FD coefficients
+    fd = counting(monkeypatch, crp.gauges, "chart_rep_derivative")
     conn = connection_gauge(mani).par
     chart = mani.charts()[0]
     chart_par = chart_gauge(mani, chart).par
     rng = np.random.default_rng(23)
     pts = np.stack([m for m in (mani.random_point(rng) for _ in range(8)) if chart.margin(m) > 0.3])
     assert len(pts) >= 3
-    for u_tilde, u in ((chart_par, conn), (conn, chart_par)):
-        closed = change_tensor(u_tilde, u, mani)
-        assert isinstance(closed, ChristoffelCompatibility)
-        got, fd = closed.stack(pts), compatibility_tensor(u_tilde, u, mani).stack(pts)
-        for m, a, b in zip(pts, got, fd):
+    orders = ((chart_par, conn), (conn, chart_par))
+    got = [change_tensor(u_tilde, u, mani).stack(pts) for u_tilde, u in orders]
+    assert fd[0] == 0  # no per-chart S stencil; the coefficients' stencil is chart_christoffels'
+    for (u_tilde, u), closed in zip(orders, got):
+        for m, a, b in zip(pts, closed, compatibility_tensor(u_tilde, u, mani).stack(pts)):
             assert np.max(np.abs(on_tangents(mani, m, a) - on_tangents(mani, m, b))) <= 1e-8
 
 

@@ -206,7 +206,7 @@ def test_gauge_independence_same_parallelism():
     y = sphere_spiral_crp(256)
     conn = connection_gauge(SPHERE)
     chart_g = chart_gauge(SPHERE, SPHERE.charts()[0])
-    mixed = Gauge(SPHERE, chart_g.log, conn.par, provenance="custom")
+    mixed = Gauge(SPHERE, chart_g.log, conn.par)
     a = oneform_from_smooth(area_form, y, conn.par)
     z1 = gauge_integrate(a, y, conn)
     z2 = gauge_integrate(a, y, mixed)
