@@ -213,7 +213,7 @@ def _build_rde_from_config(cfg, fixture, n):
     field_cfg = _section(cfg, "field", {"kind", "params"})
     kind = field_cfg.get("kind", RDE_FIXTURES.get(fixture, "projection"))
     if not isinstance(kind, str) or kind not in RDE_PARAMS:
-        raise ConfigError(f"unsupported field kind {kind!r}")
+        raise ConfigError(f"config field kind {kind!r} is not one of {', '.join(sorted(RDE_PARAMS))}")
     params = _section(field_cfg, "params", RDE_PARAMS[kind])
     if kind == "projection":
         rp = fx.linear_drive_driver(n, speed=_number(params, "speed", 1.0, cast=float))

@@ -25,6 +25,7 @@ from .linalg import (
     FD_STEP,
     SO3_BASIS,
     any_true,
+    hat,
     norm,
     polar_retract,
     richardson_combine,
@@ -332,9 +333,6 @@ class Manifold:
         with np.errstate(invalid="ignore", divide="ignore"):
             return norm(self.flatten(p) - self.flatten(self.project(p)))
 
-    def on_manifold(self, p, tol=1e-10):
-        return bool(self.off_manifold(p) <= tol)
-
     def random_point(self, rng):
         raise NotImplementedError
 
@@ -537,22 +535,17 @@ class SO3(Manifold):
         ``NearCutLocus``: the edge lies short of pi, where ``so3_log`` turns to its antipodal branch.  A pair
         whose relative matrix k^T g is farther than ``ROTATION_TOL`` from orthogonal raises ``NotOnManifold``
         (the closed form would read, say, 2 I as the zero rotation)."""
-        k, g = np.asarray(k, dtype=float), np.asarray(g, dtype=float)
+        k, g = self._points(k, g)
         r = np.swapaxes(k, -1, -2) @ g
         off = norm((np.swapaxes(g, -1, -2) @ k @ r - _EYE3).reshape(r.shape[:-2] + (9,)))
         if any_true(off > ROTATION_TOL):
             i = int(np.argmax(np.ravel(off > ROTATION_TOL)))
             raise NotOnManifold(i, f"pair {i} is not a pair of rotations: |r^T r - I| = {np.ravel(off)[i]:.2e}")
         th = np.arccos(np.clip(0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0), -1.0, 1.0))
-        w = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]], axis=-1)
-        big = np.where(th < 1e-8, 1.0, th)
-        a = np.where(th < 1e-8, 0.5 * (1.0 + th**2 / 6.0), big / (2.0 * np.sin(big)))[..., None] * w
         cut = self.past_gauge_ball(th)
         if any_true(cut):
             raise NearCutLocus(f"rotations at distance {np.ravel(th)[np.argmax(cut)]:.6f} reach the gauge ball")
-        hats = np.zeros(r.shape)
-        hats[..., [2, 0, 1, 1, 2, 0], [1, 2, 0, 2, 0, 1]] = np.concatenate([a, -a], axis=-1)
-        return k @ hats
+        return k @ hat(so3_log(r))
 
     log_batch = log  # the name the benchmark tracer binds
 
@@ -564,20 +557,19 @@ class SO3(Manifold):
     def d2log(self, k, g):
         # tangent xi = g hat(e) maps to k hat(Jr^{-1} e), Jr^{-1} the right Jacobian inverse;
         # e = vee(g^T xi), and vee(g^T E_rc)_a = (g hat(e_a))_rc / 2 on the unit matrices E_rc
-        k = np.asarray(k, dtype=float)
-        g = np.asarray(g, dtype=float)
+        k, g = self._points(k, g)
         jr_inv = so3_left_jacobian_inv(-so3_log(np.swapaxes(k, -1, -2) @ g))
         kb, gb = ((p[..., None, :, :] @ SO3_BASIS).reshape(p.shape[:-2] + (3, 9)) for p in (k, g))
         return np.swapaxes(kb, -1, -2) @ jr_inv @ (0.5 * gb)
 
     def distance(self, g, h):
-        tr = np.einsum("...ij,...ij", np.asarray(g, float), np.asarray(h, float))
+        tr = np.einsum("...ij,...ij", *self._points(g, h))
         return np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
 
     def torsion_tensor(self, g):
         # T(b_a, b_b) = -g [hat(e_a), hat(e_b)] on the orthogonal b_a = vec(g hat(e_a)), |b_a|^2 = 2,
         # and [hat(e_a), hat(e_b)] = eps_abc hat(e_c) with hat(e_a)[b, c] = -eps_abc
-        g = np.asarray(g, dtype=float)
+        (g,) = self._points(g)
         b = (g[..., None, :, :] @ SO3_BASIS).reshape(g.shape[:-2] + (3, 9))
         return 0.25 * np.einsum("abc,...cC,...aA,...bB->...CAB", SO3_BASIS, b, b, b)
 
@@ -758,13 +750,14 @@ class ChartManifold(Manifold):
         return self._shoot(m, n, tol, max_iter)[0]
 
     def transport(self, to_pt, from_pt):
-        return self._identities(to_pt, from_pt) if self.gamma is None else self._shoot(from_pt, to_pt)[2]
+        return self._identities(*self._points(to_pt, from_pt)) if self.gamma is None else self._shoot(from_pt, to_pt)[2]
 
     def d2log(self, m, n):
-        return self._identities(m, n) if self.gamma is None else np.linalg.inv(self._shoot(m, n)[1])
+        return self._identities(*self._points(m, n)) if self.gamma is None else np.linalg.inv(self._shoot(m, n)[1])
 
     def distance(self, m, n):
         # coordinate distance; the conservative 5% margin absorbs the mismatch
+        m, n = self._points(m, n)
         return np.linalg.norm(self.flatten(n) - self.flatten(m), axis=-1)
 
     def torsion_tensor(self, m):

@@ -169,30 +169,32 @@ def domain_feasible_delta(y: ManifoldControlledPath, gauge: Gauge):
     gauge definition on loops, where the full horizon would probe pairs beyond
     the injectivity ball.  A chart gauge reads every pair, and so does a chart
     parallelism, which ``ControlledOneForm.verify`` passes for ``gauge``.
+    Two ``pairs.pair_sup`` sweeps: tau is the smallest time gap of a pair ``past_gauge_ball``
+    (none: the horizon), and delta the largest time gap more than ``pairs.DELTA_SLACK`` below
+    tau, so no probed pair (t_j - t_i <= delta + DELTA_SLACK) reaches the ball, on any grid.
     Raises ``DomainError`` when even adjacent samples leave the gauge ball.
-    The gaps are read in blocks of fewer than ``pairs.BLOCK_PAIRS`` pairs.
     """
-    horizon = float(y.times[-1] - y.times[0])
+    times, pts, mani = y.times, y.points, y.manifold
+    horizon = float(times[-1] - times[0])
     if gauge.chart is not None:
         return horizon
-    if not np.isfinite(y.manifold.gauge_radius):
+
+    def inverse_gaps_past(i, j):
+        far = mani.past_gauge_ball(mani.distance(pts.take(i, axis=0), pts.take(j, axis=0)))
+        return (far / (times.take(j) - times.take(i)),)
+
+    inv_tau = pairs.pair_sup(times, None, inverse_gaps_past)[0][0]
+    if inv_tau == 0.0:
         return horizon
-    times, n = y.times, y.times.size
-    best, gap, width = 0.0, 1, max(1, pairs.BLOCK_PAIRS // n)
-    while gap < n:
-        sizes = n - np.arange(gap, min(n, gap + width))  # pairs (i, i + n - size) of each gap
-        starts = np.cumsum(sizes) - sizes
-        i = np.arange(sizes.sum()) - np.repeat(starts, sizes)
-        j = i + np.repeat(n - sizes, sizes)
-        d = y.manifold.distance(y.points[i], y.points[j])
-        far = y.manifold.past_gauge_ball(np.maximum.reduceat(d, starts))
-        k = int(np.argmax(far)) if far.any() else sizes.size  # the block's gaps inside the domain
-        best = float(np.maximum.reduceat(times[j] - times[i], starts)[k - 1]) if k else best
-        if k < sizes.size:
-            break
-        gap += k
+    tau = 1.0 / inv_tau
+
+    def gaps_below(i, j):
+        gap = times.take(j) - times.take(i)
+        return (np.where(tau - gap > pairs.DELTA_SLACK, gap, 0.0),)
+
+    best = pairs.pair_sup(times, tau, gaps_below)[0][0]
     if best == 0.0:
-        raise DomainError(f"adjacent samples already leave the gauge ball of radius {y.manifold.gauge_radius:.6g}")
+        raise DomainError(f"adjacent samples already leave the gauge ball of radius {mani.gauge_radius:.6g}")
     return best
 
 
@@ -230,10 +232,10 @@ def verify_chart_crp(y: ManifoldControlledPath, chart: Chart, window=None):
 
 def ratio_at_pair(y: ManifoldControlledPath, chart: Chart, s, t):
     """Chart remainder ratio |z_{s,t} - z'_s x_{s,t}| / omega^{2/p} at one pair, read by
-    ``pairs.control_sups`` on the two-node grid (s, t): a vanishing control follows its 0/0 rule."""
-    i = y.driver.index_of(s)
-    j = y.driver.index_of(t)
-    zi, zj = chart.to_coords(y.points[[i, j]])
+    ``pairs.control_sups`` on the two-node grid (s, t): a vanishing control follows its 0/0 rule.
+    A point outside the chart raises ``ChartExit`` at its time, as in ``verify_chart_crp``."""
+    i, j = y.driver.index_of(s), y.driver.index_of(t)
+    zi, zj = chart.read(y.points[[i, j]], lambda k: ChartExit(time=float(y.times[(i, j)[k]])))
     zdag = chart.dto(y.points[i]) @ y.derivative[i]
     dx = y.driver.values[j] - y.driver.values[i]
     rem = np.linalg.norm(zj - zi - zdag @ dx)[None]

@@ -9,12 +9,12 @@ from typing import Callable
 import numpy as np
 
 from .controlled import ControlledPath, driver_as_controlled
-from .errors import AtlasGap, DomainError, Explosion, NotOnManifold, NotRelated, ShapeError
+from .errors import AtlasGap, DomainError, Explosion, NotRelated, ShapeError
 from .flatrde import EXPLOSION_BOUND, linear_flow
 from .gauges import Gauge, compatibility_tensor
 from .linalg import pointwise, real_array
 from .manifolds import SO3, Manifold, Sphere
-from .mcrp import BASEPOINT_TOL, ManifoldControlledPath, crp_pushforward
+from .mcrp import BASEPOINT_TOL, ManifoldControlledPath, _check_on_manifold, crp_pushforward
 from .oneforms import integrate_smooth_oneform
 from .roughpath import RoughPath
 from .sewing import rough_integrate
@@ -160,9 +160,8 @@ def rde_solve_manifold(field: ManifoldDrivingField, rp: RoughPath, y0) -> Manifo
             f"y0 of shape {y.shape} and field values of shape {fshape} do not fit {mani.name} points of shape "
             f"{mani.point_shape} and a {rp.dim}-dim driver"
         )
+    _check_on_manifold(mani, y[None])
     if gens is not None:
-        if not mani.on_manifold(y, BASEPOINT_TOL):
-            raise NotOnManifold(0, f"start point is not on {mani.name}")
         points = linear_flow(field.generators, rp.times, dxs, rp.step_areas, y, "exp")
         deriv = np.einsum("anm,pm...->pn...a", field.generators, points).reshape(n + 1, mani.flat_dim, -1)
         switches = []

@@ -8,12 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled import ControlledPath, check_same_grid, pushed_step_areas
-from .errors import DomainError, NotOnManifold, ShapeError
+from .errors import DomainError, ShapeError
 from .flatrde import linear_flow, running_products
 from .gauges import Gauge, connection_gauge
 from .linalg import SO3_BASIS, vee
 from .manifolds import Chart, Manifold, SO3
-from .mcrp import BASEPOINT_TOL, ManifoldControlledPath
+from .mcrp import ManifoldControlledPath, _check_on_manifold
 from .mrde import ChartWalk
 from .oneforms import ControlledOneForm, gauge_integrate, integrate_smooth_oneform
 from .roughpath import RoughPath
@@ -41,8 +41,7 @@ def group_rde(z: ControlledPath, rp: RoughPath, g0) -> ManifoldControlledPath:
     if z.values.shape[1:] != (3,):
         raise ShapeError(f"z takes values of shape {z.values.shape[1:]}, the algebra has dimension 3")
     group = SO3()
-    if not group.on_manifold(g0, tol=BASEPOINT_TOL):
-        raise NotOnManifold(0, f"start point is not on {group.name}")
+    _check_on_manifold(group, g0[None])
     dz, areas = np.diff(z.values, axis=0), pushed_step_areas(z, rp)
     pts = linear_flow(-SO3_BASIS, rp.times, dz, areas, None, "exp") @ g0
     # column a of g' is -(z'_a)^ g, with z'_a the algebra element of column a of z's derivative
@@ -199,8 +198,7 @@ def roll(z: ControlledPath, rp: RoughPath, manifold: Manifold, o, u0):
     o = np.asarray(o, dtype=float)
     if o.shape != manifold.point_shape:
         raise ShapeError(f"start point has shape {o.shape}, expected {manifold.point_shape}")
-    if not manifold.on_manifold(o, tol=BASEPOINT_TOL):
-        raise NotOnManifold(0, f"start point is not on {manifold.name}")
+    _check_on_manifold(manifold, o[None])
     u0 = _check_frame(manifold, u0)
     n = rp.n_steps
     pts = np.empty((n + 1,) + manifold.point_shape)

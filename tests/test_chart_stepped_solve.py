@@ -16,8 +16,16 @@ import warnings
 import numpy as np
 import pytest
 
-from crp import ChartManifold, Explosion
-from crp.fixtures import SPHERE, linear_drive_driver, smooth_2d_driver, sphere_projection_field
+from crp import ChartManifold, Explosion, NotOnManifold
+from crp.fixtures import (
+    SPHERE,
+    linear_drive_driver,
+    smooth_2d_driver,
+    so3_constant_driver,
+    so3_left_invariant_field,
+    so3_right_invariant_field,
+    sphere_projection_field,
+)
 from crp.flatrde import EXPLOSION_BOUND
 from crp.mrde import FD_STEP, ChartWalk, ManifoldDrivingField, rde_solve_manifold
 from crp.roughpath import time_lift
@@ -104,6 +112,22 @@ def test_chart_stepped_solve_equals_the_per_step_reference(name):
     if name == "projection-linear-drive":
         live = np.any(rp.step_areas != 0, axis=-1)
         assert rp.dim == 3 and np.array_equal(live.sum(axis=1), np.ones(rp.n_steps))  # k = 3, one live area row
+
+
+@pytest.mark.parametrize(
+    "field,driver,y0",
+    [
+        (sphere_projection_field, linear_drive_driver, np.array([0.0, 2.0, 0.0])),
+        (so3_left_invariant_field, so3_constant_driver, 2.0 * np.eye(3)),
+        (so3_right_invariant_field, so3_constant_driver, 2.0 * np.eye(3)),  # the whole-grid branch
+    ],
+    ids=["sphere-chart-stepped", "so3-chart-stepped", "so3-whole-grid"],
+)
+def test_a_start_off_the_manifold_raises_in_both_branches(field, driver, y0):
+    # the chart step's from_coords lands on the manifold, so the chart-stepped solve went on from |y_0| = 2
+    with pytest.raises(NotOnManifold, match="sample 0 lies") as err:
+        rde_solve_manifold(field(), driver(16), y0)
+    assert err.value.index == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -256,6 +256,7 @@ MALFORMED_CONFIGS = [
     ("rde", {"manifold": {"type": "so3"}}),
     ("rde", {"fixture": "so3-constant-rde", "manifold": {"type": "sphere"}}),
     ("rde", {"field": {"kind": "right-invariant"}, "manifold": {"type": "chart"}}),
+    ("rde", {"field": {"kind": "nope"}}),
     ("lift", {"n": 0}),
     ("lift", {"n": -4}),
     ("integrate", {"n": 0}),

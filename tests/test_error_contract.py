@@ -4,7 +4,9 @@ through ``ManifoldDrivingField.value_matrix``, with the same checks), so a value
 one that is not a real number array (a string, a dict, None, a ragged nest, a complex array)
 raises ``ShapeError`` and a non-finite one a typed error, each naming the first bad time,
 point or pair, never a raw numpy error or a silent NaN.  A geometry map given points off its
-manifold raises ``NotOnManifold`` rather than a silent wrong value."""
+manifold raises ``NotOnManifold`` rather than a silent wrong value, and one given points of
+another shape ``ShapeError``.  Malformed inputs (``INPUTS``: configs, paths, controls, fields,
+grids) raise a typed error whose message names what is wrong."""
 
 from __future__ import annotations
 
@@ -13,12 +15,42 @@ import re
 import numpy as np
 import pytest
 
-from crp import SO3, ChartManifold, CrpError, DomainError, NotOnManifold, ShapeError
-from crp.fixtures import LINE, SPHERE, example_67_crp, linear_drive_driver, sphere_projection_field, sphere_spiral_crp
+from crp import (
+    SO3,
+    ChartExit,
+    ChartManifold,
+    ConfigError,
+    Control,
+    ControlledOneForm,
+    ControlledPath,
+    CrpError,
+    DomainError,
+    DrivingField,
+    InvalidGrid,
+    ManifoldControlledPath,
+    NotOnManifold,
+    NotRelated,
+    ShapeError,
+    associated_roughpath,
+    crp_from_projection,
+    driver_as_controlled,
+    rde_solve_flat,
+)
+from crp.cli import _build_rde_from_config
+from crp.fixtures import (
+    LINE,
+    SPHERE,
+    example_67_crp,
+    latitude_crp,
+    linear_drive_driver,
+    sphere_projection_field,
+    sphere_spiral_crp,
+)
 from crp.gauges import connection_gauge, logarithm_gauge
 from crp.linalg import pointwise, so3_exp
 from crp.mcrp import crp_from_smooth_curve, crp_pushforward, ratio_at_pair, scalar_test_suite
 from crp.mrde import (
+    RELATEDNESS_TOL,
     ManifoldDrivingField,
     f_related_pushforward,
     gauge_form_defects,
@@ -26,8 +58,9 @@ from crp.mrde import (
     rde_solve_manifold,
     scalar_solution_defects,
 )
-from crp.oneforms import fundamental_theorem, oneform_from_smooth
-from crp.roughpath import time_lift
+from crp.oneforms import fundamental_theorem, oneform_from_smooth, oneform_product
+from crp.roughpath import lift_piecewise_linear, time_lift
+from crp.sewing import rough_integrate
 
 
 def circle(t):
@@ -86,6 +119,12 @@ def related(i):
 def related_fields():
     narrow = ManifoldDrivingField(SPHERE, lambda m: SPHERE.tangent_projector(m)[:, :2], name="narrow")
     return f_related_pushforward(lambda m: m, lambda m: np.eye(3), sphere_projection_field(), narrow, solve())
+
+
+def unrelated():
+    """``f_related_pushforward`` of the projection field into twice itself under the identity."""
+    doubled = ManifoldDrivingField(SPHERE, lambda m: 2.0 * SPHERE.tangent_projector(m), name="doubled")
+    return f_related_pushforward(lambda m: m, lambda m: np.eye(3), sphere_projection_field(), doubled, solve())
 
 
 def log_gauge_psi(i):
@@ -181,6 +220,80 @@ CASES = [
      "points of shape (2,) are not chart points of shape (3,)"),
     ("ChartManifold.exp:flat-column", lambda: ChartManifold(3).exp(np.zeros((2, 3)), np.zeros((2, 1))), ShapeError,
      "points of shape (2, 1) are not chart points of shape (3,)"),
+    ("ChartManifold.transport:flat", lambda: ChartManifold(3).transport(np.zeros(3), np.zeros(2)), ShapeError,
+     "points of shape (2,) are not chart points of shape (3,)"),
+    ("ChartManifold.d2log:flat-column", lambda: ChartManifold(3).d2log(np.zeros((2, 3)), np.zeros((2, 1))),
+     ShapeError, "points of shape (2, 1) are not chart points of shape (3,)"),
+    ("ChartManifold.distance:flat", lambda: ChartManifold(3).distance(np.zeros(3), np.zeros(2)), ShapeError,
+     "points of shape (2,) are not chart points of shape (3,)"),
+    # and so do the rotation group's
+    ("SO3.log", lambda: SO3().log(np.eye(3), np.zeros((2, 2))), ShapeError,
+     "points of shape (2, 2) are not so3 points of shape (3, 3)"),
+    ("SO3.d2log", lambda: SO3().d2log(np.eye(3), np.zeros((2, 2))), ShapeError,
+     "points of shape (2, 2) are not so3 points of shape (3, 3)"),
+    ("SO3.distance", lambda: SO3().distance(np.eye(3), np.zeros((2, 2))), ShapeError,
+     "points of shape (2, 2) are not so3 points of shape (3, 3)"),
+    ("SO3.torsion_tensor", lambda: SO3().torsion_tensor(np.zeros((2, 2))), ShapeError,
+     "points of shape (2, 2) are not so3 points of shape (3, 3)"),
+]
+
+T5 = np.linspace(0.0, 1.0, 5)
+
+# (site, the call with its malformed input, expected error, a fragment of its message)
+INPUTS = [
+    ("cli:rde-field-kind", lambda: _build_rde_from_config({"field": {"kind": "nope"}}, "sphere-projection-rde", 8),
+     ConfigError, "config field kind 'nope' is not one of"),
+    ("ControlledPath:grid", lambda: ControlledPath(T5, np.zeros((4, 2)), np.zeros((5, 2, 1))), InvalidGrid,
+     "values/derivative do not match the grid"),
+    ("ControlledPath:derivative", lambda: ControlledPath(T5, np.zeros((5, 2)), np.zeros((5, 3, 1))), ShapeError,
+     "derivative must have shape values.shape + (k,)"),
+    ("associated_roughpath:matrix-z",
+     lambda: associated_roughpath(ControlledPath(T5, np.zeros((5, 2, 2)), np.zeros((5, 2, 2, 1))), time_lift(T5)),
+     ShapeError, "associated rough path needs vector-valued z"),
+    ("Control:table-missing", lambda: Control(1.0, "table"), InvalidGrid, "table control needs times and table"),
+    ("Control:table-not-square", lambda: Control(1.0, "table", times=T5, table=np.zeros((5, 4))), InvalidGrid,
+     "table must be square over the grid"),
+    ("Control:kind", lambda: Control(1.0, "nope"), InvalidGrid, "unknown control kind 'nope'"),
+    ("DrivingField:shape", lambda: DrivingField(np.zeros((2, 3))), ShapeError,
+     "matrix family must have shape (k, n, n)"),
+    ("rde_solve_flat:scheme", lambda: rde_solve_flat(DrivingField(np.zeros((1, 2, 2))), time_lift(T5), np.ones(2),
+                                                     scheme="nope"), InvalidGrid, "unknown scheme 'nope'"),
+    ("ManifoldControlledPath:grid",
+     lambda: ManifoldControlledPath(SPHERE, T5, np.zeros((4, 3)), np.zeros((5, 3, 1)), time_lift(T5)), InvalidGrid,
+     "points/derivative do not match the grid"),
+    ("ManifoldControlledPath:point-shape",
+     lambda: ManifoldControlledPath(SPHERE, T5, np.zeros((5, 2)), np.zeros((5, 3, 1)), time_lift(T5)), ShapeError,
+     "points have the wrong shape for this manifold"),
+    ("ManifoldControlledPath:derivative-rows",
+     lambda: ManifoldControlledPath(SPHERE, T5, np.zeros((5, 3)), np.zeros((5, 2, 1)), time_lift(T5)), ShapeError,
+     "derivative must act into flattened ambient tangents"),
+    ("crp_from_projection:driver", lambda: crp_from_projection(SPHERE, time_lift(T5)), ShapeError,
+     "driver must live in the ambient space of the manifold"),
+    ("crp_from_smooth_curve:driver", lambda: crp_from_smooth_curve(SPHERE, circle, dcircle, linear_drive_driver(8)),
+     ShapeError, "smooth-curve construction expects a scalar driver"),
+    ("f_related_pushforward:unrelated", unrelated, NotRelated, "fields are not related (worst residual"),
+    ("ControlledOneForm:grid", lambda: ControlledOneForm(spiral().times, np.zeros((8, 1, 3)), np.zeros((9, 1, 3, 3)),
+                                                         connection_gauge(SPHERE).par, spiral()),
+     InvalidGrid, "alpha samples do not match the grid"),
+    ("ControlledOneForm:width", lambda: ControlledOneForm(spiral().times, np.zeros((9, 1, 2)), np.zeros((9, 1, 3, 2)),
+                                                          connection_gauge(SPHERE).par, spiral()),
+     ShapeError, "one-form must act on flattened ambient tangents"),
+    ("oneform_product:shapes",
+     lambda: oneform_product(ControlledPath(spiral().times, np.zeros((9, 2, 2)), np.zeros((9, 2, 2, 3))),
+                             form_values(0, np.zeros((1, 3)))),
+     ShapeError, "product shapes do not compose"),
+    ("time_lift:one-node", lambda: time_lift([0.0]), InvalidGrid, "grid needs at least two nodes"),
+    ("lift_piecewise_linear:points", lambda: lift_piecewise_linear(np.zeros((3, 2)), T5), InvalidGrid,
+     "one point per grid node required"),
+    ("rough_integrate:dimensions",
+     lambda: rough_integrate(ControlledPath(T5, np.zeros((5, 1, 2)), np.zeros((5, 1, 2, 3))),
+                             driver_as_controlled(lift_piecewise_linear(np.zeros((5, 3)), T5)),
+                             lift_piecewise_linear(np.zeros((5, 3)), T5)),
+     ShapeError, "integrand and integrator dimensions do not compose"),
+    # a chart read of a pair outside the chart: latitude 0.1 lies past the north chart's edge
+    ("ratio_at_pair:chart", lambda: ratio_at_pair(latitude_crp(64, theta=0.1), SPHERE.charts()[0], 0.0,
+                                                  latitude_crp(64, theta=0.1).times[5]),
+     ChartExit, "left the chart domain at t=0.0"),
 ]
 
 
@@ -189,6 +302,21 @@ def test_malformed_callable_raises_a_typed_error_naming_its_first_bad_row(call, 
     with pytest.raises(error, match=re.escape(names)) as err:
         call()
     assert isinstance(err.value, CrpError)
+
+
+@pytest.mark.parametrize("call,error,fragment", [c[1:] for c in INPUTS], ids=[c[0] for c in INPUTS])
+def test_malformed_input_raises_a_typed_error(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as err:
+        call()
+    assert isinstance(err.value, CrpError)
+
+
+def test_unrelated_fields_carry_their_residual():
+    # F_dst = 2 F_src under the identity: the residual is the largest entry of a tangent projector
+    with pytest.raises(NotRelated) as err:
+        unrelated()
+    ms = solve().points
+    assert err.value.residual == float(np.max(np.abs(SPHERE.tangent_projector(ms)))) > RELATEDNESS_TOL
 
 
 def test_ratio_at_pair_follows_the_kernels_zero_over_zero_rule():

@@ -307,20 +307,31 @@ def _count_pair_sups(monkeypatch):
 
 
 def test_each_verifier_sweeps_the_pairs_once(monkeypatch):
+    # the default delta makes sweeps of its own (pinned below), so it is passed in here
     y = fx.sphere_spiral_crp(64)
     gauge = connection_gauge(fx.SPHERE)
     form = oneforms.oneform_from_smooth(lambda m: np.sin(m)[None, :], y, gauge.par)
+    delta = mcrp.domain_feasible_delta(y, gauge)
     calls = _count_pair_sups(monkeypatch)
     for verify in (
         lambda: controlled.verify_crp(y.as_flat(), y.driver),
         lambda: controlled.verify_crp(y.as_flat(), y.driver, delta=0.5),
-        lambda: mcrp.verify_gauge_crp(y, gauge),
+        lambda: mcrp.verify_gauge_crp(y, gauge, delta=delta),
         lambda: mcrp.verify_chart_crp(y, fx.SPHERE.chart_at(y.points[0])),
-        lambda: form.verify(),
+        lambda: form.verify(delta=delta),
     ):
         calls.clear()
         assert len(verify()["levels"]["h"]) == 4
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("maker,sweeps", [(fx.sphere_spiral_crp, 1), (fx.equator_crp, 2)], ids=["spiral", "equator"])
+def test_domain_feasible_delta_sweeps_once_inside_the_ball_and_twice_past_it(maker, sweeps, monkeypatch):
+    # the spiral keeps every pair inside the gauge ball: one sweep finds no pair past it
+    y = maker(64)
+    calls = _count_pair_sups(monkeypatch)
+    mcrp.domain_feasible_delta(y, connection_gauge(fx.SPHERE))
+    assert len(calls) == sweeps
 
 
 class TestNoPairProbed:
@@ -410,6 +421,31 @@ def test_the_default_delta_never_probes_a_pair_the_logarithm_rejects():
     assert fx.SPHERE.past_gauge_ball(fx.SPHERE.distance(pts[0], pts[16]))
     with pytest.raises(NearCutLocus):
         fx.SPHERE.log(pts[0], pts[16])
+
+
+def _uneven_equator_crp():
+    """100 steps of 0.001 s turning 0.05 rad each along the equator, then 10 steps of 0.99 s turning 0.001 rad."""
+    th = np.concatenate([0.05 * np.arange(101), 5.0 + 0.001 * np.arange(1, 11)])
+    times = np.concatenate([0.001 * np.arange(101), 0.1 + 0.99 * np.arange(1, 11)])
+    pts = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1)
+    return mcrp.crp_from_projection(fx.SPHERE, roughpath.lift_piecewise_linear(pts, times))
+
+
+def test_domain_feasible_delta_stays_inside_the_gauge_ball_on_an_uneven_grid():
+    # a walk over index gaps stopped at the first gap past the ball and read that gap's time span
+    # before it, 9.95 here, where pairs of the fast part 0.061 s apart already leave the ball
+    y = _uneven_equator_crp()
+    gauge = connection_gauge(fx.SPHERE)
+    gaps = y.times[None, :] - y.times[:, None]
+    upper = np.triu(np.ones(gaps.shape, dtype=bool), 1)
+    far = upper & fx.SPHERE.past_gauge_ball(fx.SPHERE.distance(y.points[:, None], y.points[None, :]))
+    tau = float(np.min(gaps[far]))
+    want = float(np.max(gaps[upper & (tau - gaps > pairs.DELTA_SLACK)]))
+    delta = mcrp.domain_feasible_delta(y, gauge)
+    assert delta == want == pytest.approx(0.06, rel=1e-9)
+    assert not far[upper & (gaps <= delta + pairs.DELTA_SLACK)].any()
+    rep = mcrp.verify_gauge_crp(y, gauge)
+    assert rep["delta"] == delta and rep["pairs_probed"] == 4230
 
 
 def _turning_product_path():
